@@ -10,9 +10,15 @@ import (
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/baseline"
+	"github.com/multiflow-repro/trace/internal/fuzz"
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/lang"
 	"github.com/multiflow-repro/trace/internal/mach"
+	"github.com/multiflow-repro/trace/internal/opt"
+	"github.com/multiflow-repro/trace/internal/pipeline"
+	"github.com/multiflow-repro/trace/internal/profile"
+	"github.com/multiflow-repro/trace/internal/safecheck"
+	"github.com/multiflow-repro/trace/internal/tsched"
 	"github.com/multiflow-repro/trace/internal/xp"
 )
 
@@ -386,6 +392,76 @@ func BenchmarkCompileParallel(b *testing.B) {
 				funcs = len(res.Funcs)
 			}
 			b.ReportMetric(float64(funcs)/b.Elapsed().Seconds()*float64(b.N), "funcs/s")
+		})
+	}
+}
+
+// coldPrograms are the programs the two cold-path micro-benchmarks run: the
+// largest numeric kernel, a mid-sized one, the branchy systems kernel and one
+// generated program, all for the 4-pair machine at full optimization.
+func coldPrograms() []xp.Workload {
+	var out []xp.Workload
+	for _, w := range xp.AllWorkloads() {
+		switch w.Name {
+		case "fft", "matmul", "scanner":
+			out = append(out, w)
+		}
+	}
+	return append(out, xp.Workload{Name: "gen07", Kind: "generated", Src: fuzz.Gen(7)})
+}
+
+// BenchmarkSafecheckAnalyze measures the safety analysis on a linked image.
+// B/op is the tracked number (scripts/bench.sh holds a ceiling on it): the
+// analyzer owns its states, so an analysis allocates O(reachable words ×
+// named registers) however many sweeps the fixpoint takes.
+func BenchmarkSafecheckAnalyze(b *testing.B) {
+	for _, w := range coldPrograms() {
+		b.Run(w.Name, func(b *testing.B) {
+			res := mustCompile(b, w.Src, Options{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			var rep *safecheck.Report
+			for i := 0; i < b.N; i++ {
+				rep = safecheck.Analyze(res.Image, safecheck.Options{})
+			}
+			b.ReportMetric(float64(rep.Transfers), "transfers")
+			b.ReportMetric(float64(len(res.Image.Instrs)), "words")
+		})
+	}
+}
+
+// BenchmarkTschedCompile measures the per-function backend (lowering, trace
+// selection, list scheduling over the reservation tables, register
+// allocation, emission) on already-optimized IR, sequentially.
+func BenchmarkTschedCompile(b *testing.B) {
+	ctx := context.Background()
+	for _, w := range coldPrograms() {
+		b.Run(w.Name, func(b *testing.B) {
+			file, err := lang.Parse(w.Src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := lang.Lower(file)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pctx := pipeline.NewContext()
+			passes := append(opt.Passes(opt.Default()), profile.Pass(false))
+			if err := pipeline.Run(ctx, prog, pctx, passes...); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				work := prog.Clone() // the backend inserts call spills
+				b.StartTimer()
+				_, err := tsched.CompileParallel(ctx, work, mach.Trace28(), pctx.Profile,
+					tsched.CompileOptions{Parallelism: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

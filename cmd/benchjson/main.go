@@ -9,6 +9,10 @@
 //
 //	go test -bench Simulator -benchmem -count=3 . | benchjson -baseline old.txt -o BENCH_sim.json
 //	benchjson [-baseline old.txt] [-o out.json] [bench-output.txt]
+//
+// -require, -require-ratio and -require-max turn the report into a gate: a
+// ns/op speedup floor against the baseline, a within-run ns/op ratio floor,
+// and a ceiling on any metric of the run (B/op, allocs/op).
 package main
 
 import (
@@ -51,6 +55,7 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	require := flag.String("require", "", "Name=minSpeedup[,...]: fail unless each named benchmark's ns/op speedup vs -baseline meets the floor")
 	requireRatio := flag.String("require-ratio", "", "A/B=min[,...]: fail unless A's mean ns/op divided by B's (both from this run) meets the floor — i.e. require B at least min× as fast as A")
+	requireMax := flag.String("require-max", "", "Name:unit=ceiling[,...]: fail unless each named benchmark's mean value of that metric (B/op, allocs/op, ...) is at most the ceiling — for metrics that repeat exactly, where a ceiling is a floor without noise")
 	flag.Parse()
 
 	var in io.Reader = os.Stdin
@@ -140,6 +145,33 @@ func main() {
 				fatal(fmt.Errorf("-require-ratio %s: ratio %.2f below floor %.2f (%s is not %.2fx as fast as %s)", names, got, floor, b, floor, a))
 			}
 			fmt.Fprintf(os.Stderr, "benchjson: %s ns/op ratio %.2f >= %.2f floor: ok\n", names, got, floor)
+		}
+	}
+
+	if *requireMax != "" {
+		for _, entry := range strings.Split(*requireMax, ",") {
+			key, ceilStr, ok := strings.Cut(strings.TrimSpace(entry), "=")
+			name, unit, ok2 := strings.Cut(key, ":")
+			if !ok || !ok2 {
+				fatal(fmt.Errorf("-require-max: bad entry %q, want Name:unit=ceiling", entry))
+			}
+			ceiling, err := strconv.ParseFloat(ceilStr, 64)
+			if err != nil {
+				fatal(fmt.Errorf("-require-max %s: %w", key, err))
+			}
+			got, present := 0.0, false
+			for _, b := range rep.Benchmarks {
+				if b.Name == name {
+					got, present = b.Metrics[unit]
+				}
+			}
+			if !present {
+				fatal(fmt.Errorf("-require-max %s: benchmark or metric missing from run", key))
+			}
+			if got > ceiling {
+				fatal(fmt.Errorf("-require-max %s: %.0f above ceiling %.0f", key, got, ceiling))
+			}
+			fmt.Fprintf(os.Stderr, "benchjson: %s %.0f <= %.0f ceiling: ok\n", key, got, ceiling)
 		}
 	}
 

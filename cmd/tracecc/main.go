@@ -5,7 +5,10 @@
 // Usage:
 //
 //	tracecc [-pairs N] [-O level] [-profile] [-j N] [-verify] [-time-passes]
-//	        [-dump-ir] [-disasm] [-stats] prog.mf
+//	        [-dump-ir] [-disasm] [-stats] [-cpuprofile F] [-memprofile F] prog.mf
+//
+// -cpuprofile and -memprofile write pprof profiles of the whole command, so a
+// cold compile can be profiled without a test harness.
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 	"github.com/multiflow-repro/trace/internal/lang"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
+	"github.com/multiflow-repro/trace/internal/prof"
 )
 
 func main() {
@@ -34,6 +38,7 @@ func main() {
 	lint := flag.Bool("lint", false, "statically verify the linked schedule (schedcheck) after linking")
 	timePasses := flag.Bool("time-passes", false, "print per-pass timing and IR-size report")
 	jobs := flag.Int("j", 0, "backend worker pool size (0 = one per CPU, 1 = sequential)")
+	profiles := prof.Register()
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tracecc [flags] prog.mf")
@@ -43,6 +48,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	stop, err := profiles.Start()
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stop
+	defer stop()
 
 	cfg := mach.NewConfig(*pairs)
 	if *ideal {
@@ -111,7 +122,12 @@ func main() {
 	}
 }
 
+// stopProfiles finishes the -cpuprofile/-memprofile files; fatal runs it too,
+// so a failing command still leaves its profile behind.
+var stopProfiles = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tracecc:", err)
+	stopProfiles()
 	os.Exit(1)
 }

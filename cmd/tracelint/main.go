@@ -42,6 +42,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/multiflow-repro/trace/internal/core"
 	"github.com/multiflow-repro/trace/internal/lang"
@@ -110,6 +111,13 @@ type safetyJSON struct {
 	Exhausted bool       `json:"exhausted"`
 	CertLevel string     `json:"cert_level"`
 	Sites     []siteJSON `json:"sites"`
+
+	// What the analysis cost, for the text summary line only: the two work
+	// counters repeat exactly, the wall time does not, so none of them is
+	// part of the -json schema.
+	Transfers    int           `json:"-"`
+	NarrowRounds int           `json:"-"`
+	Elapsed      time.Duration `json:"-"`
 }
 
 // resultJSON is one file × configuration element of the -json array.
@@ -142,10 +150,12 @@ func lintOne(ctx context.Context, path, src string, c config, withSafety bool) (
 	r.Errors = len(rep.Errors())
 	r.Warnings = len(rep.Warnings())
 	if withSafety {
+		start := time.Now()
 		srep := art.Safety()
 		sj := &safetyJSON{
 			Proven: srep.Proven(), Total: srep.Total(), Exhausted: srep.Exhausted,
-			Sites: []siteJSON{},
+			Sites:     []siteJSON{},
+			Transfers: srep.Transfers, NarrowRounds: srep.NarrowRounds, Elapsed: time.Since(start),
 		}
 		switch {
 		case r.Errors > 0:
@@ -288,8 +298,8 @@ func printResult(w io.Writer, path, cname string, r resultJSON, verbose bool) {
 		fmt.Fprintf(w, "%s [%s]: %s[%s] word=%d beat=%d unit=%s%s: %s\n",
 			path, cname, verdict, site.Kind, site.Word, site.Beat, site.Unit, at, site.Detail)
 	}
-	fmt.Fprintf(w, "%s [%s]: safety: %d/%d guarded sites proven (cert level %s)\n",
-		path, cname, s.Proven, s.Total, s.CertLevel)
+	fmt.Fprintf(w, "%s [%s]: safety: %d/%d guarded sites proven (cert level %s; %d transfers, %d narrowing rounds, %s)\n",
+		path, cname, s.Proven, s.Total, s.CertLevel, s.Transfers, s.NarrowRounds, s.Elapsed.Round(10*time.Microsecond))
 }
 
 // findingText reconstructs schedcheck's text rendering from the JSON form.

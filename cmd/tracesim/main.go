@@ -6,7 +6,12 @@
 //	tracesim [-pairs N] [-O level] [-profile] [-j N] [-verify] [-time-passes]
 //	         [-trace] [-baselines] [-tier T|-checked] [-max-cycles N]
 //	         [-snapshot-at N] [-snapshot-file F] [-resume F]
-//	         [-contexts K] [-quantum N] [-switch-beats N] prog.mf [prog2.mf ...]
+//	         [-contexts K] [-quantum N] [-switch-beats N]
+//	         [-cpuprofile F] [-memprofile F] prog.mf [prog2.mf ...]
+//
+// -cpuprofile and -memprofile write pprof profiles of the whole command —
+// compile, certify (with -tier), translate and run — so a cold request can
+// be profiled without a test harness.
 //
 // With -contexts K (or several source files), the programs time-share one
 // simulated CPU on K hardware contexts: each context's results and stats
@@ -44,6 +49,7 @@ import (
 	"github.com/multiflow-repro/trace/internal/lang"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
+	"github.com/multiflow-repro/trace/internal/prof"
 	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
@@ -67,6 +73,7 @@ func main() {
 	contexts := flag.Int("contexts", 0, "hardware contexts: time-share K programs (or K copies of one) on one machine")
 	quantum := flag.Int64("quantum", 0, "context-scheduler timeslice in beats (0 = default)")
 	switchBeats := flag.Int64("switch-beats", 0, "wall-clock beats charged per context rotation")
+	profiles := prof.Register()
 	flag.Parse()
 	reqTier, err := vliw.ParseTier(*tierName)
 	if err != nil {
@@ -101,6 +108,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	stop, err := profiles.Start()
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stop
+	defer stop()
 
 	cfg := mach.NewConfig(*pairs)
 	var lvl opt.Options
@@ -358,8 +371,13 @@ func trunc(s string, n int) string {
 	return "..." + s[len(s)-n+3:]
 }
 
+// stopProfiles finishes the -cpuprofile/-memprofile files; fatal runs it too,
+// so a failing command still leaves its profile behind.
+var stopProfiles = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tracesim:", err)
+	stopProfiles()
 	os.Exit(1)
 }
 

@@ -12,7 +12,11 @@ import (
 // consumes profiles; the interpreter produces exact ones and package profile
 // produces heuristic ones ("estimates of branch directions obtained
 // automatically through heuristics or profiling", §4).
-type Profile map[string]map[[2]int]float64
+type Profile map[string]EdgeWeights
+
+// EdgeWeights is one function's share of a Profile: edge {fromBlock, toBlock}
+// → weight.
+type EdgeWeights = map[[2]int]float64
 
 // Edge returns the weight of edge from→to in function name (0 if absent).
 func (p Profile) Edge(name string, from, to int) float64 {
@@ -187,7 +191,7 @@ func (in *Interp) call(f *Func, args []uint64) (uint64, error) {
 	}
 	prof := in.Profile[f.Name]
 	if in.Profile != nil && prof == nil {
-		prof = map[[2]int]float64{}
+		prof = EdgeWeights{}
 		in.Profile[f.Name] = prof
 	}
 

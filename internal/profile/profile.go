@@ -21,7 +21,7 @@ func Static(p *ir.Program) ir.Profile {
 	return prof
 }
 
-func staticFunc(f *ir.Func) map[[2]int]float64 {
+func staticFunc(f *ir.Func) ir.EdgeWeights {
 	loops := f.NaturalLoops()
 	depth := make([]int, len(f.Blocks))
 	for _, l := range loops {
@@ -33,7 +33,7 @@ func staticFunc(f *ir.Func) map[[2]int]float64 {
 	for i := range freq {
 		freq[i] = pow(LoopWeight, depth[i])
 	}
-	edges := map[[2]int]float64{}
+	edges := ir.EdgeWeights{}
 	for _, b := range f.Blocks {
 		succs := b.Succs()
 		switch len(succs) {

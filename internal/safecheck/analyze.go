@@ -2,6 +2,7 @@ package safecheck
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/multiflow-repro/trace/internal/ir"
@@ -24,68 +25,47 @@ import (
 // the resource certificate first.
 
 const (
-	nIRegs = 4 * 64 // I-register state: board*64+idx
-	nBB    = 4 * 8  // branch-bank predicates: board*8+idx
-
 	widenAt       = 8     // joins at one word before widening kicks in
 	narrowRounds  = 64    // descending-sweep cap after the ascending fixpoint
 	defaultBudget = 50000 // word-transfer cap before the analysis gives up
 )
 
-// operand is one side of a recorded branch predicate: an immediate or an
-// I-register (index board*64+idx).
-type operand struct {
-	imm bool
-	val int64
-	reg int16
+type analyzer struct {
+	img    *isa.Image
+	succ   [][]int
+	memLen int64
+	src    schedcheck.SourceMap
+	fnames []string
+	fbases []int
+
+	budget    int
+	transfers int
+
+	names *regNames
+	pool  statePool
+	plans []wordPlan
+
+	// Scratch reused by every transfer: the one wordOut the transfer function
+	// runs in, the edge state a refining branch copies the out-state into,
+	// the entry-state snapshot self-looping words need, and small buffers.
+	out    wordOut
+	edgeSt *state
+	s0Copy *state
+	writes []write
+	seen   []bool
+	queue  []clampItem
 }
 
-// pred records what a branch-bank bit means: "kind(a, b) held when this bit
-// was written, and neither a nor b has been overwritten since". The compare
-// is re-evaluated symbolically at branch edges to refine operand ranges.
-type pred struct {
-	ok   bool
-	kind ir.OpKind // CmpEQ..CmpGE
-	a, b operand
-}
-
-// rel records an exact affine equality between two live registers:
-// value(reg) == value(base) + delta, right now. Rotated loops carry the
-// incremented induction variable in a different register than the one the
-// exit test constrains ("i1.14 = i1.11 + 1; ...; brT i1.11 < n"), so a
-// pure interval domain loses every loop bound; these equalities let a
-// branch refinement on one register propagate to its affine copies.
-type rel struct {
-	ok    bool
-	base  int16
-	delta int64
-}
-
-// state is the abstract machine state at a word boundary. It is a plain
-// comparable value: fixpoint change detection is ==.
-//
-// ipred mirrors preds for integer registers: compilers route branch
-// conditions through the I-bank ("i = cmplt a, b; bb = cmpeq i, #0"), so a
-// register written by a compare remembers the relation it tested; refining
-// "i == 0" then refines a and b. An ok ipred also certifies the register's
-// value is exactly 0 or 1.
-type state struct {
-	regs  [nIRegs]Val
-	preds [nBB]pred
-	eq    [nIRegs]rel
-	ipred [nIRegs]pred
-}
-
-func (s *state) argVal(a mach.Arg) Val {
-	if a.IsImm {
-		return Exact(int64(a.Imm))
+func (a *analyzer) argVal(s *state, arg mach.Arg) Val {
+	if arg.IsImm {
+		return Exact(int64(arg.Imm))
 	}
-	if !a.Reg.Valid() {
+	if !arg.Reg.Valid() {
 		return Exact(0) // readArg returns 0 for an unwired operand
 	}
-	switch a.Reg.Bank {
+	switch arg.Reg.Bank {
 	case mach.BankI:
-		if ri, ok := iregIndex(a.Reg); ok {
+		if ri, ok := a.names.ireg(arg.Reg); ok {
 			return s.regs[ri]
 		}
 	case mach.BankB:
@@ -94,26 +74,12 @@ func (s *state) argVal(a mach.Arg) Val {
 	return Top // F/SF bits reinterpreted as i32: anything
 }
 
-func iregIndex(r mach.PReg) (int, bool) {
-	if int(r.Board) >= 4 || int(r.Idx) >= 64 {
-		return 0, false
+func (a *analyzer) trackOperand(arg mach.Arg) (operand, bool) {
+	if arg.IsImm {
+		return operand{imm: true, val: int64(arg.Imm), reg: -1}, true
 	}
-	return int(r.Board)*64 + int(r.Idx), true
-}
-
-func bbIndex(r mach.PReg) (int, bool) {
-	if int(r.Board) >= 4 || int(r.Idx) >= 8 {
-		return 0, false
-	}
-	return int(r.Board)*8 + int(r.Idx), true
-}
-
-func trackOperand(a mach.Arg) (operand, bool) {
-	if a.IsImm {
-		return operand{imm: true, val: int64(a.Imm), reg: -1}, true
-	}
-	if a.Reg.Valid() && a.Reg.Bank == mach.BankI {
-		if ri, ok := iregIndex(a.Reg); ok {
+	if arg.Reg.Valid() && arg.Reg.Bank == mach.BankI {
+		if ri, ok := a.names.ireg(arg.Reg); ok {
 			return operand{reg: int16(ri)}, true
 		}
 	}
@@ -130,67 +96,17 @@ func (s *state) operandVal(o operand) Val {
 	return s.regs[o.reg]
 }
 
-// joinState merges two word-entry states: register values join in the
-// lattice; predicates and affine equalities survive only when both sides
-// agree exactly (an equality that holds on every incoming path still holds
-// after the join).
-func joinState(a, b state) state {
-	var out state
-	for i := range a.regs {
-		out.regs[i] = a.regs[i].Join(b.regs[i])
-	}
-	for i := range a.preds {
-		if a.preds[i].ok && a.preds[i] == b.preds[i] {
-			out.preds[i] = a.preds[i]
-		}
-	}
-	for i := range a.eq {
-		if a.eq[i].ok && a.eq[i] == b.eq[i] {
-			out.eq[i] = a.eq[i]
-		}
-	}
-	for i := range a.ipred {
-		if a.ipred[i].ok && a.ipred[i] == b.ipred[i] {
-			out.ipred[i] = a.ipred[i]
-		}
-	}
-	return out
-}
-
-// widenState accelerates a join that keeps growing. Predicates and affine
-// equalities are exact relational facts independent of the interval bounds,
-// so the joined set carries over untouched.
-func widenState(old, next state) state {
-	var out state
-	for i := range next.regs {
-		out.regs[i] = next.regs[i].Widen(old.regs[i])
-	}
-	out.preds = next.preds
-	out.eq = next.eq
-	out.ipred = next.ipred
-	return out
-}
-
-type analyzer struct {
-	img    *isa.Image
-	succ   [][]int
-	memLen int64
-	src    schedcheck.SourceMap
-	fnames []string
-	fbases []int
-
-	budget int
-}
-
+// wordOut is the result of one word transfer: the out-state plus what the
+// word wrote. The analyzer owns exactly one and every transfer reuses it.
 type wordOut struct {
-	st state
+	st *state
 	// wrote[ri] is 1+lastWriteBeat of the word's writes to I-register ri
 	// (0: untouched). predBorn[bi] is 1+issueBeat of a predicate recorded
 	// this word (0: inherited from the entry state). Together they decide
 	// which predicates survive the word: a compare at beat b reads operand
 	// values from before beat b, so any operand write at a beat >= b means
 	// the recorded relation talks about stale values.
-	wrote    [nIRegs]uint8
+	wrote    []uint8
 	predBorn [nBB]uint8
 }
 
@@ -202,14 +118,18 @@ type write struct {
 	op  *mach.Op
 }
 
-// xfer runs one word's transfer function. When rep is non-nil it also emits
+// xfer runs one word's transfer function from the entry state s0 (left
+// untouched) into the analyzer's wordOut. When rep is non-nil it also emits
 // the per-site safety verdicts (the final reporting sweep).
-func (a *analyzer) xfer(w int, s0 state, rep *Report) wordOut {
-	a.budget--
-	st := s0
-	var out wordOut
-	var writes []write
-	in := a.img.Instrs[w]
+func (a *analyzer) xfer(w int, s0 *state, rep *Report) {
+	a.transfers++
+	out := &a.out
+	st := out.st
+	st.copyFrom(s0)
+	clear(out.wrote)
+	out.predBorn = [nBB]uint8{}
+	writes := a.writes[:0]
+	in := &a.img.Instrs[w]
 	for beat := 0; beat < 2; beat++ {
 		writes = writes[:0]
 		for si := range in.Slots {
@@ -225,7 +145,7 @@ func (a *analyzer) xfer(w int, s0 state, rep *Report) wordOut {
 					writes = append(writes, write{mach.RegLR, Exact(int64(w + 1)), o})
 				case mach.OpJmpR:
 					if rep != nil {
-						a.addJmpRSite(rep, w, s, &st)
+						a.addJmpRSite(rep, w, s, st)
 					}
 				}
 				continue
@@ -234,48 +154,48 @@ func (a *analyzer) xfer(w int, s0 state, rep *Report) wordOut {
 			case ir.Nop:
 			case ir.Load, ir.LoadSpec:
 				if rep != nil {
-					a.addMemSite(rep, w, s, &st)
+					a.addMemSite(rep, w, s, st)
 				}
 				writes = append(writes, write{o.Dst, Top, o})
 			case ir.Store:
 				if rep != nil {
-					a.addMemSite(rep, w, s, &st)
+					a.addMemSite(rep, w, s, st)
 				}
 			case ir.Div, ir.Rem:
 				if rep != nil {
-					a.addDivSite(rep, w, s, &st)
+					a.addDivSite(rep, w, s, st)
 				}
-				writes = append(writes, write{o.Dst, evalOp(&st, o), o})
+				writes = append(writes, write{o.Dst, a.evalOp(st, o), o})
 			default:
 				if o.Dst.Valid() {
-					writes = append(writes, write{o.Dst, evalOp(&st, o), o})
+					writes = append(writes, write{o.Dst, a.evalOp(st, o), o})
 				}
 			}
 		}
 		for i := range writes {
-			applyWrite(&st, &out, &writes[i], uint8(beat))
+			a.applyWrite(out, &writes[i], uint8(beat))
 		}
 	}
-	out.st = st
-	return out
+	a.writes = writes[:0]
 }
 
-func applyWrite(st *state, out *wordOut, x *write, beat uint8) {
+func (a *analyzer) applyWrite(out *wordOut, x *write, beat uint8) {
+	st := out.st
 	switch x.dst.Bank {
 	case mach.BankI:
-		ri, ok := iregIndex(x.dst)
+		ri, ok := a.names.ireg(x.dst)
 		if !ok {
 			return
 		}
 		// Relational bookkeeping, all against the pre-write state: does the
 		// new value relate to the old one (r' = r + delta), and does it
 		// relate exactly to some other live register?
-		delta, affine := selfDelta(st, out, x.op, ri, beat)
+		delta, affine := a.selfDelta(out, x.op, ri, beat)
 		old := st.regs[ri]
 		canShift := affine && out.wrote[ri] == 0 &&
 			old.Lo+delta >= math.MinInt32 && old.Hi+delta <= math.MaxInt32
-		newRel := eqRelFor(st, out, x.op, ri, beat)
-		shiftPreds(st, out, ri, delta, canShift, beat)
+		newRel := a.eqRelFor(out, x.op, ri, beat)
+		shiftPreds(out, ri, delta, canShift, beat)
 		for c := range st.eq {
 			if e := &st.eq[c]; e.ok && e.base == int16(ri) && c != ri {
 				if canShift {
@@ -300,7 +220,7 @@ func applyWrite(st *state, out *wordOut, x *write, beat uint8) {
 		// the same stillborn and double-write rules as branch-bank bits.
 		np := pred{}
 		if out.wrote[ri] == 0 {
-			np = predFor(x.op)
+			np = a.predFor(x.op)
 			if np.ok && ((np.a.reg >= 0 && out.wrote[np.a.reg] == beat+1) ||
 				(np.b.reg >= 0 && out.wrote[np.b.reg] == beat+1) ||
 				np.a.reg == int16(ri) || np.b.reg == int16(ri)) {
@@ -325,7 +245,7 @@ func applyWrite(st *state, out *wordOut, x *write, beat uint8) {
 		}
 		p := pred{}
 		if out.predBorn[bi] == 0 { // double write: meaning ambiguous
-			p = predFor(x.op)
+			p = a.predFor(x.op)
 		}
 		// An operand already rewritten this beat: the compare read the old
 		// value, the state holds the new one — the relation is stillborn.
@@ -346,15 +266,8 @@ func applyWrite(st *state, out *wordOut, x *write, beat uint8) {
 // via an affine copy — see selfDelta) and provably cannot wrap, the
 // predicate's immediate side shifts by the delta ("old r < 256" becomes
 // "new r < 257"); anything else invalidates the predicate.
-func shiftPreds(st *state, out *wordOut, ri int, delta int64, canShift bool, beat uint8) {
-	for i := range st.preds {
-		p := &st.preds[i]
-		if !p.ok || (p.a.reg != int16(ri) && p.b.reg != int16(ri)) {
-			continue
-		}
-		if out.predBorn[i] > beat+1 {
-			continue // compare issued after this write: it read the new value
-		}
+func shiftPreds(out *wordOut, ri int, delta int64, canShift bool, beat uint8) {
+	shift := func(p *pred) {
 		switch {
 		case !canShift:
 			*p = pred{}
@@ -365,6 +278,17 @@ func shiftPreds(st *state, out *wordOut, ri int, delta int64, canShift bool, bea
 		default:
 			*p = pred{}
 		}
+	}
+	st := out.st
+	for i := range st.preds {
+		p := &st.preds[i]
+		if !p.ok || (p.a.reg != int16(ri) && p.b.reg != int16(ri)) {
+			continue
+		}
+		if out.predBorn[i] > beat+1 {
+			continue // compare issued after this write: it read the new value
+		}
+		shift(p)
 	}
 	for i := range st.ipred {
 		p := &st.ipred[i]
@@ -374,17 +298,21 @@ func shiftPreds(st *state, out *wordOut, ri int, delta int64, canShift bool, bea
 		if out.wrote[i] > beat+1 {
 			continue // compare issued after this write: it read the new value
 		}
-		switch {
-		case !canShift:
-			*p = pred{}
-		case p.a.reg == int16(ri) && p.b.imm:
-			p.b.val += delta
-		case p.b.reg == int16(ri) && p.a.imm:
-			p.a.val += delta
-		default:
-			*p = pred{}
-		}
+		shift(p)
 	}
+}
+
+// liveSrc resolves an operand to the I-register the op read, provided the
+// register still holds that value (no write at this or a later beat).
+func (a *analyzer) liveSrc(out *wordOut, arg mach.Arg, beat uint8) (int, bool) {
+	if arg.IsImm || !arg.Reg.Valid() || arg.Reg.Bank != mach.BankI {
+		return 0, false
+	}
+	j, ok := a.names.ireg(arg.Reg)
+	if !ok || out.wrote[j] > beat {
+		return 0, false
+	}
+	return j, true
 }
 
 // constArg resolves an operand the op read to a compile-time constant: an
@@ -395,19 +323,14 @@ func shiftPreds(st *state, out *wordOut, ri int, delta int64, canShift bool, bea
 // through that or every rotated loop on such a machine loses its bound.
 // The register must still hold the value the op read (no write at this or
 // a later beat).
-func constArg(st *state, out *wordOut, arg mach.Arg, beat uint8) (int64, bool) {
+func (a *analyzer) constArg(out *wordOut, arg mach.Arg, beat uint8) (int64, bool) {
 	if arg.IsImm {
 		return int64(arg.Imm), true
 	}
-	if !arg.Reg.Valid() || arg.Reg.Bank != mach.BankI {
-		return 0, false
-	}
-	j, ok := iregIndex(arg.Reg)
-	if !ok || out.wrote[j] > beat {
-		return 0, false
-	}
-	if v := st.regs[j]; v.M == 0 {
-		return v.R, true
+	if j, ok := a.liveSrc(out, arg, beat); ok {
+		if v := out.st.regs[j]; v.M == 0 {
+			return v.R, true
+		}
 	}
 	return 0, false
 }
@@ -418,55 +341,40 @@ func constArg(st *state, out *wordOut, arg mach.Arg, beat uint8) (int64, bool) {
 // rotated loops produce when the scheduler carries the incremented counter
 // in a scratch register and copies it back. Source registers must still
 // hold the value the op read (no write at this or a later beat).
-func selfDelta(st *state, out *wordOut, o *mach.Op, ri int, beat uint8) (int64, bool) {
-	if d, ok := affineDelta(st, out, o, ri, beat); ok {
+func (a *analyzer) selfDelta(out *wordOut, o *mach.Op, ri int, beat uint8) (int64, bool) {
+	if d, ok := a.affineDelta(out, o, ri, beat); ok {
 		return d, true
 	}
-	src := func(arg mach.Arg) (int16, bool) {
-		if arg.IsImm || !arg.Reg.Valid() || arg.Reg.Bank != mach.BankI {
-			return 0, false
-		}
-		j, ok := iregIndex(arg.Reg)
-		if !ok || out.wrote[j] > beat {
-			return 0, false
-		}
-		return int16(j), true
-	}
-	base := func(rs int16) (int64, bool) {
-		return st.deltaTo(rs, ri)
-	}
+	st := out.st
 	switch o.Kind {
 	case ir.Mov:
 		if o.Type == ir.F64 {
 			return 0, false
 		}
-		if rs, ok := src(o.A); ok {
-			if int(rs) == ri {
-				return 0, true
-			}
-			if d, ok := base(rs); ok {
+		if rs, ok := a.liveSrc(out, o.A, beat); ok {
+			if d, ok := st.deltaTo(rs, ri); ok {
 				return d, true
 			}
 		}
 	case ir.Add:
-		if rs, ok := src(o.A); ok {
-			if c, okc := constArg(st, out, o.B, beat); okc {
-				if d, ok := base(rs); ok {
+		if rs, ok := a.liveSrc(out, o.A, beat); ok {
+			if c, okc := a.constArg(out, o.B, beat); okc {
+				if d, ok := st.deltaTo(rs, ri); ok {
 					return d + c, true
 				}
 			}
 		}
-		if rs, ok := src(o.B); ok {
-			if c, okc := constArg(st, out, o.A, beat); okc {
-				if d, ok := base(rs); ok {
+		if rs, ok := a.liveSrc(out, o.B, beat); ok {
+			if c, okc := a.constArg(out, o.A, beat); okc {
+				if d, ok := st.deltaTo(rs, ri); ok {
 					return d + c, true
 				}
 			}
 		}
 	case ir.Sub:
-		if rs, ok := src(o.A); ok {
-			if c, okc := constArg(st, out, o.B, beat); okc {
-				if d, ok := base(rs); ok {
+		if rs, ok := a.liveSrc(out, o.A, beat); ok {
+			if c, okc := a.constArg(out, o.B, beat); okc {
+				if d, ok := st.deltaTo(rs, ri); ok {
 					return d - c, true
 				}
 			}
@@ -476,11 +384,13 @@ func selfDelta(st *state, out *wordOut, o *mach.Op, ri int, beat uint8) (int64, 
 }
 
 // deltaTo resolves value(rs) == value(ri) + d by walking parent links of
-// the equality graph (hop-bounded: consistent cycles exist and are fine).
-func (s *state) deltaTo(rs int16, ri int) (int64, bool) {
+// the equality graph. The walk is hop-bounded (consistent cycles exist and
+// are fine): every register has one parent, so a walk that has not met ri
+// after one hop per register never will.
+func (s *state) deltaTo(rs, ri int) (int64, bool) {
 	d := int64(0)
-	for hops := 0; hops < nIRegs; hops++ {
-		if int(rs) == ri {
+	for hops := 0; hops < len(s.eq); hops++ {
+		if rs == ri {
 			return d, true
 		}
 		e := s.eq[rs]
@@ -488,7 +398,7 @@ func (s *state) deltaTo(rs int16, ri int) (int64, bool) {
 			return 0, false
 		}
 		d += e.delta
-		rs = e.base
+		rs = int(e.base)
 	}
 	return 0, false
 }
@@ -503,23 +413,17 @@ func (s *state) deltaTo(rs int16, ri int) (int64, bool) {
 // permanently drops any relation that differs between two visits; operand
 // bases are the ones the loop body recreates identically every iteration.
 // Refinement walks the graph transitively instead (refineReg).
-func eqRelFor(st *state, out *wordOut, o *mach.Op, ri int, beat uint8) rel {
-	src := func(arg mach.Arg) (int16, bool) {
-		if arg.IsImm || !arg.Reg.Valid() || arg.Reg.Bank != mach.BankI {
-			return 0, false
-		}
-		j, ok := iregIndex(arg.Reg)
-		if !ok || j == ri || out.wrote[j] > beat {
-			return 0, false
-		}
-		return int16(j), true
+func (a *analyzer) eqRelFor(out *wordOut, o *mach.Op, ri int, beat uint8) rel {
+	src := func(arg mach.Arg) (int, bool) {
+		j, ok := a.liveSrc(out, arg, beat)
+		return j, ok && j != ri
 	}
-	mkRel := func(rs int16, imm int64) rel {
-		v := st.regs[rs]
+	mkRel := func(rs int, imm int64) rel {
+		v := out.st.regs[rs]
 		if v.Lo+imm < math.MinInt32 || v.Hi+imm > math.MaxInt32 {
 			return rel{} // the write may wrap: no exact int64 equality
 		}
-		return rel{ok: true, base: rs, delta: imm}
+		return rel{ok: true, base: int16(rs), delta: imm}
 	}
 	switch o.Kind {
 	case ir.Mov:
@@ -530,18 +434,18 @@ func eqRelFor(st *state, out *wordOut, o *mach.Op, ri int, beat uint8) rel {
 		}
 	case ir.Add:
 		if rs, ok := src(o.A); ok {
-			if c, okc := constArg(st, out, o.B, beat); okc {
+			if c, okc := a.constArg(out, o.B, beat); okc {
 				return mkRel(rs, c)
 			}
 		}
 		if rs, ok := src(o.B); ok {
-			if c, okc := constArg(st, out, o.A, beat); okc {
+			if c, okc := a.constArg(out, o.A, beat); okc {
 				return mkRel(rs, c)
 			}
 		}
 	case ir.Sub:
 		if rs, ok := src(o.A); ok {
-			if c, okc := constArg(st, out, o.B, beat); okc {
+			if c, okc := a.constArg(out, o.B, beat); okc {
 				return mkRel(rs, -c)
 			}
 		}
@@ -550,29 +454,29 @@ func eqRelFor(st *state, out *wordOut, o *mach.Op, ri int, beat uint8) rel {
 }
 
 // affineDelta recognizes r' = r + delta updates of register ri.
-func affineDelta(st *state, out *wordOut, o *mach.Op, ri int, beat uint8) (int64, bool) {
+func (a *analyzer) affineDelta(out *wordOut, o *mach.Op, ri int, beat uint8) (int64, bool) {
 	regIs := func(arg mach.Arg) bool {
 		if arg.IsImm || !arg.Reg.Valid() || arg.Reg.Bank != mach.BankI {
 			return false
 		}
-		j, ok := iregIndex(arg.Reg)
+		j, ok := a.names.ireg(arg.Reg)
 		return ok && j == ri
 	}
 	switch o.Kind {
 	case ir.Add:
 		if regIs(o.A) {
-			if c, ok := constArg(st, out, o.B, beat); ok {
+			if c, ok := a.constArg(out, o.B, beat); ok {
 				return c, true
 			}
 		}
 		if regIs(o.B) {
-			if c, ok := constArg(st, out, o.A, beat); ok {
+			if c, ok := a.constArg(out, o.A, beat); ok {
 				return c, true
 			}
 		}
 	case ir.Sub:
 		if regIs(o.A) {
-			if c, ok := constArg(st, out, o.B, beat); ok {
+			if c, ok := a.constArg(out, o.B, beat); ok {
 				return -c, true
 			}
 		}
@@ -582,11 +486,11 @@ func affineDelta(st *state, out *wordOut, o *mach.Op, ri int, beat uint8) (int64
 
 // predFor records the meaning of a compare writing the branch bank; any
 // other producer leaves the bit opaque.
-func predFor(o *mach.Op) pred {
+func (a *analyzer) predFor(o *mach.Op) pred {
 	switch o.Kind {
 	case ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE:
-		pa, oka := trackOperand(o.A)
-		pb, okb := trackOperand(o.B)
+		pa, oka := a.trackOperand(o.A)
+		pb, okb := a.trackOperand(o.B)
 		if oka && okb {
 			return pred{ok: true, kind: o.Kind, a: pa, b: pb}
 		}
@@ -597,74 +501,80 @@ func predFor(o *mach.Op) pred {
 // evalOp abstracts one non-memory ALU op, mirroring exec.go's wrapping i32
 // semantics. Results destined for non-integer banks are discarded by
 // applyWrite, so float ops may safely report Top.
-func evalOp(st *state, o *mach.Op) Val {
-	va := func() Val { return st.argVal(o.A) }
-	vb := func() Val { return st.argVal(o.B) }
+func (a *analyzer) evalOp(st *state, o *mach.Op) Val {
+	va, vb := a.argVal(st, o.A), a.argVal(st, o.B)
 	switch o.Kind {
 	case ir.ConstI:
-		return va()
+		return va
 	case ir.Mov, mach.OpMovSF:
 		if o.Type == ir.F64 {
 			return Top
 		}
-		return va()
+		return va
 	case ir.Add:
-		return va().Add(vb())
+		return va.Add(vb)
 	case ir.Sub:
-		return va().Sub(vb())
+		return va.Sub(vb)
 	case ir.Mul:
-		return va().Mul(vb())
+		return va.Mul(vb)
 	case ir.Div:
-		return va().Div(vb())
+		return va.Div(vb)
 	case ir.Rem:
-		return va().Rem(vb())
+		return va.Rem(vb)
 	case ir.And:
-		return va().And(vb())
+		return va.And(vb)
 	case ir.Or:
-		return va().Or(vb())
+		return va.Or(vb)
 	case ir.Xor:
-		return va().Xor(vb())
+		return va.Xor(vb)
 	case ir.Shl:
-		return va().Shl(vb())
+		return va.Shl(vb)
 	case ir.Shr:
-		return va().Shr(vb())
+		return va.Shr(vb)
 	case ir.Sra:
-		return va().Sra(vb())
+		return va.Sra(vb)
 	case ir.Neg:
-		return va().Neg()
+		return va.Neg()
 	case ir.Not:
-		return va().Not()
+		return va.Not()
 	case ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE,
 		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
 		return val01
 	case ir.Select:
-		return st.argVal(o.B).Join(st.argVal(o.C))
+		return vb.Join(a.argVal(st, o.C))
 	}
 	return Top
 }
 
-// edge is one refined CFG edge out of a word.
-type edge struct {
-	to   int
-	st   state
-	dead bool
+// wordPlan is the static branch structure of one word, derived once per
+// image: its distinct in-image successors in CFG order and, per successor,
+// what taking that edge says about the word's branch conditions.
+type wordPlan struct {
+	edges []edgePlan
+	brs   []mach.Arg // conditions of the word's conditional branches, slot order
+	self  bool       // the word is its own successor
 }
 
-// edges computes the out-edges of word w with branch-predicate refinement
-// applied. Refinement is valid only for registers the word itself did not
-// write (their out-state value is the one the branch tested).
-func (a *analyzer) edges(w int, s0 *state, o *wordOut) []edge {
+type edgePlan struct {
+	to   int
+	mode uint8
+	arg  mach.Arg // edgeTaken: the condition that tested true
+}
+
+const (
+	edgePlain uint8 = iota // nothing known (several causes, or a return edge)
+	edgeTaken              // sole cause: one conditional branch tested true
+	edgeFall               // fallthrough: every branch test in the word was false
+)
+
+func (a *analyzer) planWord(w int) wordPlan {
 	succ := a.succ[w]
+	var p wordPlan
 	if len(succ) == 0 {
-		return nil
+		return p
 	}
-	in := a.img.Instrs[w]
-	type brt struct {
-		target int
-		arg    mach.Arg
-	}
-	var brs []brt
-	var jumps []int // static always-taken targets (jmp, call)
+	in := &a.img.Instrs[w]
+	var brTargets, jumps []int // conditional targets; static always-taken targets (jmp, call)
 	hasJmpR := false
 	transfer := false
 	for si := range in.Slots {
@@ -674,7 +584,8 @@ func (a *analyzer) edges(w int, s0 *state, o *wordOut) []edge {
 		}
 		switch s.Op.Kind {
 		case mach.OpBrT:
-			brs = append(brs, brt{s.Op.Target, s.Op.A})
+			brTargets = append(brTargets, s.Op.Target)
+			p.brs = append(p.brs, s.Op.A)
 		case mach.OpJmp, mach.OpCall:
 			transfer = true
 			jumps = append(jumps, s.Op.Target)
@@ -687,58 +598,104 @@ func (a *analyzer) edges(w int, s0 *state, o *wordOut) []edge {
 	if !transfer {
 		fallthru = w + 1
 	}
-
-	var es []edge
-	seen := map[int]bool{}
-	for _, t := range succ {
-		if seen[t] {
+	for i, t := range succ {
+		if slices.Contains(succ[:i], t) || t < 0 || t >= len(a.img.Instrs) {
 			continue
 		}
-		seen[t] = true
-		e := edge{to: t, st: o.st}
+		e := edgePlan{to: t}
 		if !hasJmpR { // jmpr targets are return sites; causes ambiguous
 			brCount, brArg := 0, mach.Arg{}
-			for _, b := range brs {
-				if b.target == t {
+			for bi, bt := range brTargets {
+				if bt == t {
 					brCount++
-					brArg = b.arg
+					brArg = p.brs[bi]
 				}
 			}
-			otherCause := t == fallthru
-			for _, j := range jumps {
-				if j == t {
-					otherCause = true
-				}
-			}
+			otherCause := t == fallthru || slices.Contains(jumps, t)
 			switch {
 			case brCount == 1 && !otherCause:
-				// sole cause: this branch tested true
-				e.dead = !refineCond(&e.st, s0, o, brArg, true)
-			case brCount == 0 && t == fallthru:
-				// fallthrough: every branch test in the word was false
-				for _, b := range brs {
-					if !refineCond(&e.st, s0, o, b.arg, false) {
-						e.dead = true
-						break
-					}
+				e.mode, e.arg = edgeTaken, brArg
+			case brCount == 0 && t == fallthru && len(p.brs) > 0:
+				e.mode = edgeFall
+			}
+		}
+		p.self = p.self || t == w
+		p.edges = append(p.edges, e)
+	}
+	return p
+}
+
+// edges streams the live out-edges of word w — whose transfer from s0 sits
+// in a.out — to flow, with branch-predicate refinement applied. An edge that
+// refines nothing passes the out-state itself; one that does passes the
+// analyzer's edge scratch state. Either is only valid during the call.
+// Refinement is valid only for registers the word itself did not write
+// (their out-state value is the one the branch tested).
+func (a *analyzer) edges(w int, s0 *state, flow func(t int, st *state)) {
+	p := &a.plans[w]
+	for i := range p.edges {
+		e := &p.edges[i]
+		r := refiner{a: a, s0: s0, o: &a.out, st: a.out.st}
+		live := true
+		switch e.mode {
+		case edgeTaken:
+			live = r.cond(e.arg, true)
+		case edgeFall:
+			for _, arg := range p.brs {
+				if !r.cond(arg, false) {
+					live = false
+					break
 				}
 			}
 		}
-		es = append(es, e)
+		if live {
+			flow(e.to, r.st)
+		}
 	}
-	return es
 }
 
-// refineCond narrows st under "this branch condition evaluated to want".
-// The condition value was read at beat 0 of the word, i.e. against s0.
-// Predicates come in two flavors of validity: the out-state predicate (kept
-// aligned with the out-state register values by shiftPreds) refines freely,
-// while a predicate only valid in s0 — the word rewrote the bit, or
+// refiner narrows one edge's state under what its branch conditions imply.
+// st starts out as the word's out-state and is copied into the analyzer's
+// edge scratch state by the first refinement that actually changes a
+// register, so edges that refine nothing cost no copy.
+type refiner struct {
+	a  *analyzer
+	s0 *state   // word-entry state: what the branches read
+	o  *wordOut // the word's transfer
+	st *state   // the edge state
+}
+
+func (r *refiner) setReg(ri int, v Val) {
+	if r.st.regs[ri] == v {
+		return
+	}
+	if r.st == r.o.st {
+		r.a.edgeSt.copyFrom(r.st)
+		r.st = r.a.edgeSt
+	}
+	r.st.regs[ri] = v
+}
+
+// view is the state a predicate's operand values and relational facts are
+// read from: the edge state itself, or — in clean-only mode — the entry
+// state s0.
+func (r *refiner) view(cleanOnly bool) *state {
+	if cleanOnly {
+		return r.s0
+	}
+	return r.st
+}
+
+// cond narrows the edge state under "this branch condition evaluated to
+// want". The condition value was read at beat 0 of the word, i.e. against
+// s0. Predicates come in two flavors of validity: the out-state predicate
+// (kept aligned with the out-state register values by shiftPreds) refines
+// freely, while a predicate only valid in s0 — the word rewrote the bit, or
 // invalidated the out-state copy by overwriting an operand — still refines
 // every register the word left untouched (clean-only mode: for those, the
 // read-time value IS the out-state value). Reports false when the condition
 // is infeasible — the edge is dead.
-func refineCond(st *state, s0 *state, o *wordOut, arg mach.Arg, want bool) bool {
+func (r *refiner) cond(arg mach.Arg, want bool) bool {
 	if arg.IsImm {
 		return (arg.Imm != 0) == want
 	}
@@ -751,57 +708,56 @@ func refineCond(st *state, s0 *state, o *wordOut, arg mach.Arg, want bool) bool 
 		if !ok {
 			return true
 		}
-		if o.predBorn[bi] == 0 {
-			if p := st.preds[bi]; p.ok {
-				return refinePred(st, st, o, false, p, want, 0)
+		if r.o.predBorn[bi] == 0 {
+			if p := r.st.preds[bi]; p.ok {
+				return r.pred(false, p, want, 0)
 			}
 		}
 		// Rewritten bit (the branch read the OLD one — retires are
 		// next-beat) or invalidated predicate: fall back to what the branch
 		// actually read, clamping only clean registers.
-		if p := s0.preds[bi]; p.ok {
-			return refinePred(st, s0, o, true, p, want, 0)
+		if p := r.s0.preds[bi]; p.ok {
+			return r.pred(true, p, want, 0)
 		}
 		return true
 	case mach.BankI:
-		ri, ok := iregIndex(arg.Reg)
+		ri, ok := r.a.names.ireg(arg.Reg)
 		if !ok {
 			return true
 		}
-		if !o.dirty(int16(ri)) {
+		if !r.o.dirty(int16(ri)) {
 			if want {
-				v, live := st.regs[ri].trimNE(0)
+				v, live := r.st.regs[ri].trimNE(0)
 				if !live {
 					return false
 				}
-				st.regs[ri] = v
-			} else if !refineReg(st, int16(ri), 0, 0) {
+				r.setReg(ri, v)
+			} else if !r.clampReg(int16(ri), 0, 0) {
 				return false
 			}
 			// A compare result branched on directly: 0/1 value, so taken
 			// means the compare held and fallthrough means its negation.
-			if p := st.ipred[ri]; p.ok {
-				return refinePred(st, st, o, false, p, want, 0)
+			if p := r.st.ipred[ri]; p.ok {
+				return r.pred(false, p, want, 0)
 			}
 			return true
 		}
-		if p := s0.ipred[ri]; p.ok {
-			return refinePred(st, s0, o, true, p, want, 0)
+		if p := r.s0.ipred[ri]; p.ok {
+			return r.pred(true, p, want, 0)
 		}
 	}
 	return true
 }
 
-// refinePred applies predicate p (negated when want is false) to target.
-// view supplies the operand values and relational facts the predicate talks
-// about; in clean-only mode (view == s0) clamps apply only to registers the
-// word did not write.
-func refinePred(target, view *state, o *wordOut, cleanOnly bool, p pred, want bool, depth int) bool {
+// pred applies predicate p (negated when want is false) to the edge state.
+// In clean-only mode operand values and nested facts come from s0 and clamps
+// apply only to registers the word did not write.
+func (r *refiner) pred(cleanOnly bool, p pred, want bool, depth int) bool {
 	k := p.kind
 	if !want {
 		k = negateCmp(k)
 	}
-	return refineCmp(target, view, o, cleanOnly, k, p.a, p.b, depth)
+	return r.cmp(cleanOnly, k, p.a, p.b, depth)
 }
 
 func negateCmp(k ir.OpKind) ir.OpKind {
@@ -822,58 +778,95 @@ func negateCmp(k ir.OpKind) ir.OpKind {
 	return k
 }
 
-// refineReg clamps one register to [lo, hi] and propagates the new bounds
+type clampItem struct {
+	reg    int16
+	lo, hi int64
+}
+
+// clampReg clamps one register to [lo, hi] and propagates the new bounds
 // through the whole affine-equality graph (breadth-first over parent and
 // child links, composing deltas — equalities are exact, so every hop
 // transfers the clamp losslessly). Returns false when any intersection is
 // empty — the refinement is infeasible and the edge it came from is dead.
-func refineReg(st *state, ri int16, lo, hi int64) bool {
-	type item struct {
-		reg    int16
-		lo, hi int64
-	}
-	var seen [nIRegs]bool
-	queue := []item{{ri, lo, hi}}
+func (r *refiner) clampReg(ri int16, lo, hi int64) bool {
+	seen := r.a.seen
+	clear(seen)
+	queue := append(r.a.queue[:0], clampItem{ri, lo, hi})
 	seen[ri] = true
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		v, ok := st.regs[it.reg].Clamp(it.lo, it.hi)
+	for head := 0; head < len(queue); head++ {
+		it := queue[head]
+		v, ok := r.st.regs[it.reg].Clamp(it.lo, it.hi)
 		if !ok {
+			r.a.queue = queue
 			return false
 		}
-		st.regs[it.reg] = v
-		if e := st.eq[it.reg]; e.ok && !seen[e.base] {
+		r.setReg(int(it.reg), v)
+		eq := r.st.eq
+		if e := eq[it.reg]; e.ok && !seen[e.base] {
 			seen[e.base] = true
-			queue = append(queue, item{e.base, v.Lo - e.delta, v.Hi - e.delta})
+			queue = append(queue, clampItem{e.base, v.Lo - e.delta, v.Hi - e.delta})
 		}
-		for c := range st.eq {
-			if ce := st.eq[c]; ce.ok && ce.base == it.reg && !seen[c] {
+		for c := range eq {
+			if ce := &eq[c]; ce.ok && ce.base == it.reg && !seen[c] {
 				seen[c] = true
-				queue = append(queue, item{int16(c), v.Lo + ce.delta, v.Hi + ce.delta})
+				queue = append(queue, clampItem{int16(c), v.Lo + ce.delta, v.Hi + ce.delta})
 			}
 		}
+	}
+	r.a.queue = queue // keep the grown buffer
+	return true
+}
+
+// clampOperand applies "op lies in [lo, hi]", given the value v the compare
+// read: infeasible at read time proves the edge dead even when the clamp
+// itself is skipped for dirtiness.
+func (r *refiner) clampOperand(cleanOnly bool, op operand, v Val, lo, hi int64) bool {
+	if _, ok := v.Clamp(lo, hi); !ok {
+		return false
+	}
+	if op.reg >= 0 && (!cleanOnly || !r.o.dirty(op.reg)) {
+		return r.clampReg(op.reg, lo, hi)
 	}
 	return true
 }
 
-// refineCmp narrows the operand registers under "kind(a, b) is true".
-// Operand values and nested facts come from view; clamps land in target
+// trimOperand applies "op != c": an endpoint trim, not a clamp, so it skips
+// equality propagation.
+func (r *refiner) trimOperand(cleanOnly bool, op operand, v Val, c int64) bool {
+	nv, ok := v.trimNE(c)
+	if !ok {
+		return false
+	}
+	if op.reg >= 0 && (!cleanOnly || !r.o.dirty(op.reg)) {
+		tv, tok := r.st.regs[op.reg].Clamp(nv.Lo, nv.Hi)
+		if !tok {
+			return false
+		}
+		r.setReg(int(op.reg), tv)
+	}
+	return true
+}
+
+// cmp narrows the operand registers under "kind(a, b) is true". Operand
+// values and nested facts come from the view; clamps land in the edge state
 // (identical unless clean-only mode fell back to the entry state). Returns
-// false when the comparison is infeasible for the view ranges — even a
-// clamp skipped for dirtiness proves the edge dead when it is empty.
-func refineCmp(target, view *state, o *wordOut, cleanOnly bool, k ir.OpKind, a, b operand, depth int) bool {
+// false when the comparison is infeasible for the view ranges.
+func (r *refiner) cmp(cleanOnly bool, k ir.OpKind, a, b operand, depth int) bool {
+	view := r.view(cleanOnly)
 	va, vb := view.operandVal(a), view.operandVal(b)
 	const lo, hi = math.MinInt32, math.MaxInt32
-	// Clamp targets, computed against the original operand values; the NE
-	// case is an endpoint trim, not a clamp, and skips equality propagation.
+	// Clamp targets, computed against the original operand values.
 	var loA, hiA, loB, hiB int64
-	trim := false
 	switch k {
 	case ir.CmpEQ:
 		loA, hiA, loB, hiB = vb.Lo, vb.Hi, va.Lo, va.Hi
 	case ir.CmpNE:
-		trim = true
+		if vb.IsExact() && !r.trimOperand(cleanOnly, a, va, vb.R) {
+			return false
+		}
+		if va.IsExact() && !r.trimOperand(cleanOnly, b, vb, va.R) {
+			return false
+		}
 	case ir.CmpLT:
 		loA, hiA, loB, hiB = lo, vb.Hi-1, va.Lo+1, hi
 	case ir.CmpLE:
@@ -885,39 +878,8 @@ func refineCmp(target, view *state, o *wordOut, cleanOnly bool, k ir.OpKind, a, 
 	default:
 		return true
 	}
-	clamp := func(op operand, v Val, clo, chi int64) bool {
-		if _, ok := v.Clamp(clo, chi); !ok {
-			return false // infeasible at read time: dead edge
-		}
-		if op.reg >= 0 && (!cleanOnly || !o.dirty(op.reg)) {
-			return refineReg(target, op.reg, clo, chi)
-		}
-		return true
-	}
-	trimTo := func(op operand, v Val, c int64) bool {
-		nv, ok := v.trimNE(c)
-		if !ok {
-			return false
-		}
-		if op.reg >= 0 && (!cleanOnly || !o.dirty(op.reg)) {
-			tv, tok := target.regs[op.reg].Clamp(nv.Lo, nv.Hi)
-			if !tok {
-				return false
-			}
-			target.regs[op.reg] = tv
-		}
-		return true
-	}
-	switch {
-	case !trim:
-		if !clamp(a, va, loA, hiA) || !clamp(b, vb, loB, hiB) {
-			return false
-		}
-	default:
-		if vb.IsExact() && !trimTo(a, va, vb.R) {
-			return false
-		}
-		if va.IsExact() && !trimTo(b, vb, va.R) {
+	if k != ir.CmpNE {
+		if !r.clampOperand(cleanOnly, a, va, loA, hiA) || !r.clampOperand(cleanOnly, b, vb, loB, hiB) {
 			return false
 		}
 	}
@@ -926,18 +888,18 @@ func refineCmp(target, view *state, o *wordOut, cleanOnly bool, k ir.OpKind, a, 
 	// live certifies the register holds exactly 0 or 1.
 	if depth < 4 {
 		if a.reg >= 0 && b.imm {
-			if p := view.ipred[a.reg]; p.ok {
+			if p := r.view(cleanOnly).ipred[a.reg]; p.ok {
 				if w, known := boolTest(k, b.val); known {
-					if !refinePred(target, view, o, cleanOnly, p, w, depth+1) {
+					if !r.pred(cleanOnly, p, w, depth+1) {
 						return false
 					}
 				}
 			}
 		}
 		if b.reg >= 0 && a.imm {
-			if p := view.ipred[b.reg]; p.ok {
+			if p := r.view(cleanOnly).ipred[b.reg]; p.ok {
 				if w, known := boolTest(flipCmp(k), a.val); known {
-					if !refinePred(target, view, o, cleanOnly, p, w, depth+1) {
+					if !r.pred(cleanOnly, p, w, depth+1) {
 						return false
 					}
 				}
@@ -994,17 +956,18 @@ func flipCmp(k ir.OpKind) ir.OpKind {
 	return k // EQ and NE are symmetric
 }
 
-// bootState mirrors Context.boot(): every register is zero except SP, which
+// setBoot mirrors Context.boot(): every register is zero except SP, which
 // points at the 8-aligned top of the program's RAM.
-func (a *analyzer) bootState() state {
-	var s state
+func (a *analyzer) setBoot(s *state) {
 	for i := range s.regs {
 		s.regs[i] = Exact(0)
 	}
-	if ri, ok := iregIndex(mach.RegSP); ok {
+	if ri, ok := a.names.ireg(mach.RegSP); ok {
 		s.regs[ri] = Exact(a.memLen &^ 7)
 	}
-	return s
+	clear(s.eq)
+	clear(s.ipred)
+	s.preds = [nBB]pred{}
 }
 
 func (a *analyzer) funcOf(w int) string {
@@ -1019,7 +982,7 @@ func (a *analyzer) funcOf(w int) string {
 	return ""
 }
 
-// run drives the fixpoint: ascending worklist with widening, then a fixed
+// run drives the fixpoint: ascending worklist with widening, then a bounded
 // number of descending sweeps (one parallel application of the transfer
 // function each — monotone, so the result stays above the least fixpoint),
 // then the reporting sweep that mints per-site verdicts into rep.
@@ -1031,22 +994,46 @@ func (a *analyzer) run(rep *Report) {
 		return
 	}
 
-	in := make([]state, n)
-	visited := make([]bool, n)
+	a.names = nameRegs(a.img.Instrs)
+	nr := a.names.n
+	a.pool.nr = nr
+	a.out.st = a.pool.get()
+	a.out.wrote = make([]uint8, nr)
+	a.edgeSt, a.s0Copy = a.pool.get(), a.pool.get()
+	a.seen = make([]bool, nr)
+	a.plans = make([]wordPlan, n)
+	preds := make([][]int, n)
+	for w := range a.plans {
+		a.plans[w] = a.planWord(w)
+		for i := range a.plans[w].edges {
+			t := a.plans[w].edges[i].to
+			preds[t] = append(preds[t], w)
+		}
+	}
+
+	// in[w] is the entry state of word w, nil until some path reaches it.
+	in := make([]*state, n)
 	joins := make([]int, n)
 	inWork := make([]bool, n)
 	work := []int{entry}
-	in[entry] = a.bootState()
-	visited[entry] = true
+	in[entry] = a.pool.get()
+	a.setBoot(in[entry])
 	inWork[entry] = true
 
-	flow := func(e edge, update func(t int, st state)) {
-		if e.dead || e.to < 0 || e.to >= n {
-			return
+	ascend := func(t int, st *state) {
+		if in[t] == nil {
+			in[t] = a.pool.clone(st)
+		} else {
+			if !in[t].join(st, joins[t]+1 > widenAt) {
+				return
+			}
+			joins[t]++
 		}
-		update(e.to, e.st)
+		if !inWork[t] {
+			inWork[t] = true
+			work = append(work, t)
+		}
 	}
-
 	for len(work) > 0 {
 		if a.budget <= 0 {
 			rep.Exhausted = true
@@ -1057,79 +1044,119 @@ func (a *analyzer) run(rep *Report) {
 		work = work[:len(work)-1]
 		inWork[w] = false
 		s0 := in[w]
-		o := a.xfer(w, s0, nil)
-		for _, e := range a.edges(w, &s0, &o) {
-			flow(e, func(t int, st state) {
-				if !visited[t] {
-					visited[t] = true
-					in[t] = st
-				} else {
-					next := joinState(in[t], st)
-					if next == in[t] {
-						return
-					}
-					joins[t]++
-					if joins[t] > widenAt {
-						next = widenState(in[t], next)
-					}
-					in[t] = next
-				}
-				if !inWork[t] {
-					inWork[t] = true
-					work = append(work, t)
-				}
-			})
+		if a.plans[w].self {
+			// the self-edge joins into in[w] while later edges still refine
+			// against the entry state this transfer started from
+			a.s0Copy.copyFrom(s0)
+			s0 = a.s0Copy
 		}
+		a.budget--
+		a.xfer(w, s0, nil)
+		a.edges(w, s0, ascend)
 	}
 
-	// Descending sweeps: recompute every entry state from scratch as the
-	// join of its (refined) incoming edges, recovering the precision the
-	// widening threw away. Each sweep reads only the previous iterate and is
+	// Descending sweeps: recompute entry states from scratch as the join of
+	// their (refined) incoming edges, recovering the precision the widening
+	// threw away. Each sweep reads only the previous iterate and is
 	// independently sound (it applies one parallel step of the sound
 	// transfer system to a superset of the reachable states), so iterating
 	// until the states stop changing — bounded by narrowRounds and the
 	// transfer budget — is safe and lets a narrowed loop bound propagate
 	// through arbitrarily long loop bodies.
+	//
+	// The sweeps are incremental. The new entry state of t is a function of
+	// the previous states of t's predecessors alone, so it can differ from
+	// the current one only if a predecessor's state changed in the previous
+	// round. A round therefore recomputes just those targets — transferring
+	// each of their predecessors once, in word order, exactly as a full sweep
+	// would — and every other word keeps its state. The first round starts
+	// from "every reachable word changed", which makes it a full sweep: a
+	// reachable word other than the entry is some reachable word's successor.
+	// The sequence of iterates is the full Jacobi sweep's; converged regions
+	// simply stop being re-swept. A round is still charged to the
+	// budget at the full sweep's price, one unit per reachable word, so where
+	// the budget cuts narrowing short — and with it every verdict — does not
+	// depend on how little of the sweep had to be executed.
+	nin := make([]*state, n)
+	recompute := make([]bool, n) // targets whose entry state is rebuilt this round
+	source := make([]bool, n)    // words with a successor being rebuilt
+	var changed []int            // words whose entry state the previous round changed
+	for w := range in {
+		if in[w] != nil {
+			changed = append(changed, w)
+		}
+	}
+	descend := func(t int, st *state) {
+		if !recompute[t] {
+			return
+		}
+		if nin[t] == nil {
+			nin[t] = a.pool.clone(st)
+		} else {
+			nin[t].join(st, false)
+		}
+	}
 	for round := 0; round < narrowRounds; round++ {
 		if a.budget <= 0 {
 			break // keep the last iterate: still sound, just less precise
 		}
-		nin := make([]state, n)
-		nvis := make([]bool, n)
-		nin[entry] = a.bootState()
-		nvis[entry] = true
+		rep.NarrowRounds++
+		clear(recompute)
+		clear(source)
+		for _, w := range changed {
+			for i := range a.plans[w].edges {
+				recompute[a.plans[w].edges[i].to] = true
+			}
+		}
+		for t, re := range recompute {
+			if re {
+				for _, p := range preds[t] {
+					source[p] = true
+				}
+			}
+		}
+		if recompute[entry] {
+			nin[entry] = a.pool.get()
+			a.setBoot(nin[entry])
+		}
 		for w := 0; w < n; w++ {
-			if !visited[w] {
+			if in[w] == nil {
 				continue
 			}
-			s0 := in[w]
-			o := a.xfer(w, s0, nil)
-			for _, e := range a.edges(w, &s0, &o) {
-				flow(e, func(t int, st state) {
-					if nvis[t] {
-						nin[t] = joinState(nin[t], st)
-					} else {
-						nvis[t] = true
-						nin[t] = st
-					}
-				})
+			a.budget--
+			if source[w] {
+				a.xfer(w, in[w], nil)
+				a.edges(w, in[w], descend)
 			}
 		}
-		stable := true
-		for w := 0; w < n && stable; w++ {
-			if nvis[w] != visited[w] || nin[w] != in[w] {
-				stable = false
+		changed = changed[:0]
+		for t, re := range recompute {
+			if !re {
+				continue
 			}
+			next := nin[t]
+			nin[t] = nil
+			switch {
+			case next != nil && in[t] != nil && next.equal(in[t]):
+				a.pool.put(next)
+				continue
+			case next == nil && in[t] == nil:
+				continue
+			}
+			if in[t] != nil {
+				a.pool.put(in[t])
+			}
+			in[t] = next
+			changed = append(changed, t)
 		}
-		in, visited = nin, nvis
-		if stable {
+		if len(changed) == 0 {
 			break
 		}
 	}
 
 	// Reporting sweep.
 	for w := 0; w < n; w++ {
-		if visited[w] {
+		if in[w] != nil {
 			a.xfer(w, in[w], rep)
 		} else {
 			a.wordUnreachable(rep, w)

@@ -75,7 +75,14 @@ type Report struct {
 	Sites     []Site
 	Words     int
 	Exhausted bool // the transfer budget ran out; every site is unproven
-	img       *isa.Image
+	// Work counters. Both are deterministic — a function of the image and
+	// the options alone — so a test can pin them where a wall-clock floor
+	// would be noise. Transfers counts word transfers executed (ascending
+	// fixpoint, descending sweeps and the reporting sweep); NarrowRounds
+	// counts descending sweeps run.
+	Transfers    int
+	NarrowRounds int
+	img          *isa.Image
 }
 
 // Image returns the analyzed image.
@@ -145,9 +152,17 @@ func (r *Report) Summary() string {
 type Options struct {
 	// Src attributes sites to func:line (see schedcheck.NewSourceMap).
 	Src schedcheck.SourceMap
-	// MaxVisits caps word-transfer evaluations before the analysis gives
-	// up and reports every site unproven (a soundness-preserving bail-out
-	// for pathological fuzz images). 0 means a generous default.
+	// MaxVisits caps the analysis effort, in word transfers (0 means a
+	// generous default, max(50000, 64 × words)). The ascending fixpoint
+	// spends one unit per transfer; running out there gives up and reports
+	// every site unproven with Report.Exhausted set (a soundness-preserving
+	// bail-out for pathological fuzz images). A descending round spends one
+	// unit per reachable word — the price of a full sweep, although the
+	// incremental sweep executes far fewer transfers (Report.Transfers counts
+	// those) — and running out there merely stops narrowing early, which is
+	// still sound. Pricing rounds rather than executed transfers keeps the
+	// verdicts a function of the image and this number alone, not of how
+	// the sweeps are scheduled.
 	MaxVisits int
 }
 
@@ -182,6 +197,7 @@ func Analyze(img *isa.Image, opts Options) *Report {
 	}
 	rep := &Report{Words: n, img: img}
 	a.run(rep)
+	rep.Transfers = a.transfers
 	return rep
 }
 
@@ -203,7 +219,7 @@ func (a *analyzer) addMemSite(rep *Report, w int, s *mach.SlotOp, st *state) {
 		rep.add(a.site(w, s, false, "address operand has no register"))
 		return
 	}
-	va, vb := st.argVal(o.A), st.argVal(o.B)
+	va, vb := a.argVal(st, o.A), a.argVal(st, o.B)
 	eaLo, eaHi := va.Lo+vb.Lo, va.Hi+vb.Hi
 	m := gcd(va.M, vb.M)
 	r := va.R + vb.R
@@ -228,7 +244,7 @@ func (a *analyzer) addMemSite(rep *Report, w int, s *mach.SlotOp, st *state) {
 // addDivSite classifies one integer divide/remainder: the divisor's
 // abstract value must exclude zero.
 func (a *analyzer) addDivSite(rep *Report, w int, s *mach.SlotOp, st *state) {
-	d := st.argVal(s.Op.B)
+	d := a.argVal(st, s.Op.B)
 	if d.ExcludesZero() {
 		rep.add(a.site(w, s, true, fmt.Sprintf("divisor %s excludes zero", d)))
 	} else {
@@ -240,7 +256,7 @@ func (a *analyzer) addDivSite(rep *Report, w int, s *mach.SlotOp, st *state) {
 // dynamic), but the verdict tells a reader whether return addresses can be
 // proven in-image.
 func (a *analyzer) addJmpRSite(rep *Report, w int, s *mach.SlotOp, st *state) {
-	t := st.argVal(s.Op.A)
+	t := a.argVal(st, s.Op.A)
 	n := int64(len(a.img.Instrs))
 	if t.Lo >= 0 && t.Hi < n {
 		rep.add(a.site(w, s, true, fmt.Sprintf("target %s inside image [0,%d)", t, n)))

@@ -10,6 +10,7 @@ import (
 	"github.com/multiflow-repro/trace/internal/opt"
 	"github.com/multiflow-repro/trace/internal/safecheck"
 	"github.com/multiflow-repro/trace/internal/schedcheck"
+	"github.com/multiflow-repro/trace/internal/xp"
 )
 
 func compileExample(t *testing.T, name string, o opt.Options) *core.Result {
@@ -196,5 +197,41 @@ func TestBudgetExhaustionIsSound(t *testing.T) {
 	}
 	if rep.Total() == 0 {
 		t.Fatal("exhausted analysis must still enumerate every site")
+	}
+}
+
+// TestTransferCeilings pins the analysis work, in word transfers executed, on
+// the three kernels the cold-path benchmarks use (Trace 28/200, O2). The
+// counter repeats exactly, so this is the regression floor a wall-clock
+// number cannot be: descending sweeps that went back to re-transferring every
+// reachable word every round would cost NarrowRounds × words — 3–5× these
+// ceilings — and fail here, not in a noisy benchmark. Ceilings are what the
+// analysis needs today plus ~20 %.
+func TestTransferCeilings(t *testing.T) {
+	ceilings := map[string]int{"fft": 46000, "matmul": 6800, "scanner": 12600}
+	for _, w := range xp.AllWorkloads() {
+		ceiling, ok := ceilings[w.Name]
+		if !ok {
+			continue
+		}
+		res, err := core.Compile(context.Background(), w.Src,
+			core.Options{Config: mach.Trace28(), Opt: opt.Default()})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		rep := safecheck.Analyze(res.Image, safecheck.Options{})
+		words := len(res.Image.Instrs)
+		t.Logf("%s: %d words, %d transfers, %d narrowing rounds", w.Name, words, rep.Transfers, rep.NarrowRounds)
+		if rep.Exhausted {
+			t.Errorf("%s: analysis budget exhausted", w.Name)
+		}
+		if rep.Transfers > ceiling {
+			t.Errorf("%s: %d transfers, ceiling %d (a full re-sweep per round would be %d)",
+				w.Name, rep.Transfers, ceiling, rep.NarrowRounds*words)
+		}
+		delete(ceilings, w.Name)
+	}
+	for name := range ceilings {
+		t.Errorf("kernel %s not found in xp.AllWorkloads", name)
 	}
 }

@@ -115,7 +115,7 @@ func Emit(sf *SFunc, alloc map[VReg]mach.PReg) (*FuncCode, error) {
 }
 
 // CompileFunc runs the whole backend on one lowered function.
-func CompileFunc(cfg mach.Config, vf *VFunc, prof map[[2]int]float64, layout map[string]int64, maxTraceBlocks int) (*FuncCode, error) {
+func CompileFunc(cfg mach.Config, vf *VFunc, prof ir.EdgeWeights, layout map[string]int64, maxTraceBlocks int) (*FuncCode, error) {
 	sf, err := Assemble(cfg, vf, prof, layout, maxTraceBlocks)
 	if err != nil {
 		return nil, err

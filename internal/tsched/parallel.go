@@ -121,7 +121,7 @@ func CompileParallel(ctx context.Context, prog *ir.Program, cfg mach.Config, pro
 // trace-length retry ladder on register pressure. Panics anywhere in the
 // per-function backend are recovered into *ErrInternal so one poisoned
 // function cannot kill the worker pool.
-func compileOne(cfg mach.Config, prog *ir.Program, f *ir.Func, prof map[[2]int]float64, layout map[string]int64, ladder []int) (fc *FuncCode, err error) {
+func compileOne(cfg mach.Config, prog *ir.Program, f *ir.Func, prof ir.EdgeWeights, layout map[string]int64, ladder []int) (fc *FuncCode, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fc, err = nil, &ErrInternal{Func: f.Name, Value: r, Stack: debug.Stack()}
@@ -130,7 +130,7 @@ func compileOne(cfg mach.Config, prog *ir.Program, f *ir.Func, prof map[[2]int]f
 	return compileOneInner(cfg, prog, f, prof, layout, ladder)
 }
 
-func compileOneInner(cfg mach.Config, prog *ir.Program, f *ir.Func, prof map[[2]int]float64, layout map[string]int64, ladder []int) (*FuncCode, error) {
+func compileOneInner(cfg mach.Config, prog *ir.Program, f *ir.Func, prof ir.EdgeWeights, layout map[string]int64, ladder []int) (*FuncCode, error) {
 	vf, err := LowerFunc(prog, f, f.Name == "main")
 	if err != nil {
 		return nil, err

@@ -41,18 +41,13 @@ type scheduler struct {
 	copies map[copyKey]VReg
 
 	// reservations
-	ialu    map[[3]int]bool // (pair, alu, absBeat)
-	fuInstr map[fuKey]bool  // (unitKind, pair, instr) occupied
-	fuBusy  map[[2]int]int  // (kind, pair) -> busy until instr (divides)
-	rdPort  map[[2]int]int  // (board, beat) -> reads
-	wrPort  map[[2]int]int  // (board, beat) -> writes
-	bus     map[[2]int]int  // (busKind, beat) -> uses
-	memRefs []memRef        // scheduled memory references
-	memBB   map[[2]int]bool // (board, beat): one reference per I board per beat
-	immw    map[[2]int]bool // (pair, beat%2 at instr granularity): the shared
-	// 32-bit immediate word of §6.1 ("flexibly shared between ALU0, ALU1,
-	// and a 32-bit PC adder") — one long immediate or branch per pair-beat
-	avail map[VReg]int // value availability beat (writes complete)
+	res resTable
+	// fdivBusy[pair] is the first instruction at which the pair's
+	// multiplier/divider accepts a new op again (the iterative divide
+	// occupies it).
+	fdivBusy [4]int
+	memRefs  []memRef     // scheduled memory references
+	avail    map[VReg]int // value availability beat (writes complete)
 
 	// pendingSF tracks store-file registers written but not yet consumed by
 	// their store, per pair; the compiler is responsible for not
@@ -67,12 +62,6 @@ type scheduler struct {
 type copyKey struct {
 	reg   VReg
 	board uint8
-}
-
-type fuKey struct {
-	kind  mach.UnitKind
-	pair  uint8
-	instr int
 }
 
 type memRef struct {
@@ -116,14 +105,6 @@ func scheduleTrace(cfg mach.Config, vf *VFunc, g *traceGraph, home map[VReg]uint
 	s := &scheduler{
 		cfg: cfg, vf: vf, g: g, home: home, layout: layout, maxPrio: maxPrio,
 		copies:    map[copyKey]VReg{},
-		ialu:      map[[3]int]bool{},
-		fuInstr:   map[fuKey]bool{},
-		fuBusy:    map[[2]int]int{},
-		rdPort:    map[[2]int]int{},
-		wrPort:    map[[2]int]int{},
-		bus:       map[[2]int]int{},
-		memBB:     map[[2]int]bool{},
-		immw:      map[[2]int]bool{},
 		avail:     map[VReg]int{},
 		pendingSF: map[uint8]map[VReg]bool{},
 	}
@@ -517,16 +498,10 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 
 // unitFree reports whether the unit slot is open at instruction k.
 func (s *scheduler) unitFree(uc unitChoice, k int) bool {
-	switch uc.unit.Kind {
-	case mach.UIALU:
-		key := [3]int{int(uc.unit.Pair), int(uc.unit.Idx), 2*k + int(uc.beat)}
-		return !s.ialu[key]
-	default:
-		if until, ok := s.fuBusy[[2]int{int(uc.unit.Kind), int(uc.unit.Pair)}]; ok && k < until {
-			return false
-		}
-		return !s.fuInstr[fuKey{uc.unit.Kind, uc.unit.Pair, k}]
+	if uc.unit.Kind == mach.UFM && k < s.fdivBusy[uc.unit.Pair] {
+		return false
 	}
+	return s.res.at(2*k+int(uc.beat)).units&unitBit(uc.unit) == 0
 }
 
 // resourcesFree checks ports, buses, and the memory rules of §6.4.1 for
@@ -558,7 +533,7 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 
 	// shared immediate word (one long immediate or branch per pair-beat)
 	for _, b := range immWordBeats(o, issue) {
-		if s.immw[[2]int{board, b}] {
+		if s.res.at(b).imm&(1<<board) != 0 {
 			return false
 		}
 	}
@@ -570,7 +545,7 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 			nr++
 		}
 	}
-	if s.rdPort[[2]int{board, issue}]+nr > s.cfg.RFReadPorts {
+	if int(s.res.at(issue).rd[board])+nr > s.cfg.RFReadPorts {
 		return false
 	}
 
@@ -578,7 +553,7 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 	if o.Dst != VNone {
 		wb := issue + opLatency(s.cfg, o)
 		db := s.dstBoard(o, uc.unit)
-		if s.wrPort[[2]int{db, wb}]+1 > s.cfg.RFWritePorts {
+		if int(s.res.at(wb).wr[db])+1 > s.cfg.RFWritePorts {
 			return false
 		}
 		if db != board && !o.IsMem() {
@@ -587,7 +562,7 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 				kind, beats = busFLoad, 2
 			}
 			for i := 0; i < beats; i++ {
-				if s.bus[[2]int{kind, wb - i}]+1 > busCap(&s.cfg, kind) {
+				if int(s.res.at(wb - i).bus[kind])+1 > busCap(&s.cfg, kind) {
 					return false
 				}
 			}
@@ -597,14 +572,14 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 	// memory reference rules
 	if o.IsMem() {
 		// one reference per I board per beat
-		if s.memBB[[2]int{board, issue}] {
+		if s.res.at(issue).mem&(1<<board) != 0 {
 			return false
 		}
-		if s.bus[[2]int{busPA, issue + mach.StagePA}]+1 > s.cfg.PABuses {
+		if int(s.res.at(issue + mach.StagePA).bus[busPA])+1 > s.cfg.PABuses {
 			return false
 		}
 		if o.Kind == ir.Store {
-			if s.bus[[2]int{busStore, issue + mach.StagePA}]+1 > s.cfg.StoreBuses {
+			if int(s.res.at(issue + mach.StagePA).bus[busStore])+1 > s.cfg.StoreBuses {
 				return false
 			}
 		} else {
@@ -612,7 +587,7 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 			if s.vf.Class(o.Dst) == ClassF {
 				kind = busFLoad
 			}
-			if s.bus[[2]int{kind, issue + mach.StageData}]+1 > busCap(&s.cfg, kind) {
+			if int(s.res.at(issue + mach.StageData).bus[kind])+1 > busCap(&s.cfg, kind) {
 				return false
 			}
 		}
@@ -688,28 +663,23 @@ func busCap(cfg *mach.Config, kind int) int {
 // reserve commits the op's resource usage.
 func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
 	o := &op.vop
-	k := op2instr(issue)
 	board := int(uc.unit.Pair)
-	switch uc.unit.Kind {
-	case mach.UIALU:
-		s.ialu[[3]int{board, int(uc.unit.Idx), issue}] = true
-		if o.Kind == ir.Div || o.Kind == ir.Rem {
-			// the iterative divide occupies this ALU
-			for b := issue; b < issue+opLatency(s.cfg, o); b++ {
-				s.ialu[[3]int{board, int(uc.unit.Idx), b}] = true
-			}
+	bit := unitBit(uc.unit)
+	s.res.row(issue).units |= bit
+	switch o.Kind {
+	case ir.Div, ir.Rem:
+		// the iterative divide occupies this ALU
+		for b := issue; b < issue+opLatency(s.cfg, o); b++ {
+			s.res.row(b).units |= bit
 		}
-	default:
-		s.fuInstr[fuKey{uc.unit.Kind, uc.unit.Pair, k}] = true
-		if o.Kind == ir.FDiv {
-			s.fuBusy[[2]int{int(mach.UFM), board}] = k + (s.cfg.LatFDiv+1)/2
-		}
+	case ir.FDiv:
+		s.fdivBusy[board] = op2instr(issue) + (s.cfg.LatFDiv+1)/2
 	}
 	if s.cfg.Ideal {
 		return
 	}
 	for _, b := range immWordBeats(o, issue) {
-		s.immw[[2]int{board, b}] = true
+		s.res.row(b).imm |= 1 << board
 	}
 	nr := 0
 	for _, a := range []*VArg{&o.A, &o.B, &o.C} {
@@ -717,32 +687,32 @@ func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
 			nr++
 		}
 	}
-	s.rdPort[[2]int{board, issue}] += nr
+	s.res.row(issue).rd[board] += uint16(nr)
 	if o.Dst != VNone {
 		wb := issue + opLatency(s.cfg, o)
 		db := s.dstBoard(o, uc.unit)
-		s.wrPort[[2]int{db, wb}]++
+		s.res.row(wb).wr[db]++
 		if db != board && !o.IsMem() {
 			kind, beats := busILoad, 1
 			if s.vf.Class(o.Dst) == ClassF {
 				kind, beats = busFLoad, 2
 			}
 			for i := 0; i < beats; i++ {
-				s.bus[[2]int{kind, wb - i}]++
+				s.res.row(wb - i).bus[kind]++
 			}
 		}
 	}
 	if o.IsMem() {
-		s.memBB[[2]int{board, issue}] = true
-		s.bus[[2]int{busPA, issue + mach.StagePA}]++
+		s.res.row(issue).mem |= 1 << board
+		s.res.row(issue + mach.StagePA).bus[busPA]++
 		if o.Kind == ir.Store {
-			s.bus[[2]int{busStore, issue + mach.StagePA}]++
+			s.res.row(issue + mach.StagePA).bus[busStore]++
 		} else {
 			kind := busILoad
 			if s.vf.Class(o.Dst) == ClassF {
 				kind = busFLoad
 			}
-			s.bus[[2]int{kind, issue + mach.StageData}]++
+			s.res.row(issue + mach.StageData).bus[kind]++
 		}
 		s.memRefs = append(s.memRefs, memRef{s.refOfPlaced(op), issue, o.Kind == ir.Store})
 	}

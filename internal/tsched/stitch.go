@@ -61,7 +61,7 @@ type entrance struct {
 // Assemble schedules every trace of the function and stitches the results —
 // with all compensation code — into an SFunc. maxTraceBlocks (0 = no limit)
 // caps trace length; the driver lowers it when register pressure overflows.
-func Assemble(cfg mach.Config, vf *VFunc, prof map[[2]int]float64, layout map[string]int64, maxTraceBlocks int) (*SFunc, error) {
+func Assemble(cfg mach.Config, vf *VFunc, prof ir.EdgeWeights, layout map[string]int64, maxTraceBlocks int) (*SFunc, error) {
 	lv := vf.ComputeLiveness()
 	traces := SelectTraces(vf, prof, maxTraceBlocks)
 	home := map[VReg]uint8{}
@@ -133,12 +133,7 @@ type stitcher struct {
 // and the calling convention), honoring the same structural limits the main
 // scheduler enforces.
 type serialState struct {
-	units map[[2]int]map[mach.Unit]bool // (instr, beat) -> units taken
-	mem   map[[3]int]bool               // (instr, beat, board) mem ref issued
-	imm   map[[3]int]bool               // (instr, beat, pair) shared word used
-	reads map[[2]int]int                // (absBeat, board) register reads
-	wrs   map[[2]int]int                // (absBeat, board) register writes landing
-	bus   map[[2]int]int                // (busKind, absBeat) cross-board copy traffic
+	res resTable // unit slots, memory refs, immediate words, ports, copy-bus traffic
 
 	// ordering state: packing must not reorder hazardous pairs
 	floor    int          // entry padding boundary: no op before this
@@ -157,12 +152,6 @@ var serialDebugNoPack = os.Getenv("TSCHED_NOPACK") != ""
 
 func newSerialState(floor int) *serialState {
 	return &serialState{
-		units:    map[[2]int]map[mach.Unit]bool{},
-		mem:      map[[3]int]bool{},
-		imm:      map[[3]int]bool{},
-		reads:    map[[2]int]int{},
-		wrs:      map[[2]int]int{},
-		bus:      map[[2]int]int{},
 		floor:    floor,
 		lastRead: map[VReg]int{},
 		writeEnd: map[VReg]int{},
@@ -411,41 +400,24 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 		minIdx = ss.maxUsed + 1
 	}
 	// candidate units for this op on the pair
-	var cands []struct {
-		u mach.Unit
-		b uint8
-	}
+	var buf [4]unitChoice
+	cands := buf[:0]
+	p8 := uint8(pair)
 	switch unitClass(st.vf, &op) {
 	case UBRClass:
-		cands = append(cands, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UBR, Pair: uint8(pair)}, 0})
+		cands = append(cands, unitChoice{mach.Unit{Kind: mach.UBR, Pair: p8}, 0})
 	case UFAClass:
-		cands = append(cands, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UFA, Pair: uint8(pair)}, 0})
+		cands = append(cands, unitChoice{mach.Unit{Kind: mach.UFA, Pair: p8}, 0})
 	case UFMClass:
-		cands = append(cands, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UFM, Pair: uint8(pair)}, 0})
+		cands = append(cands, unitChoice{mach.Unit{Kind: mach.UFM, Pair: p8}, 0})
 	case UFEitherClass:
-		cands = append(cands, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UFA, Pair: uint8(pair)}, 0}, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UFM, Pair: uint8(pair)}, 0})
+		cands = append(cands,
+			unitChoice{mach.Unit{Kind: mach.UFA, Pair: p8}, 0},
+			unitChoice{mach.Unit{Kind: mach.UFM, Pair: p8}, 0})
 	default:
-		for _, alu := range []uint8{0, 1} {
-			for _, beat := range []uint8{0, 1} {
-				cands = append(cands, struct {
-					u mach.Unit
-					b uint8
-				}{mach.Unit{Kind: mach.UIALU, Pair: uint8(pair), Idx: alu}, beat})
+		for alu := uint8(0); alu < 2; alu++ {
+			for beat := uint8(0); beat < 2; beat++ {
+				cands = append(cands, unitChoice{mach.Unit{Kind: mach.UIALU, Pair: p8, Idx: alu}, beat})
 			}
 		}
 	}
@@ -467,14 +439,14 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 			nReads++
 		}
 	}
+	pairBit := uint8(1) << pair
 	for idx := minIdx; ; idx++ {
 		for _, c := range cands {
-			key := [2]int{idx, int(c.b)}
-			if ss.units[key][c.u] {
+			issue := 2*idx + int(c.beat)
+			if ss.res.at(issue).units&unitBit(c.unit) != 0 {
 				continue
 			}
-			issue := 2*idx + int(c.b)
-			if ss.reads[[2]int{issue, pair}]+nReads > st.cfg.RFReadPorts {
+			if int(ss.res.at(issue).rd[pair])+nReads > st.cfg.RFReadPorts {
 				continue
 			}
 			if op.Dst != VNone {
@@ -483,7 +455,7 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 				if h, ok := st.sf.Home[op.Dst]; ok {
 					db = int(h)
 				}
-				if ss.wrs[[2]int{wb, db}]+1 > st.cfg.RFWritePorts {
+				if int(ss.res.at(wb).wr[db])+1 > st.cfg.RFWritePorts {
 					continue
 				}
 				// Cross-board results ride the tagged load buses (§6.3) — a
@@ -497,7 +469,7 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 					}
 					full := false
 					for i := 0; i < beats; i++ {
-						if ss.bus[[2]int{kind, wb - i}]+1 > busCap(&st.cfg, kind) {
+						if int(ss.res.at(wb - i).bus[kind])+1 > busCap(&st.cfg, kind) {
 							full = true
 							break
 						}
@@ -507,32 +479,29 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 					}
 				}
 			}
-			if isMem && ss.mem[[3]int{idx, int(c.b), pair}] {
+			if isMem && ss.res.at(issue).mem&pairBit != 0 {
 				continue
 			}
-			if needsImmw && ss.imm[[3]int{idx, int(c.b), pair}] {
+			if needsImmw && ss.res.at(issue).imm&pairBit != 0 {
 				continue
 			}
 			// an F constant needs both halves of the shared word (§6.5.1)
-			if op.Kind == ir.ConstF && ss.imm[[3]int{idx, 1, pair}] {
+			if op.Kind == ir.ConstF && ss.res.at(2*idx+1).imm&pairBit != 0 {
 				continue
 			}
 			// commit
-			if ss.units[key] == nil {
-				ss.units[key] = map[mach.Unit]bool{}
-			}
-			ss.units[key][c.u] = true
+			ss.res.row(issue).units |= unitBit(c.unit)
 			if isMem {
-				ss.mem[[3]int{idx, int(c.b), pair}] = true
+				ss.res.row(issue).mem |= pairBit
 			}
 			if needsImmw {
-				ss.imm[[3]int{idx, int(c.b), pair}] = true
+				ss.res.row(issue).imm |= pairBit
 				if op.Kind == ir.ConstF {
-					ss.imm[[3]int{idx, 1, pair}] = true
+					ss.res.row(2*idx + 1).imm |= pairBit
 				}
 			}
 			st.pad(sb, idx+1)
-			slot := SSlot{Unit: c.u, Beat: c.b, Op: op}
+			slot := SSlot{Unit: c.unit, Beat: c.beat, Op: op}
 			in := &sb.Instrs[idx]
 			si := len(in.Slots)
 			in.Slots = append(in.Slots, slot)
@@ -543,27 +512,27 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 				in.Slots[si].TargetSym = op.Sym
 			}
 			// ordering bookkeeping
-			ss.reads[[2]int{2*idx + int(c.b), pair}] += nReads
+			ss.res.row(issue).rd[pair] += uint16(nReads)
 			if op.Dst != VNone {
-				wb := 2*idx + int(c.b) + opLatency(st.cfg, &op)
+				wb := issue + opLatency(st.cfg, &op)
 				db := pair
 				if h, ok := st.sf.Home[op.Dst]; ok {
 					db = int(h)
 				}
-				ss.wrs[[2]int{wb, db}]++
+				ss.res.row(wb).wr[db]++
 				if db != pair && !op.IsMem() {
 					kind, beats := busILoad, 1
 					if st.vf.Class(op.Dst) == ClassF {
 						kind, beats = busFLoad, 2
 					}
 					for i := 0; i < beats; i++ {
-						ss.bus[[2]int{kind, wb - i}]++
+						ss.res.row(wb - i).bus[kind]++
 					}
 				}
 			}
 			if op.Dst != VNone {
 				lat := opLatency(st.cfg, &op)
-				end := (2*idx + int(c.b) + lat + 1) / 2
+				end := (issue + lat + 1) / 2
 				if end <= idx {
 					end = idx + 1
 				}

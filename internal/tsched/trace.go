@@ -78,7 +78,7 @@ func (f *VFunc) ComputeLiveness() *VLiveness {
 // IR-level profile (vblock i+1 mirrors IR block i). Inserted blocks
 // (prologue, call blocks, epilogues, continuations) inherit flow from their
 // predecessors by propagation.
-func BlockWeights(f *VFunc, prof map[[2]int]float64) []float64 {
+func BlockWeights(f *VFunc, prof ir.EdgeWeights) []float64 {
 	n := len(f.Blocks)
 	w := make([]float64, n)
 	w[0] = 1
@@ -121,7 +121,7 @@ func BlockWeights(f *VFunc, prof map[[2]int]float64) []float64 {
 }
 
 // EdgeWeight returns the estimated weight of edge a→b among vblocks.
-func EdgeWeight(prof map[[2]int]float64, a, b int) float64 {
+func EdgeWeight(prof ir.EdgeWeights, a, b int) float64 {
 	if prof == nil {
 		return 0
 	}
@@ -136,7 +136,7 @@ func EdgeWeight(prof map[[2]int]float64, a, b int) float64 {
 // only if the edge into it is both the predecessor's most likely exit and
 // the block's most likely entry (Fisher's mutual-most-likely rule).
 // maxBlocks 0 means unlimited.
-func SelectTraces(f *VFunc, prof map[[2]int]float64, maxBlocks int) []Trace {
+func SelectTraces(f *VFunc, prof ir.EdgeWeights, maxBlocks int) []Trace {
 	weights := BlockWeights(f, prof)
 	preds := f.Preds()
 	n := len(f.Blocks)

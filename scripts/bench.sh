@@ -4,9 +4,11 @@
 # (guard-free under a safety certificate), BenchmarkSimulatorNative
 # (closure-threaded translation of the image), and
 # BenchmarkSimulatorContexts (K=4 time-shared hardware contexts) with
-# fixed -benchtime/-count so runs are comparable across commits, then
-# emits BENCH_sim.json via benchjson, comparing against the committed
-# seed baseline (scripts/bench_baseline.txt).
+# fixed -benchtime/-count so runs are comparable across commits, plus one
+# pass of the cold-path micro-benchmarks (BenchmarkSafecheckAnalyze,
+# BenchmarkTschedCompile), then emits BENCH_sim.json via benchjson,
+# comparing against the committed seed baseline
+# (scripts/bench_baseline.txt).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,14 +24,28 @@ trap 'rm -f "$raw"' EXIT
 for _ in 1 2 3; do
 	go test -run '^$' -bench 'Simulator' -benchtime=2s -count=1 -benchmem .
 done | tee "$raw"
+# The cold path — what a request pays before its first beat: the safety
+# analysis and the trace scheduler on fft, matmul, scanner and one generated
+# program. One short pass: the number gated here is bytes allocated per
+# analysis, which repeats to within a few hundred bytes.
+go test -run '^$' -bench 'SafecheckAnalyze|TschedCompile' -benchtime=5x -count=1 . | tee -a "$raw"
 # Three floors: the certified fast path has to hold its committed baseline
 # (10% noise floor — the checkpoint/restore and safety machinery must cost
 # nothing when unused), the safe tier has to actually cash in its deleted
 # guards — at least as fast as the fast tier on the same corpus — and the
 # native tier's closure threading has to be worth the translation: at
 # least 2x the safe tier's beat rate.
+#
+# The B/op ceilings hold safecheck to states it owns: an analysis allocates
+# one pooled state per reachable word (plus the ones a descending round is
+# rebuilding), each sized by the registers the image names — 9.6 MB for
+# matmul, 59 MB for fft today, ceilings ~30 % above. States passed by value,
+# or fresh state arrays per descending round, cost words × 28 KB × rounds —
+# gigabytes on the same kernels — and trip this at once. No ns/op threshold:
+# bytes repeat, nanoseconds on a shared host do not.
 go run ./cmd/benchjson -baseline scripts/bench_baseline.txt \
 	-require 'BenchmarkSimulatorFast=0.90' \
 	-require-ratio 'BenchmarkSimulatorFast/BenchmarkSimulatorSafe=1.00,BenchmarkSimulatorSafe/BenchmarkSimulatorNative=2.00' \
+	-require-max 'BenchmarkSafecheckAnalyze/matmul:B/op=13000000,BenchmarkSafecheckAnalyze/fft:B/op=78000000,BenchmarkSafecheckAnalyze/scanner:B/op=24000000,BenchmarkSafecheckAnalyze/gen07:B/op=25000000' \
 	-o "$out" "$raw"
 echo "wrote $out"
