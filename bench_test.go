@@ -58,22 +58,24 @@ func main() int {
 	return counts[3]
 }`
 
-func mustCompile(b *testing.B, src string, o Options) *Result {
+func mustCompile(b *testing.B, src string, o Options) *Artifact {
 	b.Helper()
-	res, err := Compile(src, o)
+	art, err := Build(context.Background(), src, o)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res
+	return art
 }
 
-func simBeats(b *testing.B, res *Result) int64 {
+// runStats executes the artifact on the checked tier and returns its
+// counters.
+func runStats(b *testing.B, art *Artifact) Stats {
 	b.Helper()
-	_, _, st, err := Run(res)
+	_, _, st, err := runChecked(art)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return st.Beats
+	return st
 }
 
 // BenchmarkE1Speedup regenerates E1: trace-scheduled VLIW vs the scalar
@@ -85,10 +87,10 @@ func BenchmarkE1Speedup(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := mustCompile(b, daxpyBench, Options{Config: cfg, ProfileRun: true})
+			art := mustCompile(b, daxpyBench, Options{Config: cfg, ProfileRun: true})
 			var beats int64
 			for i := 0; i < b.N; i++ {
-				beats = simBeats(b, res)
+				beats = runStats(b, art).Beats
 			}
 			b.ReportMetric(float64(sc.Beats)/float64(beats), "speedup-vs-scalar")
 			b.ReportMetric(float64(beats), "beats")
@@ -122,8 +124,8 @@ func BenchmarkE3CodeSize(b *testing.B) {
 	}
 	var fixed, packed int64
 	for i := 0; i < b.N; i++ {
-		res := mustCompile(b, daxpyBench, Options{})
-		fixed, packed, _ = res.Image.CodeSizes()
+		art := mustCompile(b, daxpyBench, Options{})
+		fixed, packed, _ = art.Image().CodeSizes()
 	}
 	b.ReportMetric(float64(packed)/float64(vax), "packed/vax")
 	b.ReportMetric(100*(1-float64(packed)/float64(fixed)), "noop-savings-%")
@@ -150,13 +152,10 @@ func main() int {
 			name = "conservative"
 		}
 		b.Run(name, func(b *testing.B) {
-			res := mustCompile(b, src, Options{ProfileRun: true, Conservative: !dice})
+			art := mustCompile(b, src, Options{ProfileRun: true, Conservative: !dice})
 			var stalls, beats int64
 			for i := 0; i < b.N; i++ {
-				_, _, st, err := Run(res)
-				if err != nil {
-					b.Fatal(err)
-				}
+				st := runStats(b, art)
 				stalls, beats = st.BankStalls, st.Beats
 			}
 			b.ReportMetric(float64(beats), "beats")
@@ -168,13 +167,10 @@ func main() int {
 // BenchmarkE5Peak regenerates E5: achieved vs peak rates (§6.3's 215 MIPS /
 // 60 MFLOPS arithmetic is checked in internal/mach's tests).
 func BenchmarkE5Peak(b *testing.B) {
-	res := mustCompile(b, daxpyBench, Options{ProfileRun: true})
+	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
 	var mips, mflops float64
 	for i := 0; i < b.N; i++ {
-		_, _, st, err := Run(res)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := runStats(b, art)
 		mips, mflops = st.MIPS(), st.MFLOPS()
 	}
 	b.ReportMetric(mips, "MIPS")
@@ -185,13 +181,10 @@ func BenchmarkE5Peak(b *testing.B) {
 // BenchmarkE6ICache regenerates E6: cold-miss rates and mask-word refill
 // cost of the 8K-instruction cache.
 func BenchmarkE6ICache(b *testing.B) {
-	res := mustCompile(b, branchyBench, Options{ProfileRun: true})
+	art := mustCompile(b, branchyBench, Options{ProfileRun: true})
 	var missPct, refillPct float64
 	for i := 0; i < b.N; i++ {
-		_, _, st, err := Run(res)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := runStats(b, art)
 		total := st.ICacheHits + st.ICacheMiss
 		missPct = 100 * float64(st.ICacheMiss) / float64(total)
 		refillPct = 100 * float64(st.RefillBeats) / float64(st.Beats)
@@ -209,10 +202,10 @@ func BenchmarkE8Multiway(b *testing.B) {
 			name = "single-branch"
 		}
 		b.Run(name, func(b *testing.B) {
-			res := mustCompile(b, branchyBench, Options{ProfileRun: true, DisableMultiway: !multiway})
+			art := mustCompile(b, branchyBench, Options{ProfileRun: true, DisableMultiway: !multiway})
 			var beats int64
 			for i := 0; i < b.N; i++ {
-				beats = simBeats(b, res)
+				beats = runStats(b, art).Beats
 			}
 			b.ReportMetric(float64(beats), "beats")
 		})
@@ -227,13 +220,10 @@ func BenchmarkE9Speculation(b *testing.B) {
 			name = "no-speculation"
 		}
 		b.Run(name, func(b *testing.B) {
-			res := mustCompile(b, daxpyBench, Options{ProfileRun: true, DisableSpeculation: !spec})
+			art := mustCompile(b, daxpyBench, Options{ProfileRun: true, DisableSpeculation: !spec})
 			var beats, loads int64
 			for i := 0; i < b.N; i++ {
-				_, _, st, err := Run(res)
-				if err != nil {
-					b.Fatal(err)
-				}
+				st := runStats(b, art)
 				beats, loads = st.Beats, st.SpecLoads
 			}
 			b.ReportMetric(float64(beats), "beats")
@@ -252,13 +242,13 @@ func BenchmarkE10Compensation(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var growth, comp float64
 			for i := 0; i < b.N; i++ {
-				res := mustCompile(b, daxpyBench, Options{OptLevel: lvl, ProfileRun: true})
+				art := mustCompile(b, daxpyBench, Options{OptLevel: lvl, ProfileRun: true})
 				var schedOps, compOps int
-				for _, fc := range res.Funcs {
+				for _, fc := range art.Result().Funcs {
 					schedOps += fc.Ops
 					compOps += fc.CompOps
 				}
-				growth = 100 * (float64(schedOps)/float64(res.Opt.OpsBefore) - 1)
+				growth = 100 * (float64(schedOps)/float64(art.Result().Opt.OpsBefore) - 1)
 				comp = float64(compOps)
 			}
 			b.ReportMetric(growth, "growth-%")
@@ -273,10 +263,10 @@ func BenchmarkE12Systems(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := mustCompile(b, branchyBench, Options{ProfileRun: true})
+	art := mustCompile(b, branchyBench, Options{ProfileRun: true})
 	var beats int64
 	for i := 0; i < b.N; i++ {
-		beats = simBeats(b, res)
+		beats = runStats(b, art).Beats
 	}
 	b.ReportMetric(float64(sc.Beats)/float64(beats), "speedup-vs-scalar")
 }
@@ -293,8 +283,8 @@ func BenchmarkE13Ablation(b *testing.B) {
 	traces := mustCompile(b, daxpyBench, Options{ProfileRun: true})
 	var bBeats, tBeats int64
 	for i := 0; i < b.N; i++ {
-		bBeats = simBeats(b, blocks)
-		tBeats = simBeats(b, traces)
+		bBeats = runStats(b, blocks).Beats
+		tBeats = runStats(b, traces).Beats
 	}
 	b.ReportMetric(float64(sc.Beats)/float64(bBeats), "blocks-only-speedup")
 	b.ReportMetric(float64(sc.Beats)/float64(tBeats), "trace-speedup")
@@ -304,9 +294,9 @@ func BenchmarkE13Ablation(b *testing.B) {
 // BenchmarkE7ContextSwitch regenerates E7c: timeslicing on the tagged
 // machine vs. one that purges caches and TLBs at every switch (§8.1).
 func BenchmarkE7ContextSwitch(b *testing.B) {
-	res := mustCompile(b, daxpyBench, Options{ProfileRun: true})
+	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
 	run := func(flush bool) *Stats {
-		m := NewMachine(res)
+		m := art.Machine()
 		m.InterruptEvery = 2000
 		m.InterruptBeats = 60
 		m.FlushOnSwitch = flush
@@ -336,8 +326,8 @@ func BenchmarkFigure1IdealVsReal(b *testing.B) {
 	real := mustCompile(b, daxpyBench, Options{Config: Trace28(), ProfileRun: true})
 	var iBeats, rBeats int64
 	for i := 0; i < b.N; i++ {
-		iBeats = simBeats(b, ideal)
-		rBeats = simBeats(b, real)
+		iBeats = runStats(b, ideal).Beats
+		rBeats = runStats(b, real).Beats
 	}
 	b.ReportMetric(100*(float64(rBeats)/float64(iBeats)-1), "partition-cost-%")
 }
@@ -348,12 +338,12 @@ func BenchmarkFigure3EncodeDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := mustCompile(b, daxpyBench, Options{})
+	art := mustCompile(b, daxpyBench, Options{})
 	cfg := mach.Trace28()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range res.Image.Instrs {
-			words, err := isa.Encode(&res.Image.Instrs[j], cfg)
+		for j := range art.Image().Instrs {
+			words, err := isa.Encode(&art.Image().Instrs[j], cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -362,7 +352,7 @@ func BenchmarkFigure3EncodeDecode(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(float64(len(res.Image.Instrs)), "instrs/op")
+	b.ReportMetric(float64(len(art.Image().Instrs)), "instrs/op")
 	_ = prog
 	_ = baseline.VAXSize
 }
@@ -388,8 +378,8 @@ func BenchmarkCompileParallel(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var funcs int
 			for i := 0; i < b.N; i++ {
-				res := mustCompile(b, src, Options{Parallelism: c.jobs})
-				funcs = len(res.Funcs)
+				art := mustCompile(b, src, Options{Parallelism: c.jobs})
+				funcs = len(art.Result().Funcs)
 			}
 			b.ReportMetric(float64(funcs)/b.Elapsed().Seconds()*float64(b.N), "funcs/s")
 		})
@@ -417,15 +407,15 @@ func coldPrograms() []xp.Workload {
 func BenchmarkSafecheckAnalyze(b *testing.B) {
 	for _, w := range coldPrograms() {
 		b.Run(w.Name, func(b *testing.B) {
-			res := mustCompile(b, w.Src, Options{})
+			art := mustCompile(b, w.Src, Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			var rep *safecheck.Report
 			for i := 0; i < b.N; i++ {
-				rep = safecheck.Analyze(res.Image, safecheck.Options{})
+				rep = safecheck.Analyze(art.Image(), safecheck.Options{})
 			}
 			b.ReportMetric(float64(rep.Transfers), "transfers")
-			b.ReportMetric(float64(len(res.Image.Instrs)), "words")
+			b.ReportMetric(float64(len(art.Image().Instrs)), "words")
 		})
 	}
 }
@@ -470,12 +460,12 @@ func BenchmarkTschedCompile(b *testing.B) {
 // interpreter in beats/second. One machine is reused across iterations via
 // Reset, so the number measures execution, not memory allocation.
 func BenchmarkSimulator(b *testing.B) {
-	res := mustCompile(b, daxpyBench, Options{ProfileRun: true})
-	m := NewMachine(res)
+	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
+	m := art.Machine()
 	var beats int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset(res.Image)
+		m.Reset(art.Image())
 		if _, _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -502,7 +492,7 @@ func BenchmarkSimulatorFastCtx(b *testing.B) {
 	var beats int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := art.RunOn(ctx, m, RunOptions{Fast: true})
+		res, err := art.RunOn(ctx, m, RunOptions{Tier: TierFast})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -518,9 +508,9 @@ func BenchmarkSimulatorFastCtx(b *testing.B) {
 // whole cost of the context scheduler, and wall-clock/work tracks how much
 // stall time the machine hid by rotating contexts.
 func BenchmarkSimulatorContexts(b *testing.B) {
-	res := mustCompile(b, daxpyBench, Options{ProfileRun: true})
-	imgs := []*isa.Image{res.Image, res.Image, res.Image, res.Image}
-	m := NewMachine(res)
+	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
+	imgs := []*isa.Image{art.Image(), art.Image(), art.Image(), art.Image()}
+	m := art.Machine()
 	ctx := context.Background()
 	var work, wall int64
 	b.ResetTimer()
@@ -549,16 +539,16 @@ func BenchmarkSimulatorContexts(b *testing.B) {
 // workload: the image is certified once (outside the timed region) and the
 // machine skips the per-beat dynamic resource and race checks.
 func BenchmarkSimulatorFast(b *testing.B) {
-	res := mustCompile(b, daxpyBench, Options{ProfileRun: true})
-	cert, err := Certify(res)
+	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
+	cert, err := art.Certificate()
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := NewMachine(res)
+	m := art.Machine()
 	var beats int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset(res.Image)
+		m.Reset(art.Image())
 		if err := m.UseCertificate(cert); err != nil {
 			b.Fatal(err)
 		}
@@ -576,16 +566,16 @@ func BenchmarkSimulatorFast(b *testing.B) {
 // is minted once outside the timed region; the per-iteration arming cost is
 // one cache hit (the derived guard-free plan is reused across Reset).
 func BenchmarkSimulatorSafe(b *testing.B) {
-	res := mustCompile(b, daxpyBench, Options{ProfileRun: true})
-	cert, err := CertifySafe(res)
+	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
+	cert, err := art.CertifySafe()
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := NewMachine(res)
+	m := art.Machine()
 	var beats int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset(res.Image)
+		m.Reset(art.Image())
 		if err := m.UseSafeCertificate(cert); err != nil {
 			b.Fatal(err)
 		}
@@ -604,16 +594,16 @@ func BenchmarkSimulatorSafe(b *testing.B) {
 // the timed region and cached across Reset; the floor enforced by
 // scripts/bench.sh is native >= safe.
 func BenchmarkSimulatorNative(b *testing.B) {
-	res := mustCompile(b, daxpyBench, Options{ProfileRun: true})
-	cert, err := CertifySafe(res)
+	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
+	cert, err := art.CertifySafe()
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := NewMachine(res)
+	m := art.Machine()
 	var beats int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset(res.Image)
+		m.Reset(art.Image())
 		if err := m.UseNativeCertificate(cert); err != nil {
 			b.Fatal(err)
 		}

@@ -8,21 +8,17 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-type tierRunner struct {
-	name string
-	run  func(*Result) (int32, string, *Stats, error)
-}
-
 // agreeOnExamples runs every example x O0/O1/O2 x Trace 7/14/28 on the
 // checked interpreter and on each given tier, and fails on any difference
 // in trap status, fault text, exit value, output, or any Stats counter.
-func agreeOnExamples(t *testing.T, tiers []tierRunner) {
+func agreeOnExamples(t *testing.T, tiers []Tier) {
 	t.Helper()
 	mfs, err := filepath.Glob("examples/*.mf")
 	if err != nil || len(mfs) == 0 {
@@ -43,31 +39,35 @@ func agreeOnExamples(t *testing.T, tiers []tierRunner) {
 			for _, lv := range levels {
 				name := fmt.Sprintf("%s/%s/%s", filepath.Base(mf), cfg.Name, lv.name)
 				t.Run(name, func(t *testing.T) {
-					res, err := Compile(string(src), Options{Config: cfg, OptLevel: lv.lvl})
+					ctx := context.Background()
+					art, err := Build(ctx, string(src), Options{Config: cfg, OptLevel: lv.lvl})
 					if err != nil {
 						t.Fatalf("compile: %v", err)
 					}
 
-					cv, cout, cst, cerr := Run(res)
+					checked, cerr := art.Run(ctx, RunOptions{})
 					for _, tier := range tiers {
-						fv, fout, fst, ferr := tier.run(res)
+						got, ferr := art.Run(ctx, RunOptions{Tier: tier})
 						if (cerr == nil) != (ferr == nil) {
-							t.Fatalf("trap disagreement: checked err=%v, %s err=%v", cerr, tier.name, ferr)
+							t.Fatalf("trap disagreement: checked err=%v, %s err=%v", cerr, tier, ferr)
 						}
 						if cerr != nil {
 							if cerr.Error() != ferr.Error() {
-								t.Fatalf("different faults: checked %v, %s %v", cerr, tier.name, ferr)
+								t.Fatalf("different faults: checked %v, %s %v", cerr, tier, ferr)
 							}
 							continue
 						}
-						if cv != fv {
-							t.Fatalf("exit: checked %d, %s %d", cv, tier.name, fv)
+						if got.Tier != tier {
+							t.Fatalf("asked for the %s tier, ran on %s", tier, got.Tier)
 						}
-						if cout != fout {
-							t.Fatalf("output: checked %q, %s %q", cout, tier.name, fout)
+						if checked.Exit != got.Exit {
+							t.Fatalf("exit: checked %d, %s %d", checked.Exit, tier, got.Exit)
 						}
-						if *cst != *fst {
-							t.Fatalf("stats diverged:\nchecked: %+v\n%s:    %+v", *cst, tier.name, *fst)
+						if checked.Output != got.Output {
+							t.Fatalf("output: checked %q, %s %q", checked.Output, tier, got.Output)
+						}
+						if checked.Stats != got.Stats {
+							t.Fatalf("stats diverged:\nchecked: %+v\n%s:    %+v", checked.Stats, tier, got.Stats)
 						}
 					}
 				})
@@ -77,7 +77,7 @@ func agreeOnExamples(t *testing.T, tiers []tierRunner) {
 }
 
 func TestFastCheckedAgree(t *testing.T) {
-	agreeOnExamples(t, []tierRunner{{"fast", RunFast}, {"safe", RunSafe}})
+	agreeOnExamples(t, []Tier{TierFast, TierSafe})
 }
 
 // TestNativeCheckedAgree holds the native tier to the same contract: the
@@ -85,5 +85,5 @@ func TestFastCheckedAgree(t *testing.T) {
 // observable — including each of the Stats counters — must match the
 // checked interpreter bit for bit.
 func TestNativeCheckedAgree(t *testing.T) {
-	agreeOnExamples(t, []tierRunner{{"native", RunNative}})
+	agreeOnExamples(t, []Tier{TierNative})
 }

@@ -56,10 +56,10 @@ func main() {
 	}
 
 	// 3. Run twice on the fast path: second must be memoized and identical.
-	runReq := map[string]any{"source": string(src), "run": map[string]any{"fast": true}}
+	runReq := map[string]any{"source": string(src), "run": map[string]any{"tier": "fast"}}
 	var run1, run2 struct {
 		CachedResult bool   `json:"cached_result"`
-		Fast         bool   `json:"fast"`
+		Tier         string `json:"tier"`
 		Exit         int32  `json:"exit"`
 		Output       string `json:"output"`
 		Stats        struct {
@@ -67,7 +67,7 @@ func main() {
 		} `json:"stats"`
 	}
 	postJSON(client, base+"/run", runReq, &run1)
-	if !run1.Fast || run1.Stats.Beats == 0 {
+	if run1.Tier != "fast" || run1.Stats.Beats == 0 {
 		fatal(fmt.Errorf("run: implausible response %+v", run1))
 	}
 	postJSON(client, base+"/run", runReq, &run2)
@@ -80,8 +80,6 @@ func main() {
 	// certificates change how the image executes, never what it computes).
 	type tierRun struct {
 		Tier   string `json:"tier"`
-		Fast   bool   `json:"fast"`
-		Safe   bool   `json:"safe"`
 		Exit   int32  `json:"exit"`
 		Output string `json:"output"`
 		Stats  struct {
@@ -92,7 +90,7 @@ func main() {
 		var got tierRun
 		postJSON(client, base+"/run",
 			map[string]any{"source": string(src), "run": map[string]any{"tier": tier}}, &got)
-		if got.Tier != tier || !got.Safe || !got.Fast {
+		if got.Tier != tier {
 			fatal(fmt.Errorf("%s run not on the %s tier: %+v", tier, tier, got))
 		}
 		if got.Exit != run1.Exit || got.Output != run1.Output || got.Stats.Beats != run1.Stats.Beats {
@@ -143,11 +141,7 @@ func main() {
 		RunCache struct {
 			Hits int64 `json:"hits"`
 		} `json:"run_cache"`
-		CertLevel struct {
-			Fast   int64 `json:"fast"`
-			Safe   int64 `json:"safe"`
-			Native int64 `json:"native"`
-		} `json:"cert_level"`
+		CertLevel map[string]int64 `json:"cert_level"`
 	}
 	err = json.NewDecoder(mresp.Body).Decode(&metrics)
 	mresp.Body.Close()
@@ -157,8 +151,10 @@ func main() {
 	if metrics.ArtifactCache.Hits == 0 || metrics.RunCache.Hits == 0 {
 		fatal(fmt.Errorf("metrics did not record cache hits: %+v", metrics))
 	}
-	if metrics.CertLevel.Fast == 0 || metrics.CertLevel.Safe == 0 || metrics.CertLevel.Native == 0 {
-		fatal(fmt.Errorf("metrics did not record the run tiers: %+v", metrics.CertLevel))
+	for _, tier := range []string{"fast", "safe", "native"} {
+		if metrics.CertLevel[tier] == 0 {
+			fatal(fmt.Errorf("metrics did not record the %s run: %+v", tier, metrics.CertLevel))
+		}
 	}
 
 	fmt.Println("srvsmoke: ok (compile, cache hit, run, memoized run, safe tier, native tier, lint, structured error, metrics)")

@@ -15,8 +15,7 @@
 // fast path; safe or native upgrade the oracle to the four-way tier matrix —
 // every image also runs on the fast path, the guard-free safe tier, and the
 // closure-threaded native tier, and all four runs must agree on the exit
-// value, the output, the fault, and every Stats counter. The deprecated
-// -fast and -safe flags are aliases for -tier=fast and -tier=safe.
+// value, the output, the fault, and every Stats counter.
 // With -timeshare, a clean campaign is followed by the multi-context stage:
 // the same generated programs run again time-shared four to a machine on
 // the selected tier, and every program must reproduce its solo exit,
@@ -54,8 +53,6 @@ func main() {
 	jobs := flag.Int("j", 0, "worker pool size (0 = one per CPU)")
 	refSteps := flag.Int64("ref-steps", 0, "reference interpreter op budget (0 = default)")
 	tierFlag := flag.String("tier", "", "execution tier regime: checked (default), fast, or safe/native (four-way tier matrix: every image also runs on the fast, safe, and native tiers, and all four must agree on exit, output, fault, and every Stats counter)")
-	fast := flag.Bool("fast", false, "deprecated: alias for -tier=fast")
-	safe := flag.Bool("safe", false, "deprecated: alias for -tier=safe (the tier matrix, now four-way)")
 	timeshare := flag.Bool("timeshare", false, "also run the generated programs time-shared K=4 and require solo-identical results")
 	snapshot := flag.Bool("snapshot", false, "also split each generated program's run at random beats via snapshot/restore and require uninterrupted-identical results")
 	verbose := flag.Bool("v", false, "print every seed's outcome")
@@ -63,18 +60,7 @@ func main() {
 	if *jobs <= 0 {
 		*jobs = runtime.NumCPU()
 	}
-	reqTier, err := vliw.ParseTier(*tierFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracefuzz: %v\n", err)
-		os.Exit(2)
-	}
-	if *fast {
-		fmt.Fprintln(os.Stderr, "tracefuzz: -fast is deprecated; use -tier=fast")
-	}
-	if *safe {
-		fmt.Fprintln(os.Stderr, "tracefuzz: -safe is deprecated; use -tier=safe")
-	}
-	tier, err := vliw.ResolveTier(reqTier, *fast, *safe)
+	tier, err := vliw.ParseTier(*tierFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracefuzz: %v\n", err)
 		os.Exit(2)

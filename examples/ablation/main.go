@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,16 +50,18 @@ func main() {
 	}
 	fmt.Printf("scalar baseline: %d beats\n\n", scalar.Beats)
 
+	ctx := context.Background()
 	var fullBeats int64
 	run := func(label string, o trace.Options) {
-		res, err := trace.Compile(src, o)
+		art, err := trace.Build(ctx, src, o)
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, _, st, err := trace.Run(res)
+		res, err := art.Run(ctx, trace.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := res.Stats
 		if fullBeats == 0 {
 			fullBeats = st.Beats
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,17 +45,19 @@ func main() {
 		{trace.OptLight, "inline + unroll 4"},
 		{trace.OptFull, "inline + unroll 8"},
 	}
+	ctx := context.Background()
 	for _, l := range levels {
 		label := l.label
-		res, err := trace.Compile(src, trace.Options{OptLevel: l.lvl, ProfileRun: true})
+		art, err := trace.Build(ctx, src, trace.Options{OptLevel: l.lvl, ProfileRun: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, _, st, err := trace.Run(res)
+		res, err := art.Run(ctx, trace.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fixed, packed, _ := res.Image.CodeSizes()
+		st := res.Stats
+		fixed, packed, _ := art.Image().CodeSizes()
 		fmt.Printf("%-22s %8d %7dB %8.1fx %8dB %7.0f%%\n",
 			label, st.Beats, packed, float64(packed)/float64(vax), fixed,
 			100*(1-float64(packed)/float64(fixed)))

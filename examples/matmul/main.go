@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,15 +52,17 @@ func main() {
 		"scoreboard (block lookahead)", scoreb.Beats,
 		float64(scalar.Beats)/float64(scoreb.Beats))
 
+	ctx := context.Background()
 	for _, cfg := range []trace.Config{trace.Trace7(), trace.Trace14(), trace.Trace28()} {
-		res, err := trace.Compile(src, trace.Options{Config: cfg, ProfileRun: true})
+		art, err := trace.Build(ctx, src, trace.Options{Config: cfg, ProfileRun: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, _, st, err := trace.Run(res)
+		res, err := art.Run(ctx, trace.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := res.Stats
 		fmt.Printf("%-28s %12d %8.1fx\n", cfg.Name, st.Beats,
 			float64(scalar.Beats)/float64(st.Beats))
 	}

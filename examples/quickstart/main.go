@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,35 +25,37 @@ func main() int {
 }`
 
 func main() {
-	res, err := trace.Compile(src, trace.Options{})
+	ctx := context.Background()
+	art, err := trace.Build(ctx, src, trace.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The reference interpreter is the semantic ground truth.
-	wantExit, wantOut, err := trace.Interpret(res)
+	wantExit, wantOut, err := trace.Interpret(art.Result())
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	exit, out, stats, err := trace.Run(res)
+	run, err := art.Run(ctx, trace.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if exit != wantExit || out != wantOut {
-		log.Fatalf("simulator diverged from the reference: %d vs %d", exit, wantExit)
+	if run.Exit != wantExit || run.Output != wantOut {
+		log.Fatalf("simulator diverged from the reference: %d vs %d", run.Exit, wantExit)
 	}
+	stats := run.Stats
 
-	fmt.Printf("program output: %s", out)
-	fmt.Printf("exit value:     %d\n", exit)
-	fmt.Printf("machine:        %s\n", res.Image.Cfg.Name)
+	fmt.Printf("program output: %s", run.Output)
+	fmt.Printf("exit value:     %d\n", run.Exit)
+	fmt.Printf("machine:        %s\n", art.Image().Cfg.Name)
 	fmt.Printf("beats:          %d (%.1f us of 1987 wall clock)\n",
 		stats.Beats, float64(stats.Beats)*65/1000)
 	fmt.Printf("operations:     %d (%.2f per instruction; the 28/200 peaks at 28)\n",
 		stats.Ops, float64(stats.Ops)/float64(stats.Instrs))
 	fmt.Printf("speculative:    %d non-trapping loads executed\n", stats.SpecLoads)
 
-	fixed, packed, _ := res.Image.CodeSizes()
+	fixed, packed, _ := art.Image().CodeSizes()
 	fmt.Printf("code size:      %d bytes packed (mask-word format; %d fixed-width)\n",
 		packed, fixed)
 }

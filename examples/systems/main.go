@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,15 +49,17 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	run := func(label string, o trace.Options) {
-		res, err := trace.Compile(src, o)
+		art, err := trace.Build(ctx, src, o)
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, _, st, err := trace.Run(res)
+		res, err := art.Run(ctx, trace.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := res.Stats
 		fmt.Printf("%-34s %10d beats  %5.2fx vs scalar   %d branch ops over %d instructions\n",
 			label, st.Beats, float64(scalar.Beats)/float64(st.Beats),
 			st.Branches, st.Instrs)

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,13 +45,13 @@ func main() int {
 }`
 
 func main() {
-	res, err := trace.Compile(src, trace.Options{ProfileRun: true})
+	art, err := trace.Build(context.Background(), src, trace.Options{ProfileRun: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Undisturbed run: the process owns the machine.
-	solo := trace.NewMachine(res)
+	solo := art.Machine()
 	wantV, _, err := solo.Run()
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +62,7 @@ func main() {
 	// Timesliced run: a 2000-beat quantum (130 us), two switches per
 	// quantum (away to the neighbour, back to us), live I/O the whole time.
 	run := func(label string, purge bool) {
-		m := trace.NewMachine(res)
+		m := art.Machine()
 		m.InterruptEvery = 2000
 		m.InterruptBeats = 60
 		m.FlushOnSwitch = purge
@@ -69,7 +70,7 @@ func main() {
 			mm.ContextSwitch(1) // neighbour's quantum runs elsewhere
 			mm.ContextSwitch(0) // ...and we are rescheduled
 		}
-		bufBase := (res.Image.DataTop + 4095) &^ 4095
+		bufBase := (art.Image().DataTop + 4095) &^ 4095
 		m.StartDMA(bufBase, 1<<16, 10e6) // 10 MB/s of "disk" traffic
 		v, _, err := m.Run()
 		if err != nil {

@@ -181,3 +181,50 @@ func main() int {
 		t.Errorf("Scoreboard (%d) != ScoreboardWide(1) (%d)", r1.Beats, rw.Beats)
 	}
 }
+
+// TestBaselinesFollowConfiguredIntegerLatencies: the baselines are built of
+// the machine's own technology, so reconfiguring the integer multiply or
+// divide latency slows a dependent chain of those ops on both of them. (They
+// used to hard-code 4 and 30 beats.)
+func TestBaselinesFollowConfiguredIntegerLatencies(t *testing.T) {
+	const mulChain = `
+func main() int {
+	var p int = 1
+	for (var i int = 0; i < 50; i = i + 1) { p = (p * 3) & 65535 }
+	return p
+}`
+	const divChain = `
+func main() int {
+	var p int = 1000000
+	for (var i int = 0; i < 20; i = i + 1) { p = p / 2 + p % 7 }
+	return p
+}`
+	slowMul, slowDiv := mach.Trace28(), mach.Trace28()
+	slowMul.LatIMul *= 4
+	slowDiv.LatIDiv *= 2
+	for _, tc := range []struct {
+		name, src string
+		slow      mach.Config
+	}{{"mul", mulChain, slowMul}, {"div/rem", divChain, slowDiv}} {
+		for _, m := range []struct {
+			name string
+			run  func(*ir.Program, mach.Config) (Result, int32, string, error)
+		}{{"scalar", Scalar}, {"scoreboard", Scoreboard}} {
+			base, v0, _, err := m.run(compile(t, tc.src), mach.Trace28())
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, v1, _, err := m.run(compile(t, tc.src), tc.slow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v0 != v1 {
+				t.Errorf("%s %s: a latency change altered the result: %d vs %d", m.name, tc.name, v0, v1)
+			}
+			if slow.Beats <= base.Beats {
+				t.Errorf("%s %s: %d beats at the default latency, %d with it raised: the baseline ignores the configuration",
+					m.name, tc.name, base.Beats, slow.Beats)
+			}
+		}
+	}
+}

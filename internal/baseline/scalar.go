@@ -30,27 +30,16 @@ func (r Result) MIPS() float64 {
 	return float64(r.Ops) / (float64(r.Beats) * mach.BeatNs * 1e-3)
 }
 
-// opLatency mirrors the TRACE's functional-unit latencies (§6.1, §6.2):
+// opLatency is the TRACE's functional-unit latency for the op (§6.1, §6.2):
 // the baselines are built of the same implementation technology.
 func opLatency(cfg mach.Config, o *ir.Op) int {
 	switch o.Kind {
-	case ir.Load, ir.LoadSpec:
-		return cfg.LatLoad
-	case ir.FAdd, ir.FSub, ir.FNeg, ir.ItoF, ir.FtoI,
-		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
-		return cfg.LatFAdd
-	case ir.FMul:
-		return cfg.LatFMul
-	case ir.FDiv:
-		return cfg.LatFDiv
-	case ir.Mul:
-		return 4
-	case ir.Div, ir.Rem:
-		return 30
-	case ir.ConstF:
-		return 2
+	case ir.Mov, ir.Select:
+		// One central register file: a move or select is a pass through the
+		// ALU, not the TRACE's 32-bits-per-beat transfer between banks.
+		return cfg.LatIALU
 	}
-	return cfg.LatIALU
+	return cfg.Latency(o.Kind, o.Type)
 }
 
 func isFloat(k ir.OpKind) bool {

@@ -38,11 +38,10 @@ type Artifact struct {
 	safeDone bool
 }
 
-// Build compiles MF source text into an Artifact. It is the context-aware
-// entry point the Run/Lint/Certificate methods hang off; the deprecated
-// package-level Compile/Run/RunFast/Certify helpers are thin wrappers over
-// it. Cancellation is honored at pass boundaries, between per-function
-// backend jobs, and at backend stage boundaries.
+// Build compiles MF source text into an Artifact, the value the
+// Run/Lint/Certificate methods hang off. Cancellation is honored at pass
+// boundaries, between per-function backend jobs, and at backend stage
+// boundaries.
 func Build(ctx context.Context, src string, opts Options) (*Artifact, error) {
 	res, err := Compile(ctx, src, opts)
 	if err != nil {
@@ -60,11 +59,6 @@ func BuildFile(ctx context.Context, name, src string, opts Options) (*Artifact, 
 	}
 	return &Artifact{res: res}, nil
 }
-
-// NewArtifact wraps an existing compilation Result. It is the migration
-// shim for callers holding a *Result from the deprecated Compile entry
-// points.
-func NewArtifact(res *Result) *Artifact { return &Artifact{res: res} }
 
 // Result exposes the underlying compilation record (image, IR, pass
 // report, retry metadata) for inspection. Callers must treat it as
@@ -136,8 +130,8 @@ func (a *Artifact) safetyLocked() *safecheck.Report {
 
 // CertifySafe mints the graded safety certificate: the resource certificate
 // (Certificate) extended with the safety analysis' per-site proof bitmask.
-// It authorizes the simulator's safe tier — guard-free execution of proven
-// sites via RunOptions.Safe or vliw.Machine.UseSafeCertificate. Minting
+// It authorizes the simulator's safe and native tiers — guard-free execution
+// of proven sites via RunOptions.Tier or Arm. Minting
 // requires only that the image certifies at the resource level; an image
 // with zero proven sites still gets a certificate (its safe tier simply
 // equals the fast tier). Minted once and cached on the artifact.
@@ -164,6 +158,35 @@ func (a *Artifact) CertifySafe() (*safecheck.SafeCertificate, error) {
 // limits) directly.
 func (a *Artifact) Machine() *vliw.Machine { return vliw.New(a.res.Image) }
 
+// Arm puts every context of m that runs this artifact's image onto the
+// tier: it mints (once, cached on the artifact) the certificate grade the
+// tier consumes — Certificate for fast, CertifySafe for safe and native —
+// and hands it to the machine. It is the one place a Tier becomes a
+// certificate; Run, RunMany and the tools all arm through it. The machine
+// must already be Reset onto the image, and arming does not survive a Reset.
+func (a *Artifact) Arm(m *vliw.Machine, tier vliw.Tier) error {
+	switch tier {
+	case vliw.TierChecked:
+		return nil
+	case vliw.TierFast:
+		cert, err := a.Certificate()
+		if err != nil {
+			return fmt.Errorf("%s tier: %w", tier, err)
+		}
+		return m.UseCertificate(cert)
+	case vliw.TierSafe, vliw.TierNative:
+		cert, err := a.CertifySafe()
+		if err != nil {
+			return fmt.Errorf("%s tier: %w", tier, err)
+		}
+		if tier == vliw.TierSafe {
+			return m.UseSafeCertificate(cert)
+		}
+		return m.UseNativeCertificate(cert)
+	}
+	return fmt.Errorf("unknown execution tier %d", int(tier))
+}
+
 // RunOptions configures one execution of an artifact.
 type RunOptions struct {
 	// Tier selects the execution tier: checked (the zero value), fast,
@@ -172,16 +195,6 @@ type RunOptions struct {
 	// native), minted on first use. Results — exit, output, and every Stats
 	// counter — are bit-identical across tiers.
 	Tier vliw.Tier
-	// Fast selects the certified fast path.
-	//
-	// Deprecated: set Tier to vliw.TierFast. When Tier is set, Fast may
-	// only name the same or a weaker tier; a stronger boolean conflicts
-	// (*vliw.ErrTierConflict).
-	Fast bool
-	// Safe selects the safe tier (guard-free proven sites; implies Fast).
-	//
-	// Deprecated: set Tier to vliw.TierSafe. Conflict rules as for Fast.
-	Safe bool
 	// MaxCycles overrides the machine's beat budget (0 keeps the default).
 	MaxCycles int64
 	// SnapshotAt pauses the run at the first instruction boundary where the
@@ -205,14 +218,6 @@ type ExitResult struct {
 	Stats  vliw.Stats
 	// Tier records the execution tier the run actually took.
 	Tier vliw.Tier
-	// Fast records whether the run took at least the certified fast path.
-	//
-	// Deprecated: compare Tier instead; Fast is Tier >= vliw.TierFast.
-	Fast bool
-	// Safe records whether the run took at least the guard-free safe tier.
-	//
-	// Deprecated: compare Tier instead; Safe is Tier >= vliw.TierSafe.
-	Safe bool
 	// Paused reports the run checkpointed at RunOptions.SnapshotAt instead
 	// of completing; Exit is meaningless and Output/Stats are the partial
 	// values so far.
@@ -269,39 +274,11 @@ func (a *Artifact) runPrepared(ctx context.Context, m *vliw.Machine, o RunOption
 	if o.SnapshotAt > 0 {
 		m.StopBeat = o.SnapshotAt
 	}
-	tier, err := vliw.ResolveTier(o.Tier, o.Fast, o.Safe)
-	if err != nil {
+	if err := a.Arm(m, o.Tier); err != nil {
 		return ExitResult{}, err
 	}
-	switch tier {
-	case vliw.TierNative:
-		cert, err := a.CertifySafe()
-		if err != nil {
-			return ExitResult{}, fmt.Errorf("native tier: %w", err)
-		}
-		if err := m.UseNativeCertificate(cert); err != nil {
-			return ExitResult{}, err
-		}
-	case vliw.TierSafe:
-		cert, err := a.CertifySafe()
-		if err != nil {
-			return ExitResult{}, fmt.Errorf("safe tier: %w", err)
-		}
-		if err := m.UseSafeCertificate(cert); err != nil {
-			return ExitResult{}, err
-		}
-	case vliw.TierFast:
-		cert, err := a.Certificate()
-		if err != nil {
-			return ExitResult{}, fmt.Errorf("fast path: %w", err)
-		}
-		if err := m.UseCertificate(cert); err != nil {
-			return ExitResult{}, err
-		}
-	}
 	v, out, err := m.RunContext(ctx)
-	got := m.Tier()
-	res := ExitResult{Exit: v, Output: out, Stats: m.Stats, Tier: got, Fast: got >= vliw.TierFast, Safe: got >= vliw.TierSafe}
+	res := ExitResult{Exit: v, Output: out, Stats: m.Stats, Tier: m.Tier()}
 	var stop *vliw.ErrStopped
 	if errors.As(err, &stop) {
 		snap, serr := m.Contexts()[0].Snapshot()

@@ -32,7 +32,7 @@ func TestBigFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d [%s u%d]: compile: %v\n%s", trial, cfg.Name, level.UnrollFactor, err, src)
 		}
-		gotV, gotOut, _, err := Run(res)
+		gotV, gotOut, _, err := runChecked(res)
 		if err != nil {
 			t.Fatalf("trial %d [%s u%d i%v p%d]: simulate: %v\n%s", trial, cfg.Name, level.UnrollFactor, level.Inline, trial%2, err, src)
 		}

@@ -64,15 +64,15 @@ func TestBuildArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checked.Fast {
-		t.Error("zero RunOptions took the fast path")
+	if checked.Tier != vliw.TierChecked {
+		t.Errorf("zero RunOptions ran on the %v tier", checked.Tier)
 	}
-	fast, err := art.Run(context.Background(), RunOptions{Fast: true})
+	fast, err := art.Run(context.Background(), RunOptions{Tier: vliw.TierFast})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fast.Fast {
-		t.Error("RunOptions{Fast} did not take the fast path")
+	if fast.Tier != vliw.TierFast {
+		t.Errorf("RunOptions{Tier: TierFast} ran on the %v tier", fast.Tier)
 	}
 	if checked.Exit != wantV || checked.Output != wantOut {
 		t.Errorf("checked run = %d %q, interpreter = %d %q", checked.Exit, checked.Output, wantV, wantOut)
@@ -121,12 +121,12 @@ func TestArtifactRunOnPooledMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := new(vliw.Machine)
-	first, err := art.RunOn(context.Background(), m, RunOptions{Fast: true})
+	first, err := art.RunOn(context.Background(), m, RunOptions{Tier: vliw.TierFast})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reusing the same machine must reproduce the run exactly.
-	second, err := art.RunOn(context.Background(), m, RunOptions{Fast: true})
+	second, err := art.RunOn(context.Background(), m, RunOptions{Tier: vliw.TierFast})
 	if err != nil {
 		t.Fatal(err)
 	}

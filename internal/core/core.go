@@ -27,10 +27,8 @@ import (
 	"github.com/multiflow-repro/trace/internal/opt"
 	"github.com/multiflow-repro/trace/internal/pipeline"
 	"github.com/multiflow-repro/trace/internal/profile"
-	"github.com/multiflow-repro/trace/internal/safecheck"
 	"github.com/multiflow-repro/trace/internal/schedcheck"
 	"github.com/multiflow-repro/trace/internal/tsched"
-	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
 // ProfileMode selects how branch probabilities are estimated (§4:
@@ -229,104 +227,6 @@ func CompileIR(ctx context.Context, prog *ir.Program, opts Options) (*Result, er
 		}
 		return res, nil
 	}
-}
-
-// Run executes the compiled image on a fresh machine and returns the exit
-// value, output, and statistics.
-func Run(res *Result) (int32, string, *vliw.Stats, error) {
-	m := vliw.New(res.Image)
-	v, out, err := m.Run()
-	return v, out, &m.Stats, err
-}
-
-// Certify statically verifies the compiled image and mints the certificate
-// that authorizes the simulator's fast path. When the compile already ran
-// the lint stage (Options.Lint), its report is reused instead of
-// re-analyzing the image.
-func Certify(res *Result) (*schedcheck.Certificate, error) {
-	if res.Lint != nil {
-		return res.Lint.Certify()
-	}
-	return schedcheck.Certify(res.Image)
-}
-
-// RunFast executes the compiled image on the certified fast path: the image
-// is statically verified once, then the machine skips its per-beat dynamic
-// resource and write-race checks. Results (exit value, output, statistics)
-// are identical to Run; only the checking mode differs.
-func RunFast(res *Result) (int32, string, *vliw.Stats, error) {
-	cert, err := Certify(res)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	m := vliw.New(res.Image)
-	if err := m.UseCertificate(cert); err != nil {
-		return 0, "", nil, err
-	}
-	v, out, err := m.Run()
-	return v, out, &m.Stats, err
-}
-
-// CertifySafe statically verifies the compiled image at both grades —
-// schedcheck's resource/race contract, then safecheck's value-range safety
-// analysis — and mints the graded certificate that authorizes the
-// simulator's safe tier.
-func CertifySafe(res *Result) (*safecheck.SafeCertificate, error) {
-	cert, err := Certify(res)
-	if err != nil {
-		return nil, err
-	}
-	rep := safecheck.Analyze(res.Image, safecheck.Options{
-		Src: schedcheck.NewSourceMap(res.Image, res.Funcs),
-	})
-	return rep.Certify(cert)
-}
-
-// RunSafe executes the compiled image on the safe tier: certified at the
-// resource level like RunFast, plus guard-free execution of every memory
-// and divide site the safety analysis proves can never fault. Results are
-// identical to Run and RunFast; only how much dynamic checking remains
-// differs.
-func RunSafe(res *Result) (int32, string, *vliw.Stats, error) {
-	cert, err := CertifySafe(res)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	m := vliw.New(res.Image)
-	if err := m.UseSafeCertificate(cert); err != nil {
-		return 0, "", nil, err
-	}
-	v, out, err := m.Run()
-	return v, out, &m.Stats, err
-}
-
-// RunNative executes the compiled image on the native tier: the safe
-// tier's certificate grade, with the per-slot interpreter replaced by the
-// image's closure-threaded translation. Results are identical to Run,
-// RunFast, and RunSafe.
-func RunNative(res *Result) (int32, string, *vliw.Stats, error) {
-	cert, err := CertifySafe(res)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	m := vliw.New(res.Image)
-	if err := m.UseNativeCertificate(cert); err != nil {
-		return 0, "", nil, err
-	}
-	v, out, err := m.Run()
-	return v, out, &m.Stats, err
-}
-
-// RunSource is the one-call convenience: compile and run, returning the
-// machine too for stats inspection.
-func RunSource(src string, opts Options) (int32, string, *vliw.Machine, error) {
-	res, err := Compile(context.Background(), src, opts)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	m := vliw.New(res.Image)
-	v, out, err := m.Run()
-	return v, out, m, err
 }
 
 // Interpret runs the reference interpreter on the unoptimized IR.

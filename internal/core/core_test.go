@@ -8,7 +8,24 @@ import (
 
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
+	"github.com/multiflow-repro/trace/internal/vliw"
 )
+
+// runChecked executes a compiled image on a fresh machine with every dynamic
+// check live.
+func runChecked(res *Result) (int32, string, *vliw.Stats, error) {
+	m := vliw.New(res.Image)
+	v, out, err := m.Run()
+	return v, out, &m.Stats, err
+}
+
+// tierOf names the tier the fast/checked test matrices iterate over.
+func tierOf(fast bool) vliw.Tier {
+	if fast {
+		return vliw.TierFast
+	}
+	return vliw.TierChecked
+}
 
 // diff compiles src under opts, runs both the reference interpreter and the
 // simulator, and requires identical results.
@@ -22,7 +39,7 @@ func diff(t *testing.T, src string, opts Options) *Result {
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
 	}
-	gotV, gotOut, _, err := Run(res)
+	gotV, gotOut, _, err := runChecked(res)
 	if err != nil {
 		t.Fatalf("simulate [%s, unroll=%d]: %v", opts.Config.Name, opts.Opt.UnrollFactor, err)
 	}

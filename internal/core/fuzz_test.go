@@ -42,7 +42,7 @@ func TestFuzzDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d [%s u%d]: compile: %v\n%s", trial, cfg.Name, level.UnrollFactor, err, src)
 		}
-		gotV, gotOut, _, err := Run(res)
+		gotV, gotOut, _, err := runChecked(res)
 		if err != nil {
 			t.Fatalf("trial %d [%s u%d]: simulate: %v\n%s", trial, cfg.Name, level.UnrollFactor, err, src)
 		}
@@ -208,7 +208,7 @@ func TestCompilerStats(t *testing.T) {
 	if packed >= fixed {
 		t.Errorf("mask-word format did not shrink code: packed %d >= fixed %d", packed, fixed)
 	}
-	_, _, st, err := Run(res)
+	_, _, st, err := runChecked(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func main() int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gv, _, _, err := Run(res)
+		gv, _, _, err := runChecked(res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestFuzzBasicBlockOnly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d [%s bb-only]: compile: %v\n%s", trial, cfg.Name, err, src)
 		}
-		gotV, gotOut, _, err := Run(res)
+		gotV, gotOut, _, err := runChecked(res)
 		if err != nil {
 			t.Fatalf("trial %d [%s bb-only]: simulate: %v\n%s", trial, cfg.Name, err, src)
 		}
@@ -301,7 +301,7 @@ func TestFuzzBasicBlockOnly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d [%s cap3]: compile: %v\n%s", trial, cfg.Name, err, src)
 		}
-		gotV, gotOut, _, err = Run(res2)
+		gotV, gotOut, _, err = runChecked(res2)
 		if err != nil {
 			t.Fatalf("trial %d [%s cap3]: simulate: %v\n%s", trial, cfg.Name, err, src)
 		}
@@ -311,13 +311,19 @@ func TestFuzzBasicBlockOnly(t *testing.T) {
 	}
 }
 
-// TestRunSource exercises the one-call convenience wrapper.
-func TestRunSource(t *testing.T) {
-	v, out, m, err := RunSource(`
+// TestArtifactMachine runs a built artifact on the instrumentable machine
+// Artifact.Machine hands out.
+func TestArtifactMachine(t *testing.T) {
+	art, err := Build(context.Background(), `
 func main() int {
 	print_i(7)
 	return 42
 }`, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := art.Machine()
+	v, out, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

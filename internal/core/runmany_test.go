@@ -54,13 +54,13 @@ func TestRunManyMatchesSolo(t *testing.T) {
 	for _, fast := range []bool{false, true} {
 		solo := make([]ExitResult, len(arts))
 		for i, a := range arts {
-			r, err := a.Run(context.Background(), RunOptions{Fast: fast})
+			r, err := a.Run(context.Background(), RunOptions{Tier: tierOf(fast)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			solo[i] = r
 		}
-		rs, sched, err := RunMany(context.Background(), arts, RunManyOptions{Fast: fast})
+		rs, sched, err := RunMany(context.Background(), arts, RunManyOptions{Tier: tierOf(fast)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,8 +71,8 @@ func TestRunManyMatchesSolo(t *testing.T) {
 			if r.Exit != solo[i].Exit || r.Output != solo[i].Output || r.Stats != solo[i].Stats {
 				t.Errorf("fast=%v context %d diverges from solo run", fast, i)
 			}
-			if r.Fast != fast {
-				t.Errorf("fast=%v context %d: Fast=%v", fast, i, r.Fast)
+			if r.Tier != tierOf(fast) {
+				t.Errorf("fast=%v context %d: Tier=%v", fast, i, r.Tier)
 			}
 		}
 		if sched.Contexts != len(arts) || sched.TotalBeats == 0 {
@@ -90,7 +90,7 @@ func TestRunManyOnPooledMachine(t *testing.T) {
 	batch := []*Artifact{arts[0], arts[1], arts[0], arts[2]}
 	var first []ManyResult
 	for round := 0; round < 3; round++ {
-		rs, _, err := RunManyOn(context.Background(), m, batch, RunManyOptions{Fast: true})
+		rs, _, err := RunManyOn(context.Background(), m, batch, RunManyOptions{Tier: vliw.TierFast})
 		if err != nil {
 			t.Fatal(err)
 		}

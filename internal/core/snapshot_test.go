@@ -38,14 +38,14 @@ func TestArtifactSnapshotAtAndRunFrom(t *testing.T) {
 	art, ref := buildDemo(t)
 	for _, fast := range []bool{false, true} {
 		out, err := art.Run(context.Background(), RunOptions{
-			Fast: fast, SnapshotAt: ref.Stats.Beats / 2})
+			Tier: tierOf(fast), SnapshotAt: ref.Stats.Beats / 2})
 		if err != nil {
 			t.Fatalf("fast=%v: split run: %v", fast, err)
 		}
 		if !out.Paused || out.Snapshot == nil {
 			t.Fatalf("fast=%v: run did not pause at beat %d: %+v", fast, ref.Stats.Beats/2, out)
 		}
-		final, err := art.RunFrom(context.Background(), out.Snapshot, RunOptions{Fast: fast})
+		final, err := art.RunFrom(context.Background(), out.Snapshot, RunOptions{Tier: tierOf(fast)})
 		if err != nil {
 			t.Fatalf("fast=%v: resume: %v", fast, err)
 		}

@@ -72,9 +72,9 @@ func TestTimeshareCleanOnSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full timeshare oracle is slow")
 	}
-	for _, fast := range []bool{false, true} {
-		if err := CheckTimeshareSeeds(context.Background(), 1, 8, Options{Fast: fast}); err != nil && !errors.Is(err, ErrSkip) {
-			t.Errorf("fast=%v: %v", fast, err)
+	for _, tier := range []vliw.Tier{vliw.TierChecked, vliw.TierFast} {
+		if err := CheckTimeshareSeeds(context.Background(), 1, 8, Options{Tier: tier}); err != nil && !errors.Is(err, ErrSkip) {
+			t.Errorf("tier=%v: %v", tier, err)
 		}
 	}
 }

@@ -57,16 +57,6 @@ type Options struct {
 	// on the named tier itself, so -tier=native composes certificate-armed
 	// translation with context time-sharing and checkpoint/restore.
 	Tier vliw.Tier
-	// Fast is the deprecated spelling of Tier: vliw.TierFast.
-	Fast bool
-	// Safe is the deprecated spelling of Tier: vliw.TierSafe (the tier
-	// matrix — now four-way, including the native tier).
-	Safe bool
-}
-
-// resolve folds the deprecated booleans into the Tier field.
-func (o Options) resolve() (vliw.Tier, error) {
-	return vliw.ResolveTier(o.Tier, o.Fast, o.Safe)
 }
 
 // machinePool recycles simulator machines across oracle runs. A machine
@@ -177,10 +167,7 @@ func Check(ctx context.Context, src string, o Options) error {
 	if o.RefSteps == 0 {
 		o.RefSteps = 50_000_000
 	}
-	tier, terr := o.resolve()
-	if terr != nil {
-		return terr
-	}
+	tier := o.Tier
 
 	// Reference: the IR interpreter underneath the scalar baseline is the
 	// semantic ground truth; it shares no code with the scheduler or the

@@ -33,10 +33,7 @@ func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error
 	if maxCycles == 0 {
 		maxCycles = 500_000_000
 	}
-	tier, err := o.resolve()
-	if err != nil {
-		return err
-	}
+	tier := o.Tier
 	copts := core.Options{Config: mach.Trace28(), Opt: opt.Default(), Parallelism: 1}
 	art, err := core.Build(ctx, src, copts)
 	if err != nil {

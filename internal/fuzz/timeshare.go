@@ -46,10 +46,7 @@ func CheckTimeshare(ctx context.Context, srcs []string, o Options) error {
 	if maxCycles == 0 {
 		maxCycles = 500_000_000
 	}
-	tier, err := o.resolve()
-	if err != nil {
-		return err
-	}
+	tier := o.Tier
 	copts := core.Options{Config: mach.Trace28(), Opt: opt.Default(), Parallelism: 1}
 
 	var solos []soloResult

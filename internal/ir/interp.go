@@ -72,6 +72,11 @@ func (e *RunError) Error() string { return fmt.Sprintf("%s: %s", e.Func, e.Msg) 
 // Interp executes a Program directly. It is the semantic ground truth: the
 // VLIW simulator must produce identical output and exit values for every
 // program at every optimization level and machine configuration.
+//
+// Its opcode switch is deliberately its own copy of the value semantics and
+// not the table the executors share (mach.ValueOf): it is the reference the
+// fuzz oracle compares them against, and a reference that called the table
+// would inherit its bugs.
 type Interp struct {
 	Prog *Program
 

@@ -7,7 +7,11 @@
 // interlocks).
 package mach
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/multiflow-repro/trace/internal/ir"
+)
 
 // BeatNs is the minor cycle time: 65 ns (§6.1).
 const BeatNs = 65
@@ -221,6 +225,47 @@ func (c Config) PeakMFLOPS() float64 {
 // board per beat. The paper quotes 492 MB/s for four boards.
 func (c Config) PeakMemBandwidth() float64 {
 	return float64(c.Pairs*8) / (BeatNs * 1e-9)
+}
+
+// Latency returns how many beats after issue an operation's register write
+// lands (§6.1, §6.2, §6.4.1). It is the one timing model: the scheduler
+// plans with it, the simulator retires writes by it, and the baselines are
+// built of the same technology, so the three cannot drift. (schedcheck keeps
+// its own copy on purpose — it is the independent verifier.)
+func (c Config) Latency(k ir.OpKind, t ir.Type) int {
+	switch k {
+	case ir.Load, ir.LoadSpec:
+		return c.LatLoad
+	case ir.Store, OpCall:
+		return 1
+	case ir.FAdd, ir.FSub, ir.FNeg, ir.ItoF, ir.FtoI,
+		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
+		return c.LatFAdd
+	case ir.FMul:
+		return c.LatFMul
+	case ir.FDiv:
+		return c.LatFDiv
+	case ir.Mul:
+		// 32-bit integer multiply is composed from the 16-bit primitives of
+		// §6.1; modeled as one multi-beat op (see DESIGN.md substitutions)
+		return c.LatIMul
+	case ir.Div, ir.Rem:
+		// no integer divide hardware; modeled as an iterative op
+		return c.LatIDiv
+	case ir.ConstF:
+		return 2 // two 32-bit immediate halves
+	case ir.Mov, OpMovSF:
+		if t == ir.F64 {
+			return c.LatMove * 2
+		}
+		return c.LatMove
+	case ir.Select:
+		if t == ir.F64 {
+			return 2
+		}
+		return 1
+	}
+	return c.LatIALU
 }
 
 // Validate sanity-checks the configuration.

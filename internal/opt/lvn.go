@@ -6,7 +6,10 @@
 package opt
 
 import (
+	"math"
+
 	"github.com/multiflow-repro/trace/internal/ir"
+	"github.com/multiflow-repro/trace/internal/mach"
 )
 
 // lvnKey identifies a pure computation for value numbering.
@@ -190,128 +193,38 @@ func lvnBlock(f *ir.Func, b *ir.Block) int {
 }
 
 // foldOp replaces an op with a constant when all operands are known
-// constants in this block. Division by a constant zero is left alone so the
-// runtime fault is preserved.
+// constants in this block, computing the result with the same value table
+// the simulator executes (mach.ValueOf), so a folded op and an executed one
+// cannot disagree. Division by a constant zero is left alone so the runtime
+// fault is preserved. FDiv, the float compares and FtoI are not folded.
 func foldOp(f *ir.Func, o *ir.Op, isCI map[ir.Reg]bool, ci map[ir.Reg]int64, isCF map[ir.Reg]bool, cf map[ir.Reg]float64) bool {
-	allCI := func() bool {
-		for _, a := range o.Args {
-			if !isCI[a] {
-				return false
-			}
-		}
-		return len(o.Args) > 0
-	}
-	allCF := func() bool {
-		for _, a := range o.Args {
-			if !isCF[a] {
-				return false
-			}
-		}
-		return len(o.Args) > 0
-	}
-	setI := func(v int32) {
-		*o = ir.Op{Kind: ir.ConstI, Type: ir.I32, Dst: o.Dst, ImmI: int64(v), Line: o.Line}
-	}
-	setF := func(v float64) {
-		*o = ir.Op{Kind: ir.ConstF, Type: ir.F64, Dst: o.Dst, ImmF: v, Line: o.Line}
-	}
-	setBoolFrom := func(v bool) {
-		if v {
-			setI(1)
-		} else {
-			setI(0)
-		}
-	}
-
 	switch o.Kind {
-	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Rem, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr, ir.Sra:
-		if !allCI() {
-			return foldAlgebraic(f, o, isCI, ci)
+	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Rem, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr, ir.Sra,
+		ir.Neg, ir.Not,
+		ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE,
+		ir.FAdd, ir.FSub, ir.FMul, ir.FNeg, ir.ItoF:
+		v := mach.ValueOf(o.Kind)
+		var arg [2]uint64
+		for i, a := range o.Args {
+			switch {
+			case v.FloatIn && isCF[a]:
+				arg[i] = mach.FBits(cf[a])
+			case !v.FloatIn && isCI[a]:
+				arg[i] = mach.IBits(int32(ci[a]))
+			default:
+				return foldAlgebraic(f, o, isCI, ci)
+			}
 		}
-		a, b := int32(ci[o.Args[0]]), int32(ci[o.Args[1]])
-		switch o.Kind {
-		case ir.Add:
-			setI(a + b)
-		case ir.Sub:
-			setI(a - b)
-		case ir.Mul:
-			setI(a * b)
-		case ir.Div:
-			if b == 0 {
-				return false
-			}
-			setI(a / b)
-		case ir.Rem:
-			if b == 0 {
-				return false
-			}
-			setI(a % b)
-		case ir.And:
-			setI(a & b)
-		case ir.Or:
-			setI(a | b)
-		case ir.Xor:
-			setI(a ^ b)
-		case ir.Shl:
-			setI(a << (uint32(b) & 31))
-		case ir.Shr:
-			setI(int32(uint32(a) >> (uint32(b) & 31)))
-		case ir.Sra:
-			setI(a >> (uint32(b) & 31))
+		if (o.Kind == ir.Div || o.Kind == ir.Rem) && mach.DivTraps(arg[1]) {
+			return false
+		}
+		r := v.Fn(arg[0], arg[1])
+		if v.FloatOut {
+			*o = ir.Op{Kind: ir.ConstF, Type: ir.F64, Dst: o.Dst, ImmF: math.Float64frombits(r), Line: o.Line}
+		} else {
+			*o = ir.Op{Kind: ir.ConstI, Type: ir.I32, Dst: o.Dst, ImmI: int64(int32(uint32(r))), Line: o.Line}
 		}
 		return true
-	case ir.Neg:
-		if allCI() {
-			setI(-int32(ci[o.Args[0]]))
-			return true
-		}
-	case ir.Not:
-		if allCI() {
-			setI(^int32(ci[o.Args[0]]))
-			return true
-		}
-	case ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE:
-		if allCI() {
-			a, b := int32(ci[o.Args[0]]), int32(ci[o.Args[1]])
-			switch o.Kind {
-			case ir.CmpEQ:
-				setBoolFrom(a == b)
-			case ir.CmpNE:
-				setBoolFrom(a != b)
-			case ir.CmpLT:
-				setBoolFrom(a < b)
-			case ir.CmpLE:
-				setBoolFrom(a <= b)
-			case ir.CmpGT:
-				setBoolFrom(a > b)
-			case ir.CmpGE:
-				setBoolFrom(a >= b)
-			}
-			return true
-		}
-	case ir.FAdd, ir.FSub, ir.FMul:
-		if allCF() {
-			a, b := cf[o.Args[0]], cf[o.Args[1]]
-			switch o.Kind {
-			case ir.FAdd:
-				setF(a + b)
-			case ir.FSub:
-				setF(a - b)
-			case ir.FMul:
-				setF(a * b)
-			}
-			return true
-		}
-	case ir.FNeg:
-		if allCF() {
-			setF(-cf[o.Args[0]])
-			return true
-		}
-	case ir.ItoF:
-		if allCI() {
-			setF(float64(int32(ci[o.Args[0]])))
-			return true
-		}
 	case ir.Select:
 		if isCI[o.Args[0]] {
 			src := o.Args[1]

@@ -16,6 +16,10 @@ import (
 // register is specified when the operation is initiated, and a hardware
 // control pipeline carries the destination forward"). -1 means the op
 // writes no register.
+//
+// This is deliberately not mach.Config.Latency: the verifier is the second
+// implementation of the timing model, so a wrong latency there shows up as a
+// disagreement here instead of being certified.
 func writeLatency(cfg mach.Config, o *mach.Op) int {
 	switch o.Kind {
 	case ir.Load, ir.LoadSpec:

@@ -321,3 +321,23 @@ func TestShadowPropagatesThroughBranch(t *testing.T) {
 		t.Fatalf("shadow read attributed to word %d, want 3", f.Word)
 	}
 }
+
+// TestWriteLatencyAgreesWithTheMachine: the verifier's own latency model and
+// mach.Config.Latency — the one the scheduler and simulator share — are two
+// implementations kept apart on purpose; this is where they are compared.
+func TestWriteLatencyAgreesWithTheMachine(t *testing.T) {
+	cfg := mach.Trace28()
+	cfg.LatIALU, cfg.LatIMul, cfg.LatIDiv = 2, 11, 41
+	cfg.LatFAdd, cfg.LatFMul, cfg.LatFDiv, cfg.LatLoad, cfg.LatMove = 13, 17, 43, 19, 3
+	for k := ir.OpKind(0); k <= mach.OpHalt; k++ {
+		if k == ir.Store {
+			continue // writes no register; only the scheduler asks
+		}
+		for _, typ := range []ir.Type{ir.I32, ir.F64} {
+			op := mach.Op{Kind: k, Type: typ}
+			if got, want := writeLatency(cfg, &op), cfg.Latency(k, typ); got != want {
+				t.Errorf("%s.%s: schedcheck says %d beats, mach.Config.Latency says %d", mach.OpName(k), typ, got, want)
+			}
+		}
+	}
+}

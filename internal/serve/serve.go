@@ -150,26 +150,12 @@ type RunRequestOptions struct {
 	// "safe" (guard-free execution of every site the value-range analysis
 	// proves; requires the artifact's safety certificate), or "native"
 	// (the safety grade plus the closure-threaded translation of the
-	// image). Setting Tier alongside a boolean that implies a stronger
-	// tier is a bad_request.
+	// image). An unknown name is a bad_request.
 	Tier vliw.Tier `json:"tier,omitempty"`
-	// Fast requests the certified fast path.
-	//
-	// Deprecated: set Tier to "fast".
-	Fast bool `json:"fast,omitempty"`
-	// Safe requests the guard-free safe tier.
-	//
-	// Deprecated: set Tier to "safe".
-	Safe bool `json:"safe,omitempty"`
 	// MaxCycles overrides the simulator's beat budget (0 = default).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 	// NoCache bypasses the memoized run results for this request.
 	NoCache bool `json:"no_cache,omitempty"`
-}
-
-// tier folds the deprecated booleans into the Tier field.
-func (o RunRequestOptions) tier() (vliw.Tier, error) {
-	return vliw.ResolveTier(o.Tier, o.Fast, o.Safe)
 }
 
 // CompileRequest is the body of POST /compile and POST /lint.
@@ -196,14 +182,6 @@ type RunManyRunOptions struct {
 	// fails if any program does not certify at the requested grade
 	// (all-or-nothing — tiers are never silently mixed across tenants).
 	Tier vliw.Tier `json:"tier,omitempty"`
-	// Fast requests the certified fast path for every tenant.
-	//
-	// Deprecated: set Tier to "fast".
-	Fast bool `json:"fast,omitempty"`
-	// Safe requests the guard-free safe tier for every tenant.
-	//
-	// Deprecated: set Tier to "safe".
-	Safe bool `json:"safe,omitempty"`
 	// MaxCycles caps each tenant's beat budget (0 = default).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 	// Quantum overrides the scheduler's round-robin timeslice in beats.
@@ -232,15 +210,11 @@ type RunManyResult struct {
 	Key         string `json:"key"`
 	CachedBuild bool   `json:"cached_build"`
 	// Tier names the execution tier this tenant actually ran on.
-	Tier vliw.Tier `json:"tier"`
-	// Fast reports Tier is at least "fast". Deprecated: read Tier.
-	Fast bool `json:"fast"`
-	// Safe reports Tier is at least "safe". Deprecated: read Tier.
-	Safe   bool     `json:"safe,omitempty"`
-	Exit   int32    `json:"exit"`
-	Output string   `json:"output"`
-	Stats  RunStats `json:"stats"`
-	Error  string   `json:"error,omitempty"`
+	Tier   vliw.Tier `json:"tier"`
+	Exit   int32     `json:"exit"`
+	Output string    `json:"output"`
+	Stats  RunStats  `json:"stats"`
+	Error  string    `json:"error,omitempty"`
 }
 
 // SchedResponse is the wire form of the context scheduler's counters
@@ -298,14 +272,10 @@ type RunResponse struct {
 	CachedResult bool   `json:"cached_result"`
 	// Tier names the execution tier the run actually took: "checked",
 	// "fast", "safe", or "native".
-	Tier vliw.Tier `json:"tier"`
-	// Fast reports Tier is at least "fast". Deprecated: read Tier.
-	Fast bool `json:"fast"`
-	// Safe reports Tier is at least "safe". Deprecated: read Tier.
-	Safe   bool     `json:"safe,omitempty"`
-	Exit   int32    `json:"exit"`
-	Output string   `json:"output"`
-	Stats  RunStats `json:"stats"`
+	Tier   vliw.Tier `json:"tier"`
+	Exit   int32     `json:"exit"`
+	Output string    `json:"output"`
+	Stats  RunStats  `json:"stats"`
 }
 
 // LintFinding is the wire form of one schedcheck finding.
@@ -554,11 +524,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req.Source, &req) {
 		return
 	}
-	tier, err := req.Run.tier()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Msg: err.Error()})
-		return
-	}
+	tier := req.Run.Tier
 	release, ok := s.admitRequest(w, &s.metrics.Run)
 	if !ok {
 		return
@@ -602,7 +568,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRunTier(out.Tier)
 	writeJSON(w, http.StatusOK, RunResponse{
 		Key: key, CachedBuild: cachedBuild, CachedResult: cachedResult,
-		Tier: out.Tier, Fast: out.Fast, Safe: out.Safe,
+		Tier: out.Tier,
 		Exit: out.Exit, Output: out.Output,
 		Stats: wireStats(out.Stats),
 	})

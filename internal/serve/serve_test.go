@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -171,7 +172,7 @@ func TestConcurrentIdenticalCompilesCollapse(t *testing.T) {
 func TestRunResultMemoized(t *testing.T) {
 	_, hs := newTestServer(t, Config{Parallelism: 1})
 	src := demoSrc + "// memo\n"
-	req := RunRequest{Source: src, Run: RunRequestOptions{Fast: true}}
+	req := RunRequest{Source: src, Run: RunRequestOptions{Tier: vliw.TierFast}}
 	before := core.PipelineRuns()
 
 	resp, raw := post(t, hs.URL+"/run", req)
@@ -182,7 +183,7 @@ func TestRunResultMemoized(t *testing.T) {
 	if first.CachedResult {
 		t.Error("first run reported cached_result=true")
 	}
-	if !first.Fast {
+	if first.Tier != vliw.TierFast {
 		t.Error("fast run did not take the certified fast path")
 	}
 
@@ -230,25 +231,25 @@ func main() int {
 }
 `
 
-// TestRunSafeTier: run.safe selects the guard-free tier end to end — the
+// TestRunSafeTier: run.tier="safe" selects the guard-free tier end to end — the
 // response reports it, the memo keeps safe and fast results apart, and the
 // /metrics cert_level tree counts each run at the grade it executed under.
 func TestRunSafeTier(t *testing.T) {
 	s, hs := newTestServer(t, Config{Parallelism: 1})
 
-	safeReq := RunRequest{Source: guardedSrc, Run: RunRequestOptions{Safe: true}}
+	safeReq := RunRequest{Source: guardedSrc, Run: RunRequestOptions{Tier: vliw.TierSafe}}
 	resp, raw := post(t, hs.URL+"/run", safeReq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("safe run: status %d: %s", resp.StatusCode, raw)
 	}
 	safe := decode[RunResponse](t, raw)
-	if !safe.Safe || !safe.Fast {
+	if safe.Tier != vliw.TierSafe {
 		t.Fatalf("safe run not on the safe tier: %+v", safe)
 	}
 
 	// The fast run of the same source must not be served from the safe
-	// run's memo entry (distinct runKey) and must report safe=false.
-	resp, raw = post(t, hs.URL+"/run", RunRequest{Source: guardedSrc, Run: RunRequestOptions{Fast: true}})
+	// run's memo entry (distinct runKey) and must report its own tier.
+	resp, raw = post(t, hs.URL+"/run", RunRequest{Source: guardedSrc, Run: RunRequestOptions{Tier: vliw.TierFast}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fast run: status %d: %s", resp.StatusCode, raw)
 	}
@@ -256,20 +257,20 @@ func TestRunSafeTier(t *testing.T) {
 	if fast.CachedResult {
 		t.Error("fast run hit the safe run's memo entry (runKey ignores the tier)")
 	}
-	if fast.Safe || !fast.Fast {
-		t.Errorf("fast run tier flags: %+v", fast)
+	if fast.Tier != vliw.TierFast {
+		t.Errorf("fast run tier: %+v", fast)
 	}
 	if fast.Exit != safe.Exit || fast.Output != safe.Output || fast.Stats != safe.Stats {
 		t.Errorf("tiers disagree:\n safe: %+v\n fast: %+v", safe, fast)
 	}
 
-	// A repeat safe request is a memo hit and keeps its tier flags.
+	// A repeat safe request is a memo hit and keeps its tier.
 	resp, raw = post(t, hs.URL+"/run", safeReq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cached safe run: status %d: %s", resp.StatusCode, raw)
 	}
 	cached := decode[RunResponse](t, raw)
-	if !cached.CachedResult || !cached.Safe {
+	if !cached.CachedResult || cached.Tier != vliw.TierSafe {
 		t.Errorf("cached safe run lost its tier: %+v", cached)
 	}
 
@@ -283,7 +284,7 @@ func TestRunSafeTier(t *testing.T) {
 
 // TestRunNativeTier: run.tier="native" selects the closure-threaded tier end
 // to end — the response names the tier, the memo keys native apart from
-// safe, a tier/boolean conflict is a structured bad_request, and /metrics
+// safe, an unknown tier name is a structured bad_request, and /metrics
 // counts the run under cert_level.native.
 func TestRunNativeTier(t *testing.T) {
 	s, hs := newTestServer(t, Config{Parallelism: 1})
@@ -294,7 +295,7 @@ func TestRunNativeTier(t *testing.T) {
 		t.Fatalf("native run: status %d: %s", resp.StatusCode, raw)
 	}
 	native := decode[RunResponse](t, raw)
-	if native.Tier != vliw.TierNative || !native.Safe || !native.Fast {
+	if native.Tier != vliw.TierNative {
 		t.Fatalf("native run not on the native tier: %+v", native)
 	}
 
@@ -325,17 +326,11 @@ func TestRunNativeTier(t *testing.T) {
 		t.Errorf("cached native run lost its tier: %+v", cached)
 	}
 
-	// An unknown tier name and a tier/boolean conflict are both structured
-	// bad_requests, not runs.
+	// An unknown tier name is a structured bad_request, not a run.
 	resp, raw = post(t, hs.URL+"/run", map[string]any{
 		"source": guardedSrc, "run": map[string]any{"tier": "turbo"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown tier: status %d: %s", resp.StatusCode, raw)
-	}
-	resp, raw = post(t, hs.URL+"/run", RunRequest{Source: guardedSrc,
-		Run: RunRequestOptions{Tier: vliw.TierFast, Safe: true}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("tier conflict: status %d: %s", resp.StatusCode, raw)
 	}
 
 	if got := s.Metrics().RunsCertNative.Value(); got != 2 {
@@ -350,19 +345,17 @@ func TestRunManySafeTier(t *testing.T) {
 
 	for _, tier := range []vliw.Tier{vliw.TierSafe, vliw.TierNative} {
 		for _, tenancy := range []string{"contexts", "machines"} {
-			req := runManyReq(tenancy, false)
-			req.Run.Tier = tier
-			resp, raw := post(t, hs.URL+"/runmany", req)
+			resp, raw := post(t, hs.URL+"/runmany", runManyReq(tenancy, tier))
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s/%s: status %d: %s", tier, tenancy, resp.StatusCode, raw)
 			}
 			batch := decode[RunManyResponse](t, raw)
-			checked := decode[RunManyResponse](t, mustPostOK(t, hs.URL+"/runmany", runManyReq(tenancy, false)))
+			checked := decode[RunManyResponse](t, mustPostOK(t, hs.URL+"/runmany", runManyReq(tenancy, vliw.TierChecked)))
 			for i, r := range batch.Results {
 				if r.Error != "" {
 					t.Fatalf("%s/%s tenant %d: %s", tier, tenancy, i, r.Error)
 				}
-				if r.Tier != tier || !r.Safe || !r.Fast {
+				if r.Tier != tier {
 					t.Errorf("%s/%s tenant %d not on the requested tier: %+v", tier, tenancy, i, r)
 				}
 				c := checked.Results[i]
@@ -370,6 +363,60 @@ func TestRunManySafeTier(t *testing.T) {
 					t.Errorf("%s/%s tenant %d diverges from checked:\n %s: %+v\n checked: %+v", tier, tenancy, i, tier, r, c)
 				}
 			}
+		}
+	}
+}
+
+// jsonFields lists a struct type's wire field names in declaration order.
+func jsonFields(v any) []string {
+	var names []string
+	rt := reflect.TypeOf(v)
+	for i := 0; i < rt.NumField(); i++ {
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		names = append(names, name)
+	}
+	return names
+}
+
+// TestWireSpellsTheTierOneWay: the execution tier crosses the wire as the
+// "tier" name in both directions and nowhere else — the request option
+// structs have exactly the documented fields, and /run and /runmany bodies
+// echo "tier" with no fast/safe booleans beside it.
+func TestWireSpellsTheTierOneWay(t *testing.T) {
+	if got, want := jsonFields(RunRequestOptions{}), []string{"tier", "max_cycles", "no_cache"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("RunRequestOptions wire fields = %v, want %v", got, want)
+	}
+	if got, want := jsonFields(RunManyRunOptions{}), []string{"tier", "max_cycles", "quantum", "switch_beats", "tenancy"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("RunManyRunOptions wire fields = %v, want %v", got, want)
+	}
+
+	_, hs := newTestServer(t, Config{Parallelism: 1})
+	check := func(what string, body map[string]json.RawMessage, tier string) {
+		t.Helper()
+		if got := string(body["tier"]); got != `"`+tier+`"` {
+			t.Errorf("%s: tier = %s, want %q", what, got, tier)
+		}
+		for _, gone := range []string{"fast", "safe"} {
+			if _, ok := body[gone]; ok {
+				t.Errorf("%s: response still carries %q", what, gone)
+			}
+		}
+	}
+	for _, tier := range []string{"checked", "fast", "safe", "native"} {
+		run := map[string]any{"tier": tier}
+		raw := mustPostOK(t, hs.URL+"/run", map[string]any{"source": demoSrc, "run": run})
+		check("/run "+tier, decode[map[string]json.RawMessage](t, raw), tier)
+
+		raw = mustPostOK(t, hs.URL+"/runmany", map[string]any{
+			"programs": []map[string]any{{"source": demoSrc}, {"source": tenantSrcs[0]}}, "run": run})
+		batch := decode[struct {
+			Results []map[string]json.RawMessage `json:"results"`
+		}](t, raw)
+		if len(batch.Results) != 2 {
+			t.Fatalf("/runmany %s: %d results, want 2: %s", tier, len(batch.Results), raw)
+		}
+		for i, r := range batch.Results {
+			check(fmt.Sprintf("/runmany %s tenant %d", tier, i), r, tier)
 		}
 	}
 }

@@ -626,43 +626,7 @@ func aboveJoinUpTo(g *traceGraph, pos int) []int {
 }
 
 // opLatency returns the write latency of an op in beats.
-func opLatency(cfg mach.Config, o *VOp) int {
-	switch o.Kind {
-	case ir.Load, ir.LoadSpec:
-		return cfg.LatLoad
-	case ir.Store:
-		return 1
-	case ir.FAdd, ir.FSub, ir.FNeg, ir.ItoF, ir.FtoI,
-		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
-		return cfg.LatFAdd
-	case ir.FMul:
-		return cfg.LatFMul
-	case ir.FDiv:
-		return cfg.LatFDiv
-	case ir.Mul:
-		// 32-bit integer multiply is composed from the 16-bit primitives of
-		// §6.1; modeled as one multi-beat op (see DESIGN.md substitutions)
-		return cfg.LatIMul
-	case ir.Div, ir.Rem:
-		// no integer divide hardware; modeled as an iterative op
-		return cfg.LatIDiv
-	case ir.ConstF:
-		return 2 // two 32-bit immediate halves
-	case ir.Mov, mach.OpMovSF:
-		if o.Type == ir.F64 {
-			return cfg.LatMove * 2
-		}
-		return cfg.LatMove
-	case ir.Select:
-		if o.Type == ir.F64 {
-			return 2
-		}
-		return 1
-	case mach.OpCall:
-		return 1
-	}
-	return cfg.LatIALU
-}
+func opLatency(cfg mach.Config, o *VOp) int { return cfg.Latency(o.Kind, o.Type) }
 
 // formTracker adapts vops (whose operands may be immediates) to the alias
 // package's linear-form derivations.

@@ -11,6 +11,7 @@ import (
 	"github.com/multiflow-repro/trace/internal/core"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
+	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
 // compensationPrograms take their off-trace edges at runtime: the break
@@ -83,7 +84,7 @@ func TestCompensationPathsExecuteCorrectly(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: interp: %v", name, err)
 				}
-				gotV, gotOut, _, err := core.Run(res)
+				gotV, gotOut, err := vliw.New(res.Image).Run()
 				if err != nil {
 					t.Errorf("%s pairs=%d opt=%+v: machine fault: %v", name, pairs, lvl, err)
 					continue

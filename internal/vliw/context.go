@@ -2,7 +2,6 @@ package vliw
 
 import (
 	"bytes"
-	"math"
 
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
@@ -34,14 +33,12 @@ import (
 // Context values are created and pooled by their Machine (Reset and
 // ResetMany); they are not constructed directly.
 type Context struct {
-	id     int
-	img    *isa.Image
-	plan   []planWord
-	fast   bool
-	safe   bool // plan is the guard-free safe-tier plan (UseSafeCertificate)
-	native bool // nplan is the closure-threaded translation (UseNativeCertificate)
-	nplan  *nativePlan
-	asid   uint8
+	id    int
+	img   *isa.Image
+	plan  []planWord
+	tier  Tier // raised by the Use*Certificate calls; Reset returns it to checked
+	nplan *nativePlan
+	asid  uint8
 
 	// Architectural register state, partitioned per board pair (§6).
 	iregs [4][64]uint32
@@ -100,9 +97,7 @@ func (c *Context) reset(id int, img *isa.Image, plan []planWord, cfg mach.Config
 	c.id = id
 	c.img = img
 	c.plan = plan
-	c.fast = false
-	c.safe = false
-	c.native = false
+	c.tier = TierChecked
 	c.nplan = nil
 	c.asid = 0
 
@@ -213,8 +208,7 @@ func (c *Context) readArg(a mach.Arg) uint64 {
 	return c.readReg(a.Reg)
 }
 
-func (c *Context) readI(a mach.Arg) int32   { return int32(uint32(c.readArg(a))) }
-func (c *Context) readF(a mach.Arg) float64 { return math.Float64frombits(c.readArg(a)) }
+func (c *Context) readI(a mach.Arg) int32 { return int32(uint32(c.readArg(a))) }
 
 // enqueue schedules a register write into the context's hardware write
 // pipeline, retiring lat beats after issue.
@@ -256,27 +250,16 @@ func (c *Context) dtlbMiss(ea int64) bool {
 // Output returns the output the context has printed so far.
 func (c *Context) Output() string { return c.out.String() }
 
-// Fast reports whether the context runs on the certified fast path.
-func (c *Context) Fast() bool { return c.fast }
-
-// Safe reports whether the context runs on the guard-free safe tier.
-func (c *Context) Safe() bool { return c.safe }
-
-// Native reports whether the context runs on the closure-threaded native
-// tier.
-func (c *Context) Native() bool { return c.native }
-
 // Tier reports the context's execution tier.
-func (c *Context) Tier() Tier {
-	switch {
-	case c.native:
-		return TierNative
-	case c.safe:
-		return TierSafe
-	case c.fast:
-		return TierFast
+func (c *Context) Tier() Tier { return c.tier }
+
+// arm raises the context to tier t. Arming is monotone: a weaker
+// certificate applied after a stronger one leaves the stronger tier (and its
+// plan) in force.
+func (c *Context) arm(t Tier) {
+	if c.tier < t {
+		c.tier = t
 	}
-	return TierChecked
 }
 
 // Err returns the context's terminal error: a *Fault or *ErrCycleLimit when

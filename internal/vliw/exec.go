@@ -9,39 +9,6 @@ import (
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
-// latencies mirrors the scheduler's timing model; the two must agree or the
-// interlock-free machine reads stale registers.
-func latency(cfg mach.Config, o *mach.Op) int {
-	switch o.Kind {
-	case ir.Load, ir.LoadSpec:
-		return cfg.LatLoad
-	case ir.FAdd, ir.FSub, ir.FNeg, ir.ItoF, ir.FtoI,
-		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
-		return cfg.LatFAdd
-	case ir.FMul:
-		return cfg.LatFMul
-	case ir.FDiv:
-		return cfg.LatFDiv
-	case ir.Mul:
-		return cfg.LatIMul
-	case ir.Div, ir.Rem:
-		return cfg.LatIDiv
-	case ir.ConstF:
-		return 2
-	case ir.Mov, mach.OpMovSF:
-		if o.Type == ir.F64 {
-			return cfg.LatMove * 2
-		}
-		return cfg.LatMove
-	case ir.Select:
-		if o.Type == ir.F64 {
-			return 2
-		}
-		return 1
-	}
-	return cfg.LatIALU
-}
-
 // execBranch handles branch-unit ops. It returns the branch target if the
 // op wants control (−1 otherwise) and the halt value for OpHalt.
 func (m *Machine) execBranch(o *mach.Op) (int, *int32, error) {
@@ -82,119 +49,44 @@ func (m *Machine) execBranch(o *mach.Op) (int, *int32, error) {
 	return -1, nil, m.fault(c, TrapBadOp, "%s on branch unit", mach.OpName(o.Kind))
 }
 
-// iBits, fBits, and bBits pack result values for the register-write
-// pipeline. They replace the per-op seti/setf/setb closures the old
-// dispatch allocated on every operation: execOp now writes its result with
-// one direct enqueue per case.
-func iBits(v int32) uint64   { return uint64(uint32(v)) }
-func fBits(v float64) uint64 { return math.Float64bits(v) }
-func bBits(v bool) uint64 {
-	if v {
-		return 1
+// divZeroMsg is the TrapDivZero text for a Div or Rem.
+func divZeroMsg(k ir.OpKind) string {
+	if k == ir.Rem {
+		return "integer remainder by zero"
 	}
-	return 0
+	return "integer divide by zero"
 }
 
 // execOp executes one ALU/F/memory operation, enqueuing its register write
-// at issue+lat. The latency is precomputed by the plan (plan.go) so the
-// timing model is evaluated once per image, not once per executed op. The
-// dispatch key is the plan's kind, not the op's: the safe-tier plan rewrites
-// proven sites to the opSafe* synthetic opcodes below, which execute the
-// identical semantics — same stats, same bank traffic, same write pipeline —
-// minus the guard comparisons a SafetyCertificate discharged statically.
+// at issue+lat. The latency and — for the pure opcodes — the value function
+// are precomputed by the plan (plan.go), so the timing model and the
+// semantics table are consulted once per image, not once per executed op.
+// The dispatch key is the plan's kind, not the op's: see planOp.
 func (m *Machine) execOp(p *planOp) error {
 	o, lat := p.op, p.lat
 	c := m.cur
 	switch p.kind {
 	case ir.Nop:
+	case opPure:
+		// Also a Div/Rem whose zero-divisor guard a SafetyCertificate
+		// discharged: if the image was mutated after certification, the Go
+		// runtime's own divide check is the backstop (see safeTierFault).
+		c.enqueue(o.Dst, p.fn(c.readArg(o.A), c.readArg(o.B)), lat)
+	case opPureFlop:
+		m.Stats.FloatOps++
+		c.enqueue(o.Dst, p.fn(c.readArg(o.A), c.readArg(o.B)), lat)
+	case ir.Div, ir.Rem:
+		d := c.readArg(o.B)
+		if mach.DivTraps(d) {
+			return m.fault(c, TrapDivZero, "%s", divZeroMsg(o.Kind))
+		}
+		c.enqueue(o.Dst, p.fn(c.readArg(o.A), d), lat)
 	case ir.ConstI:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)), lat)
+		c.enqueue(o.Dst, mach.IBits(c.readI(o.A)), lat)
 	case ir.ConstF:
-		c.enqueue(o.Dst, fBits(o.FImm), lat)
+		c.enqueue(o.Dst, mach.FBits(o.FImm), lat)
 	case ir.Mov, mach.OpMovSF:
 		c.enqueue(o.Dst, c.readArg(o.A), lat)
-	case ir.Add:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)+c.readI(o.B)), lat)
-	case ir.Sub:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)-c.readI(o.B)), lat)
-	case ir.Mul:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)*c.readI(o.B)), lat)
-	case ir.Div:
-		d := c.readI(o.B)
-		if d == 0 {
-			return m.fault(c, TrapDivZero, "integer divide by zero")
-		}
-		c.enqueue(o.Dst, iBits(c.readI(o.A)/d), lat)
-	case ir.Rem:
-		d := c.readI(o.B)
-		if d == 0 {
-			return m.fault(c, TrapDivZero, "integer remainder by zero")
-		}
-		c.enqueue(o.Dst, iBits(c.readI(o.A)%d), lat)
-	case ir.And:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)&c.readI(o.B)), lat)
-	case ir.Or:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)|c.readI(o.B)), lat)
-	case ir.Xor:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)^c.readI(o.B)), lat)
-	case ir.Shl:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)<<(uint32(c.readI(o.B))&31)), lat)
-	case ir.Shr:
-		c.enqueue(o.Dst, iBits(int32(uint32(c.readI(o.A))>>(uint32(c.readI(o.B))&31))), lat)
-	case ir.Sra:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)>>(uint32(c.readI(o.B))&31)), lat)
-	case ir.Neg:
-		c.enqueue(o.Dst, iBits(-c.readI(o.A)), lat)
-	case ir.Not:
-		c.enqueue(o.Dst, iBits(^c.readI(o.A)), lat)
-	case ir.CmpEQ:
-		c.enqueue(o.Dst, bBits(c.readI(o.A) == c.readI(o.B)), lat)
-	case ir.CmpNE:
-		c.enqueue(o.Dst, bBits(c.readI(o.A) != c.readI(o.B)), lat)
-	case ir.CmpLT:
-		c.enqueue(o.Dst, bBits(c.readI(o.A) < c.readI(o.B)), lat)
-	case ir.CmpLE:
-		c.enqueue(o.Dst, bBits(c.readI(o.A) <= c.readI(o.B)), lat)
-	case ir.CmpGT:
-		c.enqueue(o.Dst, bBits(c.readI(o.A) > c.readI(o.B)), lat)
-	case ir.CmpGE:
-		c.enqueue(o.Dst, bBits(c.readI(o.A) >= c.readI(o.B)), lat)
-	case ir.FAdd:
-		m.Stats.FloatOps++
-		c.enqueue(o.Dst, fBits(c.readF(o.A)+c.readF(o.B)), lat)
-	case ir.FSub:
-		m.Stats.FloatOps++
-		c.enqueue(o.Dst, fBits(c.readF(o.A)-c.readF(o.B)), lat)
-	case ir.FMul:
-		m.Stats.FloatOps++
-		c.enqueue(o.Dst, fBits(c.readF(o.A)*c.readF(o.B)), lat)
-	case ir.FDiv:
-		m.Stats.FloatOps++
-		// fast mode: NaN/Inf propagate, no trap (§7)
-		c.enqueue(o.Dst, fBits(c.readF(o.A)/c.readF(o.B)), lat)
-	case ir.FNeg:
-		c.enqueue(o.Dst, fBits(-c.readF(o.A)), lat)
-	case ir.FCmpEQ:
-		c.enqueue(o.Dst, bBits(c.readF(o.A) == c.readF(o.B)), lat)
-	case ir.FCmpNE:
-		c.enqueue(o.Dst, bBits(c.readF(o.A) != c.readF(o.B)), lat)
-	case ir.FCmpLT:
-		c.enqueue(o.Dst, bBits(c.readF(o.A) < c.readF(o.B)), lat)
-	case ir.FCmpLE:
-		c.enqueue(o.Dst, bBits(c.readF(o.A) <= c.readF(o.B)), lat)
-	case ir.FCmpGT:
-		c.enqueue(o.Dst, bBits(c.readF(o.A) > c.readF(o.B)), lat)
-	case ir.FCmpGE:
-		c.enqueue(o.Dst, bBits(c.readF(o.A) >= c.readF(o.B)), lat)
-	case ir.ItoF:
-		c.enqueue(o.Dst, fBits(float64(c.readI(o.A))), lat)
-	case ir.FtoI:
-		v := c.readF(o.A)
-		if math.IsNaN(v) || v > math.MaxInt32 || v < math.MinInt32 {
-			c.enqueue(o.Dst, iBits(int32(ir.FunnyI32)), lat)
-		} else {
-			c.enqueue(o.Dst, iBits(int32(v)), lat)
-		}
 	case ir.Select:
 		// condition from the branch bank (A); B = then, C = else
 		if c.readArg(o.A) != 0 {
@@ -210,11 +102,10 @@ func (m *Machine) execOp(p *planOp) error {
 	// Guard-free variants, reachable only through a safe-tier plan
 	// (buildSafePlan) armed by UseSafeCertificate. Each mirrors its checked
 	// twin exactly — counters, bank touch, store watch, write enqueue — with
-	// the bounds/alignment/zero-divisor guards deleted: the certificate
-	// proves they can never fire. If the image was mutated after
-	// certification, the Go runtime's own slice-bounds and divide checks are
-	// the backstop; the safe run loops convert those panics back into the
-	// matching Fault (see safeTierFault).
+	// the bounds/alignment guards deleted: the certificate proves they can
+	// never fire. If the image was mutated after certification, the Go
+	// runtime's own slice-bounds check is the backstop; the safe run loops
+	// convert that panic back into the matching Fault (see safeTierFault).
 	case opSafeLoadI32:
 		m.Stats.MemRefs++
 		m.Stats.Loads++
@@ -261,10 +152,6 @@ func (m *Machine) execOp(p *planOp) error {
 		if m.WatchStore != nil {
 			m.WatchStore(ea, v)
 		}
-	case opSafeDiv:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)/c.readI(o.B)), lat)
-	case opSafeRem:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)%c.readI(o.B)), lat)
 
 	default:
 		return m.fault(c, TrapBadOp, "cannot execute %s", mach.OpName(o.Kind))
@@ -286,12 +173,7 @@ func (m *Machine) execLoad(o *mach.Op, lat int) error {
 			// §7: no valid translation — execution continues; the target
 			// register is loaded with a "funny number" to help catch bugs
 			m.Stats.SpecFaults++
-			if o.Type == ir.I32 {
-				funny := int32(ir.FunnyI32)
-				c.enqueue(o.Dst, uint64(uint32(funny)), lat)
-			} else {
-				c.enqueue(o.Dst, math.Float64bits(math.NaN()), lat)
-			}
+			c.enqueue(o.Dst, mach.SpecPoison(o.Type), lat)
 			return nil
 		}
 		if ea%size != 0 {

@@ -493,7 +493,7 @@ func (m *Machine) UseCertificate(c Certificate) error {
 	found := false
 	for _, ctx := range m.ctxs {
 		if ctx.img == img {
-			ctx.fast = true
+			ctx.arm(TierFast)
 			found = true
 		}
 	}
@@ -502,9 +502,6 @@ func (m *Machine) UseCertificate(c Certificate) error {
 	}
 	return nil
 }
-
-// Fast reports whether the current context is on the certified fast path.
-func (m *Machine) Fast() bool { return m.cur.fast }
 
 // A SafetyCertificate attests, beyond the resource Certificate it extends,
 // that specific guarded sites — loads, stores, divides — can never fault:
@@ -552,17 +549,15 @@ func (m *Machine) UseSafeCertificate(c SafetyCertificate) error {
 	}
 	for _, ctx := range m.ctxs {
 		if ctx.img == img {
-			ctx.fast = true
-			ctx.safe = true
+			ctx.arm(TierSafe)
 			ctx.plan = m.safePlan
 		}
 	}
 	return nil
 }
 
-// Safe reports whether the current context is on the safe (guard-free)
-// tier.
-func (m *Machine) Safe() bool { return m.cur.safe }
+// Tier reports the current context's execution tier.
+func (m *Machine) Tier() Tier { return m.cur.tier }
 
 // Output returns the output printed so far by the current context.
 func (m *Machine) Output() string { return m.cur.out.String() }
@@ -684,7 +679,7 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 	c := m.ctxs[0]
 	m.cur = c
 	m.curIdx = 0
-	if c.safe || c.native {
+	if c.tier >= TierSafe {
 		// The safe and native tiers' last line of defense: a
 		// post-certification image mutation can drive a guard-free site into
 		// the Go runtime's own slice-bounds or divide check. One deferred
@@ -721,7 +716,7 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 	if m.StopBeat > 0 {
 		pauseAt = m.StopBeat
 	}
-	native := c.native
+	native := c.tier == TierNative
 	for !c.halted {
 		if c.beat >= ctxCheckAt {
 			if err := ctx.Err(); err != nil {
@@ -833,11 +828,12 @@ func (m *Machine) RunMany(ctx context.Context) ([]ContextResult, error) {
 		b0 := c.beat
 		s0 := m.Stats.BankStalls + m.Stats.RefillBeats
 		var err error
-		if c.native {
+		switch c.tier {
+		case TierNative:
 			err = m.stepNativeSafe(c)
-		} else if c.safe {
+		case TierSafe:
 			err = m.stepSafe(c)
-		} else {
+		default:
 			err = m.step(c)
 		}
 		delta := c.beat - b0
@@ -1077,7 +1073,7 @@ func (m *Machine) step(c *Context) error {
 		if err := m.applyWrites(c); err != nil {
 			return err
 		}
-		if m.CheckRes && !c.fast {
+		if m.CheckRes && c.tier == TierChecked {
 			if v := pw.viol[beat]; v != nil {
 				return m.fault(c, v.code, "%s", v.msg)
 			}
@@ -1192,7 +1188,7 @@ func (m *Machine) applyWrites(c *Context) error {
 			kept = append(kept, w)
 			continue
 		}
-		if !c.fast {
+		if c.tier == TierChecked {
 			for i := range retired {
 				if retired[i].dst == w.dst {
 					return m.fault(c, TrapWriteRace, "write-write race on %s: writes issued at word %d and word %d retire together",

@@ -33,7 +33,7 @@ func runFastOn(t *testing.T, img *isa.Image, cert *schedcheck.Certificate) error
 	if err := m.UseCertificate(cert); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Fast() {
+	if m.Tier() != TierFast {
 		t.Fatal("certificate accepted but machine not in fast mode")
 	}
 	_, _, err := m.Run()
@@ -157,7 +157,7 @@ func TestCertificateRejectsForeignImage(t *testing.T) {
 	if err := m.UseCertificate(cert); err == nil {
 		t.Fatal("certificate for a different image was accepted")
 	}
-	if m.Fast() {
+	if m.Tier() != TierChecked {
 		t.Fatal("rejected certificate left the machine in fast mode")
 	}
 }

@@ -385,9 +385,10 @@ func opBulk(s *nSlot) statsBulk {
 		}
 		return b
 	}
-	switch s.kind {
-	case ir.FAdd, ir.FSub, ir.FMul, ir.FDiv:
+	if v := mach.ValueOf(s.op.Kind); v != nil && v.Flop {
 		b.floatOps = 1
+	}
+	switch s.kind {
 	case ir.Load, opSafeLoadI32, opSafeLoadF64:
 		b.memRefs, b.loads = 1, 1
 	case ir.LoadSpec, opSafeSpecI32, opSafeSpecF64:
@@ -460,15 +461,6 @@ func nReadI(a mach.Arg) func(*Context) int32 {
 	}
 	u := nReadU(a)
 	return func(c *Context) int32 { return int32(uint32(u(c))) }
-}
-
-// nReadF compiles Context.readF.
-func nReadF(a mach.Arg) func(*Context) float64 {
-	if bd, ix, ok := fregArg(a); ok {
-		return func(c *Context) float64 { return math.Float64frombits(c.fregs[bd][ix]) }
-	}
-	u := nReadU(a)
-	return func(c *Context) float64 { return math.Float64frombits(u(c)) }
 }
 
 // nEA compiles the effective-address sum int64(readI(A)) + int64(readI(B))
@@ -559,22 +551,22 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 		switch kind {
 		case ir.Add:
 			return func(m *Machine, c *Context) error {
-				c.npush(c.beat+lat, dst, iBits(int32(c.iregs[abd][aix])+bv))
+				c.npush(c.beat+lat, dst, mach.IBits(int32(c.iregs[abd][aix])+bv))
 				return nil
 			}
 		case ir.Sub:
 			return func(m *Machine, c *Context) error {
-				c.npush(c.beat+lat, dst, iBits(int32(c.iregs[abd][aix])-bv))
+				c.npush(c.beat+lat, dst, mach.IBits(int32(c.iregs[abd][aix])-bv))
 				return nil
 			}
 		case ir.CmpLT:
 			return func(m *Machine, c *Context) error {
-				c.npush(c.beat+lat, dst, bBits(int32(c.iregs[abd][aix]) < bv))
+				c.npush(c.beat+lat, dst, mach.BoolBits(int32(c.iregs[abd][aix]) < bv))
 				return nil
 			}
 		case ir.CmpGE:
 			return func(m *Machine, c *Context) error {
-				c.npush(c.beat+lat, dst, bBits(int32(c.iregs[abd][aix]) >= bv))
+				c.npush(c.beat+lat, dst, mach.BoolBits(int32(c.iregs[abd][aix]) >= bv))
 				return nil
 			}
 		}
@@ -584,17 +576,17 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 		switch kind {
 		case ir.Add:
 			return func(m *Machine, c *Context) error {
-				c.npush(c.beat+lat, dst, iBits(int32(c.iregs[abd][aix])+int32(c.iregs[bbd][bix])))
+				c.npush(c.beat+lat, dst, mach.IBits(int32(c.iregs[abd][aix])+int32(c.iregs[bbd][bix])))
 				return nil
 			}
 		case ir.Sub:
 			return func(m *Machine, c *Context) error {
-				c.npush(c.beat+lat, dst, iBits(int32(c.iregs[abd][aix])-int32(c.iregs[bbd][bix])))
+				c.npush(c.beat+lat, dst, mach.IBits(int32(c.iregs[abd][aix])-int32(c.iregs[bbd][bix])))
 				return nil
 			}
 		case ir.CmpLT:
 			return func(m *Machine, c *Context) error {
-				c.npush(c.beat+lat, dst, bBits(int32(c.iregs[abd][aix]) < int32(c.iregs[bbd][bix])))
+				c.npush(c.beat+lat, dst, mach.BoolBits(int32(c.iregs[abd][aix]) < int32(c.iregs[bbd][bix])))
 				return nil
 			}
 		}
@@ -602,124 +594,61 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 	return nil
 }
 
-// nALU2 builds a binary integer-ALU closure. The write-pipeline append is
-// fused into the closure (no enqueue call), and the two dominant operand
-// shapes — reg⊕imm and reg⊕reg — read the integer bank directly.
-func nALU2(o *mach.Op, dst mach.PReg, lat int64, f func(a, b int32) int32) nativeOp {
+// nPure builds the closure for an opcode of the shared value table: operand
+// bits in, v.Fn, result bits straight into the retire ring. The write-pipeline
+// append is fused into the closure (no enqueue call), and the dominant
+// operand shapes — reg⊕imm and reg⊕reg on the integer bank, reg⊕reg on the
+// float bank, and a lone register for the unary ops — read their bank
+// directly instead of through an nReadU closure.
+func nPure(o *mach.Op, dst mach.PReg, lat int64, v *mach.Value) nativeOp {
+	f := v.Fn
 	if !dst.Valid() {
-		ga, gb := nReadI(o.A), nReadI(o.B)
+		// Still evaluated: a proven Div/Rem's divide panic is the backstop.
+		ga, gb := nReadU(o.A), nReadU(o.B)
 		return func(m *Machine, c *Context) error {
 			_ = f(ga(c), gb(c))
 			return nil
 		}
 	}
-	if abd, aix, ok := iregArg(o.A); ok {
-		if o.B.IsImm {
-			bv := o.B.Imm
+	if v.FloatIn {
+		if abd, aix, ok := fregArg(o.A); ok {
+			if v.Unary {
+				return func(m *Machine, c *Context) error {
+					c.npush(c.beat+lat, dst, f(c.fregs[abd][aix], 0))
+					return nil
+				}
+			}
+			if bbd, bix, ok := fregArg(o.B); ok {
+				return func(m *Machine, c *Context) error {
+					c.npush(c.beat+lat, dst, f(c.fregs[abd][aix], c.fregs[bbd][bix]))
+					return nil
+				}
+			}
+		}
+	} else if abd, aix, ok := iregArg(o.A); ok {
+		if v.Unary {
 			return func(m *Machine, c *Context) error {
-				v := f(int32(c.iregs[abd][aix]), bv)
-				c.npush(c.beat+lat, dst, iBits(v))
+				c.npush(c.beat+lat, dst, f(uint64(c.iregs[abd][aix]), 0))
+				return nil
+			}
+		}
+		if o.B.IsImm {
+			bv := mach.IBits(o.B.Imm)
+			return func(m *Machine, c *Context) error {
+				c.npush(c.beat+lat, dst, f(uint64(c.iregs[abd][aix]), bv))
 				return nil
 			}
 		}
 		if bbd, bix, ok := iregArg(o.B); ok {
 			return func(m *Machine, c *Context) error {
-				v := f(int32(c.iregs[abd][aix]), int32(c.iregs[bbd][bix]))
-				c.npush(c.beat+lat, dst, iBits(v))
+				c.npush(c.beat+lat, dst, f(uint64(c.iregs[abd][aix]), uint64(c.iregs[bbd][bix])))
 				return nil
 			}
 		}
 	}
-	ga, gb := nReadI(o.A), nReadI(o.B)
+	ga, gb := nReadU(o.A), nReadU(o.B)
 	return func(m *Machine, c *Context) error {
-		v := f(ga(c), gb(c))
-		c.npush(c.beat+lat, dst, iBits(v))
-		return nil
-	}
-}
-
-// nCmp2 builds an integer-compare closure (result into the branch bank).
-func nCmp2(o *mach.Op, dst mach.PReg, lat int64, f func(a, b int32) bool) nativeOp {
-	if !dst.Valid() {
-		ga, gb := nReadI(o.A), nReadI(o.B)
-		return func(m *Machine, c *Context) error {
-			_ = f(ga(c), gb(c))
-			return nil
-		}
-	}
-	if abd, aix, ok := iregArg(o.A); ok {
-		if o.B.IsImm {
-			bv := o.B.Imm
-			return func(m *Machine, c *Context) error {
-				v := f(int32(c.iregs[abd][aix]), bv)
-				c.npush(c.beat+lat, dst, bBits(v))
-				return nil
-			}
-		}
-		if bbd, bix, ok := iregArg(o.B); ok {
-			return func(m *Machine, c *Context) error {
-				v := f(int32(c.iregs[abd][aix]), int32(c.iregs[bbd][bix]))
-				c.npush(c.beat+lat, dst, bBits(v))
-				return nil
-			}
-		}
-	}
-	ga, gb := nReadI(o.A), nReadI(o.B)
-	return func(m *Machine, c *Context) error {
-		v := f(ga(c), gb(c))
-		c.npush(c.beat+lat, dst, bBits(v))
-		return nil
-	}
-}
-
-// nFALU2 builds a binary floating-ALU closure.
-func nFALU2(o *mach.Op, dst mach.PReg, lat int64, f func(a, b float64) float64) nativeOp {
-	if !dst.Valid() {
-		ga, gb := nReadF(o.A), nReadF(o.B)
-		return func(m *Machine, c *Context) error {
-			_ = f(ga(c), gb(c))
-			return nil
-		}
-	}
-	if abd, aix, ok := fregArg(o.A); ok {
-		if bbd, bix, ok := fregArg(o.B); ok {
-			return func(m *Machine, c *Context) error {
-				v := f(math.Float64frombits(c.fregs[abd][aix]), math.Float64frombits(c.fregs[bbd][bix]))
-				c.npush(c.beat+lat, dst, math.Float64bits(v))
-				return nil
-			}
-		}
-	}
-	ga, gb := nReadF(o.A), nReadF(o.B)
-	return func(m *Machine, c *Context) error {
-		v := f(ga(c), gb(c))
-		c.npush(c.beat+lat, dst, math.Float64bits(v))
-		return nil
-	}
-}
-
-// nFCmp2 builds a floating-compare closure.
-func nFCmp2(o *mach.Op, dst mach.PReg, lat int64, f func(a, b float64) bool) nativeOp {
-	if !dst.Valid() {
-		ga, gb := nReadF(o.A), nReadF(o.B)
-		return func(m *Machine, c *Context) error {
-			_ = f(ga(c), gb(c))
-			return nil
-		}
-	}
-	if abd, aix, ok := fregArg(o.A); ok {
-		if bbd, bix, ok := fregArg(o.B); ok {
-			return func(m *Machine, c *Context) error {
-				v := f(math.Float64frombits(c.fregs[abd][aix]), math.Float64frombits(c.fregs[bbd][bix]))
-				c.npush(c.beat+lat, dst, bBits(v))
-				return nil
-			}
-		}
-	}
-	ga, gb := nReadF(o.A), nReadF(o.B)
-	return func(m *Machine, c *Context) error {
-		v := f(ga(c), gb(c))
-		c.npush(c.beat+lat, dst, bBits(v))
+		c.npush(c.beat+lat, dst, f(ga(c), gb(c)))
 		return nil
 	}
 }
@@ -856,13 +785,7 @@ func compileLoad(o *mach.Op, lat int64, unitName string, rb statsBulk, g bankGeo
 	size := o.Type.Size()
 	spec := o.Kind == ir.LoadSpec
 	isI32 := o.Type == ir.I32
-	funnyI := int32(ir.FunnyI32)
-	var funny uint64
-	if isI32 {
-		funny = uint64(uint32(funnyI))
-	} else {
-		funny = math.Float64bits(math.NaN())
-	}
+	funny := mach.SpecPoison(o.Type)
 	return func(m *Machine, c *Context) error {
 		a := ea(c)
 		if a < ir.GlobalBase || a+size > int64(len(c.mem)) || a%size != 0 {
@@ -1030,120 +953,37 @@ func compileSafeStore(o *mach.Op, f64 bool, g bankGeom) nativeOp {
 func compileExec(o *mach.Op, kind ir.OpKind, lat64 int, unitName string, rb statsBulk, g bankGeom) nativeOp {
 	dst := o.Dst
 	lat := int64(lat64)
-	if f := nFastShape(o, kind, dst, lat); f != nil {
+	if f := nFastShape(o, o.Kind, dst, lat); f != nil {
 		return f
 	}
 	switch kind {
 	case ir.Nop:
 		return nil
+	case opPure, opPureFlop:
+		return nPure(o, dst, lat, mach.ValueOf(o.Kind))
+	case ir.Div, ir.Rem:
+		ga, gb := nReadU(o.A), nReadU(o.B)
+		f, msg := mach.ValueOf(kind).Fn, divZeroMsg(kind)
+		return func(m *Machine, c *Context) error {
+			d := gb(c)
+			if mach.DivTraps(d) {
+				return m.nFault(c, &rb, unitName, TrapDivZero, "%s", msg)
+			}
+			if dst.Valid() {
+				c.npush(c.beat+lat, dst, f(ga(c), d))
+			}
+			return nil
+		}
 	case ir.ConstI:
 		if o.A.IsImm {
-			return nConst(dst, lat, iBits(o.A.Imm))
+			return nConst(dst, lat, mach.IBits(o.A.Imm))
 		}
 		ga := nReadI(o.A)
-		return nMov1(dst, lat, func(c *Context) uint64 { return iBits(ga(c)) })
+		return nMov1(dst, lat, func(c *Context) uint64 { return mach.IBits(ga(c)) })
 	case ir.ConstF:
-		return nConst(dst, lat, fBits(o.FImm))
+		return nConst(dst, lat, mach.FBits(o.FImm))
 	case ir.Mov, mach.OpMovSF:
 		return nMovReg(o, dst, lat)
-	case ir.Add:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a + b })
-	case ir.Sub:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a - b })
-	case ir.Mul:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a * b })
-	case ir.Div:
-		ga, gb := nReadI(o.A), nReadI(o.B)
-		return func(m *Machine, c *Context) error {
-			d := gb(c)
-			if d == 0 {
-				return m.nFault(c, &rb, unitName, TrapDivZero, "integer divide by zero")
-			}
-			if dst.Valid() {
-				c.npush(c.beat+lat, dst, iBits(ga(c)/d))
-			}
-			return nil
-		}
-	case ir.Rem:
-		ga, gb := nReadI(o.A), nReadI(o.B)
-		return func(m *Machine, c *Context) error {
-			d := gb(c)
-			if d == 0 {
-				return m.nFault(c, &rb, unitName, TrapDivZero, "integer remainder by zero")
-			}
-			if dst.Valid() {
-				c.npush(c.beat+lat, dst, iBits(ga(c)%d))
-			}
-			return nil
-		}
-	case ir.And:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a & b })
-	case ir.Or:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a | b })
-	case ir.Xor:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a ^ b })
-	case ir.Shl:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a << (uint32(b) & 31) })
-	case ir.Shr:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return int32(uint32(a) >> (uint32(b) & 31)) })
-	case ir.Sra:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a >> (uint32(b) & 31) })
-	case ir.Neg:
-		ga := nReadI(o.A)
-		return nMov1(dst, lat, func(c *Context) uint64 { return iBits(-ga(c)) })
-	case ir.Not:
-		ga := nReadI(o.A)
-		return nMov1(dst, lat, func(c *Context) uint64 { return iBits(^ga(c)) })
-	case ir.CmpEQ:
-		return nCmp2(o, dst, lat, func(a, b int32) bool { return a == b })
-	case ir.CmpNE:
-		return nCmp2(o, dst, lat, func(a, b int32) bool { return a != b })
-	case ir.CmpLT:
-		return nCmp2(o, dst, lat, func(a, b int32) bool { return a < b })
-	case ir.CmpLE:
-		return nCmp2(o, dst, lat, func(a, b int32) bool { return a <= b })
-	case ir.CmpGT:
-		return nCmp2(o, dst, lat, func(a, b int32) bool { return a > b })
-	case ir.CmpGE:
-		return nCmp2(o, dst, lat, func(a, b int32) bool { return a >= b })
-	case ir.FAdd:
-		return nFALU2(o, dst, lat, func(a, b float64) float64 { return a + b })
-	case ir.FSub:
-		return nFALU2(o, dst, lat, func(a, b float64) float64 { return a - b })
-	case ir.FMul:
-		return nFALU2(o, dst, lat, func(a, b float64) float64 { return a * b })
-	case ir.FDiv:
-		// NaN/Inf propagate, no trap (§7) — guard-free on every tier.
-		return nFALU2(o, dst, lat, func(a, b float64) float64 { return a / b })
-	case ir.FNeg:
-		ga := nReadF(o.A)
-		return nMov1(dst, lat, func(c *Context) uint64 { return fBits(-ga(c)) })
-	case ir.FCmpEQ:
-		return nFCmp2(o, dst, lat, func(a, b float64) bool { return a == b })
-	case ir.FCmpNE:
-		return nFCmp2(o, dst, lat, func(a, b float64) bool { return a != b })
-	case ir.FCmpLT:
-		return nFCmp2(o, dst, lat, func(a, b float64) bool { return a < b })
-	case ir.FCmpLE:
-		return nFCmp2(o, dst, lat, func(a, b float64) bool { return a <= b })
-	case ir.FCmpGT:
-		return nFCmp2(o, dst, lat, func(a, b float64) bool { return a > b })
-	case ir.FCmpGE:
-		return nFCmp2(o, dst, lat, func(a, b float64) bool { return a >= b })
-	case ir.ItoF:
-		ga := nReadI(o.A)
-		return nMov1(dst, lat, func(c *Context) uint64 { return fBits(float64(ga(c))) })
-	case ir.FtoI:
-		ga := nReadF(o.A)
-		funnyI := int32(ir.FunnyI32)
-		funny := iBits(funnyI)
-		return nMov1(dst, lat, func(c *Context) uint64 {
-			v := ga(c)
-			if math.IsNaN(v) || v > math.MaxInt32 || v < math.MinInt32 {
-				return funny
-			}
-			return iBits(int32(v))
-		})
 	case ir.Select:
 		ga, gb, gcv := nReadU(o.A), nReadU(o.B), nReadU(o.C)
 		return nMov1(dst, lat, func(c *Context) uint64 {
@@ -1156,22 +996,14 @@ func compileExec(o *mach.Op, kind ir.OpKind, lat64 int, unitName string, rb stat
 		return compileLoad(o, lat, unitName, rb, g)
 	case ir.Store:
 		return compileStore(o, unitName, rb, g)
-	case opSafeLoadI32:
+	case opSafeLoadI32, opSafeSpecI32:
 		return compileSafeLoad(o, lat, false, g)
-	case opSafeLoadF64:
-		return compileSafeLoad(o, lat, true, g)
-	case opSafeSpecI32:
-		return compileSafeLoad(o, lat, false, g)
-	case opSafeSpecF64:
+	case opSafeLoadF64, opSafeSpecF64:
 		return compileSafeLoad(o, lat, true, g)
 	case opSafeStoreI32:
 		return compileSafeStore(o, false, g)
 	case opSafeStoreF64:
 		return compileSafeStore(o, true, g)
-	case opSafeDiv:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a / b })
-	case opSafeRem:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a % b })
 	}
 	name := mach.OpName(o.Kind)
 	return func(m *Machine, c *Context) error {
@@ -1212,11 +1044,11 @@ func buildNativePlan(img *isa.Image, cert SafetyCertificate) *nativePlan {
 		for si := range in.Slots {
 			s := &in.Slots[si]
 			b := s.Beat & 1
-			kind := s.Op.Kind
+			kind, _ := planKind(s.Op.Kind)
 			if k, ok := safeKind(&s.Op); ok && cert.SafeSite(a, s.Unit, s.Beat) {
 				kind = k
 			}
-			lat := latency(cfg, &s.Op)
+			lat := cfg.Latency(s.Op.Kind, s.Op.Type)
 			if lat > maxLat {
 				maxLat = lat
 			}
@@ -1313,21 +1145,13 @@ func (m *Machine) UseNativeCertificate(c SafetyCertificate) error {
 	}
 	for _, ctx := range m.ctxs {
 		if ctx.img == img {
-			ctx.fast = true
-			ctx.native = true
+			ctx.arm(TierNative)
 			ctx.nplan = m.nativePlan
 			ctx.nRingArm(m.nativePlan.ringSize)
 		}
 	}
 	return nil
 }
-
-// Native reports whether the current context runs the closure-threaded
-// native tier.
-func (m *Machine) Native() bool { return m.cur.native }
-
-// Tier reports the current context's execution tier.
-func (m *Machine) Tier() Tier { return m.cur.Tier() }
 
 // stepNative executes one wide instruction (two beats) of context c from
 // its translated plan. It is step with the per-slot dispatch replaced by

@@ -25,9 +25,6 @@ func runNativeOn(t *testing.T, img *isa.Image, cert *safecheck.SafeCertificate) 
 	if err := m.UseNativeCertificate(cert); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Native() || !m.Fast() {
-		t.Fatal("safety certificate accepted but machine not in native+fast mode")
-	}
 	if m.Tier() != TierNative {
 		t.Fatalf("Tier() = %v, want native", m.Tier())
 	}
@@ -169,9 +166,6 @@ func TestNativeCertificateRejectsForeignImage(t *testing.T) {
 	m := New(img2)
 	if err := m.UseNativeCertificate(cert); err == nil {
 		t.Fatal("native-tier certificate for a different image was accepted")
-	}
-	if m.Native() || m.Fast() {
-		t.Fatal("rejected native-tier certificate left the machine armed")
 	}
 	if m.Tier() != TierChecked {
 		t.Fatalf("Tier() = %v after rejected certificate, want checked", m.Tier())

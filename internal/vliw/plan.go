@@ -17,7 +17,8 @@ import (
 //   - slots are split into per-beat lists, so the beat loop walks exactly
 //     the operations that initiate, with no per-slot beat filtering;
 //   - write latencies, which depend only on (opcode, type, Config), are
-//     precomputed per slot;
+//     precomputed per slot, and so is each pure opcode's value function
+//     (mach.ValueOf): the beat loop calls it, it does not re-derive it;
 //   - the unit name used for fault attribution is rendered once per slot
 //     instead of fmt.Sprintf-ing on every execution;
 //   - memory references are collected into a prescan list, so words with
@@ -33,13 +34,16 @@ import (
 // Reset targets a different image.
 
 // planOp is one pre-decoded slot operation. kind is the dispatch opcode the
-// beat loop switches on: normally a copy of op.Kind, but the safe-tier plan
-// (buildSafePlan) rewrites it to a guard-free synthetic opcode at sites a
-// SafetyCertificate proves can never fault.
+// beat loop switches on: op.Kind for the structural operations (memory,
+// moves, constants, select) and for a guarded Div/Rem, the synthetic opPure
+// or opPureFlop for everything the shared value table computes, and — in
+// the safe-tier plan (buildSafePlan) — a guard-free synthetic opcode at
+// sites a SafetyCertificate proves can never fault.
 type planOp struct {
 	op       *mach.Op
 	kind     ir.OpKind
-	lat      int // precomputed write latency in beats
+	fn       func(a, b uint64) uint64 // the op's value semantics; nil unless mach.ValueOf(op.Kind) has them
+	lat      int                      // precomputed write latency in beats
 	unitKind mach.UnitKind
 	unitName string // precomputed fault attribution
 }
@@ -88,10 +92,12 @@ func buildPlan(img *isa.Image) []planWord {
 		for si := range in.Slots {
 			s := &in.Slots[si]
 			b := s.Beat & 1
+			kind, fn := planKind(s.Op.Kind)
 			pw.beats[b] = append(pw.beats[b], planOp{
 				op:       &s.Op,
-				kind:     s.Op.Kind,
-				lat:      latency(cfg, &s.Op),
+				kind:     kind,
+				fn:       fn,
+				lat:      cfg.Latency(s.Op.Kind, s.Op.Type),
 				unitKind: s.Unit.Kind,
 				unitName: nameOf(s.Unit),
 			})
@@ -158,28 +164,47 @@ func staticBeatViolation(in *mach.Instr, cfg mach.Config, beat uint8) *resViol {
 	return nil
 }
 
-// Synthetic safe-tier opcodes. They exist only inside execution plans
-// (planOp.kind) — never in a mach.Op — and name the guard-free variant of a
-// guarded operation, specialized by access type so the beat loop pays no
-// per-op size/type branch either. The block sits above every ir and mach
-// opcode (those stay below 128; see the init check below).
+// Synthetic plan opcodes. They exist only inside execution plans
+// (planOp.kind) — never in a mach.Op. opPure and opPureFlop dispatch every
+// opcode of the shared value table through planOp.fn, so the beat loop has
+// one case for all of them and a new pure opcode needs no edit here. The
+// opSafe* block names the guard-free variant of a guarded memory operation,
+// specialized by access type so the beat loop pays no per-op size/type
+// branch either; a proven Div/Rem is simply opPure. The block sits above
+// every ir and mach opcode (those stay below 128; see the init check below).
 const (
-	opSafeLoadI32 ir.OpKind = 128 + iota
+	opPure     ir.OpKind = 128 + iota // dst = fn(A, B)
+	opPureFlop                        // the same, counted in Stats.FloatOps
+	opSafeLoadI32
 	opSafeLoadF64
 	opSafeSpecI32 // proven speculative load: the §7 funny-number path is dead
 	opSafeSpecF64
 	opSafeStoreI32
 	opSafeStoreF64
-	opSafeDiv
-	opSafeRem
 )
 
 func init() {
 	// mach appends its opcodes after the IR range at 64; both must stay
-	// below the plan-private safe block.
-	if mach.OpHalt >= opSafeLoadI32 {
-		panic("vliw: machine opcode range collides with safe-tier opcodes")
+	// below the plan-private block.
+	if mach.OpHalt >= opPure {
+		panic("vliw: machine opcode range collides with plan opcodes")
 	}
+}
+
+// planKind resolves an opcode's dispatch kind and value function once, at
+// plan build. Div and Rem keep their own kind: they run the table's function
+// behind the zero-divisor guard until a certificate discharges it.
+func planKind(k ir.OpKind) (ir.OpKind, func(a, b uint64) uint64) {
+	v := mach.ValueOf(k)
+	switch {
+	case v == nil:
+		return k, nil
+	case k == ir.Div || k == ir.Rem:
+		return k, v.Fn
+	case v.Flop:
+		return opPureFlop, v.Fn
+	}
+	return opPure, v.Fn
 }
 
 // safeKind returns the guard-free synthetic opcode for a guarded operation,
@@ -208,10 +233,8 @@ func safeKind(o *mach.Op) (ir.OpKind, bool) {
 		case ir.F64:
 			return opSafeStoreF64, true
 		}
-	case ir.Div:
-		return opSafeDiv, true
-	case ir.Rem:
-		return opSafeRem, true
+	case ir.Div, ir.Rem:
+		return opPure, true
 	}
 	return 0, false
 }

@@ -68,8 +68,8 @@ func runSafeOn(t *testing.T, img *isa.Image, cert *safecheck.SafeCertificate) er
 	if err := m.UseSafeCertificate(cert); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Safe() || !m.Fast() {
-		t.Fatal("safety certificate accepted but machine not in safe+fast mode")
+	if m.Tier() != TierSafe {
+		t.Fatal("safety certificate accepted but machine not on the safe tier")
 	}
 	_, _, err := m.Run()
 	return err
@@ -179,7 +179,7 @@ func TestSafeCertificateRejectsForeignImage(t *testing.T) {
 	if err := m.UseSafeCertificate(cert); err == nil {
 		t.Fatal("safety certificate for a different image was accepted")
 	}
-	if m.Safe() || m.Fast() {
+	if m.Tier() != TierChecked {
 		t.Fatal("rejected safety certificate left the machine armed")
 	}
 }

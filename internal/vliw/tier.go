@@ -18,8 +18,7 @@ import (
 //	TierNative   + closure-threaded translation, no per-op dispatch
 //
 // The zero value is TierChecked, so an unset options field means "fully
-// checked", matching the pre-Tier boolean API where Fast=false/Safe=false
-// did the same.
+// checked".
 type Tier int
 
 const (
@@ -84,44 +83,4 @@ func (t *Tier) UnmarshalJSON(b []byte) error {
 	}
 	*t = v
 	return nil
-}
-
-// ErrTierConflict reports an options struct whose explicit Tier contradicts
-// its deprecated Fast/Safe compatibility booleans: the booleans imply a
-// stronger tier than the one named. (The booleans naming a weaker tier is
-// fine — Safe always implied Fast, so migrated callers may leave a stale
-// Fast=true behind a Tier=TierSafe.)
-type ErrTierConflict struct {
-	Tier Tier
-	Fast bool
-	Safe bool
-}
-
-func (e *ErrTierConflict) Error() string {
-	return fmt.Sprintf("conflicting execution tier selection: tier=%s with deprecated fast=%t safe=%t", e.Tier, e.Fast, e.Safe)
-}
-
-// ResolveTier combines an explicit Tier with the deprecated Fast/Safe
-// booleans it replaced. An unset Tier (TierChecked, the zero value) defers
-// to the booleans — Safe wins over Fast, as before. A set Tier wins over
-// booleans that imply the same or a weaker tier, and conflicts (booleans
-// implying a stronger tier than the one named) are rejected with
-// *ErrTierConflict rather than silently picking one.
-func ResolveTier(t Tier, fast, safe bool) (Tier, error) {
-	if t < TierChecked || t > TierNative {
-		return 0, fmt.Errorf("unknown execution tier %d", int(t))
-	}
-	boolTier := TierChecked
-	if safe {
-		boolTier = TierSafe
-	} else if fast {
-		boolTier = TierFast
-	}
-	if t == TierChecked {
-		return boolTier, nil
-	}
-	if boolTier > t {
-		return 0, &ErrTierConflict{Tier: t, Fast: fast, Safe: safe}
-	}
-	return t, nil
 }

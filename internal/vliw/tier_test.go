@@ -2,7 +2,6 @@ package vliw
 
 import (
 	"encoding/json"
-	"errors"
 	"testing"
 )
 
@@ -46,43 +45,5 @@ func TestTierJSONRoundTrip(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`"warp"`), &tr); err == nil {
 		t.Fatal("Unmarshal accepted an unknown tier name")
-	}
-}
-
-func TestResolveTier(t *testing.T) {
-	for _, tc := range []struct {
-		tier       Tier
-		fast, safe bool
-		want       Tier
-		conflict   bool
-	}{
-		// Unset tier defers to the deprecated booleans.
-		{TierChecked, false, false, TierChecked, false},
-		{TierChecked, true, false, TierFast, false},
-		{TierChecked, false, true, TierSafe, false},
-		{TierChecked, true, true, TierSafe, false},
-		// Explicit tier wins over equal-or-weaker booleans.
-		{TierFast, true, false, TierFast, false},
-		{TierSafe, true, true, TierSafe, false},
-		{TierNative, false, false, TierNative, false},
-		{TierNative, true, true, TierNative, false},
-		// Booleans implying a stronger tier than named: conflict.
-		{TierFast, false, true, 0, true},
-		{TierFast, true, true, 0, true},
-	} {
-		got, err := ResolveTier(tc.tier, tc.fast, tc.safe)
-		if tc.conflict {
-			var ec *ErrTierConflict
-			if err == nil || !errors.As(err, &ec) {
-				t.Errorf("ResolveTier(%v, %t, %t) err = %v, want *ErrTierConflict", tc.tier, tc.fast, tc.safe, err)
-			}
-			continue
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("ResolveTier(%v, %t, %t) = %v, %v, want %v", tc.tier, tc.fast, tc.safe, got, err, tc.want)
-		}
-	}
-	if _, err := ResolveTier(Tier(17), false, false); err == nil {
-		t.Error("ResolveTier accepted an out-of-range tier")
 	}
 }

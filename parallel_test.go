@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"testing"
 
@@ -39,21 +40,21 @@ func TestParallelCompileDeterminism(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			seq, err := Compile(w.Src, Options{Parallelism: 1})
+			seq, err := Build(context.Background(), w.Src, Options{Parallelism: 1})
 			if err != nil {
 				t.Fatalf("sequential compile: %v", err)
 			}
-			par, err := Compile(w.Src, Options{Parallelism: 8})
+			par, err := Build(context.Background(), w.Src, Options{Parallelism: 8})
 			if err != nil {
 				t.Fatalf("parallel compile: %v", err)
 			}
-			sb, pb := imageBytes(t, seq.Image), imageBytes(t, par.Image)
+			sb, pb := imageBytes(t, seq.Image()), imageBytes(t, par.Image())
 			if !bytes.Equal(sb, pb) {
 				t.Fatalf("images differ between Parallelism=1 (%d bytes) and Parallelism=8 (%d bytes)", len(sb), len(pb))
 			}
-			if seq.Image.Entry != par.Image.Entry || len(seq.Image.Instrs) != len(par.Image.Instrs) {
+			if seq.Image().Entry != par.Image().Entry || len(seq.Image().Instrs) != len(par.Image().Instrs) {
 				t.Fatalf("image layout differs: entry %d vs %d, %d vs %d instrs",
-					seq.Image.Entry, par.Image.Entry, len(seq.Image.Instrs), len(par.Image.Instrs))
+					seq.Image().Entry, par.Image().Entry, len(seq.Image().Instrs), len(par.Image().Instrs))
 			}
 		})
 	}
@@ -64,15 +65,15 @@ func TestParallelCompileDeterminism(t *testing.T) {
 // and diff simulator output against the reference interpreter.
 func TestParallelCompileRuns(t *testing.T) {
 	w := xp.MixedApp()
-	res, err := Compile(w.Src, Options{Parallelism: 8, Verify: true})
+	res, err := Build(context.Background(), w.Src, Options{Parallelism: 8, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantV, wantOut, err := Interpret(res)
+	wantV, wantOut, err := Interpret(res.Result())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotV, gotOut, _, err := Run(res)
+	gotV, gotOut, _, err := runChecked(res)
 	if err != nil {
 		t.Fatal(err)
 	}

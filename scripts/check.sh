@@ -13,6 +13,20 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch)"
+# Tier is the only spelling of how a run executes, and mach.Config.Latency the
+# only timing model outside the verifier's own copy (internal/schedcheck).
+# bench/ is the frozen harness and is not ours to gate.
+gosrc() { grep -rE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build "$@" .; }
+if gosrc -n 'Deprecated:|\b(ResolveTier|ErrTierConflict)\b'; then
+	echo "check: a deprecated shim or the boolean tier arbiter is back"
+	exit 1
+fi
+if gosrc -l --exclude='*_test.go' 'LatFMul' | grep -v -e '^\./internal/mach/' -e '^\./internal/schedcheck/'; then
+	echo "check: a second definition of the latency switch (use mach.Config.Latency)"
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
@@ -24,8 +38,10 @@ echo "== go test -race"
 # The per-package budget is 4x that.
 go test -race -timeout 8m ./...
 
-echo "== bench smoke (the benchmark's own module: unit tests + a short run of all four workloads)"
-(cd bench && go test .)
+echo "== bench smoke (the benchmark's own module: vet, unit tests + a short run of all four workloads)"
+# bench/ is frozen between benchmark PRs and names our API (tiers, Use*
+# certificates, serve wire types): a change that breaks it must fail here.
+(cd bench && go vet . && go test .)
 
 echo "== go test -race, focused: simulator tiers/contexts/snapshots + serving layer"
 # The suite above already runs these packages once under -race, but cached

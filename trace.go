@@ -43,17 +43,19 @@
 //
 // # Migrating from the pre-Artifact API
 //
-// The original function sprawl survives as thin deprecated wrappers, so
-// existing callers build unchanged:
+// The Result-based functions and the fast/safe booleans are gone. How a run
+// executes is spelled one way, RunOptions.Tier, and everything hangs off the
+// Artifact:
 //
-//	trace.Compile(src, o)      ->  trace.Build(ctx, src, o)
-//	trace.Run(res)             ->  artifact.Run(ctx, trace.RunOptions{})
-//	trace.RunFast(res)         ->  artifact.Run(ctx, trace.RunOptions{Tier: trace.TierFast})
-//	trace.Certify(res)         ->  artifact.Certificate()
-//	trace.NewMachine(res)      ->  artifact.Machine()
-//
-// The wrappers compile with context.Background() — they cannot be
-// canceled. New code should use Build.
+//	trace.Compile(src, o)        ->  trace.Build(ctx, src, o)
+//	trace.Run(res)               ->  artifact.Run(ctx, trace.RunOptions{})
+//	the per-tier run functions   ->  artifact.Run(ctx, trace.RunOptions{Tier: trace.TierNative})
+//	a Fast or Safe option field  ->  Tier: trace.TierFast, Tier: trace.TierSafe
+//	a Fast or Safe result field  ->  result.Tier
+//	trace.Certify(res)           ->  artifact.Certificate()
+//	trace.CertifySafe(res)       ->  artifact.CertifySafe()
+//	trace.NewMachine(res)        ->  artifact.Machine(), then artifact.Arm(m, tier)
+//	a *Result, for Interpret     ->  artifact.Result()
 package trace
 
 import (
@@ -169,11 +171,6 @@ const (
 // Tier; the empty string parses as TierChecked.
 func ParseTier(s string) (Tier, error) { return vliw.ParseTier(s) }
 
-// ErrTierConflict reports options whose explicit Tier contradicts the
-// deprecated Fast/Safe booleans (the booleans imply a stronger tier than
-// the one named).
-type ErrTierConflict = vliw.ErrTierConflict
-
 // Machine is a TRACE processor instance executing a compiled image.
 type Machine = vliw.Machine
 
@@ -185,8 +182,8 @@ type Context = vliw.Context
 // RunMany execution.
 type SchedStats = vliw.SchedStats
 
-// RunManyOptions configures a RunMany batch (fast path, per-context beat
-// budget, scheduler quantum, and switch cost).
+// RunManyOptions configures a RunMany batch (execution tier, per-context
+// beat budget, scheduler quantum, and switch cost).
 type RunManyOptions = core.RunManyOptions
 
 // ManyResult is one context's completed execution within a RunMany batch.
@@ -270,8 +267,8 @@ func (o Options) toCore() core.Options {
 // internal/serve, cmd/tracesrv).
 type Artifact = core.Artifact
 
-// RunOptions configures one Artifact.Run: checked vs certified-fast mode
-// and the beat budget.
+// RunOptions configures one Artifact.Run: the execution tier, the beat
+// budget, and checkpointing.
 type RunOptions = core.RunOptions
 
 // ExitResult is one completed execution: exit value, captured output, and
@@ -292,24 +289,6 @@ func BuildFile(ctx context.Context, name, src string, o Options) (*Artifact, err
 	return core.BuildFile(ctx, name, src, o.toCore())
 }
 
-// Compile compiles MF source text for the configured machine.
-//
-// Deprecated: use Build, which takes a context.Context and returns an
-// *Artifact bundling execution, certification, and lint. Compile cannot be
-// canceled.
-func Compile(src string, o Options) (*Result, error) {
-	return core.Compile(context.Background(), src, o.toCore())
-}
-
-// Run executes a compiled program on a fresh machine, returning the exit
-// value, printed output, and performance counters.
-//
-// Deprecated: use Artifact.Run (checked mode is the zero RunOptions), which
-// takes a context.Context and supports pooled machines via Artifact.RunOn.
-func Run(res *Result) (int32, string, *Stats, error) {
-	return core.Run(res)
-}
-
 // RunMany time-shares the artifacts' programs on one simulated CPU, one
 // hardware context each. Per-context results are solo-equivalent —
 // identical, counters included, to each program running alone — and the
@@ -322,83 +301,20 @@ func RunMany(ctx context.Context, arts []*Artifact, o RunManyOptions) ([]ManyRes
 
 // Certificate is proof that a compiled image passed whole-image static
 // verification of the no-interlock schedule contract with no errors; it
-// authorizes the simulator's fast path (RunOptions.Fast,
-// Machine.UseCertificate).
+// authorizes the simulator's fast tier (RunOptions.Tier, Artifact.Arm).
 type Certificate = schedcheck.Certificate
-
-// Certify statically verifies the compiled image and mints a Certificate.
-//
-// Deprecated: use Artifact.Certificate, which mints once and caches the
-// certificate on the artifact for every subsequent fast run.
-func Certify(res *Result) (*Certificate, error) {
-	return core.Certify(res)
-}
 
 // SafeCertificate is the graded certificate one level above Certificate:
 // proof of the resource contract plus a per-site bitmask of loads, stores,
 // and divides whose bounds/alignment/zero-divisor guards can never fire. It
-// authorizes the simulator's safe tier (RunOptions.Safe,
-// Machine.UseSafeCertificate) — and it is the proof a plugin-compiled
-// (JIT'd) image would have to present before emitting guard-free native
-// code.
+// authorizes the simulator's safe and native tiers (RunOptions.Tier,
+// Artifact.Arm).
 type SafeCertificate = safecheck.SafeCertificate
 
 // SafetyReport is the value-range safety analysis' per-site verdict list
 // (Artifact.Safety): every guarded operation, proven or unprovable, with
 // func:line attribution and the offending interval when unproven.
 type SafetyReport = safecheck.Report
-
-// CertifySafe statically verifies the compiled image at both grades and
-// mints the graded SafeCertificate.
-//
-// Deprecated: use Artifact.CertifySafe, which mints once and caches the
-// certificate on the artifact for every subsequent safe run.
-func CertifySafe(res *Result) (*SafeCertificate, error) {
-	return core.CertifySafe(res)
-}
-
-// RunSafe executes a compiled program on the safe tier: the fast path's
-// skipped resource/race checks plus guard-free execution of every memory
-// and divide site the value-range analysis proves can never fault. Exit
-// value, output, and statistics are identical to Run and RunFast.
-//
-// Deprecated: use Artifact.Run with RunOptions{Safe: true}, which reuses
-// the artifact's cached SafeCertificate instead of re-analyzing per call.
-func RunSafe(res *Result) (int32, string, *Stats, error) {
-	return core.RunSafe(res)
-}
-
-// RunFast executes a compiled program on the certified fast path: the image
-// is statically verified once (Certify), then the machine skips its
-// per-beat dynamic resource and write-race checks. Exit value, output, and
-// statistics are identical to Run — only the checking mode differs.
-//
-// Deprecated: use Artifact.Run with RunOptions{Tier: TierFast}, which
-// reuses the artifact's cached Certificate instead of re-verifying per
-// call.
-func RunFast(res *Result) (int32, string, *Stats, error) {
-	return core.RunFast(res)
-}
-
-// RunNative executes a compiled program on the native tier: the safe
-// tier's graded certificate, with the per-slot interpreter replaced by a
-// closure-threaded translation of the certified image. Exit value, output,
-// and statistics are identical to Run, RunFast, and RunSafe.
-//
-// Deprecated: use Artifact.Run with RunOptions{Tier: TierNative}, which
-// reuses the artifact's cached SafeCertificate and the machine's cached
-// translation instead of re-deriving both per call.
-func RunNative(res *Result) (int32, string, *Stats, error) {
-	return core.RunNative(res)
-}
-
-// NewMachine returns a machine for the compiled image, for callers who want
-// to instrument execution (watchpoints, instruction traces, beat limits).
-//
-// Deprecated: use Artifact.Machine.
-func NewMachine(res *Result) *Machine {
-	return vliw.New(res.Image)
-}
 
 // Interpret runs the reference IR interpreter on the unoptimized program —
 // the semantic ground truth the simulator is differentially tested against.

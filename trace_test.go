@@ -16,17 +16,23 @@ func main() int {
 	return int(s)
 }`
 
+// runChecked executes the artifact with every dynamic check live.
+func runChecked(art *Artifact) (int32, string, Stats, error) {
+	res, err := art.Run(context.Background(), RunOptions{})
+	return res.Exit, res.Output, res.Stats, err
+}
+
 func TestPublicAPIRoundTrip(t *testing.T) {
 	for _, cfg := range []Config{Trace7(), Trace14(), Trace28(), Ideal(2)} {
-		res, err := Compile(demo, Options{Config: cfg, ProfileRun: true})
+		res, err := Build(context.Background(), demo, Options{Config: cfg, ProfileRun: true})
 		if err != nil {
 			t.Fatalf("[%s] compile: %v", cfg.Name, err)
 		}
-		wantV, wantOut, err := Interpret(res)
+		wantV, wantOut, err := Interpret(res.Result())
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, out, st, err := Run(res)
+		v, out, st, err := runChecked(res)
 		if err != nil {
 			t.Fatalf("[%s] run: %v", cfg.Name, err)
 		}
@@ -40,11 +46,11 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestOptionKnobs(t *testing.T) {
-	base, err := Compile(demo, Options{})
+	base, err := Build(context.Background(), demo, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, stBase, err := Run(base)
+	_, _, stBase, err := runChecked(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,15 +61,15 @@ func TestOptionKnobs(t *testing.T) {
 		{OptLevel: OptNone},
 		{OptLevel: OptLight},
 	} {
-		res, err := Compile(demo, o)
+		res, err := Build(context.Background(), demo, o)
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)
 		}
-		v, out, _, err := Run(res)
+		v, out, _, err := runChecked(res)
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)
 		}
-		wv, wo, _ := Interpret(res)
+		wv, wo, _ := Interpret(res.Result())
 		if v != wv || out != wo {
 			t.Fatalf("%+v changed semantics", o)
 		}
@@ -83,8 +89,8 @@ func TestBaselinesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := Compile(demo, Options{ProfileRun: true})
-	_, _, st, err := Run(res)
+	res, _ := Build(context.Background(), demo, Options{ProfileRun: true})
+	_, _, st, err := runChecked(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,18 +109,18 @@ func TestVAXBytes(t *testing.T) {
 }
 
 func TestCompileError(t *testing.T) {
-	_, err := Compile(`func main() int { return x }`, Options{})
+	_, err := Build(context.Background(), `func main() int { return x }`, Options{})
 	if err == nil || !strings.Contains(err.Error(), "undefined") {
 		t.Errorf("bad program: %v", err)
 	}
 }
 
-func TestNewMachineInstrumentation(t *testing.T) {
-	res, err := Compile(demo, Options{})
+func TestMachineInstrumentation(t *testing.T) {
+	res, err := Build(context.Background(), demo, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine(res)
+	m := res.Machine()
 	fired := 0
 	m.TraceFn = func(pc int, beat int64) { fired++ }
 	if _, _, err := m.Run(); err != nil {
@@ -136,20 +142,20 @@ func main() int {
 	}
 	return int(b[199])
 }`
-	full, err := Compile(src, Options{ProfileRun: true})
+	full, err := Build(context.Background(), src, Options{ProfileRun: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := Compile(src, Options{ProfileRun: true, BasicBlockOnly: true})
+	bb, err := Build(context.Background(), src, Options{ProfileRun: true, BasicBlockOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantV, wantOut, err := Interpret(full)
+	wantV, wantOut, err := Interpret(full.Result())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, res := range map[string]*Result{"full": full, "bb-only": bb} {
-		v, out, _, err := Run(res)
+	for name, res := range map[string]*Artifact{"full": full, "bb-only": bb} {
+		v, out, _, err := runChecked(res)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -157,11 +163,11 @@ func main() int {
 			t.Fatalf("%s: wrong answer: %d vs %d", name, v, wantV)
 		}
 	}
-	_, _, fullSt, err := Run(full)
+	_, _, fullSt, err := runChecked(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, bbSt, err := Run(bb)
+	_, _, bbSt, err := runChecked(bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +178,7 @@ func main() int {
 }
 
 func TestPublicContextSwitch(t *testing.T) {
-	res, err := Compile(`
+	res, err := Build(context.Background(), `
 func main() int {
 	var s int = 0
 	for (var i int = 0; i < 500; i = i + 1) { s = s + i }
@@ -181,11 +187,11 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Interpret(res)
+	want, _, err := Interpret(res.Result())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine(res)
+	m := res.Machine()
 	m.InterruptEvery = 300
 	m.OnInterrupt = func(mm *Machine) { mm.ContextSwitch(1); mm.ContextSwitch(0) }
 	v, _, err := m.Run()
