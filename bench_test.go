@@ -591,8 +591,8 @@ func BenchmarkSimulatorSafe(b *testing.B) {
 // same graded certificate as the safe tier, but each beat is translated once
 // into a fused closure sequence — no per-op dispatch switch, no operand
 // re-decode, and no guards at proven sites. The translation is built outside
-// the timed region and cached across Reset; the floor enforced by
-// scripts/bench.sh is native >= safe.
+// the timed region and cached across Reset; scripts/bench.sh holds it to its
+// own committed baseline.
 func BenchmarkSimulatorNative(b *testing.B) {
 	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
 	cert, err := art.CertifySafe()

@@ -18,7 +18,7 @@ import (
 //     beat, at which a previously issued pipeline write may still retire.
 //     Unioned at joins: a hazard on any incoming path is a hazard.
 //
-// Retirement semantics mirror the hardware (§6.2, vliw.applyWrites): a
+// Retirement semantics mirror the hardware (§6.2, vliw.Machine.land): a
 // write issued at beat b with latency L retires at the *start* of beat
 // b+L, so a read at beat b+L observes the new value and a read at any
 // earlier beat observes the old one. A pending bit at offset p is

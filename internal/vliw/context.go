@@ -2,6 +2,7 @@ package vliw
 
 import (
 	"bytes"
+	"sort"
 
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
@@ -17,7 +18,7 @@ import (
 //
 //   - the partitioned register banks (I, F, store-file, branch-bank), the
 //     PC, and the in-flight register-write pipeline (§6.2 carries
-//     destinations forward in hardware; the pending queue is that pipeline);
+//     destinations forward in hardware; the retire ring is that pipeline);
 //   - its own address space: a private RAM image, data/instruction TLBs,
 //     and instruction-cache tags. The real machine shares one tagged cache
 //     and one RAM; the simulator gives each context a private view, which
@@ -33,12 +34,11 @@ import (
 // Context values are created and pooled by their Machine (Reset and
 // ResetMany); they are not constructed directly.
 type Context struct {
-	id    int
-	img   *isa.Image
-	plan  []planWord
-	tier  Tier // raised by the Use*Certificate calls; Reset returns it to checked
-	nplan *nativePlan
-	asid  uint8
+	id   int
+	img  *isa.Image
+	plan *plan
+	tier Tier // raised by the Use*Certificate calls; Reset returns it to checked
+	asid uint8
 
 	// Architectural register state, partitioned per board pair (§6).
 	iregs [4][64]uint32
@@ -46,23 +46,22 @@ type Context struct {
 	sf    [4][16]uint64
 	bb    [4][8]bool
 
-	pc      int
-	beat    int64 // virtual clock: beats this context has executed
-	pending []pendingWrite
-	retired []pendingWrite // scratch: writes retired this beat (race check)
+	pc   int
+	beat int64 // virtual clock: beats this context has executed
 
-	// Native-tier retire ring (native.go): in-flight register writes
-	// bucketed by retire beat. c.pending stays the canonical serialized
-	// form — the ring is flushed back into it for Snapshot and ingested
-	// from it after Restore.
-	nring    [][]ringWrite
-	nrmask   int64  // len(nring)-1, cached for the push/drain hot paths
-	ndrained int64  // last beat whose ring bucket has been drained
-	nseq     uint32 // issue-order sequence number for ring writes
-	nscratch []ringWrite
-	out      bytes.Buffer
-	halted   bool
-	exit     int32
+	// The write pipeline: in-flight register writes bucketed by retire beat
+	// (beat & rmask), so a beat drains only the bucket that is due. The
+	// plan sizes the ring above the image's longest latency, which keeps a
+	// fresh write out of any bucket that has not drained yet.
+	ring    [][]ringWrite
+	rmask   int64       // len(ring)-1
+	drained int64       // last beat whose bucket has been drained
+	seq     uint32      // issue-order sequence number of the next write
+	scratch []ringWrite // a multi-bucket drain, merged into issue order
+
+	out    bytes.Buffer
+	halted bool
+	exit   int32
 
 	// Private memory-system view: address space, TLBs, icache tags, and
 	// bank-busy windows on the context's own timeline.
@@ -93,12 +92,11 @@ type Context struct {
 
 // reset re-targets the context at an image, reusing every buffer the
 // previous program allocated, and restores the pristine boot state.
-func (c *Context) reset(id int, img *isa.Image, plan []planWord, cfg mach.Config) {
+func (c *Context) reset(id int, img *isa.Image, plan *plan, cfg mach.Config) {
 	c.id = id
 	c.img = img
 	c.plan = plan
 	c.tier = TierChecked
-	c.nplan = nil
 	c.asid = 0
 
 	if need := img.RequiredMem(); int64(cap(c.mem)) >= need {
@@ -114,14 +112,11 @@ func (c *Context) reset(id int, img *isa.Image, plan []planWord, cfg mach.Config
 	c.bb = [4][8]bool{}
 	c.pc = 0
 	c.beat = 0
-	c.pending = c.pending[:0]
-	c.retired = c.retired[:0]
-	for i := range c.nring {
-		c.nring[i] = c.nring[i][:0]
+	if int64(cap(c.ring)) < plan.ringSize {
+		c.ring = make([][]ringWrite, plan.ringSize)
 	}
-	c.ndrained = 0
-	c.nseq = 0
-	c.nscratch = c.nscratch[:0]
+	c.ring = c.ring[:plan.ringSize]
+	c.emptyRing()
 	c.out.Reset()
 	c.halted = false
 	c.exit = 0
@@ -180,6 +175,22 @@ func (c *Context) writeReg(r mach.PReg, v uint64) {
 	}
 }
 
+// holds reports whether r names a register this context has (writeReg and
+// readReg index the files unchecked).
+func (c *Context) holds(r mach.PReg) bool {
+	switch r.Bank {
+	case mach.BankI:
+		return int(r.Board) < len(c.iregs) && int(r.Idx) < len(c.iregs[0])
+	case mach.BankF:
+		return int(r.Board) < len(c.fregs) && int(r.Idx) < len(c.fregs[0])
+	case mach.BankSF:
+		return int(r.Board) < len(c.sf) && int(r.Idx) < len(c.sf[0])
+	case mach.BankB:
+		return int(r.Board) < len(c.bb) && int(r.Idx) < len(c.bb[0])
+	}
+	return false
+}
+
 func (c *Context) readReg(r mach.PReg) uint64 {
 	switch r.Bank {
 	case mach.BankI:
@@ -210,13 +221,64 @@ func (c *Context) readArg(a mach.Arg) uint64 {
 
 func (c *Context) readI(a mach.Arg) int32 { return int32(uint32(c.readArg(a))) }
 
-// enqueue schedules a register write into the context's hardware write
-// pipeline, retiring lat beats after issue.
-func (c *Context) enqueue(dst mach.PReg, val uint64, lat int) {
-	if !dst.Valid() {
-		return
+// ringWrite is one in-flight register write. The retire beat is implicit in
+// the bucket the entry sits in; seq is the issue sequence number, which
+// orders a drain of several buckets — and a snapshot — by issue.
+type ringWrite struct {
+	val uint64
+	pc  int32 // instruction word that issued the write, for fault attribution
+	seq uint32
+	dst mach.PReg
+}
+
+// push schedules a register write into the context's hardware write
+// pipeline, retiring at beat rb ("the destination register is specified when
+// the operation is initiated, and a hardware control pipeline carries the
+// destination forward", §6.2).
+func (c *Context) push(rb int64, dst mach.PReg, val uint64) {
+	i := rb & c.rmask
+	c.ring[i] = append(c.ring[i], ringWrite{val: val, pc: int32(c.pc), seq: c.seq, dst: dst})
+	c.seq++
+}
+
+// enqueue is push for an interpreted op: lat beats after issue, and nothing
+// for an op with no destination.
+func (c *Context) enqueue(dst mach.PReg, val uint64, lat int64) {
+	if dst.Valid() {
+		c.push(c.beat+lat, dst, val)
 	}
-	c.pending = append(c.pending, pendingWrite{beat: c.beat + int64(lat), dst: dst, val: val, pc: c.pc})
+}
+
+// emptyRing discards every in-flight write and restarts the pipeline at the
+// current beat: nothing is due before it.
+func (c *Context) emptyRing() {
+	pooled := c.ring[:cap(c.ring)] // a smaller image's ring leaves buckets beyond len
+	for i := range pooled {
+		pooled[i] = pooled[i][:0]
+	}
+	c.rmask = int64(len(c.ring)) - 1
+	c.drained = c.beat - 1
+	c.seq = 0
+}
+
+// inFlightWrite is a pipeline write with its absolute retire beat.
+type inFlightWrite struct {
+	ringWrite
+	due int64
+}
+
+// inFlight lists the pipeline's writes in issue order without disturbing
+// the ring (the form Snapshot serializes).
+func (c *Context) inFlight() []inFlightWrite {
+	var ws []inFlightWrite
+	for off := int64(0); off <= c.rmask; off++ {
+		due := c.drained + 1 + off
+		for _, w := range c.ring[due&c.rmask] {
+			ws = append(ws, inFlightWrite{w, due})
+		}
+	}
+	sort.Slice(ws, func(i, j int) bool { return int32(ws[i].seq-ws[j].seq) < 0 })
+	return ws
 }
 
 // eaOf computes a memory op's effective address (A + B).
@@ -252,15 +314,6 @@ func (c *Context) Output() string { return c.out.String() }
 
 // Tier reports the context's execution tier.
 func (c *Context) Tier() Tier { return c.tier }
-
-// arm raises the context to tier t. Arming is monotone: a weaker
-// certificate applied after a stronger one leaves the stronger tier (and its
-// plan) in force.
-func (c *Context) arm(t Tier) {
-	if c.tier < t {
-		c.tier = t
-	}
-}
 
 // Err returns the context's terminal error: a *Fault or *ErrCycleLimit when
 // the context died, nil while it is runnable or after a clean halt.

@@ -9,31 +9,31 @@ import (
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
-// execBranch handles branch-unit ops. It returns the branch target if the
-// op wants control (−1 otherwise) and the halt value for OpHalt.
-func (m *Machine) execBranch(o *mach.Op) (int, *int32, error) {
+// execBranch handles branch-unit ops: a test that wants control publishes
+// its target through takeBranch, OpHalt its exit value.
+func (m *Machine) execBranch(o *mach.Op) error {
 	c := m.cur
+	target := -1
 	switch o.Kind {
 	case mach.OpBrT:
 		m.Stats.Branches++
 		if c.readArg(o.A) != 0 {
-			return o.Target, nil, nil
+			target = o.Target
 		}
-		return -1, nil, nil
 	case mach.OpJmp:
 		m.Stats.Branches++
-		return o.Target, nil, nil
+		target = o.Target
 	case mach.OpCall:
 		m.Stats.Branches++
 		// link register receives the return address
 		c.enqueue(mach.RegLR, uint64(uint32(c.pc+1)), 1)
-		return o.Target, nil, nil
+		target = o.Target
 	case mach.OpJmpR:
 		m.Stats.Branches++
-		return int(int32(uint32(c.readArg(o.A)))), nil, nil
+		target = int(int32(uint32(c.readArg(o.A))))
 	case mach.OpHalt:
-		v := int32(c.iregs[mach.RegRVI.Board][mach.RegRVI.Idx])
-		return -1, &v, nil
+		m.brHalt = true
+		m.brExit = int32(c.iregs[mach.RegRVI.Board][mach.RegRVI.Idx])
 	case mach.OpSyscall:
 		m.Stats.Syscalls++
 		switch o.Sym {
@@ -42,11 +42,15 @@ func (m *Machine) execBranch(o *mach.Op) (int, *int32, error) {
 		case "print_f":
 			fmt.Fprintf(&c.out, "%g\n", math.Float64frombits(c.fregs[0][mach.ArgFBase]))
 		default:
-			return -1, nil, m.fault(c, TrapSyscall, "unknown syscall %q", o.Sym)
+			return m.fault(c, TrapSyscall, "unknown syscall %q", o.Sym)
 		}
-		return -1, nil, nil
+	default:
+		return m.fault(c, TrapBadOp, "%s on branch unit", mach.OpName(o.Kind))
 	}
-	return -1, nil, m.fault(c, TrapBadOp, "%s on branch unit", mach.OpName(o.Kind))
+	if target >= 0 {
+		m.takeBranch(o.Prio, target)
+	}
+	return nil
 }
 
 // divZeroMsg is the TrapDivZero text for a Div or Rem.
@@ -110,33 +114,33 @@ func (m *Machine) execOp(p *planOp) error {
 		m.Stats.MemRefs++
 		m.Stats.Loads++
 		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
+		c.touchBank(ea)
 		c.enqueue(o.Dst, uint64(binary.LittleEndian.Uint32(c.mem[ea:])), lat)
 	case opSafeLoadF64:
 		m.Stats.MemRefs++
 		m.Stats.Loads++
 		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
+		c.touchBank(ea)
 		c.enqueue(o.Dst, binary.LittleEndian.Uint64(c.mem[ea:]), lat)
 	case opSafeSpecI32:
 		m.Stats.MemRefs++
 		m.Stats.Loads++
 		m.Stats.SpecLoads++
 		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
+		c.touchBank(ea)
 		c.enqueue(o.Dst, uint64(binary.LittleEndian.Uint32(c.mem[ea:])), lat)
 	case opSafeSpecF64:
 		m.Stats.MemRefs++
 		m.Stats.Loads++
 		m.Stats.SpecLoads++
 		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
+		c.touchBank(ea)
 		c.enqueue(o.Dst, binary.LittleEndian.Uint64(c.mem[ea:]), lat)
 	case opSafeStoreI32:
 		m.Stats.MemRefs++
 		m.Stats.Stores++
 		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
+		c.touchBank(ea)
 		v := uint64(uint32(c.readArg(o.C)))
 		binary.LittleEndian.PutUint32(c.mem[ea:], uint32(v))
 		if m.WatchStore != nil {
@@ -146,7 +150,7 @@ func (m *Machine) execOp(p *planOp) error {
 		m.Stats.MemRefs++
 		m.Stats.Stores++
 		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
+		c.touchBank(ea)
 		v := c.readArg(o.C)
 		binary.LittleEndian.PutUint64(c.mem[ea:], v)
 		if m.WatchStore != nil {
@@ -159,7 +163,7 @@ func (m *Machine) execOp(p *planOp) error {
 	return nil
 }
 
-func (m *Machine) execLoad(o *mach.Op, lat int) error {
+func (m *Machine) execLoad(o *mach.Op, lat int64) error {
 	c := m.cur
 	m.Stats.MemRefs++
 	m.Stats.Loads++
@@ -181,7 +185,7 @@ func (m *Machine) execLoad(o *mach.Op, lat int) error {
 		}
 		return m.fault(c, TrapMemBounds, "bus error: load %#x", ea)
 	}
-	m.touchBank(ea)
+	c.touchBank(ea)
 	var v uint64
 	if o.Type == ir.I32 {
 		v = uint64(binary.LittleEndian.Uint32(c.mem[ea:]))
@@ -204,7 +208,7 @@ func (m *Machine) execStore(o *mach.Op) error {
 	if ea%size != 0 {
 		return m.fault(c, TrapUnaligned, "unaligned %d-byte store %#x", size, ea)
 	}
-	m.touchBank(ea)
+	c.touchBank(ea)
 	v := c.readArg(o.C) // data comes from the store file (§6.2)
 	if o.Type == ir.I32 {
 		v = uint64(uint32(v))
@@ -219,12 +223,10 @@ func (m *Machine) execStore(o *mach.Op) error {
 }
 
 // touchBank marks the reference's RAM bank busy for BankBusyBeats on the
-// current context's timeline.
-func (m *Machine) touchBank(ea int64) {
-	c := m.cur
-	ctrl, bank := m.Cfg.BankOf(ea)
-	id := ctrl*8 + bank
-	c.bankBusy[id] = c.beat + mach.StageBank + int64(m.Cfg.BankBusyBeats)
+// context's timeline.
+func (c *Context) touchBank(ea int64) {
+	g := &c.plan.geom
+	c.bankBusy[g.id(ea)] = c.beat + g.busy
 }
 
 // The §6 per-beat resource check (ALU slot uniqueness, register-file port

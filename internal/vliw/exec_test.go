@@ -51,7 +51,7 @@ func TestEveryExecutedOpcodeHasSemantics(t *testing.T) {
 		}
 
 		err = nil
-		if f := compileExec(&op, kind, 1, "test", statsBulk{}, geomOf(img.Cfg)); f != nil {
+		if f := compileExec(&op, kind, 1, "test", statsBulk{}, c.plan.geom); f != nil {
 			err = f(m, c)
 		}
 		if err != nil && !badOp(err) {

@@ -201,14 +201,6 @@ const (
 	TLBEntries      = 4096
 )
 
-type pendingWrite struct {
-	beat int64
-	dst  mach.PReg
-	val  uint64
-	pc   int  // instruction word that issued the write, for fault attribution
-	spec bool // for stats
-}
-
 // Machine is one TRACE processor with its memory system: the shared
 // microarchitecture plus one or more resident program Contexts. The beat
 // loop executes whichever context is current (cur); with one context the
@@ -232,32 +224,26 @@ type Machine struct {
 
 	// plan is the pre-decoded execution plan for Img (see plan.go),
 	// cached across Reset calls that re-target the same image.
-	plan []planWord
+	plan *plan
 
-	// Safe-tier plan cache: the guard-free plan derived by buildSafePlan
-	// for (safeImg, safeCert), kept across Reset calls exactly like plan so
-	// re-arming the same certificate after a Reset costs one pointer
-	// compare, not a plan rebuild. Single-slot: arming a second image's
-	// certificate (mixed-image RunMany) rebuilds.
-	safePlan []planWord
+	// Certified plan cache: the guard-free plan derived by buildSafePlan
+	// for (safeImg, safeCert) — and, once the native tier has been armed
+	// with it, translated to closures in place (native.go) — kept across
+	// Reset calls exactly like plan so re-arming the same certificate after
+	// a Reset costs one pointer compare, not a rebuild. Single-slot: arming
+	// a second image's certificate (mixed-image RunMany) rebuilds.
+	safePlan *plan
 	safeImg  *isa.Image
 	safeCert SafetyCertificate
 
-	// Native-tier plan cache (native.go): the closure-threaded translation
-	// built by buildNativePlan for (nativeImg, nativeCert), cached across
-	// Reset under the same single-slot policy as safePlan.
-	nativePlan *nativePlan
-	nativeImg  *isa.Image
-	nativeCert SafetyCertificate
-
-	// Multiway-branch scratch for the native step (stepNative): the
-	// translated branch closures publish the winning target here instead of
-	// threading loop-local state through every closure signature.
-	nTaken    bool
-	nBestPrio int
-	nNextPC   int
-	nHalted   bool
-	nExit     int32
+	// Multiway-branch scratch for step: a word's branch slots — interpreted
+	// or translated — publish the winning target and a HALT here instead of
+	// threading loop-local state through every executor signature.
+	brTaken bool
+	brPrio  int
+	brNext  int
+	brHalt  bool
+	brExit  int32
 
 	// I/O processor DMA stream (§8.3), active when dmaRate > 0. The IOP
 	// targets the current context's address space.
@@ -369,7 +355,7 @@ func (m *Machine) context(i int) *Context {
 
 // Reset re-targets the machine at an image as a single-context machine,
 // reusing every buffer the previous program allocated: the multi-megabyte
-// data memory, the pending-write queue, the cache tag and TLB arrays, and —
+// data memory, the retire ring, the cache tag and TLB arrays, and —
 // when the image pointer is unchanged — the pre-decoded execution plan. It
 // restores the machine to the state New would produce: architectural state
 // zeroed, stats cleared, instrumentation hooks (InjectWrite, TraceFn,
@@ -407,7 +393,7 @@ func (m *Machine) ResetMany(imgs []*isa.Image) error {
 				i, img.Cfg.Name, imgs[0].Cfg.Name)
 		}
 	}
-	plans := make(map[*isa.Image][]planWord, len(imgs))
+	plans := make(map[*isa.Image]*plan, len(imgs))
 	if m.Img != nil && m.plan != nil {
 		plans[m.Img] = m.plan
 	}
@@ -489,18 +475,36 @@ func (m *Machine) UseCertificate(c Certificate) error {
 	if c == nil {
 		return fmt.Errorf("vliw: certificate does not cover this image")
 	}
-	img := c.CertifiedImage()
-	found := false
-	for _, ctx := range m.ctxs {
-		if ctx.img == img {
-			ctx.arm(TierFast)
-			found = true
-		}
-	}
-	if !found {
+	if !m.runs(c.CertifiedImage()) {
 		return fmt.Errorf("vliw: certificate does not cover this image")
 	}
+	m.arm(c.CertifiedImage(), TierFast, nil)
 	return nil
+}
+
+// runs reports whether a resident context is executing img.
+func (m *Machine) runs(img *isa.Image) bool {
+	for _, ctx := range m.ctxs {
+		if ctx.img == img {
+			return true
+		}
+	}
+	return false
+}
+
+// arm raises every resident context running img to tier t and, for a tier
+// that runs a certified plan, onto p. Arming is monotone: a weaker certificate
+// applied after a stronger one leaves the stronger tier and its plan in force.
+func (m *Machine) arm(img *isa.Image, t Tier, p *plan) {
+	for _, ctx := range m.ctxs {
+		if ctx.img != img || ctx.tier > t {
+			continue
+		}
+		ctx.tier = t
+		if p != nil {
+			ctx.plan = p
+		}
+	}
 }
 
 // A SafetyCertificate attests, beyond the resource Certificate it extends,
@@ -526,19 +530,17 @@ type SafetyCertificate interface {
 // The derived guard-free plan is cached on the machine and reused when the
 // same certificate is re-armed after a Reset.
 func (m *Machine) UseSafeCertificate(c SafetyCertificate) error {
-	if c == nil {
-		return fmt.Errorf("vliw: safety certificate does not cover this image")
+	return m.armCertified(c, TierSafe, "safety")
+}
+
+// armCertified arms tier t (safe or native) under a safety certificate that
+// must cover a resident image: the guard-free plan is built on a cache miss,
+// and translated to closures the first time the native tier asks for it.
+func (m *Machine) armCertified(c SafetyCertificate, t Tier, grade string) error {
+	if c == nil || !m.runs(c.CertifiedImage()) {
+		return fmt.Errorf("vliw: %s certificate does not cover this image", grade)
 	}
 	img := c.CertifiedImage()
-	found := false
-	for _, ctx := range m.ctxs {
-		if ctx.img == img {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("vliw: safety certificate does not cover this image")
-	}
 	if m.safeCert != c || m.safeImg != img {
 		base := m.plan
 		if m.Img != img {
@@ -547,12 +549,10 @@ func (m *Machine) UseSafeCertificate(c SafetyCertificate) error {
 		m.safePlan = buildSafePlan(img, base, c)
 		m.safeImg, m.safeCert = img, c
 	}
-	for _, ctx := range m.ctxs {
-		if ctx.img == img {
-			ctx.arm(TierSafe)
-			ctx.plan = m.safePlan
-		}
+	if t == TierNative && !m.safePlan.translated {
+		translate(m.safePlan)
 	}
+	m.arm(img, t, m.safePlan)
 	return nil
 }
 
@@ -595,10 +595,8 @@ func (m *Machine) dmaCatchUp(c *Context) {
 			m.Stats.DMARefs++
 			continue
 		}
-		ctrl, bank := m.Cfg.BankOf(ea)
-		id := ctrl*8 + bank
-		end := refBeat + mach.StageBank + int64(m.Cfg.BankBusyBeats)
-		if end > c.bankBusy[id] {
+		g := &c.plan.geom
+		if id, end := g.id(ea), refBeat+g.busy; end > c.bankBusy[id] {
 			c.bankBusy[id] = end
 		}
 		if ea >= 0 && ea+8 <= int64(len(c.mem)) {
@@ -716,7 +714,6 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 	if m.StopBeat > 0 {
 		pauseAt = m.StopBeat
 	}
-	native := c.tier == TierNative
 	for !c.halted {
 		if c.beat >= ctxCheckAt {
 			if err := ctx.Err(); err != nil {
@@ -733,13 +730,7 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 			m.finish(c)
 			return 0, c.out.String(), &ErrCycleLimit{Limit: m.CycleLimit, PC: c.pc}
 		}
-		var err error
-		if native {
-			err = m.stepNative(c)
-		} else {
-			err = m.step(c)
-		}
-		if err != nil {
+		if err := m.step(c); err != nil {
 			m.finish(c)
 			return 0, c.out.String(), err
 		}
@@ -828,12 +819,9 @@ func (m *Machine) RunMany(ctx context.Context) ([]ContextResult, error) {
 		b0 := c.beat
 		s0 := m.Stats.BankStalls + m.Stats.RefillBeats
 		var err error
-		switch c.tier {
-		case TierNative:
-			err = m.stepNativeSafe(c)
-		case TierSafe:
-			err = m.stepSafe(c)
-		default:
+		if c.tier >= TierSafe {
+			err = m.stepContained(c)
+		} else {
 			err = m.step(c)
 		}
 		delta := c.beat - b0
@@ -943,12 +931,12 @@ func (m *Machine) fault(c *Context, code TrapCode, format string, args ...any) e
 	return &Fault{Code: code, PC: c.pc, Beat: c.beat, Unit: m.curUnit, Msg: fmt.Sprintf(format, args...)}
 }
 
-// stepSafe is step with the safe tier's panic containment for the RunMany
-// scheduler, where one context's guard-free fault must retire only that
-// context. The deferred recover costs a few nanoseconds per instruction, so
-// the single-context run loop uses one run-level defer instead; RunMany's
-// per-step scheduling work already dwarfs it.
-func (m *Machine) stepSafe(c *Context) (err error) {
+// stepContained is step with the safe and native tiers' panic containment
+// for the RunMany scheduler, where one context's guard-free fault must retire
+// only that context. The deferred recover costs a few nanoseconds per
+// instruction, so the single-context run loop uses one run-level defer
+// instead; RunMany's per-step scheduling work already dwarfs it.
+func (m *Machine) stepContained(c *Context) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = m.safeTierFault(c, r)
@@ -985,17 +973,20 @@ func (m *Machine) StallBank(ea int64, n int64) {
 		return
 	}
 	c := m.cur
-	ctrl, bank := m.Cfg.BankOf(ea)
-	id := ctrl*8 + bank
+	id := c.plan.geom.id(ea)
 	if until := c.beat + n; until > c.bankBusy[id] {
 		c.bankBusy[id] = until
 	}
 }
 
 // step executes one wide instruction (two beats) of context c from its
-// pre-decoded plan.
+// plan. Every tier shares the front half — interrupt, fetch, DMA, the
+// TLB/bank-stall prescan — and the write pipeline; the tiers differ only in
+// how a beat's slots execute: the native tier calls the beat's translated
+// closure, the others interpret its planOps.
 func (m *Machine) step(c *Context) error {
-	if c.pc < 0 || c.pc >= len(c.plan) {
+	p := c.plan
+	if c.pc < 0 || c.pc >= len(p.words) {
 		return m.fault(c, TrapBadPC, "instruction fetch outside image")
 	}
 	// timer interrupts are taken at instruction boundaries; the pipelines
@@ -1013,11 +1004,11 @@ func (m *Machine) step(c *Context) error {
 		}
 		m.nextInterrupt = c.beat + m.InterruptEvery
 	}
-	m.fetch(c, c.pc)
+	m.fetch(c, p)
 	if m.TraceFn != nil {
 		m.TraceFn(c.pc, c.beat)
 	}
-	pw := &c.plan[c.pc]
+	pw := &p.words[c.pc]
 	m.Stats.Instrs++
 
 	if m.dmaRate > 0 {
@@ -1032,20 +1023,15 @@ func (m *Machine) step(c *Context) error {
 		misses := 0
 		for i := range pw.mem {
 			pm := &pw.mem[i]
-			ea, ok := c.eaOf(pm.op)
-			if !ok {
-				continue // fault reported at execution
-			}
+			ea := pm.ea(c)
 			if c.dtlbMiss(ea) {
 				misses++
 			}
 			if ea < 0 {
 				continue // wild negative address: no bank to stall on; faults (or the §7 funny number) at execution
 			}
-			ctrl, bank := m.Cfg.BankOf(ea)
-			id := ctrl*8 + bank
 			access := c.beat + pm.beat + mach.StageBank + stall
-			if busy := c.bankBusy[id]; busy > access {
+			if busy := c.bankBusy[p.geom.id(ea)]; busy > access {
 				stall += busy - access
 			}
 		}
@@ -1061,60 +1047,99 @@ func (m *Machine) step(c *Context) error {
 		}
 	}
 
-	nextPC := c.pc + 1
-	// §6.5.2 multiway branch: the highest-priority (lowest Prio, first in
-	// slot order on ties) true test supplies the next address.
-	taken := false
-	bestPrio := 0
-	halted := false
-	var exit int32
-
-	for beat := 0; beat < 2; beat++ {
-		if err := m.applyWrites(c); err != nil {
-			return err
-		}
-		if m.CheckRes && c.tier == TierChecked {
-			if v := pw.viol[beat]; v != nil {
-				return m.fault(c, v.code, "%s", v.msg)
+	// §6.5.2 multiway branch: the slots publish taken tests through
+	// takeBranch; the highest-priority one supplies the next address.
+	m.brTaken = false
+	m.brNext = c.pc + 1
+	m.brHalt = false
+	if c.tier == TierNative {
+		pw.bulk.apply(&m.Stats)
+		for beat := 0; beat < 2; beat++ {
+			// m.drain, inlined: at one or two ops a word the call is ~5% of a
+			// branchy kernel's run. No race verdict on this tier, so no error.
+			if c.drained+1 != c.beat {
+				_ = m.drainJump(c)
+			} else {
+				c.drained = c.beat
+				i := c.beat & c.rmask
+				if due := c.ring[i]; len(due) != 0 {
+					c.ring[i] = due[:0]
+					if m.InjectWrite != nil {
+						_ = m.land(c, due)
+					} else {
+						for k := range due {
+							c.writeReg(due[k].dst, due[k].val)
+						}
+					}
+				}
 			}
-		}
-		ops := pw.beats[beat]
-		for i := range ops {
-			p := &ops[i]
-			m.Stats.Ops++
-			m.curUnit = p.unitName
-			if p.unitKind == mach.UBR {
-				t, halt, err := m.execBranch(p.op)
-				if err != nil {
+			if f := pw.native[beat]; f != nil {
+				if err := f(m, c); err != nil {
 					return err
 				}
-				if halt != nil {
-					halted = true
-					exit = *halt
-				}
-				if t >= 0 && (!taken || p.op.Prio < bestPrio) {
-					taken = true
-					bestPrio = p.op.Prio
-					nextPC = t
-				}
-			} else if err := m.execOp(p); err != nil {
+			}
+			c.beat++
+		}
+	} else {
+		ws := &p.slots[c.pc]
+		for beat := 0; beat < 2; beat++ {
+			if err := m.drain(c); err != nil {
 				return err
 			}
-			m.curUnit = ""
+			if err := m.interpret(c, ws, beat); err != nil {
+				return err
+			}
+			c.beat++
 		}
-		c.beat++
 	}
 
-	if taken {
+	if m.brTaken {
 		m.Stats.Taken++
 	}
-	if halted {
+	if m.brHalt {
 		c.halted = true
-		c.exit = exit
+		c.exit = m.brExit
 		return nil
 	}
-	c.pc = nextPC
+	c.pc = m.brNext
 	return nil
+}
+
+// interpret executes one beat of a fetched word slot by slot (the checked,
+// fast and safe tiers).
+func (m *Machine) interpret(c *Context, ws *wordSlots, beat int) error {
+	if m.CheckRes && c.tier == TierChecked {
+		if v := ws.viol[beat]; v != nil {
+			return m.fault(c, v.code, "%s", v.msg)
+		}
+	}
+	ops := ws.beats[beat]
+	for i := range ops {
+		p := &ops[i]
+		m.Stats.Ops++
+		m.curUnit = p.unitName
+		var err error
+		if p.unitKind == mach.UBR {
+			err = m.execBranch(p.op)
+		} else {
+			err = m.execOp(p)
+		}
+		if err != nil {
+			return err
+		}
+		m.curUnit = ""
+	}
+	return nil
+}
+
+// takeBranch applies the §6.5.2 multiway-branch priority rule for one taken
+// test: lowest Prio wins, first in slot order on ties.
+func (m *Machine) takeBranch(prio, target int) {
+	if !m.brTaken || prio < m.brPrio {
+		m.brTaken = true
+		m.brPrio = prio
+		m.brNext = target
+	}
 }
 
 func isMemOp(k ir.OpKind) bool {
@@ -1123,7 +1148,8 @@ func isMemOp(k ir.OpKind) bool {
 
 // fetch models the instruction cache: direct-mapped, refilled in aligned
 // blocks of four via the mask-word engine at memory bandwidth (§6.5.1).
-func (m *Machine) fetch(c *Context, pc int) {
+func (m *Machine) fetch(c *Context, p *plan) {
+	pc := c.pc
 	// instruction TLB: pages of PageSize/4 instructions (8KB of packed
 	// words approximated)
 	ipage := int64(pc) / (PageSize / 4)
@@ -1140,7 +1166,10 @@ func (m *Machine) fetch(c *Context, pc int) {
 		m.Stats.ICacheHits++
 		return
 	}
-	line := pc % len(c.itags)
+	line := pc & p.itagMask
+	if p.itagMask < 0 {
+		line = pc % len(c.itags)
+	}
 	if c.itags[line] == pc && c.iasids[line] == c.asid {
 		m.Stats.ICacheHits++
 		return
@@ -1149,7 +1178,7 @@ func (m *Machine) fetch(c *Context, pc int) {
 }
 
 // refillICache charges an icache miss and refills the aligned
-// 4-instruction block (shared by fetch and the native tier's nFetch).
+// 4-instruction block.
 func (m *Machine) refillICache(c *Context, pc int) {
 	m.Stats.ICacheMiss++
 	// refill the aligned 4-instruction block
@@ -1173,29 +1202,68 @@ func (m *Machine) refillICache(c *Context, pc int) {
 	c.beat += beats
 }
 
-// applyWrites retires pipeline writes due at the current beat ("the
-// destination register is specified when the operation is initiated, and a
-// hardware control pipeline carries the destination forward", §6.2). The
-// handful of writes retiring in any one beat are race-checked pairwise
-// against a reused scratch list — no per-beat map. On the certified fast
-// path the race check is skipped: schedcheck's dataflow analysis proved no
-// path can retire two writes into one register together.
-func (m *Machine) applyWrites(c *Context) error {
-	retired := c.retired[:0]
-	kept := c.pending[:0]
-	for _, w := range c.pending {
-		if w.beat > c.beat {
-			kept = append(kept, w)
-			continue
+// drain retires the pipeline writes due through the current beat. On the hot
+// path the clock advanced exactly one beat and one bucket is due: no scan,
+// no copy.
+func (m *Machine) drain(c *Context) error {
+	if c.drained+1 != c.beat {
+		return m.drainJump(c)
+	}
+	c.drained = c.beat
+	i := c.beat & c.rmask
+	due := c.ring[i]
+	if len(due) == 0 {
+		return nil
+	}
+	c.ring[i] = due[:0]
+	return m.land(c, due)
+}
+
+// drainJump retires every bucket that is due after a stall, TLB trap, refill
+// or interrupt jumped the clock, as one batch in issue order — observable
+// when two of the writes name one register.
+func (m *Machine) drainJump(c *Context) error {
+	start, end := c.drained+1, c.beat
+	if start > end {
+		return nil
+	}
+	c.drained = end
+	if end-start > c.rmask {
+		start = end - c.rmask // every bucket once; all of them are due
+	}
+	due := c.scratch[:0]
+	for b := start; b <= end; b++ {
+		i := b & c.rmask
+		due = append(due, c.ring[i]...)
+		c.ring[i] = c.ring[i][:0]
+	}
+	for i := 1; i < len(due); i++ {
+		for j := i; j > 0 && int32(due[j-1].seq-due[j].seq) > 0; j-- {
+			due[j-1], due[j] = due[j], due[j-1]
 		}
-		if c.tier == TierChecked {
-			for i := range retired {
-				if retired[i].dst == w.dst {
+	}
+	c.scratch = due[:0]
+	return m.land(c, due)
+}
+
+// land writes one drain's results into the register files, in the order
+// given (issue order). The checked tier compares the drain pairwise first: two
+// writes retiring into one register together are a write-write race — a
+// scheduling bug on the interlock-free machine — and the writes issued
+// before the second of the pair have landed when it faults. The certified
+// tiers skip the check: schedcheck's dataflow analysis proved no path can
+// retire two writes into one register together.
+func (m *Machine) land(c *Context, due []ringWrite) error {
+	checked := c.tier == TierChecked
+	for i := range due {
+		w := &due[i]
+		if checked {
+			for j := range due[:i] {
+				if due[j].dst == w.dst {
 					return m.fault(c, TrapWriteRace, "write-write race on %s: writes issued at word %d and word %d retire together",
-						w.dst, retired[i].pc, w.pc)
+						w.dst, due[j].pc, w.pc)
 				}
 			}
-			retired = append(retired, w)
 		}
 		val := w.val
 		if m.InjectWrite != nil {
@@ -1203,7 +1271,5 @@ func (m *Machine) applyWrites(c *Context) error {
 		}
 		c.writeReg(w.dst, val)
 	}
-	c.pending = kept
-	c.retired = retired[:0]
 	return nil
 }

@@ -21,8 +21,13 @@ import (
 //     (mach.ValueOf): the beat loop calls it, it does not re-derive it;
 //   - the unit name used for fault attribution is rendered once per slot
 //     instead of fmt.Sprintf-ing on every execution;
-//   - memory references are collected into a prescan list, so words with
-//     no references skip the TLB/bank-stall prescan entirely;
+//   - memory references are collected into a prescan list with each
+//     effective-address sum pre-resolved to a reader closure, so words with
+//     no references skip the TLB/bank-stall prescan entirely and the rest
+//     re-decode no operand;
+//   - the memory-bank geometry and the icache line index are resolved to
+//     shifts and masks (bankGeom, itagMask), and the retire ring is sized
+//     from the longest latency the image can issue;
 //   - the §6 per-beat resource check (unit double-booking, register-file
 //     read ports, one reference per I board, PA buses) is a function of the
 //     instruction word alone, so it is evaluated once per word here and the
@@ -31,7 +36,58 @@ import (
 //
 // The plan aliases the image's operations (planOp.op points into
 // Img.Instrs); it snapshots structure, not values, and is rebuilt whenever
-// Reset targets a different image.
+// Reset targets a different image. Every tier runs from a plan: the safe
+// tier from a copy with proven sites re-dispatched (buildSafePlan), the
+// native tier from that copy with its beats translated to closures
+// (translate, native.go).
+
+// plan is one image's pre-decoded form plus the constants every tier's step
+// shares.
+type plan struct {
+	words      []planWord  // what every tier's step reads, and the native tier executes
+	slots      []wordSlots // what the interpreter executes, word for word
+	geom       bankGeom
+	itagMask   int   // ICacheInstrs-1 when that is a power of two, else -1
+	maxLat     int64 // longest write latency the image can issue, in beats
+	ringSize   int64 // retire-ring buckets: the power of two above maxLat
+	translated bool  // words carry native closures (translate)
+}
+
+// bankGeom is the memory-system geometry resolved to shift/mask form at plan
+// build: the one place an address becomes a bank id, for the prescan, the
+// per-reference busy update, DMA and StallBank. ok is false for a config
+// whose controller or bank count is not a power of two; those divide.
+type bankGeom struct {
+	ctrlShift uint
+	ctrlMask  int64
+	bankMask  int64
+	busy      int64 // StageBank + BankBusyBeats: the bank-busy window
+	ok        bool
+	cfg       *mach.Config // for BankOf when !ok
+}
+
+func geomOf(cfg *mach.Config) bankGeom {
+	g := bankGeom{busy: mach.StageBank + int64(cfg.BankBusyBeats), cfg: cfg}
+	ctrl, banks := int64(cfg.Controllers), int64(cfg.BanksPerController)
+	if ctrl <= 0 || ctrl&(ctrl-1) != 0 || banks <= 0 || banks&(banks-1) != 0 {
+		return g
+	}
+	g.ctrlMask, g.bankMask, g.ok = ctrl-1, banks-1, true
+	for int64(1)<<g.ctrlShift < ctrl {
+		g.ctrlShift++
+	}
+	return g
+}
+
+// id returns the index of ea's RAM bank in Context.bankBusy.
+func (g *bankGeom) id(ea int64) int64 {
+	if !g.ok {
+		ctrl, bank := g.cfg.BankOf(ea)
+		return int64(ctrl*8+bank) & 63
+	}
+	w := ea >> 3
+	return ((w&g.ctrlMask)<<3 | (w>>g.ctrlShift)&g.bankMask) & 63
+}
 
 // planOp is one pre-decoded slot operation. kind is the dispatch opcode the
 // beat loop switches on: op.Kind for the structural operations (memory,
@@ -43,14 +99,15 @@ type planOp struct {
 	op       *mach.Op
 	kind     ir.OpKind
 	fn       func(a, b uint64) uint64 // the op's value semantics; nil unless mach.ValueOf(op.Kind) has them
-	lat      int                      // precomputed write latency in beats
+	lat      int64                    // precomputed write latency in beats
 	unitKind mach.UnitKind
 	unitName string // precomputed fault attribution
 }
 
-// planMem is one memory reference for the prescan loop.
+// planMem is one memory reference for the prescan loop, with the
+// effective-address computation pre-resolved.
 type planMem struct {
-	op   *mach.Op
+	ea   func(c *Context) int64
 	beat int64 // issue beat within the instruction (0 or 1)
 }
 
@@ -63,17 +120,37 @@ type resViol struct {
 	msg  string
 }
 
-// planWord is one pre-decoded instruction word.
+// planWord is one pre-decoded instruction word: the prescan list, and what
+// the native step executes — each beat's slot closures folded into one (nil:
+// the beat is all Nops, or the plan is not translated) and the whole word's
+// unconditional counter delta. The interpreter's form of the word lives in
+// the parallel plan.slots, so each tier walks a dense array of its own.
 type planWord struct {
+	mem    []planMem
+	native [2]nativeOp
+	bulk   statsBulk
+}
+
+// wordSlots is the interpreted form of one instruction word: per-beat issue
+// lists and the precomputed static resource verdicts.
+type wordSlots struct {
 	beats [2][]planOp
-	mem   []planMem
 	viol  [2]*resViol
 }
 
 // buildPlan pre-decodes every instruction word of the image.
-func buildPlan(img *isa.Image) []planWord {
+func buildPlan(img *isa.Image) *plan {
 	cfg := img.Cfg
-	plan := make([]planWord, len(img.Instrs))
+	p := &plan{
+		words:    make([]planWord, len(img.Instrs)),
+		slots:    make([]wordSlots, len(img.Instrs)),
+		geom:     geomOf(&img.Cfg),
+		itagMask: -1,
+		maxLat:   1,
+	}
+	if n := cfg.ICacheInstrs; n > 0 && n&(n-1) == 0 {
+		p.itagMask = n - 1
+	}
 
 	// Unit names are shared across the image: render each once.
 	unitNames := map[mach.Unit]string{}
@@ -88,27 +165,40 @@ func buildPlan(img *isa.Image) []planWord {
 
 	for a := range img.Instrs {
 		in := &img.Instrs[a]
-		pw := &plan[a]
+		pw := &p.words[a]
+		ws := &p.slots[a]
 		for si := range in.Slots {
 			s := &in.Slots[si]
 			b := s.Beat & 1
 			kind, fn := planKind(s.Op.Kind)
-			pw.beats[b] = append(pw.beats[b], planOp{
+			// A zero latency retires at the next beat's drain, like 1.
+			lat := max(int64(cfg.Latency(s.Op.Kind, s.Op.Type)), 1)
+			p.maxLat = max(p.maxLat, lat)
+			ws.beats[b] = append(ws.beats[b], planOp{
 				op:       &s.Op,
 				kind:     kind,
 				fn:       fn,
-				lat:      cfg.Latency(s.Op.Kind, s.Op.Type),
+				lat:      lat,
 				unitKind: s.Unit.Kind,
 				unitName: nameOf(s.Unit),
 			})
-			if isMemOp(s.Op.Kind) {
-				pw.mem = append(pw.mem, planMem{op: &s.Op, beat: int64(b)})
+			// A reference with no base operand has no address to translate or
+			// bank to stall on; it faults (or returns the §7 funny number) at
+			// execution.
+			if isMemOp(s.Op.Kind) && (s.Op.A.IsImm || s.Op.A.Reg.Valid()) {
+				pw.mem = append(pw.mem, planMem{ea: nEA(&s.Op), beat: int64(b)})
 			}
 		}
-		pw.viol[0] = staticBeatViolation(in, cfg, 0)
-		pw.viol[1] = staticBeatViolation(in, cfg, 1)
+		ws.viol[0] = staticBeatViolation(in, cfg, 0)
+		ws.viol[1] = staticBeatViolation(in, cfg, 1)
 	}
-	return plan
+	// Strictly more buckets than the longest latency, so a freshly issued
+	// write can never alias a bucket that has not drained yet.
+	p.ringSize = 2
+	for p.ringSize <= p.maxLat {
+		p.ringSize *= 2
+	}
+	return p
 }
 
 // staticBeatViolation evaluates the §6 static resource plan for one beat of
@@ -242,34 +332,38 @@ func safeKind(o *mach.Op) (ir.OpKind, bool) {
 // buildSafePlan derives the safe-tier execution plan from the base plan:
 // every slot the certificate's bitmask covers is re-dispatched to its
 // guard-free synthetic opcode; everything else keeps the checked opcode, so
-// a partially-proven image simply keeps more of its guards. Beat lists are
-// copied (the base plan is shared by checked contexts and must stay
-// pristine); the mem prescan list and the static resource verdicts are
-// structural and shared.
+// a partially-proven image simply keeps more of its guards. A beat list is
+// copied when a slot of it changes (the base plan is shared by checked
+// contexts and must stay pristine); the untouched lists, the mem prescan
+// list and the static resource verdicts are shared.
 //
 // The walk mirrors buildPlan's slot order exactly, which is what lets it
 // recover each planOp's (unit, beat) identity — the key the certificate's
 // per-site bitmask is indexed by.
-func buildSafePlan(img *isa.Image, base []planWord, cert SafetyCertificate) []planWord {
-	plan := make([]planWord, len(base))
-	copy(plan, base)
+func buildSafePlan(img *isa.Image, base *plan, cert SafetyCertificate) *plan {
+	p := new(plan)
+	*p = *base
+	p.words = append([]planWord(nil), base.words...)
+	p.slots = append([]wordSlots(nil), base.slots...)
 	for a := range img.Instrs {
 		in := &img.Instrs[a]
-		pw := &plan[a]
-		pw.beats[0] = append([]planOp(nil), pw.beats[0]...)
-		pw.beats[1] = append([]planOp(nil), pw.beats[1]...)
+		ws := &p.slots[a]
 		var idx [2]int
+		var own [2]bool
 		for si := range in.Slots {
 			s := &in.Slots[si]
 			b := s.Beat & 1
-			p := &pw.beats[b][idx[b]]
+			i := idx[b]
 			idx[b]++
 			if k, ok := safeKind(&s.Op); ok && cert.SafeSite(a, s.Unit, s.Beat) {
-				p.kind = k
+				if !own[b] {
+					ws.beats[b], own[b] = append([]planOp(nil), ws.beats[b]...), true
+				}
+				ws.beats[b][i].kind = k
 			}
 		}
 	}
-	return plan
+	return p
 }
 
 // unitIndex maps a functional unit to a dense per-pair index, or -1 when

@@ -76,7 +76,7 @@ func retireTrace(m *vliw.Machine) string {
 // proves no site, so every guard stays live.
 type noProofCert struct{ img *isa.Image }
 
-func (c noProofCert) CertifiedImage() *isa.Image          { return c.img }
+func (c noProofCert) CertifiedImage() *isa.Image        { return c.img }
 func (noProofCert) SafeSite(int, mach.Unit, uint8) bool { return false }
 
 // raceImage is a hand-built schedule whose two multiplies write i0.10 two

@@ -62,8 +62,8 @@ const (
 
 const snapHeaderLen = 8 + 2 + 32 + 8 + 32
 
-// pendingWireLen is one serialized pendingWrite: beat i64, bank/board/idx/
-// spec u8, val u64, pc i64.
+// pendingWireLen is one serialized in-flight write: retire beat i64,
+// bank/board/idx u8, one reserved zero byte, val u64, issuing pc i64.
 const pendingWireLen = 8 + 4 + 8 + 8
 
 // ErrStopped reports that a run paused at Machine.StopBeat with the context
@@ -101,10 +101,6 @@ func (c *Context) Snapshot() ([]byte, error) {
 	if !c.booted {
 		return nil, &ErrBadSnapshot{Field: "state", Msg: "context has not executed: nothing to capture (beat 0 pristine state is the image itself)"}
 	}
-	// The native tier keeps in-flight writes in its retire ring; fold them
-	// back into c.pending so the wire format is tier-independent.
-	c.nRingFlush()
-
 	var payload bytes.Buffer
 	sec := func(tag byte, body func(*bytes.Buffer)) {
 		var b bytes.Buffer
@@ -133,17 +129,11 @@ func (c *Context) Snapshot() ([]byte, error) {
 	sec(secSF, func(b *bytes.Buffer) { binary.Write(b, le, c.sf) })
 	sec(secBB, func(b *bytes.Buffer) { binary.Write(b, le, c.bb) })
 	sec(secPending, func(b *bytes.Buffer) {
-		binary.Write(b, le, uint32(len(c.pending)))
-		for _, w := range c.pending {
-			binary.Write(b, le, w.beat)
-			b.WriteByte(byte(w.dst.Bank))
-			b.WriteByte(w.dst.Board)
-			b.WriteByte(w.dst.Idx)
-			if w.spec {
-				b.WriteByte(1)
-			} else {
-				b.WriteByte(0)
-			}
+		ws := c.inFlight()
+		binary.Write(b, le, uint32(len(ws)))
+		for _, w := range ws {
+			binary.Write(b, le, w.due)
+			b.Write([]byte{byte(w.dst.Bank), w.dst.Board, w.dst.Idx, 0})
 			binary.Write(b, le, w.val)
 			binary.Write(b, le, int64(w.pc))
 		}
@@ -254,6 +244,10 @@ func (c *Context) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
+	beat := int64(le.Uint64(coreb[9:17]))
+	if beat < 0 {
+		return &ErrBadSnapshot{Field: "core", Msg: fmt.Sprintf("virtual clock reads %d beats", beat)}
+	}
 	iregsb, err := want(secIRegs, "iregs", binary.Size(c.iregs))
 	if err != nil {
 		return err
@@ -277,6 +271,23 @@ func (c *Context) Restore(data []byte) error {
 	if len(pendb) < 4 || (len(pendb)-4)%pendingWireLen != 0 ||
 		int(le.Uint32(pendb[:4]))*pendingWireLen != len(pendb)-4 {
 		return &ErrBadSnapshot{Field: "section", Msg: "pending-writes section is malformed"}
+	}
+	// The ring indexes register files by an entry's destination and buckets
+	// by its retire beat, so both must be ones the machine could have issued.
+	// An overdue beat is legal: the write retires at the next drain.
+	for b := pendb[4:]; len(b) > 0; b = b[pendingWireLen:] {
+		dst := mach.PReg{Bank: mach.Bank(b[8]), Board: b[9], Idx: b[10]}
+		due, pc := int64(le.Uint64(b[0:8])), int64(le.Uint64(b[20:28]))
+		switch {
+		case !c.holds(dst):
+			return &ErrBadSnapshot{Field: "pending-writes", Msg: fmt.Sprintf("write to bank %d board %d index %d: no such register", b[8], b[9], b[10])}
+		case b[11] != 0:
+			return &ErrBadSnapshot{Field: "pending-writes", Msg: fmt.Sprintf("reserved byte is %d, want 0", b[11])}
+		case due > beat && due-beat > c.plan.maxLat:
+			return &ErrBadSnapshot{Field: "pending-writes", Msg: fmt.Sprintf("write retires at beat %d, %d beats after the snapshot's %d: this image's longest latency is %d", due, due-beat, beat, c.plan.maxLat)}
+		case pc < 0 || pc >= int64(len(c.plan.words)):
+			return &ErrBadSnapshot{Field: "pending-writes", Msg: fmt.Sprintf("write issued at word %d of a %d-word image", pc, len(c.plan.words))}
+		}
 	}
 	memb, err := want(secMem, "memory", len(c.mem))
 	if err != nil {
@@ -326,7 +337,7 @@ func (c *Context) Restore(data []byte) error {
 	// Second pass: apply. Everything below is infallible.
 	c.asid = coreb[0]
 	c.pc = int(int64(le.Uint64(coreb[1:9])))
-	c.beat = int64(le.Uint64(coreb[9:17]))
+	c.beat = beat
 	c.halted = coreb[17] != 0
 	c.exit = int32(le.Uint32(coreb[18:22]))
 
@@ -335,17 +346,17 @@ func (c *Context) Restore(data []byte) error {
 	binary.Read(bytes.NewReader(sfb), le, &c.sf)
 	binary.Read(bytes.NewReader(bbb), le, &c.bb)
 
-	n := int(le.Uint32(pendb[:4]))
-	c.pending = c.pending[:0]
-	for i := 0; i < n; i++ {
-		b := pendb[4+i*pendingWireLen:]
-		c.pending = append(c.pending, pendingWrite{
-			beat: int64(le.Uint64(b[0:8])),
-			dst:  mach.PReg{Bank: mach.Bank(b[8]), Board: b[9], Idx: b[10]},
-			spec: b[11] != 0,
-			val:  le.Uint64(b[12:20]),
-			pc:   int(int64(le.Uint64(b[20:28]))),
+	// The section is in issue order, so pushing it in order keeps it.
+	c.emptyRing()
+	for b := pendb[4:]; len(b) > 0; b = b[pendingWireLen:] {
+		i := max(int64(le.Uint64(b[0:8])), c.beat) & c.rmask
+		c.ring[i] = append(c.ring[i], ringWrite{
+			val: le.Uint64(b[12:20]),
+			pc:  int32(le.Uint64(b[20:28])),
+			seq: c.seq,
+			dst: mach.PReg{Bank: mach.Bank(b[8]), Board: b[9], Idx: b[10]},
 		})
+		c.seq++
 	}
 
 	copy(c.mem, memb)

@@ -108,7 +108,8 @@ func TestSnapshotMidPendingWrite(t *testing.T) {
 			break // ran to completion before the split point
 		}
 		c := m.Contexts()[0]
-		pend := len(c.pending) > 0
+		ws := c.inFlight()
+		pend := len(ws) > 0
 		busy := false
 		for _, b := range c.bankBusy {
 			if b > c.beat {
@@ -129,8 +130,8 @@ func TestSnapshotMidPendingWrite(t *testing.T) {
 		if err := r.Contexts()[0].Restore(snap); err != nil {
 			t.Fatal(err)
 		}
-		if len(r.Contexts()[0].pending) != len(c.pending) {
-			t.Fatalf("split %d: restored %d pending writes, want %d", split, len(r.Contexts()[0].pending), len(c.pending))
+		if rs := r.Contexts()[0].inFlight(); len(rs) != len(ws) {
+			t.Fatalf("split %d: restored %d pending writes, want %d", split, len(rs), len(ws))
 		}
 		v, out, err := r.Run()
 		if err != nil {

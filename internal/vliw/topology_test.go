@@ -69,3 +69,22 @@ func TestRegisterFileGeometry(t *testing.T) {
 		t.Errorf("crossbar ports %dR/%dW, want 4/4 (§6)", cfg.RFReadPorts, cfg.RFWritePorts)
 	}
 }
+
+// TestBankIDMatchesBankOf: the plan's shift/mask bank id agrees with
+// mach.Config.BankOf on every geometry Validate admits, including the
+// controller and bank counts that are not powers of two.
+func TestBankIDMatchesBankOf(t *testing.T) {
+	for ctrls := 1; ctrls <= 8; ctrls++ {
+		for banks := 1; banks <= 8; banks++ {
+			cfg := mach.Trace7()
+			cfg.Controllers, cfg.BanksPerController = ctrls, banks
+			g := geomOf(&cfg)
+			for ea := int64(0); ea < 8*64*3; ea += 4 {
+				ctrl, bank := cfg.BankOf(ea)
+				if got, want := g.id(ea), int64(ctrl*8+bank); got != want {
+					t.Fatalf("%d controllers x %d banks: id(%#x) = %d, BankOf gives %d", ctrls, banks, ea, got, want)
+				}
+			}
+		}
+	}
+}

@@ -16,7 +16,7 @@ import (
 
 // build compiles source to an image without going through internal/core
 // (vliw must not import core).
-func build(t *testing.T, src string, cfg mach.Config) *isa.Image {
+func build(t testing.TB, src string, cfg mach.Config) *isa.Image {
 	t.Helper()
 	prog, err := lang.Compile(src)
 	if err != nil {

@@ -29,12 +29,14 @@ done | tee "$raw"
 # program. One short pass: the number gated here is bytes allocated per
 # analysis, which repeats to within a few hundred bytes.
 go test -run '^$' -bench 'SafecheckAnalyze|TschedCompile' -benchtime=5x -count=1 . | tee -a "$raw"
-# Three floors: the certified fast path has to hold its committed baseline
+# Four floors. The certified fast path has to hold its committed baseline
 # (10% noise floor — the checkpoint/restore and safety machinery must cost
-# nothing when unused), the safe tier has to actually cash in its deleted
-# guards — at least as fast as the fast tier on the same corpus — and the
-# native tier's closure threading has to be worth the translation: at
-# least 2x the safe tier's beat rate.
+# nothing when unused), and so does the native tier: its closure threading is
+# judged against its own history, not against how slow the interpreter is.
+# The checked interpreter has to keep what sharing the native tier's retire
+# ring bought it — at least 1.20x the baseline recorded while it still scanned
+# a pending-write queue every beat. And the safe tier has to actually cash in
+# its deleted guards: at least as fast as the fast tier on the same corpus.
 #
 # The B/op ceilings hold safecheck to states it owns: an analysis allocates
 # one pooled state per reachable word (plus the ones a descending round is
@@ -44,8 +46,8 @@ go test -run '^$' -bench 'SafecheckAnalyze|TschedCompile' -benchtime=5x -count=1
 # gigabytes on the same kernels — and trip this at once. No ns/op threshold:
 # bytes repeat, nanoseconds on a shared host do not.
 go run ./cmd/benchjson -baseline scripts/bench_baseline.txt \
-	-require 'BenchmarkSimulatorFast=0.90' \
-	-require-ratio 'BenchmarkSimulatorFast/BenchmarkSimulatorSafe=1.00,BenchmarkSimulatorSafe/BenchmarkSimulatorNative=2.00' \
+	-require 'BenchmarkSimulatorFast=0.90,BenchmarkSimulatorNative=0.90,BenchmarkSimulator=1.20' \
+	-require-ratio 'BenchmarkSimulatorFast/BenchmarkSimulatorSafe=1.00' \
 	-require-max 'BenchmarkSafecheckAnalyze/matmul:B/op=13000000,BenchmarkSafecheckAnalyze/fft:B/op=78000000,BenchmarkSafecheckAnalyze/scanner:B/op=24000000,BenchmarkSafecheckAnalyze/gen07:B/op=25000000' \
 	-o "$out" "$raw"
 echo "wrote $out"

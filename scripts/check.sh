@@ -27,6 +27,12 @@ if gosrc -l --exclude='*_test.go' 'LatFMul' | grep -v -e '^\./internal/mach/' -e
 	exit 1
 fi
 
+echo "== one write pipeline (no second fetch, no ring ingest, no pending-write slice in the simulator)"
+if grep -rnE --include='*.go' --exclude='*_test.go' 'nFetch|nRingIngest|\[\]pendingWrite' internal/vliw; then
+	echo "check: internal/vliw forks the write pipeline or the word prologue again (Context.push, Machine.step)"
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
@@ -123,5 +129,6 @@ fi
 echo "== go test -fuzz (10s per target)"
 go test ./internal/fuzz -run=^$ -fuzz=FuzzDifferential -fuzztime=10s
 go test ./internal/fuzz -run=^$ -fuzz=FuzzGen -fuzztime=10s
+go test ./internal/vliw -run=^$ -fuzz=FuzzSnapshotRestore -fuzztime=10s
 
 echo "== ok"
