@@ -73,9 +73,11 @@ func TestPressureRetryDisablesInline(t *testing.T) {
 	if res.OptUsed.UnrollFactor != 1 {
 		t.Errorf("OptUsed.UnrollFactor = %d, want 1 (halved 8 -> 4 -> 2 -> 1 before disabling inline)", res.OptUsed.UnrollFactor)
 	}
-	// 1 initial + 3 halvings + 1 inline-off = 5 attempts.
+	// 1 initial + 3 halvings + 1 inline-off = 5 attempts. Pinned: which
+	// attempt succeeds depends on which bank the allocator reports full, so a
+	// rewrite of the allocator that is meant to keep behaviour keeps this.
 	if res.Attempts != 5 {
-		t.Logf("note: Attempts = %d (expected 5 with the default ladder)", res.Attempts)
+		t.Errorf("Attempts = %d, want 5 with the default ladder", res.Attempts)
 	}
 }
 
