@@ -28,8 +28,9 @@ type FuncCode struct {
 }
 
 // Emit lays out the scheduled blocks (entry first) and rewrites virtual
-// registers to their allocated physical registers.
-func Emit(sf *SFunc, alloc map[VReg]mach.PReg) (*FuncCode, error) {
+// registers to their allocated physical registers (alloc is Allocate's
+// result, indexed by VReg).
+func Emit(sf *SFunc, alloc []mach.PReg) (*FuncCode, error) {
 	// block order: entry first, then the rest in creation order
 	var orderIDs []int
 	orderIDs = append(orderIDs, sf.Entry)
@@ -53,11 +54,10 @@ func Emit(sf *SFunc, alloc map[VReg]mach.PReg) (*FuncCode, error) {
 		if r == VNone {
 			return mach.PReg{}, nil
 		}
-		p, ok := alloc[r]
-		if !ok {
+		if int(r) >= len(alloc) || !alloc[r].Valid() {
 			return mach.PReg{}, fmt.Errorf("%s: t%d has no physical register", sf.Name, r)
 		}
-		return p, nil
+		return alloc[r], nil
 	}
 	argOf := func(a VArg) (mach.Arg, error) {
 		if a.IsImm {

@@ -144,7 +144,7 @@ func compileOneInner(cfg mach.Config, prog *ir.Program, f *ir.Func, prof ir.Edge
 		if !isCapacityErr(err) {
 			return nil, err
 		}
-		if os.Getenv("TSCHED_DEBUG") != "" {
+		if debugLog {
 			fmt.Fprintf(os.Stderr, "tsched: %s: %v; retrying with traces <= %d blocks\n", f.Name, err, maxBlocks)
 		}
 	}

@@ -2,233 +2,24 @@ package tsched
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
-	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
 // Allocate maps every virtual register of the scheduled function onto a
 // physical register in its home bank, by graph coloring over
-// instruction-level liveness. The calling convention's registers are
-// reserved out of the pools, so precolored virtuals never collide with
+// instruction-level liveness; the result is indexed by VReg, and a register
+// the function never names stays invalid. The calling convention's registers
+// are reserved out of the pools, so precolored virtuals never collide with
 // allocated ones. An ErrPressure return means a bank ran out of registers;
 // the driver retries with gentler optimization settings.
-func Allocate(sf *SFunc, cfg mach.Config) (map[VReg]mach.PReg, error) {
-	lv := computeSchedLiveness(sf)
-	live := lv.After
-
-	// interference graph, per (class, board)
-	type node struct {
-		neighbors map[VReg]bool
-	}
-	nodes := map[VReg]*node{}
-	getNode := func(r VReg) *node {
-		n := nodes[r]
-		if n == nil {
-			n = &node{neighbors: map[VReg]bool{}}
-			nodes[r] = n
-		}
-		return n
-	}
-	vf := sf.VF
-	sameBank := func(a, b VReg) bool {
-		return vf.Class(a) == vf.Class(b) && sf.Home[a] == sf.Home[b]
-	}
-	addEdge := func(a, b VReg) {
-		if a == b || !sameBank(a, b) {
-			return
-		}
-		getNode(a).neighbors[b] = true
-		getNode(b).neighbors[a] = true
-	}
-
-	var order []VReg
-	seen := map[VReg]bool{}
-	touch := func(r VReg) {
-		if r != VNone && !seen[r] {
-			seen[r] = true
-			order = append(order, r)
-			getNode(r)
-		}
-	}
-
-	addSet := func(d VReg, set ir.RegSet) {
-		for w := 0; w < len(set); w++ {
-			bits := set[w]
-			for ; bits != 0; bits &= bits - 1 {
-				r := VReg(w*64 + trailingZeros(bits))
-				addEdge(d, r)
-			}
-		}
-	}
-	// conflictWindow makes def d interfere with everything live at or
-	// defined/read in instructions [off, off+rem] of block b — the window
-	// during which d's pipeline write is still in flight. The §6.2 rule:
-	// "the target register of any pipelined operation is in use from the
-	// beat in which the operation is initiated until the beat in which it
-	// is defined to be written" — and control may branch meanwhile, so the
-	// walk follows branch targets with the remaining flight time.
-	type wkey struct{ block, off, rem int }
-	var conflictWindow func(d VReg, b *SBlock, off, rem int, seen map[wkey]bool)
-	conflictWindow = func(d VReg, b *SBlock, off, rem int, seen map[wkey]bool) {
-		k := wkey{b.ID, off, rem}
-		if seen[k] || rem < 0 {
-			return
-		}
-		seen[k] = true
-		if off < len(lv.Before[b.ID]) {
-			addSet(d, lv.Before[b.ID][off])
-		}
-		for i := off; i <= off+rem && i < len(b.Instrs); i++ {
-			for si := range b.Instrs[i].Slots {
-				s := &b.Instrs[i].Slots[si]
-				if s.Op.Dst != VNone {
-					addEdge(d, s.Op.Dst)
-				}
-				for _, u := range s.Op.Uses() {
-					addEdge(d, u)
-				}
-				switch s.Op.Kind {
-				case mach.OpJmp, mach.OpBrT:
-					tb := sf.Blocks[s.TargetBlock]
-					conflictWindow(d, tb, s.TargetOff, off+rem-i-1, seen)
-				}
-			}
-		}
-	}
-
-	for _, b := range sf.Blocks {
-		ls := live[b.ID]
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
-			in := &b.Instrs[i]
-			cur := ls[i]
-			for si := range in.Slots {
-				op := &in.Slots[si].Op
-				touch(op.Dst)
-				for _, u := range op.Uses() {
-					touch(u)
-				}
-				if op.Dst == VNone {
-					continue
-				}
-				// def interferes with everything live after this instr,
-				// and with other defs in the same instruction
-				addSet(op.Dst, cur)
-				for sj := range in.Slots {
-					if sj != si && in.Slots[sj].Op.Dst != VNone {
-						addEdge(op.Dst, in.Slots[sj].Op.Dst)
-					}
-					// A write can land mid-instruction (e.g. a 1-beat op
-					// issued in the early beat writes before the late
-					// beat's reads), so a def also interferes with every
-					// register read anywhere in the same instruction.
-					for _, u := range in.Slots[sj].Op.Uses() {
-						addEdge(op.Dst, u)
-					}
-				}
-				// In-flight extension: the write lands flight instructions
-				// later; everything executed until then — along any path
-				// control takes — must not share the register.
-				flight := (vopLatencyOfSlot(cfg, &in.Slots[si]) + 1 + int(in.Slots[si].Beat)) / 2
-				if flight > 0 {
-					conflictWindow(op.Dst, b, i, flight, map[wkey]bool{})
-				}
-			}
-		}
-	}
-
-	// pools
-	reservedI0 := map[uint8]bool{
-		mach.RegSP.Idx: true, mach.RegLR.Idx: true, mach.RegRVI.Idx: true,
-	}
-	for i := 0; i < mach.MaxArgs; i++ {
-		reservedI0[uint8(mach.ArgIBase+i)] = true
-	}
-	reservedF0 := map[uint8]bool{mach.RegRVF.Idx: true}
-	for i := 0; i < mach.MaxArgs; i++ {
-		reservedF0[uint8(mach.ArgFBase+i)] = true
-	}
-	pool := func(r VReg) []uint8 {
-		var n int
-		var excl map[uint8]bool
-		board := sf.Home[r]
-		switch vf.Class(r) {
-		case ClassI:
-			n = cfg.IRegsPerBank
-			if board == 0 {
-				excl = reservedI0
-			}
-		case ClassF:
-			n = cfg.FRegsPerBank
-			if board == 0 {
-				excl = reservedF0
-			}
-		case ClassSF:
-			n = cfg.StoreFile
-		case ClassB:
-			n = cfg.BranchBank
-		default:
-			return nil
-		}
-		out := make([]uint8, 0, n)
-		for i := 0; i < n; i++ {
-			if excl == nil || !excl[uint8(i)] {
-				out = append(out, uint8(i))
-			}
-		}
-		return out
-	}
-	bankOf := func(c Class) mach.Bank {
-		switch c {
-		case ClassI:
-			return mach.BankI
-		case ClassF:
-			return mach.BankF
-		case ClassSF:
-			return mach.BankSF
-		case ClassB:
-			return mach.BankB
-		}
-		return mach.BankNone
-	}
-
-	alloc := map[VReg]mach.PReg{}
-	for r, p := range vf.precolor {
-		alloc[r] = p
-	}
-	// color high-degree nodes first for better packing
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(nodes[order[a]].neighbors) > len(nodes[order[b]].neighbors)
-	})
-	for _, r := range order {
-		if _, done := alloc[r]; done {
-			continue
-		}
-		cls := vf.Class(r)
-		if cls == ClassNone {
-			continue
-		}
-		taken := map[uint8]bool{}
-		for nb := range nodes[r].neighbors {
-			if p, ok := alloc[nb]; ok {
-				taken[p.Idx] = true
-			}
-		}
-		var chosen *uint8
-		for _, idx := range pool(r) {
-			if !taken[idx] {
-				i := idx
-				chosen = &i
-				break
-			}
-		}
-		if chosen == nil {
-			return nil, &ErrPressure{Func: sf.Name, Class: cls, Board: sf.Home[r]}
-		}
-		alloc[r] = mach.PReg{Bank: bankOf(cls), Board: sf.Home[r], Idx: *chosen}
-	}
-	return alloc, nil
+func Allocate(sf *SFunc, cfg mach.Config) ([]mach.PReg, error) {
+	a := newAllocator(sf, cfg)
+	a.liveness()
+	a.interference()
+	return a.color()
 }
 
 // ErrPressure reports a register bank that ran out of colors.
@@ -242,126 +33,386 @@ func (e *ErrPressure) Error() string {
 	return fmt.Sprintf("%s: out of %s registers on board %d", e.Func, e.Class, e.Board)
 }
 
-// vopLatencyOfSlot returns the slot op's write latency in beats.
-func vopLatencyOfSlot(cfg mach.Config, s *SSlot) int {
-	return opLatency(cfg, &s.Op)
+// allocator owns the storage of one allocation. The registers the function
+// names — destinations, operands and the convention registers its calls and
+// returns consume — are numbered densely, and every set over them is a row of
+// words uint64s in one flat slab: liveness before and after each instruction,
+// and the interference graph as an adjacency matrix.
+type allocator struct {
+	sf  *SFunc
+	cfg mach.Config
+
+	regs  []VReg  // dense index -> register
+	index []int32 // register -> dense index; -1 for one the function never names
+	order []int32 // operands in the order the allocation walk first meets them
+	words int
+
+	// Block b owns rows base[b] .. base[b]+len(Instrs): one per instruction
+	// and one past the end, which control never reaches and stays empty.
+	base   []int
+	instrs []instrRegs
+	named  []int32 // the lists instrRegs cuts up
+
+	before, after []uint64 // live entering / following each row's instruction
+	adj           []uint64 // row r: the registers r interferes with
+	bank          []uint8  // per register: its (class, home board)
+	bankMask      []uint64 // row k: the registers of bank k
+	window        []windowKey
 }
 
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
+// instrRegs locates one instruction's registers in allocator.named: the
+// destinations at [dsts, uses), the explicit operands at [uses, implicit),
+// the convention registers it consumes (implicitUses) at [implicit, end).
+type instrRegs struct{ dsts, uses, implicit, end int32 }
+
+// windowKey is one visit of conflictWindow.
+type windowKey struct{ block, off, rem int }
+
+// maxBoards bounds a home board (mach.Config.Pairs is at most 4).
+const maxBoards = 4
+
+func newAllocator(sf *SFunc, cfg mach.Config) *allocator {
+	vf := sf.VF
+	a := &allocator{sf: sf, cfg: cfg, index: make([]int32, vf.NumRegs()), base: make([]int, len(sf.Blocks))}
+	for i := range a.index {
+		a.index[i] = -1
 	}
-	return n
-}
-
-// schedLiveness holds instruction-level liveness: After[b][i] = registers
-// live following Instrs[i] of block b; Before[b][i] = live entering it
-// (Before has len(Instrs)+1 entries).
-type schedLiveness struct {
-	After  map[int][]ir.RegSet
-	Before map[int][]ir.RegSet
-}
-
-// computeSchedLiveness computes instruction-level liveness. Branch slots
-// make their target instruction's live-in flow into the branch's own
-// instruction.
-func computeSchedLiveness(sf *SFunc) *schedLiveness {
-	nr := sf.VF.NumRegs()
-	liveAfter := map[int][]ir.RegSet{}
-	liveBefore := map[int][]ir.RegSet{}
+	rows := 0
 	for _, b := range sf.Blocks {
-		liveAfter[b.ID] = make([]ir.RegSet, len(b.Instrs))
-		liveBefore[b.ID] = make([]ir.RegSet, len(b.Instrs)+1)
-		for i := range liveAfter[b.ID] {
-			liveAfter[b.ID][i] = ir.NewRegSet(nr)
+		a.base[b.ID] = rows
+		rows += len(b.Instrs) + 1
+	}
+	a.instrs = make([]instrRegs, rows)
+
+	// Number the registers and list each instruction's. The walk is the one
+	// the coloring order is defined by — blocks in order, instructions last
+	// to first, per slot the destination then the operands — so order comes
+	// out of the same pass; registers met only as implicit uses are numbered
+	// but take no place in it (they are precolored).
+	number := func(r VReg) int32 {
+		if a.index[r] < 0 {
+			a.index[r] = int32(len(a.regs))
+			a.regs = append(a.regs, r)
 		}
-		for i := range liveBefore[b.ID] {
-			liveBefore[b.ID][i] = ir.NewRegSet(nr)
+		return a.index[r]
+	}
+	touched := make([]bool, vf.NumRegs())
+	touch := func(r VReg) {
+		if i := number(r); !touched[r] {
+			touched[r] = true
+			a.order = append(a.order, i)
 		}
 	}
-	implicit := implicitUses(sf.VF)
+	implicit := make([]VReg, 0, 2*mach.MaxArgs+1)
+	for _, b := range sf.Blocks {
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			in := &b.Instrs[i]
+			ir := &a.instrs[a.base[b.ID]+i]
+			for si := range in.Slots {
+				op := &in.Slots[si].Op
+				if op.Dst != VNone {
+					touch(op.Dst)
+				}
+				for _, u := range op.Uses() {
+					touch(u)
+				}
+			}
+			ir.dsts = int32(len(a.named))
+			for si := range in.Slots {
+				if d := in.Slots[si].Op.Dst; d != VNone {
+					a.named = append(a.named, a.index[d])
+				}
+			}
+			ir.uses = int32(len(a.named))
+			for si := range in.Slots {
+				for _, u := range in.Slots[si].Op.Uses() {
+					a.named = append(a.named, a.index[u])
+				}
+			}
+			ir.implicit = int32(len(a.named))
+			for si := range in.Slots {
+				for _, u := range implicitUses(vf, &in.Slots[si].Op, implicit) {
+					a.named = append(a.named, number(u))
+				}
+			}
+			ir.end = int32(len(a.named))
+		}
+	}
 
+	n := len(a.regs)
+	a.words = (n + 63) / 64
+	a.before = make([]uint64, rows*a.words)
+	a.after = make([]uint64, rows*a.words)
+	a.adj = make([]uint64, n*a.words)
+	a.bank = make([]uint8, n)
+	a.bankMask = make([]uint64, (int(ClassB)+1)*maxBoards*a.words)
+	for i, r := range a.regs {
+		// A register nothing homed reads as board 0, like its pool and its
+		// physical register below.
+		k := uint8(vf.Class(r))*maxBoards + a.home(r)
+		a.bank[i] = k
+		a.row(a.bankMask, int(k))[i>>6] |= 1 << (i & 63)
+	}
+	return a
+}
+
+// home is the board of r's bank: 0 for a register nothing homed.
+func (a *allocator) home(r VReg) uint8 {
+	h, _ := a.sf.home.get(r)
+	return h
+}
+
+func (a *allocator) row(slab []uint64, i int) []uint64 {
+	return slab[i*a.words : (i+1)*a.words : (i+1)*a.words]
+}
+
+// implicitUses appends the convention registers an op consumes beyond its
+// explicit operands: returns read the return-value registers, calls read the
+// argument registers and SP, syscalls read the first arguments, halt reads
+// the integer return register.
+func implicitUses(vf *VFunc, o *VOp, u []VReg) []VReg {
+	switch o.Kind {
+	case mach.OpCall:
+		return append(append(append(u, vf.ArgI...), vf.ArgF...), vf.SP)
+	case mach.OpJmpR:
+		return append(u, vf.RVI, vf.RVF)
+	case mach.OpHalt:
+		return append(u, vf.RVI)
+	case mach.OpSyscall:
+		return append(u, vf.ArgI[0], vf.ArgF[0])
+	}
+	return u
+}
+
+// liveness computes instruction-level liveness in place. Branch slots make
+// their target instruction's live-in flow into the branch's own instruction.
+// The sweep runs against the flow — blocks and instructions last to first —
+// and only ever adds to a row, so it climbs from the empty sets to the least
+// fixed point whatever the order; the order only decides how many sweeps.
+func (a *allocator) liveness() {
+	cur := make([]uint64, a.words)
 	for changed := true; changed; {
 		changed = false
-		for _, b := range sf.Blocks {
-			la := liveAfter[b.ID]
-			lb := liveBefore[b.ID]
+		for bi := len(a.sf.Blocks) - 1; bi >= 0; bi-- {
+			b := a.sf.Blocks[bi]
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := &b.Instrs[i]
-				out := la[i].Clone()
+				r := a.base[b.ID] + i
+				out := a.row(a.after, r)
 				// fallthrough
-				out.UnionWith(lb[i+1])
+				union(out, a.row(a.before, r+1))
 				// branch targets
-				for si := range in.Slots {
-					s := &in.Slots[si]
+				for si := range b.Instrs[i].Slots {
+					s := &b.Instrs[i].Slots[si]
 					switch s.Op.Kind {
 					case mach.OpJmp, mach.OpBrT:
-						tb := liveBefore[s.TargetBlock]
-						if s.TargetOff < len(tb) {
-							out.UnionWith(tb[s.TargetOff])
+						if s.TargetOff <= len(a.sf.Blocks[s.TargetBlock].Instrs) {
+							union(out, a.row(a.before, a.base[s.TargetBlock]+s.TargetOff))
 						}
 					}
 				}
-				if !setsEqual(out, la[i]) {
-					la[i] = out
-					changed = true
-				}
 				// in = (out - defs) ∪ uses ∪ implicit
-				cur := out.Clone()
-				for si := range in.Slots {
-					if d := in.Slots[si].Op.Dst; d != VNone {
-						cur.Remove(ir.Reg(d))
-					}
+				copy(cur, out)
+				ir := a.instrs[r]
+				for _, d := range a.named[ir.dsts:ir.uses] {
+					cur[d>>6] &^= 1 << (d & 63)
 				}
-				for si := range in.Slots {
-					s := &in.Slots[si]
-					for _, u := range s.Op.Uses() {
-						cur.Add(ir.Reg(u))
-					}
-					for _, u := range implicit(&s.Op) {
-						cur.Add(ir.Reg(u))
-					}
+				for _, u := range a.named[ir.uses:ir.end] {
+					cur[u>>6] |= 1 << (u & 63)
 				}
-				if !setsEqual(cur, lb[i]) {
-					lb[i] = cur
-					changed = true
+				in := a.row(a.before, r)
+				for w := range cur {
+					if cur[w] != in[w] {
+						copy(in, cur)
+						changed = true
+						break
+					}
 				}
 			}
 		}
 	}
-	return &schedLiveness{After: liveAfter, Before: liveBefore}
 }
 
-// implicitUses returns the convention registers an op consumes beyond its
-// explicit operands: returns read the return-value registers and LR, calls
-// read the argument registers and SP, syscalls read the first arguments,
-// halt reads the integer return register.
-func implicitUses(vf *VFunc) func(*VOp) []VReg {
-	var argRegs []VReg
-	argRegs = append(argRegs, vf.ArgI...)
-	argRegs = append(argRegs, vf.ArgF...)
-	return func(o *VOp) []VReg {
-		switch o.Kind {
-		case mach.OpCall:
-			return append(append([]VReg{}, argRegs...), vf.SP)
-		case mach.OpJmpR:
-			return []VReg{vf.RVI, vf.RVF}
-		case mach.OpHalt:
-			return []VReg{vf.RVI}
-		case mach.OpSyscall:
-			return []VReg{vf.ArgI[0], vf.ArgF[0]}
-		}
-		return nil
+func union(dst, src []uint64) {
+	for w := range dst {
+		dst[w] |= src[w]
 	}
 }
 
-func setsEqual(a, b ir.RegSet) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// interference builds the graph, per (class, board).
+func (a *allocator) interference() {
+	for _, b := range a.sf.Blocks {
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			r := a.base[b.ID] + i
+			ir := a.instrs[r]
+			for si := range b.Instrs[i].Slots {
+				s := &b.Instrs[i].Slots[si]
+				if s.Op.Dst == VNone {
+					continue
+				}
+				d := a.index[s.Op.Dst]
+				// def interferes with everything live after this instr, with
+				// other defs in the same instruction, and — a write can land
+				// mid-instruction (e.g. a 1-beat op issued in the early beat
+				// writes before the late beat's reads) — with every register
+				// read anywhere in the same instruction.
+				a.addSet(d, a.row(a.after, r))
+				for _, o := range a.named[ir.dsts:ir.implicit] {
+					a.addEdge(d, o)
+				}
+				// In-flight extension: the write lands flight instructions
+				// later; everything executed until then — along any path
+				// control takes — must not share the register.
+				flight := (opLatency(a.cfg, &s.Op) + 1 + int(s.Beat)) / 2
+				if flight > 0 {
+					a.window = a.window[:0]
+					a.conflictWindow(d, b, i, flight)
+				}
+			}
 		}
 	}
-	return true
+}
+
+func (a *allocator) addEdge(x, y int32) {
+	if x == y || a.bank[x] != a.bank[y] {
+		return
+	}
+	a.adj[int(x)*a.words+int(y>>6)] |= 1 << (y & 63)
+	a.adj[int(y)*a.words+int(x>>6)] |= 1 << (x & 63)
+}
+
+// addSet makes d interfere with every register of its own bank in set.
+func (a *allocator) addSet(d int32, set []uint64) {
+	row, mask := a.row(a.adj, int(d)), a.row(a.bankMask, int(a.bank[d]))
+	dw, dbit := int(d>>6), uint64(1)<<(d&63)
+	for w := range row {
+		fresh := set[w] & mask[w] &^ row[w]
+		if w == dw {
+			fresh &^= dbit
+		}
+		row[w] |= fresh
+		for ; fresh != 0; fresh &= fresh - 1 {
+			a.adj[(w<<6+bits.TrailingZeros64(fresh))*a.words+dw] |= dbit
+		}
+	}
+}
+
+// conflictWindow makes def d interfere with everything live at or
+// defined/read in instructions [off, off+rem] of block b — the window
+// during which d's pipeline write is still in flight. The §6.2 rule:
+// "the target register of any pipelined operation is in use from the
+// beat in which the operation is initiated until the beat in which it
+// is defined to be written" — and control may branch meanwhile, so the
+// walk follows branch targets with the remaining flight time. a.window
+// holds the visits made for d so far.
+func (a *allocator) conflictWindow(d int32, b *SBlock, off, rem int) {
+	if rem < 0 {
+		return
+	}
+	k := windowKey{b.ID, off, rem}
+	for _, seen := range a.window {
+		if seen == k {
+			return
+		}
+	}
+	a.window = append(a.window, k)
+	if off <= len(b.Instrs) {
+		a.addSet(d, a.row(a.before, a.base[b.ID]+off))
+	}
+	for i := off; i <= off+rem && i < len(b.Instrs); i++ {
+		ir := a.instrs[a.base[b.ID]+i]
+		for _, o := range a.named[ir.dsts:ir.implicit] {
+			a.addEdge(d, o)
+		}
+		for si := range b.Instrs[i].Slots {
+			s := &b.Instrs[i].Slots[si]
+			switch s.Op.Kind {
+			case mach.OpJmp, mach.OpBrT:
+				a.conflictWindow(d, a.sf.Blocks[s.TargetBlock], s.TargetOff, off+rem-i-1)
+			}
+		}
+	}
+}
+
+// color assigns the physical registers: high-degree nodes first for better
+// packing, ties in first-touch order, each taking the lowest register of its
+// pool no neighbour holds.
+func (a *allocator) color() ([]mach.PReg, error) {
+	vf, cfg := a.sf.VF, a.cfg
+	alloc := make([]mach.PReg, vf.NumRegs())
+	for r, p := range vf.precolor {
+		alloc[r] = p
+	}
+	degree := make([]int32, len(a.regs))
+	for i := range degree {
+		for _, w := range a.row(a.adj, i) {
+			degree[i] += int32(bits.OnesCount64(w))
+		}
+	}
+	sort.SliceStable(a.order, func(x, y int) bool { return degree[a.order[x]] > degree[a.order[y]] })
+
+	// pools: board 0's I and F banks hold the calling convention's registers
+	pool := func(n int, reserved ...uint8) []uint8 {
+		out := make([]uint8, 0, n)
+	next:
+		for i := 0; i < n; i++ {
+			for _, x := range reserved {
+				if x == uint8(i) {
+					continue next
+				}
+			}
+			out = append(out, uint8(i))
+		}
+		return out
+	}
+	reservedI0 := []uint8{mach.RegSP.Idx, mach.RegLR.Idx, mach.RegRVI.Idx}
+	reservedF0 := []uint8{mach.RegRVF.Idx}
+	for i := 0; i < mach.MaxArgs; i++ {
+		reservedI0 = append(reservedI0, uint8(mach.ArgIBase+i))
+		reservedF0 = append(reservedF0, uint8(mach.ArgFBase+i))
+	}
+	type bankPool struct {
+		bank        mach.Bank
+		board0, any []uint8
+	}
+	allI, allF := pool(cfg.IRegsPerBank), pool(cfg.FRegsPerBank)
+	allSF, allB := pool(cfg.StoreFile), pool(cfg.BranchBank)
+	pools := [...]bankPool{
+		ClassI:  {mach.BankI, pool(cfg.IRegsPerBank, reservedI0...), allI},
+		ClassF:  {mach.BankF, pool(cfg.FRegsPerBank, reservedF0...), allF},
+		ClassSF: {mach.BankSF, allSF, allSF},
+		ClassB:  {mach.BankB, allB, allB},
+	}
+
+	for _, i := range a.order {
+		r := a.regs[i]
+		cls := vf.Class(r)
+		if alloc[r].Valid() || cls == ClassNone {
+			continue
+		}
+		var taken [256]bool
+		for w, nbs := range a.row(a.adj, int(i)) {
+			for ; nbs != 0; nbs &= nbs - 1 {
+				if p := alloc[a.regs[w<<6+bits.TrailingZeros64(nbs)]]; p.Valid() {
+					taken[p.Idx] = true
+				}
+			}
+		}
+		board := a.home(r)
+		free := pools[cls].any
+		if board == 0 {
+			free = pools[cls].board0
+		}
+		chosen := -1
+		for _, idx := range free {
+			if !taken[idx] {
+				chosen = int(idx)
+				break
+			}
+		}
+		if chosen < 0 {
+			return nil, &ErrPressure{Func: a.sf.Name, Class: cls, Board: board}
+		}
+		alloc[r] = mach.PReg{Bank: pools[cls].bank, Board: board, Idx: uint8(chosen)}
+	}
+	return alloc, nil
 }

@@ -32,8 +32,12 @@ type refAlloc struct {
 	alloc     map[VReg]mach.PReg
 }
 
-// refHome is the oracle's sf.Home[r]: 0 for a register nothing homed.
-func refHome(sf *SFunc, r VReg) uint8 { return sf.Home[r] }
+// refHome is the oracle's sf.Home[r], a map then: 0 for a register nothing
+// homed.
+func refHome(sf *SFunc, r VReg) uint8 {
+	h, _ := sf.home.get(r)
+	return h
+}
 
 func refAllocate(sf *SFunc, cfg mach.Config) (*refAlloc, error) {
 	lv := refLiveness(sf)
@@ -371,9 +375,48 @@ func refSetsEqual(a, b ir.RegSet) bool {
 // prodAllocate runs the production allocator and restates what it computed
 // in the oracle's terms.
 func prodAllocate(sf *SFunc, cfg mach.Config) (*refAlloc, error) {
-	lv := computeSchedLiveness(sf)
-	alloc, err := Allocate(sf, cfg)
-	return &refAlloc{lv: &refLive{After: lv.After, Before: lv.Before}, alloc: alloc}, err
+	a := newAllocator(sf, cfg)
+	a.liveness()
+	a.interference()
+	pregs, err := a.color()
+
+	nr := sf.VF.NumRegs()
+	regSet := func(row []uint64) ir.RegSet {
+		set := ir.NewRegSet(nr)
+		for w, bits := range row {
+			for ; bits != 0; bits &= bits - 1 {
+				set.Add(ir.Reg(a.regs[w*64+refTrailingZeros(bits)]))
+			}
+		}
+		return set
+	}
+	got := &refAlloc{
+		lv:        &refLive{After: map[int][]ir.RegSet{}, Before: map[int][]ir.RegSet{}},
+		neighbors: map[VReg]map[VReg]bool{},
+		alloc:     map[VReg]mach.PReg{},
+	}
+	for _, b := range sf.Blocks {
+		got.lv.After[b.ID] = make([]ir.RegSet, len(b.Instrs))
+		got.lv.Before[b.ID] = make([]ir.RegSet, len(b.Instrs)+1)
+		for i := 0; i <= len(b.Instrs); i++ {
+			got.lv.Before[b.ID][i] = regSet(a.row(a.before, a.base[b.ID]+i))
+			if i < len(b.Instrs) {
+				got.lv.After[b.ID][i] = regSet(a.row(a.after, a.base[b.ID]+i))
+			}
+		}
+	}
+	for i, r := range a.regs {
+		got.neighbors[r] = map[VReg]bool{}
+		for _, nb := range regList(regSet(a.row(a.adj, i))) {
+			got.neighbors[r][nb] = true
+		}
+	}
+	for r, p := range pregs {
+		if p.Valid() {
+			got.alloc[VReg(r)] = p
+		}
+	}
+	return got, err
 }
 
 // CheckAllocate allocates sf with the production allocator and judges the

@@ -24,50 +24,60 @@ type placedOp struct {
 type schedResult struct {
 	placed   []placedOp
 	numInstr int
-	g        *traceGraph
 }
 
-// scheduler holds reservation state while compacting one trace. The home
-// map (virtual register -> board) and copies cache persist per function so
-// cross-trace reads agree on value locations.
+// scheduler compacts the traces of one function, one at a time. The home
+// table (virtual register -> board) persists across them so cross-trace reads
+// agree on value locations; everything else is reservation state of the trace
+// in hand.
 type scheduler struct {
-	cfg    mach.Config
-	vf     *VFunc
-	g      *traceGraph
-	home   map[VReg]uint8
-	layout map[string]int64
+	cfg  mach.Config
+	vf   *VFunc
+	home *homes
 
-	// per-trace copy cache: (vreg, board) -> local copy
-	copies map[copyKey]VReg
+	// regs is indexed by VReg. An entry counts only if the trace in hand
+	// stamped it, so starting a trace forgets them all at once.
+	regs  []regState
+	trace uint32
 
 	// reservations
 	res resTable
 	// fdivBusy[pair] is the first instruction at which the pair's
 	// multiplier/divider accepts a new op again (the iterative divide
 	// occupies it).
-	fdivBusy [4]int
-	memRefs  []memRef     // scheduled memory references
-	avail    map[VReg]int // value availability beat (writes complete)
+	fdivBusy [maxBoards]int
+	memRefs  []memRef // scheduled memory references
 
-	// pendingSF tracks store-file registers written but not yet consumed by
-	// their store, per pair; the compiler is responsible for not
+	// pendingSF counts, per pair, the store-file registers written but not
+	// yet consumed by their store; the compiler is responsible for not
 	// overflowing the store file (no hardware manages it).
-	pendingSF map[uint8]map[VReg]bool
+	pendingSF [maxBoards]int
+
+	// gen counts reservations. Nothing but a reservation changes what a copy
+	// search sees, so one that found no slot at this gen (regState.noCopy)
+	// need not look at the same slots again.
+	gen uint32
 
 	placed   []placedOp
 	maxInstr int
-	maxPrio  int64
 }
 
-type copyKey struct {
-	reg   VReg
-	board uint8
+// regState is what the scheduler knows about one virtual register within
+// the trace in hand.
+type regState struct {
+	trace     uint32          // the trace the rest describes
+	pendingSF bool            // written into a store file, its store not yet placed
+	avail     int             // beat its value is available (the write completes); 0 for live-ins
+	copies    [maxBoards]VReg // its copy local to each other board, once one is placed
+	noCopy    [maxBoards]struct {
+		gen    uint32 // scheduler.gen when a search for a copy to the board last failed
+		needBy int    // the beat that search needed the copy by
+	}
 }
 
 type memRef struct {
 	ref       alias.Ref
 	issueBeat int
-	isStore   bool
 }
 
 const (
@@ -93,26 +103,32 @@ func (e *ErrScheduleSize) Error() string {
 	return fmt.Sprintf("%s: trace schedule exceeded %d instructions", e.Func, e.Limit)
 }
 
+// reg returns r's state in the trace in hand. The pointer is good until the
+// next vf.NewReg.
+func (s *scheduler) reg(r VReg) *regState {
+	if n := s.vf.NumRegs() - len(s.regs); n > 0 {
+		s.regs = append(s.regs, make([]regState, n)...)
+	}
+	e := &s.regs[r]
+	if e.trace != s.trace {
+		*e = regState{trace: s.trace}
+	}
+	return e
+}
+
 // scheduleTrace compacts one linearized, renamed trace with a list scheduler
 // over the machine's resources.
-func scheduleTrace(cfg mach.Config, vf *VFunc, g *traceGraph, home map[VReg]uint8, layout map[string]int64) (*schedResult, error) {
-	var maxPrio int64
-	for _, op := range g.ops {
-		if op.prio > maxPrio {
-			maxPrio = op.prio
-		}
-	}
-	s := &scheduler{
-		cfg: cfg, vf: vf, g: g, home: home, layout: layout, maxPrio: maxPrio,
-		copies:    map[copyKey]VReg{},
-		avail:     map[VReg]int{},
-		pendingSF: map[uint8]map[VReg]bool{},
-	}
+func (s *scheduler) scheduleTrace(g *traceGraph) (*schedResult, error) {
+	s.trace++
+	s.res.rows = s.res.rows[:0]
+	s.fdivBusy = [maxBoards]int{}
+	s.memRefs = s.memRefs[:0]
+	s.pendingSF = [maxBoards]int{}
+	s.placed, s.maxInstr = nil, 0
 
 	n := len(g.ops)
 	earliestBeat := make([]int, n)
 	earliestInstr := make([]int, n)
-	waited := make([]int, n)
 	remaining := n
 
 	ready := func() []*schedOp {
@@ -149,7 +165,7 @@ func scheduleTrace(cfg mach.Config, vf *VFunc, g *traceGraph, home map[VReg]uint
 
 	for k := 0; remaining > 0; k++ {
 		if k > maxTraceInstrs {
-			return nil, &ErrScheduleSize{Func: vf.Name, Limit: maxTraceInstrs}
+			return nil, &ErrScheduleSize{Func: s.vf.Name, Limit: maxTraceInstrs}
 		}
 		for {
 			progress := false
@@ -157,12 +173,10 @@ func scheduleTrace(cfg mach.Config, vf *VFunc, g *traceGraph, home map[VReg]uint
 				if earliestInstr[op.origIdx] > k {
 					continue
 				}
-				if s.tryPlace(op, k, earliestBeat[op.origIdx], waited[op.origIdx]) {
+				if s.tryPlace(op, k, earliestBeat[op.origIdx]) {
 					relax(op)
 					remaining--
 					progress = true
-				} else {
-					waited[op.origIdx]++
 				}
 			}
 			if !progress {
@@ -171,7 +185,7 @@ func scheduleTrace(cfg mach.Config, vf *VFunc, g *traceGraph, home map[VReg]uint
 		}
 	}
 
-	return &schedResult{placed: s.placed, numInstr: s.maxInstr + 1, g: g}, nil
+	return &schedResult{placed: s.placed, numInstr: s.maxInstr + 1}, nil
 }
 
 // unitChoice is a candidate placement.
@@ -180,12 +194,17 @@ type unitChoice struct {
 	beat uint8
 }
 
-// candidateUnits lists legal units for the op's kind, most preferred first.
-// prefBoard biases toward boards already holding the operands.
-func (s *scheduler) candidateUnits(o *VOp, prefBoard int) []unitChoice {
-	var out []unitChoice
+// maxCandidates is the most units any op can choose between: two ALUs in
+// either beat on each of four pairs.
+const maxCandidates = 4 * maxBoards
+
+// candidateUnits lists legal units for the op's kind into buf, most preferred
+// first. prefBoard biases toward boards already holding the operands.
+func (s *scheduler) candidateUnits(o *VOp, prefBoard int, buf *[maxCandidates]unitChoice) []unitChoice {
+	out := buf[:0]
 	pairs := s.cfg.Pairs
-	order := make([]int, 0, pairs)
+	var orderBuf [maxBoards]int
+	order := orderBuf[:0]
 	if prefBoard >= 0 && prefBoard < pairs {
 		order = append(order, prefBoard)
 	}
@@ -268,14 +287,13 @@ func unitClass(vf *VFunc, o *VOp) uclass {
 }
 
 // operandBoards inspects the op's register operands: it returns the
-// preferred board (where most reside), the set of hard constraints
-// (SF/branch-bank reads are local-only), and whether homes are mixed.
-func (s *scheduler) operandBoards(o *VOp) (pref int, hard int, regs []VReg) {
-	pref, hard = -1, -1
-	count := map[uint8]int{}
+// preferred board (where most reside) and the hard constraint, if any
+// (SF/branch-bank reads are local-only).
+func (s *scheduler) operandBoards(o *VOp) (pref int, hard int) {
+	hard = -1
+	var count [maxBoards]int
 	for _, r := range o.Uses() {
-		regs = append(regs, r)
-		h, ok := s.home[r]
+		h, ok := s.home.get(r)
 		if !ok {
 			continue
 		}
@@ -286,79 +304,47 @@ func (s *scheduler) operandBoards(o *VOp) (pref int, hard int, regs []VReg) {
 		}
 	}
 	best := -1
-	for b := 0; b < 4; b++ { // fixed order: deterministic tie-breaking
-		c, ok := count[uint8(b)]
-		if !ok {
-			continue
-		}
-		if best == -1 || c > count[uint8(best)] {
+	for b, c := range count { // fixed order: deterministic tie-breaking
+		if c > 0 && (best == -1 || c > count[best]) {
 			best = b
 		}
 	}
-	pref = best
 	if hard >= 0 {
-		pref = hard
+		return hard, hard
 	}
-	return pref, hard, regs
+	return best, hard
 }
 
-// tryPlace attempts to schedule op into instruction k. waited counts how
-// many instructions the op has been ready but unplaced; after a threshold
-// the scheduler inserts cross-bank copies to unblock it.
+// tryPlace attempts to schedule op into instruction k, first where its
+// operands are, then on any unit with cross-bank copies inserted to bring
+// them there.
 //
 // Board preference spreads the trace across the pairs: ops are hinted to
 // the board given by their block's position in the trace, so the unrolled
 // copies of a loop body land on different pairs (the data-parallel work
 // spreads; loop-carried chains stay put because a unit whose operands are
 // elsewhere loses to the operands' own board in the same candidate pass).
-func (s *scheduler) tryPlace(op *schedOp, k, minBeat, waited int) bool {
+func (s *scheduler) tryPlace(op *schedOp, k, minBeat int) bool {
 	o := &op.vop
-	pref, hard, _ := s.operandBoards(o)
+	pref, hard := s.operandBoards(o)
 	// Spread independent work across the pairs; chained ops (reduction and
 	// induction links) stay with their operands so recurrences never pay
 	// cross-board move latency.
 	if hard < 0 && s.cfg.Pairs > 1 && !op.chained && !s.cfg.NoSpread {
 		pref = op.traceIdx % s.cfg.Pairs
 	}
-	for _, uc := range s.candidateUnits(o, pref) {
-		if hard >= 0 && int(uc.unit.Pair) != hard {
-			continue
-		}
-		if s.placeOn(op, uc, k, minBeat, false) {
-			return true
-		}
-	}
-	// Copy pass: allow placements that first route operands to the target
-	// board over the buses (the per-trace copy cache dedups the moves).
-	for _, uc := range s.candidateUnits(o, pref) {
-		if hard >= 0 && int(uc.unit.Pair) != hard {
-			continue
-		}
-		if s.placeOn(op, uc, k, minBeat, true) {
-			return true
-		}
-	}
-	_ = waited
-	return false
-}
-
-// mixedHomes reports whether the op's I/F operands live on different boards
-// (so no board can host it without a copy).
-func (s *scheduler) mixedHomes(o *VOp) bool {
-	seen := -1
-	for _, r := range o.Uses() {
-		c := s.vf.Class(r)
-		if c != ClassI && c != ClassF {
-			continue
-		}
-		h, ok := s.home[r]
-		if !ok {
-			continue
-		}
-		if seen == -1 {
-			seen = int(h)
-		} else if seen != int(h) {
-			return true
+	var buf [maxCandidates]unitChoice
+	units := s.candidateUnits(o, pref, &buf)
+	// The second pass allows placements that first route operands to the
+	// target board over the buses (the per-trace copy cache dedups the moves).
+	for _, allowCopies := range [...]bool{false, true} {
+		for _, uc := range units {
+			if hard >= 0 && int(uc.unit.Pair) != hard {
+				continue
+			}
+			if s.placeOn(op, uc, k, minBeat, allowCopies) {
+				return true
+			}
 		}
 	}
 	return false
@@ -382,28 +368,29 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 	// store-file pressure: hold back new store-file writes while too many
 	// are outstanding on this pair (the allocator has no spill path into
 	// the store file, so the scheduler keeps its footprint bounded)
-	if o.Kind == mach.OpMovSF {
-		if sf := s.pendingSF[board]; len(sf) >= s.cfg.StoreFile-2 {
-			return false
-		}
+	if o.Kind == mach.OpMovSF && s.pendingSF[board] >= s.cfg.StoreFile-2 {
+		return false
 	}
 
-	// resolve operands to local names (or fail / insert copies)
+	// resolve operands to local names (or fail / insert copies). The lists
+	// live in fixed arrays: an op has three operands, and a register named by
+	// all three is planned, copied and rewritten three times over.
 	type rewrite struct {
 		arg *VArg
 		reg VReg
 	}
-	var rewrites []rewrite
-	var copyPlans []VReg // operands needing copies
-	var claims []VReg    // unhomed operands: first touch homes them here
-	args := []*VArg{&o.A, &o.B, &o.C}
+	var rewriteBuf [9]rewrite
+	var planBuf, claimBuf [3]VReg
+	rewrites := rewriteBuf[:0]
+	copyPlans := planBuf[:0] // operands needing copies
+	claims := claimBuf[:0]   // unhomed operands: first touch homes them here
+	args := [...]*VArg{&o.A, &o.B, &o.C}
 	for _, a := range args {
 		if a.IsImm || a.Reg == VNone {
 			continue
 		}
 		r := a.Reg
-		c := s.vf.Class(r)
-		h, homed := s.home[r]
+		h, homed := s.home.get(r)
 		if !homed {
 			// first touch: the value will live here (its definer will
 			// cross-write to this board); recorded at commit below
@@ -413,13 +400,13 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 		if h == board {
 			continue
 		}
-		switch c {
+		switch s.vf.Class(r) {
 		case ClassSF, ClassB:
 			return false // local-only, wrong board
 		}
 		// existing copy?
-		if cp, ok := s.copies[copyKey{r, board}]; ok {
-			if s.avail[cp] <= issue {
+		if cp := s.reg(r).copies[board]; cp != VNone {
+			if s.reg(cp).avail <= issue {
 				rewrites = append(rewrites, rewrite{a, cp})
 				continue
 			}
@@ -436,7 +423,9 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 		return false
 	}
 
-	// insert copies; each must complete by the issue beat
+	// insert copies; each must complete by the issue beat. One that finds no
+	// slot fails the placement but leaves the copies before it placed and
+	// cached: later attempts find and use them.
 	for _, r := range copyPlans {
 		cp, ok := s.insertCopy(r, board, issue)
 		if !ok {
@@ -459,8 +448,8 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 		rw.arg.Reg = rw.reg
 	}
 	for _, r := range claims {
-		if _, ok := s.home[r]; !ok {
-			s.home[r] = board
+		if _, ok := s.home.get(r); !ok {
+			s.home.set(r, board)
 		}
 	}
 	s.reserve(op, uc, issue)
@@ -469,24 +458,23 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 	op.beat = issue
 	op.unit = uc.unit
 	if o.Dst != VNone {
-		if _, ok := s.home[o.Dst]; !ok {
-			if pre, isPre := s.vf.precolor[o.Dst]; isPre {
-				s.home[o.Dst] = pre.Board
-			} else {
-				s.home[o.Dst] = board
-			}
+		if _, ok := s.home.get(o.Dst); !ok {
+			s.home.set(o.Dst, board)
 		}
-		s.avail[o.Dst] = issue + opLatency(s.cfg, o)
+		s.reg(o.Dst).avail = issue + opLatency(s.cfg, o)
 	}
 	switch o.Kind {
 	case mach.OpMovSF:
-		if s.pendingSF[board] == nil {
-			s.pendingSF[board] = map[VReg]bool{}
+		if e := s.reg(o.Dst); !e.pendingSF {
+			e.pendingSF = true
+			s.pendingSF[board]++
 		}
-		s.pendingSF[board][o.Dst] = true
 	case ir.Store:
 		if !o.C.IsImm && o.C.Reg != VNone {
-			delete(s.pendingSF[board], o.C.Reg)
+			if e := s.reg(o.C.Reg); e.pendingSF {
+				e.pendingSF = false
+				s.pendingSF[board]--
+			}
 		}
 	}
 	s.placed = append(s.placed, placedOp{instr: k, beat: uc.beat, unit: uc.unit, vop: *o, src: op})
@@ -518,7 +506,7 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 	// is local too. Enforced even on the Ideal machine for encodability.
 	if o.Dst != VNone {
 		cls := s.vf.Class(o.Dst)
-		if h, ok := s.home[o.Dst]; ok && int(h) != board {
+		if h, ok := s.home.get(o.Dst); ok && int(h) != board {
 			// MOV is the exception: data moves ride the tagged load buses
 			// (§6.3) and can deliver to any board's F bank, like loads.
 			crossOK := cls == ClassI || (o.Kind == ir.Mov && cls == ClassF)
@@ -532,20 +520,14 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 	}
 
 	// shared immediate word (one long immediate or branch per pair-beat)
-	for _, b := range immWordBeats(o, issue) {
+	for b := issue; b < issue+immWordBeats(o); b++ {
 		if s.res.at(b).imm&(1<<board) != 0 {
 			return false
 		}
 	}
 
 	// register file read ports
-	nr := 0
-	for _, a := range []*VArg{&o.A, &o.B, &o.C} {
-		if !a.IsImm && a.Reg != VNone {
-			nr++
-		}
-	}
-	if int(s.res.at(issue).rd[board])+nr > s.cfg.RFReadPorts {
+	if int(s.res.at(issue).rd[board])+len(o.Uses()) > s.cfg.RFReadPorts {
 		return false
 	}
 
@@ -635,13 +617,12 @@ func (s *scheduler) refOfPlaced(op *schedOp) alias.Ref {
 	return alias.Ref{Addr: alias.VarForm(0), Size: 8}
 }
 
-// dstBoard returns the board whose register file receives the result.
+// dstBoard returns the board whose register file receives the result: the
+// destination's home, or the unit's own board for one nothing has homed yet
+// (Assemble homes the precolored registers before any trace is scheduled).
 func (s *scheduler) dstBoard(o *VOp, u mach.Unit) int {
-	if h, ok := s.home[o.Dst]; ok {
+	if h, ok := s.home.get(o.Dst); ok {
 		return int(h)
-	}
-	if pre, ok := s.vf.precolor[o.Dst]; ok {
-		return int(pre.Board)
 	}
 	return int(u.Pair)
 }
@@ -662,6 +643,7 @@ func busCap(cfg *mach.Config, kind int) int {
 
 // reserve commits the op's resource usage.
 func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
+	s.gen++
 	o := &op.vop
 	board := int(uc.unit.Pair)
 	bit := unitBit(uc.unit)
@@ -678,16 +660,10 @@ func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
 	if s.cfg.Ideal {
 		return
 	}
-	for _, b := range immWordBeats(o, issue) {
+	for b := issue; b < issue+immWordBeats(o); b++ {
 		s.res.row(b).imm |= 1 << board
 	}
-	nr := 0
-	for _, a := range []*VArg{&o.A, &o.B, &o.C} {
-		if !a.IsImm && a.Reg != VNone {
-			nr++
-		}
-	}
-	s.res.row(issue).rd[board] += uint16(nr)
+	s.res.row(issue).rd[board] += uint16(len(o.Uses()))
 	if o.Dst != VNone {
 		wb := issue + opLatency(s.cfg, o)
 		db := s.dstBoard(o, uc.unit)
@@ -714,7 +690,7 @@ func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
 			}
 			s.res.row(issue + mach.StageData).bus[kind]++
 		}
-		s.memRefs = append(s.memRefs, memRef{s.refOfPlaced(op), issue, o.Kind == ir.Store})
+		s.memRefs = append(s.memRefs, memRef{s.refOfPlaced(op), issue})
 	}
 }
 
@@ -725,37 +701,64 @@ func fitsImm6(a VArg) bool {
 	return a.Sym == "" && a.Imm >= -32 && a.Imm <= 31
 }
 
-// immWordBeats returns which beats of the pair's shared immediate words the
-// op occupies at instruction k (absolute beats). Branches own the early
-// word (their displacement rides the PC adder's leg); long immediates own
-// their issue beat's word; ConstF needs both halves.
-func immWordBeats(o *VOp, issue int) []int {
+// immWordBeats returns how many beats of the pair's shared immediate words
+// the op occupies, from its issue beat on. Branches own the early word (their
+// displacement rides the PC adder's leg; they issue in the early beat); long
+// immediates own their issue beat's word; ConstF needs both halves.
+func immWordBeats(o *VOp) int {
 	switch o.Kind {
 	case mach.OpBrT, mach.OpJmp, mach.OpCall, mach.OpJmpR, mach.OpHalt, mach.OpSyscall:
-		return []int{issue} // branches issue in the early beat
+		return 1
 	case ir.ConstF:
-		return []int{issue, issue + 1}
+		return 2
 	}
-	for _, a := range []VArg{o.A, o.B, o.C} {
-		if a.IsImm && !fitsImm6(a) {
-			return []int{issue}
+	for _, a := range [...]*VArg{&o.A, &o.B, &o.C} {
+		if a.IsImm && !fitsImm6(*a) {
+			return 1
 		}
 	}
-	return nil
+	return 0
 }
 
-// insertCopy schedules a cross-bank move of r to the target board, somewhere
-// it fits with completion no later than needBy. Returns the copy register.
+// insertCopy schedules a cross-bank move of r to the target board, in the
+// first slot it fits with completion no later than needBy. Returns the copy
+// register.
 func (s *scheduler) insertCopy(r VReg, board uint8, needBy int) (VReg, bool) {
 	cls := s.vf.Class(r)
 	typ := s.vf.TypeOf(r)
-	mov := VOp{Kind: ir.Mov, Type: typ, A: VRegArg(r)}
-	lat := opLatency(s.cfg, &mov)
-	src := s.home[r]
-	earliest := s.avail[r] // 0 for live-ins
+	src, _ := s.home.get(r)
+	earliest := s.reg(r).avail // 0 for live-ins
+	// A bounded window keeps the placement near the consumer.
+	first := func(by int) int {
+		return max(op2instr(earliest), op2instr(by)-64)
+	}
+	kStart := first(needBy)
+	// If a search found nothing since the last reservation, every slot it
+	// looked at is still taken: a later deadline within its window leaves the
+	// slots completing after the earlier one, in the same order, and an
+	// earlier one over the same window leaves none. (An earlier deadline whose
+	// window starts lower looks again.)
+	known := -1
+	if m := s.reg(r).noCopy[board]; m.gen == s.gen {
+		switch {
+		case needBy > m.needBy:
+			known = m.needBy
+		case first(m.needBy) == kStart:
+			return VNone, false
+		}
+	}
+
+	// The copy's register exists for the whole search — the resource checks
+	// route its write to the target board — and is given back if no slot is
+	// found.
+	cp := s.vf.NewReg(cls, typ)
+	s.home.set(cp, board)
+	tmp := schedOp{vop: VOp{Kind: ir.Mov, Type: typ, Dst: cp, A: VRegArg(r)}, instr: -1}
+	lat := opLatency(s.cfg, &tmp.vop)
 
 	// candidate units on the SOURCE board (reads must be local)
-	var ucs []unitChoice
+	var ucBuf [4]unitChoice
+	ucs := ucBuf[:0]
 	if cls == ClassI {
 		for alu := 0; alu < 2; alu++ {
 			for beat := uint8(0); beat < 2; beat++ {
@@ -767,42 +770,28 @@ func (s *scheduler) insertCopy(r VReg, board uint8, needBy int) (VReg, bool) {
 			unitChoice{mach.Unit{Kind: mach.UFA, Pair: src}, 0},
 			unitChoice{mach.Unit{Kind: mach.UFM, Pair: src}, 0})
 	}
-	kStart := op2instr(earliest)
-	if lo := op2instr(needBy) - 64; lo > kStart {
-		kStart = lo // bounded window keeps placement near the consumer
-	}
-	for k := kStart; 2*k+lat <= needBy+1; k++ {
+	for k := max(kStart, op2instr(known+1-lat)); 2*k+lat <= needBy+1; k++ {
 		for _, uc := range ucs {
 			issue := 2*k + int(uc.beat)
-			if issue < earliest || issue+lat > needBy {
+			if issue < earliest || issue+lat > needBy || issue+lat <= known {
 				continue
 			}
-			if !s.unitFree(uc, k) {
+			if !s.unitFree(uc, k) || !s.resourcesFree(&tmp, uc, issue) {
 				continue
 			}
-			cp := s.vf.NewReg(cls, typ)
-			s.home[cp] = board
-			m := mov
-			m.Dst = cp
-			tmp := &schedOp{vop: m, instr: -1}
-			if !s.resourcesFree(tmp, uc, issue) {
-				// un-home: try another slot
-				delete(s.home, cp)
-				continue
-			}
-			tmp.placed = true
-			tmp.instr = k
-			tmp.beat = issue
-			tmp.unit = uc.unit
-			s.reserve(tmp, uc, issue)
-			s.avail[cp] = issue + lat
-			s.copies[copyKey{r, board}] = cp
-			s.placed = append(s.placed, placedOp{instr: k, beat: uc.beat, unit: uc.unit, vop: m})
+			s.reserve(&tmp, uc, issue)
+			s.reg(cp).avail = issue + lat
+			s.reg(r).copies[board] = cp
+			s.placed = append(s.placed, placedOp{instr: k, beat: uc.beat, unit: uc.unit, vop: tmp.vop})
 			if k > s.maxInstr {
 				s.maxInstr = k
 			}
 			return cp, true
 		}
 	}
+	s.home.unset(cp)
+	s.vf.dropReg(cp)
+	m := &s.reg(r).noCopy[board]
+	m.gen, m.needBy = s.gen, needBy
 	return VNone, false
 }

@@ -44,13 +44,33 @@ type SFunc struct {
 	VF     *VFunc
 	Blocks []*SBlock
 	Entry  int // SBlock holding the prologue
-	Home   map[VReg]uint8
+	home   homes
 
 	// stats for the experiments
 	CompOps   int // compensation ops emitted
 	CopyOps   int // cross-bank copies inserted
 	SpecLoads int // loads converted to the non-trapping opcodes (§7)
 }
+
+// homes records the board whose banks hold each virtual register's value,
+// indexed by VReg: 0 until something homes the register, then board+1.
+type homes []uint8
+
+func (h homes) get(r VReg) (board uint8, ok bool) {
+	if int(r) >= len(h) || h[r] == 0 {
+		return 0, false
+	}
+	return h[r] - 1, true
+}
+
+func (h *homes) set(r VReg, board uint8) {
+	if n := int(r) + 1 - len(*h); n > 0 {
+		*h = append(*h, make([]uint8, n)...)
+	}
+	(*h)[r] = board + 1
+}
+
+func (h homes) unset(r VReg) { h[r] = 0 }
 
 // entrance locates where control enters a scheduled vblock.
 type entrance struct {
@@ -64,20 +84,20 @@ type entrance struct {
 func Assemble(cfg mach.Config, vf *VFunc, prof ir.EdgeWeights, layout map[string]int64, maxTraceBlocks int) (*SFunc, error) {
 	lv := vf.ComputeLiveness()
 	traces := SelectTraces(vf, prof, maxTraceBlocks)
-	home := map[VReg]uint8{}
+	sf := &SFunc{Name: vf.Name, VF: vf, home: make(homes, vf.NumRegs())}
 	// precolored registers are homed by their colors
 	for r, p := range vf.precolor {
-		home[r] = p.Board
+		sf.home.set(r, p.Board)
 	}
 
-	if os.Getenv("TSCHED_DEBUG") != "" {
+	if debugLog {
 		for i, tr := range traces {
 			fmt.Fprintf(os.Stderr, "trace %d: %v\n", i, tr.Blocks)
 		}
 	}
-	sf := &SFunc{Name: vf.Name, VF: vf, Home: home}
 	globalForms := GlobalForms(vf, layout)
 	st := &stitcher{cfg: cfg, vf: vf, sf: sf, lv: lv, layout: layout, globalForms: globalForms,
+		sched:     &scheduler{cfg: cfg, vf: vf, home: &sf.home, gen: 1},
 		entrances: map[int]entrance{}, joinComp: map[int]int{}, pending: map[int][]pendingBranch{},
 		serialReady: map[*SBlock]map[VReg]int{}, serialRes: map[*SBlock]*serialState{}}
 
@@ -113,6 +133,7 @@ type stitcher struct {
 	sf     *SFunc
 	lv     *VLiveness
 	layout map[string]int64
+	sched  *scheduler
 
 	entrances   map[int]entrance // vblock -> where control enters
 	joinComp    map[int]int      // vblock -> comp SBlock that must precede entry
@@ -147,8 +168,13 @@ type serialState struct {
 	maxWriteEnd int // latest landing instr of any write (for implicit uses)
 }
 
-// serialDebugNoPack disables comp-block packing (debugging aid).
-var serialDebugNoPack = os.Getenv("TSCHED_NOPACK") != ""
+// Debugging aids, read once: TSCHED_DEBUG prints the traces, the retries and
+// the state of a failed stitch to stderr; TSCHED_NOPACK disables comp-block
+// packing.
+var (
+	debugLog          = os.Getenv("TSCHED_DEBUG") != ""
+	serialDebugNoPack = os.Getenv("TSCHED_NOPACK") != ""
+)
 
 func newSerialState(floor int) *serialState {
 	return &serialState{
@@ -179,7 +205,7 @@ func (st *stitcher) resolve() error {
 	for v, pbs := range st.pending {
 		e, ok := st.entrances[v]
 		if !ok {
-			if os.Getenv("TSCHED_DEBUG") != "" {
+			if debugLog {
 				fmt.Fprintf(os.Stderr, "entrances: %v\nvfunc:\n%s\n", st.entrances, st.vf)
 			}
 			return fmt.Errorf("%s: no entrance for vblock %d", st.vf.Name, v)
@@ -248,7 +274,7 @@ func (st *stitcher) pad(sb *SBlock, idx int) {
 // serializeOne appends a single op (plus any operand-routing moves) to sb.
 func (st *stitcher) serializeOne(sb *SBlock, op VOp) {
 	vf := st.vf
-	home := st.sf.Home
+	home := &st.sf.home
 	ready := st.serialReady[sb]
 	if ready == nil {
 		ready = map[VReg]int{}
@@ -262,12 +288,12 @@ func (st *stitcher) serializeOne(sb *SBlock, op VOp) {
 	if op.Dst != VNone {
 		switch vf.Class(op.Dst) {
 		case ClassB, ClassSF:
-			if h, ok := home[op.Dst]; ok {
+			if h, ok := home.get(op.Dst); ok {
 				pair = int(h)
 			}
 		case ClassF:
 			if op.Kind != ir.Mov {
-				if h, ok := home[op.Dst]; ok {
+				if h, ok := home.get(op.Dst); ok {
 					pair = int(h)
 				}
 			}
@@ -277,13 +303,14 @@ func (st *stitcher) serializeOne(sb *SBlock, op VOp) {
 		for _, r := range op.Uses() {
 			switch vf.Class(r) {
 			case ClassSF, ClassB:
-				pair = int(home[r]) // hard
+				h, _ := home.get(r)
+				pair = int(h) // hard
 			}
 		}
 	}
 	if pair < 0 {
 		for _, r := range op.Uses() {
-			if h, ok := home[r]; ok {
+			if h, ok := home.get(r); ok {
 				pair = int(h)
 				break
 			}
@@ -303,16 +330,16 @@ func (st *stitcher) serializeOne(sb *SBlock, op VOp) {
 		if cls != ClassI && cls != ClassF {
 			continue
 		}
-		h, ok := home[r]
+		h, ok := home.get(r)
 		if !ok {
-			home[r] = uint8(pair)
+			home.set(r, uint8(pair))
 			continue
 		}
 		if int(h) == pair {
 			continue
 		}
 		tmp := vf.NewReg(cls, vf.TypeOf(r))
-		home[tmp] = uint8(pair)
+		home.set(tmp, uint8(pair))
 		mv := VOp{Kind: ir.Mov, Type: vf.TypeOf(r), Dst: tmp, A: VRegArg(r)}
 		idx := st.placeSerial(sb, mv, int(h), ready[r])
 		ready[tmp] = idx + (opLatency(st.cfg, &mv)+1)/2
@@ -328,11 +355,11 @@ func (st *stitcher) serializeOne(sb *SBlock, op VOp) {
 	idx := st.placeSerial(sb, op, pair, need)
 	if op.Dst != VNone {
 		ready[op.Dst] = idx + (opLatency(st.cfg, &op)+1)/2
-		if _, ok := home[op.Dst]; !ok {
+		if _, ok := home.get(op.Dst); !ok {
 			if pre, isPre := vf.precolor[op.Dst]; isPre {
-				home[op.Dst] = pre.Board
+				home.set(op.Dst, pre.Board)
 			} else {
-				home[op.Dst] = uint8(pair)
+				home.set(op.Dst, uint8(pair))
 			}
 		}
 	}
@@ -452,7 +479,7 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 			if op.Dst != VNone {
 				wb := issue + opLatency(st.cfg, &op)
 				db := pair
-				if h, ok := st.sf.Home[op.Dst]; ok {
+				if h, ok := st.sf.home.get(op.Dst); ok {
 					db = int(h)
 				}
 				if int(ss.res.at(wb).wr[db])+1 > st.cfg.RFWritePorts {
@@ -516,7 +543,7 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 			if op.Dst != VNone {
 				wb := issue + opLatency(st.cfg, &op)
 				db := pair
-				if h, ok := st.sf.Home[op.Dst]; ok {
+				if h, ok := st.sf.home.get(op.Dst); ok {
 					db = int(h)
 				}
 				ss.res.row(wb).wr[db]++
@@ -579,7 +606,7 @@ func (st *stitcher) addTrace(tr Trace) error {
 	}
 	g.addFinalRestores(st.lv)
 	g.buildDAG(cfg, st.layout, st.globalForms)
-	res, err := scheduleTrace(cfg, vf, g, st.sf.Home, st.layout)
+	res, err := st.sched.scheduleTrace(g)
 	if err != nil {
 		return err
 	}

@@ -321,3 +321,50 @@ func TestUnitClassRouting(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedCopySearchLeaksNoRegister pins insertCopy's bookkeeping: a search
+// that finds no slot gives its copy register back — NumRegs, and with it
+// every table sized from it, stays where it was, and nothing is homed or
+// cached — and the next search that does find one gets that same number.
+func TestFailedCopySearchLeaksNoRegister(t *testing.T) {
+	_, vf := lower(t, loopSrc, "main")
+	var home homes
+	s := &scheduler{cfg: mach.Trace28(), vf: vf, home: &home, gen: 1}
+	r := vf.NewReg(ClassI, ir.I32)
+	home.set(r, 0)
+	before := vf.NumRegs()
+
+	// no beat early enough to complete by beat 0
+	if cp, ok := s.insertCopy(r, 1, 0); ok {
+		t.Fatalf("copy t%d placed with no beat to run in", cp)
+	}
+	// every ALU slot of the source board taken across the whole window
+	for beat := 0; beat < 2*80; beat++ {
+		for alu := uint8(0); alu < 2; alu++ {
+			s.res.row(beat).units |= unitBit(mach.Unit{Kind: mach.UIALU, Pair: 0, Idx: alu})
+		}
+	}
+	for try := 0; try < 3; try++ { // the second and third are answered from the memo
+		if cp, ok := s.insertCopy(r, 1, 100+try%2); ok {
+			t.Fatalf("copy t%d placed on a full board", cp)
+		}
+	}
+	if n := vf.NumRegs(); n != before {
+		t.Errorf("failed copy searches left NumRegs at %d, was %d", n, before)
+	}
+	if _, homed := home.get(VReg(before)); homed {
+		t.Errorf("failed copy searches left t%d homed", before)
+	}
+	if cp := s.reg(r).copies[1]; cp != VNone {
+		t.Errorf("failed copy searches cached t%d", cp)
+	}
+
+	// past the taken slots the search succeeds, with the register given back
+	cp, ok := s.insertCopy(r, 1, 2*80+4)
+	if !ok || cp != VReg(before) || vf.NumRegs() != before+1 {
+		t.Fatalf("copy = t%d, %t with %d registers; want t%d with %d", cp, ok, vf.NumRegs(), before, before+1)
+	}
+	if h, _ := home.get(cp); h != 1 || s.reg(r).copies[1] != cp || len(s.placed) != 1 {
+		t.Errorf("copy t%d: home %d, cached %d, %d ops placed", cp, h, s.reg(r).copies[1], len(s.placed))
+	}
+}

@@ -98,17 +98,19 @@ type VOp struct {
 	Line   int
 }
 
-// Uses returns the virtual registers read by the op.
+// Uses returns the virtual registers read by the op. It inlines, so the
+// three-register buffer behind the result stays on the caller's stack.
 func (o *VOp) Uses() []VReg {
-	var u []VReg
-	add := func(a VArg) {
+	var buf [3]VReg
+	return o.appendUses(buf[:0])
+}
+
+func (o *VOp) appendUses(u []VReg) []VReg {
+	for _, a := range [...]*VArg{&o.A, &o.B, &o.C} {
 		if !a.IsImm && a.Reg != VNone {
 			u = append(u, a.Reg)
 		}
 	}
-	add(o.A)
-	add(o.B)
-	add(o.C)
 	return u
 }
 
@@ -223,6 +225,15 @@ func (f *VFunc) NewReg(c Class, t ir.Type) VReg {
 	f.classes = append(f.classes, c)
 	f.types = append(f.types, t)
 	return VReg(len(f.classes) - 1)
+}
+
+// dropReg gives back the register NewReg returned last, unused.
+func (f *VFunc) dropReg(r VReg) {
+	if int(r) != len(f.classes)-1 {
+		panic(fmt.Sprintf("%s: dropReg(t%d) is not the newest of %d registers", f.Name, r, len(f.classes)))
+	}
+	f.classes = f.classes[:r]
+	f.types = f.types[:r]
 }
 
 // Class returns r's bank class.

@@ -33,6 +33,12 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'nFetch|nRingIngest|\[\]pend
 	exit 1
 fi
 
+echo "== the allocator owns its storage (no cloned register sets, no per-register hash maps in regalloc.go)"
+if grep -nE 'ir\.RegSet|\.Clone\(\)|map\[VReg\]' internal/tsched/regalloc.go; then
+	echo "check: internal/tsched/regalloc.go is back to cloned ir.RegSets or map[VReg] tables (rows of allocator.before/after/adj)"
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
