@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/signal"
 
+	"github.com/multiflow-repro/trace/internal/prof"
 	"github.com/multiflow-repro/trace/internal/vliw"
 	"github.com/multiflow-repro/trace/internal/xp"
 )
@@ -26,6 +27,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	jobs := flag.Int("j", 0, "compiler backend worker pool size (0 = one per CPU, 1 = sequential)")
 	tierName := flag.String("tier", "", "execution tier for the simulations: checked (default), fast, safe, or native (tables are identical)")
+	profiles := prof.Register()
 	flag.Parse()
 	xp.Parallelism = *jobs
 	var err error
@@ -44,7 +46,13 @@ func main() {
 	// SIGINT stops the harness at the next compile or simulation boundary.
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSig()
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracebench:", err)
+		os.Exit(1)
+	}
 	tables, err := xp.RunByID(ctx, *exp)
+	stopProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracebench:", err)
 		os.Exit(1)

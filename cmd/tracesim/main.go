@@ -10,7 +10,7 @@
 //	         [-cpuprofile F] [-memprofile F] prog.mf [prog2.mf ...]
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole command —
-// compile, certify (with -tier), translate and run — so a cold request can
+// compile, certify (with -tier) and run — so a cold request can
 // be profiled without a test harness.
 //
 // With -contexts K (or several source files), the programs time-share one
@@ -23,8 +23,9 @@
 // the default), -tier=fast (statically certified, resource/race checks
 // skipped), -tier=safe (fast plus guard-free execution of every memory and
 // divide site the value-range safety analysis proves can never fault), or
-// -tier=native (the safe grade with the image translated once into
-// closure-threaded code — no per-slot dispatch or operand re-decode). All
+// -tier=native (the safe grade with the runs of words the program keeps
+// returning to fused into regions of closures — no per-slot dispatch, operand
+// re-decode or per-beat bookkeeping; a summary of the regions goes to stderr). All
 // tiers produce bit-identical results; only speed and how much dynamic
 // checking remains differ.
 //
@@ -196,6 +197,9 @@ func main() {
 		fatal(err)
 	}
 	st := &m.Stats
+	if tier == vliw.TierNative {
+		fmt.Fprintf(os.Stderr, "tracesim: native tier: %s\n", m.RegionSummary())
+	}
 	fmt.Printf("exit:        %d\n", v)
 	fmt.Printf("machine:     %s\n", cfg.Name)
 	fmt.Printf("beats:       %d (%.2f ms at %d ns/beat)\n", st.Beats,

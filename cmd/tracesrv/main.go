@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/multiflow-repro/trace/internal/prof"
 	"github.com/multiflow-repro/trace/internal/serve"
 )
 
@@ -49,6 +50,7 @@ func main() {
 	runTimeout := flag.Duration("run-timeout", 60*time.Second, "per-request simulation deadline")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown deadline")
 	jobs := flag.Int("j", 0, "backend worker pool per compilation (0 = one per CPU)")
+	profiles := prof.Register()
 	flag.Parse()
 
 	srv := serve.New(serve.Config{
@@ -77,6 +79,12 @@ func main() {
 		}
 	}
 	fmt.Printf("tracesrv: listening on %s\n", bound)
+	// The profiles cover the serving life of the process, start to drained.
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracesrv:", err)
+		os.Exit(1)
+	}
 
 	hs := &http.Server{Handler: srv}
 	errc := make(chan error, 1)
@@ -86,6 +94,7 @@ func main() {
 	defer stop()
 	select {
 	case err := <-errc:
+		stopProfiles()
 		fmt.Fprintln(os.Stderr, "tracesrv:", err)
 		os.Exit(1)
 	case <-ctx.Done():
@@ -97,7 +106,9 @@ func main() {
 	fmt.Println("tracesrv: draining")
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	err = hs.Shutdown(dctx)
+	stopProfiles()
+	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "tracesrv: drain:", err)
 		os.Exit(1)
 	}

@@ -231,8 +231,10 @@ func (c Config) PeakMemBandwidth() float64 {
 // lands (§6.1, §6.2, §6.4.1). It is the one timing model: the scheduler
 // plans with it, the simulator retires writes by it, and the baselines are
 // built of the same technology, so the three cannot drift. (schedcheck keeps
-// its own copy on purpose — it is the independent verifier.)
-func (c Config) Latency(k ir.OpKind, t ir.Type) int {
+// its own copy on purpose — it is the independent verifier.) The receiver is a
+// pointer because the scheduler asks once per operand of every op it places
+// and a Config is thirty words to copy.
+func (c *Config) Latency(k ir.OpKind, t ir.Type) int {
 	switch k {
 	case ir.Load, ir.LoadSpec:
 		return c.LatLoad

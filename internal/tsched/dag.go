@@ -452,7 +452,7 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 		// flow dependences
 		for _, u := range o.Uses() {
 			if d, ok := defsite[u]; ok {
-				lat := opLatency(cfg, &g.ops[d].vop)
+				lat := opLatency(&cfg, &g.ops[d].vop)
 				addEdge(d, i, lat, 0)
 				// chain detection looks through moves: acc = mov t after
 				// t = fadd acc', x is still the same reduction
@@ -581,7 +581,7 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 			}
 			mb := -1
 			if g.ops[i].isRestore {
-				if l := opLatency(cfg, &g.ops[i].vop) - 2; l > mb {
+				if l := opLatency(&cfg, &g.ops[i].vop) - 2; l > mb {
 					mb = l
 				}
 			}
@@ -592,7 +592,7 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 	// critical-path priorities
 	for i := len(g.ops) - 1; i >= 0; i-- {
 		s := g.ops[i]
-		h := int64(opLatency(cfg, &s.vop))
+		h := int64(opLatency(&cfg, &s.vop))
 		for _, e := range s.succs {
 			mb := e.minBeats
 			if mb < 0 {
@@ -626,7 +626,7 @@ func aboveJoinUpTo(g *traceGraph, pos int) []int {
 }
 
 // opLatency returns the write latency of an op in beats.
-func opLatency(cfg mach.Config, o *VOp) int { return cfg.Latency(o.Kind, o.Type) }
+func opLatency(cfg *mach.Config, o *VOp) int { return cfg.Latency(o.Kind, o.Type) }
 
 // formTracker adapts vops (whose operands may be immediates) to the alias
 // package's linear-form derivations.

@@ -262,7 +262,7 @@ func (a *allocator) interference() {
 				// In-flight extension: the write lands flight instructions
 				// later; everything executed until then — along any path
 				// control takes — must not share the register.
-				flight := (opLatency(a.cfg, &s.Op) + 1 + int(s.Beat)) / 2
+				flight := (opLatency(&a.cfg, &s.Op) + 1 + int(s.Beat)) / 2
 				if flight > 0 {
 					a.window = a.window[:0]
 					a.conflictWindow(d, b, i, flight)

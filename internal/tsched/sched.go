@@ -461,7 +461,7 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 		if _, ok := s.home.get(o.Dst); !ok {
 			s.home.set(o.Dst, board)
 		}
-		s.reg(o.Dst).avail = issue + opLatency(s.cfg, o)
+		s.reg(o.Dst).avail = issue + opLatency(&s.cfg, o)
 	}
 	switch o.Kind {
 	case mach.OpMovSF:
@@ -533,7 +533,7 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 
 	// destination write port (and cross-board bus for non-load writes)
 	if o.Dst != VNone {
-		wb := issue + opLatency(s.cfg, o)
+		wb := issue + opLatency(&s.cfg, o)
 		db := s.dstBoard(o, uc.unit)
 		if int(s.res.at(wb).wr[db])+1 > s.cfg.RFWritePorts {
 			return false
@@ -651,7 +651,7 @@ func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
 	switch o.Kind {
 	case ir.Div, ir.Rem:
 		// the iterative divide occupies this ALU
-		for b := issue; b < issue+opLatency(s.cfg, o); b++ {
+		for b := issue; b < issue+opLatency(&s.cfg, o); b++ {
 			s.res.row(b).units |= bit
 		}
 	case ir.FDiv:
@@ -665,7 +665,7 @@ func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
 	}
 	s.res.row(issue).rd[board] += uint16(len(o.Uses()))
 	if o.Dst != VNone {
-		wb := issue + opLatency(s.cfg, o)
+		wb := issue + opLatency(&s.cfg, o)
 		db := s.dstBoard(o, uc.unit)
 		s.res.row(wb).wr[db]++
 		if db != board && !o.IsMem() {
@@ -754,7 +754,7 @@ func (s *scheduler) insertCopy(r VReg, board uint8, needBy int) (VReg, bool) {
 	cp := s.vf.NewReg(cls, typ)
 	s.home.set(cp, board)
 	tmp := schedOp{vop: VOp{Kind: ir.Mov, Type: typ, Dst: cp, A: VRegArg(r)}, instr: -1}
-	lat := opLatency(s.cfg, &tmp.vop)
+	lat := opLatency(&s.cfg, &tmp.vop)
 
 	// candidate units on the SOURCE board (reads must be local)
 	var ucBuf [4]unitChoice

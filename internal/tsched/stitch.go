@@ -240,7 +240,7 @@ func (st *stitcher) maxFlight() int {
 	maxLat := st.cfg.LatIALU
 	for _, b := range st.vf.Blocks {
 		for i := range b.Ops {
-			if l := opLatency(st.cfg, &b.Ops[i]); l > maxLat {
+			if l := opLatency(&st.cfg, &b.Ops[i]); l > maxLat {
 				maxLat = l
 			}
 		}
@@ -342,7 +342,7 @@ func (st *stitcher) serializeOne(sb *SBlock, op VOp) {
 		home.set(tmp, uint8(pair))
 		mv := VOp{Kind: ir.Mov, Type: vf.TypeOf(r), Dst: tmp, A: VRegArg(r)}
 		idx := st.placeSerial(sb, mv, int(h), ready[r])
-		ready[tmp] = idx + (opLatency(st.cfg, &mv)+1)/2
+		ready[tmp] = idx + (opLatency(&st.cfg, &mv)+1)/2
 		a.Reg = tmp
 		st.sf.CopyOps++
 	}
@@ -354,7 +354,7 @@ func (st *stitcher) serializeOne(sb *SBlock, op VOp) {
 	}
 	idx := st.placeSerial(sb, op, pair, need)
 	if op.Dst != VNone {
-		ready[op.Dst] = idx + (opLatency(st.cfg, &op)+1)/2
+		ready[op.Dst] = idx + (opLatency(&st.cfg, &op)+1)/2
 		if _, ok := home.get(op.Dst); !ok {
 			if pre, isPre := vf.precolor[op.Dst]; isPre {
 				home.set(op.Dst, pre.Board)
@@ -477,7 +477,7 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 				continue
 			}
 			if op.Dst != VNone {
-				wb := issue + opLatency(st.cfg, &op)
+				wb := issue + opLatency(&st.cfg, &op)
 				db := pair
 				if h, ok := st.sf.home.get(op.Dst); ok {
 					db = int(h)
@@ -541,7 +541,7 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 			// ordering bookkeeping
 			ss.res.row(issue).rd[pair] += uint16(nReads)
 			if op.Dst != VNone {
-				wb := issue + opLatency(st.cfg, &op)
+				wb := issue + opLatency(&st.cfg, &op)
 				db := pair
 				if h, ok := st.sf.home.get(op.Dst); ok {
 					db = int(h)
@@ -558,7 +558,7 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 				}
 			}
 			if op.Dst != VNone {
-				lat := opLatency(st.cfg, &op)
+				lat := opLatency(&st.cfg, &op)
 				end := (issue + lat + 1) / 2
 				if end <= idx {
 					end = idx + 1
@@ -767,7 +767,7 @@ func splitDrain(cfg mach.Config, res *schedResult, sp *schedOp) int {
 		if p.instr > sp.instr || p.vop.Dst == VNone {
 			continue
 		}
-		w := 2*p.instr + int(p.beat) + opLatency(cfg, &p.vop)
+		w := 2*p.instr + int(p.beat) + opLatency(&cfg, &p.vop)
 		if d := w - branchDone; d > drain {
 			drain = d
 		}

@@ -51,10 +51,14 @@ type Context struct {
 
 	// The write pipeline: in-flight register writes bucketed by retire beat
 	// (beat & rmask), so a beat drains only the bucket that is due. The
-	// plan sizes the ring above the image's longest latency, which keeps a
-	// fresh write out of any bucket that has not drained yet.
-	ring    [][]ringWrite
-	rmask   int64       // len(ring)-1
+	// buckets are fixed-capacity runs of one flat array with a count each;
+	// the plan sizes the ring above the image's longest latency, which keeps
+	// a fresh write out of any bucket that has not drained yet, and a bucket
+	// at what the image can retire in one beat (ringCap).
+	ring    []ringWrite // bucket i is ring[i<<rshift:][:rcount[i]]
+	rcount  []int64
+	rshift  uint        // log2 of a bucket's capacity
+	rmask   int64       // len(rcount)-1
 	drained int64       // last beat whose bucket has been drained
 	seq     uint32      // issue-order sequence number of the next write
 	scratch []ringWrite // a multi-bucket drain, merged into issue order
@@ -74,6 +78,15 @@ type Context struct {
 	itlb      []int64
 	itlbAsids []uint8
 
+	// ievict counts the events after which a word that was instruction-resident
+	// (iTLB page and icache line present under the current ASID) may no longer
+	// be: a reset, a restored snapshot, a flush or change of ASID, a refill or
+	// iTLB fill that displaced a valid entry. Between two of them residency
+	// only grows, so resident — by region of the plan — can hold how many of a
+	// region's leading words were last seen resident.
+	ievict   uint64
+	resident []residency
+
 	// Scheduler bookkeeping (multi-context runs).
 	done bool
 	err  error // terminal trap or cycle-limit, nil while runnable/completed
@@ -88,6 +101,17 @@ type Context struct {
 	// Stats is the context's banked performance counters; authoritative
 	// whenever the context is not current on its machine.
 	Stats Stats
+
+	// The native tier's regions (native.go): where the context is in the one
+	// it is running, and the one a beat limit stopped it in, with the word.
+	run      regionRun
+	paused   *region
+	pausedAt int32
+	// slots holds, while a region runs, the results its operations have
+	// produced and its landing code has not yet stored; every region exit
+	// empties it into the register files and the ring. Last, so that the
+	// 16 KB do not sit between the fields every beat reads.
+	slots [regionSlots]uint64
 }
 
 // reset re-targets the context at an image, reusing every buffer the
@@ -112,11 +136,10 @@ func (c *Context) reset(id int, img *isa.Image, plan *plan, cfg mach.Config) {
 	c.bb = [4][8]bool{}
 	c.pc = 0
 	c.beat = 0
-	if int64(cap(c.ring)) < plan.ringSize {
-		c.ring = make([][]ringWrite, plan.ringSize)
-	}
-	c.ring = c.ring[:plan.ringSize]
+	c.sizeRing(plan.ringSize, plan.ringCap)
 	c.emptyRing()
+	c.run = regionRun{}
+	c.paused = nil
 	c.out.Reset()
 	c.halted = false
 	c.exit = 0
@@ -142,6 +165,8 @@ func (c *Context) reset(id int, img *isa.Image, plan *plan, cfg mach.Config) {
 		c.dtlbAsids[i] = 0
 		c.itlbAsids[i] = 0
 	}
+
+	c.ievict++
 
 	c.done = false
 	c.err = nil
@@ -236,9 +261,59 @@ type ringWrite struct {
 // the operation is initiated, and a hardware control pipeline carries the
 // destination forward", §6.2).
 func (c *Context) push(rb int64, dst mach.PReg, val uint64) {
-	i := rb & c.rmask
-	c.ring[i] = append(c.ring[i], ringWrite{val: val, pc: int32(c.pc), seq: c.seq, dst: dst})
+	c.put(rb, ringWrite{val: val, pc: int32(c.pc), seq: c.seq, dst: dst})
 	c.seq++
+}
+
+// put files an in-flight write in the bucket of retire beat rb. Writes are put
+// in issue order, so every bucket stays in issue order. A bucket has room for
+// everything the image can retire in one beat (plan.ringCap) and Restore makes
+// room for what a snapshot adds (sizeRing), so there is no capacity check to
+// pay on every write: take makes a broken bound a panic when the beat drains.
+func (c *Context) put(rb int64, w ringWrite) {
+	i := rb & c.rmask
+	n := c.rcount[i]
+	c.rcount[i] = n + 1
+	c.ring[i<<(c.rshift&63)+n] = w
+}
+
+// bucket returns the writes filed under retire beat rb.
+func (c *Context) bucket(rb int64) []ringWrite {
+	i := rb & c.rmask
+	return c.ring[i<<(c.rshift&63):][:c.rcount[i]]
+}
+
+// take empties the bucket of retire beat rb and returns what it held (valid
+// until the next put).
+func (c *Context) take(rb int64) []ringWrite {
+	i := rb & c.rmask
+	n := c.rcount[i]
+	if n > 1<<(c.rshift&63) {
+		panic("vliw: more writes retire in one beat than the plan's bound allows")
+	}
+	c.rcount[i] = 0
+	return c.ring[i<<(c.rshift&63):][:n]
+}
+
+// sizeRing lays the ring out as so many buckets of at least capacity entries
+// each (rounded up to a power of two), reusing the arrays when they are large
+// enough. The caller empties the ring.
+func (c *Context) sizeRing(buckets, capacity int64) {
+	c.rshift = 0
+	for 1<<c.rshift < capacity {
+		c.rshift++
+	}
+	if n := int(buckets) << c.rshift; cap(c.ring) < n {
+		c.ring = make([]ringWrite, n)
+	} else {
+		c.ring = c.ring[:n]
+	}
+	if int64(cap(c.rcount)) < buckets {
+		c.rcount = make([]int64, buckets)
+	} else {
+		c.rcount = c.rcount[:buckets]
+	}
+	c.rmask = buckets - 1
 }
 
 // enqueue is push for an interpreted op: lat beats after issue, and nothing
@@ -252,11 +327,7 @@ func (c *Context) enqueue(dst mach.PReg, val uint64, lat int64) {
 // emptyRing discards every in-flight write and restarts the pipeline at the
 // current beat: nothing is due before it.
 func (c *Context) emptyRing() {
-	pooled := c.ring[:cap(c.ring)] // a smaller image's ring leaves buckets beyond len
-	for i := range pooled {
-		pooled[i] = pooled[i][:0]
-	}
-	c.rmask = int64(len(c.ring)) - 1
+	clear(c.rcount)
 	c.drained = c.beat - 1
 	c.seq = 0
 }
@@ -273,7 +344,7 @@ func (c *Context) inFlight() []inFlightWrite {
 	var ws []inFlightWrite
 	for off := int64(0); off <= c.rmask; off++ {
 		due := c.drained + 1 + off
-		for _, w := range c.ring[due&c.rmask] {
+		for _, w := range c.bucket(due) {
 			ws = append(ws, inFlightWrite{w, due})
 		}
 	}

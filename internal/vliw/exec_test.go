@@ -51,7 +51,8 @@ func TestEveryExecutedOpcodeHasSemantics(t *testing.T) {
 		}
 
 		err = nil
-		if f := compileExec(&op, kind, 1, "test", statsBulk{}, c.plan.geom); f != nil {
+		b := regionBuilder{p: c.plan, r: new(region)}
+		if f := b.compileExec(&planOp{op: &op, kind: kind, fn: fn, lat: 1, unitName: "test"}); f != nil {
 			err = f(m, c)
 		}
 		if err != nil && !badOp(err) {

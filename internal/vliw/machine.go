@@ -227,17 +227,20 @@ type Machine struct {
 	plan *plan
 
 	// Certified plan cache: the guard-free plan derived by buildSafePlan
-	// for (safeImg, safeCert) — and, once the native tier has been armed
-	// with it, translated to closures in place (native.go) — kept across
-	// Reset calls exactly like plan so re-arming the same certificate after
-	// a Reset costs one pointer compare, not a rebuild. Single-slot: arming
-	// a second image's certificate (mixed-image RunMany) rebuilds.
+	// for (safeImg, safeCert) — and the regions the native tier has built on
+	// it so far (native.go) — kept across Reset calls exactly like plan so
+	// re-arming the same certificate after a Reset costs one pointer compare,
+	// not a rebuild. Single-slot: arming a second image's certificate
+	// (mixed-image RunMany) rebuilds.
 	safePlan *plan
 	safeImg  *isa.Image
 	safeCert SafetyCertificate
 
-	// Multiway-branch scratch for step: a word's branch slots — interpreted
-	// or translated — publish the winning target and a HALT here instead of
+	// regions counts the native tier's region traffic since the last Reset.
+	regions regionStats
+
+	// Multiway-branch scratch for step and for regions: a word's branch slots —
+	// interpreted or translated — publish the winning target and a HALT here instead of
 	// threading loop-local state through every executor signature.
 	brTaken bool
 	brPrio  int
@@ -439,6 +442,7 @@ func (m *Machine) resetMachine(cfg mach.Config) {
 	m.CtxCheckEvery = DefaultCtxCheckBeats
 	m.CheckRes = !cfg.Ideal
 	m.Stats = Stats{}
+	m.regions = regionStats{}
 
 	m.Quantum = int64(cfg.CtxQuantum)
 	if m.Quantum <= 0 {
@@ -501,8 +505,10 @@ func (m *Machine) arm(img *isa.Image, t Tier, p *plan) {
 			continue
 		}
 		ctx.tier = t
-		if p != nil {
+		if p != nil && ctx.plan != p {
 			ctx.plan = p
+			ctx.paused = nil
+			ctx.ievict++ // the resident table is by region of the plan
 		}
 	}
 }
@@ -535,7 +541,7 @@ func (m *Machine) UseSafeCertificate(c SafetyCertificate) error {
 
 // armCertified arms tier t (safe or native) under a safety certificate that
 // must cover a resident image: the guard-free plan is built on a cache miss,
-// and translated to closures the first time the native tier asks for it.
+// and given its (empty) region tables the first time the native tier asks.
 func (m *Machine) armCertified(c SafetyCertificate, t Tier, grade string) error {
 	if c == nil || !m.runs(c.CertifiedImage()) {
 		return fmt.Errorf("vliw: %s certificate does not cover this image", grade)
@@ -549,8 +555,9 @@ func (m *Machine) armCertified(c SafetyCertificate, t Tier, grade string) error 
 		m.safePlan = buildSafePlan(img, base, c)
 		m.safeImg, m.safeCert = img, c
 	}
-	if t == TierNative && !m.safePlan.translated {
-		translate(m.safePlan)
+	if p := m.safePlan; t == TierNative && p.heads == nil {
+		p.heads = make([]*region, len(p.words))
+		p.heat = make([]uint8, len(p.words))
 	}
 	m.arm(img, t, m.safePlan)
 	return nil
@@ -633,6 +640,7 @@ func (m *Machine) ContextSwitch(asid uint8) {
 	m.Stats.Switches++
 	m.Stats.SwitchBeats += cost
 	c.asid = asid
+	c.ievict++
 	if m.FlushOnSwitch {
 		for i := range c.itags {
 			c.itags[i] = -1
@@ -686,6 +694,7 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 		// have raised; the blast radius is this context, never the process.
 		defer func() {
 			if r := recover(); r != nil {
+				m.abandonRegion(c)
 				m.finish(c)
 				exit, out, err = 0, c.out.String(), m.safeTierFault(c, r)
 			}
@@ -730,7 +739,19 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 			m.finish(c)
 			return 0, c.out.String(), &ErrCycleLimit{Limit: m.CycleLimit, PC: c.pc}
 		}
-		if err := m.step(c); err != nil {
+		var err error
+		if c.tier == TierNative {
+			// The three sentinels above, as the beat before which a region
+			// must stop starting words.
+			until := min(ctxCheckAt, pauseAt)
+			if m.CycleLimit < until {
+				until = m.CycleLimit + 1
+			}
+			err = m.advance(c, until, false)
+		} else {
+			err = m.step(c, true)
+		}
+		if err != nil {
 			m.finish(c)
 			return 0, c.out.String(), err
 		}
@@ -816,13 +837,20 @@ func (m *Machine) RunMany(ctx context.Context) ([]ContextResult, error) {
 			continue
 		}
 
+		// A region stops where the per-word loop would next do anything but
+		// step: at the quantum, at the context poll (the wall clock runs with
+		// the context's inside a region), past the cycle budget.
+		until := min(sliceEnd, c.beat+ctxCheckAt-m.beat)
+		if m.CycleLimit < until {
+			until = m.CycleLimit + 1
+		}
 		b0 := c.beat
 		s0 := m.Stats.BankStalls + m.Stats.RefillBeats
 		var err error
 		if c.tier >= TierSafe {
-			err = m.stepContained(c)
+			err = m.advanceContained(c, until)
 		} else {
-			err = m.step(c)
+			err = m.step(c, true)
 		}
 		delta := c.beat - b0
 		stall := m.Stats.BankStalls + m.Stats.RefillBeats - s0
@@ -931,18 +959,23 @@ func (m *Machine) fault(c *Context, code TrapCode, format string, args ...any) e
 	return &Fault{Code: code, PC: c.pc, Beat: c.beat, Unit: m.curUnit, Msg: fmt.Sprintf(format, args...)}
 }
 
-// stepContained is step with the safe and native tiers' panic containment
-// for the RunMany scheduler, where one context's guard-free fault must retire
-// only that context. The deferred recover costs a few nanoseconds per
-// instruction, so the single-context run loop uses one run-level defer
-// instead; RunMany's per-step scheduling work already dwarfs it.
-func (m *Machine) stepContained(c *Context) (err error) {
+// advanceContained is a context's next unit of work with the safe and native
+// tiers' panic containment for the RunMany scheduler, where one context's
+// guard-free fault must retire only that context. The deferred recover costs
+// a few nanoseconds per call, so the single-context run loop uses one
+// run-level defer instead; RunMany's per-call scheduling work already dwarfs
+// it.
+func (m *Machine) advanceContained(c *Context, until int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			m.abandonRegion(c)
 			err = m.safeTierFault(c, r)
 		}
 	}()
-	return m.step(c)
+	if c.tier == TierNative {
+		return m.advance(c, until, true)
+	}
+	return m.step(c, true)
 }
 
 // safeTierFault converts a Go runtime panic that escaped a guard-free safe
@@ -980,11 +1013,13 @@ func (m *Machine) StallBank(ea int64, n int64) {
 }
 
 // step executes one wide instruction (two beats) of context c from its
-// plan. Every tier shares the front half — interrupt, fetch, DMA, the
-// TLB/bank-stall prescan — and the write pipeline; the tiers differ only in
-// how a beat's slots execute: the native tier calls the beat's translated
-// closure, the others interpret its planOps.
-func (m *Machine) step(c *Context) error {
+// plan, on every tier: interrupt, fetch, DMA, the TLB/bank-stall prescan, and
+// each beat's drain and slot-by-slot interpretation. It is the only place a
+// cache or TLB is filled or a beat the schedule did not plan is charged. The
+// native tier's regions (native.go) run words on which none of that happens;
+// a region that meets it on a word has step do everything up to the word's
+// issue (issue false) and issues the word itself.
+func (m *Machine) step(c *Context, issue bool) error {
 	p := c.plan
 	if c.pc < 0 || c.pc >= len(p.words) {
 		return m.fault(c, TrapBadPC, "instruction fetch outside image")
@@ -1023,7 +1058,10 @@ func (m *Machine) step(c *Context) error {
 		misses := 0
 		for i := range pw.mem {
 			pm := &pw.mem[i]
-			ea := pm.ea(c)
+			ea := int64(int32(c.iregs[pm.bd&3][pm.ix&63])) + pm.off
+			if pm.ea != nil {
+				ea = pm.ea(c)
+			}
 			if c.dtlbMiss(ea) {
 				misses++
 			}
@@ -1046,51 +1084,24 @@ func (m *Machine) step(c *Context) error {
 			c.beat += stall
 		}
 	}
+	if !issue {
+		return nil
+	}
 
 	// §6.5.2 multiway branch: the slots publish taken tests through
 	// takeBranch; the highest-priority one supplies the next address.
 	m.brTaken = false
 	m.brNext = c.pc + 1
 	m.brHalt = false
-	if c.tier == TierNative {
-		pw.bulk.apply(&m.Stats)
-		for beat := 0; beat < 2; beat++ {
-			// m.drain, inlined: at one or two ops a word the call is ~5% of a
-			// branchy kernel's run. No race verdict on this tier, so no error.
-			if c.drained+1 != c.beat {
-				_ = m.drainJump(c)
-			} else {
-				c.drained = c.beat
-				i := c.beat & c.rmask
-				if due := c.ring[i]; len(due) != 0 {
-					c.ring[i] = due[:0]
-					if m.InjectWrite != nil {
-						_ = m.land(c, due)
-					} else {
-						for k := range due {
-							c.writeReg(due[k].dst, due[k].val)
-						}
-					}
-				}
-			}
-			if f := pw.native[beat]; f != nil {
-				if err := f(m, c); err != nil {
-					return err
-				}
-			}
-			c.beat++
+	ws := &p.slots[c.pc]
+	for beat := 0; beat < 2; beat++ {
+		if err := m.drain(c); err != nil {
+			return err
 		}
-	} else {
-		ws := &p.slots[c.pc]
-		for beat := 0; beat < 2; beat++ {
-			if err := m.drain(c); err != nil {
-				return err
-			}
-			if err := m.interpret(c, ws, beat); err != nil {
-				return err
-			}
-			c.beat++
+		if err := m.interpret(c, ws, beat); err != nil {
+			return err
 		}
+		c.beat++
 	}
 
 	if m.brTaken {
@@ -1105,8 +1116,7 @@ func (m *Machine) step(c *Context) error {
 	return nil
 }
 
-// interpret executes one beat of a fetched word slot by slot (the checked,
-// fast and safe tiers).
+// interpret executes one beat of a fetched word slot by slot.
 func (m *Machine) interpret(c *Context, ws *wordSlots, beat int) error {
 	if m.CheckRes && c.tier == TierChecked {
 		if v := ws.viol[beat]; v != nil {
@@ -1155,6 +1165,9 @@ func (m *Machine) fetch(c *Context, p *plan) {
 	ipage := int64(pc) / (PageSize / 4)
 	is := ipage % TLBEntries
 	if c.itlb[is] != ipage || c.itlbAsids[is] != c.asid {
+		if c.itlb[is] >= 0 {
+			c.ievict++
+		}
 		c.itlb[is] = ipage
 		c.itlbAsids[is] = c.asid
 		m.Stats.TLBMisses++
@@ -1191,6 +1204,9 @@ func (m *Machine) refillICache(c *Context, pc int) {
 			}
 		}
 		line := i % len(c.itags)
+		if c.itags[line] >= 0 && c.itags[line] != i {
+			c.ievict++
+		}
 		c.itags[line] = i
 		c.iasids[line] = c.asid
 	}
@@ -1210,13 +1226,10 @@ func (m *Machine) drain(c *Context) error {
 		return m.drainJump(c)
 	}
 	c.drained = c.beat
-	i := c.beat & c.rmask
-	due := c.ring[i]
-	if len(due) == 0 {
+	if c.rcount[c.beat&c.rmask] == 0 {
 		return nil
 	}
-	c.ring[i] = due[:0]
-	return m.land(c, due)
+	return m.land(c, c.take(c.beat))
 }
 
 // drainJump retires every bucket that is due after a stall, TLB trap, refill
@@ -1233,9 +1246,7 @@ func (m *Machine) drainJump(c *Context) error {
 	}
 	due := c.scratch[:0]
 	for b := start; b <= end; b++ {
-		i := b & c.rmask
-		due = append(due, c.ring[i]...)
-		c.ring[i] = c.ring[i][:0]
+		due = append(due, c.take(b)...)
 	}
 	for i := 1; i < len(due); i++ {
 		for j := i; j > 0 && int32(due[j-1].seq-due[j].seq) > 0; j-- {

@@ -4,108 +4,172 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
-// This file is the native tier: a per-image translator that compiles the
-// safe-tier plan one step further than plan.go's pre-decoder. Where the safe
-// tier still walks planOps and switches on planOp.kind for every executed
-// slot, the translator runs once per (image, certificate) and fuses each
-// beat's slot list into a sequence of Go closures — one superinstruction
-// per beat — with everything static baked in at translation time:
+// This file is the native tier. Its unit of execution is the region: a run of
+// words in static succession — each the next address or the target of its
+// predecessor's unconditional jump, the way the scheduler lays a trace out —
+// entered at a head and left at the first branch off that path, a fault, or a
+// beat limit. The compiler has already proved when every result lands (§6.2:
+// "the destination register is specified when the operation is initiated, and
+// a hardware control pipeline carries the destination forward"), so inside a
+// region nothing rediscovers it: each operation is a closure with its
+// operands resolved, its result goes into a scratch slot of the context, and
+// static landing code stores the slot into its register file at the exact
+// beat the write retires. The retire ring, the per-word counters and the run
+// loop's sentinels are all paid per region, not per beat:
 //
-//   - operand access is resolved per slot: immediates become captured
-//     constants, register reads become direct masked indexing into the
-//     context's banks (no Arg re-decode, no readArg branch chain), and the
-//     write-pipeline push is fused into the op closure itself;
-//   - the per-slot kind switch disappears — each closure IS its operation;
-//   - unconditional counters (Ops, FloatOps, MemRefs, Loads, Stores,
-//     SpecLoads, Branches, Syscalls) are summed over the whole word at
-//     translation time and applied in one shot, with a precomputed rollback
-//     on the (cold) fault paths so a mid-beat trap leaves exactly the
-//     counters the checked interpreter would have;
-//   - at sites the SafetyCertificate's bitmask covers, the emitted closure
-//     carries no bounds/alignment/divide guard at all; unproven sites keep
-//     exactly the safe tier's guard semantics, fault messages included.
+//   - the beat limit (StopBeat, the context poll, CycleLimit, the RunMany
+//     quantum) becomes a count of words computed at entry;
+//   - Instrs, ICacheHits, Taken and the unconditional per-op counters are
+//     added once at the exit, from prefix sums built with the region;
+//   - the ring is touched only to drain what was in flight at entry and to
+//     receive what is in flight at the exit.
 //
-// Everything dynamic is not this tier's but the machine's, shared with the
-// interpreter (Machine.step): the write pipeline (the retire ring, so
-// snapshots and RunMany interleaving are tier-independent), the TLB/bank-stall
-// prescan, the icache model, interrupts, DMA. The equivalence bar is exit,
-// output, and every Stats counter bit-identical to checked/fast/safe, and the
-// tracefuzz oracle holds the translator to it.
-// Post-certification image corruption is contained the same way as the safe
-// tier: the Go runtime's own bounds/divide checks backstop the deleted
-// guards and the run loops convert the panic into the matching Fault
-// (safeTierFault).
+// A region only observes that nothing dynamic would happen on a word — its
+// iTLB page and icache line are present, no reference misses the dTLB or finds
+// its bank busy. The moment it would, Machine.step does everything to that
+// word short of issuing it — step stays the one place a cache or TLB is
+// filled and an unplanned beat is charged — and the region issues the word
+// with its clock rebased (regionEvent). With an interrupt timer, a DMA
+// stream, TraceFn or InjectWrite armed, every word takes step's whole path.
+//
+// The exit-state contract: at every exit — side exit, limit, guarded fault,
+// contained panic — the context is left exactly as the per-word path would
+// have left it at that point: registers landed through the current beat,
+// every write still in flight in the ring under the retire beat, issuing word
+// and sequence number step would have given it, seq and drained to match, and
+// all 23 counters. Snapshot, Restore, RunMany rotation and the fuzz oracles
+// are tier-independent because of it (TestExitStateMatchesChecked).
+//
+// Two things lean on the certificate beyond the guards it deletes. Both need
+// that no two writes to one register retire in one beat and that of two in
+// flight together the earlier-issued retires first (schedcheck's write-race
+// and waw-overlap errors): a write may go straight to its register when the
+// beat it would have waited is invisible (compileStraight), and after a clock
+// jump the writes in flight land by retire beat, not in one batch by issue
+// (regionEvent).
+//
+// Regions are built lazily from the safe plan's planOps, the second time the
+// per-word path arrives at a word; code that runs once is interpreted once
+// and never translated. At sites the SafetyCertificate proves, the closure
+// carries no guard and the Go runtime's own bounds and divide checks backstop
+// a post-certification mutation (safeTierFault); unproven sites keep the
+// interpreter's guards, fault text included.
+
+const (
+	// regionHeat is how many times the per-word path must arrive at a word
+	// before the run from it is built.
+	regionHeat = 2
+	// regionMaxWords bounds a region; measured runs between taken branches
+	// are 6–77 words long, a loop laid out as four traces 112.
+	regionMaxWords = 256
+	// regionSlots is the scratch a context keeps for a region's results: one
+	// slot per write the region can issue.
+	regionSlots = 2048
+	slotMask    = regionSlots - 1
+	// regionBudget bounds the words all regions of a plan hold, as a multiple
+	// of the image: overlapping regions (one per head) repeat words.
+	regionBudget = 16
+)
 
 // nativeOp is one translated slot operation: the closure returns the trap
 // (as an error) a guarded site raises, nil otherwise.
 type nativeOp func(m *Machine, c *Context) error
 
-// nChain folds a beat's closure list into one straight-line closure,
-// replacing the step loop's per-slot iteration with direct calls through
-// captured pairs.
-func nChain(ops []nativeOp) nativeOp {
-	switch len(ops) {
-	case 0:
-		return nil
-	case 1:
-		return ops[0]
-	case 2:
-		f0, f1 := ops[0], ops[1]
-		return func(m *Machine, c *Context) error {
-			if err := f0(m, c); err != nil {
-				return err
-			}
-			return f1(m, c)
-		}
-	case 3:
-		f0, f1, f2 := ops[0], ops[1], ops[2]
-		return func(m *Machine, c *Context) error {
-			if err := f0(m, c); err != nil {
-				return err
-			}
-			if err := f1(m, c); err != nil {
-				return err
-			}
-			return f2(m, c)
-		}
-	case 4:
-		f0, f1, f2, f3 := ops[0], ops[1], ops[2], ops[3]
-		return func(m *Machine, c *Context) error {
-			if err := f0(m, c); err != nil {
-				return err
-			}
-			if err := f1(m, c); err != nil {
-				return err
-			}
-			if err := f2(m, c); err != nil {
-				return err
-			}
-			return f3(m, c)
-		}
-	default:
-		half := len(ops) / 2
-		a, b := nChain(ops[:half]), nChain(ops[half:])
-		return func(m *Machine, c *Context) error {
-			if err := a(m, c); err != nil {
-				return err
-			}
-			return b(m, c)
-		}
-	}
+// region is one translated run of words from head (see buildRegion). The flat
+// arrays are walked once, front to back, by runRegion; each word records where
+// its share of each ends.
+type region struct {
+	id     int // index into Context.resident
+	head   int
+	words  []regionWord
+	mems   []planMem     // the words' prescan lists, end to end
+	lands  []landing     // by landing beat, issue order within a beat
+	ops    []nativeOp    // by issue beat, slot order within a beat
+	info   []opInfo      // parallel to ops: what a fault at that op leaves
+	writes []regionWrite // in issue order; writes[k] is delivered into slot k
+	maxLat int32         // the longest latency of a write of the region
 }
 
-// statsBulk is the unconditional counter delta for a run of slots, summed
-// at translation time and applied in one shot at execution. Fault closures
-// carry the suffix of the word that no longer executes and subtract it back
-// out, so trapping runs report the same counters as the checked
-// interpreter's op-at-a-time increments. The counts are 16-bit: a word
-// issues at most two beats of the machine's units, and the narrow form keeps
-// what the native step reads of a planWord inside one cache line.
+type regionWord struct {
+	pc      int32    // the word's address
+	follow  bool     // the next word of the region is not at pc+1: expect the taken branch there
+	memEnd  int32    // end of the word's references in mems
+	landEnd [2]int32 // end of each beat's landings in lands
+	opEnd   [2]int32 // end of each beat's closures in ops
+	wrEnd   int32    // writes issued through this word
+	flight  int32    // every write before this one has landed by the top of the word
+	line    int32    // the word's icache line
+	bulk    statsBulk
+}
+
+// landing stores scratch slot `slot`, written by region word `word`, into dst.
+type landing struct {
+	slot uint16
+	word uint16
+	dst  mach.PReg
+}
+
+// regionWrite is one register write a region issues: beats are relative to
+// region entry, and land may lie past the region's last beat.
+type regionWrite struct {
+	dst         mach.PReg
+	straight    bool // stored by its closure, not through a slot (see straight)
+	issue, land int32
+}
+
+// opInfo is the exit state a fault at an op needs: the unconditional counters
+// from region entry through the op itself, and the writes issued before it.
+type opInfo struct {
+	bulk   statsBulk
+	writes int32
+}
+
+// residency is what a context remembers of a region's instruction residency:
+// as of eviction count epoch, the region's first n words were resident.
+type residency struct {
+	epoch uint64
+	n     int
+}
+
+// Why a region is left (the first two and the last), or what it met on a word
+// and went on from (the middle three).
+const (
+	exitLimit  = iota // the beat limit, or the region's last word
+	exitBranch        // a branch off the region's path, or HALT
+	exitTLB           // a dTLB miss
+	exitBank          // a busy bank
+	exitRefill        // an icache or iTLB miss
+	exitFault
+	numExits
+)
+
+// regionStats counts region traffic, bumped only at region exits and events.
+type regionStats struct {
+	built int64
+	words int64
+	by    [numExits]int64 // exits and events, by cause
+}
+
+// RegionSummary renders the native tier's region counters for this run:
+// regions built, words run in regions and on the per-word path, region exits
+// by cause, and the words on which a region met something dynamic, by cause.
+func (m *Machine) RegionSummary() string {
+	r, n := &m.regions, &m.regions.by
+	return fmt.Sprintf("%d regions built; %d words in regions, %d per word; exits: %d branch, %d limit, %d fault; events: %d tlb, %d bank, %d refill",
+		r.built, r.words, m.Stats.Instrs-r.words, n[exitBranch], n[exitLimit], n[exitFault], n[exitTLB], n[exitBank], n[exitRefill])
+}
+
+// statsBulk is the unconditional counter delta of a run of slots — the
+// counters the interpreter increments before any guard can fire — summed when
+// a region is built and applied in one shot at its exit. The counts are
+// 16-bit: a region issues at most regionMaxWords words of the machine's
+// units.
 type statsBulk struct {
 	ops       uint16
 	floatOps  uint16
@@ -128,18 +192,18 @@ func (b *statsBulk) apply(s *Stats) {
 	s.Syscalls += int64(b.syscalls)
 }
 
-func (b *statsBulk) unapply(s *Stats) {
-	s.Ops -= int64(b.ops)
-	s.FloatOps -= int64(b.floatOps)
-	s.MemRefs -= int64(b.memRefs)
-	s.Loads -= int64(b.loads)
-	s.Stores -= int64(b.stores)
-	s.SpecLoads -= int64(b.specLoads)
-	s.Branches -= int64(b.branches)
-	s.Syscalls -= int64(b.syscalls)
+func (b *statsBulk) sub(o statsBulk) {
+	b.ops -= o.ops
+	b.floatOps -= o.floatOps
+	b.memRefs -= o.memRefs
+	b.loads -= o.loads
+	b.stores -= o.stores
+	b.specLoads -= o.specLoads
+	b.branches -= o.branches
+	b.syscalls -= o.syscalls
 }
 
-func (b *statsBulk) add(o *statsBulk) {
+func (b *statsBulk) add(o statsBulk) {
 	b.ops += o.ops
 	b.floatOps += o.floatOps
 	b.memRefs += o.memRefs
@@ -150,9 +214,7 @@ func (b *statsBulk) add(o *statsBulk) {
 	b.syscalls += o.syscalls
 }
 
-// opBulk returns a slot's unconditional counter contribution — the
-// counters the checked interpreter increments before any guard can fire,
-// so they stay counted even when the slot itself faults.
+// opBulk returns a slot's unconditional counter contribution.
 func opBulk(s *planOp) statsBulk {
 	b := statsBulk{ops: 1}
 	if s.unitKind == mach.UBR {
@@ -165,7 +227,7 @@ func opBulk(s *planOp) statsBulk {
 		}
 		return b
 	}
-	if v := mach.ValueOf(s.op.Kind); v != nil && v.Flop {
+	if s.kind == opPureFlop {
 		b.floatOps = 1
 	}
 	switch s.kind {
@@ -177,6 +239,538 @@ func opBulk(s *planOp) statsBulk {
 		b.memRefs, b.stores = 1, 1
 	}
 	return b
+}
+
+// arrive notes one arrival of the per-word path at word pc and, on the
+// regionHeat'th, builds the region headed there — unless the plan's regions
+// already hold regionBudget times the image.
+func (p *plan) arrive(pc int) *region {
+	p.heat[pc]++
+	if p.heat[pc] < regionHeat || p.regionWords >= regionBudget*len(p.words) {
+		return nil
+	}
+	r := p.buildRegion(pc)
+	r.id = p.regions
+	p.regions++
+	p.heads[pc] = r
+	p.regionWords += len(r.words)
+	return r
+}
+
+// regionBuilder carries the position of the op being translated.
+type regionBuilder struct {
+	p    *plan
+	r    *region
+	pc   int       // the word in hand
+	beat int32     // its issue beat, relative to region entry
+	bulk statsBulk // the counters of every slot translated so far
+}
+
+// word translates word pc as the region's next word.
+func (b *regionBuilder) word(pc int) {
+	p, r := b.p, b.r
+	ws := &p.slots[pc]
+	b.pc = pc
+	rw := regionWord{pc: int32(pc), line: int32(pc & p.itagMask)}
+	if p.itagMask < 0 {
+		rw.line = int32(pc % p.geom.cfg.ICacheInstrs)
+	}
+	r.mems = append(r.mems, p.words[pc].mem...)
+	rw.memEnd = int32(len(r.mems))
+	for beat := range ws.beats {
+		b.beat = int32(2*len(r.words) + beat)
+		for i := range ws.beats[beat] {
+			s := &ws.beats[beat][i]
+			issued := int32(len(r.writes))
+			var f nativeOp
+			if s.unitKind == mach.UBR {
+				f = b.compileBranch(s)
+			} else if f = b.compileStraight(ws.beats[beat], i); f == nil {
+				f = b.compileExec(s)
+			}
+			b.bulk.add(opBulk(s))
+			if f != nil {
+				r.ops = append(r.ops, f)
+				r.info = append(r.info, opInfo{bulk: b.bulk, writes: issued})
+			}
+		}
+		rw.opEnd[beat] = int32(len(r.ops))
+	}
+	rw.wrEnd = int32(len(r.writes))
+	rw.bulk = b.bulk
+	r.words = append(r.words, rw)
+}
+
+// deliver allots the next scratch slot to the write the op in hand makes to
+// dst, landing lat beats on; -1 for an op with no destination.
+func (b *regionBuilder) deliver(dst mach.PReg, lat int64) int {
+	if !dst.Valid() {
+		return -1
+	}
+	b.r.writes = append(b.r.writes, regionWrite{dst: dst, issue: b.beat, land: b.beat + int32(lat)})
+	b.r.maxLat = max(b.r.maxLat, int32(lat))
+	return len(b.r.writes) - 1
+}
+
+// transfers reports whether word pc always transfers control and — when all
+// that always does is one unconditional jump — where to.
+func (p *plan) transfers(pc int) (always bool, jump int) {
+	jump = -1
+	for beat := range p.slots[pc].beats {
+		for i := range p.slots[pc].beats[beat] {
+			s := &p.slots[pc].beats[beat][i]
+			if s.unitKind != mach.UBR {
+				continue
+			}
+			switch o := s.op; {
+			case o.Kind == mach.OpJmp && o.Target >= 0 && !always:
+				always, jump = true, o.Target
+			case o.Kind == mach.OpJmp && o.Target >= 0, o.Kind == mach.OpCall && o.Target >= 0,
+				o.Kind == mach.OpJmpR, o.Kind == mach.OpHalt:
+				always, jump = true, -1 // a call, an indirect jump, a halt, a second jump: nothing to follow
+			}
+		}
+	}
+	return always, jump
+}
+
+// buildRegion translates the run of words from head: each word's successor is
+// the next word, or the target of the word's unconditional jump, up to and
+// including the first word that otherwise always transfers control (a call, an
+// indirect jump, a halt, a jump back into the run), and never out of the
+// head's instruction page (one iTLB lookup covers the region), past
+// regionMaxWords, or past what the scratch slots can hold. The scheduler
+// lays a trace out as fall-through segments joined by such jumps; a segment
+// reached by one joins the run whole or not at all, so a region ends where a
+// trace does. A word whose successor in the region is not the next address
+// expects the taken branch there (follow) and carries on when it is taken.
+func (p *plan) buildRegion(head int) *region {
+	r := &region{head: head, maxLat: 1}
+	b := regionBuilder{p: p, r: r}
+	page := head / (PageSize / 4)
+	var run []int // the run, by address
+	writes := 0   // the most it can issue
+	for pc := head; pc >= 0; {
+		seg, segWrites, whole := len(run), writes, false
+		for !whole && len(run) < regionMaxWords && pc < len(p.words) && pc/(PageSize/4) == page {
+			n := len(p.slots[pc].beats[0]) + len(p.slots[pc].beats[1])
+			if writes+n > regionSlots {
+				break
+			}
+			run, writes = append(run, pc), writes+n
+			always, jump := p.transfers(pc)
+			pc, whole = pc+1, always
+			if always && (jump < 0 || jump/(PageSize/4) != page || slices.Contains(run, jump)) {
+				pc = -1 // nothing to follow, or a jump back into the run: a loop closes
+			} else if always {
+				pc = jump
+			}
+		}
+		if !whole {
+			if seg > 0 {
+				run, writes = run[:seg], segWrites
+			}
+			break
+		}
+	}
+	for _, pc := range run {
+		b.word(pc)
+	}
+	for w := range r.words[:len(r.words)-1] {
+		r.words[w].follow = r.words[w+1].pc != r.words[w].pc+1
+	}
+
+	// The landing schedule: a counting sort of the writes by landing beat.
+	// A write landing past the last beat is in flight at every exit.
+	beats := 2 * len(r.words)
+	ends := make([]int32, beats+1)
+	for _, wr := range r.writes {
+		if int(wr.land) < beats && !wr.straight {
+			ends[wr.land+1]++
+		}
+	}
+	for i := 1; i <= beats; i++ {
+		ends[i] += ends[i-1]
+	}
+	r.lands = make([]landing, ends[beats])
+	next := append([]int32(nil), ends[:beats]...)
+	for k, wr := range r.writes {
+		if int(wr.land) < beats && !wr.straight {
+			r.lands[next[wr.land]] = landing{slot: uint16(k), word: uint16(wr.issue >> 1), dst: wr.dst}
+			next[wr.land]++
+		}
+	}
+	flight := int32(0)
+	for w := range r.words {
+		r.words[w].landEnd = [2]int32{ends[2*w+1], ends[2*w+2]}
+		for int(flight) < len(r.writes) && int(r.writes[flight].land) < 2*w {
+			flight++
+		}
+		r.words[w].flight = flight
+	}
+	return r
+}
+
+// hooked reports whether anything is armed that must see every word or every
+// retiring write, or that moves the clock between words; the native tier then
+// stays on the per-word path.
+func (m *Machine) hooked() bool {
+	return m.InjectWrite != nil || m.TraceFn != nil || m.InterruptEvery > 0 || m.dmaRate > 0
+}
+
+// advance executes the next unit of work of a context on the native tier,
+// never starting a word at or after beat until (which must lie past c.beat):
+// the region headed at c.pc, when there is one and nothing is hooked,
+// otherwise one step.
+// eager stops a region after a word that met something dynamic, as RunMany's
+// scheduler rotates on one.
+func (m *Machine) advance(c *Context, until int64, eager bool) error {
+	if !m.hooked() {
+		if r, w := c.paused, int(c.pausedAt); r != nil {
+			// A region left at a beat limit goes on where it stopped, so the
+			// limits — a context poll every few thousand beats, a quantum —
+			// do not make region heads of the words they happen to fall on.
+			if c.paused = nil; int(r.words[w].pc) == c.pc {
+				return m.runRegion(c, r, w, until, eager)
+			}
+		}
+		if p := c.plan; uint(c.pc) < uint(len(p.heads)) {
+			r := p.heads[c.pc]
+			if r == nil && p.heat[c.pc] < regionHeat {
+				if r = p.arrive(c.pc); r != nil {
+					m.regions.built++
+				}
+			}
+			if r != nil {
+				return m.runRegion(c, r, 0, until, eager)
+			}
+		}
+	}
+	return m.step(c, true)
+}
+
+// residentWords returns how many of r's leading words are instruction-resident
+// in c: the region's iTLB page and each word's icache line present under the
+// current ASID. The count is remembered per region while nothing can have
+// been evicted, so a region whose code has all been fetched once answers with
+// two compares.
+func (c *Context) residentWords(r *region) int {
+	if r.id >= len(c.resident) {
+		c.resident = append(c.resident, make([]residency, r.id+1-len(c.resident))...)
+	}
+	res := &c.resident[r.id]
+	if res.epoch != c.ievict {
+		*res = residency{epoch: c.ievict}
+	}
+	if res.n == len(r.words) {
+		return res.n
+	}
+	ipage := int64(r.head) / (PageSize / 4)
+	if is := ipage % TLBEntries; c.itlb[is] != ipage || c.itlbAsids[is] != c.asid {
+		return 0
+	}
+	if len(c.img.Words) == 0 {
+		res.n = len(r.words) // the ideal machine has no encoded form and a perfect cache
+	}
+	for res.n < len(r.words) {
+		rw := &r.words[res.n]
+		if c.itags[rw.line] != int(rw.pc) || c.iasids[rw.line] != c.asid {
+			break
+		}
+		res.n++
+	}
+	return res.n
+}
+
+// wordsBefore is how many words, two beats each from beat on, start before
+// beat until.
+func wordsBefore(until, beat int64) int {
+	if until <= beat {
+		return 0
+	}
+	return int((until-beat)>>1 + (until-beat)&1)
+}
+
+// regionRun is the position of a context inside the region it is running:
+// what every exit needs of how it got there. The region's writes fall into
+// three runs by issuing word: before floor0 they are the ring's (or landed);
+// in [floor0, floor) they were issued before the last unplanned beats and,
+// still in their slots, land shift beats ahead of the region's schedule
+// (landAhead); from floor on they land where the schedule says.
+type regionRun struct {
+	r             *region
+	base          int64  // the beat of the region's beat 0, had the words from floor on been the first
+	seq           uint32 // the sequence number of the region's first write
+	start         int32  // the region word the run was entered at
+	floor0, floor int32
+	shift         int64 // beats the [floor0, floor) writes land ahead of schedule
+	ahead, stop   int32 // landAhead's cursor into r.lands, and where it has nothing left to find
+	front         int64 // words whose fetch step has already counted
+	taken         int64 // followed branches
+}
+
+// runRegion runs region r from its word w for as many words as start before
+// beat until, and leaves at the first branch off its path or fault. Entered
+// past its head, it is a region whose earlier words' writes are the ring's.
+func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager bool) error {
+	n := min(w+wordsBefore(until, c.beat), len(r.words))
+	resident := c.residentWords(r)
+	c.run = regionRun{r: r, base: c.beat - int64(2*w), seq: c.seq - uint32(r.firstWrite(int32(w))), start: int32(w), floor0: int32(w), floor: int32(w)}
+	run := &c.run
+	g := &c.plan.geom
+	m.brTaken, m.brHalt = false, false
+
+	cause := exitLimit
+	var mi, li, oi int
+	if w > 0 {
+		mi, li, oi = int(r.words[w-1].memEnd), int(r.words[w-1].landEnd[1]), int(r.words[w-1].opEnd[1])
+	}
+	for ; w < n; w++ {
+		rw := &r.words[w]
+		// What step's front half would find: nothing, on all but a few words
+		// in a hundred. The prescan's questions are asked of the registers as
+		// they stand at the top of the word, exactly as step asks them.
+		event := exitLimit
+		if w >= resident {
+			event = exitRefill
+		}
+		for end := int(rw.memEnd); mi < end && event == exitLimit; mi++ {
+			pm := &r.mems[mi]
+			ea := int64(int32(c.iregs[pm.bd&3][pm.ix&63])) + pm.off
+			if pm.ea != nil {
+				ea = pm.ea(c)
+			}
+			if ea < 0 {
+				continue
+			}
+			page := int64(uint64(ea) / PageSize)
+			if slot := page & (TLBEntries - 1); c.dtlb[slot] != page || c.dtlbAsids[slot] != c.asid {
+				event = exitTLB
+			} else if c.bankBusy[g.id(ea)] > c.beat+pm.beat+mach.StageBank {
+				event = exitBank
+			}
+		}
+		c.pc = int(rw.pc)
+		if event != exitLimit {
+			m.regionEvent(c, w, li, event)
+			mi = int(rw.memEnd)
+			resident = max(c.residentWords(r), w+1)
+			if n = min(w+1+wordsBefore(until, c.beat+2), len(r.words)); eager {
+				n = w + 1
+			}
+		}
+		floor := uint16(run.floor)
+		for beat := 0; beat < 2; beat++ {
+			if c.rcount[c.beat&c.rmask] != 0 {
+				c.landBucket()
+			}
+			if run.ahead < run.stop {
+				c.landAhead(int64(2*w + beat))
+			}
+			for end := int(rw.landEnd[beat]); li < end; li++ {
+				if l := r.lands[li]; l.word >= floor {
+					c.writeReg(l.dst, c.slots[l.slot&slotMask])
+				}
+			}
+			for end := int(rw.opEnd[beat]); oi < end; oi++ {
+				if err := r.ops[oi](m, c); err != nil {
+					in := &r.info[oi]
+					m.leaveRegion(c, w+1, int32(2*w+beat), in.writes, in.bulk, exitFault)
+					return err
+				}
+			}
+			c.beat++
+		}
+		if rw.follow && m.brTaken && m.brNext == int(r.words[w+1].pc) && !m.brHalt {
+			m.brTaken = false // the branch the region's path takes
+			run.taken++
+		} else if m.brTaken || m.brHalt || rw.follow {
+			w++
+			cause = exitBranch
+			break
+		}
+	}
+
+	var bulk statsBulk
+	var issued int32
+	if w > 0 {
+		bulk, issued = r.words[w-1].bulk, r.words[w-1].wrEnd
+	}
+	m.leaveRegion(c, w, int32(2*w-1), issued, bulk, cause)
+	switch {
+	case cause == exitLimit && w < len(r.words):
+		c.pc = int(r.words[w].pc)
+		c.paused, c.pausedAt = r, int32(w)
+	case m.brHalt:
+		if m.brTaken {
+			m.Stats.Taken++
+		}
+		c.halted, c.exit = true, m.brExit
+	case m.brTaken:
+		m.Stats.Taken++
+		c.pc = m.brNext
+	default: // off the end of the region, or out of a followed branch by falling through
+		c.pc = int(r.words[w-1].pc) + 1
+	}
+	return nil
+}
+
+// regionEvent is what a region does about a word on which something dynamic
+// happens — an iTLB or icache miss, a dTLB miss, a busy bank. step fetches the
+// word and charges what it costs, short of issuing it, and the region resumes
+// at the same word with the clock rebased; li is the landing cursor at the
+// word's first beat. What was in flight keeps its retire beats, which are now
+// that many beats ahead of the region's schedule, and stays in its slots:
+// landAhead lands it from there, beginning, with the word's first beat, with
+// everything the unplanned beats made due. (What an earlier event left to
+// landAhead and is still in flight goes to the ring first: there is one such
+// run of writes.)
+//
+// A drain after a clock jump lands its writes in issue order; landAhead lands
+// by retire beat. The two differ only for two writes to one register in
+// flight together with the earlier-issued retiring later, which the
+// certificate excludes (schedcheck's waw-overlap error).
+func (m *Machine) regionEvent(c *Context, w, li int, event int) {
+	run := &c.run
+	c.spillAhead(int32(2*w - 1))
+	run.floor0, run.floor = run.floor, int32(w)
+	run.front++
+	m.regions.by[event]++
+
+	before := c.beat
+	c.drained = before - 1
+	_ = m.step(c, false) // c.pc is a word of the region: no fetch fault
+	if c.drained+1 != c.beat {
+		_ = m.drainJump(c) // no race verdict on this tier
+	}
+	run.shift = c.beat - before
+	run.base = c.beat - int64(2*w)
+	run.ahead, run.stop = int32(li), run.r.landEndAt(int64(2*w)+int64(run.r.maxLat))
+}
+
+// landAhead lands the writes issued before the last event that retire at
+// region beat q: they sit shift beats further on in the landing schedule.
+func (c *Context) landAhead(q int64) {
+	run := &c.run
+	r := run.r
+	for end := r.landEndAt(q + run.shift); run.ahead < end; run.ahead++ {
+		if l := r.lands[run.ahead]; int32(l.word) >= run.floor0 && int32(l.word) < run.floor {
+			c.writeReg(l.dst, c.slots[l.slot&slotMask])
+		}
+	}
+}
+
+// landEndAt is the end, in lands, of the landings of region beats through q.
+func (r *region) landEndAt(q int64) int32 {
+	if q >= int64(2*len(r.words)) {
+		return int32(len(r.lands))
+	}
+	return r.words[q>>1].landEnd[q&1]
+}
+
+// firstWrite is the index of the first write region word w issues.
+func (r *region) firstWrite(w int32) int32 {
+	if w == 0 {
+		return 0
+	}
+	return r.words[w-1].wrEnd
+}
+
+// landBucket retires the ring bucket due at the current beat: what was in
+// flight when the region was entered. No hook is armed in a region and the
+// native tier gives no race verdict, so the writes simply land.
+func (c *Context) landBucket() {
+	due := c.take(c.beat)
+	for i := range due {
+		c.writeReg(due[i].dst, due[i].val)
+	}
+}
+
+// spill hands the ring every write among the region's writes [lo, hi) that is
+// still in flight when those writes have landed through region beat landed
+// (of the schedule whose beat 0 is base), filed exactly as push would have
+// filed it: retire beat, issuing word, sequence number.
+func (c *Context) spill(lo, hi int32, landed, base int64) {
+	run := &c.run
+	r := run.r
+	if top := (landed + 1) >> 1; top < int64(len(r.words)) {
+		lo = max(lo, r.words[top].flight)
+	} else {
+		lo = max(lo, r.words[len(r.words)-1].flight)
+	}
+	for k := lo; k < hi; k++ {
+		if wr := &r.writes[k]; int64(wr.land) > landed && !wr.straight {
+			c.put(base+int64(wr.land), ringWrite{
+				val: c.slots[k&slotMask],
+				pc:  r.words[wr.issue>>1].pc,
+				seq: run.seq + uint32(k),
+				dst: wr.dst,
+			})
+		}
+	}
+}
+
+// spillAhead hands the ring what landAhead has not landed by region beat
+// landed.
+func (c *Context) spillAhead(landed int32) {
+	if run := &c.run; run.floor0 < run.floor {
+		c.spill(run.r.firstWrite(run.floor0), run.r.firstWrite(run.floor), int64(landed)+run.shift, run.base-run.shift)
+	}
+}
+
+// leaveRegion materialises the exit state of c's region: its first `words`
+// words were fetched, the registers are current through region beat `landed`,
+// and the region's first `issued` writes were issued, accounting for bulk (all
+// three counted from the region's head, wherever the run entered it). Whatever of
+// those writes lands later goes into the ring, seq and drained follow, and the
+// counters are settled.
+func (m *Machine) leaveRegion(c *Context, words int, landed, issued int32, bulk statsBulk, cause int) {
+	run := &c.run
+	c.spillAhead(landed)
+	c.spill(run.r.firstWrite(run.floor), issued, int64(landed), run.base)
+	c.seq = run.seq + uint32(issued)
+	c.drained = run.base + int64(landed)
+	if run.start > 0 {
+		bulk.sub(run.r.words[run.start-1].bulk)
+		words -= int(run.start)
+	}
+	bulk.apply(&m.Stats)
+	m.Stats.Instrs += int64(words) - run.front
+	m.Stats.ICacheHits += int64(words) - run.front
+	m.Stats.Taken += run.taken
+	m.regions.words += int64(words)
+	m.regions.by[cause]++
+	run.r = nil
+}
+
+// abandonRegion is leaveRegion for a panic that escaped a guard-free site of
+// the region c was running (safeTierFault reports it): the context is left as
+// of the top of the beat whose issue panicked.
+func (m *Machine) abandonRegion(c *Context) {
+	r := c.run.r
+	if r == nil {
+		return
+	}
+	landed := int32(c.beat - c.run.base)
+	w := int(landed >> 1)
+	first := int32(0) // the first closure of the beat in hand
+	switch {
+	case landed&1 == 1:
+		first = r.words[w].opEnd[0]
+	case w > 0:
+		first = r.words[w-1].opEnd[1]
+	}
+	var bulk statsBulk
+	var issued int32
+	if first > 0 {
+		bulk = r.info[first-1].bulk
+	}
+	if int(first) < len(r.info) {
+		issued = r.info[first].writes
+	} else {
+		issued = int32(len(r.writes))
+	}
+	m.leaveRegion(c, w+1, landed, issued, bulk, exitFault)
 }
 
 // iregArg reports whether a names an integer-bank register and returns its
@@ -237,7 +831,7 @@ func nReadI(a mach.Arg) func(*Context) int32 {
 		return func(*Context) int32 { return 0 }
 	}
 	if bd, ix, ok := iregArg(a); ok {
-		return func(c *Context) int32 { return int32(c.iregs[bd][ix]) }
+		return func(c *Context) int32 { return int32(c.iregs[bd&3][ix&63]) }
 	}
 	u := nReadU(a)
 	return func(c *Context) int32 { return int32(uint32(u(c))) }
@@ -249,7 +843,7 @@ func nReadI(a mach.Arg) func(*Context) int32 {
 func nEA(o *mach.Op) func(*Context) int64 {
 	if bd, ix, ok := iregArg(o.A); ok && o.B.IsImm {
 		off := int64(o.B.Imm)
-		return func(c *Context) int64 { return int64(int32(c.iregs[bd][ix])) + off }
+		return func(c *Context) int64 { return int64(int32(c.iregs[bd&3][ix&63])) + off }
 	}
 	ga, gb := nReadI(o.A), nReadI(o.B)
 	return func(c *Context) int64 { return int64(ga(c)) + int64(gb(c)) }
@@ -266,25 +860,20 @@ func nEAExec(o *mach.Op) func(*Context) int64 {
 	return nEA(o)
 }
 
-// nFault raises a guarded-site fault from a translated closure: the
-// not-yet-executed suffix of the word's bulk counters is rolled back and
-// the unit attribution the interpreter would have set via curUnit is
-// restored, so the Fault renders byte-identically to the other tiers.
-func (m *Machine) nFault(c *Context, rb *statsBulk, unit string, code TrapCode, format string, args ...any) error {
-	rb.unapply(&m.Stats)
+// nFault raises a guarded-site fault from a translated closure, with the
+// unit attribution the interpreter would have set via curUnit, so the Fault
+// renders byte-identically to the other tiers. runRegion settles the counters.
+func (m *Machine) nFault(c *Context, unit string, code TrapCode, format string, args ...any) error {
 	m.curUnit = unit
 	return m.fault(c, code, format, args...)
 }
 
-// nFastShape emits fully fused closures — operand reads, the operation,
-// and the ring push all inline, no operator callback — for the op kinds
-// and operand shapes that dominate compacted inner loops: integer
+// nFastShape emits fully fused closures — operand reads, the operation and
+// the delivery into slot k all inline, no operator callback — for the op
+// kinds and operand shapes that dominate compacted inner loops: integer
 // add/sub/compare on reg⊕imm and reg⊕reg, and float add/sub/mul on
 // freg⊕freg. Returns nil when the generic builders should be used.
-func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
-	if !dst.Valid() {
-		return nil
-	}
+func nFastShape(o *mach.Op, kind ir.OpKind, k int) nativeOp {
 	if abd, aix, ok := fregArg(o.A); ok {
 		bbd, bix, ok := fregArg(o.B)
 		if !ok {
@@ -293,20 +882,20 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 		switch kind {
 		case ir.FAdd:
 			return func(m *Machine, c *Context) error {
-				v := math.Float64frombits(c.fregs[abd][aix]) + math.Float64frombits(c.fregs[bbd][bix])
-				c.push(c.beat+lat, dst, math.Float64bits(v))
+				v := math.Float64frombits(c.fregs[abd&3][aix&31]) + math.Float64frombits(c.fregs[bbd&3][bix&31])
+				c.slots[k&slotMask] = math.Float64bits(v)
 				return nil
 			}
 		case ir.FSub:
 			return func(m *Machine, c *Context) error {
-				v := math.Float64frombits(c.fregs[abd][aix]) - math.Float64frombits(c.fregs[bbd][bix])
-				c.push(c.beat+lat, dst, math.Float64bits(v))
+				v := math.Float64frombits(c.fregs[abd&3][aix&31]) - math.Float64frombits(c.fregs[bbd&3][bix&31])
+				c.slots[k&slotMask] = math.Float64bits(v)
 				return nil
 			}
 		case ir.FMul:
 			return func(m *Machine, c *Context) error {
-				v := math.Float64frombits(c.fregs[abd][aix]) * math.Float64frombits(c.fregs[bbd][bix])
-				c.push(c.beat+lat, dst, math.Float64bits(v))
+				v := math.Float64frombits(c.fregs[abd&3][aix&31]) * math.Float64frombits(c.fregs[bbd&3][bix&31])
+				c.slots[k&slotMask] = math.Float64bits(v)
 				return nil
 			}
 		}
@@ -321,22 +910,38 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 		switch kind {
 		case ir.Add:
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, mach.IBits(int32(c.iregs[abd][aix])+bv))
+				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) + bv)
 				return nil
 			}
 		case ir.Sub:
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, mach.IBits(int32(c.iregs[abd][aix])-bv))
+				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) - bv)
 				return nil
 			}
 		case ir.CmpLT:
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, mach.BoolBits(int32(c.iregs[abd][aix]) < bv))
+				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) < bv)
 				return nil
 			}
 		case ir.CmpGE:
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, mach.BoolBits(int32(c.iregs[abd][aix]) >= bv))
+				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) >= bv)
+				return nil
+			}
+		case ir.CmpEQ:
+			return func(m *Machine, c *Context) error {
+				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) == bv)
+				return nil
+			}
+		case ir.CmpNE:
+			return func(m *Machine, c *Context) error {
+				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) != bv)
+				return nil
+			}
+		case ir.Shl:
+			n := mach.ShiftCount(bv)
+			return func(m *Machine, c *Context) error {
+				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) << n)
 				return nil
 			}
 		}
@@ -346,17 +951,17 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 		switch kind {
 		case ir.Add:
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, mach.IBits(int32(c.iregs[abd][aix])+int32(c.iregs[bbd][bix])))
+				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) + int32(c.iregs[bbd&3][bix&63]))
 				return nil
 			}
 		case ir.Sub:
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, mach.IBits(int32(c.iregs[abd][aix])-int32(c.iregs[bbd][bix])))
+				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) - int32(c.iregs[bbd&3][bix&63]))
 				return nil
 			}
 		case ir.CmpLT:
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, mach.BoolBits(int32(c.iregs[abd][aix]) < int32(c.iregs[bbd][bix])))
+				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) < int32(c.iregs[bbd&3][bix&63]))
 				return nil
 			}
 		}
@@ -365,14 +970,13 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 }
 
 // nPure builds the closure for an opcode of the shared value table: operand
-// bits in, v.Fn, result bits straight into the retire ring. The write-pipeline
-// append is fused into the closure (no enqueue call), and the dominant
-// operand shapes — reg⊕imm and reg⊕reg on the integer bank, reg⊕reg on the
-// float bank, and a lone register for the unary ops — read their bank
-// directly instead of through an nReadU closure.
-func nPure(o *mach.Op, dst mach.PReg, lat int64, v *mach.Value) nativeOp {
+// bits in, v.Fn, result bits straight into slot k (k < 0: the op has no
+// destination). The dominant operand shapes — reg⊕imm and reg⊕reg on the
+// integer bank, reg⊕reg on the float bank, and a lone register for the unary
+// ops — read their bank directly instead of through an nReadU closure.
+func nPure(o *mach.Op, k int, v *mach.Value) nativeOp {
 	f := v.Fn
-	if !dst.Valid() {
+	if k < 0 {
 		// Still evaluated: a proven Div/Rem's divide panic is the backstop.
 		ga, gb := nReadU(o.A), nReadU(o.B)
 		return func(m *Machine, c *Context) error {
@@ -384,13 +988,13 @@ func nPure(o *mach.Op, dst mach.PReg, lat int64, v *mach.Value) nativeOp {
 		if abd, aix, ok := fregArg(o.A); ok {
 			if v.Unary {
 				return func(m *Machine, c *Context) error {
-					c.push(c.beat+lat, dst, f(c.fregs[abd][aix], 0))
+					c.slots[k&slotMask] = f(c.fregs[abd&3][aix&31], 0)
 					return nil
 				}
 			}
 			if bbd, bix, ok := fregArg(o.B); ok {
 				return func(m *Machine, c *Context) error {
-					c.push(c.beat+lat, dst, f(c.fregs[abd][aix], c.fregs[bbd][bix]))
+					c.slots[k&slotMask] = f(c.fregs[abd&3][aix&31], c.fregs[bbd&3][bix&31])
 					return nil
 				}
 			}
@@ -398,40 +1002,40 @@ func nPure(o *mach.Op, dst mach.PReg, lat int64, v *mach.Value) nativeOp {
 	} else if abd, aix, ok := iregArg(o.A); ok {
 		if v.Unary {
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, f(uint64(c.iregs[abd][aix]), 0))
+				c.slots[k&slotMask] = f(uint64(c.iregs[abd&3][aix&63]), 0)
 				return nil
 			}
 		}
 		if o.B.IsImm {
 			bv := mach.IBits(o.B.Imm)
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, f(uint64(c.iregs[abd][aix]), bv))
+				c.slots[k&slotMask] = f(uint64(c.iregs[abd&3][aix&63]), bv)
 				return nil
 			}
 		}
 		if bbd, bix, ok := iregArg(o.B); ok {
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, f(uint64(c.iregs[abd][aix]), uint64(c.iregs[bbd][bix])))
+				c.slots[k&slotMask] = f(uint64(c.iregs[abd&3][aix&63]), uint64(c.iregs[bbd&3][bix&63]))
 				return nil
 			}
 		}
 	}
 	ga, gb := nReadU(o.A), nReadU(o.B)
 	return func(m *Machine, c *Context) error {
-		c.push(c.beat+lat, dst, f(ga(c), gb(c)))
+		c.slots[k&slotMask] = f(ga(c), gb(c))
 		return nil
 	}
 }
 
-// nConst builds a push-constant closure. ConstI/ConstF are frequent enough
+// nConst builds a deliver-constant closure. ConstI/ConstF are frequent enough
 // in compacted traces that the nMov1 callback indirection shows up in
 // profiles; the constant is baked into the closure instead.
-func nConst(dst mach.PReg, lat int64, v uint64) nativeOp {
-	if !dst.Valid() {
-		return func(m *Machine, c *Context) error { return nil }
+func nConst(k int, v uint64) nativeOp {
+	if k < 0 {
+		return nil
 	}
 	return func(m *Machine, c *Context) error {
-		c.push(c.beat+lat, dst, v)
+		c.slots[k&slotMask] = v
 		return nil
 	}
 }
@@ -439,46 +1043,45 @@ func nConst(dst mach.PReg, lat int64, v uint64) nativeOp {
 // nMovReg builds a register-to-register move with the source read inlined
 // when the source bank is statically I or F; other shapes (immediates went
 // to nConst, odd banks are rare) fall back to nMov1.
-func nMovReg(o *mach.Op, dst mach.PReg, lat int64) nativeOp {
-	if dst.Valid() {
+func nMovReg(o *mach.Op, k int) nativeOp {
+	if k >= 0 {
 		if bd, ix, ok := iregArg(o.A); ok {
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, uint64(c.iregs[bd][ix]))
+				c.slots[k&slotMask] = uint64(c.iregs[bd&3][ix&63])
 				return nil
 			}
 		}
 		if bd, ix, ok := fregArg(o.A); ok {
 			return func(m *Machine, c *Context) error {
-				c.push(c.beat+lat, dst, c.fregs[bd][ix])
+				c.slots[k&slotMask] = c.fregs[bd&3][ix&31]
 				return nil
 			}
 		}
 	}
-	return nMov1(dst, lat, nReadU(o.A))
+	return nMov1(k, nReadU(o.A))
 }
 
-// nMov1 builds a unary move/convert closure writing a precomputed uint64.
-func nMov1(dst mach.PReg, lat int64, g func(*Context) uint64) nativeOp {
-	if !dst.Valid() {
-		return func(m *Machine, c *Context) error {
-			_ = g(c)
-			return nil
-		}
+// nMov1 builds a unary move/convert closure delivering a precomputed uint64.
+// With no destination nothing observable is left of the op.
+func nMov1(k int, g func(*Context) uint64) nativeOp {
+	if k < 0 {
+		return nil
 	}
 	return func(m *Machine, c *Context) error {
-		c.push(c.beat+lat, dst, g(c))
+		c.slots[k&slotMask] = g(c)
 		return nil
 	}
 }
 
 // compileBranch translates one branch-unit slot (mirrors execBranch).
-func compileBranch(o *mach.Op, unitName string, rb statsBulk) nativeOp {
+func (b *regionBuilder) compileBranch(s *planOp) nativeOp {
+	o, unitName := s.op, s.unitName
 	switch o.Kind {
 	case mach.OpBrT:
 		cond := nReadU(o.A)
 		t, prio := o.Target, o.Prio
 		if t < 0 {
-			return func(m *Machine, c *Context) error { return nil }
+			return nil
 		}
 		return func(m *Machine, c *Context) error {
 			if cond(c) != 0 {
@@ -489,7 +1092,7 @@ func compileBranch(o *mach.Op, unitName string, rb statsBulk) nativeOp {
 	case mach.OpJmp:
 		t, prio := o.Target, o.Prio
 		if t < 0 {
-			return func(m *Machine, c *Context) error { return nil }
+			return nil
 		}
 		return func(m *Machine, c *Context) error {
 			m.takeBranch(prio, t)
@@ -497,9 +1100,10 @@ func compileBranch(o *mach.Op, unitName string, rb statsBulk) nativeOp {
 		}
 	case mach.OpCall:
 		t, prio := o.Target, o.Prio
-		lr := mach.RegLR
+		k := b.deliver(mach.RegLR, 1)
+		link := uint64(uint32(b.pc + 1))
 		return func(m *Machine, c *Context) error {
-			c.push(c.beat+1, lr, uint64(uint32(c.pc+1)))
+			c.slots[k&slotMask] = link
 			if t >= 0 {
 				m.takeBranch(prio, t)
 			}
@@ -536,22 +1140,21 @@ func compileBranch(o *mach.Op, unitName string, rb statsBulk) nativeOp {
 		default:
 			sym := o.Sym
 			return func(m *Machine, c *Context) error {
-				return m.nFault(c, &rb, unitName, TrapSyscall, "unknown syscall %q", sym)
+				return m.nFault(c, unitName, TrapSyscall, "unknown syscall %q", sym)
 			}
 		}
 	}
 	name := mach.OpName(o.Kind)
 	return func(m *Machine, c *Context) error {
-		return m.nFault(c, &rb, unitName, TrapBadOp, "%s on branch unit", name)
+		return m.nFault(c, unitName, TrapBadOp, "%s on branch unit", name)
 	}
 }
 
 // compileLoad translates a guarded (unproven-site) load, preserving
-// execLoad's semantics exactly: counter order, the speculative
-// funny-number path, and the alignment-before-bounds fault precedence.
-func compileLoad(o *mach.Op, lat int64, unitName string, rb statsBulk, g bankGeom) nativeOp {
+// execLoad's semantics exactly: the speculative funny-number path and the
+// alignment-before-bounds fault precedence.
+func compileLoad(o *mach.Op, k int, unitName string, g bankGeom) nativeOp {
 	ea := nEAExec(o)
-	dst := o.Dst
 	size := o.Type.Size()
 	spec := o.Kind == ir.LoadSpec
 	isI32 := o.Type == ir.I32
@@ -561,15 +1164,15 @@ func compileLoad(o *mach.Op, lat int64, unitName string, rb statsBulk, g bankGeo
 		if a < ir.GlobalBase || a+size > int64(len(c.mem)) || a%size != 0 {
 			if spec {
 				m.Stats.SpecFaults++
-				if dst.Valid() {
-					c.push(c.beat+lat, dst, funny)
+				if k >= 0 {
+					c.slots[k&slotMask] = funny
 				}
 				return nil
 			}
 			if a%size != 0 {
-				return m.nFault(c, &rb, unitName, TrapUnaligned, "unaligned %d-byte load %#x", size, a)
+				return m.nFault(c, unitName, TrapUnaligned, "unaligned %d-byte load %#x", size, a)
 			}
-			return m.nFault(c, &rb, unitName, TrapMemBounds, "bus error: load %#x", a)
+			return m.nFault(c, unitName, TrapMemBounds, "bus error: load %#x", a)
 		}
 		c.bankBusy[g.id(a)] = c.beat + g.busy
 		var v uint64
@@ -578,8 +1181,8 @@ func compileLoad(o *mach.Op, lat int64, unitName string, rb statsBulk, g bankGeo
 		} else {
 			v = binary.LittleEndian.Uint64(c.mem[a:])
 		}
-		if dst.Valid() {
-			c.push(c.beat+lat, dst, v)
+		if k >= 0 {
+			c.slots[k&slotMask] = v
 		}
 		return nil
 	}
@@ -587,7 +1190,7 @@ func compileLoad(o *mach.Op, lat int64, unitName string, rb statsBulk, g bankGeo
 
 // compileStore translates a guarded store (mirrors execStore: bounds
 // before alignment).
-func compileStore(o *mach.Op, unitName string, rb statsBulk, g bankGeom) nativeOp {
+func compileStore(o *mach.Op, unitName string, g bankGeom) nativeOp {
 	ea := nEAExec(o)
 	gc := nReadU(o.C)
 	size := o.Type.Size()
@@ -595,10 +1198,10 @@ func compileStore(o *mach.Op, unitName string, rb statsBulk, g bankGeom) nativeO
 	return func(m *Machine, c *Context) error {
 		a := ea(c)
 		if a < ir.GlobalBase || a+size > int64(len(c.mem)) {
-			return m.nFault(c, &rb, unitName, TrapMemBounds, "bus error: store %#x", a)
+			return m.nFault(c, unitName, TrapMemBounds, "bus error: store %#x", a)
 		}
 		if a%size != 0 {
-			return m.nFault(c, &rb, unitName, TrapUnaligned, "unaligned %d-byte store %#x", size, a)
+			return m.nFault(c, unitName, TrapUnaligned, "unaligned %d-byte store %#x", size, a)
 		}
 		c.bankBusy[g.id(a)] = c.beat + g.busy
 		v := gc(c)
@@ -619,10 +1222,28 @@ func compileStore(o *mach.Op, unitName string, rb statsBulk, g bankGeom) nativeO
 // post-certification mutation that drives the address wild hits the Go
 // runtime's slice bounds check; the run loops convert the panic to the
 // matching Fault (safeTierFault), same as the safe tier.
-func compileSafeLoad(o *mach.Op, lat int64, f64 bool, g bankGeom) nativeOp {
+func compileSafeLoad(o *mach.Op, k int, f64 bool, g bankGeom) nativeOp {
+	if bd, ix, ok := iregArg(o.A); ok && o.B.IsImm && k >= 0 && g.ok {
+		// The dominant shape, base register plus offset on a power-of-two
+		// bank geometry, with the address sum and the bank id inline.
+		off, busy, cm, cs, bm := int64(o.B.Imm), g.busy, g.ctrlMask, g.ctrlShift&63, g.bankMask
+		if f64 {
+			return func(m *Machine, c *Context) error {
+				a := int64(int32(c.iregs[bd&3][ix&63])) + off
+				c.bankBusy[((a>>3&cm)<<3|(a>>3>>cs)&bm)&63] = c.beat + busy
+				c.slots[k&slotMask] = binary.LittleEndian.Uint64(c.mem[a:])
+				return nil
+			}
+		}
+		return func(m *Machine, c *Context) error {
+			a := int64(int32(c.iregs[bd&3][ix&63])) + off
+			c.bankBusy[((a>>3&cm)<<3|(a>>3>>cs)&bm)&63] = c.beat + busy
+			c.slots[k&slotMask] = uint64(binary.LittleEndian.Uint32(c.mem[a:]))
+			return nil
+		}
+	}
 	ea := nEA(o)
-	dst := o.Dst
-	if !dst.Valid() {
+	if k < 0 {
 		// The read must still happen: its bounds panic is the backstop.
 		if f64 {
 			return func(m *Machine, c *Context) error {
@@ -643,22 +1264,47 @@ func compileSafeLoad(o *mach.Op, lat int64, f64 bool, g bankGeom) nativeOp {
 		return func(m *Machine, c *Context) error {
 			a := ea(c)
 			c.bankBusy[g.id(a)] = c.beat + g.busy
-			v := binary.LittleEndian.Uint64(c.mem[a:])
-			c.push(c.beat+lat, dst, v)
+			c.slots[k&slotMask] = binary.LittleEndian.Uint64(c.mem[a:])
 			return nil
 		}
 	}
 	return func(m *Machine, c *Context) error {
 		a := ea(c)
 		c.bankBusy[g.id(a)] = c.beat + g.busy
-		v := uint64(binary.LittleEndian.Uint32(c.mem[a:]))
-		c.push(c.beat+lat, dst, v)
+		c.slots[k&slotMask] = uint64(binary.LittleEndian.Uint32(c.mem[a:]))
 		return nil
 	}
 }
 
 // compileSafeStore translates a proven store: no guard at all.
 func compileSafeStore(o *mach.Op, f64 bool, g bankGeom) nativeOp {
+	if bd, ix, ok := iregArg(o.A); ok && o.B.IsImm && g.ok && !o.C.IsImm && o.C.Reg.Bank == mach.BankSF {
+		// As compileSafeLoad: base plus offset, data from the store file.
+		off, busy, cm, cs, bm := int64(o.B.Imm), g.busy, g.ctrlMask, g.ctrlShift&63, g.bankMask
+		sbd, six := int(o.C.Reg.Board), int(o.C.Reg.Idx)
+		if f64 {
+			return func(m *Machine, c *Context) error {
+				a := int64(int32(c.iregs[bd&3][ix&63])) + off
+				c.bankBusy[((a>>3&cm)<<3|(a>>3>>cs)&bm)&63] = c.beat + busy
+				v := c.sf[sbd&3][six&15]
+				binary.LittleEndian.PutUint64(c.mem[a:], v)
+				if m.WatchStore != nil {
+					m.WatchStore(a, v)
+				}
+				return nil
+			}
+		}
+		return func(m *Machine, c *Context) error {
+			a := int64(int32(c.iregs[bd&3][ix&63])) + off
+			c.bankBusy[((a>>3&cm)<<3|(a>>3>>cs)&bm)&63] = c.beat + busy
+			v := uint64(uint32(c.sf[sbd&3][six&15]))
+			binary.LittleEndian.PutUint32(c.mem[a:], uint32(v))
+			if m.WatchStore != nil {
+				m.WatchStore(a, v)
+			}
+			return nil
+		}
+	}
 	ea := nEA(o)
 	gc := nReadU(o.C)
 	if f64 {
@@ -685,131 +1331,272 @@ func compileSafeStore(o *mach.Op, f64 bool, g bankGeom) nativeOp {
 	}
 }
 
+// reads reports whether slot s may read register r when it issues.
+func (s *planOp) reads(r mach.PReg) bool {
+	if s.unitKind == mach.UBR {
+		switch s.op.Kind {
+		case mach.OpSyscall, mach.OpHalt:
+			return true // argument and result registers, not named as operands
+		}
+	}
+	for _, a := range [...]mach.Arg{s.op.A, s.op.B, s.op.C} {
+		if !a.IsImm && a.Reg == r {
+			return true
+		}
+	}
+	return false
+}
+
+// mayFault reports whether slot s's closure can return a fault.
+func (s *planOp) mayFault() bool {
+	if s.unitKind == mach.UBR {
+		switch s.op.Kind {
+		case mach.OpBrT, mach.OpJmp, mach.OpCall, mach.OpJmpR, mach.OpHalt:
+			return false
+		}
+		return true
+	}
+	switch s.kind {
+	case ir.Nop, opPure, opPureFlop, ir.ConstI, ir.ConstF, ir.Mov, mach.OpMovSF, ir.Select, ir.LoadSpec,
+		opSafeLoadI32, opSafeLoadF64, opSafeSpecI32, opSafeSpecF64, opSafeStoreI32, opSafeStoreF64:
+		return false
+	}
+	return true
+}
+
+// compileStraight translates slot i of a beat's issue list to a closure that
+// stores its result straight into the integer or branch-bank register file, or returns nil
+// when the write has to go through a scratch slot like any other. Straight is
+// safe for a write that lands one beat after a word's first beat — inside the
+// word, so no exit, event or prescan falls between issue and landing — when
+// nothing later in the beat reads the register or can fault, and nothing else
+// in the beat writes it: no one can tell the register changed a beat early.
+// (A write from before the region landing in that very beat would be a
+// write-write race, which the certificate excludes.) These are the address
+// and compare operations of compacted loops, about a third of all writes.
+func (b *regionBuilder) compileStraight(ops []planOp, i int) nativeOp {
+	s := &ops[i]
+	o, dst := s.op, s.op.Dst
+	if b.beat&1 != 0 || s.lat != 1 || dst.Bank != mach.BankI && dst.Bank != mach.BankB {
+		return nil
+	}
+	for j := range ops {
+		if j != i && (ops[j].op.Dst == dst || j > i && (ops[j].reads(dst) || ops[j].mayFault())) {
+			return nil
+		}
+		if ops[j].unitKind == mach.UBR && ops[j].op.Kind == mach.OpCall && dst == mach.RegLR {
+			return nil
+		}
+	}
+	var f nativeOp
+	if dst.Bank == mach.BankI {
+		f = nStraight(o, s.kind, int(dst.Board), int(dst.Idx))
+	} else if s.kind == opPure {
+		f = nStraightB(o, int(dst.Board), int(dst.Idx))
+	}
+	if f != nil {
+		b.r.writes[b.deliver(dst, 1)].straight = true
+	}
+	return f
+}
+
+// nStraight is nFastShape, nPure and the moves for a result that goes
+// straight into integer register [bd][ix].
+func nStraight(o *mach.Op, kind ir.OpKind, bd, ix int) nativeOp {
+	abd, aix, aok := iregArg(o.A)
+	bbd, bix, bok := iregArg(o.B)
+	switch {
+	case kind == ir.ConstI && o.A.IsImm:
+		v := uint32(o.A.Imm)
+		return func(m *Machine, c *Context) error {
+			c.iregs[bd&3][ix&63] = v
+			return nil
+		}
+	case kind == ir.Mov && aok:
+		return func(m *Machine, c *Context) error {
+			c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63]
+			return nil
+		}
+	case kind != opPure || !aok:
+		return nil
+	}
+	if o.B.IsImm {
+		bv := o.B.Imm
+		switch o.Kind {
+		case ir.Add:
+			return func(m *Machine, c *Context) error {
+				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] + uint32(bv)
+				return nil
+			}
+		case ir.Sub:
+			return func(m *Machine, c *Context) error {
+				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] - uint32(bv)
+				return nil
+			}
+		case ir.CmpLT:
+			return func(m *Machine, c *Context) error {
+				c.iregs[bd&3][ix&63] = uint32(mach.BoolBits(int32(c.iregs[abd&3][aix&63]) < bv))
+				return nil
+			}
+		case ir.Shl:
+			n := mach.ShiftCount(bv)
+			return func(m *Machine, c *Context) error {
+				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] << n
+				return nil
+			}
+		}
+	} else if bok {
+		switch o.Kind {
+		case ir.Add:
+			return func(m *Machine, c *Context) error {
+				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] + c.iregs[bbd&3][bix&63]
+				return nil
+			}
+		case ir.Sub:
+			return func(m *Machine, c *Context) error {
+				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] - c.iregs[bbd&3][bix&63]
+				return nil
+			}
+		}
+	}
+	v := mach.ValueOf(o.Kind)
+	if v.FloatIn {
+		return nil
+	}
+	f := v.Fn
+	switch {
+	case v.Unary:
+		return func(m *Machine, c *Context) error {
+			c.iregs[bd&3][ix&63] = uint32(f(uint64(c.iregs[abd&3][aix&63]), 0))
+			return nil
+		}
+	case o.B.IsImm:
+		bv := mach.IBits(o.B.Imm)
+		return func(m *Machine, c *Context) error {
+			c.iregs[bd&3][ix&63] = uint32(f(uint64(c.iregs[abd&3][aix&63]), bv))
+			return nil
+		}
+	case bok:
+		return func(m *Machine, c *Context) error {
+			c.iregs[bd&3][ix&63] = uint32(f(uint64(c.iregs[abd&3][aix&63]), uint64(c.iregs[bbd&3][bix&63])))
+			return nil
+		}
+	}
+	return nil
+}
+
+// nStraightB is nStraight for an integer test whose result goes straight into
+// branch-bank register [bd][ix].
+func nStraightB(o *mach.Op, bd, ix int) nativeOp {
+	abd, aix, ok := iregArg(o.A)
+	v := mach.ValueOf(o.Kind)
+	if !ok || v.FloatIn || v.Unary {
+		return nil
+	}
+	if o.B.IsImm {
+		bv := o.B.Imm
+		switch o.Kind {
+		case ir.CmpEQ:
+			return func(m *Machine, c *Context) error {
+				c.bb[bd&3][ix&7] = int32(c.iregs[abd&3][aix&63]) == bv
+				return nil
+			}
+		case ir.CmpNE:
+			return func(m *Machine, c *Context) error {
+				c.bb[bd&3][ix&7] = int32(c.iregs[abd&3][aix&63]) != bv
+				return nil
+			}
+		}
+		f, bits := v.Fn, mach.IBits(bv)
+		return func(m *Machine, c *Context) error {
+			c.bb[bd&3][ix&7] = f(uint64(c.iregs[abd&3][aix&63]), bits) != 0
+			return nil
+		}
+	}
+	if bbd, bix, ok := iregArg(o.B); ok {
+		f := v.Fn
+		return func(m *Machine, c *Context) error {
+			c.bb[bd&3][ix&7] = f(uint64(c.iregs[abd&3][aix&63]), uint64(c.iregs[bbd&3][bix&63])) != 0
+			return nil
+		}
+	}
+	return nil
+}
+
 // compileExec translates one non-branch slot (mirrors execOp case for
 // case; the dispatch key is the plan kind, so proven sites translate to
 // their guard-free variants).
-func compileExec(o *mach.Op, kind ir.OpKind, lat int64, unitName string, rb statsBulk, g bankGeom) nativeOp {
-	dst := o.Dst
-	if f := nFastShape(o, o.Kind, dst, lat); f != nil {
-		return f
+func (b *regionBuilder) compileExec(s *planOp) nativeOp {
+	o, lat, dst := s.op, s.lat, s.op.Dst
+	if dst.Valid() {
+		if f := nFastShape(o, o.Kind, len(b.r.writes)); f != nil {
+			b.deliver(dst, lat)
+			return f
+		}
 	}
-	switch kind {
+	switch s.kind {
 	case ir.Nop:
 		return nil
 	case opPure, opPureFlop:
-		return nPure(o, dst, lat, mach.ValueOf(o.Kind))
+		return nPure(o, b.deliver(dst, lat), mach.ValueOf(o.Kind))
 	case ir.Div, ir.Rem:
 		ga, gb := nReadU(o.A), nReadU(o.B)
-		f, msg := mach.ValueOf(kind).Fn, divZeroMsg(kind)
+		f, msg, unitName := mach.ValueOf(s.kind).Fn, divZeroMsg(s.kind), s.unitName
+		k := b.deliver(dst, lat)
 		return func(m *Machine, c *Context) error {
 			d := gb(c)
 			if mach.DivTraps(d) {
-				return m.nFault(c, &rb, unitName, TrapDivZero, "%s", msg)
+				return m.nFault(c, unitName, TrapDivZero, "%s", msg)
 			}
-			if dst.Valid() {
-				c.push(c.beat+lat, dst, f(ga(c), d))
+			if k >= 0 {
+				c.slots[k&slotMask] = f(ga(c), d)
 			}
 			return nil
 		}
 	case ir.ConstI:
 		if o.A.IsImm {
-			return nConst(dst, lat, mach.IBits(o.A.Imm))
+			return nConst(b.deliver(dst, lat), mach.IBits(o.A.Imm))
 		}
 		ga := nReadI(o.A)
-		return nMov1(dst, lat, func(c *Context) uint64 { return mach.IBits(ga(c)) })
+		return nMov1(b.deliver(dst, lat), func(c *Context) uint64 { return mach.IBits(ga(c)) })
 	case ir.ConstF:
-		return nConst(dst, lat, mach.FBits(o.FImm))
+		return nConst(b.deliver(dst, lat), mach.FBits(o.FImm))
 	case ir.Mov, mach.OpMovSF:
-		return nMovReg(o, dst, lat)
+		return nMovReg(o, b.deliver(dst, lat))
 	case ir.Select:
 		ga, gb, gcv := nReadU(o.A), nReadU(o.B), nReadU(o.C)
-		return nMov1(dst, lat, func(c *Context) uint64 {
+		return nMov1(b.deliver(dst, lat), func(c *Context) uint64 {
 			if ga(c) != 0 {
 				return gb(c)
 			}
 			return gcv(c)
 		})
 	case ir.Load, ir.LoadSpec:
-		return compileLoad(o, lat, unitName, rb, g)
+		return compileLoad(o, b.deliver(dst, lat), s.unitName, b.p.geom)
 	case ir.Store:
-		return compileStore(o, unitName, rb, g)
+		return compileStore(o, s.unitName, b.p.geom)
 	case opSafeLoadI32, opSafeSpecI32:
-		return compileSafeLoad(o, lat, false, g)
+		return compileSafeLoad(o, b.deliver(dst, lat), false, b.p.geom)
 	case opSafeLoadF64, opSafeSpecF64:
-		return compileSafeLoad(o, lat, true, g)
+		return compileSafeLoad(o, b.deliver(dst, lat), true, b.p.geom)
 	case opSafeStoreI32:
-		return compileSafeStore(o, false, g)
+		return compileSafeStore(o, false, b.p.geom)
 	case opSafeStoreF64:
-		return compileSafeStore(o, true, g)
+		return compileSafeStore(o, true, b.p.geom)
 	}
-	name := mach.OpName(o.Kind)
+	name, unitName := mach.OpName(o.Kind), s.unitName
 	return func(m *Machine, c *Context) error {
-		return m.nFault(c, &rb, unitName, TrapBadOp, "cannot execute %s", name)
+		return m.nFault(c, unitName, TrapBadOp, "cannot execute %s", name)
 	}
-}
-
-// translate fills a safe-tier plan's words with their closure-threaded
-// form, in place: the plan's dispatch kinds already name the guard-free
-// variant at every site the certificate proves, so the translation needs
-// neither the image nor the certificate again. Contexts armed on the safe
-// tier keep interpreting the same plan's planOps.
-func translate(p *plan) {
-	for a := range p.words {
-		pw := &p.words[a]
-		// Per-beat bulks and the whole-word bulk applied at word start.
-		var bulks [2][]statsBulk
-		var beatTotal [2]statsBulk
-		for b := 0; b < 2; b++ {
-			bulks[b] = make([]statsBulk, len(p.slots[a].beats[b]))
-			for i := range p.slots[a].beats[b] {
-				bulks[b][i] = opBulk(&p.slots[a].beats[b][i])
-				beatTotal[b].add(&bulks[b][i])
-			}
-			pw.bulk.add(&beatTotal[b])
-		}
-		for b := 0; b < 2; b++ {
-			slots := p.slots[a].beats[b]
-			// Fault rollback: each slot captures the bulk sum of everything
-			// in the word that no longer executes after it traps — the rest
-			// of its own beat, plus (for beat 0) all of beat 1, since the
-			// word's whole bulk was applied up front. The slot's own
-			// pre-guard counters stay, matching the interpreter.
-			ops := make([]nativeOp, 0, len(slots))
-			suffix := make([]statsBulk, len(slots))
-			var acc statsBulk
-			if b == 0 {
-				acc = beatTotal[1]
-			}
-			for i := len(slots) - 1; i >= 0; i-- {
-				suffix[i] = acc
-				acc.add(&bulks[b][i])
-			}
-			for i := range slots {
-				s := &slots[i]
-				var f nativeOp
-				if s.unitKind == mach.UBR {
-					f = compileBranch(s.op, s.unitName, suffix[i])
-				} else {
-					f = compileExec(s.op, s.kind, s.lat, s.unitName, suffix[i], p.geom)
-				}
-				if f != nil {
-					ops = append(ops, f)
-				}
-			}
-			pw.native[b] = nChain(ops)
-		}
-	}
-	p.translated = true
 }
 
 // UseNativeCertificate arms the native tier — the fourth execution tier —
 // for every resident context running the certified image: the safe tier's
-// graded guard deletion, with the per-slot interpreter replaced by the
-// image's closure-threaded translation. Unproven sites keep exactly the
-// safe tier's guards; exit, output, and every Stats counter are
-// bit-identical to the checked, fast, and safe tiers. The translated plan
-// is cached on the machine and reused when the same certificate is
-// re-armed after a Reset, exactly like the safe plan it extends.
+// graded guard deletion, with the words the run keeps coming back to fused
+// into regions. Unproven sites keep exactly the safe tier's guards; exit,
+// output, and every Stats counter are bit-identical to the checked, fast,
+// and safe tiers. The plan, and the regions built on it, are cached on the
+// machine and reused when the same certificate is re-armed after a Reset.
 func (m *Machine) UseNativeCertificate(c SafetyCertificate) error {
 	return m.armCertified(c, TierNative, "native-tier")
 }

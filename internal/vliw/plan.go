@@ -38,19 +38,27 @@ import (
 // Img.Instrs); it snapshots structure, not values, and is rebuilt whenever
 // Reset targets a different image. Every tier runs from a plan: the safe
 // tier from a copy with proven sites re-dispatched (buildSafePlan), the
-// native tier from that copy with its beats translated to closures
-// (translate, native.go).
+// native tier from that copy too, fusing the runs of words it arrives at
+// repeatedly into regions as it goes (native.go).
 
 // plan is one image's pre-decoded form plus the constants every tier's step
 // shares.
 type plan struct {
-	words      []planWord  // what every tier's step reads, and the native tier executes
-	slots      []wordSlots // what the interpreter executes, word for word
-	geom       bankGeom
-	itagMask   int   // ICacheInstrs-1 when that is a power of two, else -1
-	maxLat     int64 // longest write latency the image can issue, in beats
-	ringSize   int64 // retire-ring buckets: the power of two above maxLat
-	translated bool  // words carry native closures (translate)
+	words    []planWord  // the prescan list of every word
+	slots    []wordSlots // what the interpreter executes, word for word
+	geom     bankGeom
+	itagMask int   // ICacheInstrs-1 when that is a power of two, else -1
+	maxLat   int64 // longest write latency the image can issue, in beats
+	ringSize int64 // retire-ring buckets: the power of two above maxLat
+	ringCap  int64 // writes one beat can retire: over the latencies, the most any beat issues of each
+
+	// The native tier's regions, by head word; nil until the tier is armed.
+	// heat counts a word's arrivals by the per-word path up to regionHeat, and
+	// regionWords is what the regions built so far hold against the budget.
+	heads       []*region
+	heat        []uint8
+	regions     int
+	regionWords int
 }
 
 // bankGeom is the memory-system geometry resolved to shift/mask form at plan
@@ -105,10 +113,21 @@ type planOp struct {
 }
 
 // planMem is one memory reference for the prescan loop, with the
-// effective-address computation pre-resolved.
+// effective-address computation pre-resolved: the dominant shape, an integer
+// register plus an immediate, as data the loop adds up itself, anything else
+// as a reader closure.
 type planMem struct {
-	ea   func(c *Context) int64
-	beat int64 // issue beat within the instruction (0 or 1)
+	ea     func(c *Context) int64 // nil: the address is iregs[bd][ix] + off
+	off    int64
+	bd, ix uint8
+	beat   int64 // issue beat within the instruction (0 or 1)
+}
+
+func newPlanMem(o *mach.Op, beat int64) planMem {
+	if bd, ix, ok := iregArg(o.A); ok && o.B.IsImm {
+		return planMem{off: int64(o.B.Imm), bd: uint8(bd), ix: uint8(ix), beat: beat}
+	}
+	return planMem{ea: nEA(o), beat: beat}
 }
 
 // resViol is a precomputed static resource violation for one (word, beat).
@@ -120,15 +139,11 @@ type resViol struct {
 	msg  string
 }
 
-// planWord is one pre-decoded instruction word: the prescan list, and what
-// the native step executes — each beat's slot closures folded into one (nil:
-// the beat is all Nops, or the plan is not translated) and the whole word's
-// unconditional counter delta. The interpreter's form of the word lives in
-// the parallel plan.slots, so each tier walks a dense array of its own.
+// planWord is what step's front half reads of a pre-decoded instruction word:
+// the prescan list. The interpreter's form of the word lives in the parallel
+// plan.slots, so the prescan and the issue loop each walk a dense array.
 type planWord struct {
-	mem    []planMem
-	native [2]nativeOp
-	bulk   statsBulk
+	mem []planMem
 }
 
 // wordSlots is the interpreted form of one instruction word: per-beat issue
@@ -163,6 +178,10 @@ func buildPlan(img *isa.Image) *plan {
 		return s
 	}
 
+	// A bucket of the retire ring receives the writes of latency l issued l
+	// beats before it, for every l: at most, for each latency, as many as any
+	// one beat of the image issues with it.
+	most, here := map[int64]int64{}, map[int64]int64{} // by latency: in any beat, in the beat in hand
 	for a := range img.Instrs {
 		in := &img.Instrs[a]
 		pw := &p.words[a]
@@ -186,11 +205,21 @@ func buildPlan(img *isa.Image) *plan {
 			// bank to stall on; it faults (or returns the §7 funny number) at
 			// execution.
 			if isMemOp(s.Op.Kind) && (s.Op.A.IsImm || s.Op.A.Reg.Valid()) {
-				pw.mem = append(pw.mem, planMem{ea: nEA(&s.Op), beat: int64(b)})
+				pw.mem = append(pw.mem, newPlanMem(&s.Op, int64(b)))
 			}
 		}
 		ws.viol[0] = staticBeatViolation(in, cfg, 0)
 		ws.viol[1] = staticBeatViolation(in, cfg, 1)
+		for _, ops := range ws.beats {
+			clear(here)
+			for i := range ops {
+				here[ops[i].lat]++
+				most[ops[i].lat] = max(most[ops[i].lat], here[ops[i].lat])
+			}
+		}
+	}
+	for _, n := range most {
+		p.ringCap += n
 	}
 	// Strictly more buckets than the longest latency, so a freshly issued
 	// write can never alias a bucket that has not drained yet.

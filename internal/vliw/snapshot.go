@@ -346,11 +346,20 @@ func (c *Context) Restore(data []byte) error {
 	binary.Read(bytes.NewReader(sfb), le, &c.sf)
 	binary.Read(bytes.NewReader(bbb), le, &c.bb)
 
-	// The section is in issue order, so pushing it in order keeps it.
+	// The section is in issue order, so pushing it in order keeps it. A bucket
+	// must hold what the snapshot files under its beat (every overdue write
+	// goes under the current one) and still what the image can retire there.
 	c.emptyRing()
+	most := int64(0)
 	for b := pendb[4:]; len(b) > 0; b = b[pendingWireLen:] {
 		i := max(int64(le.Uint64(b[0:8])), c.beat) & c.rmask
-		c.ring[i] = append(c.ring[i], ringWrite{
+		c.rcount[i]++
+		most = max(most, c.rcount[i])
+	}
+	c.sizeRing(c.plan.ringSize, most+c.plan.ringCap)
+	clear(c.rcount)
+	for b := pendb[4:]; len(b) > 0; b = b[pendingWireLen:] {
+		c.put(max(int64(le.Uint64(b[0:8])), c.beat), ringWrite{
 			val: le.Uint64(b[12:20]),
 			pc:  int32(le.Uint64(b[20:28])),
 			seq: c.seq,
@@ -365,6 +374,7 @@ func (c *Context) Restore(data []byte) error {
 		c.itags[i] = int(int64(le.Uint64(icb[4+i*8:])))
 	}
 	copy(c.iasids, icb[4+8*len(c.itags):])
+	c.ievict++
 	for i := 0; i < TLBEntries; i++ {
 		c.dtlb[i] = int64(le.Uint64(dtlbb[4+i*8:]))
 		c.itlb[i] = int64(le.Uint64(itlbb[4+i*8:]))
@@ -375,6 +385,7 @@ func (c *Context) Restore(data []byte) error {
 	c.out.Reset()
 	c.out.Write(outb)
 
+	c.paused = nil
 	c.done = false
 	c.err = nil
 	c.booted = true

@@ -15,7 +15,8 @@ import (
 //	TierChecked  every dynamic check live (no certificate)
 //	TierFast     resource/race checks skipped (schedcheck Certificate)
 //	TierSafe     + proven per-site guards deleted (safecheck SafeCertificate)
-//	TierNative   + closure-threaded translation, no per-op dispatch
+//	TierNative   + the runs of words a program keeps returning to fused into
+//	             regions of closures: no per-op dispatch, no per-beat bookkeeping
 //
 // The zero value is TierChecked, so an unset options field means "fully
 // checked".

@@ -27,9 +27,23 @@ if gosrc -l --exclude='*_test.go' 'LatFMul' | grep -v -e '^\./internal/mach/' -e
 	exit 1
 fi
 
-echo "== one write pipeline (no second fetch, no ring ingest, no pending-write slice in the simulator)"
-if grep -rnE --include='*.go' --exclude='*_test.go' 'nFetch|nRingIngest|\[\]pendingWrite' internal/vliw; then
-	echo "check: internal/vliw forks the write pipeline or the word prologue again (Context.push, Machine.step)"
+echo "== one write pipeline (no second fetch, no ring ingest, no pending-write slice, no per-beat closure chain in the simulator)"
+if grep -rnE --include='*.go' --exclude='*_test.go' 'nFetch|nRingIngest|\[\]pendingWrite|nChain|native +\[2\]nativeOp' internal/vliw; then
+	echo "check: internal/vliw forks the write pipeline or the word prologue again (Context.push, Machine.step, regions)"
+	exit 1
+fi
+# Regions only observe the caches, the TLBs and the banks; step (with fetch,
+# refillICache and dtlbMiss under it) is the one place that fills them or
+# charges a beat the schedule did not plan. reset, Restore and
+# ContextSwitch's flush set them wholesale.
+if awk '
+	/^func / { fn = $0; sub(/^func +(\([^)]*\) +)?/, "", fn); sub(/[(\[].*/, "", fn) }
+	/(itags|dtlb)\[[^]]*\] *=[^=]|Stats\.(BankStalls|RefillBeats|TrapBeats) *(\+\+|\+=|=[^=])/ {
+		if (fn !~ /^(fetch|refillICache|dtlbMiss|step|reset|Restore|ContextSwitch)$/) { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+	}
+	END { exit !bad }
+' $(ls internal/vliw/*.go | grep -v _test.go); then
+	echo "check: internal/vliw fills a cache or TLB, or charges an unplanned beat, outside Machine.step"
 	exit 1
 fi
 
