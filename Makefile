@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet test race bench bench-sim bench-serve build serve
+.PHONY: check fmt vet test race bench bench-sim build serve
 
 check: fmt vet race
 
@@ -33,11 +33,6 @@ bench:
 # baseline (scripts/bench_baseline.txt) written to BENCH_sim.json.
 bench-sim:
 	sh scripts/bench.sh
-
-# Tracked serving benchmark: steady-state cached /run throughput and cold
-# compile rate over real HTTP, written to BENCH_serve.json.
-bench-serve:
-	sh scripts/bench_serve.sh
 
 # Run the compile-and-execute service on the default address (127.0.0.1:8347).
 serve:

@@ -42,12 +42,11 @@ func opLatency(cfg mach.Config, o *ir.Op) int {
 	return cfg.Latency(o.Kind, o.Type)
 }
 
+// isFloat reports whether k is floating arithmetic, the ops the simulator's
+// Stats.FloatOps counts.
 func isFloat(k ir.OpKind) bool {
-	switch k {
-	case ir.FAdd, ir.FSub, ir.FMul, ir.FDiv:
-		return true
-	}
-	return false
+	v := mach.ValueOf(k)
+	return v != nil && v.Flop
 }
 
 // Scalar simulates the program on an in-order, single-issue machine with

@@ -129,3 +129,51 @@ func TestPRegAndArgs(t *testing.T) {
 		t.Error("arg strings wrong")
 	}
 }
+
+// TestRegIndexIsABijection: every register of every bank and board has its own
+// index below RegFileSize — within a bank in board-then-index order, the order
+// a snapshot lists them in — and RegAt gives the register back; nothing else
+// has an index.
+func TestRegIndexIsABijection(t *testing.T) {
+	size := map[Bank]int{BankI: 64, BankF: 32, BankSF: 16, BankB: 8}
+	seen := map[int]PReg{}
+	for bank := BankI; bank <= BankB; bank++ {
+		last := -1
+		for board := 0; board < 4; board++ {
+			for idx := 0; idx < size[bank]; idx++ {
+				r := PReg{Bank: bank, Board: uint8(board), Idx: uint8(idx)}
+				i, ok := RegIndex(r)
+				if !ok || i != r.Index() || i < 0 || i >= RegFileSize {
+					t.Fatalf("%s: RegIndex = %d, %v; Index = %d", r, i, ok, r.Index())
+				}
+				if other, dup := seen[i]; dup {
+					t.Fatalf("%s and %s share index %d", other, r, i)
+				}
+				if i <= last {
+					t.Fatalf("%s: index %d does not follow %d", r, i, last)
+				}
+				seen[i], last = r, i
+				if back := RegAt(i); back != r {
+					t.Fatalf("RegAt(%d) = %s, want %s", i, back, r)
+				}
+			}
+		}
+	}
+	for i := -1; i <= RegFileSize; i++ {
+		if _, ok := seen[i]; !ok && RegAt(i).Valid() {
+			t.Errorf("RegAt(%d) = %s: no register has that index", i, RegAt(i))
+		}
+	}
+	for _, r := range []PReg{
+		{}, {Bank: BankNone, Idx: 3}, {Bank: BankB + 1}, {Bank: 200},
+		{Bank: BankI, Board: 4}, {Bank: BankF, Board: 200},
+		{Bank: BankI, Idx: 64}, {Bank: BankF, Idx: 32}, {Bank: BankSF, Idx: 16}, {Bank: BankB, Idx: 8},
+	} {
+		if i, ok := RegIndex(r); ok {
+			t.Errorf("RegIndex(%#v) = %d, want a refusal", r, i)
+		}
+		if i := r.Index(); i < 0 || i >= RegFileSize {
+			t.Errorf("%#v.Index() = %d: outside the value file", r, i)
+		}
+	}
+}

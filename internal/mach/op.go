@@ -108,6 +108,44 @@ func (r PReg) String() string {
 	return fmt.Sprintf("%s%d.%d", r.Bank, r.Board, r.Idx)
 }
 
+// The register file as one array. A register is a name fixed in the
+// instruction word (§6.2), so it has one static index, and the index is the
+// name's three fields side by side: 256 for each bank in turn — I at 0, F at
+// 256, SF at 512, B at 768 — of which each of the four boards has 64, a board's
+// registers from the low end (64 of bank I, 32 of F, 16 of SF, 8 of B; the rest
+// name nothing). Everything below RegFileSize is a register or nothing; a
+// simulator keeps its own scratch above it.
+const RegFileSize = 1024
+
+// boardRegs is how many registers one board's file of bank b holds.
+func boardRegs(b Bank) int { return 128 >> b }
+
+// Index is r's index in the value file. It is total — a name RegIndex refuses
+// gets some index below RegFileSize — so that code which resolved its
+// operands once need not check them again.
+func (r PReg) Index() int {
+	return (int(r.Bank-1)<<8 | int(r.Board)<<6 | int(r.Idx)) & (RegFileSize - 1)
+}
+
+// RegIndex is Index for a name that may not be a register: ok is false for
+// BankNone, an unknown bank, a fifth board, or an index past the board's file.
+func RegIndex(r PReg) (i int, ok bool) {
+	if r.Bank < BankI || r.Bank > BankB || r.Board >= 4 || int(r.Idx) >= boardRegs(r.Bank) {
+		return 0, false
+	}
+	return r.Index(), true
+}
+
+// RegAt is the register at index i of the value file, the inverse of Index;
+// the zero PReg (which is not Valid) where i names none.
+func RegAt(i int) PReg {
+	r := PReg{Bank: Bank(i>>8) + 1, Board: uint8(i >> 6 & 3), Idx: uint8(i & 63)}
+	if j, ok := RegIndex(r); !ok || j != i {
+		return PReg{}
+	}
+	return r
+}
+
 // Calling convention: everything flows through board 0 (documented in
 // DESIGN.md; the paper's machine has no architectural convention — it is the
 // compiler's choice, §8.4).

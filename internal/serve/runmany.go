@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,7 +42,7 @@ func (s *Server) decodeRunMany(w http.ResponseWriter, r *http.Request, req *RunM
 			Kind: "bad_request", Msg: "request body too large"})
 		return false
 	}
-	if err := json.Unmarshal(raw, req); err != nil {
+	if err := unmarshalBody(raw, req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrorBody{
 			Kind: "bad_request", Msg: "malformed JSON: " + err.Error()})
 		return false

@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -640,6 +641,22 @@ func sevString(sev schedcheck.Severity) string {
 	return "warning"
 }
 
+// unmarshalBody is json.Unmarshal for a request body, except that a field the
+// request type does not have is an error naming it: a client that sends an
+// option this server does not know (the pre-Tier {"run":{"fast":true}}) must
+// not have it dropped and be answered as if it had been honoured.
+func unmarshalBody(raw []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the request object")
+	}
+	return nil
+}
+
 // decode parses the JSON body into dst and enforces the method and source
 // size limits. dst must contain a Source field reachable via src pointer.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, src *string, dst any) bool {
@@ -657,7 +674,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, src *string, dst
 			Kind: "bad_request", Msg: "request body too large"})
 		return false
 	}
-	if err := json.Unmarshal(raw, dst); err != nil {
+	if err := unmarshalBody(raw, dst); err != nil {
 		writeError(w, http.StatusBadRequest, ErrorBody{
 			Kind: "bad_request", Msg: "malformed JSON: " + err.Error()})
 		return false

@@ -635,3 +635,53 @@ func TestMetricsEndpointShape(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownRequestFieldsAreRefused: a field the request type does not have
+// is a 400 naming it, on every endpoint that takes a body and at every depth —
+// before this, {"run":{"fast":true}} (the spelling from before Tier) was
+// dropped by the decoder and the run answered 200 on the checked tier.
+func TestUnknownRequestFieldsAreRefused(t *testing.T) {
+	_, hs := newTestServer(t, Config{Parallelism: 1})
+	for _, tc := range []struct {
+		path, body, field string
+	}{
+		{"/compile", `{"source": %q, "optimise": true}`, "optimise"},
+		{"/compile", `{"source": %q, "options": {"pairs": 1, "unroll": 4}}`, "unroll"},
+		{"/run", `{"source": %q, "run": {"fast": true}}`, "fast"},
+		{"/run", `{"source": %q, "run": {"tier": "native", "safe": true}}`, "safe"},
+		{"/lint", `{"source": %q, "strict": true}`, "strict"},
+		{"/runmany", `{"programs": [{"source": %q, "priority": 1}]}`, "priority"},
+		{"/runmany", `{"programs": [{"source": %q}], "run": {"fast": true}}`, "fast"},
+		{"/resume", `{"token": %q, "beats": 5}`, "beats"},
+	} {
+		resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(fmt.Sprintf(tc.body, demoSrc)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		out.ReadFrom(resp.Body)
+		resp.Body.Close()
+		e := decode[map[string]ErrorBody](t, out.Bytes())["error"]
+		if resp.StatusCode != http.StatusBadRequest || e.Kind != "bad_request" || !strings.Contains(e.Msg, `"`+tc.field+`"`) {
+			t.Errorf("%s with unknown field %q: status %d, body %s; want 400 bad_request naming the field", tc.path, tc.field, resp.StatusCode, out.Bytes())
+		}
+	}
+	// What the decoder accepted before it still accepts: a second object is
+	// refused, surrounding whitespace is not.
+	resp, err := http.Post(hs.URL+"/run", "application/json", strings.NewReader(fmt.Sprintf(` {"source": %q} `+"\n", demoSrc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("body with surrounding whitespace: status %d, want 200", resp.StatusCode)
+	}
+	resp, err = http.Post(hs.URL+"/run", "application/json", strings.NewReader(fmt.Sprintf(`{"source": %q} {}`, demoSrc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("two objects in one body: status %d, want 400", resp.StatusCode)
+	}
+}

@@ -304,7 +304,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ResumeRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
+	if err := unmarshalBody(raw, &req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrorBody{
 			Kind: "bad_request", Msg: "malformed JSON: " + err.Error()})
 		return

@@ -16,9 +16,10 @@ import (
 // decoded execution plans, the DMA engine, instrumentation hooks, and the
 // context scheduler — while each Context owns:
 //
-//   - the partitioned register banks (I, F, store-file, branch-bank), the
-//     PC, and the in-flight register-write pipeline (§6.2 carries
-//     destinations forward in hardware; the retire ring is that pipeline);
+//   - the partitioned register banks (I, F, store-file, branch-bank) as one
+//     value file, the PC, and the in-flight register-write pipeline (§6.2
+//     carries destinations forward in hardware; the retire ring is that
+//     pipeline);
 //   - its own address space: a private RAM image, data/instruction TLBs,
 //     and instruction-cache tags. The real machine shares one tagged cache
 //     and one RAM; the simulator gives each context a private view, which
@@ -39,12 +40,6 @@ type Context struct {
 	plan *plan
 	tier Tier // raised by the Use*Certificate calls; Reset returns it to checked
 	asid uint8
-
-	// Architectural register state, partitioned per board pair (§6).
-	iregs [4][64]uint32
-	fregs [4][32]uint64
-	sf    [4][16]uint64
-	bb    [4][8]bool
 
 	pc   int
 	beat int64 // virtual clock: beats this context has executed
@@ -107,12 +102,27 @@ type Context struct {
 	run      regionRun
 	paused   *region
 	pausedAt int32
-	// slots holds, while a region runs, the results its operations have
-	// produced and its landing code has not yet stored; every region exit
-	// empties it into the register files and the ring. Last, so that the
-	// 16 KB do not sit between the fields every beat reads.
-	slots [regionSlots]uint64
+
+	// vals is the value file: every value the program can name, by index. The
+	// partitioned register banks (§6) sit below slotBase, each register at the
+	// index mach gives it and as the raw bits the write pipeline carries — an
+	// i32 zero-extended, a branch-bank bit as 0 or 1 (writeReg is the store
+	// that makes them so). From slotBase up are the scratch slots of the native
+	// tier: while a region runs they hold the results its operations have
+	// produced and its landing code has not yet copied down; every region
+	// exit empties them into the ring. The last two entries are noDest and
+	// zeroCell. Last in the struct, so that the 32 KB do not sit between the
+	// fields every beat reads.
+	vals [valSize]uint64
 }
+
+const (
+	slotBase = mach.RegFileSize
+	valSize  = 4096 // the power of two above slotBase+regionSlots: an index is masked, not checked
+	valMask  = valSize - 1
+	noDest   = valSize - 1 // where an operation with no destination stores
+	zeroCell = valSize - 2 // never stored to: the operand that is not there reads 0
+)
 
 // reset re-targets the context at an image, reusing every buffer the
 // previous program allocated, and restores the pristine boot state.
@@ -130,10 +140,7 @@ func (c *Context) reset(id int, img *isa.Image, plan *plan, cfg mach.Config) {
 		c.mem = make([]byte, need)
 	}
 
-	c.iregs = [4][64]uint32{}
-	c.fregs = [4][32]uint64{}
-	c.sf = [4][16]uint64{}
-	c.bb = [4][8]bool{}
+	clear(c.vals[:slotBase])
 	c.pc = 0
 	c.beat = 0
 	c.sizeRing(plan.ringSize, plan.ringCap)
@@ -181,57 +188,33 @@ func (c *Context) boot() error {
 	if err := c.img.InitMem(c.mem); err != nil {
 		return err
 	}
-	c.iregs[mach.RegSP.Board][mach.RegSP.Idx] = uint32(int64(len(c.mem)) &^ 7)
+	c.writeReg(mach.RegSP, uint64(len(c.mem))&^7)
 	c.pc = c.img.Entry
 	c.booted = true
 	return nil
 }
 
+// writeReg stores v into register r in the bank's canonical form. Everything
+// that reaches a register from outside a region comes through here: the retire
+// ring (with whatever InjectWrite or a restored snapshot put into it), boot
+// and Restore.
 func (c *Context) writeReg(r mach.PReg, v uint64) {
-	switch r.Bank {
-	case mach.BankI:
-		c.iregs[r.Board][r.Idx] = uint32(v)
-	case mach.BankF:
-		c.fregs[r.Board][r.Idx] = v
-	case mach.BankSF:
-		c.sf[r.Board][r.Idx] = v
-	case mach.BankB:
-		c.bb[r.Board][r.Idx] = v != 0
-	}
+	c.vals[r.Index()] = canonical(r.Bank, v)
 }
 
-// holds reports whether r names a register this context has (writeReg and
-// readReg index the files unchecked).
-func (c *Context) holds(r mach.PReg) bool {
-	switch r.Bank {
+// canonical is v as a register of bank b holds it: the low word for an
+// integer register, 0 or 1 for a branch-bank bit.
+func canonical(b mach.Bank, v uint64) uint64 {
+	switch b {
 	case mach.BankI:
-		return int(r.Board) < len(c.iregs) && int(r.Idx) < len(c.iregs[0])
-	case mach.BankF:
-		return int(r.Board) < len(c.fregs) && int(r.Idx) < len(c.fregs[0])
-	case mach.BankSF:
-		return int(r.Board) < len(c.sf) && int(r.Idx) < len(c.sf[0])
+		return uint64(uint32(v))
 	case mach.BankB:
-		return int(r.Board) < len(c.bb) && int(r.Idx) < len(c.bb[0])
+		return mach.BoolBits(v != 0)
 	}
-	return false
+	return v
 }
 
-func (c *Context) readReg(r mach.PReg) uint64 {
-	switch r.Bank {
-	case mach.BankI:
-		return uint64(c.iregs[r.Board][r.Idx])
-	case mach.BankF:
-		return c.fregs[r.Board][r.Idx]
-	case mach.BankSF:
-		return c.sf[r.Board][r.Idx]
-	case mach.BankB:
-		if c.bb[r.Board][r.Idx] {
-			return 1
-		}
-		return 0
-	}
-	return 0
-}
+func (c *Context) readReg(r mach.PReg) uint64 { return c.vals[r.Index()] }
 
 // readArg evaluates an operand: register read or immediate.
 func (c *Context) readArg(a mach.Arg) uint64 {
@@ -352,14 +335,14 @@ func (c *Context) inFlight() []inFlightWrite {
 	return ws
 }
 
-// eaOf computes a memory op's effective address (A + B).
-func (c *Context) eaOf(o *mach.Op) (int64, bool) {
+// eaOf computes a memory op's effective address, A + B. A reference whose
+// base names no register has none: it computes 0, below mapped memory, and so
+// faults (or returns the §7 funny number) when it executes.
+func (c *Context) eaOf(o *mach.Op) int64 {
 	if !o.A.IsImm && !o.A.Reg.Valid() {
-		return 0, false
+		return 0
 	}
-	base := int64(c.readI(o.A))
-	off := int64(c.readI(o.B))
-	return base + off, true
+	return int64(c.readI(o.A)) + int64(c.readI(o.B))
 }
 
 // dtlbMiss checks and fills the data TLB for a byte address.

@@ -33,14 +33,14 @@ func (m *Machine) execBranch(o *mach.Op) error {
 		target = int(int32(uint32(c.readArg(o.A))))
 	case mach.OpHalt:
 		m.brHalt = true
-		m.brExit = int32(c.iregs[mach.RegRVI.Board][mach.RegRVI.Idx])
+		m.brExit = int32(c.readReg(mach.RegRVI))
 	case mach.OpSyscall:
 		m.Stats.Syscalls++
 		switch o.Sym {
 		case "print_i":
-			fmt.Fprintf(&c.out, "%d\n", int32(c.iregs[0][mach.ArgIBase]))
+			c.printI()
 		case "print_f":
-			fmt.Fprintf(&c.out, "%g\n", math.Float64frombits(c.fregs[0][mach.ArgFBase]))
+			c.printF()
 		default:
 			return m.fault(c, TrapSyscall, "unknown syscall %q", o.Sym)
 		}
@@ -104,58 +104,24 @@ func (m *Machine) execOp(p *planOp) error {
 		return m.execStore(o)
 
 	// Guard-free variants, reachable only through a safe-tier plan
-	// (buildSafePlan) armed by UseSafeCertificate. Each mirrors its checked
-	// twin exactly — counters, bank touch, store watch, write enqueue — with
-	// the bounds/alignment guards deleted: the certificate proves they can
-	// never fire. If the image was mutated after certification, the Go
-	// runtime's own slice-bounds check is the backstop; the safe run loops
-	// convert that panic back into the matching Fault (see safeTierFault).
+	// (buildSafePlan) armed by UseSafeCertificate: the same counters and the
+	// same access with the verdict on the address deleted — the certificate
+	// proves it can never be bad. If the image was mutated after certification,
+	// the Go runtime's own slice-bounds check is the backstop; the safe run
+	// loops convert that panic back into the matching Fault (see
+	// safeTierFault).
 	case opSafeLoadI32:
-		m.Stats.MemRefs++
-		m.Stats.Loads++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		c.touchBank(ea)
-		c.enqueue(o.Dst, uint64(binary.LittleEndian.Uint32(c.mem[ea:])), lat)
+		m.countLoad(o)
+		c.enqueue(o.Dst, c.load(c.eaOf(o), 4), lat)
 	case opSafeLoadF64:
-		m.Stats.MemRefs++
-		m.Stats.Loads++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		c.touchBank(ea)
-		c.enqueue(o.Dst, binary.LittleEndian.Uint64(c.mem[ea:]), lat)
-	case opSafeSpecI32:
-		m.Stats.MemRefs++
-		m.Stats.Loads++
-		m.Stats.SpecLoads++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		c.touchBank(ea)
-		c.enqueue(o.Dst, uint64(binary.LittleEndian.Uint32(c.mem[ea:])), lat)
-	case opSafeSpecF64:
-		m.Stats.MemRefs++
-		m.Stats.Loads++
-		m.Stats.SpecLoads++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		c.touchBank(ea)
-		c.enqueue(o.Dst, binary.LittleEndian.Uint64(c.mem[ea:]), lat)
+		m.countLoad(o)
+		c.enqueue(o.Dst, c.load(c.eaOf(o), 8), lat)
 	case opSafeStoreI32:
-		m.Stats.MemRefs++
-		m.Stats.Stores++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		c.touchBank(ea)
-		v := uint64(uint32(c.readArg(o.C)))
-		binary.LittleEndian.PutUint32(c.mem[ea:], uint32(v))
-		if m.WatchStore != nil {
-			m.WatchStore(ea, v)
-		}
+		m.countStore()
+		m.store(c, c.eaOf(o), 4, c.readArg(o.C))
 	case opSafeStoreF64:
-		m.Stats.MemRefs++
-		m.Stats.Stores++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		c.touchBank(ea)
-		v := c.readArg(o.C)
-		binary.LittleEndian.PutUint64(c.mem[ea:], v)
-		if m.WatchStore != nil {
-			m.WatchStore(ea, v)
-		}
+		m.countStore()
+		m.store(c, c.eaOf(o), 8, c.readArg(o.C))
 
 	default:
 		return m.fault(c, TrapBadOp, "cannot execute %s", mach.OpName(o.Kind))
@@ -165,52 +131,84 @@ func (m *Machine) execOp(p *planOp) error {
 
 func (m *Machine) execLoad(o *mach.Op, lat int64) error {
 	c := m.cur
-	m.Stats.MemRefs++
-	m.Stats.Loads++
-	ea, _ := c.eaOf(o)
-	size := o.Type.Size()
-	if o.Kind == ir.LoadSpec {
-		m.Stats.SpecLoads++
+	m.countLoad(o)
+	ea, size := c.eaOf(o), o.Type.Size()
+	switch {
+	case !c.badRef(ea, size):
+		c.enqueue(o.Dst, c.load(ea, size), lat)
+	case o.Kind == ir.LoadSpec:
+		// §7: no valid translation — execution continues; the target
+		// register is loaded with a "funny number" to help catch bugs
+		m.Stats.SpecFaults++
+		c.enqueue(o.Dst, mach.SpecPoison(o.Type), lat)
+	default:
+		return m.refFault(c, "load", ea, size)
 	}
-	if ea < ir.GlobalBase || ea+size > int64(len(c.mem)) || ea%size != 0 {
-		if o.Kind == ir.LoadSpec {
-			// §7: no valid translation — execution continues; the target
-			// register is loaded with a "funny number" to help catch bugs
-			m.Stats.SpecFaults++
-			c.enqueue(o.Dst, mach.SpecPoison(o.Type), lat)
-			return nil
-		}
-		if ea%size != 0 {
-			return m.fault(c, TrapUnaligned, "unaligned %d-byte load %#x", size, ea)
-		}
-		return m.fault(c, TrapMemBounds, "bus error: load %#x", ea)
-	}
-	c.touchBank(ea)
-	var v uint64
-	if o.Type == ir.I32 {
-		v = uint64(binary.LittleEndian.Uint32(c.mem[ea:]))
-	} else {
-		v = binary.LittleEndian.Uint64(c.mem[ea:])
-	}
-	c.enqueue(o.Dst, v, lat)
 	return nil
 }
 
 func (m *Machine) execStore(o *mach.Op) error {
 	c := m.cur
+	m.countStore()
+	ea, size := c.eaOf(o), o.Type.Size()
+	if c.badRef(ea, size) {
+		return m.refFault(c, "store", ea, size)
+	}
+	m.store(c, ea, size, c.readArg(o.C)) // data comes from the store file (§6.2)
+	return nil
+}
+
+// The memory pipeline's parts, each written once for the interpreter above
+// and the native tier's closures (native.go): the counters a reference bumps
+// before anything can stop it, the verdict on its address, and the typed
+// access itself.
+
+func (m *Machine) countLoad(o *mach.Op) {
+	m.Stats.MemRefs++
+	m.Stats.Loads++
+	if o.Kind == ir.LoadSpec {
+		m.Stats.SpecLoads++
+	}
+}
+
+func (m *Machine) countStore() {
 	m.Stats.MemRefs++
 	m.Stats.Stores++
-	ea, _ := c.eaOf(o)
-	size := o.Type.Size()
-	if ea < ir.GlobalBase || ea+size > int64(len(c.mem)) {
-		return m.fault(c, TrapMemBounds, "bus error: store %#x", ea)
+}
+
+// badRef reports whether a size-byte reference at ea leaves mapped memory or
+// is not aligned to its size (4 or 8: a mask, not a division, on every
+// guarded reference).
+func (c *Context) badRef(ea, size int64) bool {
+	return ea < ir.GlobalBase || ea+size > int64(len(c.mem)) || ea&(size-1) != 0
+}
+
+// refFault is the fault a non-speculative reference badRef refused raises. The
+// load pipeline reports a misaligned address before an unmapped one, the
+// store pipeline the other way round.
+func (m *Machine) refFault(c *Context, what string, ea, size int64) error {
+	mapped := ea >= ir.GlobalBase && ea+size <= int64(len(c.mem))
+	if ea&(size-1) != 0 && (mapped || what == "load") {
+		return m.fault(c, TrapUnaligned, "unaligned %d-byte %s %#x", size, what, ea)
 	}
-	if ea%size != 0 {
-		return m.fault(c, TrapUnaligned, "unaligned %d-byte store %#x", size, ea)
-	}
+	return m.fault(c, TrapMemBounds, "bus error: %s %#x", what, ea)
+}
+
+// load reads the 4- or 8-byte value at ea as register bits and marks its RAM
+// bank busy.
+func (c *Context) load(ea, size int64) uint64 {
 	c.touchBank(ea)
-	v := c.readArg(o.C) // data comes from the store file (§6.2)
-	if o.Type == ir.I32 {
+	if size == 4 {
+		return uint64(binary.LittleEndian.Uint32(c.mem[ea:]))
+	}
+	return binary.LittleEndian.Uint64(c.mem[ea:])
+}
+
+// store writes the low size bytes of v at ea, marks the bank busy and shows
+// WatchStore what was written.
+func (m *Machine) store(c *Context, ea, size int64, v uint64) {
+	c.touchBank(ea)
+	if size == 4 {
 		v = uint64(uint32(v))
 		binary.LittleEndian.PutUint32(c.mem[ea:], uint32(v))
 	} else {
@@ -219,7 +217,16 @@ func (m *Machine) execStore(o *mach.Op) error {
 	if m.WatchStore != nil {
 		m.WatchStore(ea, v)
 	}
-	return nil
+}
+
+// printI and printF are the two output syscalls: the first argument register
+// of the bank, one line.
+func (c *Context) printI() {
+	fmt.Fprintf(&c.out, "%d\n", int32(c.readReg(mach.PReg{Bank: mach.BankI, Idx: uint8(mach.ArgIBase)})))
+}
+
+func (c *Context) printF() {
+	fmt.Fprintf(&c.out, "%g\n", math.Float64frombits(c.readReg(mach.PReg{Bank: mach.BankF, Idx: uint8(mach.ArgFBase)})))
 }
 
 // touchBank marks the reference's RAM bank busy for BankBusyBeats on the

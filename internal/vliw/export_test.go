@@ -3,6 +3,8 @@ package vliw
 import (
 	"bytes"
 	"fmt"
+
+	"github.com/multiflow-repro/trace/internal/mach"
 )
 
 // DiffState compares everything Snapshot serializes, field by field, and
@@ -22,14 +24,6 @@ func DiffState(a, b *Context) string {
 		return fmt.Sprintf("write pipeline at drained=%d seq=%d vs drained=%d seq=%d", a.drained, a.seq, b.drained, b.seq)
 	case a.halted != b.halted || a.exit != b.exit:
 		return fmt.Sprintf("halted/exit %v/%d vs %v/%d", a.halted, a.exit, b.halted, b.exit)
-	case a.iregs != b.iregs:
-		return "integer registers differ"
-	case a.fregs != b.fregs:
-		return "float registers differ"
-	case a.sf != b.sf:
-		return "store-file registers differ"
-	case a.bb != b.bb:
-		return "branch-bank registers differ"
 	case a.bankBusy != b.bankBusy:
 		return "bank-busy windows differ"
 	case a.Stats != b.Stats:
@@ -38,6 +32,11 @@ func DiffState(a, b *Context) string {
 		return "data memory differs"
 	case !bytes.Equal(a.out.Bytes(), b.out.Bytes()):
 		return fmt.Sprintf("output %q vs %q", a.out.String(), b.out.String())
+	}
+	for i, v := range a.vals[:slotBase] {
+		if v != b.vals[i] {
+			return fmt.Sprintf("register %s: %#x vs %#x", mach.RegAt(i), v, b.vals[i])
+		}
 	}
 	wa, wb := a.inFlight(), b.inFlight()
 	if len(wa) != len(wb) {

@@ -653,11 +653,13 @@ func (m *Machine) ContextSwitch(asid uint8) {
 }
 
 // PeekI reads an integer register of the current context (debugging/tests).
-func (m *Machine) PeekI(board, idx int) int32 { return int32(m.cur.iregs[board][idx]) }
+func (m *Machine) PeekI(board, idx int) int32 {
+	return int32(m.cur.readReg(mach.PReg{Bank: mach.BankI, Board: uint8(board), Idx: uint8(idx)}))
+}
 
 // PeekF reads a floating register of the current context (debugging/tests).
 func (m *Machine) PeekF(board, idx int) float64 {
-	return math.Float64frombits(m.cur.fregs[board][idx])
+	return math.Float64frombits(m.cur.readReg(mach.PReg{Bank: mach.BankF, Board: uint8(board), Idx: uint8(idx)}))
 }
 
 // Run boots the machine and executes until HALT. It returns main's exit
@@ -1058,10 +1060,7 @@ func (m *Machine) step(c *Context, issue bool) error {
 		misses := 0
 		for i := range pw.mem {
 			pm := &pw.mem[i]
-			ea := int64(int32(c.iregs[pm.bd&3][pm.ix&63])) + pm.off
-			if pm.ea != nil {
-				ea = pm.ea(c)
-			}
+			ea := pm.at(c)
 			if c.dtlbMiss(ea) {
 				misses++
 			}
@@ -1257,7 +1256,7 @@ func (m *Machine) drainJump(c *Context) error {
 	return m.land(c, due)
 }
 
-// land writes one drain's results into the register files, in the order
+// land writes one drain's results into the registers, in the order
 // given (issue order). The checked tier compares the drain pairwise first: two
 // writes retiring into one register together are a write-write race — a
 // scheduling bug on the interlock-free machine — and the writes issued

@@ -1,7 +1,6 @@
 package vliw
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -17,11 +16,13 @@ import (
 // beat limit. The compiler has already proved when every result lands (§6.2:
 // "the destination register is specified when the operation is initiated, and
 // a hardware control pipeline carries the destination forward"), so inside a
-// region nothing rediscovers it: each operation is a closure with its
-// operands resolved, its result goes into a scratch slot of the context, and
-// static landing code stores the slot into its register file at the exact
-// beat the write retires. The retire ring, the per-word counters and the run
-// loop's sentinels are all paid per region, not per beat:
+// region nothing rediscovers it: each operation is a closure whose operands
+// and destination are indexes of the context's value file (Context.vals) — a
+// register and a scratch slot are two addresses in one space. A result goes
+// into the region's next slot, and static landing code copies the slot down to
+// its register at the exact beat the write retires. The retire ring, the
+// per-word counters and the run loop's sentinels are all paid per region, not
+// per beat:
 //
 //   - the beat limit (StopBeat, the context poll, CycleLimit, the RunMany
 //     quantum) becomes a count of words computed at entry;
@@ -50,7 +51,7 @@ import (
 // that no two writes to one register retire in one beat and that of two in
 // flight together the earlier-issued retires first (schedcheck's write-race
 // and waw-overlap errors): a write may go straight to its register when the
-// beat it would have waited is invisible (compileStraight), and after a clock
+// beat it would have waited is invisible (straight), and after a clock
 // jump the writes in flight land by retire beat, not in one batch by issue
 // (regionEvent).
 //
@@ -71,7 +72,6 @@ const (
 	// regionSlots is the scratch a context keeps for a region's results: one
 	// slot per write the region can issue.
 	regionSlots = 2048
-	slotMask    = regionSlots - 1
 	// regionBudget bounds the words all regions of a plan hold, as a multiple
 	// of the image: overlapping regions (one per head) repeat words.
 	regionBudget = 16
@@ -108,18 +108,19 @@ type regionWord struct {
 	bulk    statsBulk
 }
 
-// landing stores scratch slot `slot`, written by region word `word`, into dst.
+// landing copies the result region word `word` left at index slot of the value
+// file down to the register at index dst.
 type landing struct {
 	slot uint16
 	word uint16
-	dst  mach.PReg
+	dst  uint16
 }
 
 // regionWrite is one register write a region issues: beats are relative to
 // region entry, and land may lie past the region's last beat.
 type regionWrite struct {
 	dst         mach.PReg
-	straight    bool // stored by its closure, not through a slot (see straight)
+	straight    bool // stored there by its closure, not through a slot (see straight)
 	issue, land int32
 }
 
@@ -227,15 +228,15 @@ func opBulk(s *planOp) statsBulk {
 		}
 		return b
 	}
-	if s.kind == opPureFlop {
-		b.floatOps = 1
-	}
 	switch s.kind {
-	case ir.Load, opSafeLoadI32, opSafeLoadF64:
+	case opPureFlop:
+		b.floatOps = 1
+	case ir.Load, ir.LoadSpec, opSafeLoadI32, opSafeLoadF64: // countLoad
 		b.memRefs, b.loads = 1, 1
-	case ir.LoadSpec, opSafeSpecI32, opSafeSpecF64:
-		b.memRefs, b.loads, b.specLoads = 1, 1, 1
-	case ir.Store, opSafeStoreI32, opSafeStoreF64:
+		if s.op.Kind == ir.LoadSpec {
+			b.specLoads = 1
+		}
+	case ir.Store, opSafeStoreI32, opSafeStoreF64: // countStore
 		b.memRefs, b.stores = 1, 1
 	}
 	return b
@@ -259,11 +260,12 @@ func (p *plan) arrive(pc int) *region {
 
 // regionBuilder carries the position of the op being translated.
 type regionBuilder struct {
-	p    *plan
-	r    *region
-	pc   int       // the word in hand
-	beat int32     // its issue beat, relative to region entry
-	bulk statsBulk // the counters of every slot translated so far
+	p      *plan
+	r      *region
+	pc     int       // the word in hand
+	beat   int32     // its issue beat, relative to region entry
+	direct bool      // the op in hand writes straight to its register (see straight)
+	bulk   statsBulk // the counters of every slot translated so far
 }
 
 // word translates word pc as the region's next word.
@@ -273,7 +275,7 @@ func (b *regionBuilder) word(pc int) {
 	b.pc = pc
 	rw := regionWord{pc: int32(pc), line: int32(pc & p.itagMask)}
 	if p.itagMask < 0 {
-		rw.line = int32(pc % p.geom.cfg.ICacheInstrs)
+		rw.line = int32(pc % p.icache)
 	}
 	r.mems = append(r.mems, p.words[pc].mem...)
 	rw.memEnd = int32(len(r.mems))
@@ -283,9 +285,10 @@ func (b *regionBuilder) word(pc int) {
 			s := &ws.beats[beat][i]
 			issued := int32(len(r.writes))
 			var f nativeOp
+			b.direct = b.straight(ws.beats[beat], i)
 			if s.unitKind == mach.UBR {
 				f = b.compileBranch(s)
-			} else if f = b.compileStraight(ws.beats[beat], i); f == nil {
+			} else {
 				f = b.compileExec(s)
 			}
 			b.bulk.add(opBulk(s))
@@ -301,15 +304,21 @@ func (b *regionBuilder) word(pc int) {
 	r.words = append(r.words, rw)
 }
 
-// deliver allots the next scratch slot to the write the op in hand makes to
-// dst, landing lat beats on; -1 for an op with no destination.
+// deliver issues the write the op in hand makes to dst, landing lat beats on,
+// and returns the index its closure stores the result at: the next scratch
+// slot — or the register itself, for a straight write — and noDest for an op
+// with no destination.
 func (b *regionBuilder) deliver(dst mach.PReg, lat int64) int {
 	if !dst.Valid() {
-		return -1
+		return noDest
 	}
-	b.r.writes = append(b.r.writes, regionWrite{dst: dst, issue: b.beat, land: b.beat + int32(lat)})
+	k := len(b.r.writes)
+	b.r.writes = append(b.r.writes, regionWrite{dst: dst, straight: b.direct, issue: b.beat, land: b.beat + int32(lat)})
 	b.r.maxLat = max(b.r.maxLat, int32(lat))
-	return len(b.r.writes) - 1
+	if b.direct {
+		return dst.Index()
+	}
+	return slotBase + k
 }
 
 // transfers reports whether word pc always transfers control and — when all
@@ -396,7 +405,7 @@ func (p *plan) buildRegion(head int) *region {
 	next := append([]int32(nil), ends[:beats]...)
 	for k, wr := range r.writes {
 		if int(wr.land) < beats && !wr.straight {
-			r.lands[next[wr.land]] = landing{slot: uint16(k), word: uint16(wr.issue >> 1), dst: wr.dst}
+			r.lands[next[wr.land]] = landing{slot: uint16(slotBase + k), word: uint16(wr.issue >> 1), dst: uint16(wr.dst.Index())}
 			next[wr.land]++
 		}
 	}
@@ -536,10 +545,7 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 		}
 		for end := int(rw.memEnd); mi < end && event == exitLimit; mi++ {
 			pm := &r.mems[mi]
-			ea := int64(int32(c.iregs[pm.bd&3][pm.ix&63])) + pm.off
-			if pm.ea != nil {
-				ea = pm.ea(c)
-			}
+			ea := pm.at(c)
 			if ea < 0 {
 				continue
 			}
@@ -569,7 +575,7 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 			}
 			for end := int(rw.landEnd[beat]); li < end; li++ {
 				if l := r.lands[li]; l.word >= floor {
-					c.writeReg(l.dst, c.slots[l.slot&slotMask])
+					c.vals[l.dst&valMask] = c.vals[l.slot&valMask]
 				}
 			}
 			for end := int(rw.opEnd[beat]); oi < end; oi++ {
@@ -655,7 +661,7 @@ func (c *Context) landAhead(q int64) {
 	r := run.r
 	for end := r.landEndAt(q + run.shift); run.ahead < end; run.ahead++ {
 		if l := r.lands[run.ahead]; int32(l.word) >= run.floor0 && int32(l.word) < run.floor {
-			c.writeReg(l.dst, c.slots[l.slot&slotMask])
+			c.vals[l.dst&valMask] = c.vals[l.slot&valMask]
 		}
 	}
 }
@@ -701,7 +707,7 @@ func (c *Context) spill(lo, hi int32, landed, base int64) {
 	for k := lo; k < hi; k++ {
 		if wr := &r.writes[k]; int64(wr.land) > landed && !wr.straight {
 			c.put(base+int64(wr.land), ringWrite{
-				val: c.slots[k&slotMask],
+				val: c.vals[(slotBase+k)&valMask],
 				pc:  r.words[wr.issue>>1].pc,
 				seq: run.seq + uint32(k),
 				dst: wr.dst,
@@ -773,92 +779,27 @@ func (m *Machine) abandonRegion(c *Context) {
 	m.leaveRegion(c, w+1, landed, issued, bulk, exitFault)
 }
 
-// iregArg reports whether a names an integer-bank register and returns its
-// pre-masked board/index — the dominant operand shape, which the builders
-// below specialize so the closure reads the bank directly with no call.
-func iregArg(a mach.Arg) (bd, ix int, ok bool) {
-	if a.IsImm || !a.Reg.Valid() || a.Reg.Bank != mach.BankI {
-		return 0, 0, false
-	}
-	return int(a.Reg.Board) & 3, int(a.Reg.Idx) & 63, true
+// operand is a mach.Arg resolved for a region — inside one an operand is an
+// index, whichever bank it names — to be read as Context.readArg reads it: the
+// value at an index of the value file plus a constant. A register is its index
+// plus 0; an immediate — or no operand, which reads as 0 — is the zero cell
+// plus its value. Reading one never asks which it is.
+type operand struct {
+	idx uint16
+	k   uint64
 }
 
-// fregArg is iregArg for the float bank.
-func fregArg(a mach.Arg) (bd, ix int, ok bool) {
-	if a.IsImm || !a.Reg.Valid() || a.Reg.Bank != mach.BankF {
-		return 0, 0, false
+func operandOf(a mach.Arg) operand {
+	switch {
+	case a.IsImm:
+		return operand{idx: zeroCell, k: uint64(uint32(a.Imm))}
+	case a.Reg.Valid():
+		return operand{idx: uint16(a.Reg.Index())}
 	}
-	return int(a.Reg.Board) & 3, int(a.Reg.Idx) & 31, true
+	return operand{idx: zeroCell}
 }
 
-// nReadU compiles Context.readArg for one operand: immediates and invalid
-// registers fold to constants, register reads become direct bank indexing.
-// The index masks (matching each bank's power-of-two geometry) sit inside
-// the closure body so the compiler's prove pass deletes the bounds checks.
-func nReadU(a mach.Arg) func(*Context) uint64 {
-	if a.IsImm {
-		v := uint64(uint32(a.Imm))
-		return func(*Context) uint64 { return v }
-	}
-	if !a.Reg.Valid() {
-		return func(*Context) uint64 { return 0 }
-	}
-	bd, ix := int(a.Reg.Board), int(a.Reg.Idx)
-	switch a.Reg.Bank {
-	case mach.BankI:
-		return func(c *Context) uint64 { return uint64(c.iregs[bd&3][ix&63]) }
-	case mach.BankF:
-		return func(c *Context) uint64 { return c.fregs[bd&3][ix&31] }
-	case mach.BankSF:
-		return func(c *Context) uint64 { return c.sf[bd&3][ix&15] }
-	default: // BankB
-		return func(c *Context) uint64 {
-			if c.bb[bd&3][ix&7] {
-				return 1
-			}
-			return 0
-		}
-	}
-}
-
-// nReadI compiles Context.readI.
-func nReadI(a mach.Arg) func(*Context) int32 {
-	if a.IsImm {
-		v := a.Imm
-		return func(*Context) int32 { return v }
-	}
-	if !a.Reg.Valid() {
-		return func(*Context) int32 { return 0 }
-	}
-	if bd, ix, ok := iregArg(a); ok {
-		return func(c *Context) int32 { return int32(c.iregs[bd&3][ix&63]) }
-	}
-	u := nReadU(a)
-	return func(c *Context) int32 { return int32(uint32(u(c))) }
-}
-
-// nEA compiles the effective-address sum int64(readI(A)) + int64(readI(B))
-// — the form the opSafe* variants and the prescan's eaOf use — with the
-// dominant register+immediate shape fused into a single closure.
-func nEA(o *mach.Op) func(*Context) int64 {
-	if bd, ix, ok := iregArg(o.A); ok && o.B.IsImm {
-		off := int64(o.B.Imm)
-		return func(c *Context) int64 { return int64(int32(c.iregs[bd&3][ix&63])) + off }
-	}
-	ga, gb := nReadI(o.A), nReadI(o.B)
-	return func(c *Context) int64 { return int64(ga(c)) + int64(gb(c)) }
-}
-
-// nEAExec is nEA with eaOf's invalid-base quirk preserved: a memory op
-// whose base operand names no register computes ea=0 at execution (eaOf
-// returns ok=false and the exec path ignores the flag), landing on the
-// guard's bus-error/funny-number path exactly as the interpreter does.
-func nEAExec(o *mach.Op) func(*Context) int64 {
-	if !o.A.IsImm && !o.A.Reg.Valid() {
-		return func(*Context) int64 { return 0 }
-	}
-	return nEA(o)
-}
+func (o operand) read(c *Context) uint64 { return c.vals[o.idx&valMask] + o.k }
 
 // nFault raises a guarded-site fault from a translated closure, with the
 // unit attribution the interpreter would have set via curUnit, so the Fault
@@ -869,206 +810,83 @@ func (m *Machine) nFault(c *Context, unit string, code TrapCode, format string, 
 }
 
 // nFastShape emits fully fused closures — operand reads, the operation and
-// the delivery into slot k all inline, no operator callback — for the op
-// kinds and operand shapes that dominate compacted inner loops: integer
-// add/sub/compare on reg⊕imm and reg⊕reg, and float add/sub/mul on
-// freg⊕freg. Returns nil when the generic builders should be used.
-func nFastShape(o *mach.Op, kind ir.OpKind, k int) nativeOp {
-	if abd, aix, ok := fregArg(o.A); ok {
-		bbd, bix, ok := fregArg(o.B)
-		if !ok {
+// the store into d all inline, no operator callback — for the op kinds that
+// dominate compacted inner loops: integer add, subtract, compare and shift,
+// float add, subtract and multiply. Returns nil when nPure should be used.
+func nFastShape(o *mach.Op, d int) nativeOp {
+	a, b := operandOf(o.A), operandOf(o.B)
+	switch o.Kind {
+	case ir.FAdd:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = math.Float64bits(math.Float64frombits(a.read(c)) + math.Float64frombits(b.read(c)))
 			return nil
 		}
-		switch kind {
-		case ir.FAdd:
-			return func(m *Machine, c *Context) error {
-				v := math.Float64frombits(c.fregs[abd&3][aix&31]) + math.Float64frombits(c.fregs[bbd&3][bix&31])
-				c.slots[k&slotMask] = math.Float64bits(v)
-				return nil
-			}
-		case ir.FSub:
-			return func(m *Machine, c *Context) error {
-				v := math.Float64frombits(c.fregs[abd&3][aix&31]) - math.Float64frombits(c.fregs[bbd&3][bix&31])
-				c.slots[k&slotMask] = math.Float64bits(v)
-				return nil
-			}
-		case ir.FMul:
-			return func(m *Machine, c *Context) error {
-				v := math.Float64frombits(c.fregs[abd&3][aix&31]) * math.Float64frombits(c.fregs[bbd&3][bix&31])
-				c.slots[k&slotMask] = math.Float64bits(v)
-				return nil
-			}
+	case ir.FSub:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = math.Float64bits(math.Float64frombits(a.read(c)) - math.Float64frombits(b.read(c)))
+			return nil
 		}
-		return nil
-	}
-	abd, aix, ok := iregArg(o.A)
-	if !ok {
-		return nil
-	}
-	if o.B.IsImm {
-		bv := o.B.Imm
-		switch kind {
-		case ir.Add:
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) + bv)
-				return nil
-			}
-		case ir.Sub:
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) - bv)
-				return nil
-			}
-		case ir.CmpLT:
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) < bv)
-				return nil
-			}
-		case ir.CmpGE:
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) >= bv)
-				return nil
-			}
-		case ir.CmpEQ:
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) == bv)
-				return nil
-			}
-		case ir.CmpNE:
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) != bv)
-				return nil
-			}
-		case ir.Shl:
-			n := mach.ShiftCount(bv)
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) << n)
-				return nil
-			}
+	case ir.FMul:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = math.Float64bits(math.Float64frombits(a.read(c)) * math.Float64frombits(b.read(c)))
+			return nil
 		}
-		return nil
-	}
-	if bbd, bix, ok := iregArg(o.B); ok {
-		switch kind {
-		case ir.Add:
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) + int32(c.iregs[bbd&3][bix&63]))
-				return nil
-			}
-		case ir.Sub:
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.IBits(int32(c.iregs[abd&3][aix&63]) - int32(c.iregs[bbd&3][bix&63]))
-				return nil
-			}
-		case ir.CmpLT:
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = mach.BoolBits(int32(c.iregs[abd&3][aix&63]) < int32(c.iregs[bbd&3][bix&63]))
-				return nil
-			}
+	case ir.Add:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = mach.IBits(int32(a.read(c)) + int32(b.read(c)))
+			return nil
+		}
+	case ir.Sub:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = mach.IBits(int32(a.read(c)) - int32(b.read(c)))
+			return nil
+		}
+	case ir.CmpLT:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = mach.BoolBits(int32(a.read(c)) < int32(b.read(c)))
+			return nil
+		}
+	case ir.CmpGE:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = mach.BoolBits(int32(a.read(c)) >= int32(b.read(c)))
+			return nil
+		}
+	case ir.CmpEQ:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = mach.BoolBits(int32(a.read(c)) == int32(b.read(c)))
+			return nil
+		}
+	case ir.CmpNE:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = mach.BoolBits(int32(a.read(c)) != int32(b.read(c)))
+			return nil
+		}
+	case ir.Shl:
+		return func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = mach.IBits(int32(a.read(c)) << mach.ShiftCount(int32(b.read(c))))
+			return nil
 		}
 	}
 	return nil
 }
 
 // nPure builds the closure for an opcode of the shared value table: operand
-// bits in, v.Fn, result bits straight into slot k (k < 0: the op has no
-// destination). The dominant operand shapes — reg⊕imm and reg⊕reg on the
-// integer bank, reg⊕reg on the float bank, and a lone register for the unary
-// ops — read their bank directly instead of through an nReadU closure.
-func nPure(o *mach.Op, k int, v *mach.Value) nativeOp {
-	f := v.Fn
-	if k < 0 {
-		// Still evaluated: a proven Div/Rem's divide panic is the backstop.
-		ga, gb := nReadU(o.A), nReadU(o.B)
-		return func(m *Machine, c *Context) error {
-			_ = f(ga(c), gb(c))
-			return nil
-		}
-	}
-	if v.FloatIn {
-		if abd, aix, ok := fregArg(o.A); ok {
-			if v.Unary {
-				return func(m *Machine, c *Context) error {
-					c.slots[k&slotMask] = f(c.fregs[abd&3][aix&31], 0)
-					return nil
-				}
-			}
-			if bbd, bix, ok := fregArg(o.B); ok {
-				return func(m *Machine, c *Context) error {
-					c.slots[k&slotMask] = f(c.fregs[abd&3][aix&31], c.fregs[bbd&3][bix&31])
-					return nil
-				}
-			}
-		}
-	} else if abd, aix, ok := iregArg(o.A); ok {
-		if v.Unary {
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = f(uint64(c.iregs[abd&3][aix&63]), 0)
-				return nil
-			}
-		}
-		if o.B.IsImm {
-			bv := mach.IBits(o.B.Imm)
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = f(uint64(c.iregs[abd&3][aix&63]), bv)
-				return nil
-			}
-		}
-		if bbd, bix, ok := iregArg(o.B); ok {
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = f(uint64(c.iregs[abd&3][aix&63]), uint64(c.iregs[bbd&3][bix&63]))
-				return nil
-			}
-		}
-	}
-	ga, gb := nReadU(o.A), nReadU(o.B)
+// bits in, f, result bits into d. (An op with no destination is still
+// evaluated: a proven Div/Rem's divide panic is the backstop.)
+func nPure(o *mach.Op, d int, f func(a, b uint64) uint64) nativeOp {
+	a, b := operandOf(o.A), operandOf(o.B)
 	return func(m *Machine, c *Context) error {
-		c.slots[k&slotMask] = f(ga(c), gb(c))
+		c.vals[d&valMask] = f(a.read(c), b.read(c))
 		return nil
 	}
 }
 
-// nConst builds a deliver-constant closure. ConstI/ConstF are frequent enough
-// in compacted traces that the nMov1 callback indirection shows up in
-// profiles; the constant is baked into the closure instead.
-func nConst(k int, v uint64) nativeOp {
-	if k < 0 {
-		return nil
-	}
+// nConst builds a store-constant closure. ConstI/ConstF are frequent enough in
+// compacted traces that reading the constant as an operand shows up in
+// profiles; it is baked into the closure instead.
+func nConst(d int, v uint64) nativeOp {
 	return func(m *Machine, c *Context) error {
-		c.slots[k&slotMask] = v
-		return nil
-	}
-}
-
-// nMovReg builds a register-to-register move with the source read inlined
-// when the source bank is statically I or F; other shapes (immediates went
-// to nConst, odd banks are rare) fall back to nMov1.
-func nMovReg(o *mach.Op, k int) nativeOp {
-	if k >= 0 {
-		if bd, ix, ok := iregArg(o.A); ok {
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = uint64(c.iregs[bd&3][ix&63])
-				return nil
-			}
-		}
-		if bd, ix, ok := fregArg(o.A); ok {
-			return func(m *Machine, c *Context) error {
-				c.slots[k&slotMask] = c.fregs[bd&3][ix&31]
-				return nil
-			}
-		}
-	}
-	return nMov1(k, nReadU(o.A))
-}
-
-// nMov1 builds a unary move/convert closure delivering a precomputed uint64.
-// With no destination nothing observable is left of the op.
-func nMov1(k int, g func(*Context) uint64) nativeOp {
-	if k < 0 {
-		return nil
-	}
-	return func(m *Machine, c *Context) error {
-		c.slots[k&slotMask] = g(c)
+		c.vals[d&valMask] = v
 		return nil
 	}
 }
@@ -1078,13 +896,13 @@ func (b *regionBuilder) compileBranch(s *planOp) nativeOp {
 	o, unitName := s.op, s.unitName
 	switch o.Kind {
 	case mach.OpBrT:
-		cond := nReadU(o.A)
+		cond := operandOf(o.A)
 		t, prio := o.Target, o.Prio
 		if t < 0 {
 			return nil
 		}
 		return func(m *Machine, c *Context) error {
-			if cond(c) != 0 {
+			if cond.read(c) != 0 {
 				m.takeBranch(prio, t)
 			}
 			return nil
@@ -1100,41 +918,41 @@ func (b *regionBuilder) compileBranch(s *planOp) nativeOp {
 		}
 	case mach.OpCall:
 		t, prio := o.Target, o.Prio
-		k := b.deliver(mach.RegLR, 1)
+		d := b.deliver(mach.RegLR, 1)
 		link := uint64(uint32(b.pc + 1))
 		return func(m *Machine, c *Context) error {
-			c.slots[k&slotMask] = link
+			c.vals[d&valMask] = link
 			if t >= 0 {
 				m.takeBranch(prio, t)
 			}
 			return nil
 		}
 	case mach.OpJmpR:
-		ga := nReadU(o.A)
+		to := operandOf(o.A)
 		prio := o.Prio
 		return func(m *Machine, c *Context) error {
-			if t := int(int32(uint32(ga(c)))); t >= 0 {
+			if t := int(int32(to.read(c))); t >= 0 {
 				m.takeBranch(prio, t)
 			}
 			return nil
 		}
 	case mach.OpHalt:
-		bd, ix := int(mach.RegRVI.Board), int(mach.RegRVI.Idx)
+		rv := mach.RegRVI.Index()
 		return func(m *Machine, c *Context) error {
 			m.brHalt = true
-			m.brExit = int32(c.iregs[bd&3][ix&63])
+			m.brExit = int32(c.vals[rv&valMask])
 			return nil
 		}
 	case mach.OpSyscall:
 		switch o.Sym {
 		case "print_i":
 			return func(m *Machine, c *Context) error {
-				fmt.Fprintf(&c.out, "%d\n", int32(c.iregs[0][mach.ArgIBase]))
+				c.printI()
 				return nil
 			}
 		case "print_f":
 			return func(m *Machine, c *Context) error {
-				fmt.Fprintf(&c.out, "%g\n", math.Float64frombits(c.fregs[0][mach.ArgFBase]))
+				c.printF()
 				return nil
 			}
 		default:
@@ -1150,183 +968,52 @@ func (b *regionBuilder) compileBranch(s *planOp) nativeOp {
 	}
 }
 
-// compileLoad translates a guarded (unproven-site) load, preserving
-// execLoad's semantics exactly: the speculative funny-number path and the
-// alignment-before-bounds fault precedence.
-func compileLoad(o *mach.Op, k int, unitName string, g bankGeom) nativeOp {
-	ea := nEAExec(o)
-	size := o.Type.Size()
-	spec := o.Kind == ir.LoadSpec
-	isI32 := o.Type == ir.I32
-	funny := mach.SpecPoison(o.Type)
-	return func(m *Machine, c *Context) error {
-		a := ea(c)
-		if a < ir.GlobalBase || a+size > int64(len(c.mem)) || a%size != 0 {
-			if spec {
-				m.Stats.SpecFaults++
-				if k >= 0 {
-					c.slots[k&slotMask] = funny
-				}
-				return nil
-			}
-			if a%size != 0 {
-				return m.nFault(c, unitName, TrapUnaligned, "unaligned %d-byte load %#x", size, a)
-			}
-			return m.nFault(c, unitName, TrapMemBounds, "bus error: load %#x", a)
-		}
-		c.bankBusy[g.id(a)] = c.beat + g.busy
-		var v uint64
-		if isI32 {
-			v = uint64(binary.LittleEndian.Uint32(c.mem[a:]))
-		} else {
-			v = binary.LittleEndian.Uint64(c.mem[a:])
-		}
-		if k >= 0 {
-			c.slots[k&slotMask] = v
-		}
-		return nil
-	}
-}
-
-// compileStore translates a guarded store (mirrors execStore: bounds
-// before alignment).
-func compileStore(o *mach.Op, unitName string, g bankGeom) nativeOp {
-	ea := nEAExec(o)
-	gc := nReadU(o.C)
-	size := o.Type.Size()
-	isI32 := o.Type == ir.I32
-	return func(m *Machine, c *Context) error {
-		a := ea(c)
-		if a < ir.GlobalBase || a+size > int64(len(c.mem)) {
-			return m.nFault(c, unitName, TrapMemBounds, "bus error: store %#x", a)
-		}
-		if a%size != 0 {
-			return m.nFault(c, unitName, TrapUnaligned, "unaligned %d-byte store %#x", size, a)
-		}
-		c.bankBusy[g.id(a)] = c.beat + g.busy
-		v := gc(c)
-		if isI32 {
-			v = uint64(uint32(v))
-			binary.LittleEndian.PutUint32(c.mem[a:], uint32(v))
-		} else {
-			binary.LittleEndian.PutUint64(c.mem[a:], v)
-		}
-		if m.WatchStore != nil {
-			m.WatchStore(a, v)
-		}
-		return nil
-	}
-}
-
-// compileSafeLoad translates a proven load: no guard at all. A
-// post-certification mutation that drives the address wild hits the Go
-// runtime's slice bounds check; the run loops convert the panic to the
+// compileLoad translates a load into d: the interpreter's case with the
+// operands resolved. A proven site (guarded false) carries no verdict on its
+// address: a post-certification mutation that drives it wild hits the Go
+// runtime's slice bounds check, and the run loops convert the panic to the
 // matching Fault (safeTierFault), same as the safe tier.
-func compileSafeLoad(o *mach.Op, k int, f64 bool, g bankGeom) nativeOp {
-	if bd, ix, ok := iregArg(o.A); ok && o.B.IsImm && k >= 0 && g.ok {
-		// The dominant shape, base register plus offset on a power-of-two
-		// bank geometry, with the address sum and the bank id inline.
-		off, busy, cm, cs, bm := int64(o.B.Imm), g.busy, g.ctrlMask, g.ctrlShift&63, g.bankMask
-		if f64 {
-			return func(m *Machine, c *Context) error {
-				a := int64(int32(c.iregs[bd&3][ix&63])) + off
-				c.bankBusy[((a>>3&cm)<<3|(a>>3>>cs)&bm)&63] = c.beat + busy
-				c.slots[k&slotMask] = binary.LittleEndian.Uint64(c.mem[a:])
-				return nil
-			}
-		}
+func compileLoad(o *mach.Op, d int, guarded bool, unitName string) nativeOp {
+	ea, size := addressOf(o), o.Type.Size()
+	if !guarded {
 		return func(m *Machine, c *Context) error {
-			a := int64(int32(c.iregs[bd&3][ix&63])) + off
-			c.bankBusy[((a>>3&cm)<<3|(a>>3>>cs)&bm)&63] = c.beat + busy
-			c.slots[k&slotMask] = uint64(binary.LittleEndian.Uint32(c.mem[a:]))
+			c.vals[d&valMask] = c.load(ea.at(c), size)
 			return nil
 		}
 	}
-	ea := nEA(o)
-	if k < 0 {
-		// The read must still happen: its bounds panic is the backstop.
-		if f64 {
-			return func(m *Machine, c *Context) error {
-				a := ea(c)
-				c.bankBusy[g.id(a)] = c.beat + g.busy
-				_ = binary.LittleEndian.Uint64(c.mem[a:])
-				return nil
-			}
-		}
-		return func(m *Machine, c *Context) error {
-			a := ea(c)
-			c.bankBusy[g.id(a)] = c.beat + g.busy
-			_ = binary.LittleEndian.Uint32(c.mem[a:])
-			return nil
-		}
-	}
-	if f64 {
-		return func(m *Machine, c *Context) error {
-			a := ea(c)
-			c.bankBusy[g.id(a)] = c.beat + g.busy
-			c.slots[k&slotMask] = binary.LittleEndian.Uint64(c.mem[a:])
-			return nil
-		}
-	}
+	spec, funny := o.Kind == ir.LoadSpec, mach.SpecPoison(o.Type)
 	return func(m *Machine, c *Context) error {
-		a := ea(c)
-		c.bankBusy[g.id(a)] = c.beat + g.busy
-		c.slots[k&slotMask] = uint64(binary.LittleEndian.Uint32(c.mem[a:]))
+		a := ea.at(c)
+		switch {
+		case !c.badRef(a, size):
+			c.vals[d&valMask] = c.load(a, size)
+		case spec:
+			m.Stats.SpecFaults++
+			c.vals[d&valMask] = funny
+		default:
+			m.curUnit = unitName
+			return m.refFault(c, "load", a, size)
+		}
 		return nil
 	}
 }
 
-// compileSafeStore translates a proven store: no guard at all.
-func compileSafeStore(o *mach.Op, f64 bool, g bankGeom) nativeOp {
-	if bd, ix, ok := iregArg(o.A); ok && o.B.IsImm && g.ok && !o.C.IsImm && o.C.Reg.Bank == mach.BankSF {
-		// As compileSafeLoad: base plus offset, data from the store file.
-		off, busy, cm, cs, bm := int64(o.B.Imm), g.busy, g.ctrlMask, g.ctrlShift&63, g.bankMask
-		sbd, six := int(o.C.Reg.Board), int(o.C.Reg.Idx)
-		if f64 {
-			return func(m *Machine, c *Context) error {
-				a := int64(int32(c.iregs[bd&3][ix&63])) + off
-				c.bankBusy[((a>>3&cm)<<3|(a>>3>>cs)&bm)&63] = c.beat + busy
-				v := c.sf[sbd&3][six&15]
-				binary.LittleEndian.PutUint64(c.mem[a:], v)
-				if m.WatchStore != nil {
-					m.WatchStore(a, v)
-				}
-				return nil
-			}
-		}
+// compileStore translates a store the same way.
+func compileStore(o *mach.Op, guarded bool, unitName string) nativeOp {
+	ea, data, size := addressOf(o), operandOf(o.C), o.Type.Size()
+	if !guarded {
 		return func(m *Machine, c *Context) error {
-			a := int64(int32(c.iregs[bd&3][ix&63])) + off
-			c.bankBusy[((a>>3&cm)<<3|(a>>3>>cs)&bm)&63] = c.beat + busy
-			v := uint64(uint32(c.sf[sbd&3][six&15]))
-			binary.LittleEndian.PutUint32(c.mem[a:], uint32(v))
-			if m.WatchStore != nil {
-				m.WatchStore(a, v)
-			}
-			return nil
-		}
-	}
-	ea := nEA(o)
-	gc := nReadU(o.C)
-	if f64 {
-		return func(m *Machine, c *Context) error {
-			a := ea(c)
-			c.bankBusy[g.id(a)] = c.beat + g.busy
-			v := gc(c)
-			binary.LittleEndian.PutUint64(c.mem[a:], v)
-			if m.WatchStore != nil {
-				m.WatchStore(a, v)
-			}
+			m.store(c, ea.at(c), size, data.read(c))
 			return nil
 		}
 	}
 	return func(m *Machine, c *Context) error {
-		a := ea(c)
-		c.bankBusy[g.id(a)] = c.beat + g.busy
-		v := uint64(uint32(gc(c)))
-		binary.LittleEndian.PutUint32(c.mem[a:], uint32(v))
-		if m.WatchStore != nil {
-			m.WatchStore(a, v)
+		a := ea.at(c)
+		if c.badRef(a, size) {
+			m.curUnit = unitName
+			return m.refFault(c, "store", a, size)
 		}
+		m.store(c, a, size, data.read(c))
 		return nil
 	}
 }
@@ -1358,236 +1045,160 @@ func (s *planOp) mayFault() bool {
 	}
 	switch s.kind {
 	case ir.Nop, opPure, opPureFlop, ir.ConstI, ir.ConstF, ir.Mov, mach.OpMovSF, ir.Select, ir.LoadSpec,
-		opSafeLoadI32, opSafeLoadF64, opSafeSpecI32, opSafeSpecF64, opSafeStoreI32, opSafeStoreF64:
+		opSafeLoadI32, opSafeLoadF64, opSafeStoreI32, opSafeStoreF64:
 		return false
 	}
 	return true
 }
 
-// compileStraight translates slot i of a beat's issue list to a closure that
-// stores its result straight into the integer or branch-bank register file, or returns nil
-// when the write has to go through a scratch slot like any other. Straight is
-// safe for a write that lands one beat after a word's first beat — inside the
-// word, so no exit, event or prescan falls between issue and landing — when
-// nothing later in the beat reads the register or can fault, and nothing else
-// in the beat writes it: no one can tell the register changed a beat early.
-// (A write from before the region landing in that very beat would be a
-// write-write race, which the certificate excludes.) These are the address
-// and compare operations of compacted loops, about a third of all writes.
-func (b *regionBuilder) compileStraight(ops []planOp, i int) nativeOp {
+// straight reports whether the write slot i of a beat's issue list makes can
+// go straight to its register — the same closure, with the register's index
+// for a destination instead of a scratch slot's. That is safe for a write
+// that lands one beat after a word's first beat — inside the word, so no exit,
+// event or prescan falls between issue and landing — when nothing later in the
+// beat reads the register or can fault, and nothing else in the beat writes
+// it: no one can tell the register changed a beat early. (A write from before
+// the region landing in that very beat would be a write-write race, which the
+// certificate excludes.) These are the address and compare operations of
+// compacted loops, about a third of all writes.
+func (b *regionBuilder) straight(ops []planOp, i int) bool {
 	s := &ops[i]
-	o, dst := s.op, s.op.Dst
-	if b.beat&1 != 0 || s.lat != 1 || dst.Bank != mach.BankI && dst.Bank != mach.BankB {
-		return nil
+	dst := s.op.Dst
+	if b.beat&1 != 0 || s.lat != 1 || s.unitKind == mach.UBR {
+		return false
 	}
 	for j := range ops {
 		if j != i && (ops[j].op.Dst == dst || j > i && (ops[j].reads(dst) || ops[j].mayFault())) {
-			return nil
+			return false
 		}
 		if ops[j].unitKind == mach.UBR && ops[j].op.Kind == mach.OpCall && dst == mach.RegLR {
-			return nil
+			return false
 		}
 	}
-	var f nativeOp
-	if dst.Bank == mach.BankI {
-		f = nStraight(o, s.kind, int(dst.Board), int(dst.Idx))
-	} else if s.kind == opPure {
-		f = nStraightB(o, int(dst.Board), int(dst.Idx))
-	}
-	if f != nil {
-		b.r.writes[b.deliver(dst, 1)].straight = true
-	}
-	return f
+	return true
 }
 
-// nStraight is nFastShape, nPure and the moves for a result that goes
-// straight into integer register [bd][ix].
-func nStraight(o *mach.Op, kind ir.OpKind, bd, ix int) nativeOp {
-	abd, aix, aok := iregArg(o.A)
-	bbd, bix, bok := iregArg(o.B)
-	switch {
-	case kind == ir.ConstI && o.A.IsImm:
-		v := uint32(o.A.Imm)
-		return func(m *Machine, c *Context) error {
-			c.iregs[bd&3][ix&63] = v
-			return nil
+// bits bounds what slot s produces: 1 for a test, 32 for an integer, 64 for
+// anything else — read off the value table's row, the operands' banks and the
+// access type.
+func (s *planOp) bits() int {
+	argBits := func(a mach.Arg) int {
+		switch {
+		case a.IsImm, a.Reg.Bank == mach.BankI:
+			return 32
+		case a.Reg.Bank == mach.BankB, !a.Reg.Valid():
+			return 1
 		}
-	case kind == ir.Mov && aok:
-		return func(m *Machine, c *Context) error {
-			c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63]
-			return nil
-		}
-	case kind != opPure || !aok:
-		return nil
+		return 64
 	}
-	if o.B.IsImm {
-		bv := o.B.Imm
-		switch o.Kind {
-		case ir.Add:
-			return func(m *Machine, c *Context) error {
-				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] + uint32(bv)
-				return nil
-			}
-		case ir.Sub:
-			return func(m *Machine, c *Context) error {
-				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] - uint32(bv)
-				return nil
-			}
-		case ir.CmpLT:
-			return func(m *Machine, c *Context) error {
-				c.iregs[bd&3][ix&63] = uint32(mach.BoolBits(int32(c.iregs[abd&3][aix&63]) < bv))
-				return nil
-			}
-		case ir.Shl:
-			n := mach.ShiftCount(bv)
-			return func(m *Machine, c *Context) error {
-				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] << n
-				return nil
-			}
+	o := s.op
+	switch s.kind {
+	case opPure, opPureFlop, ir.Div, ir.Rem:
+		switch {
+		case mach.ValueOf(o.Kind).FloatOut:
+			return 64
+		case o.Kind.IsCompare():
+			return 1
 		}
-	} else if bok {
-		switch o.Kind {
-		case ir.Add:
-			return func(m *Machine, c *Context) error {
-				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] + c.iregs[bbd&3][bix&63]
-				return nil
-			}
-		case ir.Sub:
-			return func(m *Machine, c *Context) error {
-				c.iregs[bd&3][ix&63] = c.iregs[abd&3][aix&63] - c.iregs[bbd&3][bix&63]
-				return nil
-			}
+		return 32
+	case ir.ConstI:
+		return 32
+	case ir.Mov, mach.OpMovSF:
+		return argBits(o.A)
+	case ir.Select:
+		return max(argBits(o.B), argBits(o.C))
+	case ir.Load, ir.LoadSpec, opSafeLoadI32, opSafeLoadF64:
+		if o.Type == ir.I32 {
+			return 32
 		}
 	}
-	v := mach.ValueOf(o.Kind)
-	if v.FloatIn {
-		return nil
-	}
-	f := v.Fn
-	switch {
-	case v.Unary:
-		return func(m *Machine, c *Context) error {
-			c.iregs[bd&3][ix&63] = uint32(f(uint64(c.iregs[abd&3][aix&63]), 0))
-			return nil
-		}
-	case o.B.IsImm:
-		bv := mach.IBits(o.B.Imm)
-		return func(m *Machine, c *Context) error {
-			c.iregs[bd&3][ix&63] = uint32(f(uint64(c.iregs[abd&3][aix&63]), bv))
-			return nil
-		}
-	case bok:
-		return func(m *Machine, c *Context) error {
-			c.iregs[bd&3][ix&63] = uint32(f(uint64(c.iregs[abd&3][aix&63]), uint64(c.iregs[bbd&3][bix&63])))
-			return nil
-		}
-	}
-	return nil
+	return 64
 }
 
-// nStraightB is nStraight for an integer test whose result goes straight into
-// branch-bank register [bd][ix].
-func nStraightB(o *mach.Op, bd, ix int) nativeOp {
-	abd, aix, ok := iregArg(o.A)
-	v := mach.ValueOf(o.Kind)
-	if !ok || v.FloatIn || v.Unary {
-		return nil
-	}
-	if o.B.IsImm {
-		bv := o.B.Imm
-		switch o.Kind {
-		case ir.CmpEQ:
-			return func(m *Machine, c *Context) error {
-				c.bb[bd&3][ix&7] = int32(c.iregs[abd&3][aix&63]) == bv
-				return nil
-			}
-		case ir.CmpNE:
-			return func(m *Machine, c *Context) error {
-				c.bb[bd&3][ix&7] = int32(c.iregs[abd&3][aix&63]) != bv
-				return nil
-			}
-		}
-		f, bits := v.Fn, mach.IBits(bv)
-		return func(m *Machine, c *Context) error {
-			c.bb[bd&3][ix&7] = f(uint64(c.iregs[abd&3][aix&63]), bits) != 0
-			return nil
-		}
-	}
-	if bbd, bix, ok := iregArg(o.B); ok {
-		f := v.Fn
-		return func(m *Machine, c *Context) error {
-			c.bb[bd&3][ix&7] = f(uint64(c.iregs[abd&3][aix&63]), uint64(c.iregs[bbd&3][bix&63])) != 0
-			return nil
-		}
-	}
-	return nil
-}
-
-// compileExec translates one non-branch slot (mirrors execOp case for
-// case; the dispatch key is the plan kind, so proven sites translate to
-// their guard-free variants).
+// compileExec translates one non-branch slot (mirrors execOp case for case;
+// the dispatch key is the plan kind, so proven sites translate to their
+// guard-free variants). What a closure stores must be canonical for the
+// destination's bank, because a landing is a plain copy and a straight write
+// is final. It is by construction wherever the result is no wider than the
+// bank (bits); an image that moves a float into an integer register, or an
+// integer into the branch bank, gets the store canonicalised behind it (such a
+// write, caught in flight by a region exit, is in the ring as the register will
+// hold it, where the interpreter's is as the operation produced it).
 func (b *regionBuilder) compileExec(s *planOp) nativeOp {
-	o, lat, dst := s.op, s.lat, s.op.Dst
-	if dst.Valid() {
-		if f := nFastShape(o, o.Kind, len(b.r.writes)); f != nil {
-			b.deliver(dst, lat)
-			return f
-		}
-	}
+	o, dst, lat := s.op, s.op.Dst, s.lat
+	d := noDest // where the result goes, once a case has issued the write
+	var f nativeOp
 	switch s.kind {
 	case ir.Nop:
 		return nil
 	case opPure, opPureFlop:
-		return nPure(o, b.deliver(dst, lat), mach.ValueOf(o.Kind))
+		d = b.deliver(dst, lat)
+		if f = nFastShape(o, d); f == nil {
+			f = nPure(o, d, mach.ValueOf(o.Kind).Fn)
+		}
 	case ir.Div, ir.Rem:
-		ga, gb := nReadU(o.A), nReadU(o.B)
-		f, msg, unitName := mach.ValueOf(s.kind).Fn, divZeroMsg(s.kind), s.unitName
-		k := b.deliver(dst, lat)
-		return func(m *Machine, c *Context) error {
-			d := gb(c)
-			if mach.DivTraps(d) {
+		d = b.deliver(dst, lat)
+		a, b := operandOf(o.A), operandOf(o.B)
+		fn, msg, unitName := mach.ValueOf(s.kind).Fn, divZeroMsg(s.kind), s.unitName
+		f = func(m *Machine, c *Context) error {
+			dv := b.read(c)
+			if mach.DivTraps(dv) {
 				return m.nFault(c, unitName, TrapDivZero, "%s", msg)
 			}
-			if k >= 0 {
-				c.slots[k&slotMask] = f(ga(c), d)
-			}
+			c.vals[d&valMask] = fn(a.read(c), dv)
 			return nil
 		}
 	case ir.ConstI:
-		if o.A.IsImm {
-			return nConst(b.deliver(dst, lat), mach.IBits(o.A.Imm))
-		}
-		ga := nReadI(o.A)
-		return nMov1(b.deliver(dst, lat), func(c *Context) uint64 { return mach.IBits(ga(c)) })
-	case ir.ConstF:
-		return nConst(b.deliver(dst, lat), mach.FBits(o.FImm))
-	case ir.Mov, mach.OpMovSF:
-		return nMovReg(o, b.deliver(dst, lat))
-	case ir.Select:
-		ga, gb, gcv := nReadU(o.A), nReadU(o.B), nReadU(o.C)
-		return nMov1(b.deliver(dst, lat), func(c *Context) uint64 {
-			if ga(c) != 0 {
-				return gb(c)
+		d = b.deliver(dst, lat)
+		if a := operandOf(o.A); o.A.IsImm {
+			f = nConst(d, a.k)
+		} else {
+			f = func(m *Machine, c *Context) error {
+				c.vals[d&valMask] = uint64(uint32(a.read(c)))
+				return nil
 			}
-			return gcv(c)
-		})
-	case ir.Load, ir.LoadSpec:
-		return compileLoad(o, b.deliver(dst, lat), s.unitName, b.p.geom)
-	case ir.Store:
-		return compileStore(o, s.unitName, b.p.geom)
-	case opSafeLoadI32, opSafeSpecI32:
-		return compileSafeLoad(o, b.deliver(dst, lat), false, b.p.geom)
-	case opSafeLoadF64, opSafeSpecF64:
-		return compileSafeLoad(o, b.deliver(dst, lat), true, b.p.geom)
-	case opSafeStoreI32:
-		return compileSafeStore(o, false, b.p.geom)
-	case opSafeStoreF64:
-		return compileSafeStore(o, true, b.p.geom)
+		}
+	case ir.ConstF:
+		d = b.deliver(dst, lat)
+		f = nConst(d, mach.FBits(o.FImm))
+	case ir.Mov, mach.OpMovSF:
+		d = b.deliver(dst, lat)
+		a := operandOf(o.A)
+		f = func(m *Machine, c *Context) error {
+			c.vals[d&valMask] = a.read(c)
+			return nil
+		}
+	case ir.Select:
+		d = b.deliver(dst, lat)
+		cond, then, els := operandOf(o.A), operandOf(o.B), operandOf(o.C)
+		f = func(m *Machine, c *Context) error {
+			if cond.read(c) != 0 {
+				c.vals[d&valMask] = then.read(c)
+			} else {
+				c.vals[d&valMask] = els.read(c)
+			}
+			return nil
+		}
+	case ir.Load, ir.LoadSpec, opSafeLoadI32, opSafeLoadF64:
+		d = b.deliver(dst, lat)
+		f = compileLoad(o, d, s.kind == o.Kind, s.unitName) // guarded unless the plan rewrote the kind
+	case ir.Store, opSafeStoreI32, opSafeStoreF64:
+		return compileStore(o, s.kind == o.Kind, s.unitName)
+	default:
+		name, unitName := mach.OpName(o.Kind), s.unitName
+		return func(m *Machine, c *Context) error {
+			return m.nFault(c, unitName, TrapBadOp, "cannot execute %s", name)
+		}
 	}
-	name, unitName := mach.OpName(o.Kind), s.unitName
-	return func(m *Machine, c *Context) error {
-		return m.nFault(c, unitName, TrapBadOp, "cannot execute %s", name)
+	if bank, wide := dst.Bank, s.bits(); bank == mach.BankI && wide > 32 || bank == mach.BankB && wide > 1 {
+		produce := f
+		f = func(m *Machine, c *Context) error {
+			err := produce(m, c)
+			c.vals[d&valMask] = canonical(bank, c.vals[d&valMask])
+			return err
+		}
 	}
+	return f
 }
 
 // UseNativeCertificate arms the native tier — the fourth execution tier —

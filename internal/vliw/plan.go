@@ -22,9 +22,9 @@ import (
 //   - the unit name used for fault attribution is rendered once per slot
 //     instead of fmt.Sprintf-ing on every execution;
 //   - memory references are collected into a prescan list with each
-//     effective-address sum pre-resolved to a reader closure, so words with
-//     no references skip the TLB/bank-stall prescan entirely and the rest
-//     re-decode no operand;
+//     effective-address sum resolved to indexes of the value file (address),
+//     so words with no references skip the TLB/bank-stall prescan entirely
+//     and the rest re-decode no operand;
 //   - the memory-bank geometry and the icache line index are resolved to
 //     shifts and masks (bankGeom, itagMask), and the retire ring is sized
 //     from the longest latency the image can issue;
@@ -47,7 +47,8 @@ type plan struct {
 	words    []planWord  // the prescan list of every word
 	slots    []wordSlots // what the interpreter executes, word for word
 	geom     bankGeom
-	itagMask int   // ICacheInstrs-1 when that is a power of two, else -1
+	icache   int   // ICacheInstrs: the lines of the instruction cache
+	itagMask int   // icache-1 when that is a power of two, else -1
 	maxLat   int64 // longest write latency the image can issue, in beats
 	ringSize int64 // retire-ring buckets: the power of two above maxLat
 	ringCap  int64 // writes one beat can retire: over the latencies, the most any beat issues of each
@@ -61,40 +62,41 @@ type plan struct {
 	regionWords int
 }
 
-// bankGeom is the memory-system geometry resolved to shift/mask form at plan
-// build: the one place an address becomes a bank id, for the prescan, the
-// per-reference busy update, DMA and StallBank. ok is false for a config
-// whose controller or bank count is not a power of two; those divide.
+// bankGeom is the memory-system geometry resolved at plan build: the one
+// place an address becomes a bank id, for the prescan, the per-reference busy
+// update, DMA and StallBank. The interleave (mach.Config.BankOf) repeats every
+// Controllers × BanksPerController doublewords, so it is a table over one
+// period — repeated to fill the table when the period is a power of two, which
+// makes the lookup a mask; period is non-zero for the geometries that divide.
 type bankGeom struct {
-	ctrlShift uint
-	ctrlMask  int64
-	bankMask  int64
-	busy      int64 // StageBank + BankBusyBeats: the bank-busy window
-	ok        bool
-	cfg       *mach.Config // for BankOf when !ok
+	tab    [64]uint8 // BankOf(8*i) as an index into Context.bankBusy, by doubleword i of a period
+	period int64
+	busy   int64 // StageBank + BankBusyBeats: the bank-busy window
 }
 
 func geomOf(cfg *mach.Config) bankGeom {
-	g := bankGeom{busy: mach.StageBank + int64(cfg.BankBusyBeats), cfg: cfg}
-	ctrl, banks := int64(cfg.Controllers), int64(cfg.BanksPerController)
-	if ctrl <= 0 || ctrl&(ctrl-1) != 0 || banks <= 0 || banks&(banks-1) != 0 {
-		return g
+	g := bankGeom{busy: mach.StageBank + int64(cfg.BankBusyBeats)}
+	n := cfg.Banks()
+	if n <= 0 {
+		return g // Validate refuses it; every reference falls on bank 0
 	}
-	g.ctrlMask, g.bankMask, g.ok = ctrl-1, banks-1, true
-	for int64(1)<<g.ctrlShift < ctrl {
-		g.ctrlShift++
+	if n&(n-1) != 0 {
+		g.period = int64(n)
+	}
+	for i := range g.tab {
+		ctrl, bank := cfg.BankOf(int64(8 * (i % n)))
+		g.tab[i] = uint8(ctrl*8+bank) & 63
 	}
 	return g
 }
 
 // id returns the index of ea's RAM bank in Context.bankBusy.
 func (g *bankGeom) id(ea int64) int64 {
-	if !g.ok {
-		ctrl, bank := g.cfg.BankOf(ea)
-		return int64(ctrl*8+bank) & 63
-	}
 	w := ea >> 3
-	return ((w&g.ctrlMask)<<3 | (w>>g.ctrlShift)&g.bankMask) & 63
+	if g.period != 0 {
+		w %= g.period
+	}
+	return int64(g.tab[w&63])
 }
 
 // planOp is one pre-decoded slot operation. kind is the dispatch opcode the
@@ -112,22 +114,34 @@ type planOp struct {
 	unitName string // precomputed fault attribution
 }
 
-// planMem is one memory reference for the prescan loop, with the
-// effective-address computation pre-resolved: the dominant shape, an integer
-// register plus an immediate, as data the loop adds up itself, anything else
-// as a reader closure.
-type planMem struct {
-	ea     func(c *Context) int64 // nil: the address is iregs[bd][ix] + off
-	off    int64
-	bd, ix uint8
-	beat   int64 // issue beat within the instruction (0 or 1)
+// address is a memory operation's effective-address sum (Context.eaOf) with
+// its operands resolved: the integers at two indexes of the value file plus a
+// constant. An immediate operand is folded into the constant and reads the
+// zero cell, so every shape of reference — register plus offset, register plus
+// register, absolute — is the same two loads and two adds, with nothing to
+// dispatch on. A reference with no base has no address: it computes 0.
+type address struct {
+	a, b uint16
+	off  int64
 }
 
-func newPlanMem(o *mach.Op, beat int64) planMem {
-	if bd, ix, ok := iregArg(o.A); ok && o.B.IsImm {
-		return planMem{off: int64(o.B.Imm), bd: uint8(bd), ix: uint8(ix), beat: beat}
+func addressOf(o *mach.Op) address {
+	if !o.A.IsImm && !o.A.Reg.Valid() {
+		return address{a: zeroCell, b: zeroCell}
 	}
-	return planMem{ea: nEA(o), beat: beat}
+	a, b := operandOf(o.A), operandOf(o.B)
+	return address{a: a.idx, b: b.idx, off: int64(int32(a.k)) + int64(int32(b.k))}
+}
+
+// at is the address as the registers stand.
+func (ad *address) at(c *Context) int64 {
+	return int64(int32(c.vals[ad.a&valMask])) + int64(int32(c.vals[ad.b&valMask])) + ad.off
+}
+
+// planMem is one memory reference for the prescan loop.
+type planMem struct {
+	address
+	beat int64 // issue beat within the instruction (0 or 1)
 }
 
 // resViol is a precomputed static resource violation for one (word, beat).
@@ -160,6 +174,7 @@ func buildPlan(img *isa.Image) *plan {
 		words:    make([]planWord, len(img.Instrs)),
 		slots:    make([]wordSlots, len(img.Instrs)),
 		geom:     geomOf(&img.Cfg),
+		icache:   cfg.ICacheInstrs,
 		itagMask: -1,
 		maxLat:   1,
 	}
@@ -205,7 +220,7 @@ func buildPlan(img *isa.Image) *plan {
 			// bank to stall on; it faults (or returns the §7 funny number) at
 			// execution.
 			if isMemOp(s.Op.Kind) && (s.Op.A.IsImm || s.Op.A.Reg.Valid()) {
-				pw.mem = append(pw.mem, newPlanMem(&s.Op, int64(b)))
+				pw.mem = append(pw.mem, planMem{addressOf(&s.Op), int64(b)})
 			}
 		}
 		ws.viol[0] = staticBeatViolation(in, cfg, 0)
@@ -292,12 +307,10 @@ func staticBeatViolation(in *mach.Instr, cfg mach.Config, beat uint8) *resViol {
 // branch either; a proven Div/Rem is simply opPure. The block sits above
 // every ir and mach opcode (those stay below 128; see the init check below).
 const (
-	opPure     ir.OpKind = 128 + iota // dst = fn(A, B)
-	opPureFlop                        // the same, counted in Stats.FloatOps
-	opSafeLoadI32
+	opPure        ir.OpKind = 128 + iota // dst = fn(A, B)
+	opPureFlop                           // the same, counted in Stats.FloatOps
+	opSafeLoadI32                        // a proven Load or LoadSpec: for the latter the §7 funny-number path is dead
 	opSafeLoadF64
-	opSafeSpecI32 // proven speculative load: the §7 funny-number path is dead
-	opSafeSpecF64
 	opSafeStoreI32
 	opSafeStoreF64
 )
@@ -331,19 +344,12 @@ func planKind(k ir.OpKind) (ir.OpKind, func(a, b uint64) uint64) {
 // analysis never proves).
 func safeKind(o *mach.Op) (ir.OpKind, bool) {
 	switch o.Kind {
-	case ir.Load:
+	case ir.Load, ir.LoadSpec:
 		switch o.Type {
 		case ir.I32:
 			return opSafeLoadI32, true
 		case ir.F64:
 			return opSafeLoadF64, true
-		}
-	case ir.LoadSpec:
-		switch o.Type {
-		case ir.I32:
-			return opSafeSpecI32, true
-		case ir.F64:
-			return opSafeSpecF64, true
 		}
 	case ir.Store:
 		switch o.Type {

@@ -62,6 +62,32 @@ const (
 
 const snapHeaderLen = 8 + 2 + 32 + 8 + 32
 
+// regSection is how version 1 lays a register bank out: its section, and the
+// bytes of one register in it — an i32, f64 bits, a bool. Within a section the
+// registers go by board, then by index, which is the order mach indexes them
+// in.
+var regSection = [mach.BankB + 1]struct {
+	tag   byte
+	name  string
+	width int
+}{
+	mach.BankI:  {secIRegs, "integer-bank", 4},
+	mach.BankF:  {secFRegs, "float-bank", 8},
+	mach.BankSF: {secSF, "store-file", 8},
+	mach.BankB:  {secBB, "branch-bank", 1},
+}
+
+// regSectionLen is the size of a bank's section.
+func regSectionLen(bank mach.Bank) int {
+	n := 0
+	for i := 0; i < mach.RegFileSize; i++ {
+		if mach.RegAt(i).Bank == bank {
+			n += regSection[bank].width
+		}
+	}
+	return n
+}
+
 // pendingWireLen is one serialized in-flight write: retire beat i64,
 // bank/board/idx u8, one reserved zero byte, val u64, issuing pc i64.
 const pendingWireLen = 8 + 4 + 8 + 8
@@ -124,10 +150,17 @@ func (c *Context) Snapshot() ([]byte, error) {
 		}
 		binary.Write(b, le, c.exit)
 	})
-	sec(secIRegs, func(b *bytes.Buffer) { binary.Write(b, le, c.iregs) })
-	sec(secFRegs, func(b *bytes.Buffer) { binary.Write(b, le, c.fregs) })
-	sec(secSF, func(b *bytes.Buffer) { binary.Write(b, le, c.sf) })
-	sec(secBB, func(b *bytes.Buffer) { binary.Write(b, le, c.bb) })
+	var regs [mach.BankB + 1]bytes.Buffer
+	for i, v := range c.vals[:mach.RegFileSize] {
+		if bank := mach.RegAt(i).Bank; bank != mach.BankNone {
+			var bits [8]byte
+			le.PutUint64(bits[:], v)
+			regs[bank].Write(bits[:regSection[bank].width]) // the low bytes: a register holds no more
+		}
+	}
+	for bank := mach.BankI; bank <= mach.BankB; bank++ {
+		sec(regSection[bank].tag, func(b *bytes.Buffer) { b.Write(regs[bank].Bytes()) })
+	}
 	sec(secPending, func(b *bytes.Buffer) {
 		ws := c.inFlight()
 		binary.Write(b, le, uint32(len(ws)))
@@ -248,21 +281,11 @@ func (c *Context) Restore(data []byte) error {
 	if beat < 0 {
 		return &ErrBadSnapshot{Field: "core", Msg: fmt.Sprintf("virtual clock reads %d beats", beat)}
 	}
-	iregsb, err := want(secIRegs, "iregs", binary.Size(c.iregs))
-	if err != nil {
-		return err
-	}
-	fregsb, err := want(secFRegs, "fregs", binary.Size(c.fregs))
-	if err != nil {
-		return err
-	}
-	sfb, err := want(secSF, "store-file", binary.Size(c.sf))
-	if err != nil {
-		return err
-	}
-	bbb, err := want(secBB, "branch-bank", binary.Size(c.bb))
-	if err != nil {
-		return err
+	var regb [mach.BankB + 1][]byte
+	for bank := mach.BankI; bank <= mach.BankB; bank++ {
+		if regb[bank], err = want(regSection[bank].tag, regSection[bank].name, regSectionLen(bank)); err != nil {
+			return err
+		}
 	}
 	pendb, err := want(secPending, "pending-writes", -1)
 	if err != nil {
@@ -272,14 +295,14 @@ func (c *Context) Restore(data []byte) error {
 		int(le.Uint32(pendb[:4]))*pendingWireLen != len(pendb)-4 {
 		return &ErrBadSnapshot{Field: "section", Msg: "pending-writes section is malformed"}
 	}
-	// The ring indexes register files by an entry's destination and buckets
+	// The ring indexes the value file by an entry's destination and buckets
 	// by its retire beat, so both must be ones the machine could have issued.
 	// An overdue beat is legal: the write retires at the next drain.
 	for b := pendb[4:]; len(b) > 0; b = b[pendingWireLen:] {
-		dst := mach.PReg{Bank: mach.Bank(b[8]), Board: b[9], Idx: b[10]}
+		_, isReg := mach.RegIndex(mach.PReg{Bank: mach.Bank(b[8]), Board: b[9], Idx: b[10]})
 		due, pc := int64(le.Uint64(b[0:8])), int64(le.Uint64(b[20:28]))
 		switch {
-		case !c.holds(dst):
+		case !isReg:
 			return &ErrBadSnapshot{Field: "pending-writes", Msg: fmt.Sprintf("write to bank %d board %d index %d: no such register", b[8], b[9], b[10])}
 		case b[11] != 0:
 			return &ErrBadSnapshot{Field: "pending-writes", Msg: fmt.Sprintf("reserved byte is %d, want 0", b[11])}
@@ -341,10 +364,15 @@ func (c *Context) Restore(data []byte) error {
 	c.halted = coreb[17] != 0
 	c.exit = int32(le.Uint32(coreb[18:22]))
 
-	binary.Read(bytes.NewReader(iregsb), le, &c.iregs)
-	binary.Read(bytes.NewReader(fregsb), le, &c.fregs)
-	binary.Read(bytes.NewReader(sfb), le, &c.sf)
-	binary.Read(bytes.NewReader(bbb), le, &c.bb)
+	for i := range c.vals[:mach.RegFileSize] {
+		if r := mach.RegAt(i); r.Valid() {
+			var bits [8]byte
+			w := regSection[r.Bank].width
+			copy(bits[:], regb[r.Bank][:w])
+			regb[r.Bank] = regb[r.Bank][w:]
+			c.writeReg(r, le.Uint64(bits[:]))
+		}
+	}
 
 	// The section is in issue order, so pushing it in order keeps it. A bucket
 	// must hold what the snapshot files under its beat (every overdue write

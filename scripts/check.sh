@@ -27,9 +27,17 @@ if gosrc -l --exclude='*_test.go' 'LatFMul' | grep -v -e '^\./internal/mach/' -e
 	exit 1
 fi
 
-echo "== one write pipeline (no second fetch, no ring ingest, no pending-write slice, no per-beat closure chain in the simulator)"
+echo "== one write pipeline, one value file (no second fetch, no ring ingest, no pending-write slice, no per-beat closure chain, no banked register arrays in the simulator)"
 if grep -rnE --include='*.go' --exclude='*_test.go' 'nFetch|nRingIngest|\[\]pendingWrite|nChain|native +\[2\]nativeOp' internal/vliw; then
 	echo "check: internal/vliw forks the write pipeline or the word prologue again (Context.push, Machine.step, regions)"
+	exit 1
+fi
+# A register and a scratch slot are indexes of one array (Context.vals,
+# indexed by mach.PReg.Index): no banked files to switch over, no closure
+# builders forked by bank, no second set of closures for a write that goes
+# straight to its register, no speculative twin of the guard-free load.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'iregs|fregs|\.sf\[|\.bb\[|nStraight|iregArg|fregArg|opSafeSpec' internal/vliw; then
+	echo "check: internal/vliw keeps registers outside the value file, or forks a closure builder by bank or by destination again"
 	exit 1
 fi
 # Regions only observe the caches, the TLBs and the banks; step (with fetch,
