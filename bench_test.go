@@ -587,34 +587,60 @@ func BenchmarkSimulatorSafe(b *testing.B) {
 	b.ReportMetric(float64(beats)/b.Elapsed().Seconds(), "beats/s")
 }
 
-// BenchmarkSimulatorNative measures the closure-threaded native tier: the
-// same graded certificate as the safe tier, but each beat is translated once
-// into a fused closure sequence — no per-op dispatch switch, no operand
-// re-decode, and no guards at proven sites. The translation is built outside
-// the timed region and cached across Reset; scripts/bench.sh holds it to its
-// own committed baseline.
+// BenchmarkSimulatorNative measures the native tier on the same workload: the
+// same graded certificate as the safe tier, but the words the run keeps coming
+// back to are translated once into regions — one stream of micro-ops each,
+// operands resolved to indexes, landings at their beats, no guards at proven
+// sites. The regions are built outside the timed loop and cached across Reset;
+// scripts/bench.sh holds it to its own committed baseline.
 func BenchmarkSimulatorNative(b *testing.B) {
-	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
+	benchWarmRuns(b, mustCompile(b, daxpyBench, Options{ProfileRun: true}), true)
+}
+
+// BenchmarkSimulatorKernels times the two kernels that are most of
+// numeric-hot's words (bench/), on the checked interpreter and on the native
+// tier: tridiag, recurrence-bound, two words in five empty and three micro-ops
+// a word; fir, eight micro-ops a word and a bank stall on one word in sixteen.
+// (A benchmark of their own rather than sub-benchmarks of the two above: those
+// two names are what scripts/bench.sh's baseline and its A/B ratio floor key
+// on, and a benchmark with sub-benchmarks reports no number itself.)
+func BenchmarkSimulatorKernels(b *testing.B) {
+	for _, w := range xp.NumericSuite() {
+		if w.Name != "tridiag" && w.Name != "fir" {
+			continue
+		}
+		art := mustCompile(b, w.Src, Options{})
+		b.Run(w.Name+"/checked", func(b *testing.B) { benchWarmRuns(b, art, false) })
+		b.Run(w.Name+"/native", func(b *testing.B) { benchWarmRuns(b, art, true) })
+	}
+}
+
+// benchWarmRuns times runs of art on one machine, checked or native, after
+// three untimed ones: the native tier builds its regions on the first runs,
+// and the floor on its allocs/op (scripts/bench.sh) is on the steady state
+// after them.
+func benchWarmRuns(b *testing.B, art *Artifact, native bool) {
 	cert, err := art.CertifySafe()
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := art.Machine()
-	var beats int64
 	run := func() {
 		m.Reset(art.Image())
-		if err := m.UseNativeCertificate(cert); err != nil {
-			b.Fatal(err)
+		if native {
+			if err := m.UseNativeCertificate(cert); err != nil {
+				b.Fatal(err)
+			}
 		}
 		if _, _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	// The tier builds its regions on the first runs; the floor on allocs/op
-	// (scripts/bench.sh) is on the steady state after them.
 	for range 3 {
 		run()
 	}
+	var beats int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()

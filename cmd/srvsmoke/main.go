@@ -75,7 +75,7 @@ func main() {
 		fatal(fmt.Errorf("memoized run diverged: %+v vs %+v", run2, run1))
 	}
 
-	// 4. Run on the guard-free safe tier and the closure-threaded native
+	// 4. Run on the guard-free safe tier and the region-translating native
 	// tier by name: each result must match the fast run exactly (stronger
 	// certificates change how the image executes, never what it computes).
 	type tierRun struct {

@@ -14,7 +14,7 @@
 // dynamically verified tier only; fast runs each image on the certified
 // fast path; safe or native upgrade the oracle to the four-way tier matrix —
 // every image also runs on the fast path, the guard-free safe tier, and the
-// closure-threaded native tier, and all four runs must agree on the exit
+// native tier's regions, and all four runs must agree on the exit
 // value, the output, the fault, and every Stats counter.
 // With -timeshare, a clean campaign is followed by the multi-context stage:
 // the same generated programs run again time-shared four to a machine on

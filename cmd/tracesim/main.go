@@ -24,7 +24,7 @@
 // skipped), -tier=safe (fast plus guard-free execution of every memory and
 // divide site the value-range safety analysis proves can never fault), or
 // -tier=native (the safe grade with the runs of words the program keeps
-// returning to fused into regions of closures — no per-slot dispatch, operand
+// returning to fused into regions, one micro-op stream each — no per-slot dispatch, operand
 // re-decode or per-beat bookkeeping; a summary of the regions goes to stderr). All
 // tiers produce bit-identical results; only speed and how much dynamic
 // checking remains differ.
@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 
 	"github.com/multiflow-repro/trace/internal/baseline"
 	"github.com/multiflow-repro/trace/internal/core"
@@ -148,11 +149,7 @@ func main() {
 	if err := art.Arm(m, tier); err != nil {
 		fatal(err)
 	}
-	if tier >= vliw.TierSafe {
-		cert, _ := art.CertifySafe() // minted (and cached) by Arm
-		proven, total := cert.ProvenSites()
-		fmt.Fprintf(os.Stderr, "tracesim: %s tier: %d/%d guarded sites proven, guards deleted\n", tier, proven, total)
-	}
+	reportProven(art, tier, "")
 	if *traceExec {
 		last := -2
 		m.TraceFn = func(pc int, beat int64) {
@@ -197,9 +194,7 @@ func main() {
 		fatal(err)
 	}
 	st := &m.Stats
-	if tier == vliw.TierNative {
-		fmt.Fprintf(os.Stderr, "tracesim: native tier: %s\n", m.RegionSummary())
-	}
+	reportRegions(m, tier)
 	fmt.Printf("exit:        %d\n", v)
 	fmt.Printf("machine:     %s\n", cfg.Name)
 	fmt.Printf("beats:       %d (%.2f ms at %d ns/beat)\n", st.Beats,
@@ -233,6 +228,26 @@ func main() {
 			float64(sc.Beats)/float64(st.Beats))
 		fmt.Printf("scoreboard:  %d beats (speedup over scalar %.2fx)\n", sb.Beats,
 			float64(sc.Beats)/float64(sb.Beats))
+	}
+}
+
+// reportProven says on stderr (stdout is the same on every tier) how many of
+// art's guarded sites the safe and native tiers run without their guards; of
+// is " (file)" when several programs are resident.
+func reportProven(art *core.Artifact, tier vliw.Tier, of string) {
+	if tier < vliw.TierSafe {
+		return
+	}
+	cert, _ := art.CertifySafe() // minted (and cached) when the tier was armed
+	proven, total := cert.ProvenSites()
+	fmt.Fprintf(os.Stderr, "tracesim: %s tier%s: %d/%d guarded sites proven, guards deleted\n", tier, of, proven, total)
+}
+
+// reportRegions prints the native tier's region counters for the run m has
+// just finished, on stderr.
+func reportRegions(m *vliw.Machine, tier vliw.Tier) {
+	if tier == vliw.TierNative {
+		fmt.Fprintf(os.Stderr, "tracesim: native tier: %s\n", m.RegionSummary())
 	}
 }
 
@@ -293,6 +308,17 @@ func runContexts(ctx context.Context, first *core.Artifact, k int, copts core.Op
 		}
 		fatal(err)
 	}
+
+	for i, a := range arts {
+		if slices.Index(arts, a) == i { // once a program
+			of := ""
+			if flag.NArg() > 1 {
+				of = " (" + names[i] + ")"
+			}
+			reportProven(a, rf.tier, of)
+		}
+	}
+	reportRegions(m, rf.tier)
 
 	for i, r := range rs {
 		if r.Output != "" {

@@ -51,7 +51,7 @@ type Options struct {
 	// throughput-oriented campaigns where the lint stage alone carries the
 	// legality burden. TierSafe and TierNative upgrade the oracle to the
 	// full four-way tier matrix: every image that runs also executes on the
-	// fast path, the guard-free safe tier, and the closure-threaded native
+	// fast path, the guard-free safe tier, and the region-translating native
 	// tier, and all four runs must agree on the exit value, the output, the
 	// fault, and every Stats counter. The timeshare and snapshot stages run
 	// on the named tier itself, so -tier=native composes certificate-armed

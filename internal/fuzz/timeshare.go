@@ -37,7 +37,7 @@ type soloResult struct {
 // its solo and time-shared execution is a context-scheduler bug — the
 // hardware-context model promises bit-exact solo equivalence. Both the solo
 // references and the shared machine run on the tier Options resolves to, so
-// -tier=native exercises the closure-threaded translator under round-robin
+// -tier=native exercises the region translator under round-robin
 // preemption. Inputs that
 // fail to compile or whose solo run errs are skipped (they are the other
 // stages' business); ErrSkip reports that no input survived to compare.

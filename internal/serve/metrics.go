@@ -95,7 +95,7 @@ type Metrics struct {
 	// Completed runs by the execution tier actually taken (cached results
 	// included): "checked" ran fully dynamically verified, "fast" took the
 	// certified fast path, "safe" ran guard-free under a safety
-	// certificate, "native" ran the closure-threaded translation.
+	// certificate, "native" ran the hot code translated into regions.
 	RunsCertChecked expvar.Int
 	RunsCertFast    expvar.Int
 	RunsCertSafe    expvar.Int

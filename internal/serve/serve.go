@@ -150,8 +150,8 @@ type RunRequestOptions struct {
 	// "fast" (the certified fast path — the artifact must lint clean),
 	// "safe" (guard-free execution of every site the value-range analysis
 	// proves; requires the artifact's safety certificate), or "native"
-	// (the safety grade plus the closure-threaded translation of the
-	// image). An unknown name is a bad_request.
+	// (the safety grade plus the translation of the image's hot code into
+	// regions). An unknown name is a bad_request.
 	Tier vliw.Tier `json:"tier,omitempty"`
 	// MaxCycles overrides the simulator's beat budget (0 = default).
 	MaxCycles int64 `json:"max_cycles,omitempty"`

@@ -282,7 +282,7 @@ func TestRunSafeTier(t *testing.T) {
 	}
 }
 
-// TestRunNativeTier: run.tier="native" selects the closure-threaded tier end
+// TestRunNativeTier: run.tier="native" selects the native tier end
 // to end — the response names the tier, the memo keys native apart from
 // safe, an unknown tier name is a structured bad_request, and /metrics
 // counts the run under cert_level.native.

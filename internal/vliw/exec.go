@@ -159,7 +159,7 @@ func (m *Machine) execStore(o *mach.Op) error {
 }
 
 // The memory pipeline's parts, each written once for the interpreter above
-// and the native tier's closures (native.go): the counters a reference bumps
+// and the native tier's micro-ops (native.go): the counters a reference bumps
 // before anything can stop it, the verdict on its address, and the typed
 // access itself.
 

@@ -2,6 +2,7 @@ package vliw
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/ir"
@@ -11,17 +12,30 @@ import (
 // notValueOps are the opcodes the ALU/F/memory datapath executes that are
 // not a function of their operands alone, so they have no entry in the
 // shared value table (mach.ValueOf) and keep a case of their own in execOp
-// and compileExec.
-var notValueOps = map[ir.OpKind]bool{
-	ir.Nop: true, ir.ConstI: true, ir.ConstF: true,
-	ir.Mov: true, mach.OpMovSF: true, ir.Select: true,
-	ir.Load: true, ir.LoadSpec: true, ir.Store: true,
+// and regionBuilder.exec — with the micro-op kind that runs each in a region
+// (no record at all for a Nop; the guarded kind for the memory operations,
+// which this test does not certify).
+var notValueOps = map[ir.OpKind][]uint8{
+	ir.Nop: {}, ir.ConstI: {uConst}, ir.ConstF: {uConst},
+	ir.Mov: {uMov}, mach.OpMovSF: {uMov}, ir.Select: {uSelect},
+	ir.Load: {uLoad}, ir.LoadSpec: {uLoad}, ir.Store: {uStore},
+}
+
+// inlineValueOps are the opcodes of the value table with a case of their own
+// in runRegion's switch; the rest of the table runs as uValue, and a Div or
+// Rem behind its guard as uDiv.
+var inlineValueOps = map[ir.OpKind]uint8{
+	ir.FAdd: uFAdd, ir.FSub: uFSub, ir.FMul: uFMul, ir.Add: uAdd, ir.Sub: uSub,
+	ir.CmpLT: uCmpLT, ir.CmpGE: uCmpGE, ir.CmpEQ: uCmpEQ, ir.CmpNE: uCmpNE, ir.Shl: uShl,
+	ir.Div: uDiv, ir.Rem: uDiv,
 }
 
 // TestEveryExecutedOpcodeHasSemantics: an opcode either has value semantics
 // in the shared table or is on the explicit structural list above, and both
-// executors accept exactly that set. An opcode added to the IR without
-// semantics fails here instead of reaching TrapBadOp at run time.
+// executors accept exactly that set — the interpreter by executing it, the
+// native translator by naming the micro-op kind that runs it. An opcode added
+// to the IR without semantics fails here instead of reaching TrapBadOp at run
+// time.
 func TestEveryExecutedOpcodeHasSemantics(t *testing.T) {
 	img := build(t, `func main() int { return 0 }`, mach.Trace7())
 	m := New(img)
@@ -36,10 +50,17 @@ func TestEveryExecutedOpcodeHasSemantics(t *testing.T) {
 		op := mach.Op{Kind: k, Type: ir.I32,
 			A: mach.ImmArg(ir.GlobalBase), B: mach.ImmArg(8), C: mach.ImmArg(1)}
 		known := mach.ValueOf(k) != nil
-		if known && notValueOps[k] {
+		want, structural := notValueOps[k]
+		if known && structural {
 			t.Errorf("%s is both in the value table and on the structural list", mach.OpName(k))
 		}
-		known = known || notValueOps[k]
+		if known {
+			want = []uint8{uValue}
+			if u, ok := inlineValueOps[k]; ok {
+				want[0] = u
+			}
+		}
+		known = known || structural
 
 		kind, fn := planKind(k)
 		err := m.execOp(&planOp{op: &op, kind: kind, fn: fn, lat: 1})
@@ -50,16 +71,21 @@ func TestEveryExecutedOpcodeHasSemantics(t *testing.T) {
 			t.Errorf("%s: execOp accepts it = %v, has semantics = %v", mach.OpName(k), accepted, known)
 		}
 
-		err = nil
-		b := regionBuilder{p: c.plan, r: new(region)}
-		if f := b.compileExec(&planOp{op: &op, kind: kind, fn: fn, lat: 1, unitName: "test"}); f != nil {
-			err = f(m, c)
+		r := new(region)
+		b := regionBuilder{p: c.plan, r: r}
+		b.exec(&planOp{op: &op, kind: kind, fn: fn, lat: 1, unitName: "test"})
+		var got []uint8
+		for _, u := range r.uops {
+			got = append(got, u.kind)
 		}
-		if err != nil && !badOp(err) {
-			t.Fatalf("%s: native closure: %v", mach.OpName(k), err)
+		if !known {
+			want = []uint8{uBadOp}
 		}
-		if accepted := err == nil; accepted != known {
-			t.Errorf("%s: the native translator accepts it = %v, has semantics = %v", mach.OpName(k), accepted, known)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: the native translator emits micro-op kinds %v, want %v", mach.OpName(k), got, want)
+		}
+		if len(r.info) != len(r.uops) {
+			t.Errorf("%s: %d records, %d fault infos", mach.OpName(k), len(r.uops), len(r.info))
 		}
 	}
 }

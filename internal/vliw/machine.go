@@ -236,9 +236,6 @@ type Machine struct {
 	safeImg  *isa.Image
 	safeCert SafetyCertificate
 
-	// regions counts the native tier's region traffic since the last Reset.
-	regions regionStats
-
 	// Multiway-branch scratch for step and for regions: a word's branch slots —
 	// interpreted or translated — publish the winning target and a HALT here instead of
 	// threading loop-local state through every executor signature.
@@ -329,6 +326,10 @@ type Machine struct {
 	// InterruptBeats is the cost per interrupt (default 200 if unset).
 	InterruptBeats int64
 	nextInterrupt  int64
+
+	// regions counts the native tier's region traffic since the last Reset
+	// (last: the fields the interpreter's beat loop reads keep their place).
+	regions regionStats
 }
 
 // New creates a machine for the image with a fresh memory.

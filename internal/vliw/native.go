@@ -16,13 +16,14 @@ import (
 // beat limit. The compiler has already proved when every result lands (§6.2:
 // "the destination register is specified when the operation is initiated, and
 // a hardware control pipeline carries the destination forward"), so inside a
-// region nothing rediscovers it: each operation is a closure whose operands
-// and destination are indexes of the context's value file (Context.vals) — a
-// register and a scratch slot are two addresses in one space. A result goes
-// into the region's next slot, and static landing code copies the slot down to
-// its register at the exact beat the write retires. The retire ring, the
-// per-word counters and the run loop's sentinels are all paid per region, not
-// per beat:
+// region nothing rediscovers it: a region is one stream of micro-ops (uop),
+// fixed-size records walked by one loop with one switch, whose operands and
+// destinations are indexes of the context's value file (Context.vals) — a
+// register and a scratch slot are two addresses in one space. An operation's
+// result goes into the region's next slot, and a landing — a record of the
+// same stream, at the exact beat the write retires — copies the slot down to
+// its register. The retire ring, the per-word counters and the run loop's
+// sentinels are all paid per region, not per beat:
 //
 //   - the beat limit (StopBeat, the context poll, CycleLimit, the RunMany
 //     quantum) becomes a count of words computed at entry;
@@ -57,7 +58,7 @@ import (
 //
 // Regions are built lazily from the safe plan's planOps, the second time the
 // per-word path arrives at a word; code that runs once is interpreted once
-// and never translated. At sites the SafetyCertificate proves, the closure
+// and never translated. At sites the SafetyCertificate proves, the micro-op
 // carries no guard and the Go runtime's own bounds and divide checks backstop
 // a post-certification mutation (safeTierFault); unproven sites keep the
 // interpreter's guards, fault text included.
@@ -77,9 +78,64 @@ const (
 	regionBudget = 16
 )
 
-// nativeOp is one translated slot operation: the closure returns the trap
-// (as an error) a guarded site raises, nil otherwise.
-type nativeOp func(m *Machine, c *Context) error
+// uop is one record of a region's stream. d, a and b are indexes of the value
+// file; what they and the two constants mean is the kind's business. For the
+// value table it is dst = f(vals[a]+k1, vals[b]+k2) — an immediate, or no
+// operand, is the zero cell plus its value (operand) — and for a memory
+// reference a, b and k1 are its address sum (address). Where a kind needs more
+// than a record holds — a unit name, a value function, a fault text, a third
+// operand — the high half of k2 indexes region.side.
+type uop struct {
+	kind    uint8
+	d, a, b uint16
+	k1, k2  uint64
+}
+
+// The micro-op kinds. The first block, but for its first kind, is what
+// compacted loops are made of and has its cases in runRegion's switch; that
+// kind and the second block go through slowOp.
+const (
+	uValue uint8 = iota // the value table through the side planOp's fn; its ten commonest shapes follow
+	uFAdd
+	uFSub
+	uFMul
+	uAdd
+	uSub
+	uCmpLT
+	uCmpGE
+	uCmpEQ
+	uCmpNE
+	uShl
+	uMov   // dst = vals[a]+k1
+	uConst // dst = k1
+	// The guard-free references, by size; a store's datum is vals[d]+k2.
+	uLoad4
+	uLoad8
+	uStore4
+	uStore8
+	// A branch to word k2 at the multiway priority in k1's high half, a uBrT
+	// if vals[a] plus k1's low half is not zero.
+	uBrT
+	uJmp
+	// The word's second beat begins, and the k1 uLands behind the record are
+	// due. A uLand — vals[d] = vals[a], the write region word b issued — is
+	// never dispatched: a beat's landings are a counted run, copied when it
+	// begins (regionWord.land0 counts the first beat's).
+	uBeat
+	uLand
+
+	uDiv    // a guarded Div or Rem
+	uConstI // ConstI of a register: dst = the low word of vals[a]+k1
+	uSelect // dst = vals[a]+k1 or vals[b]+k2, by the side planOp's condition
+	uLoad   // the guarded references
+	uStore
+	uCanon // vals[d] into the canonical form of bank a
+	uCall  // dst = the link address (k1's low half), then as uJmp if there is a target
+	uJmpR  // as uJmp to the word vals[a] plus k1's low half names, if any
+	uHalt
+	uSyscall
+	uBadOp
+)
 
 // region is one translated run of words from head (see buildRegion). The flat
 // arrays are walked once, front to back, by runRegion; each word records where
@@ -89,9 +145,10 @@ type region struct {
 	head   int
 	words  []regionWord
 	mems   []planMem     // the words' prescan lists, end to end
-	lands  []landing     // by landing beat, issue order within a beat
-	ops    []nativeOp    // by issue beat, slot order within a beat
-	info   []opInfo      // parallel to ops: what a fault at that op leaves
+	uops   []uop         // the stream: per word, beat 0's landings and operations, a uBeat, beat 1's landings and operations
+	info   []opInfo      // parallel to uops, read only at a fault: what one at that record leaves
+	side   []*planOp     // what the slowOp kinds need beyond their record
+	lands  []landing     // the stream's landings on their own, for landAhead's cursor
 	writes []regionWrite // in issue order; writes[k] is delivered into slot k
 	maxLat int32         // the longest latency of a write of the region
 }
@@ -99,9 +156,13 @@ type region struct {
 type regionWord struct {
 	pc      int32    // the word's address
 	follow  bool     // the next word of the region is not at pc+1: expect the taken branch there
+	idle    uint8    // how many words from this one on have nothing to prescan, land or issue and no branch to expect (at most 255)
+	idles   uint16   // idle words through this one
+	land0   uint16   // the landings of the word's first beat: as many uLands begin its records
 	memEnd  int32    // end of the word's references in mems
 	landEnd [2]int32 // end of each beat's landings in lands
-	opEnd   [2]int32 // end of each beat's closures in ops
+	mark    int32    // the word's uBeat in uops
+	end     int32    // end of the word's records in uops
 	wrEnd   int32    // writes issued through this word
 	flight  int32    // every write before this one has landed by the top of the word
 	line    int32    // the word's icache line
@@ -120,12 +181,13 @@ type landing struct {
 // region entry, and land may lie past the region's last beat.
 type regionWrite struct {
 	dst         mach.PReg
-	straight    bool // stored there by its closure, not through a slot (see straight)
+	straight    bool // stored there by its operation, not through a slot (see straight)
 	issue, land int32
 }
 
-// opInfo is the exit state a fault at an op needs: the unconditional counters
-// from region entry through the op itself, and the writes issued before it.
+// opInfo is the exit state a fault at a record needs: the unconditional
+// counters from region entry through the record itself, and the writes issued
+// before it. It is kept out of the record: the loop never reads it.
 type opInfo struct {
 	bulk   statsBulk
 	writes int32
@@ -150,20 +212,28 @@ const (
 	numExits
 )
 
-// regionStats counts region traffic, bumped only at region exits and events.
+// regionStats counts region traffic, bumped only at region exits and events;
+// uops, lands and idle from prefix sums built with the region (traffic).
 type regionStats struct {
 	built int64
 	words int64
+	uops  int64           // the records of those words in the stream
+	lands int64           // the landings among them
+	idle  int64           // the idle words among words
 	by    [numExits]int64 // exits and events, by cause
 }
 
 // RegionSummary renders the native tier's region counters for this run:
 // regions built, words run in regions and on the per-word path, region exits
-// by cause, and the words on which a region met something dynamic, by cause.
+// by cause, the words on which a region met something dynamic, by cause, and
+// what the words run in regions are made of: stream records per word, the
+// share of landings among them, the share of idle words.
 func (m *Machine) RegionSummary() string {
 	r, n := &m.regions, &m.regions.by
-	return fmt.Sprintf("%d regions built; %d words in regions, %d per word; exits: %d branch, %d limit, %d fault; events: %d tlb, %d bank, %d refill",
-		r.built, r.words, m.Stats.Instrs-r.words, n[exitBranch], n[exitLimit], n[exitFault], n[exitTLB], n[exitBank], n[exitRefill])
+	per := func(a, b int64) float64 { return float64(a) / float64(max(b, 1)) }
+	return fmt.Sprintf("%d regions built; %d words in regions, %d per word; exits: %d branch, %d limit, %d fault; events: %d tlb, %d bank, %d refill; %.1f micro-ops/word, %.0f %% landings, %.0f %% of words empty",
+		r.built, r.words, m.Stats.Instrs-r.words, n[exitBranch], n[exitLimit], n[exitFault], n[exitTLB], n[exitBank], n[exitRefill],
+		per(r.uops, r.words), 100*per(r.lands, r.uops), 100*per(r.idle, r.words))
 }
 
 // statsBulk is the unconditional counter delta of a run of slots — the
@@ -266,9 +336,18 @@ type regionBuilder struct {
 	beat   int32     // its issue beat, relative to region entry
 	direct bool      // the op in hand writes straight to its register (see straight)
 	bulk   statsBulk // the counters of every slot translated so far
+	due    [][]int32 // by region beat: the writes that land there through a slot, in issue order
 }
 
-// word translates word pc as the region's next word.
+// emit appends a record to the stream; issued is how many writes the region
+// has issued when it runs.
+func (b *regionBuilder) emit(u uop, issued int) {
+	b.r.uops = append(b.r.uops, u)
+	b.r.info = append(b.r.info, opInfo{bulk: b.bulk, writes: int32(issued)})
+}
+
+// word translates word pc as the region's next word: per beat the landings
+// due, then the beat's slots in order, with a uBeat between the two beats.
 func (b *regionBuilder) word(pc int) {
 	p, r := b.p, b.r
 	ws := &p.slots[pc]
@@ -281,44 +360,63 @@ func (b *regionBuilder) word(pc int) {
 	rw.memEnd = int32(len(r.mems))
 	for beat := range ws.beats {
 		b.beat = int32(2*len(r.words) + beat)
+		due := b.due[b.beat] // the writes that land at this beat, in issue order
+		if beat == 0 {
+			rw.land0 = uint16(len(due))
+		} else {
+			rw.mark = int32(len(r.uops))
+			b.emit(uop{kind: uBeat, k1: uint64(len(due))}, len(r.writes))
+		}
+		for _, k := range due {
+			wr := &r.writes[k]
+			l := landing{slot: uint16(slotBase + k), word: uint16(wr.issue >> 1), dst: uint16(wr.dst.Index())}
+			r.lands = append(r.lands, l)
+			b.emit(uop{kind: uLand, d: l.dst, a: l.slot, b: l.word}, len(r.writes))
+		}
+		rw.landEnd[beat] = int32(len(r.lands))
 		for i := range ws.beats[beat] {
 			s := &ws.beats[beat][i]
-			issued := int32(len(r.writes))
-			var f nativeOp
 			b.direct = b.straight(ws.beats[beat], i)
-			if s.unitKind == mach.UBR {
-				f = b.compileBranch(s)
-			} else {
-				f = b.compileExec(s)
-			}
 			b.bulk.add(opBulk(s))
-			if f != nil {
-				r.ops = append(r.ops, f)
-				r.info = append(r.info, opInfo{bulk: b.bulk, writes: issued})
+			if s.unitKind == mach.UBR {
+				b.branch(s)
+			} else {
+				b.exec(s)
 			}
 		}
-		rw.opEnd[beat] = int32(len(r.ops))
 	}
+	rw.end = int32(len(r.uops))
 	rw.wrEnd = int32(len(r.writes))
 	rw.bulk = b.bulk
 	r.words = append(r.words, rw)
 }
 
 // deliver issues the write the op in hand makes to dst, landing lat beats on,
-// and returns the index its closure stores the result at: the next scratch
+// and returns the index its record stores the result at: the next scratch
 // slot — or the register itself, for a straight write — and noDest for an op
-// with no destination.
-func (b *regionBuilder) deliver(dst mach.PReg, lat int64) int {
+// with no destination. A write that lands inside the region through a slot is
+// put down for its beat's landings.
+func (b *regionBuilder) deliver(dst mach.PReg, lat int64) uint16 {
 	if !dst.Valid() {
 		return noDest
 	}
-	k := len(b.r.writes)
-	b.r.writes = append(b.r.writes, regionWrite{dst: dst, straight: b.direct, issue: b.beat, land: b.beat + int32(lat)})
+	k, land := len(b.r.writes), b.beat+int32(lat)
+	b.r.writes = append(b.r.writes, regionWrite{dst: dst, straight: b.direct, issue: b.beat, land: land})
 	b.r.maxLat = max(b.r.maxLat, int32(lat))
 	if b.direct {
-		return dst.Index()
+		return uint16(dst.Index())
 	}
-	return slotBase + k
+	if int(land) < len(b.due) {
+		b.due[land] = append(b.due[land], int32(k))
+	}
+	return uint16(slotBase + k)
+}
+
+// aside files s in the region's side table and returns its index as the high
+// half of a record's k2.
+func (b *regionBuilder) aside(s *planOp) uint64 {
+	b.r.side = append(b.r.side, s)
+	return uint64(len(b.r.side)-1) << 32
 }
 
 // transfers reports whether word pc always transfers control and — when all
@@ -353,6 +451,9 @@ func (p *plan) transfers(pc int) (always bool, jump int) {
 // reached by one joins the run whole or not at all, so a region ends where a
 // trace does. A word whose successor in the region is not the next address
 // expects the taken branch there (follow) and carries on when it is taken.
+// The words are translated in one pass, landings and all: a write lands at
+// least a beat after it issues, so every landing of a beat is known when the
+// builder gets there.
 func (p *plan) buildRegion(head int) *region {
 	r := &region{head: head, maxLat: 1}
 	b := regionBuilder{p: p, r: r}
@@ -382,40 +483,35 @@ func (p *plan) buildRegion(head int) *region {
 			break
 		}
 	}
+	// A write landing past the last beat is in flight at every exit and has no
+	// landing; the others are put down by landing beat as they are issued.
+	b.due = make([][]int32, 2*len(run))
 	for _, pc := range run {
 		b.word(pc)
 	}
-	for w := range r.words[:len(r.words)-1] {
-		r.words[w].follow = r.words[w+1].pc != r.words[w].pc+1
-	}
-
-	// The landing schedule: a counting sort of the writes by landing beat.
-	// A write landing past the last beat is in flight at every exit.
-	beats := 2 * len(r.words)
-	ends := make([]int32, beats+1)
-	for _, wr := range r.writes {
-		if int(wr.land) < beats && !wr.straight {
-			ends[wr.land+1]++
-		}
-	}
-	for i := 1; i <= beats; i++ {
-		ends[i] += ends[i-1]
-	}
-	r.lands = make([]landing, ends[beats])
-	next := append([]int32(nil), ends[:beats]...)
-	for k, wr := range r.writes {
-		if int(wr.land) < beats && !wr.straight {
-			r.lands[next[wr.land]] = landing{slot: uint16(slotBase + k), word: uint16(wr.issue >> 1), dst: uint16(wr.dst.Index())}
-			next[wr.land]++
-		}
-	}
-	flight := int32(0)
+	var flight int32
+	var idles uint16
 	for w := range r.words {
-		r.words[w].landEnd = [2]int32{ends[2*w+1], ends[2*w+2]}
+		rw := &r.words[w]
+		var before regionWord // its ends are the starts of the first word's shares
+		if w > 0 {
+			before = r.words[w-1]
+		}
+		rw.follow = w+1 < len(r.words) && r.words[w+1].pc != rw.pc+1
+		if rw.end == before.end+1 && rw.memEnd == before.memEnd && !rw.follow {
+			rw.idle = 1
+			idles++
+		}
+		rw.idles = idles
 		for int(flight) < len(r.writes) && int(r.writes[flight].land) < 2*w {
 			flight++
 		}
-		r.words[w].flight = flight
+		rw.flight = flight
+	}
+	for w := len(r.words) - 2; w >= 0; w-- {
+		if rw := &r.words[w]; rw.idle != 0 {
+			rw.idle += min(r.words[w+1].idle, 254)
+		}
 	}
 	return r
 }
@@ -521,6 +617,16 @@ type regionRun struct {
 // runRegion runs region r from its word w for as many words as start before
 // beat until, and leaves at the first branch off its path or fault. Entered
 // past its head, it is a region whose earlier words' writes are the ring's.
+//
+// A word is its records of the stream: each beat begins by copying down the
+// run of landings due, and the operations — with the uBeat between the two
+// beats — are dispatched by the one switch below. The ring and landAhead have
+// something for a beat only for the image's longest latency after the entry or
+// an event (busy, tightened to what the ring really holds the first time an
+// idle word asks); once past it, a run of idle words — nothing to prescan,
+// land or issue, each followed by the next address — only moves the clock.
+// Inside it an idle word is a word like any other, whose one record is its
+// uBeat.
 func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager bool) error {
 	n := min(w+wordsBefore(until, c.beat), len(r.words))
 	resident := c.residentWords(r)
@@ -529,13 +635,30 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 	g := &c.plan.geom
 	m.brTaken, m.brHalt = false, false
 
+	uops, vals := r.uops, &c.vals // locals: a store into the value file could, for all the compiler knows, change r.uops
+	floor := uint16(run.floor)
+	// What is in the ring retires within the image's longest latency, what an
+	// event leaves within the region's: past beat busy no beat looks at either.
+	busy := c.beat + c.plan.maxLat
 	cause := exitLimit
-	var mi, li, oi int
+	var mi, ui int
 	if w > 0 {
-		mi, li, oi = int(r.words[w-1].memEnd), int(r.words[w-1].landEnd[1]), int(r.words[w-1].opEnd[1])
+		mi, ui = int(r.words[w-1].memEnd), int(r.words[w-1].end)
 	}
 	for ; w < n; w++ {
 		rw := &r.words[w]
+		if k := int(rw.idle); k != 0 && w < resident {
+			if c.beat <= busy && run.ahead >= run.stop {
+				busy = c.lastDue() // the bound was the longest latency; the ring knows better
+			}
+			if c.beat > busy {
+				k = min(k, n-w, resident-w)
+				c.beat += int64(2 * k)
+				ui += k // their uBeats
+				w += k - 1
+				continue
+			}
+		}
 		// What step's front half would find: nothing, on all but a few words
 		// in a hundred. The prescan's questions are asked of the registers as
 		// they stand at the top of the word, exactly as step asks them.
@@ -558,35 +681,82 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 		}
 		c.pc = int(rw.pc)
 		if event != exitLimit {
-			m.regionEvent(c, w, li, event)
-			mi = int(rw.memEnd)
+			m.regionEvent(c, w, event)
+			mi, floor, busy = int(rw.memEnd), uint16(run.floor), max(busy, c.beat+int64(r.maxLat))
 			resident = max(c.residentWords(r), w+1)
 			if n = min(w+1+wordsBefore(until, c.beat+2), len(r.words)); eager {
 				n = w + 1
 			}
 		}
-		floor := uint16(run.floor)
-		for beat := 0; beat < 2; beat++ {
+		if c.beat <= busy {
 			if c.rcount[c.beat&c.rmask] != 0 {
 				c.landBucket()
 			}
 			if run.ahead < run.stop {
-				c.landAhead(int64(2*w + beat))
+				c.landAhead(int64(2 * w))
 			}
-			for end := int(rw.landEnd[beat]); li < end; li++ {
-				if l := r.lands[li]; l.word >= floor {
-					c.vals[l.dst&valMask] = c.vals[l.slot&valMask]
+		}
+		ui += land(vals, uops[ui:ui+int(rw.land0)], floor)
+		for end := int(rw.end); ui < end; ui++ {
+			u := &uops[ui]
+			switch u.kind {
+			case uFAdd:
+				vals[u.d&valMask] = math.Float64bits(math.Float64frombits(vals[u.a&valMask]+u.k1) + math.Float64frombits(vals[u.b&valMask]+u.k2))
+			case uFSub:
+				vals[u.d&valMask] = math.Float64bits(math.Float64frombits(vals[u.a&valMask]+u.k1) - math.Float64frombits(vals[u.b&valMask]+u.k2))
+			case uFMul:
+				vals[u.d&valMask] = math.Float64bits(math.Float64frombits(vals[u.a&valMask]+u.k1) * math.Float64frombits(vals[u.b&valMask]+u.k2))
+			case uAdd:
+				vals[u.d&valMask] = mach.IBits(int32(vals[u.a&valMask]+u.k1) + int32(vals[u.b&valMask]+u.k2))
+			case uSub:
+				vals[u.d&valMask] = mach.IBits(int32(vals[u.a&valMask]+u.k1) - int32(vals[u.b&valMask]+u.k2))
+			case uCmpLT:
+				vals[u.d&valMask] = mach.BoolBits(int32(vals[u.a&valMask]+u.k1) < int32(vals[u.b&valMask]+u.k2))
+			case uCmpGE:
+				vals[u.d&valMask] = mach.BoolBits(int32(vals[u.a&valMask]+u.k1) >= int32(vals[u.b&valMask]+u.k2))
+			case uCmpEQ:
+				vals[u.d&valMask] = mach.BoolBits(int32(vals[u.a&valMask]+u.k1) == int32(vals[u.b&valMask]+u.k2))
+			case uCmpNE:
+				vals[u.d&valMask] = mach.BoolBits(int32(vals[u.a&valMask]+u.k1) != int32(vals[u.b&valMask]+u.k2))
+			case uShl:
+				vals[u.d&valMask] = mach.IBits(int32(vals[u.a&valMask]+u.k1) << mach.ShiftCount(int32(vals[u.b&valMask]+u.k2)))
+			case uMov:
+				vals[u.d&valMask] = vals[u.a&valMask] + u.k1
+			case uConst:
+				vals[u.d&valMask] = u.k1
+			case uLoad4:
+				vals[u.d&valMask] = c.load(u.ea(c), 4)
+			case uLoad8:
+				vals[u.d&valMask] = c.load(u.ea(c), 8)
+			case uStore4:
+				m.store(c, u.ea(c), 4, vals[u.d&valMask]+u.k2)
+			case uStore8:
+				m.store(c, u.ea(c), 8, vals[u.d&valMask]+u.k2)
+			case uBrT:
+				if vals[u.a&valMask]+uint64(uint32(u.k1)) != 0 {
+					m.takeBranch(u.prio(), int(u.k2))
 				}
-			}
-			for end := int(rw.opEnd[beat]); oi < end; oi++ {
-				if err := r.ops[oi](m, c); err != nil {
-					in := &r.info[oi]
-					m.leaveRegion(c, w+1, int32(2*w+beat), in.writes, in.bulk, exitFault)
+			case uJmp:
+				m.takeBranch(u.prio(), int(u.k2))
+			case uBeat:
+				if c.beat++; c.beat <= busy {
+					if c.rcount[c.beat&c.rmask] != 0 {
+						c.landBucket()
+					}
+					if run.ahead < run.stop {
+						c.landAhead(int64(2*w + 1))
+					}
+				}
+				ui += land(vals, uops[ui+1:ui+1+int(u.k1)], floor)
+			default:
+				if err := m.slowOp(c, r, u); err != nil {
+					in := &r.info[ui]
+					m.leaveRegion(c, w+1, int32(c.beat-run.base), in.writes, in.bulk, exitFault)
 					return err
 				}
 			}
-			c.beat++
 		}
+		c.beat++
 		if rw.follow && m.brTaken && m.brNext == int(r.words[w+1].pc) && !m.brHalt {
 			m.brTaken = false // the branch the region's path takes
 			run.taken++
@@ -621,13 +791,110 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 	return nil
 }
 
+// land copies down the results a run of uLands names, of the words from floor
+// on — the rest were never in their slots — and returns how many it was given.
+func land(vals *[valSize]uint64, lands []uop, floor uint16) int {
+	for i := range lands {
+		if l := &lands[i]; l.b >= floor {
+			vals[l.d&valMask] = vals[l.a&valMask]
+		}
+	}
+	return len(lands)
+}
+
+// ea is a reference record's address as the registers stand (address.at).
+func (u *uop) ea(c *Context) int64 {
+	return int64(int32(c.vals[u.a&valMask])) + int64(int32(c.vals[u.b&valMask])) + int64(u.k1)
+}
+
+// prio is a branch record's multiway priority.
+func (u *uop) prio() int { return int(int32(u.k1 >> 32)) }
+
+// slowOp runs the record kinds runRegion's switch has no case for: everything
+// that needs the side table, can fault, or is too rare to be worth a case. It
+// returns the trap a guarded site raises, attributed to its unit as the
+// interpreter's curUnit would, so the Fault renders as on the other tiers.
+func (m *Machine) slowOp(c *Context, r *region, u *uop) error {
+	vals := &c.vals
+	x, y := vals[u.a&valMask]+u.k1, vals[u.b&valMask]+uint64(uint32(u.k2)) // the operands, for the kinds that have two
+	switch u.kind {
+	case uValue:
+		vals[u.d&valMask] = r.side[u.k2>>32].fn(x, y)
+	case uDiv:
+		s := r.side[u.k2>>32]
+		if mach.DivTraps(y) {
+			return m.nFault(c, s.unitName, TrapDivZero, "%s", divZeroMsg(s.kind))
+		}
+		vals[u.d&valMask] = s.fn(x, y)
+	case uConstI:
+		vals[u.d&valMask] = uint64(uint32(x))
+	case uSelect:
+		if c.readArg(r.side[u.k2>>32].op.A) != 0 {
+			vals[u.d&valMask] = x
+		} else {
+			vals[u.d&valMask] = y
+		}
+	case uLoad:
+		// The interpreter's case with the address resolved (execLoad).
+		s := r.side[u.k2>>32]
+		ea, size := u.ea(c), s.op.Type.Size()
+		switch {
+		case !c.badRef(ea, size):
+			vals[u.d&valMask] = c.load(ea, size)
+		case s.op.Kind == ir.LoadSpec:
+			m.Stats.SpecFaults++
+			vals[u.d&valMask] = mach.SpecPoison(s.op.Type)
+		default:
+			m.curUnit = s.unitName
+			return m.refFault(c, "load", ea, size)
+		}
+	case uStore:
+		s := r.side[u.k2>>32]
+		ea, size := u.ea(c), s.op.Type.Size()
+		if c.badRef(ea, size) {
+			m.curUnit = s.unitName
+			return m.refFault(c, "store", ea, size)
+		}
+		m.store(c, ea, size, vals[u.d&valMask]+uint64(uint32(u.k2)))
+	case uCanon:
+		vals[u.d&valMask] = canonical(mach.Bank(u.a), vals[u.d&valMask])
+	case uCall:
+		vals[u.d&valMask] = uint64(uint32(u.k1))
+		if t := int(u.k2); t >= 0 {
+			m.takeBranch(u.prio(), t)
+		}
+	case uJmpR:
+		if t := int(int32(uint32(vals[u.a&valMask]) + uint32(u.k1))); t >= 0 {
+			m.takeBranch(u.prio(), t)
+		}
+	case uHalt:
+		m.brHalt = true
+		m.brExit = int32(c.readReg(mach.RegRVI))
+	case uSyscall:
+		switch s := r.side[u.k2>>32]; s.op.Sym {
+		case "print_i":
+			c.printI()
+		case "print_f":
+			c.printF()
+		default:
+			return m.nFault(c, s.unitName, TrapSyscall, "unknown syscall %q", s.op.Sym)
+		}
+	default: // uBadOp
+		s := r.side[u.k2>>32]
+		if s.unitKind == mach.UBR {
+			return m.nFault(c, s.unitName, TrapBadOp, "%s on branch unit", mach.OpName(s.op.Kind))
+		}
+		return m.nFault(c, s.unitName, TrapBadOp, "cannot execute %s", mach.OpName(s.op.Kind))
+	}
+	return nil
+}
+
 // regionEvent is what a region does about a word on which something dynamic
 // happens — an iTLB or icache miss, a dTLB miss, a busy bank. step fetches the
 // word and charges what it costs, short of issuing it, and the region resumes
-// at the same word with the clock rebased; li is the landing cursor at the
-// word's first beat. What was in flight keeps its retire beats, which are now
-// that many beats ahead of the region's schedule, and stays in its slots:
-// landAhead lands it from there, beginning, with the word's first beat, with
+// at the same word with the clock rebased. What was in flight keeps its
+// retire beats, which are now that many beats ahead of the region's schedule,
+// and stays in its slots: landAhead lands it from there, beginning, with the word's first beat, with
 // everything the unplanned beats made due. (What an earlier event left to
 // landAhead and is still in flight goes to the ring first: there is one such
 // run of writes.)
@@ -636,7 +903,7 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 // by retire beat. The two differ only for two writes to one register in
 // flight together with the earlier-issued retiring later, which the
 // certificate excludes (schedcheck's waw-overlap error).
-func (m *Machine) regionEvent(c *Context, w, li int, event int) {
+func (m *Machine) regionEvent(c *Context, w, event int) {
 	run := &c.run
 	c.spillAhead(int32(2*w - 1))
 	run.floor0, run.floor = run.floor, int32(w)
@@ -651,7 +918,11 @@ func (m *Machine) regionEvent(c *Context, w, li int, event int) {
 	}
 	run.shift = c.beat - before
 	run.base = c.beat - int64(2*w)
-	run.ahead, run.stop = int32(li), run.r.landEndAt(int64(2*w)+int64(run.r.maxLat))
+	// landAhead starts at the word's first landing.
+	run.ahead, run.stop = 0, run.r.landEndAt(int64(2*w)+int64(run.r.maxLat))
+	if w > 0 {
+		run.ahead = run.r.words[w-1].landEnd[1]
+	}
 }
 
 // landAhead lands the writes issued before the last event that retire at
@@ -680,6 +951,17 @@ func (r *region) firstWrite(w int32) int32 {
 		return 0
 	}
 	return r.words[w-1].wrEnd
+}
+
+// lastDue is the last beat at which a write in the ring retires, the beat
+// before the current one when the ring is empty.
+func (c *Context) lastDue() int64 {
+	for off := c.rmask; off >= 0; off-- {
+		if c.rcount[(c.beat+off)&c.rmask] != 0 {
+			return c.beat + off
+		}
+	}
+	return c.beat - 1
 }
 
 // landBucket retires the ring bucket due at the current beat: what was in
@@ -744,9 +1026,25 @@ func (m *Machine) leaveRegion(c *Context, words int, landed, issued int32, bulk 
 	m.Stats.Instrs += int64(words) - run.front
 	m.Stats.ICacheHits += int64(words) - run.front
 	m.Stats.Taken += run.taken
+	uops, lands, idle := run.r.traffic(int(run.start) + words)
+	uops0, lands0, idle0 := run.r.traffic(int(run.start))
 	m.regions.words += int64(words)
+	m.regions.uops += uops - uops0
+	m.regions.lands += lands - lands0
+	m.regions.idle += idle - idle0
 	m.regions.by[cause]++
 	run.r = nil
+}
+
+// traffic is what the region's first n words hold of the stream — records,
+// and the landings among them — and how many of the words are idle (whose one
+// record, a uBeat, counts though the clock may pass it without a dispatch).
+func (r *region) traffic(n int) (uops, lands, idle int64) {
+	if n == 0 {
+		return 0, 0, 0
+	}
+	rw := &r.words[n-1]
+	return int64(rw.end), int64(rw.landEnd[1]), int64(rw.idles)
 }
 
 // abandonRegion is leaveRegion for a panic that escaped a guard-free site of
@@ -759,12 +1057,12 @@ func (m *Machine) abandonRegion(c *Context) {
 	}
 	landed := int32(c.beat - c.run.base)
 	w := int(landed >> 1)
-	first := int32(0) // the first closure of the beat in hand
+	first := int32(0) // the first record of the beat in hand
 	switch {
 	case landed&1 == 1:
-		first = r.words[w].opEnd[0]
+		first = r.words[w].mark
 	case w > 0:
-		first = r.words[w-1].opEnd[1]
+		first = r.words[w-1].end
 	}
 	var bulk statsBulk
 	var issued int32
@@ -783,7 +1081,8 @@ func (m *Machine) abandonRegion(c *Context) {
 // index, whichever bank it names — to be read as Context.readArg reads it: the
 // value at an index of the value file plus a constant. A register is its index
 // plus 0; an immediate — or no operand, which reads as 0 — is the zero cell
-// plus its value. Reading one never asks which it is.
+// plus its value. Reading one (vals[idx]+k, in a record's case of runRegion's
+// switch) never asks which it is.
 type operand struct {
 	idx uint16
 	k   uint64
@@ -799,223 +1098,50 @@ func operandOf(a mach.Arg) operand {
 	return operand{idx: zeroCell}
 }
 
-func (o operand) read(c *Context) uint64 { return c.vals[o.idx&valMask] + o.k }
-
-// nFault raises a guarded-site fault from a translated closure, with the
-// unit attribution the interpreter would have set via curUnit, so the Fault
-// renders byte-identically to the other tiers. runRegion settles the counters.
+// nFault raises a guarded-site fault from slowOp, with the unit attribution
+// the interpreter would have set via curUnit.
 func (m *Machine) nFault(c *Context, unit string, code TrapCode, format string, args ...any) error {
 	m.curUnit = unit
 	return m.fault(c, code, format, args...)
 }
 
-// nFastShape emits fully fused closures — operand reads, the operation and
-// the store into d all inline, no operator callback — for the op kinds that
-// dominate compacted inner loops: integer add, subtract, compare and shift,
-// float add, subtract and multiply. Returns nil when nPure should be used.
-func nFastShape(o *mach.Op, d int) nativeOp {
-	a, b := operandOf(o.A), operandOf(o.B)
+// fastShapes are the value-table opcodes with a case of their own in
+// runRegion's switch, the ones that dominate compacted inner loops; the rest
+// of the table runs as uValue, the zero kind. (An array of constants: a map
+// literal is an init function at the head of the package's text, and moved
+// every loop of the interpreter by half a cache line — −5 % on systems-hot.)
+var fastShapes = [...]uint8{
+	ir.FAdd: uFAdd, ir.FSub: uFSub, ir.FMul: uFMul, ir.Add: uAdd, ir.Sub: uSub,
+	ir.CmpLT: uCmpLT, ir.CmpGE: uCmpGE, ir.CmpEQ: uCmpEQ, ir.CmpNE: uCmpNE, ir.Shl: uShl,
+}
+
+// branch translates one branch-unit slot (mirrors execBranch): the condition
+// or the indirect target is operand a, the priority rides in k1's high half,
+// the target in k2.
+func (b *regionBuilder) branch(s *planOp) {
+	o, issued := s.op, len(b.r.writes)
+	x, prio := operandOf(o.A), uint64(uint32(o.Prio))<<32
+	u := uop{a: x.idx, k1: x.k | prio, k2: uint64(o.Target)}
 	switch o.Kind {
-	case ir.FAdd:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = math.Float64bits(math.Float64frombits(a.read(c)) + math.Float64frombits(b.read(c)))
-			return nil
+	case mach.OpBrT, mach.OpJmp:
+		if o.Target < 0 {
+			return
 		}
-	case ir.FSub:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = math.Float64bits(math.Float64frombits(a.read(c)) - math.Float64frombits(b.read(c)))
-			return nil
-		}
-	case ir.FMul:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = math.Float64bits(math.Float64frombits(a.read(c)) * math.Float64frombits(b.read(c)))
-			return nil
-		}
-	case ir.Add:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = mach.IBits(int32(a.read(c)) + int32(b.read(c)))
-			return nil
-		}
-	case ir.Sub:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = mach.IBits(int32(a.read(c)) - int32(b.read(c)))
-			return nil
-		}
-	case ir.CmpLT:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = mach.BoolBits(int32(a.read(c)) < int32(b.read(c)))
-			return nil
-		}
-	case ir.CmpGE:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = mach.BoolBits(int32(a.read(c)) >= int32(b.read(c)))
-			return nil
-		}
-	case ir.CmpEQ:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = mach.BoolBits(int32(a.read(c)) == int32(b.read(c)))
-			return nil
-		}
-	case ir.CmpNE:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = mach.BoolBits(int32(a.read(c)) != int32(b.read(c)))
-			return nil
-		}
-	case ir.Shl:
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = mach.IBits(int32(a.read(c)) << mach.ShiftCount(int32(b.read(c))))
-			return nil
-		}
-	}
-	return nil
-}
-
-// nPure builds the closure for an opcode of the shared value table: operand
-// bits in, f, result bits into d. (An op with no destination is still
-// evaluated: a proven Div/Rem's divide panic is the backstop.)
-func nPure(o *mach.Op, d int, f func(a, b uint64) uint64) nativeOp {
-	a, b := operandOf(o.A), operandOf(o.B)
-	return func(m *Machine, c *Context) error {
-		c.vals[d&valMask] = f(a.read(c), b.read(c))
-		return nil
-	}
-}
-
-// nConst builds a store-constant closure. ConstI/ConstF are frequent enough in
-// compacted traces that reading the constant as an operand shows up in
-// profiles; it is baked into the closure instead.
-func nConst(d int, v uint64) nativeOp {
-	return func(m *Machine, c *Context) error {
-		c.vals[d&valMask] = v
-		return nil
-	}
-}
-
-// compileBranch translates one branch-unit slot (mirrors execBranch).
-func (b *regionBuilder) compileBranch(s *planOp) nativeOp {
-	o, unitName := s.op, s.unitName
-	switch o.Kind {
-	case mach.OpBrT:
-		cond := operandOf(o.A)
-		t, prio := o.Target, o.Prio
-		if t < 0 {
-			return nil
-		}
-		return func(m *Machine, c *Context) error {
-			if cond.read(c) != 0 {
-				m.takeBranch(prio, t)
-			}
-			return nil
-		}
-	case mach.OpJmp:
-		t, prio := o.Target, o.Prio
-		if t < 0 {
-			return nil
-		}
-		return func(m *Machine, c *Context) error {
-			m.takeBranch(prio, t)
-			return nil
+		if u.kind = uBrT; o.Kind == mach.OpJmp {
+			u.kind = uJmp
 		}
 	case mach.OpCall:
-		t, prio := o.Target, o.Prio
-		d := b.deliver(mach.RegLR, 1)
-		link := uint64(uint32(b.pc + 1))
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = link
-			if t >= 0 {
-				m.takeBranch(prio, t)
-			}
-			return nil
-		}
+		u.kind, u.d, u.k1 = uCall, b.deliver(mach.RegLR, 1), uint64(uint32(b.pc+1))|prio // the link address
 	case mach.OpJmpR:
-		to := operandOf(o.A)
-		prio := o.Prio
-		return func(m *Machine, c *Context) error {
-			if t := int(int32(to.read(c))); t >= 0 {
-				m.takeBranch(prio, t)
-			}
-			return nil
-		}
+		u.kind = uJmpR
 	case mach.OpHalt:
-		rv := mach.RegRVI.Index()
-		return func(m *Machine, c *Context) error {
-			m.brHalt = true
-			m.brExit = int32(c.vals[rv&valMask])
-			return nil
-		}
+		u.kind = uHalt
 	case mach.OpSyscall:
-		switch o.Sym {
-		case "print_i":
-			return func(m *Machine, c *Context) error {
-				c.printI()
-				return nil
-			}
-		case "print_f":
-			return func(m *Machine, c *Context) error {
-				c.printF()
-				return nil
-			}
-		default:
-			sym := o.Sym
-			return func(m *Machine, c *Context) error {
-				return m.nFault(c, unitName, TrapSyscall, "unknown syscall %q", sym)
-			}
-		}
+		u.kind, u.k2 = uSyscall, b.aside(s)
+	default:
+		u.kind, u.k2 = uBadOp, b.aside(s)
 	}
-	name := mach.OpName(o.Kind)
-	return func(m *Machine, c *Context) error {
-		return m.nFault(c, unitName, TrapBadOp, "%s on branch unit", name)
-	}
-}
-
-// compileLoad translates a load into d: the interpreter's case with the
-// operands resolved. A proven site (guarded false) carries no verdict on its
-// address: a post-certification mutation that drives it wild hits the Go
-// runtime's slice bounds check, and the run loops convert the panic to the
-// matching Fault (safeTierFault), same as the safe tier.
-func compileLoad(o *mach.Op, d int, guarded bool, unitName string) nativeOp {
-	ea, size := addressOf(o), o.Type.Size()
-	if !guarded {
-		return func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = c.load(ea.at(c), size)
-			return nil
-		}
-	}
-	spec, funny := o.Kind == ir.LoadSpec, mach.SpecPoison(o.Type)
-	return func(m *Machine, c *Context) error {
-		a := ea.at(c)
-		switch {
-		case !c.badRef(a, size):
-			c.vals[d&valMask] = c.load(a, size)
-		case spec:
-			m.Stats.SpecFaults++
-			c.vals[d&valMask] = funny
-		default:
-			m.curUnit = unitName
-			return m.refFault(c, "load", a, size)
-		}
-		return nil
-	}
-}
-
-// compileStore translates a store the same way.
-func compileStore(o *mach.Op, guarded bool, unitName string) nativeOp {
-	ea, data, size := addressOf(o), operandOf(o.C), o.Type.Size()
-	if !guarded {
-		return func(m *Machine, c *Context) error {
-			m.store(c, ea.at(c), size, data.read(c))
-			return nil
-		}
-	}
-	return func(m *Machine, c *Context) error {
-		a := ea.at(c)
-		if c.badRef(a, size) {
-			m.curUnit = unitName
-			return m.refFault(c, "store", a, size)
-		}
-		m.store(c, a, size, data.read(c))
-		return nil
-	}
+	b.emit(u, issued)
 }
 
 // reads reports whether slot s may read register r when it issues.
@@ -1034,7 +1160,7 @@ func (s *planOp) reads(r mach.PReg) bool {
 	return false
 }
 
-// mayFault reports whether slot s's closure can return a fault.
+// mayFault reports whether slot s's record can return a fault.
 func (s *planOp) mayFault() bool {
 	if s.unitKind == mach.UBR {
 		switch s.op.Kind {
@@ -1052,7 +1178,7 @@ func (s *planOp) mayFault() bool {
 }
 
 // straight reports whether the write slot i of a beat's issue list makes can
-// go straight to its register — the same closure, with the register's index
+// go straight to its register — the same record, with the register's index
 // for a destination instead of a scratch slot's. That is safe for a write
 // that lands one beat after a word's first beat — inside the word, so no exit,
 // event or prescan falls between issue and landing — when nothing later in the
@@ -1115,90 +1241,81 @@ func (s *planOp) bits() int {
 	return 64
 }
 
-// compileExec translates one non-branch slot (mirrors execOp case for case;
-// the dispatch key is the plan kind, so proven sites translate to their
-// guard-free variants). What a closure stores must be canonical for the
-// destination's bank, because a landing is a plain copy and a straight write
-// is final. It is by construction wherever the result is no wider than the
-// bank (bits); an image that moves a float into an integer register, or an
-// integer into the branch bank, gets the store canonicalised behind it (such a
-// write, caught in flight by a region exit, is in the ring as the register will
-// hold it, where the interpreter's is as the operation produced it).
-func (b *regionBuilder) compileExec(s *planOp) nativeOp {
-	o, dst, lat := s.op, s.op.Dst, s.lat
-	d := noDest // where the result goes, once a case has issued the write
-	var f nativeOp
+// exec translates one non-branch slot (mirrors execOp case for case; the
+// dispatch key is the plan kind, so proven sites translate to their guard-free
+// kinds). What a record stores must be canonical for the destination's bank,
+// because a landing is a plain copy and a straight write is final. It is by
+// construction wherever the result is no wider than the bank (bits); an image
+// that moves a float into an integer register, or an integer into the branch
+// bank, gets a uCanon behind the producer (such a write, caught in flight by a
+// region exit, is in the ring as the register will hold it, where the
+// interpreter's is as the operation produced it).
+func (b *regionBuilder) exec(s *planOp) {
+	o, issued := s.op, len(b.r.writes)
+	x, y := operandOf(o.A), operandOf(o.B)
+	u := uop{a: x.idx, b: y.idx, k1: x.k, k2: y.k} // the two-operand form
 	switch s.kind {
 	case ir.Nop:
-		return nil
+		return
 	case opPure, opPureFlop:
-		d = b.deliver(dst, lat)
-		if f = nFastShape(o, d); f == nil {
-			f = nPure(o, d, mach.ValueOf(o.Kind).Fn)
+		// Also a proven Div/Rem: the divide panic is the backstop, and an op
+		// with no destination is still evaluated.
+		if int(o.Kind) < len(fastShapes) {
+			u.kind = fastShapes[o.Kind]
+		}
+		if u.kind == uValue {
+			u.k2 |= b.aside(s)
 		}
 	case ir.Div, ir.Rem:
-		d = b.deliver(dst, lat)
-		a, b := operandOf(o.A), operandOf(o.B)
-		fn, msg, unitName := mach.ValueOf(s.kind).Fn, divZeroMsg(s.kind), s.unitName
-		f = func(m *Machine, c *Context) error {
-			dv := b.read(c)
-			if mach.DivTraps(dv) {
-				return m.nFault(c, unitName, TrapDivZero, "%s", msg)
-			}
-			c.vals[d&valMask] = fn(a.read(c), dv)
-			return nil
-		}
+		u.kind, u.k2 = uDiv, u.k2|b.aside(s)
 	case ir.ConstI:
-		d = b.deliver(dst, lat)
-		if a := operandOf(o.A); o.A.IsImm {
-			f = nConst(d, a.k)
-		} else {
-			f = func(m *Machine, c *Context) error {
-				c.vals[d&valMask] = uint64(uint32(a.read(c)))
-				return nil
-			}
+		if u.kind = uConstI; o.A.IsImm {
+			u = uop{kind: uConst, k1: x.k}
 		}
 	case ir.ConstF:
-		d = b.deliver(dst, lat)
-		f = nConst(d, mach.FBits(o.FImm))
+		u = uop{kind: uConst, k1: mach.FBits(o.FImm)}
 	case ir.Mov, mach.OpMovSF:
-		d = b.deliver(dst, lat)
-		a := operandOf(o.A)
-		f = func(m *Machine, c *Context) error {
-			c.vals[d&valMask] = a.read(c)
-			return nil
-		}
+		u.kind = uMov
 	case ir.Select:
-		d = b.deliver(dst, lat)
-		cond, then, els := operandOf(o.A), operandOf(o.B), operandOf(o.C)
-		f = func(m *Machine, c *Context) error {
-			if cond.read(c) != 0 {
-				c.vals[d&valMask] = then.read(c)
-			} else {
-				c.vals[d&valMask] = els.read(c)
-			}
-			return nil
-		}
+		z := operandOf(o.C)
+		u = uop{kind: uSelect, a: y.idx, b: z.idx, k1: y.k, k2: z.k | b.aside(s)}
 	case ir.Load, ir.LoadSpec, opSafeLoadI32, opSafeLoadF64:
-		d = b.deliver(dst, lat)
-		f = compileLoad(o, d, s.kind == o.Kind, s.unitName) // guarded unless the plan rewrote the kind
+		// A proven site (the plan rewrote its kind) carries no verdict on its
+		// address: a post-certification mutation that drives it wild hits the
+		// Go runtime's slice bounds check, and the run loops convert the panic
+		// to the matching Fault (safeTierFault), same as the safe tier.
+		ea := addressOf(o)
+		u = uop{kind: uLoad, a: ea.a, b: ea.b, k1: uint64(ea.off)}
+		switch s.kind {
+		case opSafeLoadI32:
+			u.kind = uLoad4
+		case opSafeLoadF64:
+			u.kind = uLoad8
+		default:
+			u.k2 = b.aside(s)
+		}
 	case ir.Store, opSafeStoreI32, opSafeStoreF64:
-		return compileStore(o, s.kind == o.Kind, s.unitName)
+		ea, z := addressOf(o), operandOf(o.C)
+		u = uop{kind: uStore, d: z.idx, a: ea.a, b: ea.b, k1: uint64(ea.off), k2: z.k}
+		switch s.kind {
+		case opSafeStoreI32:
+			u.kind = uStore4
+		case opSafeStoreF64:
+			u.kind = uStore8
+		default:
+			u.k2 |= b.aside(s)
+		}
+		b.emit(u, issued)
+		return
 	default:
-		name, unitName := mach.OpName(o.Kind), s.unitName
-		return func(m *Machine, c *Context) error {
-			return m.nFault(c, unitName, TrapBadOp, "cannot execute %s", name)
-		}
+		b.emit(uop{kind: uBadOp, k2: b.aside(s)}, issued)
+		return
 	}
-	if bank, wide := dst.Bank, s.bits(); bank == mach.BankI && wide > 32 || bank == mach.BankB && wide > 1 {
-		produce := f
-		f = func(m *Machine, c *Context) error {
-			err := produce(m, c)
-			c.vals[d&valMask] = canonical(bank, c.vals[d&valMask])
-			return err
-		}
+	u.d = b.deliver(o.Dst, s.lat)
+	b.emit(u, issued)
+	if bank, wide := o.Dst.Bank, s.bits(); bank == mach.BankI && wide > 32 || bank == mach.BankB && wide > 1 {
+		b.emit(uop{kind: uCanon, d: u.d, a: uint16(bank)}, len(b.r.writes))
 	}
-	return f
 }
 
 // UseNativeCertificate arms the native tier — the fourth execution tier —

@@ -1,9 +1,14 @@
 package vliw
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/ir"
+	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/safecheck"
 )
@@ -123,7 +128,7 @@ func TestHooksKeepNativePerWord(t *testing.T) {
 }
 
 // TestWatchStoreInsideRegions: WatchStore does not need the per-word path;
-// the store closures of a region honour it.
+// the store micro-ops of a region honour it.
 func TestWatchStoreInsideRegions(t *testing.T) {
 	m, ref := warmNative(t)
 	var stores int64
@@ -144,15 +149,403 @@ func TestWatchStoreInsideRegions(t *testing.T) {
 	}
 }
 
-// TestRegionSummary: the counters tracesim prints add up.
+// TestRegionSummary: the counters tracesim prints add up, after a run and
+// after a RunMany (tracesim -contexts prints the same line from the same
+// machine).
 func TestRegionSummary(t *testing.T) {
 	m, ref := warmNative(t)
+	check := func(what string, instrs int64) {
+		t.Helper()
+		r, sum := &m.regions, m.RegionSummary()
+		// A Reset empties the icache, so warm regions meet refills.
+		if r.by[exitBranch]+r.by[exitLimit] == 0 || r.by[exitRefill] == 0 || r.words > instrs || r.words < instrs/2 {
+			t.Errorf("%s: %s", what, sum)
+		}
+		// Every word run in a region that is not idle dispatches at least its
+		// beat marker; a landing is a record; the loops of regionSrc wait on
+		// their loads, so some words are empty and some records are landings.
+		if r.uops < r.words-r.idle || r.lands == 0 || r.lands >= r.uops || r.idle == 0 || r.idle >= r.words {
+			t.Errorf("%s: %d micro-ops, %d landings, %d idle words of %d: %s", what, r.uops, r.lands, r.idle, r.words, sum)
+		}
+		if !strings.Contains(sum, "micro-ops/word") || !strings.Contains(sum, "% landings") || !strings.Contains(sum, "% of words empty") {
+			t.Errorf("%s: %s", what, sum)
+		}
+	}
 	if _, _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	r := &m.regions
-	// A Reset empties the icache, so warm regions meet refills.
-	if r.by[exitBranch]+r.by[exitLimit] == 0 || r.by[exitRefill] == 0 || r.words > ref.Instrs {
-		t.Errorf("%s", m.RegionSummary())
+	check("Run", ref.Instrs)
+	solo := m.regions
+
+	if err := m.ResetMany([]*isa.Image{m.Img, m.Img}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.UseNativeCertificate(m.safeCert); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := m.RunMany(context.Background())
+	if err != nil || rs[0].Err != nil || rs[1].Err != nil {
+		t.Fatal(err, rs)
+	}
+	check("RunMany", 2*ref.Instrs)
+	if m.Stats.Instrs != 2*ref.Instrs || m.regions.idle != 2*solo.idle {
+		t.Errorf("two contexts ran %d words, %d of them idle in regions; one runs %d and %d", m.Stats.Instrs, m.regions.idle, ref.Instrs, solo.idle)
+	}
+}
+
+// The cases below pin what the golden matrix visits only by luck: hand-built
+// schedules (the helpers and the register file of microop_test.go) whose
+// words are empty, or land exactly so many results in one beat, run on the
+// checked interpreter and on a native machine whose regions are warm.
+
+// handImage links an empty program and replaces its code with the words given
+// and a halt behind them.
+func handImage(t *testing.T, words ...[]mach.SlotOp) *isa.Image {
+	t.Helper()
+	img := uopImage(t, nil, 0)
+	img.Instrs = nil
+	for _, w := range words {
+		img.Instrs = append(img.Instrs, mach.Instr{Slots: w})
+	}
+	img.Instrs = append(img.Instrs, mach.Instr{Slots: []mach.SlotOp{{Unit: uBR, Op: mach.Op{Kind: mach.OpHalt}}}})
+	return img
+}
+
+// handPair is a checked and a native machine on one hand-built image.
+type handPair struct {
+	img             *isa.Image
+	checked, native *Machine
+}
+
+// prepare resets m onto the image, arms the native machine (every guard kept)
+// and loads the registers and memory the hand-built words expect.
+func (p *handPair) prepare(t *testing.T, m *Machine) *Context {
+	t.Helper()
+	m.Reset(p.img)
+	if m == p.native {
+		if err := m.UseNativeCertificate(noProof{p.img}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := m.Contexts()[0]
+	for r, v := range uopRegs {
+		c.writeReg(r, v)
+	}
+	uopMem(c.mem)
+	return c
+}
+
+func newHandPair(t *testing.T, words ...[]mach.SlotOp) *handPair {
+	t.Helper()
+	p := &handPair{img: handImage(t, words...)}
+	p.checked, p.native = New(p.img), New(p.img)
+	for range 2 { // the second arrival at the first word builds its region
+		p.prepare(t, p.native)
+		p.native.Run()
+	}
+	return p
+}
+
+// run executes the image on both machines after setup and requires the same
+// outcome, counters and context of them; it returns the (common) outcome.
+func (p *handPair) run(t *testing.T, what string, setup func(m *Machine, c *Context)) string {
+	t.Helper()
+	var outcome [2]string
+	for i, m := range []*Machine{p.checked, p.native} {
+		c := p.prepare(t, m)
+		if setup != nil {
+			setup(m, c)
+		}
+		outcome[i] = uopOutcome(m.Run())
+	}
+	if outcome[0] != outcome[1] {
+		t.Fatalf("%s: checked %s, native %s", what, outcome[0], outcome[1])
+	}
+	if p.checked.Stats != p.native.Stats {
+		t.Fatalf("%s: counters\n  checked %+v\n  native  %+v", what, p.checked.Stats, p.native.Stats)
+	}
+	if d := DiffState(p.checked.Contexts()[0], p.native.Contexts()[0]); d != "" {
+		t.Fatalf("%s: %s", what, d)
+	}
+	if p.native.regions.words == 0 {
+		t.Fatalf("%s: the native machine ran no word in a region", what)
+	}
+	return outcome[0]
+}
+
+// landingsPerBeat counts, for the region headed at the image's first word, how
+// many results its stream lands at each region beat.
+func (p *handPair) landingsPerBeat(t *testing.T) []int {
+	t.Helper()
+	r := p.native.safePlan.heads[0]
+	if r == nil {
+		t.Fatal("no region at the first word")
+	}
+	var counts []int
+	prev := int32(0)
+	for _, rw := range r.words {
+		counts = append(counts, int(rw.landEnd[0]-prev), int(rw.landEnd[1]-rw.landEnd[0]))
+		prev = rw.landEnd[1]
+	}
+	return counts
+}
+
+// The hand-built words' slots: an operation on a unit at a beat, the float and
+// integer operations by destination index, a load relative to uopData.
+func slot(u mach.Unit, beat uint8, o mach.Op) mach.SlotOp {
+	return mach.SlotOp{Unit: u, Beat: beat, Op: o}
+}
+
+func fop(k ir.OpKind, dst uint8, a, b mach.Arg) mach.Op {
+	return mach.Op{Kind: k, Type: ir.F64, Dst: freg(dst), A: a, B: b}
+}
+
+func iop(k ir.OpKind, dst uint8, a, b mach.Arg) mach.Op {
+	return mach.Op{Kind: k, Type: ir.I32, Dst: ireg(dst), A: a, B: b}
+}
+
+func loadAt(dst uint8, off int32) mach.Op {
+	return mach.Op{Kind: ir.Load, Type: ir.I32, Dst: ireg(dst), A: mach.RegArg(ireg(12)), B: mach.ImmArg(off)}
+}
+
+// idleWords is a schedule that waits out its latencies: a divide (25 beats), a
+// multiply, an add and a load issue in the first word; one result lands alone
+// at beat 5, one at beat 6, two together at beat 7, the quotient at beat 25;
+// the words between are empty, in runs of one and of eight; the last words
+// consume everything.
+func idleWords() [][]mach.SlotOp {
+	R, I := mach.RegArg, mach.ImmArg
+	words := make([][]mach.SlotOp, 16)
+	words[0] = []mach.SlotOp{
+		slot(uFM, 0, fop(ir.FMul, 20, R(freg(10)), R(freg(11)))),                                // lands at beat 7
+		slot(mach.Unit{Kind: mach.UFA, Pair: 1}, 0, fop(ir.FAdd, 21, R(freg(10)), R(freg(11)))), // beat 6
+		slot(uALU0, 0, loadAt(24, 8)),                                                           // beat 7
+		slot(uALU1, 1, iop(ir.Mul, 26, R(ireg(10)), R(ireg(11)))),                               // beat 5
+		slot(mach.Unit{Kind: mach.UFM, Pair: 1}, 1, fop(ir.FDiv, 27, R(freg(10)), R(freg(11)))), // beat 26
+	}
+	words[4] = []mach.SlotOp{slot(uALU0, 0, iop(ir.Add, 28, R(ireg(24)), R(ireg(26))))}
+	words[13] = []mach.SlotOp{slot(uFA, 1, fop(ir.FSub, 28, R(freg(27)), R(freg(20))))}
+	words[15] = []mach.SlotOp{slot(uALU0, 0, mach.Op{Kind: ir.FtoI, Type: ir.F64, Dst: mach.RegRVI, A: R(freg(21))}),
+		slot(uALU1, 0, iop(ir.Add, 29, R(ireg(28)), I(1)))}
+	return words
+}
+
+// TestRegionEmptyWords: a pause at every beat of a schedule that is mostly
+// empty words leaves the two tiers in the same state, snapshot included, and
+// each resumes the other's snapshot to the uninterrupted run's end — so a
+// write in flight when a region is entered (at its head, or where a pause left
+// it) retires inside an empty word exactly when the interpreter retires it.
+func TestRegionEmptyWords(t *testing.T) {
+	p := newHandPair(t, idleWords()...)
+	want := p.run(t, "uninterrupted", nil)
+	final := p.checked.Stats
+	counts := p.landingsPerBeat(t)
+	if got := fmt.Sprint(counts[5:8], counts[26]); got != "[1 1 2] 1" {
+		t.Fatalf("the schedule lands %v results at beats 5–7 and 26, want [1 1 2] 1 (all beats: %v)", got, counts)
+	}
+	if r := p.native.safePlan.heads[0]; r.words[1].idle != 1 || r.words[5].idle != 8 || r.words[4].idle != 0 {
+		t.Fatalf("idle runs at words 1, 4, 5: %d %d %d, want 1 0 8", r.words[1].idle, r.words[4].idle, r.words[5].idle)
+	}
+	// Every beat from the first word's issue on (the beats before it are the
+	// two TLB traps it pays: any stop among them pauses at the same boundary).
+	for stop := final.TrapBeats - 1; stop <= final.Beats+1; stop++ {
+		what := fmt.Sprintf("paused at beat %d", stop)
+		p.run(t, what, func(m *Machine, _ *Context) { m.StopBeat = stop })
+		var snaps [2][]byte
+		for i, m := range []*Machine{p.checked, p.native} {
+			if m.Contexts()[0].Halted() {
+				continue
+			}
+			snap, err := m.Contexts()[0].Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps[i] = snap
+		}
+		if !bytes.Equal(snaps[0], snaps[1]) {
+			t.Fatalf("%s: the tiers' snapshots differ", what)
+		}
+		if snaps[0] == nil {
+			continue
+		}
+		// Each tier resumes the other's snapshot.
+		got := p.run(t, what+", resumed", func(m *Machine, c *Context) {
+			from := snaps[1]
+			if m == p.native {
+				from = snaps[0]
+			}
+			if err := c.Restore(from); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want || p.checked.Stats != final {
+			t.Fatalf("%s: resumed to %s, %+v; the uninterrupted run ends %s, %+v", what, got, p.checked.Stats, want, final)
+		}
+	}
+}
+
+// TestRegionEventAcrossEmptyWords: a bank found busy under the second word
+// jumps the clock by as many beats as the bank has left, with a divide, a
+// multiply, an add and a load of the first word still in flight. landAhead
+// lands them from their slots, ahead of the region's schedule, across empty
+// words and across a beat on which the stream itself lands two results.
+func TestRegionEventAcrossEmptyWords(t *testing.T) {
+	R := mach.RegArg
+	words := idleWords()
+	words[1] = []mach.SlotOp{
+		slot(uALU0, 0, loadAt(25, 16)),                                                          // the reference that stalls; lands at region beat 9
+		slot(uFM, 0, fop(ir.FMul, 23, R(freg(11)), R(freg(11)))),                                // beat 9
+		slot(mach.Unit{Kind: mach.UFA, Pair: 1}, 0, fop(ir.FAdd, 22, R(freg(11)), R(freg(11)))), // beat 8
+	}
+	p := newHandPair(t, words...)
+	if counts := p.landingsPerBeat(t); counts[8] != 1 || counts[9] != 2 {
+		t.Fatalf("the schedule lands %d and %d results at beats 8 and 9, want 1 and 2", counts[8], counts[9])
+	}
+	p.run(t, "no stall", nil)
+	base := p.checked.Stats
+	stalls := map[int64]bool{}
+	for n := base.Beats - 40; n < base.Beats+8; n++ {
+		p.run(t, fmt.Sprintf("bank busy for %d beats", n), func(m *Machine, _ *Context) { m.StallBank(uopData+16, n) })
+		if s := p.checked.Stats.BankStalls; s > 0 {
+			stalls[s] = true
+			if p.native.regions.by[exitBank] == 0 {
+				t.Fatalf("bank busy for %d beats: %d stall beats and no bank event in a region", n, s)
+			}
+		}
+	}
+	// The clock must have jumped by less than, exactly and more than the
+	// latencies in flight.
+	for _, s := range []int64{1, 3, 4, 5, 7, 12, 25, 30} {
+		if !stalls[s] {
+			t.Errorf("no run stalled for %d beats (stalls seen: %v)", s, stalls)
+		}
+	}
+}
+
+// TestRegionLandingCounts: beats on which the stream lands exactly one result,
+// exactly two, and as many as one beat of this image can retire (plan.ringCap).
+func TestRegionLandingCounts(t *testing.T) {
+	R, I := mach.RegArg, mach.ImmArg
+	pair1 := func(u mach.Unit) mach.Unit { u.Pair = 1; return u }
+	words := make([][]mach.SlotOp, 12)
+	// Everything below lands at beat 8: the latencies 7, 6, 4 and 1, each
+	// issued as many at a time as the image ever issues it.
+	words[0] = []mach.SlotOp{
+		slot(uFM, 1, fop(ir.FMul, 20, R(freg(10)), R(freg(11)))),
+		slot(pair1(uFM), 1, fop(ir.FMul, 21, R(freg(11)), R(freg(11)))),
+		slot(uALU0, 1, loadAt(24, 8)),
+	}
+	words[1] = []mach.SlotOp{
+		slot(uFA, 0, fop(ir.FAdd, 22, R(freg(10)), R(freg(11)))),
+		slot(pair1(uFA), 0, fop(ir.FSub, 23, R(freg(10)), R(freg(11)))),
+	}
+	words[2] = []mach.SlotOp{
+		slot(uALU0, 0, iop(ir.Mul, 25, R(ireg(10)), I(3))),
+		slot(uALU1, 0, iop(ir.Mul, 26, R(ireg(11)), I(5))),
+	}
+	words[3] = []mach.SlotOp{
+		slot(uALU0, 1, iop(ir.Add, 27, R(ireg(10)), I(1))),
+		slot(uALU1, 1, iop(ir.Sub, 28, R(ireg(11)), I(1))),
+	}
+	// One alone at beat 14 (a word's first beat), two at beat 17 (its second).
+	words[5] = []mach.SlotOp{slot(uALU0, 0, iop(ir.Mul, 29, R(ireg(10)), R(ireg(10))))}
+	words[6] = []mach.SlotOp{
+		slot(uALU0, 1, iop(ir.Mul, 30, R(ireg(25)), R(ireg(26)))),
+		slot(uALU1, 1, iop(ir.Mul, 31, R(ireg(27)), R(ireg(28)))),
+	}
+	words[10] = []mach.SlotOp{slot(uALU0, 0, iop(ir.Add, 3, R(ireg(30)), R(ireg(31))))} // the exit value
+	p := newHandPair(t, words...)
+	counts := p.landingsPerBeat(t)
+	most := int(p.native.Contexts()[0].plan.ringCap)
+	if most != 9 || counts[8] != most || counts[14] != 1 || counts[17] != 2 {
+		t.Fatalf("ringCap %d; the stream lands %d, %d and %d results at beats 8, 14 and 17, want 9, 1 and 2", most, counts[8], counts[14], counts[17])
+	}
+	p.run(t, "uninterrupted", nil)
+	for stop := int64(1); stop <= p.checked.Stats.Beats; stop++ {
+		p.run(t, fmt.Sprintf("paused at beat %d", stop), func(m *Machine, _ *Context) { m.StopBeat = stop })
+	}
+}
+
+// TestRegionFaultBehindLandings: a guarded load faults in a beat that begins
+// with a run of landings, once in a word's first beat and once in its second.
+// The registers are landed through that beat, and the counters are those of
+// the faulting record — not of the landings before it, nor of the op behind.
+func TestRegionFaultBehindLandings(t *testing.T) {
+	R, I := mach.RegArg, mach.ImmArg
+	for beat := uint8(0); beat < 2; beat++ {
+		words := make([][]mach.SlotOp, 6)
+		// Three results land at beat 6+beat.
+		words[0] = []mach.SlotOp{
+			slot(uFA, beat, fop(ir.FAdd, 20, R(freg(10)), R(freg(11)))),
+			slot(uALU0, 1, loadAt(24, 8)),
+		}
+		words[0][1].Beat = beat ^ 1
+		if beat == 0 { // the load issues a beat later and lands a beat later: move the add with it
+			words[0][0].Op = fop(ir.FMul, 20, R(freg(10)), R(freg(11)))
+		}
+		words[1] = []mach.SlotOp{slot(uALU0, beat, iop(ir.Mul, 25, R(ireg(10)), I(3))), slot(uALU1, beat, iop(ir.Mul, 26, R(ireg(11)), I(5)))}
+		words[3] = []mach.SlotOp{
+			slot(uALU1, beat, iop(ir.Add, 27, R(ireg(25)), R(ireg(26)))),
+			slot(uALU0, beat, mach.Op{Kind: ir.Load, Type: ir.I32, Dst: ireg(28), A: R(ireg(24)), B: I(2)}), // unaligned and far away
+			slot(mach.Unit{Kind: mach.UFA, Pair: 1}, beat, fop(ir.FAdd, 21, R(freg(20)), R(freg(20)))),
+		}
+		p := newHandPair(t, words...)
+		counts := p.landingsPerBeat(t)
+		if counts[6+int(beat)] < 2 {
+			t.Fatalf("beat %d of the faulting word lands %d results, want a run (all beats: %v)", beat, counts[6+int(beat)], counts)
+		}
+		got := p.run(t, fmt.Sprintf("fault in beat %d", beat), nil)
+		if !strings.Contains(got, "unit=ialu0.0") || !strings.Contains(got, "load") {
+			t.Fatalf("beat %d: %s, want a load fault on ialu0.0", beat, got)
+		}
+		if p.native.regions.by[exitFault] != 1 {
+			t.Fatalf("beat %d: %s", beat, p.native.RegionSummary())
+		}
+	}
+}
+
+// TestRegionQuantumOne: RunMany with a one-beat quantum rotates after every
+// word, so every word of the mostly empty schedule is a region entry with the
+// earlier words' writes in the ring.
+func TestRegionQuantumOne(t *testing.T) {
+	img := handImage(t, idleWords()...)
+	imgs := []*isa.Image{img, img, img}
+	var results [2][]ContextResult
+	machines := []*Machine{New(img), New(img)}
+	for i, m := range machines {
+		for round := 0; round < 3; round++ { // the native machine's regions are warm in the third
+			if err := m.ResetMany(imgs); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				if err := m.UseNativeCertificate(noProof{img}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, c := range m.Contexts() {
+				for r, v := range uopRegs {
+					c.writeReg(r, v)
+				}
+				uopMem(c.mem)
+			}
+			m.Quantum = 1
+			rs, err := m.RunMany(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[i] = rs
+		}
+	}
+	for k := range results[0] {
+		a, b := results[0][k], results[1][k]
+		if a.Exit != b.Exit || a.Output != b.Output || a.Stats != b.Stats || (a.Err == nil) != (b.Err == nil) {
+			t.Errorf("context %d: checked %+v, native %+v", k, a, b)
+		}
+		if d := DiffState(machines[0].Contexts()[k], machines[1].Contexts()[k]); d != "" {
+			t.Errorf("context %d: %s", k, d)
+		}
+	}
+	if machines[1].regions.words == 0 || machines[1].regions.idle == 0 {
+		t.Errorf("the native machine: %s", machines[1].RegionSummary())
 	}
 }

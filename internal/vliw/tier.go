@@ -16,7 +16,8 @@ import (
 //	TierFast     resource/race checks skipped (schedcheck Certificate)
 //	TierSafe     + proven per-site guards deleted (safecheck SafeCertificate)
 //	TierNative   + the runs of words a program keeps returning to fused into
-//	             regions of closures: no per-op dispatch, no per-beat bookkeeping
+//	             regions, one micro-op stream each: no closure or call per
+//	             operation, no per-beat bookkeeping
 //
 // The zero value is TierChecked, so an unset options field means "fully
 // checked".

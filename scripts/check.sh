@@ -27,7 +27,7 @@ if gosrc -l --exclude='*_test.go' 'LatFMul' | grep -v -e '^\./internal/mach/' -e
 	exit 1
 fi
 
-echo "== one write pipeline, one value file (no second fetch, no ring ingest, no pending-write slice, no per-beat closure chain, no banked register arrays in the simulator)"
+echo "== one write pipeline, one value file, one micro-op stream (no second fetch, no ring ingest, no pending-write slice, no closure per operation, no banked register arrays in the simulator)"
 if grep -rnE --include='*.go' --exclude='*_test.go' 'nFetch|nRingIngest|\[\]pendingWrite|nChain|native +\[2\]nativeOp' internal/vliw; then
 	echo "check: internal/vliw forks the write pipeline or the word prologue again (Context.push, Machine.step, regions)"
 	exit 1
@@ -38,6 +38,12 @@ fi
 # straight to its register, no speculative twin of the guard-free load.
 if grep -rnE --include='*.go' --exclude='*_test.go' 'iregs|fregs|\.sf\[|\.bb\[|nStraight|iregArg|fregArg|opSafeSpec' internal/vliw; then
 	echo "check: internal/vliw keeps registers outside the value file, or forks a closure builder by bank or by destination again"
+	exit 1
+fi
+# A region is one stream of micro-op records walked by runRegion's switch: no
+# closure type, no builder that returns one, no func(m, c) error literal.
+if grep -rnE --include='*.go' --exclude='*_test.go' '\b(nativeOp|nFastShape|nPure|nConst)\b|func\(m \*Machine, c \*Context\) error' internal/vliw; then
+	echo "check: internal/vliw translates an operation into a closure again (emit a uop record; see regionBuilder.exec)"
 	exit 1
 fi
 # Regions only observe the caches, the TLBs and the banks; step (with fetch,
@@ -69,8 +75,10 @@ echo "== go test -race"
 # the race detector, and the two slowest packages — internal/fuzz (the
 # four-way tier matrix: every seed on checked/fast/safe/native) and
 # internal/safecheck (the 246-image golden matrix) — take 120 s and 117 s.
-# The per-package budget is 4x that.
-go test -race -timeout 8m ./...
+# The per-package budget is 5x that: on a slower shared 2-vCPU host
+# internal/vliw alone took 7m43 at PR 22's head and takes ~8m with PR 23's
+# hand-built-word tests (microop_test.go, the TestRegion* cases: +14 s).
+go test -race -timeout 10m ./...
 
 echo "== bench smoke (the benchmark's own module: vet, unit tests + a short run of all four workloads)"
 # bench/ is frozen between benchmark PRs and names our API (tiers, Use*
@@ -93,7 +101,7 @@ go run ./cmd/tracelint -corpus internal/fuzz/testdata/fuzz/FuzzDifferential/*
 echo "== certified fast path smoke (fast/safe vs checked agree: examples x O0/O1/O2 x Trace 7/14/28)"
 go test -run TestFastCheckedAgree -count=1 .
 
-echo "== native tier smoke (closure-threaded native vs checked agree: examples x O0/O1/O2 x Trace 7/14/28)"
+echo "== native tier smoke (regions of micro-ops vs checked agree: examples x O0/O1/O2 x Trace 7/14/28)"
 go test -run TestNativeCheckedAgree -count=1 .
 
 echo "== hardware contexts smoke (examples x K=1/2/4 time-shared)"

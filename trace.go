@@ -154,8 +154,8 @@ type Stats = vliw.Stats
 // architectural semantics — exit value, output, and all Stats counters are
 // bit-identical — and differs only in how much dynamic checking a
 // certificate statically discharges (and, for TierNative, in dispatch:
-// the runs of words a program keeps returning to are fused into regions of
-// closures over the certified image). Select one via RunOptions.Tier or
+// the runs of words a program keeps returning to are fused into regions,
+// one micro-op stream each, over the certified image). Select one via RunOptions.Tier or
 // RunManyOptions.Tier; the zero value is TierChecked.
 type Tier = vliw.Tier
 
