@@ -63,17 +63,6 @@ var (
 	verbose = flag.Bool("v", false, "print warnings and the per-check summary")
 )
 
-func optLevel(lvl int) opt.Options {
-	switch lvl {
-	case 0:
-		return opt.None()
-	case 1:
-		return opt.Options{Inline: true, UnrollFactor: 4}
-	default:
-		return opt.Default()
-	}
-}
-
 type config struct {
 	name string
 	cfg  mach.Config
@@ -192,9 +181,9 @@ func main() {
 	var configs []config
 	if *matrix {
 		for _, lvl := range []int{0, 1, 2} {
+			o, _ := opt.Level(lvl)
 			for _, p := range []int{1, 2, 4} {
-				configs = append(configs, config{
-					fmt.Sprintf("O%d/trace%d", lvl, 7*p), mach.NewConfig(p), optLevel(lvl)})
+				configs = append(configs, config{fmt.Sprintf("O%d/trace%d", lvl, 7*p), mach.NewConfig(p), o})
 			}
 		}
 	} else {
@@ -202,7 +191,12 @@ func main() {
 		if *ideal {
 			cfg = mach.IdealConfig(*pairs)
 		}
-		configs = append(configs, config{fmt.Sprintf("O%d/%s", *olevel, cfg.Name), cfg, optLevel(*olevel)})
+		o, err := opt.Level(*olevel)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tracelint: -O: %v\n", err)
+			os.Exit(2)
+		}
+		configs = append(configs, config{fmt.Sprintf("O%d/%s", *olevel, cfg.Name), cfg, o})
 	}
 
 	// SIGINT cancels the in-flight compile at the next pass boundary.

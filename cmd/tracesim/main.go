@@ -102,14 +102,10 @@ func main() {
 	defer stop()
 
 	cfg := mach.NewConfig(*pairs)
-	var lvl opt.Options
-	switch *olevel {
-	case 0:
-		lvl = opt.None()
-	case 1:
-		lvl = opt.Options{Inline: true, UnrollFactor: 4}
-	default:
-		lvl = opt.Default()
+	lvl, err := opt.Level(*olevel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracesim: -O: %v\n", err)
+		os.Exit(2)
 	}
 	mode := core.ProfileHeuristic
 	if *profRun {

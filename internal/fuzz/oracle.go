@@ -151,13 +151,13 @@ func checkTiers(ctx context.Context, img *isa.Image, rep *schedcheck.Report, max
 var matrix = []struct {
 	name     string
 	cfg      func() mach.Config
-	opt      func() opt.Options
+	level    int // opt.Level
 	maxTrace int
 	jobs     int
 }{
-	{"trace7/O0/j1", mach.Trace7, opt.None, 0, 1},
-	{"trace14/O1/j1", mach.Trace14, func() opt.Options { return opt.Options{Inline: true, UnrollFactor: 4} }, 0, 1},
-	{"trace28/O2/bb-only/j1", mach.Trace28, opt.Default, 1, 1},
+	{"trace7/O0/j1", mach.Trace7, 0, 0, 1},
+	{"trace14/O1/j1", mach.Trace14, 1, 0, 1},
+	{"trace28/O2/bb-only/j1", mach.Trace28, 2, 1, 1},
 }
 
 // Check runs the full differential oracle on one MF source text. It returns
@@ -188,8 +188,9 @@ func Check(ctx context.Context, src string, o Options) error {
 	}
 
 	for _, m := range matrix {
+		lvl, _ := opt.Level(m.level)
 		copts := core.Options{
-			Config: m.cfg(), Opt: m.opt(),
+			Config: m.cfg(), Opt: lvl,
 			MaxTraceBlocks: m.maxTrace, Parallelism: m.jobs,
 		}
 		res, err := core.Compile(ctx, src, copts)

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/pipeline"
@@ -37,6 +38,21 @@ func Default() Options {
 // None returns options that disable every optional transformation (cleanup
 // passes still run so the IR reaching the scheduler is canonical).
 func None() Options { return Options{UnrollFactor: 1} }
+
+// Level returns the options of optimization level n, the one spelling every
+// front end shares (-O, the service's "O", trace.OptLevel): 0 is None, 1
+// inlines and unrolls by 4, 2 is Default.
+func Level(n int) (Options, error) {
+	switch n {
+	case 0:
+		return None(), nil
+	case 1:
+		return Options{Inline: true, UnrollFactor: 4}, nil
+	case 2:
+		return Default(), nil
+	}
+	return Options{}, fmt.Errorf("opt: level must be 0, 1, or 2 (got %d)", n)
+}
 
 func (o Options) withDefaults() Options {
 	if o.InlineThreshold == 0 {

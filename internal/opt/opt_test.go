@@ -543,3 +543,18 @@ func main() int {
 		t.Errorf("budget exceeded: %d -> %d ops", before, after)
 	}
 }
+
+// TestLevel: the three optimization levels every front end spells -O, "O" or
+// OptLevel, and nothing else.
+func TestLevel(t *testing.T) {
+	for n, want := range []Options{None(), {Inline: true, UnrollFactor: 4}, Default()} {
+		if got, err := Level(n); err != nil || got != want {
+			t.Errorf("Level(%d) = %+v, %v; want %+v", n, got, err, want)
+		}
+	}
+	for _, n := range []int{-1, 3} {
+		if _, err := Level(n); err == nil {
+			t.Errorf("Level(%d) is not an error", n)
+		}
+	}
+}

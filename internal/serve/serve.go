@@ -99,8 +99,8 @@ func (o Options) validate() error {
 	default:
 		return fmt.Errorf("pairs must be 1, 2, or 4 (got %d)", o.Pairs)
 	}
-	if l := o.level(); l < 0 || l > 2 {
-		return fmt.Errorf("O must be 0, 1, or 2 (got %d)", l)
+	if _, err := opt.Level(o.level()); err != nil {
+		return fmt.Errorf("O must be 0, 1, or 2 (got %d)", o.level())
 	}
 	return nil
 }
@@ -121,15 +121,7 @@ func (o Options) toCore(parallelism int) core.Options {
 	if o.Conservative {
 		cfg.RollTheDice = false
 	}
-	var lvl opt.Options
-	switch o.level() {
-	case 0:
-		lvl = opt.None()
-	case 1:
-		lvl = opt.Options{Inline: true, UnrollFactor: 4}
-	default:
-		lvl = opt.Default()
-	}
+	lvl, _ := opt.Level(o.level()) // validate vouches for the level
 	prof := core.ProfileHeuristic
 	if o.Profile {
 		prof = core.ProfileRun
@@ -523,6 +515,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Run.Requests.Add(1)
 	var req RunRequest
 	if !s.decode(w, r, &req.Source, &req) {
+		return
+	}
+	if req.Run.MaxCycles < 0 {
+		// It would run on the default budget and be memoised under a key of its own.
+		writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Msg: `"max_cycles" must be non-negative`})
 		return
 	}
 	tier := req.Run.Tier

@@ -653,6 +653,8 @@ func TestUnknownRequestFieldsAreRefused(t *testing.T) {
 		{"/runmany", `{"programs": [{"source": %q, "priority": 1}]}`, "priority"},
 		{"/runmany", `{"programs": [{"source": %q}], "run": {"fast": true}}`, "fast"},
 		{"/resume", `{"token": %q, "beats": 5}`, "beats"},
+		// A field it has, with a value it cannot take (/runmany's case is in runmany_test.go).
+		{"/run", `{"source": %q, "run": {"max_cycles": -1}}`, "max_cycles"},
 	} {
 		resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(fmt.Sprintf(tc.body, demoSrc)))
 		if err != nil {

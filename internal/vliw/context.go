@@ -110,18 +110,19 @@ type Context struct {
 	// that makes them so). From slotBase up are the scratch slots of the native
 	// tier: while a region runs they hold the results its operations have
 	// produced and its landing code has not yet copied down; every region
-	// exit empties them into the ring. The last two entries are noDest and
-	// zeroCell. Last in the struct, so that the 32 KB do not sit between the
-	// fields every beat reads.
+	// exit empties them into the ring. The last three entries are noDest,
+	// zeroCell and resultCell. Last in the struct, so that the 32 KB do not sit
+	// between the fields every beat reads.
 	vals [valSize]uint64
 }
 
 const (
-	slotBase = mach.RegFileSize
-	valSize  = 4096 // the power of two above slotBase+regionSlots: an index is masked, not checked
-	valMask  = valSize - 1
-	noDest   = valSize - 1 // where an operation with no destination stores
-	zeroCell = valSize - 2 // never stored to: the operand that is not there reads 0
+	slotBase   = mach.RegFileSize
+	valSize    = 4096 // the power of two above slotBase+regionSlots: an index is masked, not checked
+	valMask    = valSize - 1
+	noDest     = valSize - 1 // where an operation with no destination stores
+	zeroCell   = valSize - 2 // never stored to: the operand that is not there reads 0
+	resultCell = valSize - 3 // where an interpreted operation stores, on its way into the write pipeline
 )
 
 // reset re-targets the context at an image, reusing every buffer the
@@ -227,8 +228,6 @@ func (c *Context) readArg(a mach.Arg) uint64 {
 	return c.readReg(a.Reg)
 }
 
-func (c *Context) readI(a mach.Arg) int32 { return int32(uint32(c.readArg(a))) }
-
 // ringWrite is one in-flight register write. The retire beat is implicit in
 // the bucket the entry sits in; seq is the issue sequence number, which
 // orders a drain of several buckets — and a snapshot — by issue.
@@ -299,14 +298,6 @@ func (c *Context) sizeRing(buckets, capacity int64) {
 	c.rmask = buckets - 1
 }
 
-// enqueue is push for an interpreted op: lat beats after issue, and nothing
-// for an op with no destination.
-func (c *Context) enqueue(dst mach.PReg, val uint64, lat int64) {
-	if dst.Valid() {
-		c.push(c.beat+lat, dst, val)
-	}
-}
-
 // emptyRing discards every in-flight write and restarts the pipeline at the
 // current beat: nothing is due before it.
 func (c *Context) emptyRing() {
@@ -333,16 +324,6 @@ func (c *Context) inFlight() []inFlightWrite {
 	}
 	sort.Slice(ws, func(i, j int) bool { return int32(ws[i].seq-ws[j].seq) < 0 })
 	return ws
-}
-
-// eaOf computes a memory op's effective address, A + B. A reference whose
-// base names no register has none: it computes 0, below mapped memory, and so
-// faults (or returns the §7 funny number) when it executes.
-func (c *Context) eaOf(o *mach.Op) int64 {
-	if !o.A.IsImm && !o.A.Reg.Valid() {
-		return 0
-	}
-	return int64(c.readI(o.A)) + int64(c.readI(o.B))
 }
 
 // dtlbMiss checks and fills the data TLB for a byte address.

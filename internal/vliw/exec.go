@@ -9,172 +9,124 @@ import (
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
-// execBranch handles branch-unit ops: a test that wants control publishes
-// its target through takeBranch, OpHalt its exit value.
-func (m *Machine) execBranch(o *mach.Op) error {
-	c := m.cur
-	target := -1
-	switch o.Kind {
-	case mach.OpBrT:
-		m.Stats.Branches++
-		if c.readArg(o.A) != 0 {
-			target = o.Target
+// This file says what an operation does. exec is the one function with a case
+// for every kind of record a plan can hold (uop; translate builds them): the
+// interpreter runs every slot through it, and a region every record but the
+// shapes runRegion's switch inlines because compacted loops are made of them —
+// the ten fastShapes, which no plan holds, and the moves, constants, proven
+// references and direct branches, whose cases here are the interpreter's. What
+// a slot counts is not here: that is opBulk, for every tier.
+
+// exec runs record u of slot s in context c: operands read as the registers
+// stand, the result stored at u.d, a taken test published through takeBranch,
+// OpHalt's exit value through brHalt. It returns the trap a guarded site
+// raises, attributed to the slot's unit.
+func (m *Machine) exec(c *Context, s *planOp, u *uop) error {
+	vals := &c.vals
+	x, y := vals[u.a&valMask]+u.k1, vals[u.b&valMask]+uint64(uint32(u.k2)) // the operands, for the kinds that have two
+	switch u.kind {
+	case uNop:
+	case uValue:
+		// Also a Div/Rem whose zero-divisor guard a SafetyCertificate
+		// discharged: if the image was mutated after certification, the Go
+		// runtime's own divide check is the backstop (see safeTierFault).
+		vals[u.d&valMask] = s.fn(x, y)
+	case uDiv:
+		if mach.DivTraps(y) {
+			msg := "integer divide by zero"
+			if s.op.Kind == ir.Rem {
+				msg = "integer remainder by zero"
+			}
+			return m.fault(c, s.unitName, TrapDivZero, "%s", msg)
 		}
-	case mach.OpJmp:
-		m.Stats.Branches++
-		target = o.Target
-	case mach.OpCall:
-		m.Stats.Branches++
-		// link register receives the return address
-		c.enqueue(mach.RegLR, uint64(uint32(c.pc+1)), 1)
-		target = o.Target
-	case mach.OpJmpR:
-		m.Stats.Branches++
-		target = int(int32(uint32(c.readArg(o.A))))
-	case mach.OpHalt:
+		vals[u.d&valMask] = s.fn(x, y)
+	case uMov:
+		vals[u.d&valMask] = x
+	case uConst:
+		vals[u.d&valMask] = u.k1
+	case uConstI:
+		vals[u.d&valMask] = uint64(uint32(x))
+	case uSelect:
+		if c.readArg(s.op.A) != 0 {
+			vals[u.d&valMask] = x
+		} else {
+			vals[u.d&valMask] = y
+		}
+	case uLoad:
+		ea, size := u.ea(c), s.op.Type.Size()
+		switch {
+		case !c.badRef(ea, size):
+			vals[u.d&valMask] = c.load(ea, size)
+		case s.op.Kind == ir.LoadSpec:
+			// §7: no valid translation — execution continues; the target
+			// register is loaded with a "funny number" to help catch bugs
+			m.Stats.SpecFaults++
+			vals[u.d&valMask] = mach.SpecPoison(s.op.Type)
+		default:
+			return m.refFault(c, s.unitName, "load", ea, size)
+		}
+	case uStore:
+		ea, size := u.ea(c), s.op.Type.Size()
+		if c.badRef(ea, size) {
+			return m.refFault(c, s.unitName, "store", ea, size)
+		}
+		m.store(c, ea, size, vals[u.d&valMask]+uint64(uint32(u.k2)))
+
+	// The guard-free references, reachable only through a certified plan
+	// (buildSafePlan): the same access with the verdict on the address
+	// deleted — the certificate proves it can never be bad, and the Go
+	// runtime's slice-bounds check backstops a post-certification mutation.
+	case uLoad4:
+		vals[u.d&valMask] = c.load(u.ea(c), 4)
+	case uLoad8:
+		vals[u.d&valMask] = c.load(u.ea(c), 8)
+	case uStore4:
+		m.store(c, u.ea(c), 4, vals[u.d&valMask]+uint64(uint32(u.k2)))
+	case uStore8:
+		m.store(c, u.ea(c), 8, vals[u.d&valMask]+uint64(uint32(u.k2)))
+
+	case uCanon:
+		vals[u.d&valMask] = canonical(mach.Bank(u.a), vals[u.d&valMask])
+	case uBrT:
+		if vals[u.a&valMask]+uint64(uint32(u.k1)) != 0 {
+			m.takeBranch(u.prio(), int(uint32(u.k2)))
+		}
+	case uJmp:
+		m.takeBranch(u.prio(), int(uint32(u.k2)))
+	case uCall:
+		vals[u.d&valMask] = uint64(uint32(u.k1)) // the link register receives the return address
+		if t := int(int32(u.k2)); t >= 0 {
+			m.takeBranch(u.prio(), t)
+		}
+	case uJmpR:
+		if t := int(int32(uint32(vals[u.a&valMask]) + uint32(u.k1))); t >= 0 {
+			m.takeBranch(u.prio(), t)
+		}
+	case uHalt:
 		m.brHalt = true
 		m.brExit = int32(c.readReg(mach.RegRVI))
-	case mach.OpSyscall:
-		m.Stats.Syscalls++
-		switch o.Sym {
+	case uSyscall:
+		switch s.op.Sym {
 		case "print_i":
 			c.printI()
 		case "print_f":
 			c.printF()
 		default:
-			return m.fault(c, TrapSyscall, "unknown syscall %q", o.Sym)
+			return m.fault(c, s.unitName, TrapSyscall, "unknown syscall %q", s.op.Sym)
 		}
-	default:
-		return m.fault(c, TrapBadOp, "%s on branch unit", mach.OpName(o.Kind))
-	}
-	if target >= 0 {
-		m.takeBranch(o.Prio, target)
-	}
-	return nil
-}
-
-// divZeroMsg is the TrapDivZero text for a Div or Rem.
-func divZeroMsg(k ir.OpKind) string {
-	if k == ir.Rem {
-		return "integer remainder by zero"
-	}
-	return "integer divide by zero"
-}
-
-// execOp executes one ALU/F/memory operation, enqueuing its register write
-// at issue+lat. The latency and — for the pure opcodes — the value function
-// are precomputed by the plan (plan.go), so the timing model and the
-// semantics table are consulted once per image, not once per executed op.
-// The dispatch key is the plan's kind, not the op's: see planOp.
-func (m *Machine) execOp(p *planOp) error {
-	o, lat := p.op, p.lat
-	c := m.cur
-	switch p.kind {
-	case ir.Nop:
-	case opPure:
-		// Also a Div/Rem whose zero-divisor guard a SafetyCertificate
-		// discharged: if the image was mutated after certification, the Go
-		// runtime's own divide check is the backstop (see safeTierFault).
-		c.enqueue(o.Dst, p.fn(c.readArg(o.A), c.readArg(o.B)), lat)
-	case opPureFlop:
-		m.Stats.FloatOps++
-		c.enqueue(o.Dst, p.fn(c.readArg(o.A), c.readArg(o.B)), lat)
-	case ir.Div, ir.Rem:
-		d := c.readArg(o.B)
-		if mach.DivTraps(d) {
-			return m.fault(c, TrapDivZero, "%s", divZeroMsg(o.Kind))
+	case uBadOp:
+		if s.unit.Kind == mach.UBR {
+			return m.fault(c, s.unitName, TrapBadOp, "%s on branch unit", mach.OpName(s.op.Kind))
 		}
-		c.enqueue(o.Dst, p.fn(c.readArg(o.A), d), lat)
-	case ir.ConstI:
-		c.enqueue(o.Dst, mach.IBits(c.readI(o.A)), lat)
-	case ir.ConstF:
-		c.enqueue(o.Dst, mach.FBits(o.FImm), lat)
-	case ir.Mov, mach.OpMovSF:
-		c.enqueue(o.Dst, c.readArg(o.A), lat)
-	case ir.Select:
-		// condition from the branch bank (A); B = then, C = else
-		if c.readArg(o.A) != 0 {
-			c.enqueue(o.Dst, c.readArg(o.B), lat)
-		} else {
-			c.enqueue(o.Dst, c.readArg(o.C), lat)
-		}
-	case ir.Load, ir.LoadSpec:
-		return m.execLoad(o, lat)
-	case ir.Store:
-		return m.execStore(o)
-
-	// Guard-free variants, reachable only through a safe-tier plan
-	// (buildSafePlan) armed by UseSafeCertificate: the same counters and the
-	// same access with the verdict on the address deleted — the certificate
-	// proves it can never be bad. If the image was mutated after certification,
-	// the Go runtime's own slice-bounds check is the backstop; the safe run
-	// loops convert that panic back into the matching Fault (see
-	// safeTierFault).
-	case opSafeLoadI32:
-		m.countLoad(o)
-		c.enqueue(o.Dst, c.load(c.eaOf(o), 4), lat)
-	case opSafeLoadF64:
-		m.countLoad(o)
-		c.enqueue(o.Dst, c.load(c.eaOf(o), 8), lat)
-	case opSafeStoreI32:
-		m.countStore()
-		m.store(c, c.eaOf(o), 4, c.readArg(o.C))
-	case opSafeStoreF64:
-		m.countStore()
-		m.store(c, c.eaOf(o), 8, c.readArg(o.C))
-
+		return m.fault(c, s.unitName, TrapBadOp, "cannot execute %s", mach.OpName(s.op.Kind))
 	default:
-		return m.fault(c, TrapBadOp, "cannot execute %s", mach.OpName(o.Kind))
+		return m.fault(c, s.unitName, TrapBadOp, "micro-op kind %d has no semantics", u.kind)
 	}
 	return nil
 }
 
-func (m *Machine) execLoad(o *mach.Op, lat int64) error {
-	c := m.cur
-	m.countLoad(o)
-	ea, size := c.eaOf(o), o.Type.Size()
-	switch {
-	case !c.badRef(ea, size):
-		c.enqueue(o.Dst, c.load(ea, size), lat)
-	case o.Kind == ir.LoadSpec:
-		// §7: no valid translation — execution continues; the target
-		// register is loaded with a "funny number" to help catch bugs
-		m.Stats.SpecFaults++
-		c.enqueue(o.Dst, mach.SpecPoison(o.Type), lat)
-	default:
-		return m.refFault(c, "load", ea, size)
-	}
-	return nil
-}
-
-func (m *Machine) execStore(o *mach.Op) error {
-	c := m.cur
-	m.countStore()
-	ea, size := c.eaOf(o), o.Type.Size()
-	if c.badRef(ea, size) {
-		return m.refFault(c, "store", ea, size)
-	}
-	m.store(c, ea, size, c.readArg(o.C)) // data comes from the store file (§6.2)
-	return nil
-}
-
-// The memory pipeline's parts, each written once for the interpreter above
-// and the native tier's micro-ops (native.go): the counters a reference bumps
-// before anything can stop it, the verdict on its address, and the typed
-// access itself.
-
-func (m *Machine) countLoad(o *mach.Op) {
-	m.Stats.MemRefs++
-	m.Stats.Loads++
-	if o.Kind == ir.LoadSpec {
-		m.Stats.SpecLoads++
-	}
-}
-
-func (m *Machine) countStore() {
-	m.Stats.MemRefs++
-	m.Stats.Stores++
-}
+// The memory pipeline's parts, each written once: the verdict on a guarded
+// reference's address, and the typed access itself.
 
 // badRef reports whether a size-byte reference at ea leaves mapped memory or
 // is not aligned to its size (4 or 8: a mask, not a division, on every
@@ -186,12 +138,12 @@ func (c *Context) badRef(ea, size int64) bool {
 // refFault is the fault a non-speculative reference badRef refused raises. The
 // load pipeline reports a misaligned address before an unmapped one, the
 // store pipeline the other way round.
-func (m *Machine) refFault(c *Context, what string, ea, size int64) error {
+func (m *Machine) refFault(c *Context, unit, what string, ea, size int64) error {
 	mapped := ea >= ir.GlobalBase && ea+size <= int64(len(c.mem))
 	if ea&(size-1) != 0 && (mapped || what == "load") {
-		return m.fault(c, TrapUnaligned, "unaligned %d-byte %s %#x", size, what, ea)
+		return m.fault(c, unit, TrapUnaligned, "unaligned %d-byte %s %#x", size, what, ea)
 	}
-	return m.fault(c, TrapMemBounds, "bus error: %s %#x", what, ea)
+	return m.fault(c, unit, TrapMemBounds, "bus error: %s %#x", what, ea)
 }
 
 // load reads the 4- or 8-byte value at ea as register bits and marks its RAM

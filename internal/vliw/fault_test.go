@@ -47,10 +47,15 @@ func main() int {
 func TestTrapUnaligned(t *testing.T) {
 	img := build(t, `func main() int { return 0 }`, mach.Trace7())
 	m := New(img)
+	// A raw op as the plan would hold it, through the one executor.
+	run := func(o *mach.Op) error {
+		s := translate(0, &mach.SlotOp{Unit: mach.Unit{Kind: mach.UIALU}, Op: *o}, &img.Cfg)
+		return m.exec(m.cur, &s, &s.uop)
+	}
 
 	store := &mach.Op{Kind: ir.Store, Type: ir.I32,
 		A: mach.ImmArg(int32(ir.GlobalBase + 2)), B: mach.ImmArg(0), C: mach.ImmArg(1)}
-	err := m.execStore(store)
+	err := run(store)
 	f, ok := err.(*Fault)
 	if !ok || f.Code != TrapUnaligned {
 		t.Errorf("unaligned store: got %v, want TrapUnaligned fault", err)
@@ -58,7 +63,7 @@ func TestTrapUnaligned(t *testing.T) {
 
 	load := &mach.Op{Kind: ir.Load, Type: ir.F64, Dst: mach.PReg{Bank: mach.BankF},
 		A: mach.ImmArg(int32(ir.GlobalBase + 4)), B: mach.ImmArg(0)}
-	err = m.execLoad(load, 1)
+	err = run(load)
 	f, ok = err.(*Fault)
 	if !ok || f.Code != TrapUnaligned {
 		t.Errorf("unaligned load: got %v, want TrapUnaligned fault", err)
@@ -68,7 +73,7 @@ func TestTrapUnaligned(t *testing.T) {
 	spec := &mach.Op{Kind: ir.LoadSpec, Type: ir.F64, Dst: mach.PReg{Bank: mach.BankF},
 		A: mach.ImmArg(int32(ir.GlobalBase + 4)), B: mach.ImmArg(0)}
 	before := m.Stats.SpecFaults
-	if err := m.execLoad(spec, 1); err != nil {
+	if err := run(spec); err != nil {
 		t.Errorf("unaligned speculative load trapped: %v", err)
 	}
 	if m.Stats.SpecFaults != before+1 {

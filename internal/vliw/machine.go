@@ -294,9 +294,11 @@ type Machine struct {
 	// Sched reports the context scheduler's counters after RunMany.
 	Sched SchedStats
 
-	// curUnit names the functional unit whose slot is executing, for fault
-	// attribution on the interlock-free datapath.
-	curUnit string
+	// slot is the slot the interpreter has in hand, nil between beats: whom a
+	// panic out of a guard-free site is attributed to, and through whom its
+	// beat is counted (safeTierFault). Guarded faults name their unit
+	// themselves.
+	slot *planOp
 
 	// InjectWrite, when set, observes — and may corrupt — every register
 	// write as it retires from a functional-unit pipeline, before the value
@@ -425,7 +427,7 @@ func (m *Machine) ResetMany(imgs []*isa.Image) error {
 func (m *Machine) resetMachine(cfg mach.Config) {
 	m.Cfg = cfg
 	m.beat = 0
-	m.curUnit = ""
+	m.slot = nil
 
 	m.dmaRate, m.dmaBase, m.dmaLen, m.dmaIssued = 0, 0, 0, 0
 
@@ -553,7 +555,7 @@ func (m *Machine) armCertified(c SafetyCertificate, t Tier, grade string) error 
 		if m.Img != img {
 			base = buildPlan(img)
 		}
-		m.safePlan = buildSafePlan(img, base, c)
+		m.safePlan = buildSafePlan(base, c)
 		m.safeImg, m.safeCert = img, c
 	}
 	if p := m.safePlan; t == TierNative && p.heads == nil {
@@ -698,8 +700,9 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				m.abandonRegion(c)
+				err = m.safeTierFault(c, r)
 				m.finish(c)
-				exit, out, err = 0, c.out.String(), m.safeTierFault(c, r)
+				exit, out = 0, c.out.String()
 			}
 		}()
 	}
@@ -958,8 +961,10 @@ func (m *Machine) results() []ContextResult {
 	return rs
 }
 
-func (m *Machine) fault(c *Context, code TrapCode, format string, args ...any) error {
-	return &Fault{Code: code, PC: c.pc, Beat: c.beat, Unit: m.curUnit, Msg: fmt.Sprintf(format, args...)}
+// fault is a Fault at c's word and beat; unit names the functional unit whose
+// operation raised it, "" for one raised outside a slot's execution.
+func (m *Machine) fault(c *Context, unit string, code TrapCode, format string, args ...any) error {
+	return &Fault{Code: code, PC: c.pc, Beat: c.beat, Unit: unit, Msg: fmt.Sprintf(format, args...)}
 }
 
 // advanceContained is a context's next unit of work with the safe and native
@@ -985,16 +990,25 @@ func (m *Machine) advanceContained(c *Context, until int64) (err error) {
 // site back into the machine fault the deleted guard would have raised.
 // Anything that is not a runtime error (a panicking instrumentation hook,
 // a simulator bug) is re-thrown: the safe tier contains exactly the class
-// of failure its certificate weakened, nothing else.
+// of failure its certificate weakened, nothing else. On the per-word path the
+// interpreter had the site's slot in hand: the fault names its unit and the
+// beat is counted through it, as the guard's own fault would have been. Out
+// of a region the context is as abandonRegion left it, at the top of the beat,
+// and the fault names no unit.
 func (m *Machine) safeTierFault(c *Context, r any) error {
 	re, ok := r.(runtime.Error)
 	if !ok {
 		panic(r)
 	}
-	if strings.Contains(re.Error(), "divide by zero") {
-		return m.fault(c, TrapDivZero, "integer divide by zero (safe tier containment)")
+	unit := ""
+	if s := m.slot; s != nil {
+		unit, m.slot = s.unitName, nil
+		c.plan.slots[c.pc].through(s).apply(&m.Stats)
 	}
-	return m.fault(c, TrapMemBounds, "bus error (safe tier containment): %v", re)
+	if strings.Contains(re.Error(), "divide by zero") {
+		return m.fault(c, unit, TrapDivZero, "integer divide by zero (safe tier containment)")
+	}
+	return m.fault(c, unit, TrapMemBounds, "bus error (safe tier containment): %v", re)
 }
 
 // StallBank forces the RAM bank holding byte address ea busy for the next n
@@ -1025,7 +1039,7 @@ func (m *Machine) StallBank(ea int64, n int64) {
 func (m *Machine) step(c *Context, issue bool) error {
 	p := c.plan
 	if c.pc < 0 || c.pc >= len(p.words) {
-		return m.fault(c, TrapBadPC, "instruction fetch outside image")
+		return m.fault(c, "", TrapBadPC, "instruction fetch outside image")
 	}
 	// timer interrupts are taken at instruction boundaries; the pipelines
 	// drain on their own, so the handler cost is a pure beat charge
@@ -1116,29 +1130,34 @@ func (m *Machine) step(c *Context, issue bool) error {
 	return nil
 }
 
-// interpret executes one beat of a fetched word slot by slot.
+// interpret executes one beat of a fetched word slot by slot: each slot's
+// record as the plan holds it (exec), its result out of resultCell into the
+// write pipeline, lat beats on. The beat counts what its slots count (opBulk):
+// all of them when it ends, those through the faulting slot when it does not.
 func (m *Machine) interpret(c *Context, ws *wordSlots, beat int) error {
 	if m.CheckRes && c.tier == TierChecked {
 		if v := ws.viol[beat]; v != nil {
-			return m.fault(c, v.code, "%s", v.msg)
+			return m.fault(c, "", v.code, "%s", v.msg)
 		}
 	}
 	ops := ws.beats[beat]
+	if len(ops) == 0 {
+		return nil // nothing to issue or count; adding an empty sum every such beat cost systems-hot 4 %
+	}
 	for i := range ops {
 		p := &ops[i]
-		m.Stats.Ops++
-		m.curUnit = p.unitName
-		var err error
-		if p.unitKind == mach.UBR {
-			err = m.execBranch(p.op)
-		} else {
-			err = m.execOp(p)
-		}
-		if err != nil {
+		m.slot = p
+		if err := m.exec(c, p, &p.uop); err != nil {
+			ws.through(p).apply(&m.Stats)
+			m.slot = nil
 			return err
 		}
-		m.curUnit = ""
+		if p.dst.Valid() {
+			c.push(c.beat+p.lat, p.dst, c.vals[resultCell])
+		}
 	}
+	m.slot = nil
+	ws.bulk[beat].apply(&m.Stats)
 	return nil
 }
 
@@ -1271,7 +1290,7 @@ func (m *Machine) land(c *Context, due []ringWrite) error {
 		if checked {
 			for j := range due[:i] {
 				if due[j].dst == w.dst {
-					return m.fault(c, TrapWriteRace, "write-write race on %s: writes issued at word %d and word %d retire together",
+					return m.fault(c, "", TrapWriteRace, "write-write race on %s: writes issued at word %d and word %d retire together",
 						w.dst, due[j].pc, w.pc)
 				}
 			}

@@ -10,9 +10,9 @@ import (
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
-// One operation at a time through the native tier's translator: for every
-// dispatch kind of the plan (planOp.kind) and every operand shape the
-// translator distinguishes, a hand-built word is run to its landing on the
+// One operation at a time through the native tier's regions: for every
+// kind of record (uop.kind) and every operand shape the translation
+// distinguishes, a hand-built word is run to its landing on the
 // checked interpreter and on a native machine whose region for it is warm, and
 // the two must end with the same registers, memory, in-flight writes, all 23
 // counters and the same Fault text. The matrices over whole programs
@@ -125,7 +125,7 @@ func uopCases() []uopCase {
 
 	// The value table, every opcode: each mix of register and immediate
 	// operands, and one register twice, at either beat of the word.
-	for k := ir.OpKind(0); k < opPure; k++ {
+	for k := ir.OpKind(0); k <= mach.OpHalt; k++ {
 		v := mach.ValueOf(k)
 		if v == nil {
 			continue

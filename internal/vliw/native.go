@@ -40,13 +40,18 @@ import (
 // with its clock rebased (regionEvent). With an interrupt timer, a DMA
 // stream, TraceFn or InjectWrite armed, every word takes step's whole path.
 //
-// The exit-state contract: at every exit — side exit, limit, guarded fault,
-// contained panic — the context is left exactly as the per-word path would
-// have left it at that point: registers landed through the current beat,
-// every write still in flight in the ring under the retire beat, issuing word
-// and sequence number step would have given it, seq and drained to match, and
-// all 23 counters. Snapshot, Restore, RunMany rotation and the fuzz oracles
-// are tier-independent because of it (TestExitStateMatchesChecked).
+// The exit-state contract: at every exit — side exit, limit, guarded fault —
+// the context is left exactly as the per-word path would have left it at that
+// point: registers landed through the current beat, every write still in
+// flight in the ring under the retire beat, issuing word and sequence number
+// step would have given it, seq and drained to match, and all 23 counters.
+// Snapshot, Restore, RunMany rotation and the fuzz oracles are
+// tier-independent because of it (TestExitStateMatchesChecked). The one
+// exception is a panic contained inside a region — a proven site driven wild
+// after certification: the context is left as of the top of the beat whose
+// issue panicked and the Fault names no unit (abandonRegion), where the
+// per-word path counts the beat through the panicking slot and names it
+// (safeTierFault).
 //
 // Two things lean on the certificate beyond the guards it deletes. Both need
 // that no two writes to one register retire in one beat and that of two in
@@ -56,12 +61,15 @@ import (
 // jump the writes in flight land by retire beat, not in one batch by issue
 // (regionEvent).
 //
-// Regions are built lazily from the safe plan's planOps, the second time the
-// per-word path arrives at a word; code that runs once is interpreted once
-// and never translated. At sites the SafetyCertificate proves, the micro-op
-// carries no guard and the Go runtime's own bounds and divide checks backstop
-// a post-certification mutation (safeTierFault); unproven sites keep the
-// interpreter's guards, fault text included.
+// Regions are built lazily, the second time the per-word path arrives at a
+// word; code that runs once is interpreted once and never laid out. A region
+// translates nothing: it copies the records the safe plan holds, the ones the
+// interpreter runs (regionBuilder.issue), so a proven site carries no guard on
+// either path, an unproven one the same guard and fault text, and the Go
+// runtime's own bounds and divide checks backstop a post-certification
+// mutation (safeTierFault). Who owns what: exec (exec.go) says what a kind
+// does; runRegion's switch inlines the shapes compacted loops are made of,
+// each measured; opBulk says what a slot counts, for both.
 
 const (
 	// regionHeat is how many times the per-word path must arrive at a word
@@ -78,13 +86,15 @@ const (
 	regionBudget = 16
 )
 
-// uop is one record of a region's stream. d, a and b are indexes of the value
-// file; what they and the two constants mean is the kind's business. For the
-// value table it is dst = f(vals[a]+k1, vals[b]+k2) — an immediate, or no
-// operand, is the zero cell plus its value (operand) — and for a memory
-// reference a, b and k1 are its address sum (address). Where a kind needs more
-// than a record holds — a unit name, a value function, a fault text, a third
-// operand — the high half of k2 indexes region.side.
+// uop is the one form of an operation: a slot of the plan (planOp) and a
+// record of a region's stream. d, a and b are indexes of the value file; what
+// they and the two constants mean is the kind's business. For the value table
+// it is dst = f(vals[a]+k1, vals[b]+k2) — an immediate, or no operand, is the
+// zero cell plus its value (operand) — and for a memory reference a, b and k1
+// are its address sum (address). Where a kind needs more than a record holds —
+// a unit name, a value function, a fault text, a third operand — it is in the
+// slot: the interpreter has it in hand, and in a region the high half of k2
+// indexes region.side.
 type uop struct {
 	kind    uint8
 	d, a, b uint16
@@ -93,9 +103,10 @@ type uop struct {
 
 // The micro-op kinds. The first block, but for its first kind, is what
 // compacted loops are made of and has its cases in runRegion's switch; that
-// kind and the second block go through slowOp.
+// kind and the second block go through exec in a region, as every kind a plan
+// holds does in the interpreter.
 const (
-	uValue uint8 = iota // the value table through the side planOp's fn; its ten commonest shapes follow
+	uValue uint8 = iota // the value table through the slot's fn; its ten commonest shapes, a region's only, follow
 	uFAdd
 	uFSub
 	uFMul
@@ -120,21 +131,24 @@ const (
 	// The word's second beat begins, and the k1 uLands behind the record are
 	// due. A uLand — vals[d] = vals[a], the write region word b issued — is
 	// never dispatched: a beat's landings are a counted run, copied when it
-	// begins (regionWord.land0 counts the first beat's).
+	// begins (regionWord.land0 counts the first beat's). Both are a region's
+	// only.
 	uBeat
 	uLand
 
 	uDiv    // a guarded Div or Rem
 	uConstI // ConstI of a register: dst = the low word of vals[a]+k1
-	uSelect // dst = vals[a]+k1 or vals[b]+k2, by the side planOp's condition
+	uSelect // dst = vals[a]+k1 or vals[b]+k2, by the slot's condition
 	uLoad   // the guarded references
 	uStore
-	uCanon // vals[d] into the canonical form of bank a
+	uCanon // vals[d] into the canonical form of bank a; a region's only
 	uCall  // dst = the link address (k1's low half), then as uJmp if there is a target
 	uJmpR  // as uJmp to the word vals[a] plus k1's low half names, if any
 	uHalt
 	uSyscall
 	uBadOp
+	uNop // counted and nothing else: a Nop, a test or jump with no target; never in a stream
+	numKinds
 )
 
 // region is one translated run of words from head (see buildRegion). The flat
@@ -147,7 +161,7 @@ type region struct {
 	mems   []planMem     // the words' prescan lists, end to end
 	uops   []uop         // the stream: per word, beat 0's landings and operations, a uBeat, beat 1's landings and operations
 	info   []opInfo      // parallel to uops, read only at a fault: what one at that record leaves
-	side   []*planOp     // what the slowOp kinds need beyond their record
+	side   []*planOp     // the slots of the records that go through exec
 	lands  []landing     // the stream's landings on their own, for landAhead's cursor
 	writes []regionWrite // in issue order; writes[k] is delivered into slot k
 	maxLat int32         // the longest latency of a write of the region
@@ -252,7 +266,7 @@ type statsBulk struct {
 	syscalls  uint16
 }
 
-func (b *statsBulk) apply(s *Stats) {
+func (b statsBulk) apply(s *Stats) {
 	s.Ops += int64(b.ops)
 	s.FloatOps += int64(b.floatOps)
 	s.MemRefs += int64(b.memRefs)
@@ -285,29 +299,30 @@ func (b *statsBulk) add(o statsBulk) {
 	b.syscalls += o.syscalls
 }
 
-// opBulk returns a slot's unconditional counter contribution.
+// opBulk is what a slot counts, on every tier: its unconditional counter
+// contribution, by unit and opcode — a proven site counts what the guarded one
+// does, a test with nowhere to go is still a branch.
 func opBulk(s *planOp) statsBulk {
 	b := statsBulk{ops: 1}
-	if s.unitKind == mach.UBR {
-		// Branch-unit dispatch keys on the op's own kind (execBranch).
-		switch s.op.Kind {
+	switch k := s.op.Kind; {
+	case s.unit.Kind == mach.UBR:
+		switch k {
 		case mach.OpBrT, mach.OpJmp, mach.OpCall, mach.OpJmpR:
 			b.branches = 1
 		case mach.OpSyscall:
 			b.syscalls = 1
 		}
-		return b
-	}
-	switch s.kind {
-	case opPureFlop:
-		b.floatOps = 1
-	case ir.Load, ir.LoadSpec, opSafeLoadI32, opSafeLoadF64: // countLoad
+	case k == ir.Load, k == ir.LoadSpec:
 		b.memRefs, b.loads = 1, 1
-		if s.op.Kind == ir.LoadSpec {
+		if k == ir.LoadSpec {
 			b.specLoads = 1
 		}
-	case ir.Store, opSafeStoreI32, opSafeStoreF64: // countStore
+	case k == ir.Store:
 		b.memRefs, b.stores = 1, 1
+	default:
+		if v := mach.ValueOf(k); v != nil && v.Flop {
+			b.floatOps = 1
+		}
 	}
 	return b
 }
@@ -328,14 +343,13 @@ func (p *plan) arrive(pc int) *region {
 	return r
 }
 
-// regionBuilder carries the position of the op being translated.
+// regionBuilder carries the position of the slot being laid out.
 type regionBuilder struct {
 	p      *plan
 	r      *region
-	pc     int       // the word in hand
 	beat   int32     // its issue beat, relative to region entry
 	direct bool      // the op in hand writes straight to its register (see straight)
-	bulk   statsBulk // the counters of every slot translated so far
+	bulk   statsBulk // the counters of every slot laid out so far
 	due    [][]int32 // by region beat: the writes that land there through a slot, in issue order
 }
 
@@ -346,12 +360,11 @@ func (b *regionBuilder) emit(u uop, issued int) {
 	b.r.info = append(b.r.info, opInfo{bulk: b.bulk, writes: int32(issued)})
 }
 
-// word translates word pc as the region's next word: per beat the landings
+// word lays word pc out as the region's next word: per beat the landings
 // due, then the beat's slots in order, with a uBeat between the two beats.
 func (b *regionBuilder) word(pc int) {
 	p, r := b.p, b.r
 	ws := &p.slots[pc]
-	b.pc = pc
 	rw := regionWord{pc: int32(pc), line: int32(pc & p.itagMask)}
 	if p.itagMask < 0 {
 		rw.line = int32(pc % p.icache)
@@ -378,11 +391,7 @@ func (b *regionBuilder) word(pc int) {
 			s := &ws.beats[beat][i]
 			b.direct = b.straight(ws.beats[beat], i)
 			b.bulk.add(opBulk(s))
-			if s.unitKind == mach.UBR {
-				b.branch(s)
-			} else {
-				b.exec(s)
-			}
+			b.issue(s)
 		}
 	}
 	rw.end = int32(len(r.uops))
@@ -391,15 +400,11 @@ func (b *regionBuilder) word(pc int) {
 	r.words = append(r.words, rw)
 }
 
-// deliver issues the write the op in hand makes to dst, landing lat beats on,
+// deliver issues the write the slot in hand makes to dst, landing lat beats on,
 // and returns the index its record stores the result at: the next scratch
-// slot — or the register itself, for a straight write — and noDest for an op
-// with no destination. A write that lands inside the region through a slot is
-// put down for its beat's landings.
+// slot — or the register itself, for a straight write. A write that lands
+// inside the region through a slot is put down for its beat's landings.
 func (b *regionBuilder) deliver(dst mach.PReg, lat int64) uint16 {
-	if !dst.Valid() {
-		return noDest
-	}
 	k, land := len(b.r.writes), b.beat+int32(lat)
 	b.r.writes = append(b.r.writes, regionWrite{dst: dst, straight: b.direct, issue: b.beat, land: land})
 	b.r.maxLat = max(b.r.maxLat, int32(lat))
@@ -426,7 +431,7 @@ func (p *plan) transfers(pc int) (always bool, jump int) {
 	for beat := range p.slots[pc].beats {
 		for i := range p.slots[pc].beats[beat] {
 			s := &p.slots[pc].beats[beat][i]
-			if s.unitKind != mach.UBR {
+			if s.unit.Kind != mach.UBR {
 				continue
 			}
 			switch o := s.op; {
@@ -441,7 +446,7 @@ func (p *plan) transfers(pc int) (always bool, jump int) {
 	return always, jump
 }
 
-// buildRegion translates the run of words from head: each word's successor is
+// buildRegion lays out the run of words from head: each word's successor is
 // the next word, or the target of the word's unconditional jump, up to and
 // including the first word that otherwise always transfers control (a call, an
 // indirect jump, a halt, a jump back into the run), and never out of the
@@ -451,7 +456,7 @@ func (p *plan) transfers(pc int) (always bool, jump int) {
 // reached by one joins the run whole or not at all, so a region ends where a
 // trace does. A word whose successor in the region is not the next address
 // expects the taken branch there (follow) and carries on when it is taken.
-// The words are translated in one pass, landings and all: a write lands at
+// The words are laid out in one pass, landings and all: a write lands at
 // least a beat after it issues, so every landing of a beat is known when the
 // builder gets there.
 func (p *plan) buildRegion(head int) *region {
@@ -749,7 +754,7 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 				}
 				ui += land(vals, uops[ui+1:ui+1+int(u.k1)], floor)
 			default:
-				if err := m.slowOp(c, r, u); err != nil {
+				if err := m.exec(c, r.side[u.k2>>32], u); err != nil {
 					in := &r.info[ui]
 					m.leaveRegion(c, w+1, int32(c.beat-run.base), in.writes, in.bulk, exitFault)
 					return err
@@ -809,85 +814,6 @@ func (u *uop) ea(c *Context) int64 {
 
 // prio is a branch record's multiway priority.
 func (u *uop) prio() int { return int(int32(u.k1 >> 32)) }
-
-// slowOp runs the record kinds runRegion's switch has no case for: everything
-// that needs the side table, can fault, or is too rare to be worth a case. It
-// returns the trap a guarded site raises, attributed to its unit as the
-// interpreter's curUnit would, so the Fault renders as on the other tiers.
-func (m *Machine) slowOp(c *Context, r *region, u *uop) error {
-	vals := &c.vals
-	x, y := vals[u.a&valMask]+u.k1, vals[u.b&valMask]+uint64(uint32(u.k2)) // the operands, for the kinds that have two
-	switch u.kind {
-	case uValue:
-		vals[u.d&valMask] = r.side[u.k2>>32].fn(x, y)
-	case uDiv:
-		s := r.side[u.k2>>32]
-		if mach.DivTraps(y) {
-			return m.nFault(c, s.unitName, TrapDivZero, "%s", divZeroMsg(s.kind))
-		}
-		vals[u.d&valMask] = s.fn(x, y)
-	case uConstI:
-		vals[u.d&valMask] = uint64(uint32(x))
-	case uSelect:
-		if c.readArg(r.side[u.k2>>32].op.A) != 0 {
-			vals[u.d&valMask] = x
-		} else {
-			vals[u.d&valMask] = y
-		}
-	case uLoad:
-		// The interpreter's case with the address resolved (execLoad).
-		s := r.side[u.k2>>32]
-		ea, size := u.ea(c), s.op.Type.Size()
-		switch {
-		case !c.badRef(ea, size):
-			vals[u.d&valMask] = c.load(ea, size)
-		case s.op.Kind == ir.LoadSpec:
-			m.Stats.SpecFaults++
-			vals[u.d&valMask] = mach.SpecPoison(s.op.Type)
-		default:
-			m.curUnit = s.unitName
-			return m.refFault(c, "load", ea, size)
-		}
-	case uStore:
-		s := r.side[u.k2>>32]
-		ea, size := u.ea(c), s.op.Type.Size()
-		if c.badRef(ea, size) {
-			m.curUnit = s.unitName
-			return m.refFault(c, "store", ea, size)
-		}
-		m.store(c, ea, size, vals[u.d&valMask]+uint64(uint32(u.k2)))
-	case uCanon:
-		vals[u.d&valMask] = canonical(mach.Bank(u.a), vals[u.d&valMask])
-	case uCall:
-		vals[u.d&valMask] = uint64(uint32(u.k1))
-		if t := int(u.k2); t >= 0 {
-			m.takeBranch(u.prio(), t)
-		}
-	case uJmpR:
-		if t := int(int32(uint32(vals[u.a&valMask]) + uint32(u.k1))); t >= 0 {
-			m.takeBranch(u.prio(), t)
-		}
-	case uHalt:
-		m.brHalt = true
-		m.brExit = int32(c.readReg(mach.RegRVI))
-	case uSyscall:
-		switch s := r.side[u.k2>>32]; s.op.Sym {
-		case "print_i":
-			c.printI()
-		case "print_f":
-			c.printF()
-		default:
-			return m.nFault(c, s.unitName, TrapSyscall, "unknown syscall %q", s.op.Sym)
-		}
-	default: // uBadOp
-		s := r.side[u.k2>>32]
-		if s.unitKind == mach.UBR {
-			return m.nFault(c, s.unitName, TrapBadOp, "%s on branch unit", mach.OpName(s.op.Kind))
-		}
-		return m.nFault(c, s.unitName, TrapBadOp, "cannot execute %s", mach.OpName(s.op.Kind))
-	}
-	return nil
-}
 
 // regionEvent is what a region does about a word on which something dynamic
 // happens — an iTLB or icache miss, a dTLB miss, a busy bank. step fetches the
@@ -1077,37 +1003,10 @@ func (m *Machine) abandonRegion(c *Context) {
 	m.leaveRegion(c, w+1, landed, issued, bulk, exitFault)
 }
 
-// operand is a mach.Arg resolved for a region — inside one an operand is an
-// index, whichever bank it names — to be read as Context.readArg reads it: the
-// value at an index of the value file plus a constant. A register is its index
-// plus 0; an immediate — or no operand, which reads as 0 — is the zero cell
-// plus its value. Reading one (vals[idx]+k, in a record's case of runRegion's
-// switch) never asks which it is.
-type operand struct {
-	idx uint16
-	k   uint64
-}
-
-func operandOf(a mach.Arg) operand {
-	switch {
-	case a.IsImm:
-		return operand{idx: zeroCell, k: uint64(uint32(a.Imm))}
-	case a.Reg.Valid():
-		return operand{idx: uint16(a.Reg.Index())}
-	}
-	return operand{idx: zeroCell}
-}
-
-// nFault raises a guarded-site fault from slowOp, with the unit attribution
-// the interpreter would have set via curUnit.
-func (m *Machine) nFault(c *Context, unit string, code TrapCode, format string, args ...any) error {
-	m.curUnit = unit
-	return m.fault(c, code, format, args...)
-}
-
 // fastShapes are the value-table opcodes with a case of their own in
-// runRegion's switch, the ones that dominate compacted inner loops; the rest
-// of the table runs as uValue, the zero kind. (An array of constants: a map
+// runRegion's switch, the ones that dominate compacted inner loops: a region
+// gives a plan's uValue record of one of them its kind. The rest of the table
+// stays uValue, the zero kind. (An array of constants: a map
 // literal is an init function at the head of the package's text, and moved
 // every loop of the interpreter by half a cache line — −5 % on systems-hot.)
 var fastShapes = [...]uint8{
@@ -1115,42 +1014,10 @@ var fastShapes = [...]uint8{
 	ir.CmpLT: uCmpLT, ir.CmpGE: uCmpGE, ir.CmpEQ: uCmpEQ, ir.CmpNE: uCmpNE, ir.Shl: uShl,
 }
 
-// branch translates one branch-unit slot (mirrors execBranch): the condition
-// or the indirect target is operand a, the priority rides in k1's high half,
-// the target in k2.
-func (b *regionBuilder) branch(s *planOp) {
-	o, issued := s.op, len(b.r.writes)
-	x, prio := operandOf(o.A), uint64(uint32(o.Prio))<<32
-	u := uop{a: x.idx, k1: x.k | prio, k2: uint64(o.Target)}
-	switch o.Kind {
-	case mach.OpBrT, mach.OpJmp:
-		if o.Target < 0 {
-			return
-		}
-		if u.kind = uBrT; o.Kind == mach.OpJmp {
-			u.kind = uJmp
-		}
-	case mach.OpCall:
-		u.kind, u.d, u.k1 = uCall, b.deliver(mach.RegLR, 1), uint64(uint32(b.pc+1))|prio // the link address
-	case mach.OpJmpR:
-		u.kind = uJmpR
-	case mach.OpHalt:
-		u.kind = uHalt
-	case mach.OpSyscall:
-		u.kind, u.k2 = uSyscall, b.aside(s)
-	default:
-		u.kind, u.k2 = uBadOp, b.aside(s)
-	}
-	b.emit(u, issued)
-}
-
 // reads reports whether slot s may read register r when it issues.
 func (s *planOp) reads(r mach.PReg) bool {
-	if s.unitKind == mach.UBR {
-		switch s.op.Kind {
-		case mach.OpSyscall, mach.OpHalt:
-			return true // argument and result registers, not named as operands
-		}
+	if s.kind == uSyscall || s.kind == uHalt {
+		return true // argument and result registers, not named as operands
 	}
 	for _, a := range [...]mach.Arg{s.op.A, s.op.B, s.op.C} {
 		if !a.IsImm && a.Reg == r {
@@ -1162,19 +1029,13 @@ func (s *planOp) reads(r mach.PReg) bool {
 
 // mayFault reports whether slot s's record can return a fault.
 func (s *planOp) mayFault() bool {
-	if s.unitKind == mach.UBR {
-		switch s.op.Kind {
-		case mach.OpBrT, mach.OpJmp, mach.OpCall, mach.OpJmpR, mach.OpHalt:
-			return false
-		}
-		return true
-	}
 	switch s.kind {
-	case ir.Nop, opPure, opPureFlop, ir.ConstI, ir.ConstF, ir.Mov, mach.OpMovSF, ir.Select, ir.LoadSpec,
-		opSafeLoadI32, opSafeLoadF64, opSafeStoreI32, opSafeStoreF64:
-		return false
+	case uDiv, uStore, uSyscall, uBadOp:
+		return true
+	case uLoad:
+		return s.op.Kind != ir.LoadSpec
 	}
-	return true
+	return false
 }
 
 // straight reports whether the write slot i of a beat's issue list makes can
@@ -1189,15 +1050,11 @@ func (s *planOp) mayFault() bool {
 // compacted loops, about a third of all writes.
 func (b *regionBuilder) straight(ops []planOp, i int) bool {
 	s := &ops[i]
-	dst := s.op.Dst
-	if b.beat&1 != 0 || s.lat != 1 || s.unitKind == mach.UBR {
+	if b.beat&1 != 0 || s.lat != 1 || s.unit.Kind == mach.UBR {
 		return false
 	}
 	for j := range ops {
-		if j != i && (ops[j].op.Dst == dst || j > i && (ops[j].reads(dst) || ops[j].mayFault())) {
-			return false
-		}
-		if ops[j].unitKind == mach.UBR && ops[j].op.Kind == mach.OpCall && dst == mach.RegLR {
+		if j != i && (ops[j].dst == s.dst || j > i && (ops[j].reads(s.dst) || ops[j].mayFault())) {
 			return false
 		}
 	}
@@ -1219,7 +1076,7 @@ func (s *planOp) bits() int {
 	}
 	o := s.op
 	switch s.kind {
-	case opPure, opPureFlop, ir.Div, ir.Rem:
+	case uValue, uDiv:
 		switch {
 		case mach.ValueOf(o.Kind).FloatOut:
 			return 64
@@ -1227,13 +1084,17 @@ func (s *planOp) bits() int {
 			return 1
 		}
 		return 32
-	case ir.ConstI:
+	case uConstI, uCall, uLoad4:
 		return 32
-	case ir.Mov, mach.OpMovSF:
+	case uConst:
+		if o.Kind == ir.ConstI {
+			return 32
+		}
+	case uMov:
 		return argBits(o.A)
-	case ir.Select:
+	case uSelect:
 		return max(argBits(o.B), argBits(o.C))
-	case ir.Load, ir.LoadSpec, opSafeLoadI32, opSafeLoadF64:
+	case uLoad:
 		if o.Type == ir.I32 {
 			return 32
 		}
@@ -1241,80 +1102,34 @@ func (s *planOp) bits() int {
 	return 64
 }
 
-// exec translates one non-branch slot (mirrors execOp case for case; the
-// dispatch key is the plan kind, so proven sites translate to their guard-free
-// kinds). What a record stores must be canonical for the destination's bank,
-// because a landing is a plain copy and a straight write is final. It is by
-// construction wherever the result is no wider than the bank (bits); an image
-// that moves a float into an integer register, or an integer into the branch
-// bank, gets a uCanon behind the producer (such a write, caught in flight by a
-// region exit, is in the ring as the register will hold it, where the
-// interpreter's is as the operation produced it).
-func (b *regionBuilder) exec(s *planOp) {
-	o, issued := s.op, len(b.r.writes)
-	x, y := operandOf(o.A), operandOf(o.B)
-	u := uop{a: x.idx, b: y.idx, k1: x.k, k2: y.k} // the two-operand form
-	switch s.kind {
-	case ir.Nop:
-		return
-	case opPure, opPureFlop:
-		// Also a proven Div/Rem: the divide panic is the backstop, and an op
-		// with no destination is still evaluated.
-		if int(o.Kind) < len(fastShapes) {
-			u.kind = fastShapes[o.Kind]
-		}
-		if u.kind == uValue {
-			u.k2 |= b.aside(s)
-		}
-	case ir.Div, ir.Rem:
-		u.kind, u.k2 = uDiv, u.k2|b.aside(s)
-	case ir.ConstI:
-		if u.kind = uConstI; o.A.IsImm {
-			u = uop{kind: uConst, k1: x.k}
-		}
-	case ir.ConstF:
-		u = uop{kind: uConst, k1: mach.FBits(o.FImm)}
-	case ir.Mov, mach.OpMovSF:
-		u.kind = uMov
-	case ir.Select:
-		z := operandOf(o.C)
-		u = uop{kind: uSelect, a: y.idx, b: z.idx, k1: y.k, k2: z.k | b.aside(s)}
-	case ir.Load, ir.LoadSpec, opSafeLoadI32, opSafeLoadF64:
-		// A proven site (the plan rewrote its kind) carries no verdict on its
-		// address: a post-certification mutation that drives it wild hits the
-		// Go runtime's slice bounds check, and the run loops convert the panic
-		// to the matching Fault (safeTierFault), same as the safe tier.
-		ea := addressOf(o)
-		u = uop{kind: uLoad, a: ea.a, b: ea.b, k1: uint64(ea.off)}
-		switch s.kind {
-		case opSafeLoadI32:
-			u.kind = uLoad4
-		case opSafeLoadF64:
-			u.kind = uLoad8
-		default:
-			u.k2 = b.aside(s)
-		}
-	case ir.Store, opSafeStoreI32, opSafeStoreF64:
-		ea, z := addressOf(o), operandOf(o.C)
-		u = uop{kind: uStore, d: z.idx, a: ea.a, b: ea.b, k1: uint64(ea.off), k2: z.k}
-		switch s.kind {
-		case opSafeStoreI32:
-			u.kind = uStore4
-		case opSafeStoreF64:
-			u.kind = uStore8
-		default:
-			u.k2 |= b.aside(s)
-		}
-		b.emit(u, issued)
-		return
-	default:
-		b.emit(uop{kind: uBadOp, k2: b.aside(s)}, issued)
+// issue copies slot s's record into the stream: the plan's translation as it
+// stands — a proven site's guard-free kind included — with the result aimed
+// where deliver says, a value-table opcode of fastShapes given its kind, and the
+// slot filed in side for a kind that goes through exec. What a record stores
+// must be canonical for the destination's bank, because a landing is a plain
+// copy and a straight write is final. It is by construction wherever the result
+// is no wider than the bank (bits); an image that moves a float into an integer
+// register, or an integer into the branch bank, gets a uCanon behind the
+// producer (such a write, caught in flight by a region exit, is in the ring as
+// the register will hold it, where the interpreter's is as the operation
+// produced it).
+func (b *regionBuilder) issue(s *planOp) {
+	u, issued := s.uop, len(b.r.writes)
+	if u.kind == uNop {
 		return
 	}
-	u.d = b.deliver(o.Dst, s.lat)
+	if u.kind == uValue && int(s.op.Kind) < len(fastShapes) {
+		u.kind = fastShapes[s.op.Kind]
+	}
+	if s.dst.Valid() {
+		u.d = b.deliver(s.dst, s.lat)
+	}
+	if u.kind == uValue || u.kind > uLand {
+		u.k2 |= b.aside(s)
+	}
 	b.emit(u, issued)
-	if bank, wide := o.Dst.Bank, s.bits(); bank == mach.BankI && wide > 32 || bank == mach.BankB && wide > 1 {
-		b.emit(uop{kind: uCanon, d: u.d, a: uint16(bank)}, len(b.r.writes))
+	if bank, wide := s.dst.Bank, s.bits(); bank == mach.BankI && wide > 32 || bank == mach.BankB && wide > 1 {
+		b.emit(uop{kind: uCanon, d: u.d, a: uint16(bank), k2: b.aside(s)}, len(b.r.writes))
 	}
 }
 

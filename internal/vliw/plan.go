@@ -8,23 +8,25 @@ import (
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
-// This file is the fast-path pre-decoder. The TRACE has no interlocks
-// precisely so that nothing dynamic stands between the static plan and
-// execution (§6); the simulator mirrors that by flattening every decoded
-// instruction word into an execution plan once, at image load, instead of
-// re-deriving it every beat:
+// This file is the pre-decoder. The TRACE has no interlocks precisely so that
+// nothing dynamic stands between the static plan and execution (§6); the
+// simulator mirrors that by flattening every decoded instruction word into an
+// execution plan once, at image load, instead of re-deriving it every beat:
 //
+//   - every slot is translated, once, into the record every tier executes
+//     (planOp, translate): its operands and its address sum resolved to
+//     indexes of the value file, its write latency — which depends only on
+//     (opcode, type, Config) — and, for an opcode of the shared value table
+//     (mach.ValueOf), its value function;
 //   - slots are split into per-beat lists, so the beat loop walks exactly
-//     the operations that initiate, with no per-slot beat filtering;
-//   - write latencies, which depend only on (opcode, type, Config), are
-//     precomputed per slot, and so is each pure opcode's value function
-//     (mach.ValueOf): the beat loop calls it, it does not re-derive it;
+//     the operations that initiate, with no per-slot beat filtering, and each
+//     list comes with the sum of what its slots count (opBulk);
 //   - the unit name used for fault attribution is rendered once per slot
 //     instead of fmt.Sprintf-ing on every execution;
 //   - memory references are collected into a prescan list with each
-//     effective-address sum resolved to indexes of the value file (address),
-//     so words with no references skip the TLB/bank-stall prescan entirely
-//     and the rest re-decode no operand;
+//     effective-address sum resolved the same way (address), so words with no
+//     references skip the TLB/bank-stall prescan entirely and the rest
+//     re-decode no operand;
 //   - the memory-bank geometry and the icache line index are resolved to
 //     shifts and masks (bankGeom, itagMask), and the retire ring is sized
 //     from the longest latency the image can issue;
@@ -34,12 +36,13 @@ import (
 //     checked interpreter merely consults the precomputed verdict — the
 //     per-beat map allocations of the old checkBeatResources disappear.
 //
-// The plan aliases the image's operations (planOp.op points into
-// Img.Instrs); it snapshots structure, not values, and is rebuilt whenever
-// Reset targets a different image. Every tier runs from a plan: the safe
-// tier from a copy with proven sites re-dispatched (buildSafePlan), the
-// native tier from that copy too, fusing the runs of words it arrives at
-// repeatedly into regions as it goes (native.go).
+// The plan resolves the image's operations as they stand when it is built: an
+// image is immutable once a machine is Reset onto it (the mutation tests
+// corrupt theirs before New). The plan is rebuilt whenever Reset targets a
+// different image. Every tier runs from a plan: the safe tier from a copy whose
+// proven sites carry their guard-free kinds (buildSafePlan), the native tier
+// from that copy too, fusing the runs of words it arrives at repeatedly into
+// regions as it goes (native.go).
 
 // plan is one image's pre-decoded form plus the constants every tier's step
 // shares.
@@ -99,27 +102,52 @@ func (g *bankGeom) id(ea int64) int64 {
 	return int64(g.tab[w&63])
 }
 
-// planOp is one pre-decoded slot operation. kind is the dispatch opcode the
-// beat loop switches on: op.Kind for the structural operations (memory,
-// moves, constants, select) and for a guarded Div/Rem, the synthetic opPure
-// or opPureFlop for everything the shared value table computes, and — in
-// the safe-tier plan (buildSafePlan) — a guard-free synthetic opcode at
-// sites a SafetyCertificate proves can never fault.
+// planOp is one slot, translated: the record that says what the operation does
+// (uop; exec runs it) and what a record has no room for. The interpreter runs
+// the record as it stands — its result goes to resultCell and from there into
+// the retire ring under dst and lat — and a region copies it into its stream
+// with the result aimed at a scratch slot (regionBuilder.issue). At a site a
+// SafetyCertificate proves can never fault, the safe-tier plan's record is of
+// the guard-free kind (buildSafePlan).
 type planOp struct {
+	uop
 	op       *mach.Op
-	kind     ir.OpKind
 	fn       func(a, b uint64) uint64 // the op's value semantics; nil unless mach.ValueOf(op.Kind) has them
 	lat      int64                    // precomputed write latency in beats
-	unitKind mach.UnitKind
+	dst      mach.PReg                // where the result goes: op.Dst, a call's link register, nothing for a kind that leaves none
+	unit     mach.Unit
 	unitName string // precomputed fault attribution
 }
 
-// address is a memory operation's effective-address sum (Context.eaOf) with
-// its operands resolved: the integers at two indexes of the value file plus a
+// operand is a mach.Arg resolved for a record — in one an operand is an
+// index, whichever bank it names — to be read as Context.readArg reads it: the
+// value at an index of the value file plus a constant. A register is its index
+// plus 0; an immediate — or no operand, which reads as 0 — is the zero cell
+// plus its value. Reading one (vals[idx]+k, in a record's case) never asks
+// which it is.
+type operand struct {
+	idx uint16
+	k   uint64
+}
+
+func operandOf(a mach.Arg) operand {
+	switch {
+	case a.IsImm:
+		return operand{idx: zeroCell, k: uint64(uint32(a.Imm))}
+	case a.Reg.Valid():
+		return operand{idx: uint16(a.Reg.Index())}
+	}
+	return operand{idx: zeroCell}
+}
+
+// address is a memory operation's effective-address sum, A + B, with its
+// operands resolved: the integers at two indexes of the value file plus a
 // constant. An immediate operand is folded into the constant and reads the
 // zero cell, so every shape of reference — register plus offset, register plus
 // register, absolute — is the same two loads and two adds, with nothing to
-// dispatch on. A reference with no base has no address: it computes 0.
+// dispatch on. A reference whose base names no register has no address: it
+// computes 0, below mapped memory, and so faults (or returns the §7 funny
+// number) when it executes.
 type address struct {
 	a, b uint16
 	off  int64
@@ -161,10 +189,29 @@ type planWord struct {
 }
 
 // wordSlots is the interpreted form of one instruction word: per-beat issue
-// lists and the precomputed static resource verdicts.
+// lists, what each list counts (the sum of its slots' opBulk) and the
+// precomputed static resource verdicts.
 type wordSlots struct {
 	beats [2][]planOp
+	bulk  [2]statsBulk
 	viol  [2]*resViol
+}
+
+// through is what the slots of s's beat count up to and including s: what a
+// fault at s — a guard's, or a panic the Go runtime raised where a proven
+// site's guard stood — leaves of its beat.
+func (ws *wordSlots) through(s *planOp) (b statsBulk) {
+	for _, ops := range ws.beats {
+		for i := range ops {
+			if &ops[i] == s {
+				for j := range ops[:i+1] {
+					b.add(opBulk(&ops[j]))
+				}
+				return b
+			}
+		}
+	}
+	return b
 }
 
 // buildPlan pre-decodes every instruction word of the image.
@@ -204,18 +251,11 @@ func buildPlan(img *isa.Image) *plan {
 		for si := range in.Slots {
 			s := &in.Slots[si]
 			b := s.Beat & 1
-			kind, fn := planKind(s.Op.Kind)
-			// A zero latency retires at the next beat's drain, like 1.
-			lat := max(int64(cfg.Latency(s.Op.Kind, s.Op.Type)), 1)
-			p.maxLat = max(p.maxLat, lat)
-			ws.beats[b] = append(ws.beats[b], planOp{
-				op:       &s.Op,
-				kind:     kind,
-				fn:       fn,
-				lat:      lat,
-				unitKind: s.Unit.Kind,
-				unitName: nameOf(s.Unit),
-			})
+			po := translate(a, s, &cfg)
+			po.unitName = nameOf(s.Unit)
+			p.maxLat = max(p.maxLat, po.lat)
+			ws.beats[b] = append(ws.beats[b], po)
+			ws.bulk[b].add(opBulk(&po))
 			// A reference with no base operand has no address to translate or
 			// bank to stall on; it faults (or returns the §7 funny number) at
 			// execution.
@@ -298,103 +338,132 @@ func staticBeatViolation(in *mach.Instr, cfg mach.Config, beat uint8) *resViol {
 	return nil
 }
 
-// Synthetic plan opcodes. They exist only inside execution plans
-// (planOp.kind) — never in a mach.Op. opPure and opPureFlop dispatch every
-// opcode of the shared value table through planOp.fn, so the beat loop has
-// one case for all of them and a new pure opcode needs no edit here. The
-// opSafe* block names the guard-free variant of a guarded memory operation,
-// specialized by access type so the beat loop pays no per-op size/type
-// branch either; a proven Div/Rem is simply opPure. The block sits above
-// every ir and mach opcode (those stay below 128; see the init check below).
-const (
-	opPure        ir.OpKind = 128 + iota // dst = fn(A, B)
-	opPureFlop                           // the same, counted in Stats.FloatOps
-	opSafeLoadI32                        // a proven Load or LoadSpec: for the latter the §7 funny-number path is dead
-	opSafeLoadF64
-	opSafeStoreI32
-	opSafeStoreF64
-)
-
-func init() {
-	// mach appends its opcodes after the IR range at 64; both must stay
-	// below the plan-private block.
-	if mach.OpHalt >= opPure {
-		panic("vliw: machine opcode range collides with plan opcodes")
+// translate is the one translation a slot gets: the operation at slot s of word
+// pc as a record, operands resolved (operandOf, addressOf), with the kind that
+// keeps every guard. A non-branch slot is the two-operand form unless its
+// opcode says otherwise; on a branch unit the condition or the indirect target
+// is operand a, the multiway priority rides in k1's high half and the target in
+// k2's low half. The result of a kind that leaves one is aimed at resultCell
+// when there is a register to take it and at noDest when there is not.
+func translate(pc int, s *mach.SlotOp, cfg *mach.Config) planOp {
+	o := &s.Op
+	// A zero latency retires at the next beat's drain, like 1.
+	p := planOp{op: o, lat: max(int64(cfg.Latency(o.Kind, o.Type)), 1), dst: o.Dst, unit: s.Unit}
+	res := uint16(noDest)
+	if o.Dst.Valid() {
+		res = resultCell
 	}
+	x, y := operandOf(o.A), operandOf(o.B)
+	u := uop{kind: uBadOp, d: res, a: x.idx, b: y.idx, k1: x.k, k2: y.k}
+	if s.Unit.Kind == mach.UBR {
+		prio := uint64(uint32(o.Prio)) << 32
+		u = uop{kind: uBadOp, a: x.idx, k1: x.k | prio, k2: uint64(uint32(o.Target))}
+		p.dst = mach.PReg{}
+		switch o.Kind {
+		case mach.OpBrT, mach.OpJmp:
+			switch {
+			case o.Target < 0:
+				u.kind = uNop // counted, and nowhere to go
+			case o.Kind == mach.OpBrT:
+				u.kind = uBrT
+			default:
+				u.kind = uJmp
+			}
+		case mach.OpCall:
+			u.kind, u.d, u.k1 = uCall, resultCell, uint64(uint32(pc+1))|prio // the link address
+			p.dst = mach.RegLR
+		case mach.OpJmpR:
+			u.kind = uJmpR
+		case mach.OpHalt:
+			u.kind = uHalt
+		case mach.OpSyscall:
+			u.kind = uSyscall
+		}
+		p.uop = u
+		return p
+	}
+	switch v := mach.ValueOf(o.Kind); {
+	case v != nil:
+		// Div and Rem run the table's function behind the zero-divisor guard
+		// until a certificate discharges it; an op with no destination is still
+		// evaluated.
+		if u.kind, p.fn = uValue, v.Fn; o.Kind == ir.Div || o.Kind == ir.Rem {
+			u.kind = uDiv
+		}
+	case o.Kind == ir.ConstI && o.A.IsImm:
+		u = uop{kind: uConst, d: res, k1: x.k}
+	case o.Kind == ir.ConstI:
+		u.kind = uConstI
+	case o.Kind == ir.ConstF:
+		u = uop{kind: uConst, d: res, k1: mach.FBits(o.FImm)}
+	case o.Kind == ir.Mov, o.Kind == mach.OpMovSF:
+		u.kind = uMov
+	case o.Kind == ir.Select:
+		// condition from the branch bank (A, read through op); B = then, C = else
+		z := operandOf(o.C)
+		u = uop{kind: uSelect, d: res, a: y.idx, b: z.idx, k1: y.k, k2: z.k}
+	case o.Kind == ir.Load, o.Kind == ir.LoadSpec:
+		ea := addressOf(o)
+		u = uop{kind: uLoad, d: res, a: ea.a, b: ea.b, k1: uint64(ea.off)}
+	case o.Kind == ir.Store:
+		ea, z := addressOf(o), operandOf(o.C) // data comes from the store file (§6.2)
+		u = uop{kind: uStore, d: z.idx, a: ea.a, b: ea.b, k1: uint64(ea.off), k2: z.k}
+	case o.Kind == ir.Nop:
+		u.kind = uNop
+	}
+	if u.kind == uStore || u.kind == uNop || u.kind == uBadOp {
+		p.dst = mach.PReg{} // whatever the slot names, these leave no result
+	}
+	p.uop = u
+	return p
 }
 
-// planKind resolves an opcode's dispatch kind and value function once, at
-// plan build. Div and Rem keep their own kind: they run the table's function
-// behind the zero-divisor guard until a certificate discharges it.
-func planKind(k ir.OpKind) (ir.OpKind, func(a, b uint64) uint64) {
-	v := mach.ValueOf(k)
-	switch {
-	case v == nil:
-		return k, nil
-	case k == ir.Div || k == ir.Rem:
-		return k, v.Fn
-	case v.Flop:
-		return opPureFlop, v.Fn
+// guardFree is the kind slot s runs as where a certificate proves it can never
+// fault: the same record with the verdict on the address, or on the divisor,
+// deleted, by access size so that nothing is left to branch on. ok is false for
+// an operation with no guard, or with an access type the analysis never proves.
+// If the image was mutated after certification, the Go runtime's own
+// slice-bounds and divide checks are the backstop; the run loops convert that
+// panic back into the matching Fault (safeTierFault).
+func (s *planOp) guardFree() (kind uint8, ok bool) {
+	switch t := s.op.Type; {
+	case s.kind == uDiv:
+		return uValue, true
+	case s.kind == uLoad && t == ir.I32: // a LoadSpec too: the §7 funny-number path is dead
+		return uLoad4, true
+	case s.kind == uLoad && t == ir.F64:
+		return uLoad8, true
+	case s.kind == uStore && t == ir.I32:
+		return uStore4, true
+	case s.kind == uStore && t == ir.F64:
+		return uStore8, true
 	}
-	return opPure, v.Fn
-}
-
-// safeKind returns the guard-free synthetic opcode for a guarded operation,
-// or ok=false when the operation has no safe variant (or an access type the
-// analysis never proves).
-func safeKind(o *mach.Op) (ir.OpKind, bool) {
-	switch o.Kind {
-	case ir.Load, ir.LoadSpec:
-		switch o.Type {
-		case ir.I32:
-			return opSafeLoadI32, true
-		case ir.F64:
-			return opSafeLoadF64, true
-		}
-	case ir.Store:
-		switch o.Type {
-		case ir.I32:
-			return opSafeStoreI32, true
-		case ir.F64:
-			return opSafeStoreF64, true
-		}
-	case ir.Div, ir.Rem:
-		return opPure, true
-	}
-	return 0, false
+	return s.kind, false
 }
 
 // buildSafePlan derives the safe-tier execution plan from the base plan:
-// every slot the certificate's bitmask covers is re-dispatched to its
-// guard-free synthetic opcode; everything else keeps the checked opcode, so
-// a partially-proven image simply keeps more of its guards. A beat list is
-// copied when a slot of it changes (the base plan is shared by checked
-// contexts and must stay pristine); the untouched lists, the mem prescan
-// list and the static resource verdicts are shared.
-//
-// The walk mirrors buildPlan's slot order exactly, which is what lets it
-// recover each planOp's (unit, beat) identity — the key the certificate's
-// per-site bitmask is indexed by.
-func buildSafePlan(img *isa.Image, base *plan, cert SafetyCertificate) *plan {
+// every slot the certificate's bitmask covers gets its guard-free kind;
+// everything else keeps the guarded one, so a partially-proven image simply
+// keeps more of its guards. A beat list is copied when a slot of it changes
+// (the base plan is shared by checked contexts and must stay pristine); the
+// untouched lists, the mem prescan list and the static resource verdicts are
+// shared.
+func buildSafePlan(base *plan, cert SafetyCertificate) *plan {
 	p := new(plan)
 	*p = *base
-	p.words = append([]planWord(nil), base.words...)
 	p.slots = append([]wordSlots(nil), base.slots...)
-	for a := range img.Instrs {
-		in := &img.Instrs[a]
+	for a := range p.slots {
 		ws := &p.slots[a]
-		var idx [2]int
-		var own [2]bool
-		for si := range in.Slots {
-			s := &in.Slots[si]
-			b := s.Beat & 1
-			i := idx[b]
-			idx[b]++
-			if k, ok := safeKind(&s.Op); ok && cert.SafeSite(a, s.Unit, s.Beat) {
-				if !own[b] {
-					ws.beats[b], own[b] = append([]planOp(nil), ws.beats[b]...), true
+		for b := range ws.beats {
+			own := false
+			for i := range ws.beats[b] {
+				s := &ws.beats[b][i]
+				if k, ok := s.guardFree(); ok && cert.SafeSite(a, s.unit, uint8(b)) {
+					if !own {
+						ws.beats[b], own = append([]planOp(nil), ws.beats[b]...), true
+					}
+					ws.beats[b][i].kind = k
 				}
-				ws.beats[b][i].kind = k
 			}
 		}
 	}

@@ -39,9 +39,14 @@ go test -run '^$' -bench 'SafecheckAnalyze|TschedCompile' -benchtime=5x -count=1
 # a pending-write queue every beat. The safe tier has to actually cash in its
 # deleted guards: at least as fast as the fast tier on the same corpus. And
 # since the native tier runs regions it has to be worth its code next to the
-# interpreter — at least 2.10x the checked tier on the same kernel (0.85 of
-# the 2.50 measured when a region became one micro-op stream), measured
-# within the run — while allocating nothing per run once its regions are
+# interpreter — at least 1.86x the checked tier on the same kernel, measured
+# within the run. That is 0.85 of the 2.19 that was the lowest of three runs
+# of this script (about 2.2, 2.19, 2.43; BENCH_sim.json records the last) when the
+# interpreter began to run the regions' records; it was 0.85 of 2.50, and the
+# ratio fell because BenchmarkSimulator rose — daxpy checked 20.7M -> 21.5-22.6M
+# beats/s with operands resolved at plan build — not because the native tier
+# slowed, which its own 0.90 floor above guards. And it must do so while
+# allocating nothing per run once its regions are
 # built, on daxpy, tridiag and fir (allocs/op repeats exactly; the native
 # benchmarks warm up first).
 #
@@ -60,7 +65,7 @@ go test -run '^$' -bench 'SafecheckAnalyze|TschedCompile' -benchtime=5x -count=1
 # nanoseconds on a shared host do not.
 go run ./cmd/benchjson -baseline scripts/bench_baseline.txt \
 	-require 'BenchmarkSimulatorFast=0.90,BenchmarkSimulatorNative=0.90,BenchmarkSimulator=1.20' \
-	-require-ratio 'BenchmarkSimulatorFast/BenchmarkSimulatorSafe=1.00,BenchmarkSimulator/BenchmarkSimulatorNative=2.10' \
+	-require-ratio 'BenchmarkSimulatorFast/BenchmarkSimulatorSafe=1.00,BenchmarkSimulator/BenchmarkSimulatorNative=1.86' \
 	-require-max 'BenchmarkSimulatorNative:allocs/op=0,BenchmarkSimulatorKernels/tridiag/native:allocs/op=0,BenchmarkSimulatorKernels/fir/native:allocs/op=0,BenchmarkSafecheckAnalyze/matmul:B/op=13000000,BenchmarkSafecheckAnalyze/fft:B/op=78000000,BenchmarkSafecheckAnalyze/scanner:B/op=24000000,BenchmarkSafecheckAnalyze/gen07:B/op=25000000,BenchmarkTschedCompile/matmul:B/op=3800000,BenchmarkTschedCompile/fft:B/op=12300000,BenchmarkTschedCompile/scanner:B/op=5100000,BenchmarkTschedCompile/gen07:B/op=8300000' \
 	-o "$out" "$raw"
 echo "wrote $out"

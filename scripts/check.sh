@@ -43,7 +43,15 @@ fi
 # A region is one stream of micro-op records walked by runRegion's switch: no
 # closure type, no builder that returns one, no func(m, c) error literal.
 if grep -rnE --include='*.go' --exclude='*_test.go' '\b(nativeOp|nFastShape|nPure|nConst)\b|func\(m \*Machine, c \*Context\) error' internal/vliw; then
-	echo "check: internal/vliw translates an operation into a closure again (emit a uop record; see regionBuilder.exec)"
+	echo "check: internal/vliw translates an operation into a closure again (a slot is a uop record: see translate in plan.go, regionBuilder.issue)"
+	exit 1
+fi
+# An operation is translated once (translate) and every kind has one executor
+# (Machine.exec, with runRegion's inlined shapes): no second interpreter beside
+# it, no synthetic plan opcodes, no per-op counters beside opBulk, no unit
+# remembered on the machine per operation.
+if grep -rnE --include='*.go' --exclude='*_test.go' '\b(execOp|execBranch|execLoad|execStore|planKind|safeKind|countLoad|countStore|curUnit|opPure|opPureFlop|opSafe\w+)\b' internal/vliw; then
+	echo "check: internal/vliw grows a second executor, translation or counting rule again (Machine.exec, translate, opBulk)"
 	exit 1
 fi
 # Regions only observe the caches, the TLBs and the banks; step (with fetch,
@@ -64,6 +72,12 @@ fi
 echo "== the allocator owns its storage (no cloned register sets, no per-register hash maps in regalloc.go)"
 if grep -nE 'ir\.RegSet|\.Clone\(\)|map\[VReg\]' internal/tsched/regalloc.go; then
 	echo "check: internal/tsched/regalloc.go is back to cloned ir.RegSets or map[VReg] tables (rows of allocator.before/after/adj)"
+	exit 1
+fi
+
+echo "== one home for the optimisation level (opt.Level)"
+if gosrc -n --exclude='*_test.go' 'UnrollFactor: 4' | grep -v -e '^\./internal/opt/' -e '^\./internal/xp/'; then
+	echo "check: the -O1 options are spelled out again (use opt.Level)"
 	exit 1
 fi
 

@@ -235,13 +235,9 @@ func (o Options) toCore() core.Options {
 	if o.Conservative {
 		cfg.RollTheDice = false
 	}
-	var lvl opt.Options
-	switch o.OptLevel {
-	case OptNone:
-		lvl = opt.None()
-	case OptLight:
-		lvl = opt.Options{Inline: true, UnrollFactor: 4}
-	default:
+	// OptFull, OptLight, OptNone are levels 2, 1, 0; anything else is the default.
+	lvl, err := opt.Level(int(OptNone - o.OptLevel))
+	if err != nil {
 		lvl = opt.Default()
 	}
 	prof := core.ProfileHeuristic
