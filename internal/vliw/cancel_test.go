@@ -113,3 +113,59 @@ func TestCtxCheckEveryTunable(t *testing.T) {
 		t.Errorf("run executed %d beats with CtxCheckEvery=256", m.Stats.Beats)
 	}
 }
+
+// TestRestoredRunKeepsTheContextClock: a solo run resumed from a checkpoint
+// reports cancellation and the next pause on the context's own clock — the
+// beats since boot, not since the restore — and counts its poll interval from
+// the restore point.
+func TestRestoredRunKeepsTheContextClock(t *testing.T) {
+	img := build(t, loopSrc, mach.Trace28())
+	const at, every = 20_000, 256
+	m := New(img)
+	m.StopBeat = at
+	_, _, err := m.Run()
+	var stop *ErrStopped
+	if !errors.As(err, &stop) {
+		t.Fatalf("want ErrStopped, got %v", err)
+	}
+	snap, err := m.Contexts()[0].Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := func() *Machine {
+		r := New(img)
+		if err := r.Contexts()[0].Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	r := restored()
+	r.CtxCheckEvery = every
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err = r.RunContext(ctx)
+	var ec *ErrCanceled
+	if !errors.As(err, &ec) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	// The first poll is one interval past the restore point, give or take the
+	// instruction in flight.
+	if ec.Beat < stop.Beat+every || ec.Beat > stop.Beat+every+64 {
+		t.Errorf("canceled at beat %d, want one interval (%d) past the restore at %d", ec.Beat, every, stop.Beat)
+	}
+	if ec.Beat != r.Stats.Beats || ec.Beat != r.Contexts()[0].Beat() {
+		t.Errorf("ErrCanceled.Beat %d is not the context clock (%d, Stats.Beats %d)", ec.Beat, r.Contexts()[0].Beat(), r.Stats.Beats)
+	}
+
+	r = restored()
+	r.StopBeat = 2 * at
+	_, _, err = r.Run()
+	var again *ErrStopped
+	if !errors.As(err, &again) {
+		t.Fatalf("want a second ErrStopped, got %v", err)
+	}
+	if again.Beat < 2*at || again.Beat > 2*at+64 || again.Beat != r.Contexts()[0].Beat() {
+		t.Errorf("restored run paused at beat %d, want the context clock at %d", again.Beat, 2*at)
+	}
+}

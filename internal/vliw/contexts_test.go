@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
@@ -406,5 +407,88 @@ func main() int {
 	}
 	if m.Sched.TotalBeats >= sum {
 		t.Errorf("wall clock %d not below solo sum %d: nothing hidden", m.Sched.TotalBeats, sum)
+	}
+}
+
+// TestRunRequiresReset: a machine whose program has run to completion refuses
+// a second Run, as RunMany does — it neither runs the program again from a
+// dirty state nor hands back the first result as if it had.
+func TestRunRequiresReset(t *testing.T) {
+	img := build(t, ctxSrcA, mach.Trace7())
+	m := New(img)
+	v, out, st := soloRun(t, img)
+	if _, _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := m.Run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Run ran again without a reset")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a second Run without a reset never returned")
+	}
+	if m.Stats != st || m.Output() != out {
+		t.Errorf("the refused Run disturbed the first run's record: %+v %q", m.Stats, m.Output())
+	}
+	// After a Reset the machine serves again (pools rely on this).
+	m.Reset(img)
+	if v2, out2, err := m.Run(); err != nil || v2 != v || out2 != out || m.Stats != st {
+		t.Errorf("after Reset: (%d, %q, %v) stats %+v, want (%d, %q) %+v", v2, out2, err, m.Stats, v, out, st)
+	}
+}
+
+// TestRunReportsSchedulerBooks: a solo run is a batch of one, and reports a
+// batch of one's books — nothing hidden, nothing switched, the wall clock the
+// context's own, busy beats the beats no stall or refill took.
+func TestRunReportsSchedulerBooks(t *testing.T) {
+	for _, src := range []string{ctxSrcA, ctxSrcB} {
+		img := build(t, src, mach.Trace7())
+		m := New(img)
+		if _, _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := SchedStats{Contexts: 1, TotalBeats: m.Stats.Beats, BusyBeats: m.Stats.Beats - m.Stats.BankStalls - m.Stats.RefillBeats}
+		if m.Sched != want {
+			t.Errorf("solo Run books %+v, want %+v", m.Sched, want)
+		}
+		k1 := New(img)
+		if _, err := k1.RunMany(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if k1.Sched != m.Sched {
+			t.Errorf("solo Run books %+v, K=1 RunMany books %+v", m.Sched, k1.Sched)
+		}
+	}
+}
+
+// TestRunOnBatchMachineRunsContextZero: Run on a machine ResetMany loaded with
+// several programs executes context 0 and leaves the others as ResetMany left
+// them — not booted, not counted, still runnable.
+func TestRunOnBatchMachineRunsContextZero(t *testing.T) {
+	cfg := mach.Trace7()
+	imgs := []*isa.Image{build(t, ctxSrcA, cfg), build(t, ctxSrcB, cfg), build(t, ctxSrcC, cfg)}
+	v, out, st := soloRun(t, imgs[0])
+	m := New(imgs[0])
+	if err := m.ResetMany(imgs); err != nil {
+		t.Fatal(err)
+	}
+	v2, out2, err := m.Run()
+	if err != nil || v2 != v || out2 != out || m.Stats != st {
+		t.Fatalf("Run on a batch machine: (%d, %q, %v) %+v, solo (%d, %q) %+v", v2, out2, err, m.Stats, v, out, st)
+	}
+	for i, c := range m.Contexts()[1:] {
+		if c.Beat() != 0 || c.Halted() || c.Err() != nil || c.Output() != "" || c.Stats != (Stats{}) {
+			t.Errorf("context %d touched by Run: beat %d halted %v err %v out %q stats %+v", i+1, c.Beat(), c.Halted(), c.Err(), c.Output(), c.Stats)
+		}
+		var bad *ErrBadSnapshot
+		if _, err := c.Snapshot(); !errors.As(err, &bad) || bad.Field != "state" {
+			t.Errorf("context %d was booted by Run: Snapshot says %v", i+1, err)
+		}
 	}
 }

@@ -291,7 +291,8 @@ type Machine struct {
 	// context rotation (initialized from Cfg.CtxSwitchBeats, default 0 —
 	// the paper's near-free switch).
 	SwitchBeats int64
-	// Sched reports the context scheduler's counters after RunMany.
+	// Sched reports the context scheduler's counters after RunMany, and
+	// after Run the books of a batch of one (TotalBeats == Stats.Beats).
 	Sched SchedStats
 
 	// slot is the slot the interpreter has in hand, nil between beats: whom a
@@ -668,7 +669,9 @@ func (m *Machine) PeekF(board, idx int) float64 {
 // Run boots the machine and executes until HALT. It returns main's exit
 // value and the captured output. Run never polls a context; use RunContext
 // for cancelable execution. Run executes context 0 only; use RunMany to
-// time-share several resident contexts.
+// time-share several resident contexts. A machine whose program has halted
+// refuses to run again until it is Reset (a restored checkpoint of a halted
+// program still reports its result).
 func (m *Machine) Run() (int32, string, error) { return m.run(nil) }
 
 // RunContext is Run with cooperative cancellation: the machine polls ctx
@@ -710,9 +713,14 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 		// Resuming a checkpoint: the context's state — banked Stats
 		// included — IS the execution; booting would restart the program.
 		m.Stats = c.Stats
+	} else if c.halted {
+		return 0, c.out.String(), fmt.Errorf("vliw: run on a used machine: Reset or ResetMany first")
 	} else if err := c.boot(); err != nil {
 		return 0, "", err
 	}
+	// A batch of one reports a batch of one's books: finish adds the clock
+	// and the stall counters as the run leaves them.
+	m.Sched = SchedStats{Contexts: 1, BusyBeats: m.Stats.BankStalls + m.Stats.RefillBeats - c.beat}
 	ctxEvery := m.CtxCheckEvery
 	if ctxEvery <= 0 {
 		ctxEvery = DefaultCtxCheckBeats
@@ -772,6 +780,8 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 func (m *Machine) finish(c *Context) {
 	m.Stats.Beats = c.beat
 	c.Stats = m.Stats
+	m.Sched.TotalBeats = c.beat
+	m.Sched.BusyBeats += c.beat - m.Stats.BankStalls - m.Stats.RefillBeats
 }
 
 // RunMany boots every resident context and time-shares them on the one

@@ -402,3 +402,43 @@ func TestSnapshotRunManyResume(t *testing.T) {
 		t.Errorf("fresh tenant 2 diverged from solo")
 	}
 }
+
+// TestStopBeatPausesOnlyRun: StopBeat pauses Run, which executes one context;
+// RunMany ignores it, however many contexts are resident.
+func TestStopBeatPausesOnlyRun(t *testing.T) {
+	img := build(t, snapSrc, mach.Trace7())
+	ref := New(img)
+	wantExit, wantOut, wantStats := runRef(t, ref)
+	split := wantStats.Beats / 2
+
+	m := New(img)
+	m.StopBeat = split
+	_, _, err := m.Run()
+	var stop *ErrStopped
+	if !errors.As(err, &stop) || stop.Beat < split || stop.Beat > split+64 {
+		t.Fatalf("Run with StopBeat %d: %v", split, err)
+	}
+	if c := m.Contexts()[0]; c.Halted() || c.Beat() != stop.Beat || m.Stats.Beats != stop.Beat {
+		t.Errorf("paused context: halted %v beat %d Stats.Beats %d, stop at %d", c.Halted(), c.Beat(), m.Stats.Beats, stop.Beat)
+	}
+
+	for _, k := range []int{1, 2} {
+		imgs := make([]*isa.Image, k)
+		for i := range imgs {
+			imgs[i] = img
+		}
+		if err := m.ResetMany(imgs); err != nil {
+			t.Fatal(err)
+		}
+		m.StopBeat = split
+		rs, err := m.RunMany(nil)
+		if err != nil {
+			t.Fatalf("K=%d RunMany with StopBeat set: %v", k, err)
+		}
+		for i, r := range rs {
+			if r.Err != nil || r.Exit != wantExit || r.Output != wantOut || r.Stats != wantStats {
+				t.Errorf("K=%d context %d did not run to completion past StopBeat: %+v", k, i, r)
+			}
+		}
+	}
+}
