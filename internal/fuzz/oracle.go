@@ -8,12 +8,9 @@ import (
 
 	"github.com/multiflow-repro/trace/internal/baseline"
 	"github.com/multiflow-repro/trace/internal/core"
-	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/lang"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
-	"github.com/multiflow-repro/trace/internal/safecheck"
-	"github.com/multiflow-repro/trace/internal/schedcheck"
 	"github.com/multiflow-repro/trace/internal/tsched"
 	"github.com/multiflow-repro/trace/internal/vliw"
 )
@@ -65,89 +62,72 @@ type Options struct {
 // profile, so runs borrow a machine and Reset it onto each image instead.
 var machinePool = sync.Pool{New: func() any { return new(vliw.Machine) }}
 
-// armTier puts a pooled machine onto the requested execution tier for img,
-// minting the needed certificate grade from the clean lint report (rep must
-// be the clean report for exactly this image; one that cannot certify after
-// a clean lint is itself a schedcheck bug and is returned so the oracle
-// flags it). On a fuzz input nothing may be provable at the safety grade,
-// which is fine: an empty bitmask still exercises the safe and native
-// tiers' arming and containment machinery.
-func armTier(m *vliw.Machine, img *isa.Image, rep *schedcheck.Report, tier vliw.Tier) error {
-	if tier == vliw.TierChecked {
-		return nil
-	}
-	cert, err := rep.Certify()
-	if err != nil {
-		return fmt.Errorf("lint passed but certification failed: %w", err)
-	}
-	if tier == vliw.TierFast {
-		return m.UseCertificate(cert)
-	}
-	scert, err := safecheck.Analyze(img, safecheck.Options{}).Certify(cert)
-	if err != nil {
-		return fmt.Errorf("resource certificate minted but safety grading failed: %w", err)
-	}
-	if tier == vliw.TierSafe {
-		return m.UseSafeCertificate(scert)
-	}
-	return m.UseNativeCertificate(scert)
-}
-
-// runTier executes one linked image on one execution tier and returns the
-// result plus a copy of the machine's Stats.
-func runTier(ctx context.Context, img *isa.Image, rep *schedcheck.Report, maxCycles int64, tier vliw.Tier) (int32, string, vliw.Stats, error) {
+// runOn executes the artifact under o on a pooled machine. Artifact.RunOn
+// arms the tier with the certificate the artifact minted the first time a
+// tier asked; on a fuzz input nothing may be provable at the safety grade,
+// which is fine: an empty bitmask still exercises the safe and native tiers'
+// arming and containment machinery.
+func runOn(ctx context.Context, art *core.Artifact, o core.RunOptions) (core.ExitResult, error) {
 	m := machinePool.Get().(*vliw.Machine)
 	defer machinePool.Put(m)
-	m.Reset(img)
-	m.CycleLimit = maxCycles
-	if err := armTier(m, img, rep, tier); err != nil {
-		return 0, "", vliw.Stats{}, err
-	}
-	v, out, err := m.RunContext(ctx)
-	return v, out, m.Stats, err
+	return art.RunOn(ctx, m, o)
 }
 
-// checkTiers runs the image on all four execution tiers — checked, fast,
-// safe, and native — and requires byte-identical results: same exit, same
-// output, same fault, and the same value in every Stats counter. It returns
-// the checked tier's result for the caller's reference comparison; the
-// *Divergence is non-nil when the tiers disagree among themselves.
-func checkTiers(ctx context.Context, img *isa.Image, rep *schedcheck.Report, maxCycles int64, config, src string) (int32, string, error, *Divergence) {
-	cv, cout, cst, cerr := runTier(ctx, img, rep, maxCycles, vliw.TierChecked)
-	for _, tier := range []vliw.Tier{vliw.TierFast, vliw.TierSafe, vliw.TierNative} {
-		tv, tout, tst, terr := runTier(ctx, img, rep, maxCycles, tier)
-		tag := config + "/" + tier.String()
-		if (cerr == nil) != (terr == nil) {
-			return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-				Detail: fmt.Sprintf("trap disagreement: checked err=%v, %s err=%v", cerr, tier, terr), Src: src}
-		}
-		if cerr != nil {
-			if cerr.Error() != terr.Error() {
-				return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-					Detail: fmt.Sprintf("different faults: checked %v, %s %v", cerr, tier, terr), Src: src}
+// differ names the first of exit, output and counters on which a run differs
+// from the run it has to repeat, "" when it repeats it.
+func differ(got, want core.ExitResult) string {
+	switch {
+	case got.Exit != want.Exit:
+		return fmt.Sprintf("exit %d, want %d", got.Exit, want.Exit)
+	case got.Output != want.Output:
+		return fmt.Sprintf("output %q, want %q", got.Output, want.Output)
+	case got.Stats != want.Stats:
+		return fmt.Sprintf("stats diverge:\n  got:  %+v\n  want: %+v", got.Stats, want.Stats)
+	}
+	return ""
+}
+
+// regime is the tiers every image runs on under Options.Tier: that tier alone,
+// or — from safe up — all four, checked first.
+func regime(t vliw.Tier) []vliw.Tier {
+	if t >= vliw.TierSafe {
+		return []vliw.Tier{vliw.TierChecked, vliw.TierFast, vliw.TierSafe, vliw.TierNative}
+	}
+	return []vliw.Tier{t}
+}
+
+// runTiers runs the artifact on each tier and requires the later ones to
+// repeat the first byte for byte: same exit, same output, same fault, and the
+// same value in every Stats counter. It returns the first tier's result for
+// the caller's reference comparison; the *Divergence is non-nil when the
+// tiers disagree among themselves. An image that linted clean and cannot be
+// armed is an error of its run like any other, and so a finding.
+func runTiers(ctx context.Context, art *core.Artifact, tiers []vliw.Tier, maxCycles int64, config, src string) (core.ExitResult, error, *Divergence) {
+	first, ferr := runOn(ctx, art, core.RunOptions{Tier: tiers[0], MaxCycles: maxCycles})
+	for _, tier := range tiers[1:] {
+		got, err := runOn(ctx, art, core.RunOptions{Tier: tier, MaxCycles: maxCycles})
+		var detail string
+		switch {
+		case (ferr == nil) != (err == nil):
+			detail = fmt.Sprintf("trap disagreement: %s err=%v, %s err=%v", tiers[0], ferr, tier, err)
+		case ferr != nil:
+			if ferr.Error() != err.Error() {
+				detail = fmt.Sprintf("different faults: %s %v, %s %v", tiers[0], ferr, tier, err)
 			}
-			continue
+		default:
+			detail = differ(got, first)
 		}
-		if cv != tv {
-			return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-				Detail: fmt.Sprintf("exit %d, checked %d", tv, cv), Src: src}
-		}
-		if cout != tout {
-			return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-				Detail: fmt.Sprintf("output %q, checked %q", tout, cout), Src: src}
-		}
-		if cst != tst {
-			return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-				Detail: fmt.Sprintf("stats diverged:\nchecked: %+v\n%s: %+v", cst, tier, tst), Src: src}
+		if detail != "" {
+			return first, ferr, &Divergence{Stage: "tier", Config: config + "/" + tier.String(), Detail: detail, Src: src}
 		}
 	}
-	return cv, cout, cerr, nil
+	return first, ferr, nil
 }
 
 // matrix is the compile-and-run settings every input is checked across:
 // every optimization level, multiple machine widths, and the basic-block-only
-// ablation. The full-optimization Trace 28 setting is exercised separately by
-// checkO2 so its compile also feeds the image-determinism comparison.
+// ablation. Last comes full optimization on the widest machine, whose image
+// the 4-worker backend must then reproduce byte for byte.
 var matrix = []struct {
 	name     string
 	cfg      func() mach.Config
@@ -158,6 +138,7 @@ var matrix = []struct {
 	{"trace7/O0/j1", mach.Trace7, 0, 0, 1},
 	{"trace14/O1/j1", mach.Trace14, 1, 0, 1},
 	{"trace28/O2/bb-only/j1", mach.Trace28, 2, 1, 1},
+	{"trace28/O2/j1", mach.Trace28, 2, 0, 1},
 }
 
 // Check runs the full differential oracle on one MF source text. It returns
@@ -167,7 +148,6 @@ func Check(ctx context.Context, src string, o Options) error {
 	if o.RefSteps == 0 {
 		o.RefSteps = 50_000_000
 	}
-	tier := o.Tier
 
 	// Reference: the IR interpreter underneath the scalar baseline is the
 	// semantic ground truth; it shares no code with the scheduler or the
@@ -187,13 +167,16 @@ func Check(ctx context.Context, src string, o Options) error {
 		maxCycles = 200*refRes.Ops + 2_000_000
 	}
 
+	var copts core.Options
+	var last *core.Artifact // the last setting's, nil when it was capacity-rejected
 	for _, m := range matrix {
 		lvl, _ := opt.Level(m.level)
-		copts := core.Options{
+		copts = core.Options{
 			Config: m.cfg(), Opt: lvl,
 			MaxTraceBlocks: m.maxTrace, Parallelism: m.jobs,
 		}
-		res, err := core.Compile(ctx, src, copts)
+		last = nil
+		art, err := core.Build(ctx, src, copts)
 		if err != nil {
 			// The machine is finite and the allocator does not spill: a
 			// structured capacity rejection on a narrow config is the
@@ -205,61 +188,74 @@ func Check(ctx context.Context, src string, o Options) error {
 			return &Divergence{Stage: "compile", Config: m.name,
 				Detail: fmt.Sprintf("reference accepted the program but compilation failed: %v", err), Src: src}
 		}
-		rep, d := checkArtifact(res, m.name, src)
-		if d != nil {
+		if d := verify(art, m.name, src); d != nil {
 			return d
 		}
-		var gotV int32
-		var gotOut string
-		if tier >= vliw.TierSafe {
-			gotV, gotOut, err, d = checkTiers(ctx, res.Image, rep, maxCycles, m.name, src)
-			if d != nil {
-				return d
-			}
-		} else {
-			gotV, gotOut, _, err = runTier(ctx, res.Image, rep, maxCycles, tier)
+		got, err, d := runTiers(ctx, art, regime(o.Tier), maxCycles, m.name, src)
+		if d != nil {
+			return d
 		}
 		if err != nil {
 			return &Divergence{Stage: "trap", Config: m.name,
 				Detail: fmt.Sprintf("reference ran clean but the machine faulted: %v", err), Src: src}
 		}
-		if gotV != wantV {
+		if got.Exit != wantV {
 			return &Divergence{Stage: "exit", Config: m.name,
-				Detail: fmt.Sprintf("exit %d, reference %d", gotV, wantV), Src: src}
+				Detail: fmt.Sprintf("exit %d, reference %d", got.Exit, wantV), Src: src}
 		}
-		if gotOut != wantOut {
+		if got.Output != wantOut {
 			return &Divergence{Stage: "output", Config: m.name,
-				Detail: fmt.Sprintf("output %q, reference %q", gotOut, wantOut), Src: src}
+				Detail: fmt.Sprintf("output %q, reference %q", got.Output, wantOut), Src: src}
 		}
+		last = art
+	}
+	if last == nil {
+		return nil
 	}
 
-	// Full optimization on the widest machine, sequential and parallel
-	// backends: run the sequential image against the reference, then require
-	// the 4-worker build to be byte-identical.
-	return checkO2(ctx, src, wantV, wantOut, maxCycles, tier)
+	// The sequential build of the last setting ran against the reference;
+	// the 4-worker build must be byte-identical to it.
+	seq := last.Image()
+	copts.Parallelism = 4
+	res, err := core.Compile(ctx, src, copts)
+	if err != nil {
+		return &Divergence{Stage: "image", Config: "trace28/O2/j4",
+			Detail: fmt.Sprintf("sequential build succeeded but parallel build failed: %v", err), Src: src}
+	}
+	par := res.Image
+	if len(par.Instrs) != len(seq.Instrs) {
+		return &Divergence{Stage: "image", Config: "trace28/O2/j4",
+			Detail: fmt.Sprintf("instruction count %d vs %d", len(par.Instrs), len(seq.Instrs)), Src: src}
+	}
+	for i := range seq.Words {
+		for w := range seq.Words[i] {
+			if seq.Words[i][w] != par.Words[i][w] {
+				return &Divergence{Stage: "image", Config: "trace28/O2/j4",
+					Detail: fmt.Sprintf("instr %d word %d differs between j1 and j4 builds", i, w), Src: src}
+			}
+		}
+	}
+	return nil
 }
 
-// checkArtifact statically verifies every artifact a successful compile
-// produced: the optimized IR the scheduler consumed must still validate,
-// and the linked image must pass schedcheck. The simulator then runs the
-// same image, so a schedule that lints clean but traps dynamically (or vice
+// verify statically checks every artifact a successful compile produced:
+// the optimized IR the scheduler consumed must still validate, and the
+// linked image must pass schedcheck. The simulator then runs the same
+// image, so a schedule that lints clean but traps dynamically (or vice
 // versa) surfaces as a pair of contradictory findings — itself a bug in one
-// of the two implementations of the legality rules. On success it returns
-// the clean report, which the certified tiers mint into a certificate
+// of the two implementations of the legality rules. The clean report stays
+// on the artifact, which mints the certified tiers' certificates from it
 // instead of re-running the analysis.
-func checkArtifact(res *core.Result, config, src string) (*schedcheck.Report, *Divergence) {
-	if err := res.OptIR.Validate(); err != nil {
-		return nil, &Divergence{Stage: "ir-validate", Config: config,
+func verify(art *core.Artifact, config, src string) *Divergence {
+	if err := art.Result().OptIR.Validate(); err != nil {
+		return &Divergence{Stage: "ir-validate", Config: config,
 			Detail: fmt.Sprintf("optimized IR fails validation after a clean compile: %v", err), Src: src}
 	}
-	rep := schedcheck.Check(res.Image, schedcheck.Options{
-		Src: schedcheck.NewSourceMap(res.Image, res.Funcs),
-	})
-	if err := rep.Err(); err != nil {
-		return nil, &Divergence{Stage: "lint", Config: config,
+	if err := art.Lint().Err(); err != nil {
+		return &Divergence{Stage: "lint", Config: config,
 			Detail: fmt.Sprintf("compiled image fails static schedule verification: %v", err), Src: src}
 	}
-	return rep, nil
+	return nil
 }
 
 // isCapacityReject reports whether err is one of the compiler's structured
@@ -269,65 +265,6 @@ func isCapacityReject(err error) bool {
 	var ep *tsched.ErrPressure
 	var es *tsched.ErrScheduleSize
 	return errors.As(err, &ep) || errors.As(err, &es)
-}
-
-// checkO2 compiles at full optimization for Trace 28 with a sequential and a
-// 4-worker backend, checks the sequential image against the reference result,
-// and requires the parallel build to be byte-identical to the sequential one.
-func checkO2(ctx context.Context, src string, wantV int32, wantOut string, maxCycles int64, tier vliw.Tier) error {
-	opts := func(jobs int) core.Options {
-		return core.Options{Config: mach.Trace28(), Opt: opt.Default(), Parallelism: jobs}
-	}
-	seq, err := core.Compile(ctx, src, opts(1))
-	if err != nil {
-		if isCapacityReject(err) {
-			return nil
-		}
-		return &Divergence{Stage: "compile", Config: "trace28/O2/j1",
-			Detail: fmt.Sprintf("reference accepted the program but compilation failed: %v", err), Src: src}
-	}
-	rep, d := checkArtifact(seq, "trace28/O2/j1", src)
-	if d != nil {
-		return d
-	}
-	var gotV int32
-	var gotOut string
-	var rerr error
-	if tier >= vliw.TierSafe {
-		gotV, gotOut, rerr, d = checkTiers(ctx, seq.Image, rep, maxCycles, "trace28/O2/j1", src)
-		if d != nil {
-			return d
-		}
-	} else {
-		gotV, gotOut, _, rerr = runTier(ctx, seq.Image, rep, maxCycles, tier)
-	}
-	if rerr != nil {
-		return &Divergence{Stage: "trap", Config: "trace28/O2/j1",
-			Detail: fmt.Sprintf("reference ran clean but the machine faulted: %v", rerr), Src: src}
-	}
-	if gotV != wantV || gotOut != wantOut {
-		return &Divergence{Stage: "exit", Config: "trace28/O2/j1",
-			Detail: fmt.Sprintf("exit %d output %q, reference %d %q", gotV, gotOut, wantV, wantOut), Src: src}
-	}
-
-	par, err := core.Compile(ctx, src, opts(4))
-	if err != nil {
-		return &Divergence{Stage: "image", Config: "trace28/O2/j4",
-			Detail: fmt.Sprintf("sequential build succeeded but parallel build failed: %v", err), Src: src}
-	}
-	if len(par.Image.Instrs) != len(seq.Image.Instrs) {
-		return &Divergence{Stage: "image", Config: "trace28/O2/j4",
-			Detail: fmt.Sprintf("instruction count %d vs %d", len(par.Image.Instrs), len(seq.Image.Instrs)), Src: src}
-	}
-	for i := range seq.Image.Words {
-		for w := range seq.Image.Words[i] {
-			if seq.Image.Words[i][w] != par.Image.Words[i][w] {
-				return &Divergence{Stage: "image", Config: "trace28/O2/j4",
-					Detail: fmt.Sprintf("instr %d word %d differs between j1 and j4 builds", i, w), Src: src}
-			}
-		}
-	}
-	return nil
 }
 
 // CheckSeed generates the program for seed and runs the oracle on it.

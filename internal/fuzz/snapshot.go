@@ -21,19 +21,13 @@ const snapshotSplits = 3
 // CheckSnapshot is the checkpoint/restore oracle stage for one program: the
 // program compiles at full optimization, runs uninterrupted to establish the
 // reference, then re-runs split at random beats — pause, serialize, restore
-// onto a different pooled machine, continue — in the checked mode, the
-// certified-fast mode (when the image certifies), and — when Options asks
-// for the safe or native tier and the image certifies at the safety grade —
-// that tier too, proving the snapshot wire format is tier-independent. The
+// onto a pooled machine, continue — in the checked mode and, when the image
+// lints clean, the certified-fast mode and the safe or native tier Options
+// asks for, proving the snapshot wire format is tier-independent. The
 // stitched run must match the reference bit-for-bit: exit, output, and
 // every performance counter. A corrupted snapshot must be refused by
 // Restore, never half-applied.
 func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error {
-	maxCycles := o.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 500_000_000
-	}
-	tier := o.Tier
 	copts := core.Options{Config: mach.Trace28(), Opt: opt.Default(), Parallelism: 1}
 	art, err := core.Build(ctx, src, copts)
 	if err != nil {
@@ -42,10 +36,16 @@ func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error
 		}
 		return ErrSkip // non-compiling or capacity-rejected: other stages' business
 	}
+	return snapshot(ctx, art, src, seed, o)
+}
 
-	m := machinePool.Get().(*vliw.Machine)
-	ref, err := art.RunOn(ctx, m, core.RunOptions{MaxCycles: maxCycles})
-	machinePool.Put(m)
+// snapshot is CheckSnapshot on the built artifact.
+func snapshot(ctx context.Context, art *core.Artifact, src string, seed int64, o Options) error {
+	maxCycles := o.MaxCycles
+	if maxCycles == 0 {
+		maxCycles = 500_000_000
+	}
+	ref, err := runOn(ctx, art, core.RunOptions{MaxCycles: maxCycles})
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -56,13 +56,13 @@ func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error
 		return ErrSkip // nowhere to split
 	}
 
+	// An image that does not lint is Check's finding and runs checked only
+	// here; one that lints and then will not arm fails its split run below.
 	modes := []vliw.Tier{vliw.TierChecked}
-	if _, err := art.Certificate(); err == nil {
+	if art.Lint().Err() == nil {
 		modes = append(modes, vliw.TierFast)
-	}
-	if tier >= vliw.TierSafe {
-		if _, err := art.CertifySafe(); err == nil {
-			modes = append(modes, tier)
+		if o.Tier >= vliw.TierSafe {
+			modes = append(modes, o.Tier)
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -72,50 +72,27 @@ func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error
 			at := 1 + rng.Int63n(ref.Stats.Beats-1)
 			cfg := fmt.Sprintf("trace28/O2/tier=%s split@%d", mode, at)
 
-			m := machinePool.Get().(*vliw.Machine)
-			first, err := art.RunOn(ctx, m, core.RunOptions{
-				Tier: mode, MaxCycles: maxCycles, SnapshotAt: at})
-			machinePool.Put(m)
+			final, err := runOn(ctx, art, core.RunOptions{Tier: mode, MaxCycles: maxCycles, SnapshotAt: at})
+			if err == nil && final.Paused {
+				snap = final.Snapshot
+				// Restore lands on whichever machine the pool hands out: the
+				// snapshot must carry everything, not lean on leftovers.
+				m := machinePool.Get().(*vliw.Machine)
+				final, err = art.RunFromOn(ctx, m, snap, core.RunOptions{Tier: mode, MaxCycles: maxCycles})
+				machinePool.Put(m)
+			}
 			if err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
 				return &Divergence{Stage: "snapshot", Config: cfg,
-					Detail: fmt.Sprintf("reference ran clean but the split run failed: %v", err), Src: src}
-			}
-
-			final := first
-			if first.Paused {
-				snap = first.Snapshot
-				// Restore deliberately lands on a different pooled machine:
-				// the snapshot must carry everything, not lean on leftovers.
-				m := machinePool.Get().(*vliw.Machine)
-				final, err = art.RunFromOn(ctx, m, first.Snapshot, core.RunOptions{
-					Tier: mode, MaxCycles: maxCycles})
-				machinePool.Put(m)
-				if err != nil {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					return &Divergence{Stage: "snapshot", Config: cfg,
-						Detail: fmt.Sprintf("restore or resumed run failed: %v", err), Src: src}
-				}
+					Detail: fmt.Sprintf("reference ran clean but the split run, its restore or its resumed half failed: %v", err), Src: src}
 			}
 			// A split landing inside the final instruction completes
 			// instead of pausing; either way the result must equal the
 			// uninterrupted reference exactly.
-			if final.Exit != ref.Exit {
-				return &Divergence{Stage: "snapshot", Config: cfg,
-					Detail: fmt.Sprintf("exit %d resumed, %d uninterrupted", final.Exit, ref.Exit), Src: src}
-			}
-			if final.Output != ref.Output {
-				return &Divergence{Stage: "snapshot", Config: cfg,
-					Detail: fmt.Sprintf("output %q resumed, %q uninterrupted", final.Output, ref.Output), Src: src}
-			}
-			if final.Stats != ref.Stats {
-				return &Divergence{Stage: "snapshot", Config: cfg,
-					Detail: fmt.Sprintf("stats diverge between uninterrupted and split runs:\n  resumed:       %+v\n  uninterrupted: %+v", final.Stats, ref.Stats),
-					Src:    src}
+			if detail := differ(final, ref); detail != "" {
+				return &Divergence{Stage: "snapshot", Config: cfg, Detail: "split against uninterrupted: " + detail, Src: src}
 			}
 		}
 	}

@@ -2,32 +2,28 @@ package fuzz
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/multiflow-repro/trace/internal/core"
-	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
-	"github.com/multiflow-repro/trace/internal/schedcheck"
 	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
-// timeshareK is the context count of the multi-tenancy oracle stage: four
+// timeshareK is the context count of the time-sharing oracle stage: four
 // generated programs share one machine, the smallest population where
 // round-robin rotation, eager stall rotation, and staggered retirement all
 // occur.
 const timeshareK = 4
 
-// soloResult is one program's reference execution for the time-sharing
-// comparison: the solo run IS the oracle — the scheduler must not be able
-// to change any of it.
-type soloResult struct {
-	img  *isa.Image
-	rep  *schedcheck.Report
+// tenant is one program of the time-sharing comparison with its reference:
+// the solo run IS the oracle — the scheduler must not be able to change any
+// of it.
+type tenant struct {
+	art  *core.Artifact
 	src  string
-	exit int32
-	out  string
-	st   vliw.Stats
+	solo core.ExitResult
 }
 
 // CheckTimeshare is the multi-context oracle stage: the sources compile at
@@ -36,53 +32,47 @@ type soloResult struct {
 // difference in a program's exit, output, or performance counters between
 // its solo and time-shared execution is a context-scheduler bug — the
 // hardware-context model promises bit-exact solo equivalence. Both the solo
-// references and the shared machine run on the tier Options resolves to, so
+// references and the shared machine run on the tier Options names, so
 // -tier=native exercises the region translator under round-robin
-// preemption. Inputs that
-// fail to compile or whose solo run errs are skipped (they are the other
-// stages' business); ErrSkip reports that no input survived to compare.
+// preemption. Inputs that fail to compile or to lint are skipped (they are
+// the other stages' business); ErrSkip reports that no input survived to
+// compare.
 func CheckTimeshare(ctx context.Context, srcs []string, o Options) error {
-	maxCycles := o.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 500_000_000
-	}
-	tier := o.Tier
 	copts := core.Options{Config: mach.Trace28(), Opt: opt.Default(), Parallelism: 1}
-
-	var solos []soloResult
+	var ts []tenant
 	for _, src := range srcs {
-		res, err := core.Compile(ctx, src, copts)
-		if err != nil {
-			if isCapacityReject(err) || ctx.Err() != nil {
-				continue
-			}
-			continue // non-compiling input: Check's business, not ours
+		if art, err := core.Build(ctx, src, copts); err == nil && art.Lint().Err() == nil {
+			ts = append(ts, tenant{art: art, src: src})
 		}
-		rep := schedcheck.Check(res.Image, schedcheck.Options{
-			Src: schedcheck.NewSourceMap(res.Image, res.Funcs),
-		})
-		if rep.Err() != nil {
-			continue
+	}
+	return timeshare(ctx, ts, o)
+}
+
+// timeshare is CheckTimeshare on artifacts that linted clean.
+func timeshare(ctx context.Context, ts []tenant, o Options) error {
+	ro := core.RunOptions{Tier: o.Tier, MaxCycles: o.MaxCycles}
+	if ro.MaxCycles == 0 {
+		ro.MaxCycles = 500_000_000
+	}
+	solos := ts[:0]
+	for _, t := range ts {
+		var err error
+		t.solo, err = runOn(ctx, t.art, ro)
+		var fault *vliw.Fault
+		var limit *vliw.ErrCycleLimit
+		switch {
+		case err == nil:
+			solos = append(solos, t)
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case errors.As(err, &fault), errors.As(err, &limit):
+			// solo trap or budget: no reference to compare against
+		default:
+			// Nothing else stops a run but a tier that would not arm, and the
+			// image linted clean: a verifier bug, not a skipped input.
+			return &Divergence{Stage: "timeshare", Config: "trace28/O2/solo",
+				Detail: fmt.Sprintf("image lints clean but does not run on the %s tier: %v", o.Tier, err), Src: t.src}
 		}
-		// The solo run establishes the reference, Stats included: a pooled
-		// machine directly (not runImage) so the counters are readable.
-		m := machinePool.Get().(*vliw.Machine)
-		m.Reset(res.Image)
-		m.CycleLimit = maxCycles
-		if err := armTier(m, res.Image, rep, tier); err != nil {
-			machinePool.Put(m)
-			return err
-		}
-		v, out, err := m.RunContext(ctx)
-		st := m.Stats
-		machinePool.Put(m)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			continue // solo trap or budget: no reference to compare against
-		}
-		solos = append(solos, soloResult{img: res.Image, rep: rep, src: src, exit: v, out: out, st: st})
 	}
 	if len(solos) == 0 {
 		if err := ctx.Err(); err != nil {
@@ -92,25 +82,13 @@ func CheckTimeshare(ctx context.Context, srcs []string, o Options) error {
 	}
 
 	for lo := 0; lo < len(solos); lo += timeshareK {
-		hi := min(lo+timeshareK, len(solos))
-		batch := solos[lo:hi]
-		imgs := make([]*isa.Image, len(batch))
-		for i, s := range batch {
-			imgs[i] = s.img
+		batch := solos[lo:min(lo+timeshareK, len(solos))]
+		arts := make([]*core.Artifact, len(batch))
+		for i, t := range batch {
+			arts[i] = t.art
 		}
 		m := machinePool.Get().(*vliw.Machine)
-		if err := m.ResetMany(imgs); err != nil {
-			machinePool.Put(m)
-			return err
-		}
-		m.CycleLimit = maxCycles
-		for _, s := range batch {
-			if err := armTier(m, s.img, s.rep, tier); err != nil {
-				machinePool.Put(m)
-				return err
-			}
-		}
-		rs, err := m.RunMany(ctx)
+		rs, _, err := core.RunManyOn(ctx, m, arts, core.RunManyOptions{Tier: ro.Tier, MaxCycles: ro.MaxCycles})
 		machinePool.Put(m)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -121,23 +99,13 @@ func CheckTimeshare(ctx context.Context, srcs []string, o Options) error {
 				Src:    batch[0].src}
 		}
 		for i, r := range rs {
-			cfg := fmt.Sprintf("trace28/O2/K%d ctx%d", len(batch), i)
-			if r.Err != nil {
-				return &Divergence{Stage: "timeshare", Config: cfg,
-					Detail: fmt.Sprintf("solo run was clean but the context faulted: %v", r.Err), Src: batch[i].src}
+			detail := fmt.Sprintf("solo run was clean but the context faulted: %v", r.Err)
+			if r.Err == nil {
+				detail = differ(core.ExitResult{Exit: r.Exit, Output: r.Output, Stats: r.Stats}, batch[i].solo)
 			}
-			if r.Exit != batch[i].exit {
-				return &Divergence{Stage: "timeshare", Config: cfg,
-					Detail: fmt.Sprintf("exit %d time-shared, %d solo", r.Exit, batch[i].exit), Src: batch[i].src}
-			}
-			if r.Output != batch[i].out {
-				return &Divergence{Stage: "timeshare", Config: cfg,
-					Detail: fmt.Sprintf("output %q time-shared, %q solo", r.Output, batch[i].out), Src: batch[i].src}
-			}
-			if r.Stats != batch[i].st {
-				return &Divergence{Stage: "timeshare", Config: cfg,
-					Detail: fmt.Sprintf("stats diverge between solo and time-shared runs:\n  shared: %+v\n  solo:   %+v", r.Stats, batch[i].st),
-					Src:    batch[i].src}
+			if detail != "" {
+				return &Divergence{Stage: "timeshare", Config: fmt.Sprintf("trace28/O2/K%d ctx%d", len(batch), i),
+					Detail: "time-shared against solo: " + detail, Src: batch[i].src}
 			}
 		}
 	}

@@ -64,13 +64,10 @@ func BenchmarkServeCachedRun(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-// benchRunMany drives POST /runmany with four distinct cached tenants under
-// the given tenancy. Batch results are not memoized, so every request pays
-// for real simulation — this benchmark compares the two tenancy modes'
-// serving cost on identical work: "contexts" holds one pooled machine and
-// time-shares it; "machines" holds four machines and runs them in parallel
-// goroutines.
-func benchRunMany(b *testing.B, tenancy string) {
+// BenchmarkServeRunManyContexts drives POST /runmany with four distinct
+// cached tenants time-shared on one pooled machine per request. Batch results
+// are not memoized, so every request pays for real simulation.
+func BenchmarkServeRunManyContexts(b *testing.B) {
 	srcs := make([]RunManyProgram, 4)
 	for i := range srcs {
 		srcs[i].Source = fmt.Sprintf(`
@@ -87,7 +84,7 @@ func main() int {
 
 	body, err := json.Marshal(RunManyRequest{
 		Programs: srcs,
-		Run:      RunManyRunOptions{Tier: vliw.TierFast, Tenancy: tenancy},
+		Run:      RunManyRunOptions{Tier: vliw.TierFast},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -121,14 +118,6 @@ func main() int {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	b.ReportMetric(4*float64(b.N)/b.Elapsed().Seconds(), "tenants/s")
 }
-
-// BenchmarkServeRunManyContexts: K=4 tenants time-shared on one pooled
-// machine per request.
-func BenchmarkServeRunManyContexts(b *testing.B) { benchRunMany(b, "contexts") }
-
-// BenchmarkServeRunManyMachines: the same K=4 tenants on four pooled
-// machines per request (the pre-contexts serving model).
-func BenchmarkServeRunManyMachines(b *testing.B) { benchRunMany(b, "machines") }
 
 // BenchmarkServeColdCompile measures the other end: every request a
 // distinct program, every compile a full pipeline execution.

@@ -23,72 +23,84 @@ func Key(src string, o Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// artifactEntry is one cached compilation with its byte cost.
-type artifactEntry struct {
-	key  string
-	art  *core.Artifact
-	cost int64
-}
-
-// artifactCache is a byte-budgeted LRU of compiled artifacts. Artifacts are
-// immutable (see core.Artifact), so a cached entry is handed to concurrent
-// requests without copying; only the recency list and the map need the
-// lock.
-type artifactCache struct {
+// lru is a least-recently-used table under a budget, and the one such table
+// the server has: the artifact cache and the snapshot store budget bytes and
+// charge an entry its size, the run memo bounds its entries and charges each
+// 1 (results are small: an exit code, captured output and a Stats struct).
+// Values are handed out without copying — artifacts are immutable (see
+// core.Artifact), results and snapshots are never written after they are
+// stored — so only the recency list and the map need the lock.
+type lru[V any] struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
-	lru    *list.List // of *artifactEntry, front = most recent
+	order  *list.List // of *lruEntry[V], front = most recent
 	byKey  map[string]*list.Element
-	m      *Metrics
+	// gauge publishes the owner's metrics: it is called under the lock after
+	// every change with the cost held, the entries held and how many the
+	// change evicted.
+	gauge func(used int64, entries int, evicted int64)
 }
 
-func newArtifactCache(budget int64, m *Metrics) *artifactCache {
-	return &artifactCache{budget: budget, lru: list.New(), byKey: map[string]*list.Element{}, m: m}
+type lruEntry[V any] struct {
+	key  string
+	val  V
+	cost int64
 }
 
-// get returns the cached artifact and marks it most recently used.
-func (c *artifactCache) get(key string) (*core.Artifact, bool) {
+func newLRU[V any](budget int64, gauge func(used int64, entries int, evicted int64)) *lru[V] {
+	return &lru[V]{budget: budget, order: list.New(), byKey: map[string]*list.Element{}, gauge: gauge}
+}
+
+// get returns the value stored under key and marks it most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.m.ArtifactMisses.Add(1)
-		return nil, false
+		var none V
+		return none, false
 	}
-	c.lru.MoveToFront(el)
-	c.m.ArtifactHits.Add(1)
-	return el.Value.(*artifactEntry).art, true
+	c.order.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// add inserts the artifact and evicts least-recently-used entries until the
-// budget holds. An artifact larger than the whole budget is still cached
-// alone (the alternative — recompiling it on every request — is strictly
-// worse); it will be evicted by the next insertion.
-func (c *artifactCache) add(key string, art *core.Artifact) {
-	cost := artifactCost(key, art)
+// add stores val at its cost and evicts least-recently-used entries until the
+// budget holds. A key already present keeps the entry it has — keys are
+// content addresses, so a racing producer of the same thing finished first.
+// An entry larger than the whole budget is still kept alone (the alternative
+// — producing it again on every request — is strictly worse); the next
+// insertion evicts it.
+func (c *lru[V]) add(key string, val V, cost int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		// A racing compile of the same key finished first; keep its entry.
-		c.lru.MoveToFront(el)
+		c.order.MoveToFront(el)
 		return
 	}
-	el := c.lru.PushFront(&artifactEntry{key: key, art: art, cost: cost})
-	c.byKey[key] = el
+	c.byKey[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val, cost: cost})
 	c.used += cost
-	c.m.ArtifactBytes.Set(c.used)
-	c.m.ArtifactEntries.Set(int64(c.lru.Len()))
-	for c.used > c.budget && c.lru.Len() > 1 {
-		oldest := c.lru.Back()
-		ent := oldest.Value.(*artifactEntry)
-		c.lru.Remove(oldest)
-		delete(c.byKey, ent.key)
-		c.used -= ent.cost
-		c.m.ArtifactEvictions.Add(1)
+	var evicted int64
+	for ; c.used > c.budget && c.order.Len() > 1; evicted++ {
+		c.drop(c.order.Back())
 	}
-	c.m.ArtifactBytes.Set(c.used)
-	c.m.ArtifactEntries.Set(int64(c.lru.Len()))
+	c.gauge(c.used, c.order.Len(), evicted)
+}
+
+// remove forgets key, if it is held.
+func (c *lru[V]) remove(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[key]; ok {
+		c.drop(el)
+		c.gauge(c.used, c.order.Len(), 0)
+	}
+}
+
+func (c *lru[V]) drop(el *list.Element) {
+	e := c.order.Remove(el).(*lruEntry[V])
+	delete(c.byKey, e.key)
+	c.used -= e.cost
 }
 
 // artifactCost estimates an artifact's resident size. The dominant terms
@@ -111,50 +123,4 @@ func artifactCost(key string, art *core.Artifact) int64 {
 // identical request.
 func runKey(artKey string, tier vliw.Tier, maxCycles int64) string {
 	return fmt.Sprintf("%s/tier=%s/max=%d", artKey, tier, maxCycles)
-}
-
-// runCache memoizes completed run results, bounded by entry count (results
-// are small: an exit code, captured output, and a Stats struct).
-type runCache struct {
-	mu    sync.Mutex
-	limit int
-	lru   *list.List // of runEntry
-	byKey map[string]*list.Element
-	m     *Metrics
-}
-
-type runEntry struct {
-	key string
-	res core.ExitResult
-}
-
-func newRunCache(limit int, m *Metrics) *runCache {
-	return &runCache{limit: limit, lru: list.New(), byKey: map[string]*list.Element{}, m: m}
-}
-
-func (c *runCache) get(key string) (core.ExitResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		c.m.RunMisses.Add(1)
-		return core.ExitResult{}, false
-	}
-	c.lru.MoveToFront(el)
-	c.m.RunHits.Add(1)
-	return el.Value.(*runEntry).res, true
-}
-
-func (c *runCache) add(key string, res core.ExitResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.byKey[key]; ok {
-		return
-	}
-	c.byKey[key] = c.lru.PushFront(&runEntry{key: key, res: res})
-	for c.lru.Len() > c.limit {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*runEntry).key)
-	}
 }

@@ -2,10 +2,7 @@ package serve
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"github.com/multiflow-repro/trace/internal/core"
@@ -27,82 +24,19 @@ func wireStats(st vliw.Stats) RunStats {
 	}
 }
 
-// decodeRunMany parses and validates a /runmany body. It mirrors decode but
-// sizes the body limit to the batch bound and validates every source.
-func (s *Server) decodeRunMany(w http.ResponseWriter, r *http.Request, req *RunManyRequest) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, ErrorBody{Kind: "bad_request", Msg: "use POST"})
-		return false
-	}
-	body := http.MaxBytesReader(w, r.Body, maxRunManyPrograms*4*s.cfg.MaxSourceBytes+4096)
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
-			Kind: "bad_request", Msg: "request body too large"})
-		return false
-	}
-	if err := unmarshalBody(raw, req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{
-			Kind: "bad_request", Msg: "malformed JSON: " + err.Error()})
-		return false
-	}
-	if len(req.Programs) == 0 || len(req.Programs) > maxRunManyPrograms {
-		writeError(w, http.StatusBadRequest, ErrorBody{
-			Kind: "bad_request",
-			Msg:  fmt.Sprintf("programs must number 1..%d (got %d)", maxRunManyPrograms, len(req.Programs))})
-		return false
-	}
-	for i, p := range req.Programs {
-		if p.Source == "" {
-			writeError(w, http.StatusBadRequest, ErrorBody{
-				Kind: "bad_request", Msg: fmt.Sprintf("program %d: empty source", i)})
-			return false
-		}
-		if int64(len(p.Source)) > s.cfg.MaxSourceBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
-				Kind: "bad_request",
-				Msg:  fmt.Sprintf("program %d is %d bytes; limit %d", i, len(p.Source), s.cfg.MaxSourceBytes)})
-			return false
-		}
-	}
-	if err := req.Options.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Msg: err.Error()})
-		return false
-	}
-	switch req.Run.Tenancy {
-	case "", "contexts", "machines":
-	default:
-		writeError(w, http.StatusBadRequest, ErrorBody{
-			Kind: "bad_request",
-			Msg:  fmt.Sprintf("tenancy must be \"contexts\" or \"machines\" (got %q)", req.Run.Tenancy)})
-		return false
-	}
-	if req.Run.Quantum < 0 || req.Run.SwitchBeats < 0 || req.Run.MaxCycles < 0 {
-		writeError(w, http.StatusBadRequest, ErrorBody{
-			Kind: "bad_request", Msg: "quantum, switch_beats, and max_cycles must be non-negative"})
-		return false
-	}
-	return true
-}
-
 // handleRunMany serves POST /runmany: K programs compile (through the same
-// content-addressed cache as /run) and execute as one batch. Under the
-// default "contexts" tenancy they time-share ONE pooled machine's hardware
-// contexts — one admission slot, one machine, K results — instead of
-// holding K machines; "machines" runs them the conventional way on one
-// pooled machine each, concurrently, so the two modes are directly
-// comparable on the same request. Batch results are not memoized: the
-// per-tenant results equal the solo results /run caches, and the scheduler
-// counters are what callers come here to measure.
+// content-addressed cache as /run) and execute as one batch, time-sharing
+// ONE pooled machine's hardware contexts — one admission slot, one machine,
+// K results. (K machines is K /run requests.) Batch results are not memoized:
+// the per-tenant results equal the solo results /run caches, and the
+// scheduler counters are what callers come here to measure.
 func (s *Server) handleRunMany(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.RunMany.Requests.Add(1)
 	var req RunManyRequest
-	if !s.decodeRunMany(w, r, &req) {
+	if !s.decode(w, r, maxRunManyPrograms, &req) {
 		return
 	}
-	tier := req.Run.Tier
 	release, ok := s.admitRequest(w, &s.metrics.RunMany)
 	if !ok {
 		return
@@ -112,87 +46,51 @@ func (s *Server) handleRunMany(w http.ResponseWriter, r *http.Request) {
 	// Compile every distinct program once; duplicates share the artifact.
 	cctx, cancelCompile := context.WithTimeout(r.Context(), s.cfg.CompileTimeout)
 	arts := make([]*core.Artifact, len(req.Programs))
-	keys := make([]string, len(req.Programs))
-	cachedBuild := make([]bool, len(req.Programs))
+	resp := RunManyResponse{Results: make([]RunManyResult, len(arts))}
 	for i, p := range req.Programs {
-		keys[i] = Key(p.Source, req.Options)
-		art, cached, _, err := s.artifact(cctx, keys[i], p.Source, req.Options)
+		res := &resp.Results[i]
+		res.Key = Key(p.Source, req.Options)
+		art, cached, _, err := s.artifact(cctx, res.Key, p.Source, req.Options)
 		if err != nil {
 			cancelCompile()
 			s.writeCompileError(w, err)
 			return
 		}
-		arts[i] = art
-		cachedBuild[i] = cached
+		arts[i], res.CachedBuild = art, cached
 	}
 	cancelCompile()
 
 	rctx, cancelRun := context.WithTimeout(r.Context(), s.cfg.RunTimeout)
-	defer cancelRun()
-	resp := RunManyResponse{Results: make([]RunManyResult, len(arts))}
-	ro := core.RunManyOptions{
-		Tier: tier, MaxCycles: req.Run.MaxCycles,
+	rs, sched, err := s.runBatch(rctx, arts, core.RunManyOptions{
+		Tier: req.Run.Tier, MaxCycles: req.Run.MaxCycles,
 		Quantum: req.Run.Quantum, SwitchBeats: req.Run.SwitchBeats,
+	})
+	cancelRun()
+	if err != nil {
+		s.writeRunError(w, err)
+		return
 	}
-
-	if req.Run.Tenancy == "machines" {
-		resp.Tenancy = "machines"
-		var wg sync.WaitGroup
-		for i, art := range arts {
-			wg.Add(1)
-			go func(i int, art *core.Artifact) {
-				defer wg.Done()
-				out, err := s.runArtifact(rctx, art, tier, req.Run.MaxCycles)
-				resp.Results[i] = RunManyResult{
-					Key: keys[i], CachedBuild: cachedBuild[i],
-					Tier: out.Tier,
-					Exit: out.Exit, Output: out.Output,
-					Stats: wireStats(out.Stats),
-				}
-				s.metrics.countRunTier(out.Tier)
-				if err != nil {
-					resp.Results[i].Error = err.Error()
-				}
-			}(i, art)
+	for i, res := range rs {
+		out := &resp.Results[i]
+		out.Tier, out.Exit, out.Output, out.Stats = res.Tier, res.Exit, res.Output, wireStats(res.Stats)
+		s.metrics.countRunTier(res.Tier)
+		if res.Err != nil {
+			out.Error = res.Err.Error()
 		}
-		wg.Wait()
-	} else {
-		resp.Tenancy = "contexts"
-		// The machine goes back to the pool on EVERY path out of this
-		// handler — success, whole-batch error, or a panic unwinding through
-		// it — exactly once, which is what the deferred return guarantees
-		// and what the pool-leak test exercises.
-		rs, sched, err := func() ([]core.ManyResult, vliw.SchedStats, error) {
-			m := s.machines.Get().(*vliw.Machine)
-			s.metrics.MachinesInUse.Add(1)
-			defer func() {
-				s.metrics.MachinesInUse.Add(-1)
-				s.machines.Put(m)
-			}()
-			return core.RunManyOn(rctx, m, arts, ro)
-		}()
-		if err != nil {
-			s.writeRunError(w, err)
-			return
-		}
-		for i, res := range rs {
-			resp.Results[i] = RunManyResult{
-				Key: keys[i], CachedBuild: cachedBuild[i],
-				Tier: res.Tier,
-				Exit: res.Exit, Output: res.Output,
-				Stats: wireStats(res.Stats),
-			}
-			s.metrics.countRunTier(res.Tier)
-			if res.Err != nil {
-				resp.Results[i].Error = res.Err.Error()
-			}
-		}
-		resp.Sched = &SchedResponse{
-			Contexts: sched.Contexts, TotalBeats: sched.TotalBeats,
-			BusyBeats: sched.BusyBeats, HiddenBeats: sched.HiddenBeats,
-			Switches: sched.Switches, SwitchBeats: sched.SwitchBeats,
-		}
+	}
+	resp.Sched = SchedResponse{
+		Contexts: sched.Contexts, TotalBeats: sched.TotalBeats,
+		BusyBeats: sched.BusyBeats, HiddenBeats: sched.HiddenBeats,
+		Switches: sched.Switches, SwitchBeats: sched.SwitchBeats,
 	}
 	s.metrics.RunMany.Latency.observe(time.Since(start))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// runBatch is runArtifact for a batch: the machine is back in the pool before
+// the response is written.
+func (s *Server) runBatch(ctx context.Context, arts []*core.Artifact, o core.RunManyOptions) ([]core.ManyResult, vliw.SchedStats, error) {
+	m := s.borrow()
+	defer s.giveBack(m)
+	return core.RunManyOn(ctx, m, arts, o)
 }

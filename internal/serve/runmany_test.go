@@ -33,8 +33,8 @@ var tenantSrcs = []string{
 	}`,
 }
 
-func runManyReq(tenancy string, tier vliw.Tier) RunManyRequest {
-	req := RunManyRequest{Run: RunManyRunOptions{Tenancy: tenancy, Tier: tier}}
+func runManyReq(tier vliw.Tier) RunManyRequest {
+	req := RunManyRequest{Run: RunManyRunOptions{Tier: tier}}
 	for _, src := range tenantSrcs {
 		req.Programs = append(req.Programs, RunManyProgram{Source: src})
 	}
@@ -45,26 +45,37 @@ func runManyReq(tenancy string, tier vliw.Tier) RunManyRequest {
 // results are identical to what /run reports for each program alone, and
 // the scheduler summary is present and balanced.
 func TestRunManyContextsMatchesSoloRuns(t *testing.T) {
+	tenantsEqualSoloRuns(t, vliw.TierFast)
+}
+
+// TestRunManyTenantsEqualSoloRuns: K machines is K /run requests — on the
+// checked tier, where the removed "machines" tenancy was compared, each
+// /runmany tenant equals its solo /run.
+func TestRunManyTenantsEqualSoloRuns(t *testing.T) {
+	tenantsEqualSoloRuns(t, vliw.TierChecked)
+}
+
+func tenantsEqualSoloRuns(t *testing.T, tier vliw.Tier) {
 	_, hs := newTestServer(t, Config{Parallelism: 1})
 
 	solo := make([]RunResponse, len(tenantSrcs))
 	for i, src := range tenantSrcs {
-		resp, raw := post(t, hs.URL+"/run", RunRequest{Source: src, Run: RunRequestOptions{Tier: vliw.TierFast}})
+		resp, raw := post(t, hs.URL+"/run", RunRequest{Source: src, Run: RunRequestOptions{Tier: tier}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solo run %d: status %d: %s", i, resp.StatusCode, raw)
 		}
 		solo[i] = decode[RunResponse](t, raw)
 	}
 
-	resp, raw := post(t, hs.URL+"/runmany", runManyReq("contexts", vliw.TierFast))
+	resp, raw := post(t, hs.URL+"/runmany", runManyReq(tier))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("runmany: status %d: %s", resp.StatusCode, raw)
 	}
 	batch := decode[RunManyResponse](t, raw)
-	if batch.Tenancy != "contexts" || len(batch.Results) != len(tenantSrcs) {
+	if len(batch.Results) != len(tenantSrcs) {
 		t.Fatalf("response shape: %+v", batch)
 	}
-	if batch.Sched == nil || batch.Sched.Contexts != len(tenantSrcs) || batch.Sched.TotalBeats == 0 {
+	if batch.Sched.Contexts != len(tenantSrcs) || batch.Sched.TotalBeats == 0 {
 		t.Fatalf("missing or empty scheduler summary: %+v", batch.Sched)
 	}
 	for i, r := range batch.Results {
@@ -80,36 +91,8 @@ func TestRunManyContextsMatchesSoloRuns(t *testing.T) {
 		if r.Exit != solo[i].Exit || r.Output != solo[i].Output || r.Stats != solo[i].Stats {
 			t.Errorf("tenant %d diverges from solo /run:\n batch: %+v\n solo:  %+v", i, r, solo[i])
 		}
-		if r.Tier != vliw.TierFast {
-			t.Errorf("tenant %d ran on the %v tier despite tier=fast", i, r.Tier)
-		}
-	}
-}
-
-// TestRunManyMachinesTenancy: the comparison mode runs every tenant on its
-// own pooled machine and returns the same per-tenant results, without a
-// scheduler summary.
-func TestRunManyMachinesTenancy(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
-
-	resp, raw := post(t, hs.URL+"/runmany", runManyReq("contexts", vliw.TierChecked))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("contexts: status %d: %s", resp.StatusCode, raw)
-	}
-	ctxBatch := decode[RunManyResponse](t, raw)
-
-	resp, raw = post(t, hs.URL+"/runmany", runManyReq("machines", vliw.TierChecked))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("machines: status %d: %s", resp.StatusCode, raw)
-	}
-	machBatch := decode[RunManyResponse](t, raw)
-	if machBatch.Tenancy != "machines" || machBatch.Sched != nil {
-		t.Fatalf("machines-tenancy shape: %+v", machBatch)
-	}
-	for i := range ctxBatch.Results {
-		c, m := ctxBatch.Results[i], machBatch.Results[i]
-		if c.Exit != m.Exit || c.Output != m.Output || c.Stats != m.Stats {
-			t.Errorf("tenant %d: tenancy changed the results:\n contexts: %+v\n machines: %+v", i, c, m)
+		if r.Tier != tier {
+			t.Errorf("tenant %d ran on the %v tier despite tier=%v", i, r.Tier, tier)
 		}
 	}
 }
@@ -149,9 +132,6 @@ func TestRunManyBadRequests(t *testing.T) {
 	}{
 		{"no programs", RunManyRequest{}, http.StatusBadRequest},
 		{"empty source", RunManyRequest{Programs: []RunManyProgram{{Source: ""}}}, http.StatusBadRequest},
-		{"bad tenancy", RunManyRequest{
-			Programs: []RunManyProgram{{Source: tenantSrcs[0]}},
-			Run:      RunManyRunOptions{Tenancy: "threads"}}, http.StatusBadRequest},
 		{"negative quantum", RunManyRequest{
 			Programs: []RunManyProgram{{Source: tenantSrcs[0]}},
 			Run:      RunManyRunOptions{Quantum: -1}}, http.StatusBadRequest},

@@ -181,12 +181,6 @@ type RunManyRunOptions struct {
 	Quantum int64 `json:"quantum,omitempty"`
 	// SwitchBeats overrides the wall-clock cost per context rotation.
 	SwitchBeats int64 `json:"switch_beats,omitempty"`
-	// Tenancy selects how the batch shares hardware: "contexts" (default)
-	// time-shares one pooled machine's hardware contexts; "machines" runs
-	// each program on its own pooled machine, concurrently — the
-	// conventional one-machine-per-request serving mode, kept for
-	// comparison.
-	Tenancy string `json:"tenancy,omitempty"`
 }
 
 // RunManyRequest is the body of POST /runmany. All programs compile under
@@ -210,8 +204,7 @@ type RunManyResult struct {
 	Error  string    `json:"error,omitempty"`
 }
 
-// SchedResponse is the wire form of the context scheduler's counters
-// (contexts tenancy only).
+// SchedResponse is the wire form of the context scheduler's counters.
 type SchedResponse struct {
 	Contexts    int   `json:"contexts"`
 	TotalBeats  int64 `json:"total_beats"`
@@ -223,9 +216,8 @@ type SchedResponse struct {
 
 // RunManyResponse reports one batch execution.
 type RunManyResponse struct {
-	Tenancy string          `json:"tenancy"`
 	Results []RunManyResult `json:"results"`
-	Sched   *SchedResponse  `json:"sched,omitempty"`
+	Sched   SchedResponse   `json:"sched"`
 }
 
 // CompileResponse reports one compilation.
@@ -372,8 +364,8 @@ type Server struct {
 	cfg       Config
 	mux       *http.ServeMux
 	metrics   *Metrics
-	artifacts *artifactCache
-	runs      *runCache
+	artifacts *lru[*core.Artifact]  // by Key, budgeted in bytes
+	runs      *lru[core.ExitResult] // by runKey, bounded in entries
 	flight    *flightGroup
 	admit     chan struct{}
 	machines  sync.Pool
@@ -386,11 +378,15 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := &Metrics{}
 	s := &Server{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		metrics:   m,
-		artifacts: newArtifactCache(cfg.CacheBytes, m),
-		runs:      newRunCache(cfg.RunCacheEntries, m),
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		metrics: m,
+		artifacts: newLRU[*core.Artifact](cfg.CacheBytes, func(used int64, entries int, evicted int64) {
+			m.ArtifactBytes.Set(used)
+			m.ArtifactEntries.Set(int64(entries))
+			m.ArtifactEvictions.Add(evicted)
+		}),
+		runs:      newLRU[core.ExitResult](int64(cfg.RunCacheEntries), func(int64, int, int64) {}),
 		flight:    newFlightGroup(),
 		admit:     make(chan struct{}, cfg.MaxInflight),
 		snapshots: newSnapshotStore(cfg.SnapshotBytes, cfg.SnapshotDir, m),
@@ -452,8 +448,10 @@ func (s *Server) admitRequest(w http.ResponseWriter, ep *endpointMetrics) (relea
 // join of an in-flight compile, or a fresh pipeline execution.
 func (s *Server) artifact(ctx context.Context, key, src string, o Options) (art *core.Artifact, cached, joined bool, err error) {
 	if art, ok := s.artifacts.get(key); ok {
+		s.metrics.ArtifactHits.Add(1)
 		return art, true, false, nil
 	}
+	s.metrics.ArtifactMisses.Add(1)
 	// A joined flight can report the shared compile's cancellation (its
 	// last waiter left just as we arrived) even though our own context is
 	// healthy; retry — the next attempt starts a fresh compile.
@@ -463,7 +461,7 @@ func (s *Server) artifact(ctx context.Context, key, src string, o Options) (art 
 			if err != nil {
 				return nil, err
 			}
-			s.artifacts.add(key, a)
+			s.artifacts.add(key, a, artifactCost(key, a))
 			return a, nil
 		})
 		if joined {
@@ -480,7 +478,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.Compile.Requests.Add(1)
 	var req CompileRequest
-	if !s.decode(w, r, &req.Source, &req) {
+	if !s.decode(w, r, 1, &req) {
 		return
 	}
 	release, ok := s.admitRequest(w, &s.metrics.Compile)
@@ -514,12 +512,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.Run.Requests.Add(1)
 	var req RunRequest
-	if !s.decode(w, r, &req.Source, &req) {
-		return
-	}
-	if req.Run.MaxCycles < 0 {
-		// It would run on the default budget and be memoised under a key of its own.
-		writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Msg: `"max_cycles" must be non-negative`})
+	if !s.decode(w, r, 1, &req) {
 		return
 	}
 	tier := req.Run.Tier
@@ -542,11 +535,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var out core.ExitResult
 	cachedResult := false
 	if !req.Run.NoCache {
-		out, cachedResult = s.runs.get(rkey)
+		if out, cachedResult = s.runs.get(rkey); cachedResult {
+			s.metrics.RunHits.Add(1)
+		} else {
+			s.metrics.RunMisses.Add(1)
+		}
 	}
 	if !cachedResult {
 		rctx, cancelRun := context.WithTimeout(r.Context(), s.cfg.RunTimeout)
-		out, err = s.runArtifact(rctx, art, tier, req.Run.MaxCycles)
+		out, err = s.runArtifact(rctx, art, nil, tier, req.Run.MaxCycles)
 		cancelRun()
 		if err != nil {
 			// A deadline-exceeded run with a captured snapshot is not a
@@ -559,7 +556,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if !req.Run.NoCache {
-			s.runs.add(rkey, out)
+			s.runs.add(rkey, out, 1)
 		}
 	}
 	s.metrics.Run.Latency.observe(time.Since(start))
@@ -572,30 +569,41 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runArtifact executes the artifact on a pooled machine. The machine goes
-// back to the pool on every path — including cancellation: RunContext
-// returns at a beat boundary with the machine in a consistent (if
-// incomplete) state, and the next Reset re-initializes everything. When
-// checkpointing is on, an interrupted run carries its resume snapshot in
-// the result alongside the error.
-func (s *Server) runArtifact(ctx context.Context, art *core.Artifact, tier vliw.Tier, maxCycles int64) (core.ExitResult, error) {
-	m := s.machines.Get().(*vliw.Machine)
+// borrow takes a pooled machine for one execution, and is the one place that
+// does; the caller defers giveBack, so that the machine goes back exactly once
+// on every path — including a panic unwinding through the caller, and
+// cancellation: a run returns at a beat boundary with the machine in a
+// consistent (if incomplete) state, and the next Reset re-initializes
+// everything.
+func (s *Server) borrow() *vliw.Machine {
 	s.metrics.MachinesInUse.Add(1)
-	defer func() {
-		s.metrics.MachinesInUse.Add(-1)
-		s.machines.Put(m)
-	}()
-	return art.RunOn(ctx, m, core.RunOptions{
-		Tier: tier, MaxCycles: maxCycles,
-		SnapshotOnInterrupt: s.snapshots != nil,
-	})
+	return s.machines.Get().(*vliw.Machine)
+}
+
+func (s *Server) giveBack(m *vliw.Machine) {
+	s.metrics.MachinesInUse.Add(-1)
+	s.machines.Put(m)
+}
+
+// runArtifact executes the artifact on a pooled machine — from the snapshot
+// when there is one (a /resume), from boot otherwise. When checkpointing is
+// on, an interrupted run carries its resume snapshot in the result alongside
+// the error.
+func (s *Server) runArtifact(ctx context.Context, art *core.Artifact, snap []byte, tier vliw.Tier, maxCycles int64) (core.ExitResult, error) {
+	m := s.borrow()
+	defer s.giveBack(m)
+	o := core.RunOptions{Tier: tier, MaxCycles: maxCycles, SnapshotOnInterrupt: s.snapshots != nil}
+	if snap != nil {
+		return art.RunFromOn(ctx, m, snap, o)
+	}
+	return art.RunOn(ctx, m, o)
 }
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.Lint.Requests.Add(1)
 	var req CompileRequest
-	if !s.decode(w, r, &req.Source, &req) {
+	if !s.decode(w, r, 1, &req) {
 		return
 	}
 	release, ok := s.admitRequest(w, &s.metrics.Lint)
@@ -654,17 +662,19 @@ func unmarshalBody(raw []byte, dst any) error {
 	return nil
 }
 
-// decode parses the JSON body into dst and enforces the method and source
-// size limits. dst must contain a Source field reachable via src pointer.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, src *string, dst any) bool {
+// decode reads a request body into dst — the one place a body is read — and
+// holds it to every rule a request must meet before anything is compiled or
+// run: the method, a size limit for a body of up to the given number of
+// programs, no unknown field, and what check asks of the request's type.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, programs int64, dst any) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
 		writeError(w, http.StatusMethodNotAllowed, ErrorBody{Kind: "bad_request", Msg: "use POST"})
 		return false
 	}
-	// The JSON envelope adds framing overhead on top of the source; 4x
-	// plus slack bounds the body without rejecting any legal source.
-	body := http.MaxBytesReader(w, r.Body, 4*s.cfg.MaxSourceBytes+4096)
+	// The JSON envelope adds framing overhead on top of a source; 4x plus
+	// slack bounds the body without rejecting any legal source.
+	body := http.MaxBytesReader(w, r.Body, programs*4*s.cfg.MaxSourceBytes+4096)
 	raw, err := io.ReadAll(body)
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
@@ -676,30 +686,63 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, src *string, dst
 			Kind: "bad_request", Msg: "malformed JSON: " + err.Error()})
 		return false
 	}
-	if *src == "" {
-		writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Msg: "empty source"})
+	if status, msg := s.check(dst); msg != "" {
+		writeError(w, status, ErrorBody{Kind: "bad_request", Msg: msg})
 		return false
-	}
-	if int64(len(*src)) > s.cfg.MaxSourceBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
-			Kind: "bad_request",
-			Msg:  fmt.Sprintf("source is %d bytes; limit %d", len(*src), s.cfg.MaxSourceBytes)})
-		return false
-	}
-	var wireOpts *Options
-	switch d := dst.(type) {
-	case *CompileRequest:
-		wireOpts = &d.Options
-	case *RunRequest:
-		wireOpts = &d.Options
-	}
-	if wireOpts != nil {
-		if err := wireOpts.validate(); err != nil {
-			writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Msg: err.Error()})
-			return false
-		}
 	}
 	return true
+}
+
+// check validates a parsed request of any of the four body types: every
+// source present and within MaxSourceBytes, the compile options legal, every
+// beat count non-negative (a negative max_cycles would run on the default
+// budget and be memoised under a key of its own). It returns the status and
+// message of the first rule broken, "" when none is.
+func (s *Server) check(dst any) (status int, msg string) {
+	var srcs []string
+	var opts *Options
+	var run RunManyRunOptions // the beat counts of whichever request this is
+	switch d := dst.(type) {
+	case *CompileRequest:
+		srcs, opts = []string{d.Source}, &d.Options
+	case *RunRequest:
+		srcs, opts, run.MaxCycles = []string{d.Source}, &d.Options, d.Run.MaxCycles
+	case *RunManyRequest:
+		if n := len(d.Programs); n == 0 || n > maxRunManyPrograms {
+			return http.StatusBadRequest, fmt.Sprintf("programs must number 1..%d (got %d)", maxRunManyPrograms, n)
+		}
+		for _, p := range d.Programs {
+			srcs = append(srcs, p.Source)
+		}
+		opts, run = &d.Options, d.Run
+	case *ResumeRequest:
+		if d.Token == "" {
+			return http.StatusBadRequest, "empty token"
+		}
+		run.MaxCycles = d.Run.MaxCycles
+	}
+	for i, src := range srcs {
+		if src == "" {
+			return http.StatusBadRequest, fmt.Sprintf("program %d: empty source", i)
+		}
+		if int64(len(src)) > s.cfg.MaxSourceBytes {
+			return http.StatusRequestEntityTooLarge, fmt.Sprintf("program %d is %d bytes; limit %d", i, len(src), s.cfg.MaxSourceBytes)
+		}
+	}
+	if opts != nil {
+		if err := opts.validate(); err != nil {
+			return http.StatusBadRequest, err.Error()
+		}
+	}
+	switch {
+	case run.MaxCycles < 0:
+		return http.StatusBadRequest, `"max_cycles" must be non-negative`
+	case run.Quantum < 0:
+		return http.StatusBadRequest, `"quantum" must be non-negative`
+	case run.SwitchBeats < 0:
+		return http.StatusBadRequest, `"switch_beats" must be non-negative`
+	}
+	return 0, ""
 }
 
 // writeCompileError maps a compilation failure to its transport status:

@@ -339,29 +339,27 @@ func TestRunNativeTier(t *testing.T) {
 }
 
 // TestRunManySafeTier: the batch endpoint puts every tenant on the safe
-// tier under both tenancies and the results stay identical to checked ones.
+// tier and the results stay identical to checked ones.
 func TestRunManySafeTier(t *testing.T) {
 	_, hs := newTestServer(t, Config{Parallelism: 1})
 
 	for _, tier := range []vliw.Tier{vliw.TierSafe, vliw.TierNative} {
-		for _, tenancy := range []string{"contexts", "machines"} {
-			resp, raw := post(t, hs.URL+"/runmany", runManyReq(tenancy, tier))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: status %d: %s", tier, tenancy, resp.StatusCode, raw)
+		resp, raw := post(t, hs.URL+"/runmany", runManyReq(tier))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tier, resp.StatusCode, raw)
+		}
+		batch := decode[RunManyResponse](t, raw)
+		checked := decode[RunManyResponse](t, mustPostOK(t, hs.URL+"/runmany", runManyReq(vliw.TierChecked)))
+		for i, r := range batch.Results {
+			if r.Error != "" {
+				t.Fatalf("%s tenant %d: %s", tier, i, r.Error)
 			}
-			batch := decode[RunManyResponse](t, raw)
-			checked := decode[RunManyResponse](t, mustPostOK(t, hs.URL+"/runmany", runManyReq(tenancy, vliw.TierChecked)))
-			for i, r := range batch.Results {
-				if r.Error != "" {
-					t.Fatalf("%s/%s tenant %d: %s", tier, tenancy, i, r.Error)
-				}
-				if r.Tier != tier {
-					t.Errorf("%s/%s tenant %d not on the requested tier: %+v", tier, tenancy, i, r)
-				}
-				c := checked.Results[i]
-				if r.Exit != c.Exit || r.Output != c.Output || r.Stats != c.Stats {
-					t.Errorf("%s/%s tenant %d diverges from checked:\n %s: %+v\n checked: %+v", tier, tenancy, i, tier, r, c)
-				}
+			if r.Tier != tier {
+				t.Errorf("%s tenant %d not on the requested tier: %+v", tier, i, r)
+			}
+			c := checked.Results[i]
+			if r.Exit != c.Exit || r.Output != c.Output || r.Stats != c.Stats {
+				t.Errorf("%s tenant %d diverges from checked:\n %s: %+v\n checked: %+v", tier, i, tier, r, c)
 			}
 		}
 	}
@@ -386,7 +384,7 @@ func TestWireSpellsTheTierOneWay(t *testing.T) {
 	if got, want := jsonFields(RunRequestOptions{}), []string{"tier", "max_cycles", "no_cache"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("RunRequestOptions wire fields = %v, want %v", got, want)
 	}
-	if got, want := jsonFields(RunManyRunOptions{}), []string{"tier", "max_cycles", "quantum", "switch_beats", "tenancy"}; !reflect.DeepEqual(got, want) {
+	if got, want := jsonFields(RunManyRunOptions{}), []string{"tier", "max_cycles", "quantum", "switch_beats"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("RunManyRunOptions wire fields = %v, want %v", got, want)
 	}
 
@@ -653,8 +651,13 @@ func TestUnknownRequestFieldsAreRefused(t *testing.T) {
 		{"/runmany", `{"programs": [{"source": %q, "priority": 1}]}`, "priority"},
 		{"/runmany", `{"programs": [{"source": %q}], "run": {"fast": true}}`, "fast"},
 		{"/resume", `{"token": %q, "beats": 5}`, "beats"},
-		// A field it has, with a value it cannot take (/runmany's case is in runmany_test.go).
+		// The second way to run a batch, K machines, is K /run requests now.
+		{"/runmany", `{"programs": [{"source": %q}], "run": {"tenancy": "machines"}}`, "tenancy"},
+		// A field it has, with a value it cannot take: one reader, one rule for all three.
 		{"/run", `{"source": %q, "run": {"max_cycles": -1}}`, "max_cycles"},
+		{"/runmany", `{"programs": [{"source": %q}], "run": {"max_cycles": -1}}`, "max_cycles"},
+		{"/runmany", `{"programs": [{"source": %q}], "run": {"switch_beats": -1}}`, "switch_beats"},
+		{"/resume", `{"token": %q, "run": {"max_cycles": -1}}`, "max_cycles"},
 	} {
 		resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(fmt.Sprintf(tc.body, demoSrc)))
 		if err != nil {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -18,7 +17,6 @@ import (
 	"time"
 
 	"github.com/multiflow-repro/trace/internal/core"
-	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
 // snapMeta is everything needed to resume a paused run besides the snapshot
@@ -34,11 +32,11 @@ type snapMeta struct {
 }
 
 type snapEntry struct {
-	tok  string
 	meta snapMeta
 	snap []byte
-	cost int64
 }
+
+func (e snapEntry) cost() int64 { return int64(len(e.snap)) + int64(len(e.meta.Source)) + 256 }
 
 // snapshotStore holds resume snapshots for deadline-paused runs: a
 // byte-budgeted in-RAM LRU, optionally backed by a spill directory. Tokens
@@ -48,13 +46,10 @@ type snapEntry struct {
 // safe to trust after a SIGKILL mid-write (the atomic write+rename below
 // means a crash leaves either the complete file or none).
 type snapshotStore struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	lru    *list.List // of *snapEntry, front = most recent
-	byTok  map[string]*list.Element
-	dir    string // "" = RAM only
-	m      *Metrics
+	mu  sync.Mutex      // orders a token's disk copy with its RAM entry
+	ram *lru[snapEntry] // by token; evicted entries keep their disk copies
+	dir string          // "" = RAM only
+	m   *Metrics
 }
 
 // newSnapshotStore builds the store; a negative budget disables
@@ -66,13 +61,12 @@ func newSnapshotStore(budget int64, dir string, m *Metrics) *snapshotStore {
 	if budget < 0 {
 		return nil
 	}
-	s := &snapshotStore{
-		budget: budget,
-		lru:    list.New(),
-		byTok:  map[string]*list.Element{},
-		dir:    dir,
-		m:      m,
-	}
+	s := &snapshotStore{dir: dir, m: m}
+	s.ram = newLRU[snapEntry](budget, func(used int64, entries int, evicted int64) {
+		m.SnapshotBytes.Set(used)
+		m.SnapshotEntries.Set(int64(entries))
+		m.SnapshotEvictions.Add(evicted)
+	})
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			s.dir = "" // unusable spill dir degrades to RAM-only
@@ -91,34 +85,16 @@ func (s *snapshotStore) put(meta snapMeta, snap []byte) string {
 	tok := hex.EncodeToString(sum[:])
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byTok[tok]; ok {
-		s.lru.MoveToFront(el)
+	if _, ok := s.ram.get(tok); ok {
 		return tok
 	}
 	if s.dir != "" {
 		s.writeDisk(tok, meta, snap)
 	}
-	s.insert(&snapEntry{tok: tok, meta: meta, snap: snap,
-		cost: int64(len(snap)) + int64(len(meta.Source)) + 256})
+	e := snapEntry{meta: meta, snap: snap}
+	s.ram.add(tok, e, e.cost())
 	s.m.SnapshotsStored.Add(1)
 	return tok
-}
-
-// insert adds the entry and evicts past the budget (RAM only — disk copies
-// survive eviction and back the token until remove). Caller holds the lock.
-func (s *snapshotStore) insert(e *snapEntry) {
-	s.byTok[e.tok] = s.lru.PushFront(e)
-	s.used += e.cost
-	for s.used > s.budget && s.lru.Len() > 1 {
-		oldest := s.lru.Back()
-		ent := oldest.Value.(*snapEntry)
-		s.lru.Remove(oldest)
-		delete(s.byTok, ent.tok)
-		s.used -= ent.cost
-		s.m.SnapshotEvictions.Add(1)
-	}
-	s.m.SnapshotBytes.Set(s.used)
-	s.m.SnapshotEntries.Set(int64(s.lru.Len()))
 }
 
 // get resolves a token: RAM first, then the spill directory. A disk hit is
@@ -126,9 +102,7 @@ func (s *snapshotStore) insert(e *snapEntry) {
 func (s *snapshotStore) get(tok string) (snapMeta, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byTok[tok]; ok {
-		s.lru.MoveToFront(el)
-		e := el.Value.(*snapEntry)
+	if e, ok := s.ram.get(tok); ok {
 		return e.meta, e.snap, true
 	}
 	if s.dir == "" {
@@ -145,14 +119,7 @@ func (s *snapshotStore) get(tok string) (snapMeta, []byte, bool) {
 func (s *snapshotStore) remove(tok string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byTok[tok]; ok {
-		e := el.Value.(*snapEntry)
-		s.lru.Remove(el)
-		delete(s.byTok, tok)
-		s.used -= e.cost
-		s.m.SnapshotBytes.Set(s.used)
-		s.m.SnapshotEntries.Set(int64(s.lru.Len()))
-	}
+	s.ram.remove(tok)
 	if s.dir != "" {
 		os.Remove(s.snapPath(tok))
 	}
@@ -232,8 +199,8 @@ func (s *snapshotStore) recoverDisk() {
 			os.Remove(filepath.Join(s.dir, name))
 			continue
 		}
-		s.insert(&snapEntry{tok: tok, meta: meta, snap: snap,
-			cost: int64(len(snap)) + int64(len(meta.Source)) + 256})
+		e := snapEntry{meta: meta, snap: snap}
+		s.ram.add(tok, e, e.cost())
 		s.m.SnapshotsRecovered.Add(1)
 	}
 }
@@ -286,31 +253,13 @@ func (s *Server) maybePause(w http.ResponseWriter, r *http.Request, meta snapMet
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.Resume.Requests.Add(1)
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, ErrorBody{Kind: "bad_request", Msg: "use POST"})
+	var req ResumeRequest
+	if !s.decode(w, r, 0, &req) {
 		return
 	}
 	if s.snapshots == nil {
 		writeError(w, http.StatusNotFound, ErrorBody{
 			Kind: "bad_request", Msg: "checkpointing is disabled on this server"})
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, 1<<16)
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
-			Kind: "bad_request", Msg: "request body too large"})
-		return
-	}
-	var req ResumeRequest
-	if err := unmarshalBody(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{
-			Kind: "bad_request", Msg: "malformed JSON: " + err.Error()})
-		return
-	}
-	if req.Token == "" {
-		writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Msg: "empty token"})
 		return
 	}
 	release, ok := s.admitRequest(w, &s.metrics.Resume)
@@ -335,7 +284,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rctx, cancelRun := context.WithTimeout(r.Context(), s.cfg.RunTimeout)
-	out, err := s.resumeArtifact(rctx, art, snap, req.Run.Tier, req.Run.MaxCycles)
+	out, err := s.runArtifact(rctx, art, snap, req.Run.Tier, req.Run.MaxCycles)
 	cancelRun()
 	if err != nil {
 		if s.maybePause(w, r, meta, out, err) {
@@ -355,18 +304,6 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		Exit: out.Exit, Output: out.Output,
 		Stats: wireStats(out.Stats),
 	})
-}
-
-// resumeArtifact is runArtifact for a restored execution.
-func (s *Server) resumeArtifact(ctx context.Context, art *core.Artifact, snap []byte, tier vliw.Tier, maxCycles int64) (core.ExitResult, error) {
-	m := s.machines.Get().(*vliw.Machine)
-	s.metrics.MachinesInUse.Add(1)
-	defer func() {
-		s.metrics.MachinesInUse.Add(-1)
-		s.machines.Put(m)
-	}()
-	return art.RunFromOn(ctx, m, snap, core.RunOptions{
-		Tier: tier, MaxCycles: maxCycles, SnapshotOnInterrupt: true})
 }
 
 // StartDrain flips the server to draining: /readyz starts answering 503 so

@@ -248,10 +248,9 @@ func TestRunManyPoolExactlyOnce(t *testing.T) {
 		{Programs: []RunManyProgram{{Source: demoSrc}, {Source: demoSrc}}},
 		{Programs: []RunManyProgram{{Source: demoSrc}, {Source: trapSrc}}},
 		{Programs: []RunManyProgram{{Source: slowSrc}, {Source: slowSrc}}},
+		{Programs: []RunManyProgram{{Source: demoSrc}}},
 		{Programs: []RunManyProgram{{Source: demoSrc}},
-			Run: RunManyRunOptions{Tenancy: "machines"}},
-		{Programs: []RunManyProgram{{Source: demoSrc}},
-			Run: RunManyRunOptions{Tenancy: "bogus"}},
+			Run: RunManyRunOptions{Quantum: -1}},
 	}
 	var wg sync.WaitGroup
 	status := make([]int, len(reqs))

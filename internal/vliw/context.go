@@ -82,14 +82,15 @@ type Context struct {
 	ievict   uint64
 	resident []residency
 
-	// Scheduler bookkeeping (multi-context runs).
+	// Scheduler bookkeeping: done marks a context schedule has retired — it
+	// halted, trapped or ran out of budget — and will not run again.
 	done bool
 	err  error // terminal trap or cycle-limit, nil while runnable/completed
 
 	// Checkpoint/restore bookkeeping (snapshot.go). booted marks that the
 	// context holds live execution state (boot ran, or a snapshot was
 	// restored) — the precondition for Snapshot. restored marks state that
-	// came from Restore: the run loops skip boot and continue mid-program.
+	// came from Restore: schedule skips boot and continues mid-program.
 	booted   bool
 	restored bool
 

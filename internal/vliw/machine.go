@@ -15,11 +15,12 @@
 // The machine is split §8.1-style into shared microarchitecture (the
 // Machine: configuration, decoded plans, DMA engine, hooks, and the
 // context scheduler) and per-program architectural state (the Context:
-// register banks, PC, write pipeline, address space, virtual clock). One
-// resident context gives the classic single-program machine; ResetMany
-// loads K programs into K hardware contexts and RunMany time-shares them
-// on one simulated CPU, rotating on quantum expiry and eagerly on memory
-// stalls — the latency-hiding complement to ILP the paper gestures at.
+// register banks, PC, write pipeline, address space, virtual clock). The
+// processor is always running some context and has one way of doing it
+// (schedule): ResetMany loads K programs into K hardware contexts and RunMany
+// time-shares them on one simulated CPU, rotating on quantum expiry and
+// eagerly on memory stalls — the latency-hiding complement to ILP the paper
+// gestures at — and the classic single-program machine is a batch of one.
 package vliw
 
 import (
@@ -203,9 +204,9 @@ const (
 
 // Machine is one TRACE processor with its memory system: the shared
 // microarchitecture plus one or more resident program Contexts. The beat
-// loop executes whichever context is current (cur); with one context the
-// machine behaves exactly as the classic single-program simulator, and
-// with several, RunMany time-shares them at beat granularity.
+// loop executes whichever context is current (cur); Run executes a batch of
+// one — the classic single-program simulator — and RunMany time-shares all
+// of them at beat granularity.
 type Machine struct {
 	Cfg mach.Config
 	Img *isa.Image // context 0's image (the only one after Reset)
@@ -217,9 +218,9 @@ type Machine struct {
 	cur    *Context
 	curIdx int
 
-	// beat is the machine's wall clock for multi-context runs: useful
-	// beats plus unhidden stalls plus switch overhead. Single-context
-	// runs keep time on the context's own clock instead.
+	// beat is the machine's wall clock: the batch's useful beats plus
+	// unhidden stalls plus switch overhead. A solo run starts it at the
+	// context's own clock, and the two then run together.
 	beat int64
 
 	// plan is the pre-decoded execution plan for Img (see plan.go),
@@ -263,13 +264,13 @@ type Machine struct {
 	// exposes it as -max-cycles and the fuzz oracle tightens it so
 	// hostile inputs terminate quickly.
 	CycleLimit int64
-	// StopBeat, when > 0, pauses a single-context run at the first
+	// StopBeat, when > 0, pauses Run and RunContext at the first
 	// instruction boundary where the context's virtual clock has reached it:
-	// run returns *ErrStopped with the context intact, and Context.Snapshot
-	// captures a resume point. Zero (the default, restored by Reset) keeps
-	// the beat loop on its usual single-compare path — checkpoint support
-	// costs nothing when unused. RunMany ignores StopBeat; batch tenants
-	// checkpoint on cancellation instead.
+	// they return *ErrStopped with the context intact, and Context.Snapshot
+	// captures a resume point. Zero (the default, restored by Reset) is a
+	// pause at a beat no clock reaches — checkpoint support costs nothing
+	// when unused. RunMany ignores StopBeat; batch tenants checkpoint on
+	// cancellation instead.
 	StopBeat int64
 	// CtxCheckEvery is the beat interval between context polls in
 	// RunContext (default DefaultCtxCheckBeats): a canceled run stops
@@ -279,8 +280,9 @@ type Machine struct {
 	// Stats holds the CURRENT context's counters while it executes (the
 	// beat loop's hottest writes stay one indirection from the machine);
 	// the scheduler banks them into Context.Stats on every rotation. After
-	// Run it is the run's stats as always; after RunMany it is the
-	// machine-level aggregate across contexts with Beats = wall clock.
+	// a run it is the batch's totals with Beats = the machine's wall clock:
+	// after Run the run's own stats, after RunMany the aggregate across
+	// contexts.
 	Stats    Stats
 	CheckRes bool // verify port/bus limits (off for Ideal)
 
@@ -372,17 +374,8 @@ func (m *Machine) context(i int) *Context {
 // harness, benchmarks — pool machines through Reset instead of
 // reallocating them.
 func (m *Machine) Reset(img *isa.Image) {
-	if m.Img != img {
-		m.plan = buildPlan(img)
-		m.Img = img
-	}
-	c := m.context(0)
-	c.reset(0, img, m.plan, img.Cfg)
-	m.ctxs = m.ctxs[:1]
-	m.cur = c
-	m.curIdx = 0
-	m.Mem = c.mem
-	m.resetMachine(img.Cfg)
+	imgs := [1]*isa.Image{img}
+	_ = m.ResetMany(imgs[:]) // one image cannot disagree with itself
 }
 
 // ResetMany re-targets the machine at K images, one per hardware context.
@@ -400,21 +393,27 @@ func (m *Machine) ResetMany(imgs []*isa.Image) error {
 				i, img.Cfg.Name, imgs[0].Cfg.Name)
 		}
 	}
-	plans := make(map[*isa.Image]*plan, len(imgs))
-	if m.Img != nil && m.plan != nil {
-		plans[m.Img] = m.plan
-	}
+	was, wasPlan := m.Img, m.plan
 	for i, img := range imgs {
-		p, ok := plans[img]
-		if !ok {
+		// The plan of the image the machine last ran, or of an earlier
+		// context of this batch (reset below onto its base plan).
+		var p *plan
+		if img == was {
+			p = wasPlan
+		}
+		for j := 0; j < i && p == nil; j++ {
+			if imgs[j] == img {
+				p = m.ctxs[j].plan
+			}
+		}
+		if p == nil {
 			p = buildPlan(img)
-			plans[img] = p
 		}
 		m.context(i).reset(i, img, p, img.Cfg)
 	}
 	m.ctxs = m.ctxs[:len(imgs)]
 	m.Img = imgs[0]
-	m.plan = plans[imgs[0]]
+	m.plan = m.ctxs[0].plan
 	m.cur = m.ctxs[0]
 	m.curIdx = 0
 	m.Mem = m.cur.mem
@@ -666,122 +665,35 @@ func (m *Machine) PeekF(board, idx int) float64 {
 	return math.Float64frombits(m.cur.readReg(mach.PReg{Bank: mach.BankF, Board: uint8(board), Idx: uint8(idx)}))
 }
 
-// Run boots the machine and executes until HALT. It returns main's exit
-// value and the captured output. Run never polls a context; use RunContext
-// for cancelable execution. Run executes context 0 only; use RunMany to
-// time-share several resident contexts. A machine whose program has halted
-// refuses to run again until it is Reset (a restored checkpoint of a halted
-// program still reports its result).
-func (m *Machine) Run() (int32, string, error) { return m.run(nil) }
+// Run boots the machine and executes context 0 until HALT. It returns main's
+// exit value and the captured output. Run never polls a context; use
+// RunContext for cancelable execution, RunMany to time-share several resident
+// contexts. A machine whose program has run refuses to run again until it is
+// Reset (a restored checkpoint of a halted program still reports its result).
+func (m *Machine) Run() (int32, string, error) { return m.RunContext(nil) }
 
 // RunContext is Run with cooperative cancellation: the machine polls ctx
 // every CtxCheckEvery beats (at instruction boundaries) and abandons the run
 // with *ErrCanceled — wrapping ctx.Err() — within one interval of the
-// context being canceled or timing out. The poll sits outside the beat loop
-// proper, so its cost on the certified fast path is below the benchmark
-// noise floor (see BenchmarkSimulatorFastCtx).
+// context being canceled or timing out; a nil ctx is never polled. The run is
+// a batch of one (schedule): no quantum to expire, the machine's clock set to
+// the context's — so a restored run reports the beats since boot — and a pause
+// at StopBeat.
 func (m *Machine) RunContext(ctx context.Context) (int32, string, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return m.run(ctx)
-}
-
-// run is the shared boot-and-step loop for a single context; ctx == nil
-// means no cancellation polling at all (the Run path).
-func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 	c := m.ctxs[0]
-	m.cur = c
-	m.curIdx = 0
-	if c.tier >= TierSafe {
-		// The safe and native tiers' last line of defense: a
-		// post-certification image mutation can drive a guard-free site into
-		// the Go runtime's own slice-bounds or divide check. One deferred
-		// recover per run (not per step — the hot loop stays untouched)
-		// converts that panic back into the Fault the deleted guard would
-		// have raised; the blast radius is this context, never the process.
-		defer func() {
-			if r := recover(); r != nil {
-				m.abandonRegion(c)
-				err = m.safeTierFault(c, r)
-				m.finish(c)
-				exit, out = 0, c.out.String()
-			}
-		}()
-	}
-	if c.restored {
-		// Resuming a checkpoint: the context's state — banked Stats
-		// included — IS the execution; booting would restart the program.
-		m.Stats = c.Stats
-	} else if c.halted {
-		return 0, c.out.String(), fmt.Errorf("vliw: run on a used machine: Reset or ResetMany first")
-	} else if err := c.boot(); err != nil {
-		return 0, "", err
-	}
-	// A batch of one reports a batch of one's books: finish adds the clock
-	// and the stall counters as the run leaves them.
-	m.Sched = SchedStats{Contexts: 1, BusyBeats: m.Stats.BankStalls + m.Stats.RefillBeats - c.beat}
-	ctxEvery := m.CtxCheckEvery
-	if ctxEvery <= 0 {
-		ctxEvery = DefaultCtxCheckBeats
-	}
-	// With no context the next check is pushed past any reachable beat, so
-	// the cancelable and plain paths run the identical per-instruction code:
-	// one integer compare. StopBeat uses the same sentinel trick: disabled,
-	// it is a compare against MaxInt64 that never fires.
-	ctxCheckAt := int64(math.MaxInt64)
-	if ctx != nil {
-		ctxCheckAt = c.beat + ctxEvery
-	}
-	pauseAt := int64(math.MaxInt64)
+	m.beat = c.beat
+	pauseAt := int64(never)
 	if m.StopBeat > 0 {
 		pauseAt = m.StopBeat
 	}
-	for !c.halted {
-		if c.beat >= ctxCheckAt {
-			if err := ctx.Err(); err != nil {
-				m.finish(c)
-				return 0, c.out.String(), &ErrCanceled{Beat: c.beat, PC: c.pc, Cause: err}
-			}
-			ctxCheckAt = c.beat + ctxEvery
-		}
-		if c.beat >= pauseAt {
-			m.finish(c)
-			return 0, c.out.String(), &ErrStopped{Beat: c.beat, PC: c.pc}
-		}
-		if c.beat > m.CycleLimit {
-			m.finish(c)
-			return 0, c.out.String(), &ErrCycleLimit{Limit: m.CycleLimit, PC: c.pc}
-		}
-		var err error
-		if c.tier == TierNative {
-			// The three sentinels above, as the beat before which a region
-			// must stop starting words.
-			until := min(ctxCheckAt, pauseAt)
-			if m.CycleLimit < until {
-				until = m.CycleLimit + 1
-			}
-			err = m.advance(c, until, false)
-		} else {
-			err = m.step(c, true)
-		}
-		if err != nil {
-			m.finish(c)
-			return 0, c.out.String(), err
-		}
+	err := m.schedule(ctx, m.ctxs[:1], never, pauseAt)
+	if err == nil {
+		err = c.err
 	}
-	m.finish(c)
+	if err != nil {
+		return 0, c.out.String(), err
+	}
 	return c.exit, c.out.String(), nil
-}
-
-// finish closes out a single-context run: the run's beat count lands in
-// the machine stats (as always) and the context banks a copy, so Context
-// and Machine views agree.
-func (m *Machine) finish(c *Context) {
-	m.Stats.Beats = c.beat
-	c.Stats = m.Stats
-	m.Sched.TotalBeats = c.beat
-	m.Sched.BusyBeats += c.beat - m.Stats.BankStalls - m.Stats.RefillBeats
 }
 
 // RunMany boots every resident context and time-shares them on the one
@@ -797,143 +709,205 @@ func (m *Machine) finish(c *Context) {
 // error in its ContextResult, while the rest run on. The machine-level
 // picture lands in Sched (wall clock, hidden stall beats, switches) and in
 // Stats as the cross-context aggregate. The returned error is non-nil only
-// for whole-machine failures: boot errors and cancellation.
+// for whole-machine failures: a used machine, boot errors and cancellation.
 func (m *Machine) RunMany(ctx context.Context) ([]ContextResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for _, c := range m.ctxs {
-		if c.done || c.halted {
-			return nil, fmt.Errorf("vliw: RunMany on a used machine: Reset or ResetMany first")
-		}
-		if c.restored {
-			// A restored tenant re-enters the batch mid-flight: its state
-			// (virtual clock, pipeline, banked Stats) continues from the
-			// checkpoint; switchTo loads the banked Stats when it runs.
-			continue
-		}
-		if err := c.boot(); err != nil {
-			return nil, err
-		}
-	}
 	quantum := m.Quantum
 	if quantum <= 0 {
 		quantum = DefaultCtxQuantum
+	}
+	err := m.schedule(ctx, m.ctxs, quantum, never)
+	if _, canceled := err.(*ErrCanceled); err != nil && !canceled {
+		return nil, err // refused before anything ran
+	}
+	// Unfinished contexts (after a cancellation) report the beats they had
+	// executed so far.
+	rs := make([]ContextResult, len(m.ctxs))
+	for i, c := range m.ctxs {
+		st := c.Stats
+		st.Beats = c.beat
+		rs[i] = ContextResult{Exit: c.exit, Output: c.out.String(), Stats: st, Err: c.err}
+	}
+	return rs, err
+}
+
+// never is a beat no clock reaches — every budget is far below it — with room
+// left to add a clock to it: the quantum of a run that has none, the poll of
+// a run with no context, the pause of a run with no StopBeat. The scheduler
+// compares against it like any other beat.
+const never = math.MaxInt64 >> 1
+
+// schedule is the one run loop: it time-shares batch, a prefix of the resident
+// contexts, until every one has halted or retired, and a solo run is a batch
+// of one. Between slices it polls ctx every CtxCheckEvery beats of the
+// machine's clock, pauses at beat pauseAt of the context's (ErrStopped, the
+// context intact), retires a context past CycleLimit, and rotates — on quantum
+// expiry and, while another context is live, as soon as the current one loses
+// beats to a bank stall or a refill, which the other then hides. The error is
+// a whole-batch one; a context's own fault or exhausted budget retires it
+// alone and waits in its err.
+func (m *Machine) schedule(ctx context.Context, batch []*Context, quantum, pauseAt int64) error {
+	live := 0
+	for _, c := range batch {
+		if c.done {
+			return fmt.Errorf("vliw: run on a used machine: Reset or ResetMany first")
+		}
+		// A restored context continues from its checkpoint — virtual clock,
+		// pipeline, banked Stats; booting would restart the program.
+		if !c.restored {
+			if err := c.boot(); err != nil {
+				return err
+			}
+		}
+		// A checkpoint taken after HALT has only its result left to give.
+		if c.done = c.halted; !c.done {
+			live++
+		}
 	}
 	ctxEvery := m.CtxCheckEvery
 	if ctxEvery <= 0 {
 		ctxEvery = DefaultCtxCheckBeats
 	}
-	m.Sched = SchedStats{Contexts: len(m.ctxs)}
-	live := len(m.ctxs)
+	ctxCheckAt := int64(never)
+	if ctx != nil {
+		ctxCheckAt = m.beat + ctxEvery
+	}
+	m.Sched = SchedStats{Contexts: len(batch)}
 	// Detach before the first switch: banking the machine's zeroed Stats
 	// into context 0 here would clobber a restored tenant's banked counters.
 	m.cur = nil
 	m.switchTo(0)
 	sliceEnd := m.cur.beat + quantum
-	ctxCheckAt := ctxEvery
 
+	var stopped error
 	for live > 0 {
 		c := m.cur
 		if c.done {
-			m.rotate(quantum, &sliceEnd)
+			sliceEnd = m.rotate(batch, quantum)
 			continue
 		}
 		if m.beat >= ctxCheckAt {
-			if err := ctx.Err(); err != nil {
-				c.Stats = m.Stats // bank the interrupted context
-				m.aggregate()
-				return m.results(), &ErrCanceled{Beat: m.beat, PC: c.pc, Cause: err}
+			if cause := ctx.Err(); cause != nil {
+				stopped = &ErrCanceled{Beat: m.beat, PC: c.pc, Cause: cause}
+				break
 			}
 			ctxCheckAt = m.beat + ctxEvery
 		}
+		if c.beat >= pauseAt {
+			stopped = &ErrStopped{Beat: c.beat, PC: c.pc}
+			break
+		}
+		hidden := false
 		if c.beat > m.CycleLimit {
 			c.err = &ErrCycleLimit{Limit: m.CycleLimit, PC: c.pc}
-			live = m.retire(c, live, quantum, &sliceEnd)
+		} else {
+			// The slice stops where the loop would next do anything but run
+			// words: at the quantum, at the context poll (the machine's clock
+			// runs with the context's inside a slice), at the pause, past the
+			// cycle budget.
+			until := min(sliceEnd, pauseAt, c.beat+ctxCheckAt-m.beat)
+			if m.CycleLimit < until {
+				until = m.CycleLimit + 1
+			}
+			b0 := c.beat
+			s0 := m.Stats.BankStalls + m.Stats.RefillBeats
+			c.err = m.slice(c, until, live > 1)
+			delta := c.beat - b0
+			stall := m.Stats.BankStalls + m.Stats.RefillBeats - s0
+			m.beat += delta
+			m.Sched.BusyBeats += delta - stall
+			if stall > 0 && live > 1 {
+				// Another resident context executes under the stall: the
+				// machine's wall clock does not pay for it (§8.1's
+				// latency-hiding), and the scheduler rotates eagerly so the
+				// overlap is real, not notional.
+				m.beat -= stall
+				m.Sched.HiddenBeats += stall
+				hidden = true
+			}
+		}
+		if c.err != nil || c.halted {
+			// Retire: the context's books close with its final beat count.
+			m.Stats.Beats = c.beat
+			c.Stats = m.Stats
+			c.done = true
+			if live--; live == 0 {
+				break
+			}
+		} else if c.beat < sliceEnd && !hidden {
 			continue
 		}
+		sliceEnd = m.rotate(batch, quantum)
+	}
+	// Close the books: a context stopped mid-flight banks its counters with
+	// its clock (a retired one has), Stats becomes the batch's totals on the
+	// machine's clock — for a batch of one, the context's own.
+	if c := m.cur; !c.done {
+		m.Stats.Beats = c.beat
+		c.Stats = m.Stats
+	}
+	var agg Stats
+	for _, c := range batch {
+		agg.add(&c.Stats)
+	}
+	agg.Beats = m.beat
+	m.Stats = agg
+	m.Sched.TotalBeats = m.beat
+	return stopped
+}
 
-		// A region stops where the per-word loop would next do anything but
-		// step: at the quantum, at the context poll (the wall clock runs with
-		// the context's inside a region), past the cycle budget.
-		until := min(sliceEnd, c.beat+ctxCheckAt-m.beat)
-		if m.CycleLimit < until {
-			until = m.CycleLimit + 1
-		}
-		b0 := c.beat
-		s0 := m.Stats.BankStalls + m.Stats.RefillBeats
-		var err error
-		if c.tier >= TierSafe {
-			err = m.advanceContained(c, until)
+// slice is a context's unit of work on every tier: it runs words of c until
+// its clock reaches until (which must lie past c.beat), it halts or faults —
+// or, when eager, until a word has lost beats to a bank stall or a refill.
+// The native tier runs them a region at a time where it has one (advance);
+// this is the one place that asks. The safe and native tiers' last line of
+// defense sits here, once per slice and not per word: a post-certification
+// image mutation can drive a guard-free site into the Go runtime's own
+// slice-bounds or divide check, and the deferred recover converts that panic
+// back into the Fault the deleted guard would have raised; the blast radius
+// is this context, never the batch or the process.
+func (m *Machine) slice(c *Context, until int64, eager bool) (err error) {
+	if c.tier >= TierSafe {
+		defer func() {
+			if r := recover(); r != nil {
+				m.abandonRegion(c)
+				err = m.safeTierFault(c, r)
+			}
+		}()
+	}
+	s0 := m.Stats.BankStalls + m.Stats.RefillBeats
+	for err == nil && !c.halted && c.beat < until {
+		if c.tier == TierNative {
+			err = m.advance(c, until, eager)
 		} else {
 			err = m.step(c, true)
 		}
-		delta := c.beat - b0
-		stall := m.Stats.BankStalls + m.Stats.RefillBeats - s0
-		m.beat += delta
-		m.Sched.BusyBeats += delta - stall
-		hidden := false
-		if stall > 0 && live > 1 {
-			// Another resident context executes under the stall: the
-			// machine's wall clock does not pay for it (§8.1's
-			// latency-hiding), and the scheduler rotates eagerly so the
-			// overlap is real, not notional.
-			m.beat -= stall
-			m.Sched.HiddenBeats += stall
-			hidden = true
-		}
-
-		if err != nil {
-			c.err = err
-			live = m.retire(c, live, quantum, &sliceEnd)
-			continue
-		}
-		if c.halted {
-			live = m.retire(c, live, quantum, &sliceEnd)
-			continue
-		}
-		if c.beat >= sliceEnd || hidden {
-			m.rotate(quantum, &sliceEnd)
+		if eager && m.Stats.BankStalls+m.Stats.RefillBeats != s0 {
+			break
 		}
 	}
-	m.aggregate()
-	return m.results(), nil
+	return err
 }
 
-// retire marks the current context done (banking its stats with the final
-// beat count, exactly as a solo run's finish would) and rotates to the next
-// live context. It returns the updated live count.
-func (m *Machine) retire(c *Context, live int, quantum int64, sliceEnd *int64) int {
-	m.Stats.Beats = c.beat
-	c.Stats = m.Stats
-	c.done = true
-	live--
-	if live > 0 {
-		m.rotate(quantum, sliceEnd)
-	}
-	return live
-}
-
-// rotate banks the current context's stats and hands the CPU to the next
-// runnable context in round-robin order, charging SwitchBeats of wall
-// clock when the context actually changes. With one runnable context the
-// rotation is free: the quantum is simply renewed.
-func (m *Machine) rotate(quantum int64, sliceEnd *int64) {
+// rotate hands the CPU to the next runnable context of the batch in
+// round-robin order, charging SwitchBeats of wall clock when the context
+// actually changes, and returns the beat of the new context's clock at which
+// its quantum ends. With one runnable context the rotation is free: the
+// quantum is simply renewed.
+func (m *Machine) rotate(batch []*Context, quantum int64) int64 {
 	next := m.curIdx
-	for i := 1; i <= len(m.ctxs); i++ {
-		j := (m.curIdx + i) % len(m.ctxs)
-		if !m.ctxs[j].done {
+	for i := 1; i <= len(batch); i++ {
+		if j := (m.curIdx + i) % len(batch); !batch[j].done {
 			next = j
 			break
 		}
 	}
-	if next != m.curIdx && !m.ctxs[next].done {
+	if next != m.curIdx {
 		m.Sched.Switches++
 		m.beat += m.SwitchBeats
 		m.Sched.SwitchBeats += m.SwitchBeats
 		m.switchTo(next)
 	}
-	*sliceEnd = m.cur.beat + quantum
+	return m.cur.beat + quantum
 }
 
 // switchTo makes context i current: the outgoing context's counters are
@@ -947,53 +921,10 @@ func (m *Machine) switchTo(i int) {
 	m.Stats = m.cur.Stats
 }
 
-// aggregate leaves the cross-context stat totals in m.Stats (Beats = the
-// machine wall clock) and finalizes Sched after a RunMany.
-func (m *Machine) aggregate() {
-	var agg Stats
-	for _, c := range m.ctxs {
-		agg.add(&c.Stats)
-	}
-	agg.Beats = m.beat
-	m.Stats = agg
-	m.Sched.TotalBeats = m.beat
-}
-
-// results snapshots every context's outcome. Unfinished contexts (after a
-// cancellation) report the beats they had executed so far.
-func (m *Machine) results() []ContextResult {
-	rs := make([]ContextResult, len(m.ctxs))
-	for i, c := range m.ctxs {
-		st := c.Stats
-		st.Beats = c.beat
-		rs[i] = ContextResult{Exit: c.exit, Output: c.out.String(), Stats: st, Err: c.err}
-	}
-	return rs
-}
-
 // fault is a Fault at c's word and beat; unit names the functional unit whose
 // operation raised it, "" for one raised outside a slot's execution.
 func (m *Machine) fault(c *Context, unit string, code TrapCode, format string, args ...any) error {
 	return &Fault{Code: code, PC: c.pc, Beat: c.beat, Unit: unit, Msg: fmt.Sprintf(format, args...)}
-}
-
-// advanceContained is a context's next unit of work with the safe and native
-// tiers' panic containment for the RunMany scheduler, where one context's
-// guard-free fault must retire only that context. The deferred recover costs
-// a few nanoseconds per call, so the single-context run loop uses one
-// run-level defer instead; RunMany's per-call scheduling work already dwarfs
-// it.
-func (m *Machine) advanceContained(c *Context, until int64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.abandonRegion(c)
-			err = m.safeTierFault(c, r)
-		}
-	}()
-	if c.tier == TierNative {
-		return m.advance(c, until, true)
-	}
-	return m.step(c, true)
 }
 
 // safeTierFault converts a Go runtime panic that escaped a guard-free safe

@@ -532,8 +532,8 @@ func (m *Machine) hooked() bool {
 // never starting a word at or after beat until (which must lie past c.beat):
 // the region headed at c.pc, when there is one and nothing is hooked,
 // otherwise one step.
-// eager stops a region after a word that met something dynamic, as RunMany's
-// scheduler rotates on one.
+// eager stops a region after a word that met something dynamic, as the
+// scheduler rotates on one while another context is live.
 func (m *Machine) advance(c *Context, until int64, eager bool) error {
 	if !m.hooked() {
 		if r, w := c.paused, int(c.pausedAt); r != nil {

@@ -423,7 +423,7 @@ func translate(pc int, s *mach.SlotOp, cfg *mach.Config) planOp {
 // deleted, by access size so that nothing is left to branch on. ok is false for
 // an operation with no guard, or with an access type the analysis never proves.
 // If the image was mutated after certification, the Go runtime's own
-// slice-bounds and divide checks are the backstop; the run loops convert that
+// slice-bounds and divide checks are the backstop; slice converts that
 // panic back into the matching Fault (safeTierFault).
 func (s *planOp) guardFree() (kind uint8, ok bool) {
 	switch t := s.op.Type; {

@@ -13,7 +13,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch)"
+echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch, one way to arm and to run a batch)"
 # Tier is the only spelling of how a run executes, and mach.Config.Latency the
 # only timing model outside the verifier's own copy (internal/schedcheck).
 # bench/ is the frozen harness and is not ours to gate.
@@ -24,6 +24,18 @@ if gosrc -n 'Deprecated:|\b(ResolveTier|ErrTierConflict)\b'; then
 fi
 if gosrc -l --exclude='*_test.go' 'LatFMul' | grep -v -e '^\./internal/mach/' -e '^\./internal/schedcheck/'; then
 	echo "check: a second definition of the latency switch (use mach.Config.Latency)"
+	exit 1
+fi
+
+# A run is a batch and a tier becomes a certificate in one place: no second
+# arming function beside core.Artifact.Arm, no per-call containment wrapper
+# beside Machine.slice, no user-set switch between two ways to run a batch.
+if gosrc -n --exclude='*_test.go' '\b(armTier|advanceContained|[Tt]enancy)\b'; then
+	echo "check: a second way to arm a tier, contain a slice or run a batch is back (core.Artifact.Arm, vliw.Machine.slice; K machines is K /run requests)"
+	exit 1
+fi
+if gosrc -n --exclude='*_test.go' 'Use(Safe|Native)?Certificate\(' | grep -v -e '^\./internal/vliw/' -e '^\./internal/core/artifact\.go:'; then
+	echo "check: a Use*Certificate call outside internal/vliw and core.Artifact.Arm (arm through Artifact.Arm, RunOn or RunManyOn)"
 	exit 1
 fi
 
@@ -91,8 +103,10 @@ echo "== go test -race"
 # internal/safecheck (the 246-image golden matrix) — take 120 s and 117 s.
 # The per-package budget is 5x that: on a slower shared 2-vCPU host
 # internal/vliw alone took 7m43 at PR 22's head and takes ~8m with PR 23's
-# hand-built-word tests (microop_test.go, the TestRegion* cases: +14 s).
-go test -race -timeout 10m ./...
+# hand-built-word tests (microop_test.go, the TestRegion* cases: +14 s). At
+# PR 26 internal/vliw took 472 s in this stage in a quiet hour and, alone, 564 s
+# (parent) and 596 s (change) in a busy one — too close to 10m, hence 20m.
+go test -race -timeout 20m ./...
 
 echo "== bench smoke (the benchmark's own module: vet, unit tests + a short run of all four workloads)"
 # bench/ is frozen between benchmark PRs and names our API (tiers, Use*
