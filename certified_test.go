@@ -1,7 +1,7 @@
-// Differential test of the certified execution tiers: for every example
-// program, optimization level, and machine width, the checked interpreter,
-// the certified fast path, the guard-free safe tier, and the
-// closure-threaded native tier must produce byte-identical results — same
+// Differential test of the execution tiers: for every example program,
+// optimization level, and machine width, the per-word interpreter, the
+// checked tier, the certified fast path, the guard-free safe tier, and the
+// native tier must produce byte-identical results — same
 // exit value, same printed output, and the same value in every Stats
 // counter. The upper tiers skip checking, never timing: any divergence
 // here means the execution modes disagree about the machine itself.
@@ -16,8 +16,11 @@ import (
 )
 
 // agreeOnExamples runs every example x O0/O1/O2 x Trace 7/14/28 on the
-// checked interpreter and on each given tier, and fails on any difference
-// in trap status, fault text, exit value, output, or any Stats counter.
+// per-word reference — a plain machine under a hook that must see every word
+// and does nothing with it, which no tier can leave the per-word path under —
+// on the checked tier and on each given tier, and fails on any difference
+// from the reference in trap status, fault text, exit value, output, or any
+// Stats counter.
 func agreeOnExamples(t *testing.T, tiers []Tier) {
 	t.Helper()
 	mfs, err := filepath.Glob("examples/*.mf")
@@ -45,29 +48,32 @@ func agreeOnExamples(t *testing.T, tiers []Tier) {
 						t.Fatalf("compile: %v", err)
 					}
 
-					checked, cerr := art.Run(ctx, RunOptions{})
-					for _, tier := range tiers {
+					m := art.Machine()
+					m.TraceFn = func(int, int64) {}
+					exit, out, rerr := m.Run()
+					ref := ExitResult{Exit: exit, Output: out, Stats: m.Stats}
+					for _, tier := range append([]Tier{TierChecked}, tiers...) {
 						got, ferr := art.Run(ctx, RunOptions{Tier: tier})
-						if (cerr == nil) != (ferr == nil) {
-							t.Fatalf("trap disagreement: checked err=%v, %s err=%v", cerr, tier, ferr)
+						if (rerr == nil) != (ferr == nil) {
+							t.Fatalf("trap disagreement: reference err=%v, %s err=%v", rerr, tier, ferr)
 						}
-						if cerr != nil {
-							if cerr.Error() != ferr.Error() {
-								t.Fatalf("different faults: checked %v, %s %v", cerr, tier, ferr)
+						if rerr != nil {
+							if rerr.Error() != ferr.Error() {
+								t.Fatalf("different faults: reference %v, %s %v", rerr, tier, ferr)
 							}
 							continue
 						}
 						if got.Tier != tier {
 							t.Fatalf("asked for the %s tier, ran on %s", tier, got.Tier)
 						}
-						if checked.Exit != got.Exit {
-							t.Fatalf("exit: checked %d, %s %d", checked.Exit, tier, got.Exit)
+						if ref.Exit != got.Exit {
+							t.Fatalf("exit: reference %d, %s %d", ref.Exit, tier, got.Exit)
 						}
-						if checked.Output != got.Output {
-							t.Fatalf("output: checked %q, %s %q", checked.Output, tier, got.Output)
+						if ref.Output != got.Output {
+							t.Fatalf("output: reference %q, %s %q", ref.Output, tier, got.Output)
 						}
-						if checked.Stats != got.Stats {
-							t.Fatalf("stats diverged:\nchecked: %+v\n%s:    %+v", checked.Stats, tier, got.Stats)
+						if ref.Stats != got.Stats {
+							t.Fatalf("stats diverged:\nreference: %+v\n%s:    %+v", ref.Stats, tier, got.Stats)
 						}
 					}
 				})

@@ -24,19 +24,26 @@ import (
 )
 
 // The exit-state contract: wherever a run stops — a StopBeat pause, a fault, a
-// quantum expiry, the end of the program — the native tier leaves the context
-// in exactly the state the checked interpreter leaves it in: registers,
+// quantum expiry, the end of the program — every tier leaves the context in
+// exactly the state the per-word interpreter leaves it in: registers,
 // memory, the in-flight writes in issue order, the caches and TLBs, and every
 // counter. Snapshot, Restore and RunMany rotation are tier-independent only
 // because of it, so an execution unit coarser than a beat has to materialise
 // this state at each of its exits.
 
-// tierPair is a checked and a native machine on one image. Both are reused
-// across runs through Reset, so whatever the native tier builds lazily per
-// plan is warm for every run after the first while caches and TLBs start cold.
+// perWord keeps a machine on the per-word path whatever its tier: a hook that
+// must see every word (Machine.hooked) and does nothing with it. A plain
+// machine under it is the reference the tiers are held to.
+func perWord(m *vliw.Machine) { m.TraceFn = func(int, int64) {} }
+
+// tierPair is three machines on one image: the per-word reference, a checked
+// and a native one. All are reused across runs through Reset, so whatever a
+// tier builds lazily per plan is warm for every run after the first while
+// caches and TLBs start cold.
 type tierPair struct {
 	img     *isa.Image
 	cert    vliw.SafetyCertificate
+	ref     *vliw.Machine
 	checked *vliw.Machine
 	native  *vliw.Machine
 }
@@ -47,12 +54,20 @@ func newTierPair(t testing.TB, img *isa.Image) *tierPair {
 	if err != nil {
 		t.Fatalf("certify: %v", err)
 	}
-	return &tierPair{img: img, cert: cert, checked: vliw.New(img), native: vliw.New(img)}
+	return &tierPair{img: img, cert: cert, ref: vliw.New(img), checked: vliw.New(img), native: vliw.New(img)}
 }
 
-// reset returns both machines to boot state, the native one re-armed.
+// machines lists the three with their names, the reference first.
+func (p *tierPair) machines() ([]*vliw.Machine, []string) {
+	return []*vliw.Machine{p.ref, p.checked, p.native}, []string{"reference", "checked", "native"}
+}
+
+// reset returns the machines to boot state, the reference hooked and the
+// native one re-armed.
 func (p *tierPair) reset(t testing.TB) {
 	t.Helper()
+	p.ref.Reset(p.img)
+	perWord(p.ref)
 	p.checked.Reset(p.img)
 	p.native.Reset(p.img)
 	if err := p.native.UseNativeCertificate(p.cert); err != nil {
@@ -60,42 +75,47 @@ func (p *tierPair) reset(t testing.TB) {
 	}
 }
 
-// resume restores both machines from one snapshot.
+// resume restores the machines from one snapshot.
 func (p *tierPair) resume(t testing.TB, snap []byte) {
 	t.Helper()
 	p.reset(t)
-	for _, m := range []*vliw.Machine{p.checked, p.native} {
+	ms, _ := p.machines()
+	for _, m := range ms {
 		if err := m.Contexts()[0].Restore(snap); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// run runs both machines under set-up and requires the same outcome and the
-// same context state; it returns the checked run's error.
+// run runs the machines under set-up and requires of the checked and the
+// native one the reference's outcome and context state; it returns the
+// reference run's error.
 func (p *tierPair) run(t testing.TB, what string, setup func(m *vliw.Machine)) error {
 	t.Helper()
-	var exits [2]int32
-	var outs [2]string
-	var errs [2]error
-	for i, m := range []*vliw.Machine{p.checked, p.native} {
+	ms, names := p.machines()
+	var exits [3]int32
+	var outs [3]string
+	var errs [3]error
+	for i, m := range ms {
 		if setup != nil {
 			setup(m)
 		}
 		exits[i], outs[i], errs[i] = m.Run()
 	}
-	if exits[0] != exits[1] || outs[0] != outs[1] || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
-		t.Fatalf("%s: checked (%d, %q, %v) vs native (%d, %q, %v)", what, exits[0], outs[0], errs[0], exits[1], outs[1], errs[1])
-	}
-	var fc, fn *vliw.Fault
-	if errors.As(errs[0], &fc) && errors.As(errs[1], &fn) && *fc != *fn {
-		t.Fatalf("%s: fault %+v vs %+v", what, *fc, *fn)
-	}
-	if p.checked.Stats != p.native.Stats {
-		t.Fatalf("%s: stats differ:\n  checked %+v\n  native  %+v", what, p.checked.Stats, p.native.Stats)
-	}
-	if d := vliw.DiffState(p.checked.Contexts()[0], p.native.Contexts()[0]); d != "" {
-		t.Fatalf("%s: checked vs native: %s", what, d)
+	for i := 1; i < len(ms); i++ {
+		if exits[0] != exits[i] || outs[0] != outs[i] || fmt.Sprint(errs[0]) != fmt.Sprint(errs[i]) {
+			t.Fatalf("%s: reference (%d, %q, %v) vs %s (%d, %q, %v)", what, exits[0], outs[0], errs[0], names[i], exits[i], outs[i], errs[i])
+		}
+		var fr, fi *vliw.Fault
+		if errors.As(errs[0], &fr) && errors.As(errs[i], &fi) && *fr != *fi {
+			t.Fatalf("%s: fault %+v vs %s %+v", what, *fr, names[i], *fi)
+		}
+		if p.ref.Stats != ms[i].Stats {
+			t.Fatalf("%s: stats differ:\n  reference %+v\n  %-9s %+v", what, p.ref.Stats, names[i], ms[i].Stats)
+		}
+		if d := vliw.DiffState(p.ref.Contexts()[0], ms[i].Contexts()[0]); d != "" {
+			t.Fatalf("%s: reference vs %s: %s", what, names[i], d)
+		}
 	}
 	return errs[0]
 }
@@ -103,18 +123,20 @@ func (p *tierPair) run(t testing.TB, what string, setup func(m *vliw.Machine)) e
 // snapshots requires byte-identical Snapshot encodings and returns one.
 func (p *tierPair) snapshots(t testing.TB, what string) []byte {
 	t.Helper()
-	sc, err := p.checked.Contexts()[0].Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	ms, names := p.machines()
+	var ref []byte
+	for i, m := range ms {
+		snap, err := m.Contexts()[0].Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			ref = snap
+		} else if !bytes.Equal(ref, snap) {
+			t.Fatalf("%s: Snapshot bytes differ between the reference and %s", what, names[i])
+		}
 	}
-	sn, err := p.native.Contexts()[0].Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sc, sn) {
-		t.Fatalf("%s: Snapshot bytes differ between checked and native", what)
-	}
-	return sc
+	return ref
 }
 
 // pauseAt is the set-up for a run that pauses at beat b.
@@ -166,10 +188,11 @@ func exitStateMatrix(t *testing.T) {
 	}{{"O0", opt.None()}, {"O2", opt.Default()}}
 
 	// Most pauses fall in the first 4096 beats, where the icache and the TLBs
-	// are still filling; the rest are spread over the whole run.
-	early, spread := 56, 8
+	// are still filling; the rest are spread over the whole run. (30 and 4 on
+	// three machines are about the work 56 and 8 were on two.)
+	early, spread := 30, 4
 	if testing.Short() {
-		early, spread = 12, 4
+		early, spread = 8, 2
 	}
 	images := 0
 	for _, p := range progs {
@@ -189,7 +212,7 @@ func exitStateMatrix(t *testing.T) {
 						t.Fatalf("%s: %v", key, err)
 					}
 				}
-				total := pair.checked.Stats.Beats
+				total := pair.ref.Stats.Beats
 				h := fnv.New64a()
 				h.Write([]byte(key))
 				rng := rand.New(rand.NewSource(int64(h.Sum64())))
@@ -210,7 +233,7 @@ func exitStateMatrix(t *testing.T) {
 					var stop *vliw.ErrStopped
 					if i == len(beats)-1 && errors.As(err, &stop) {
 						// The encoding itself, and a resumed run from it: the
-						// native tier continues from restored state, not only
+						// tiers continue from restored state, not only
 						// from boot.
 						snap := pair.snapshots(t, what)
 						pair.resume(t, snap)
@@ -250,19 +273,19 @@ func compileFor(t testing.TB, src string, cfg mach.Config) *isa.Image {
 }
 
 // warm runs the pair once to completion so the next run starts with the
-// native tier's lazily built state in place.
+// tiers' lazily built state in place.
 func (p *tierPair) warm(t testing.TB) int64 {
 	t.Helper()
 	p.reset(t)
 	if err := p.run(t, "warm-up", nil); err != nil {
 		t.Fatal(err)
 	}
-	return p.checked.Stats.Beats
+	return p.ref.Stats.Beats
 }
 
 // exitStateDynamicEvents: the events that are not in the schedule — a
 // stalled bank, a first-touch dTLB miss, an icache refill — arriving in the
-// middle of a hot loop the native tier has already run.
+// middle of a hot loop the tiers have already run.
 func exitStateDynamicEvents(t *testing.T) {
 	for _, cfg := range []mach.Config{mach.Trace7(), mach.Trace28()} {
 		pair := newTierPair(t, compileFor(t, hotLoopSrc, cfg))
@@ -274,7 +297,7 @@ func exitStateDynamicEvents(t *testing.T) {
 			pair.reset(t)
 			pair.run(t, fmt.Sprintf("%s cold caches, paused at %d", cfg.Name, b), pauseAt(b))
 		}
-		if s := pair.checked.Stats; s.TLBMisses < 8 || s.ICacheMiss == 0 {
+		if s := pair.ref.Stats; s.TLBMisses < 8 || s.ICacheMiss == 0 {
 			t.Fatalf("%s: the loop met %d TLB misses and %d icache misses; the test wants both mid-run", cfg.Name, s.TLBMisses, s.ICacheMiss)
 		}
 
@@ -284,7 +307,7 @@ func exitStateDynamicEvents(t *testing.T) {
 		pair.reset(t)
 		pair.run(t, "pause before the stall", pauseAt(mid))
 		snap := pair.snapshots(t, "pause before the stall")
-		before := pair.checked.Stats.BankStalls
+		before := pair.ref.Stats.BankStalls
 		stall := func(m *vliw.Machine) {
 			for ea := int64(0x1000); ea < 0x1000+64*8; ea += 8 {
 				m.StallBank(ea, 90)
@@ -297,7 +320,7 @@ func exitStateDynamicEvents(t *testing.T) {
 				m.StopBeat = b
 			})
 		}
-		if pair.checked.Stats.BankStalls <= before {
+		if pair.ref.Stats.BankStalls <= before {
 			t.Fatalf("%s: the injected stall cost no beats", cfg.Name)
 		}
 	}
@@ -305,7 +328,7 @@ func exitStateDynamicEvents(t *testing.T) {
 
 // exitStateGuardedFault: an unproven site that faults after hundreds of
 // clean iterations — the Fault (text, word, beat, unit), the counters and the
-// whole context must equal the checked interpreter's.
+// whole context must equal the per-word interpreter's.
 func exitStateGuardedFault(t *testing.T) {
 	noSpec := mach.Trace7()
 	noSpec.SpeculativeLoads = false
@@ -345,7 +368,7 @@ func main() int {
 }`, vliw.TrapMemBounds},
 	} {
 		pair := newTierPair(t, compileFor(t, tc.src, tc.cfg))
-		for round := 0; round < 2; round++ { // the second with warm native code
+		for round := 0; round < 2; round++ { // the second with warm regions
 			pair.reset(t)
 			err := pair.run(t, fmt.Sprintf("%s fault, round %d", tc.name, round), nil)
 			var f *vliw.Fault
@@ -377,8 +400,8 @@ func main() int {
 	for _, cfg := range []mach.Config{mach.Trace7(), mach.Trace28()} {
 		pair := newTierPair(t, compileFor(t, src, cfg))
 		total := pair.warm(t)
-		if pair.checked.Stats.Taken < 400 {
-			t.Fatalf("%s: only %d taken branches; the calls were inlined away", cfg.Name, pair.checked.Stats.Taken)
+		if pair.ref.Stats.Taken < 400 {
+			t.Fatalf("%s: only %d taken branches; the calls were inlined away", cfg.Name, pair.ref.Stats.Taken)
 		}
 		for b := int64(1); b < total; b += total/97 + 1 {
 			pair.reset(t)
@@ -389,7 +412,8 @@ func main() int {
 
 // exitStateRunManyQuantum: four contexts time-shared with a quantum that
 // expires inside loop bodies; each context, the scheduler's counters and the
-// aggregate must match the checked tier's.
+// aggregate must match the per-word reference's, on the checked and on the
+// native machine.
 func exitStateRunManyQuantum(t *testing.T) {
 	cfg := mach.Trace14()
 	imgs := []*isa.Image{
@@ -405,14 +429,18 @@ func exitStateRunManyQuantum(t *testing.T) {
 		}
 		certs = append(certs, cert)
 	}
-	checked, native := vliw.New(imgs[0]), vliw.New(imgs[0])
-	for _, quantum := range []int64{37, 37, 200, 1} { // 37 twice: the second with warm native code
-		var rs [2][]vliw.ContextResult
-		for i, m := range []*vliw.Machine{checked, native} {
+	ref, checked, native := vliw.New(imgs[0]), vliw.New(imgs[0]), vliw.New(imgs[0])
+	machines, names := []*vliw.Machine{ref, checked, native}, []string{"reference", "checked", "native"}
+	for _, quantum := range []int64{37, 37, 200, 1} { // 37 twice: the second with warm regions
+		var rs [3][]vliw.ContextResult
+		for i, m := range machines {
 			if err := m.ResetMany(imgs); err != nil {
 				t.Fatal(err)
 			}
-			if m == native {
+			switch m {
+			case ref:
+				perWord(m)
+			case native:
 				for _, cert := range certs {
 					if err := m.UseNativeCertificate(cert); err != nil {
 						t.Fatal(err)
@@ -425,20 +453,23 @@ func exitStateRunManyQuantum(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for k := range imgs {
-			c, n := rs[0][k], rs[1][k]
-			if c.Exit != n.Exit || c.Output != n.Output || c.Stats != n.Stats || fmt.Sprint(c.Err) != fmt.Sprint(n.Err) {
-				t.Fatalf("quantum %d, context %d: checked %+v vs native %+v", quantum, k, c, n)
+		for i := 1; i < len(machines); i++ {
+			m, name := machines[i], names[i]
+			for k := range imgs {
+				r, n := rs[0][k], rs[i][k]
+				if r.Exit != n.Exit || r.Output != n.Output || r.Stats != n.Stats || fmt.Sprint(r.Err) != fmt.Sprint(n.Err) {
+					t.Fatalf("quantum %d, context %d: reference %+v vs %s %+v", quantum, k, r, name, n)
+				}
+				if d := vliw.DiffState(ref.Contexts()[k], m.Contexts()[k]); d != "" {
+					t.Fatalf("quantum %d, context %d, %s: %s", quantum, k, name, d)
+				}
 			}
-			if d := vliw.DiffState(checked.Contexts()[k], native.Contexts()[k]); d != "" {
-				t.Fatalf("quantum %d, context %d: %s", quantum, k, d)
+			if ref.Sched != m.Sched || ref.Stats != m.Stats {
+				t.Fatalf("quantum %d: scheduler %+v / %+v vs %s %+v / %+v", quantum, ref.Sched, ref.Stats, name, m.Sched, m.Stats)
 			}
 		}
-		if checked.Sched != native.Sched || checked.Stats != native.Stats {
-			t.Fatalf("quantum %d: scheduler %+v / %+v vs %+v / %+v", quantum, checked.Sched, checked.Stats, native.Sched, native.Stats)
-		}
-		if quantum == 37 && checked.Sched.Switches < 1000 {
-			t.Fatalf("quantum 37 rotated only %d times", checked.Sched.Switches)
+		if quantum == 37 && ref.Sched.Switches < 1000 {
+			t.Fatalf("quantum 37 rotated only %d times", ref.Sched.Switches)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -196,7 +197,8 @@ func TestRegionSummary(t *testing.T) {
 // The cases below pin what the golden matrix visits only by luck: hand-built
 // schedules (the helpers and the register file of microop_test.go) whose
 // words are empty, or land exactly so many results in one beat, run on the
-// checked interpreter and on a native machine whose regions are warm.
+// per-word interpreter and on a checked and a native machine whose regions, if
+// they run any, are warm.
 
 // handImage links an empty program and replaces its code with the words given
 // and a halt behind them.
@@ -211,18 +213,23 @@ func handImage(t *testing.T, words ...[]mach.SlotOp) *isa.Image {
 	return img
 }
 
-// handPair is a checked and a native machine on one hand-built image.
+// handPair is three machines on one hand-built image: the per-word reference
+// (a plain machine under a hook that does nothing), a checked and a native one.
 type handPair struct {
-	img             *isa.Image
-	checked, native *Machine
+	img                  *isa.Image
+	ref, checked, native *Machine
 }
 
-// prepare resets m onto the image, arms the native machine (every guard kept)
-// and loads the registers and memory the hand-built words expect.
+// prepare resets m onto the image, hooks the reference, arms the native
+// machine (every guard kept) and loads the registers and memory the hand-built
+// words expect.
 func (p *handPair) prepare(t *testing.T, m *Machine) *Context {
 	t.Helper()
 	m.Reset(p.img)
-	if m == p.native {
+	switch m {
+	case p.ref:
+		m.TraceFn = func(int, int64) {}
+	case p.native:
 		if err := m.UseNativeCertificate(noProof{p.img}); err != nil {
 			t.Fatal(err)
 		}
@@ -238,34 +245,40 @@ func (p *handPair) prepare(t *testing.T, m *Machine) *Context {
 func newHandPair(t *testing.T, words ...[]mach.SlotOp) *handPair {
 	t.Helper()
 	p := &handPair{img: handImage(t, words...)}
-	p.checked, p.native = New(p.img), New(p.img)
+	p.ref, p.checked, p.native = New(p.img), New(p.img), New(p.img)
 	for range 2 { // the second arrival at the first word builds its region
-		p.prepare(t, p.native)
-		p.native.Run()
+		for _, m := range []*Machine{p.checked, p.native} {
+			p.prepare(t, m)
+			m.Run()
+		}
 	}
 	return p
 }
 
-// run executes the image on both machines after setup and requires the same
-// outcome, counters and context of them; it returns the (common) outcome.
+// run executes the image on the three machines after setup and requires of the
+// checked and the native one the reference's outcome, counters and context; it
+// returns the (common) outcome.
 func (p *handPair) run(t *testing.T, what string, setup func(m *Machine, c *Context)) string {
 	t.Helper()
-	var outcome [2]string
-	for i, m := range []*Machine{p.checked, p.native} {
+	machines, names := []*Machine{p.ref, p.checked, p.native}, []string{"reference", "checked", "native"}
+	var outcome [3]string
+	for i, m := range machines {
 		c := p.prepare(t, m)
 		if setup != nil {
 			setup(m, c)
 		}
 		outcome[i] = uopOutcome(m.Run())
 	}
-	if outcome[0] != outcome[1] {
-		t.Fatalf("%s: checked %s, native %s", what, outcome[0], outcome[1])
-	}
-	if p.checked.Stats != p.native.Stats {
-		t.Fatalf("%s: counters\n  checked %+v\n  native  %+v", what, p.checked.Stats, p.native.Stats)
-	}
-	if d := DiffState(p.checked.Contexts()[0], p.native.Contexts()[0]); d != "" {
-		t.Fatalf("%s: %s", what, d)
+	for i := 1; i < len(machines); i++ {
+		if outcome[0] != outcome[i] {
+			t.Fatalf("%s: reference %s, %s %s", what, outcome[0], names[i], outcome[i])
+		}
+		if p.ref.Stats != machines[i].Stats {
+			t.Fatalf("%s: counters\n  reference %+v\n  %-9s %+v", what, p.ref.Stats, names[i], machines[i].Stats)
+		}
+		if d := DiffState(p.ref.Contexts()[0], machines[i].Contexts()[0]); d != "" {
+			t.Fatalf("%s: reference vs %s: %s", what, names[i], d)
+		}
 	}
 	if p.native.regions.words == 0 {
 		t.Fatalf("%s: the native machine ran no word in a region", what)
@@ -331,14 +344,14 @@ func idleWords() [][]mach.SlotOp {
 }
 
 // TestRegionEmptyWords: a pause at every beat of a schedule that is mostly
-// empty words leaves the two tiers in the same state, snapshot included, and
-// each resumes the other's snapshot to the uninterrupted run's end — so a
+// empty words leaves the three machines in the same state, snapshot included,
+// and each resumes another's snapshot to the uninterrupted run's end — so a
 // write in flight when a region is entered (at its head, or where a pause left
 // it) retires inside an empty word exactly when the interpreter retires it.
 func TestRegionEmptyWords(t *testing.T) {
 	p := newHandPair(t, idleWords()...)
 	want := p.run(t, "uninterrupted", nil)
-	final := p.checked.Stats
+	final := p.ref.Stats
 	counts := p.landingsPerBeat(t)
 	if got := fmt.Sprint(counts[5:8], counts[26]); got != "[1 1 2] 1" {
 		t.Fatalf("the schedule lands %v results at beats 5–7 and 26, want [1 1 2] 1 (all beats: %v)", got, counts)
@@ -351,8 +364,9 @@ func TestRegionEmptyWords(t *testing.T) {
 	for stop := final.TrapBeats - 1; stop <= final.Beats+1; stop++ {
 		what := fmt.Sprintf("paused at beat %d", stop)
 		p.run(t, what, func(m *Machine, _ *Context) { m.StopBeat = stop })
-		var snaps [2][]byte
-		for i, m := range []*Machine{p.checked, p.native} {
+		machines := []*Machine{p.ref, p.checked, p.native}
+		var snaps [3][]byte
+		for i, m := range machines {
 			if m.Contexts()[0].Halted() {
 				continue
 			}
@@ -362,24 +376,21 @@ func TestRegionEmptyWords(t *testing.T) {
 			}
 			snaps[i] = snap
 		}
-		if !bytes.Equal(snaps[0], snaps[1]) {
-			t.Fatalf("%s: the tiers' snapshots differ", what)
+		if !bytes.Equal(snaps[0], snaps[1]) || !bytes.Equal(snaps[0], snaps[2]) {
+			t.Fatalf("%s: the machines' snapshots differ", what)
 		}
 		if snaps[0] == nil {
 			continue
 		}
-		// Each tier resumes the other's snapshot.
+		// Each machine resumes another's snapshot.
 		got := p.run(t, what+", resumed", func(m *Machine, c *Context) {
-			from := snaps[1]
-			if m == p.native {
-				from = snaps[0]
-			}
+			from := snaps[(slices.Index(machines, m)+1)%len(machines)]
 			if err := c.Restore(from); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if got != want || p.checked.Stats != final {
-			t.Fatalf("%s: resumed to %s, %+v; the uninterrupted run ends %s, %+v", what, got, p.checked.Stats, want, final)
+		if got != want || p.ref.Stats != final {
+			t.Fatalf("%s: resumed to %s, %+v; the uninterrupted run ends %s, %+v", what, got, p.ref.Stats, want, final)
 		}
 	}
 }
@@ -402,11 +413,11 @@ func TestRegionEventAcrossEmptyWords(t *testing.T) {
 		t.Fatalf("the schedule lands %d and %d results at beats 8 and 9, want 1 and 2", counts[8], counts[9])
 	}
 	p.run(t, "no stall", nil)
-	base := p.checked.Stats
+	base := p.ref.Stats
 	stalls := map[int64]bool{}
 	for n := base.Beats - 40; n < base.Beats+8; n++ {
 		p.run(t, fmt.Sprintf("bank busy for %d beats", n), func(m *Machine, _ *Context) { m.StallBank(uopData+16, n) })
-		if s := p.checked.Stats.BankStalls; s > 0 {
+		if s := p.ref.Stats.BankStalls; s > 0 {
 			stalls[s] = true
 			if p.native.regions.by[exitBank] == 0 {
 				t.Fatalf("bank busy for %d beats: %d stall beats and no bank event in a region", n, s)
@@ -461,7 +472,7 @@ func TestRegionLandingCounts(t *testing.T) {
 		t.Fatalf("ringCap %d; the stream lands %d, %d and %d results at beats 8, 14 and 17, want 9, 1 and 2", most, counts[8], counts[14], counts[17])
 	}
 	p.run(t, "uninterrupted", nil)
-	for stop := int64(1); stop <= p.checked.Stats.Beats; stop++ {
+	for stop := int64(1); stop <= p.ref.Stats.Beats; stop++ {
 		p.run(t, fmt.Sprintf("paused at beat %d", stop), func(m *Machine, _ *Context) { m.StopBeat = stop })
 	}
 }
@@ -510,14 +521,17 @@ func TestRegionFaultBehindLandings(t *testing.T) {
 func TestRegionQuantumOne(t *testing.T) {
 	img := handImage(t, idleWords()...)
 	imgs := []*isa.Image{img, img, img}
-	var results [2][]ContextResult
-	machines := []*Machine{New(img), New(img)}
+	var results [3][]ContextResult
+	machines, names := []*Machine{New(img), New(img), New(img)}, []string{"reference", "checked", "native"}
 	for i, m := range machines {
-		for round := 0; round < 3; round++ { // the native machine's regions are warm in the third
+		for round := 0; round < 3; round++ { // regions are warm in the third
 			if err := m.ResetMany(imgs); err != nil {
 				t.Fatal(err)
 			}
-			if i == 1 {
+			switch names[i] {
+			case "reference":
+				m.TraceFn = func(int, int64) {}
+			case "native":
 				if err := m.UseNativeCertificate(noProof{img}); err != nil {
 					t.Fatal(err)
 				}
@@ -536,16 +550,18 @@ func TestRegionQuantumOne(t *testing.T) {
 			results[i] = rs
 		}
 	}
-	for k := range results[0] {
-		a, b := results[0][k], results[1][k]
-		if a.Exit != b.Exit || a.Output != b.Output || a.Stats != b.Stats || (a.Err == nil) != (b.Err == nil) {
-			t.Errorf("context %d: checked %+v, native %+v", k, a, b)
-		}
-		if d := DiffState(machines[0].Contexts()[k], machines[1].Contexts()[k]); d != "" {
-			t.Errorf("context %d: %s", k, d)
+	for i := 1; i < len(machines); i++ {
+		for k := range results[0] {
+			a, b := results[0][k], results[i][k]
+			if a.Exit != b.Exit || a.Output != b.Output || a.Stats != b.Stats || (a.Err == nil) != (b.Err == nil) {
+				t.Errorf("context %d: reference %+v, %s %+v", k, a, names[i], b)
+			}
+			if d := DiffState(machines[0].Contexts()[k], machines[i].Contexts()[k]); d != "" {
+				t.Errorf("context %d, %s: %s", k, names[i], d)
+			}
 		}
 	}
-	if machines[1].regions.words == 0 || machines[1].regions.idle == 0 {
-		t.Errorf("the native machine: %s", machines[1].RegionSummary())
+	if machines[2].regions.words == 0 || machines[2].regions.idle == 0 {
+		t.Errorf("the native machine: %s", machines[2].RegionSummary())
 	}
 }

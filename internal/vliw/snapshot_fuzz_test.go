@@ -141,8 +141,9 @@ func (noProof) SafeSite(int, mach.Unit, uint8) bool { return false }
 // FuzzSnapshotRestore mutates real mid-run snapshots and re-stamps length and
 // checksum so the mutation reaches the section decoders. Restore either
 // refuses with *ErrBadSnapshot and leaves the context untouched, or yields a
-// context that runs to the same exit, output and Stats on the checked and the
-// native tier — never a panic. The mutation is a patch at a position counted
+// context that runs to the same exit, output and Stats on the per-word
+// reference (a plain machine under a hook that does nothing), the checked and
+// the native tier — never a panic. The mutation is a patch at a position counted
 // over the snapshot with the megabyte memory image skipped, optionally
 // truncating the stream after it.
 func FuzzSnapshotRestore(f *testing.F) {
@@ -165,7 +166,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		f.Add(uint8(0), uint32(at), c[at:at+8], false)
 	}
 
-	checked, native := New(img), New(img)
+	ref, checked, native := New(img), New(img), New(img)
 	f.Fuzz(func(t *testing.T, which uint8, pos uint32, patch []byte, cut bool) {
 		snap := append([]byte(nil), bases[int(which)%len(bases)]...)
 		memOff, memLen := sectionBody(t, snap, secMem)
@@ -191,12 +192,16 @@ func FuzzSnapshotRestore(f *testing.F) {
 			}
 			return
 		}
+		ref.Reset(img)
+		ref.TraceFn = func(int, int64) {}
 		native.Reset(img)
 		if err := native.UseNativeCertificate(noProof{img}); err != nil {
 			t.Fatal(err)
 		}
-		if err := native.Contexts()[0].Restore(snap); err != nil {
-			t.Fatalf("the same snapshot restores on checked but not on native: %v", err)
+		for _, m := range []*Machine{ref, native} {
+			if err := m.Contexts()[0].Restore(snap); err != nil {
+				t.Fatalf("the same snapshot restores on one machine but not on another: %v", err)
+			}
 		}
 		// A mutated busy window or clock can park a run for longer than any
 		// beat budget expresses; the deadline bounds those, uncompared.
@@ -217,18 +222,22 @@ func FuzzSnapshotRestore(f *testing.F) {
 			}
 			return o, err
 		}
+		ro, rerr := run(ref)
 		co, cerr := run(checked)
 		no, nerr := run(native)
-		var fault *Fault
-		if errors.As(cerr, &fault) && (fault.Code == TrapWriteRace || fault.Code == TrapResource) {
-			return // verdicts only the checked tier gives
-		}
 		var canceled *ErrCanceled
-		if errors.As(cerr, &canceled) || errors.As(nerr, &canceled) {
+		if errors.As(rerr, &canceled) || errors.As(cerr, &canceled) || errors.As(nerr, &canceled) {
 			return
 		}
-		if co != no {
-			t.Fatalf("restored state runs differently:\nchecked %+v\nnative  %+v", co, no)
+		if ro != co {
+			t.Fatalf("restored state runs differently:\nreference %+v\nchecked   %+v", ro, co)
+		}
+		var fault *Fault
+		if errors.As(rerr, &fault) && (fault.Code == TrapWriteRace || fault.Code == TrapResource) {
+			return // verdicts only the checked tier gives
+		}
+		if ro != no {
+			t.Fatalf("restored state runs differently:\nreference %+v\nnative    %+v", ro, no)
 		}
 	})
 }
