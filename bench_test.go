@@ -7,10 +7,14 @@ package trace
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/baseline"
 	"github.com/multiflow-repro/trace/internal/fuzz"
+	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/lang"
 	"github.com/multiflow-repro/trace/internal/mach"
@@ -456,22 +460,13 @@ func BenchmarkTschedCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulator measures raw simulation speed of the checked
-// interpreter in beats/second. One machine is reused across iterations via
-// Reset, so the number measures execution, not memory allocation.
+// BenchmarkSimulator measures raw simulation speed of the checked tier in
+// beats/second: every dynamic check live, the words the run keeps coming back
+// to in regions of the base plan like any tier's. One machine is reused across
+// iterations via Reset and the regions are built outside the timed loop, so the
+// number measures execution, not memory allocation.
 func BenchmarkSimulator(b *testing.B) {
-	art := mustCompile(b, daxpyBench, Options{ProfileRun: true})
-	m := art.Machine()
-	var beats int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset(art.Image())
-		if _, _, err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		beats += m.Stats.Beats
-	}
-	b.ReportMetric(float64(beats)/b.Elapsed().Seconds(), "beats/s")
+	benchWarmRuns(b, mustCompile(b, daxpyBench, Options{ProfileRun: true}), TierChecked, false)
 }
 
 // BenchmarkSimulatorFastCtx measures the certified fast path driven through
@@ -588,18 +583,18 @@ func BenchmarkSimulatorSafe(b *testing.B) {
 }
 
 // BenchmarkSimulatorNative measures the native tier on the same workload: the
-// same graded certificate as the safe tier, but the words the run keeps coming
-// back to are translated once into regions — one stream of micro-ops each,
-// operands resolved to indexes, landings at their beats, no guards at proven
-// sites. The regions are built outside the timed loop and cached across Reset;
-// scripts/bench.sh holds it to its own committed baseline.
+// same graded certificate and the same path as the safe tier — regions of the
+// re-kinded plan, no guards at proven sites, neither verdict. The regions are
+// built outside the timed loop and cached across Reset; scripts/bench.sh holds
+// it to its own committed baseline. Its distance from BenchmarkSimulator is
+// what the two certificates are worth on this kernel (EXPERIMENTS.md has all
+// fourteen).
 func BenchmarkSimulatorNative(b *testing.B) {
-	benchWarmRuns(b, mustCompile(b, daxpyBench, Options{ProfileRun: true}), true)
+	benchWarmRuns(b, mustCompile(b, daxpyBench, Options{ProfileRun: true}), TierNative, false)
 }
 
 // BenchmarkSimulatorKernels times the two kernels that are most of
-// numeric-hot's words (bench/), on the checked interpreter and on the native
-// tier: tridiag, recurrence-bound, two words in five empty and three micro-ops
+// numeric-hot's words (bench/), on the checked and on the native tier: tridiag, recurrence-bound, two words in five empty and three micro-ops
 // a word; fir, eight micro-ops a word and a bank stall on one word in sixteen.
 // (A benchmark of their own rather than sub-benchmarks of the two above: those
 // two names are what scripts/bench.sh's baseline and its A/B ratio floor key
@@ -610,27 +605,76 @@ func BenchmarkSimulatorKernels(b *testing.B) {
 			continue
 		}
 		art := mustCompile(b, w.Src, Options{})
-		b.Run(w.Name+"/checked", func(b *testing.B) { benchWarmRuns(b, art, false) })
-		b.Run(w.Name+"/native", func(b *testing.B) { benchWarmRuns(b, art, true) })
+		b.Run(w.Name+"/checked", func(b *testing.B) { benchWarmRuns(b, art, TierChecked, false) })
+		b.Run(w.Name+"/native", func(b *testing.B) { benchWarmRuns(b, art, TierNative, false) })
 	}
 }
 
-// benchWarmRuns times runs of art on one machine, checked or native, after
-// three untimed ones: the native tier builds its regions on the first runs,
-// and the floor on its allocs/op (scripts/bench.sh) is on the steady state
-// after them.
-func benchWarmRuns(b *testing.B, art *Artifact, native bool) {
-	cert, err := art.CertifySafe()
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkCertificateWorth puts a number on what each static authority
+// deletes: the fourteen kernels of bench/programs (the numeric-hot and
+// systems-hot workloads, Trace 28, O2), each on four machines that run the same
+// records — per-word (a checked machine under a hook that does nothing: fetch,
+// prescan, drain, ring push and counters per word), uncertified regions (the
+// checked tier: every guard and both verdicts), schedcheck-certified (fast:
+// the verdicts gone) and safecheck-certified (native: the proven guards gone
+// too) — in ns per simulated beat. The certified arm also reports what is left
+// of the guards, in sites of the image: guards kept of its references, checks
+// kept of its divides (all of them on the other three). EXPERIMENTS.md holds
+// the table.
+func BenchmarkCertificateWorth(b *testing.B) {
+	paths, err := filepath.Glob("bench/programs/*.mf")
+	if err != nil || len(paths) == 0 {
+		b.Fatalf("no kernels found: %v", err)
 	}
+	for _, p := range paths {
+		name := strings.TrimSuffix(filepath.Base(p), ".mf")
+		if strings.HasPrefix(name, "gen") {
+			continue // cold-build's generated programs
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		art := mustCompile(b, string(src), Options{})
+		b.Run(name+"/per-word", func(b *testing.B) { benchWarmRuns(b, art, TierChecked, true) })
+		b.Run(name+"/checked", func(b *testing.B) { benchWarmRuns(b, art, TierChecked, false) })
+		b.Run(name+"/fast", func(b *testing.B) { benchWarmRuns(b, art, TierFast, false) })
+		b.Run(name+"/native", func(b *testing.B) {
+			benchWarmRuns(b, art, TierNative, false)
+			var refs, divs, guards, checks float64
+			for _, s := range art.Safety().Sites {
+				if !s.Exec() {
+					continue
+				}
+				sites, kept := &refs, &guards
+				if s.Kind == ir.Div || s.Kind == ir.Rem {
+					sites, kept = &divs, &checks
+				}
+				if *sites++; !s.Proven {
+					*kept++
+				}
+			}
+			b.ReportMetric(guards, "guards")
+			b.ReportMetric(refs, "refs")
+			b.ReportMetric(checks, "div-checks")
+			b.ReportMetric(divs, "divs")
+		})
+	}
+}
+
+// benchWarmRuns times runs of art on one machine armed for tier — on the
+// per-word path if asked, under a hook that does nothing — after three untimed
+// ones: a tier builds its regions on the first runs, and the floor on its
+// allocs/op (scripts/bench.sh) is on the steady state after them.
+func benchWarmRuns(b *testing.B, art *Artifact, tier Tier, perWord bool) {
 	m := art.Machine()
 	run := func() {
 		m.Reset(art.Image())
-		if native {
-			if err := m.UseNativeCertificate(cert); err != nil {
-				b.Fatal(err)
-			}
+		if err := art.Arm(m, tier); err != nil {
+			b.Fatal(err)
+		}
+		if perWord {
+			m.TraceFn = func(int, int64) {}
 		}
 		if _, _, err := m.Run(); err != nil {
 			b.Fatal(err)
@@ -647,4 +691,5 @@ func benchWarmRuns(b *testing.B, art *Artifact, native bool) {
 		beats += m.Stats.Beats
 	}
 	b.ReportMetric(float64(beats)/b.Elapsed().Seconds(), "beats/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(beats), "ns/beat")
 }

@@ -190,7 +190,7 @@ func main() {
 		fatal(err)
 	}
 	st := &m.Stats
-	reportRegions(m, tier)
+	reportRegions(m)
 	fmt.Printf("exit:        %d\n", v)
 	fmt.Printf("machine:     %s\n", cfg.Name)
 	fmt.Printf("beats:       %d (%.2f ms at %d ns/beat)\n", st.Beats,
@@ -239,12 +239,10 @@ func reportProven(art *core.Artifact, tier vliw.Tier, of string) {
 	fmt.Fprintf(os.Stderr, "tracesim: %s tier%s: %d/%d guarded sites proven, guards deleted\n", tier, of, proven, total)
 }
 
-// reportRegions prints the native tier's region counters for the run m has
-// just finished, on stderr.
-func reportRegions(m *vliw.Machine, tier vliw.Tier) {
-	if tier == vliw.TierNative {
-		fmt.Fprintf(os.Stderr, "tracesim: native tier: %s\n", m.RegionSummary())
-	}
+// reportRegions prints the region counters of the run m has just finished,
+// whichever tier it ran on, on stderr.
+func reportRegions(m *vliw.Machine) {
+	fmt.Fprintf(os.Stderr, "tracesim: regions: %s\n", m.RegionSummary())
 }
 
 // runManyFlags carries the time-sharing knobs into runContexts.
@@ -314,7 +312,7 @@ func runContexts(ctx context.Context, first *core.Artifact, k int, copts core.Op
 			reportProven(a, rf.tier, of)
 		}
 	}
-	reportRegions(m, rf.tier)
+	reportRegions(m)
 
 	for i, r := range rs {
 		if r.Output != "" {

@@ -98,7 +98,7 @@ type Context struct {
 	// whenever the context is not current on its machine.
 	Stats Stats
 
-	// The native tier's regions (native.go): where the context is in the one
+	// Regions (native.go), on every tier: where the context is in the one
 	// it is running, and the one a beat limit stopped it in, with the word.
 	run      regionRun
 	paused   *region
@@ -108,8 +108,8 @@ type Context struct {
 	// partitioned register banks (§6) sit below slotBase, each register at the
 	// index mach gives it and as the raw bits the write pipeline carries — an
 	// i32 zero-extended, a branch-bank bit as 0 or 1 (writeReg is the store
-	// that makes them so). From slotBase up are the scratch slots of the native
-	// tier: while a region runs they hold the results its operations have
+	// that makes them so). From slotBase up are the scratch slots of the
+	// regions: while one runs they hold the results its operations have
 	// produced and its landing code has not yet copied down; every region
 	// exit empties them into the ring. The last three entries are noDest,
 	// zeroCell and resultCell. Last in the struct, so that the 32 KB do not sit

@@ -228,8 +228,8 @@ type Machine struct {
 	plan *plan
 
 	// Certified plan cache: the guard-free plan derived by buildSafePlan
-	// for (safeImg, safeCert) — and the regions the native tier has built on
-	// it so far (native.go) — kept across Reset calls exactly like plan so
+	// for (safeImg, safeCert) — and the regions built on it so far
+	// (native.go) — kept across Reset calls exactly like plan so
 	// re-arming the same certificate after a Reset costs one pointer compare,
 	// not a rebuild. Single-slot: arming a second image's certificate
 	// (mixed-image RunMany) rebuilds.
@@ -332,7 +332,7 @@ type Machine struct {
 	InterruptBeats int64
 	nextInterrupt  int64
 
-	// regions counts the native tier's region traffic since the last Reset
+	// regions counts region traffic, on whichever tier, since the last Reset
 	// (last: the fields the interpreter's beat loop reads keep their place).
 	regions regionStats
 }
@@ -543,8 +543,7 @@ func (m *Machine) UseSafeCertificate(c SafetyCertificate) error {
 }
 
 // armCertified arms tier t (safe or native) under a safety certificate that
-// must cover a resident image: the guard-free plan is built on a cache miss,
-// and given its (empty) region tables the first time the native tier asks.
+// must cover a resident image: the guard-free plan is built on a cache miss.
 func (m *Machine) armCertified(c SafetyCertificate, t Tier, grade string) error {
 	if c == nil || !m.runs(c.CertifiedImage()) {
 		return fmt.Errorf("vliw: %s certificate does not cover this image", grade)
@@ -557,10 +556,6 @@ func (m *Machine) armCertified(c SafetyCertificate, t Tier, grade string) error 
 		}
 		m.safePlan = buildSafePlan(base, c)
 		m.safeImg, m.safeCert = img, c
-	}
-	if p := m.safePlan; t == TierNative && p.heads == nil {
-		p.heads = make([]*region, len(p.words))
-		p.heat = make([]uint8, len(p.words))
 	}
 	m.arm(img, t, m.safePlan)
 	return nil
@@ -857,14 +852,14 @@ func (m *Machine) schedule(ctx context.Context, batch []*Context, quantum, pause
 
 // slice is a context's unit of work on every tier: it runs words of c until
 // its clock reaches until (which must lie past c.beat), it halts or faults —
-// or, when eager, until a word has lost beats to a bank stall or a refill.
-// The native tier runs them a region at a time where it has one (advance);
-// this is the one place that asks. The safe and native tiers' last line of
-// defense sits here, once per slice and not per word: a post-certification
-// image mutation can drive a guard-free site into the Go runtime's own
-// slice-bounds or divide check, and the deferred recover converts that panic
-// back into the Fault the deleted guard would have raised; the blast radius
-// is this context, never the batch or the process.
+// or, when eager, until a word has lost beats to a bank stall or a refill —
+// a region at a time where the context's plan has one (advance), whatever
+// the tier: a tier removes checks, not the executor. The safe and native
+// tiers' last line of defense sits here, once per slice and not per word: a
+// post-certification image mutation can drive a guard-free site into the Go
+// runtime's own slice-bounds or divide check, and the deferred recover
+// converts that panic back into the Fault the deleted guard would have
+// raised; the blast radius is this context, never the batch or the process.
 func (m *Machine) slice(c *Context, until int64, eager bool) (err error) {
 	if c.tier >= TierSafe {
 		defer func() {
@@ -876,11 +871,7 @@ func (m *Machine) slice(c *Context, until int64, eager bool) (err error) {
 	}
 	s0 := m.Stats.BankStalls + m.Stats.RefillBeats
 	for err == nil && !c.halted && c.beat < until {
-		if c.tier == TierNative {
-			err = m.advance(c, until, eager)
-		} else {
-			err = m.step(c, true)
-		}
+		err = m.advance(c, until, eager)
 		if eager && m.Stats.BankStalls+m.Stats.RefillBeats != s0 {
 			break
 		}
@@ -973,8 +964,8 @@ func (m *Machine) StallBank(ea int64, n int64) {
 // step executes one wide instruction (two beats) of context c from its
 // plan, on every tier: interrupt, fetch, DMA, the TLB/bank-stall prescan, and
 // each beat's drain and slot-by-slot interpretation. It is the only place a
-// cache or TLB is filled or a beat the schedule did not plan is charged. The
-// native tier's regions (native.go) run words on which none of that happens;
+// cache or TLB is filled or a beat the schedule did not plan is charged.
+// Regions (native.go) run words on which none of that happens;
 // a region that meets it on a word has step do everything up to the word's
 // issue (issue false) and issues the word itself.
 func (m *Machine) step(c *Context, issue bool) error {

@@ -9,7 +9,7 @@ import (
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
-// This file is the native tier. Its unit of execution is the region: a run of
+// This file is the regions, the unit of execution of every tier: a run of
 // words in static succession — each the next address or the target of its
 // predecessor's unconditional jump, the way the scheduler lays a trace out —
 // entered at a head and left at the first branch off that path, a fault, or a
@@ -38,7 +38,8 @@ import (
 // word short of issuing it — step stays the one place a cache or TLB is
 // filled and an unplanned beat is charged — and the region issues the word
 // with its clock rebased (regionEvent). With an interrupt timer, a DMA
-// stream, TraceFn or InjectWrite armed, every word takes step's whole path.
+// stream, TraceFn or InjectWrite armed, every word of every tier takes step's
+// whole path (hooked).
 //
 // The exit-state contract: at every exit — side exit, limit, guarded fault —
 // the context is left exactly as the per-word path would have left it at that
@@ -53,17 +54,29 @@ import (
 // per-word path counts the beat through the panicking slot and names it
 // (safeTierFault).
 //
-// Two things lean on the certificate beyond the guards it deletes. Both need
-// that no two writes to one register retire in one beat and that of two in
-// flight together the earlier-issued retires first (schedcheck's write-race
-// and waw-overlap errors): a write may go straight to its register when the
-// beat it would have waited is invisible (straight), and after a clock
-// jump the writes in flight land by retire beat, not in one batch by issue
-// (regionEvent).
+// A tier is a plan and two dynamic checks. The plan is the base one, every
+// reference guarded, or the copy a SafetyCertificate re-kinded (safe and
+// native, which are one path). The checks are the checked tier's verdicts, and
+// a region never weakens them. The resource verdict is static: a word that has
+// one joins no region (buildRegion), so step meets it. The race verdict — two
+// writes retiring into one register in one beat — is static between two writes
+// of one region, which ends before the word where they meet (races), and
+// dynamic where the ring is involved: for the beats after an entry or an event
+// in which the ring holds anything (busy), a checked context compares what is
+// due in a word's two beats with what the word lands and leaves the region
+// before it on a match, for step to fault exactly as it does (raceAhead); and
+// on an event it hands the ring everything in flight, so the drain after the
+// clock jump compares the whole batch in issue order (regionEvent). The
+// certified tiers do neither, and lean on the certificate for it: no two writes
+// to one register retire in one beat, and of two in flight together the
+// earlier-issued retires first (schedcheck's write-race and waw-overlap
+// errors) — so a write may go straight to its register when the beat it would
+// have waited is invisible (straight), and after a clock jump the writes in
+// flight land by retire beat, not in one batch by issue (landAhead).
 //
 // Regions are built lazily, the second time the per-word path arrives at a
 // word; code that runs once is interpreted once and never laid out. A region
-// translates nothing: it copies the records the safe plan holds, the ones the
+// translates nothing: it copies the records its plan holds, the ones the
 // interpreter runs (regionBuilder.issue), so a proven site carries no guard on
 // either path, an unproven one the same guard and fault text, and the Go
 // runtime's own bounds and divide checks backstop a post-certification
@@ -237,7 +250,7 @@ type regionStats struct {
 	by    [numExits]int64 // exits and events, by cause
 }
 
-// RegionSummary renders the native tier's region counters for this run:
+// RegionSummary renders the region counters for this run, on whichever tier:
 // regions built, words run in regions and on the per-word path, region exits
 // by cause, the words on which a region met something dynamic, by cause, and
 // what the words run in regions are made of: stream records per word, the
@@ -329,13 +342,17 @@ func opBulk(s *planOp) statsBulk {
 
 // arrive notes one arrival of the per-word path at word pc and, on the
 // regionHeat'th, builds the region headed there — unless the plan's regions
-// already hold regionBudget times the image.
+// already hold regionBudget times the image, or the word is one no region
+// takes (buildRegion).
 func (p *plan) arrive(pc int) *region {
 	p.heat[pc]++
 	if p.heat[pc] < regionHeat || p.regionWords >= regionBudget*len(p.words) {
 		return nil
 	}
 	r := p.buildRegion(pc)
+	if len(r.words) == 0 {
+		return nil
+	}
 	r.id = p.regions
 	p.regions++
 	p.heads[pc] = r
@@ -400,6 +417,33 @@ func (b *regionBuilder) word(pc int) {
 	r.words = append(r.words, rw)
 }
 
+// races reports whether, with word pc laid out next, two of the region's writes
+// would reach one register in one beat of it: two landings, or a landing and a
+// write of the word's first beat that takes one beat — straight or not, it is
+// there by the second. That is the interpreter's write-write race.
+func (b *regionBuilder) races(pc int) bool {
+	var dsts []mach.PReg
+	for beat := range 2 {
+		dsts = dsts[:0]
+		for _, k := range b.due[2*len(b.r.words)+beat] {
+			dsts = append(dsts, b.r.writes[k].dst)
+		}
+		if beat == 1 {
+			for i := range b.p.slots[pc].beats[0] {
+				if s := &b.p.slots[pc].beats[0][i]; s.dst.Valid() && s.lat == 1 {
+					dsts = append(dsts, s.dst)
+				}
+			}
+		}
+		for i, d := range dsts {
+			if slices.Contains(dsts[:i], d) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // deliver issues the write the slot in hand makes to dst, landing lat beats on,
 // and returns the index its record stores the result at: the next scratch
 // slot — or the register itself, for a straight write. A write that lands
@@ -459,6 +503,13 @@ func (p *plan) transfers(pc int) (always bool, jump int) {
 // The words are laid out in one pass, landings and all: a write lands at
 // least a beat after it issues, so every landing of a beat is known when the
 // builder gets there.
+//
+// Two kinds of word are left to the per-word path, whatever tier will run the
+// region, because the checked tier has a verdict on them that only the
+// interpreter gives: a word with a static resource verdict never joins a
+// region, and a region ends before the word in which two of its own writes
+// reach one register in one beat (races). Neither exists in an image
+// schedcheck certifies. A head that is such a word yields a region of no words.
 func (p *plan) buildRegion(head int) *region {
 	r := &region{head: head, maxLat: 1}
 	b := regionBuilder{p: p, r: r}
@@ -467,7 +518,7 @@ func (p *plan) buildRegion(head int) *region {
 	writes := 0   // the most it can issue
 	for pc := head; pc >= 0; {
 		seg, segWrites, whole := len(run), writes, false
-		for !whole && len(run) < regionMaxWords && pc < len(p.words) && pc/(PageSize/4) == page {
+		for !whole && len(run) < regionMaxWords && pc < len(p.words) && pc/(PageSize/4) == page && p.slots[pc].viol == [2]*resViol{} {
 			n := len(p.slots[pc].beats[0]) + len(p.slots[pc].beats[1])
 			if writes+n > regionSlots {
 				break
@@ -492,6 +543,9 @@ func (p *plan) buildRegion(head int) *region {
 	// landing; the others are put down by landing beat as they are issued.
 	b.due = make([][]int32, 2*len(run))
 	for _, pc := range run {
+		if b.races(pc) {
+			break
+		}
 		b.word(pc)
 	}
 	var flight int32
@@ -522,14 +576,14 @@ func (p *plan) buildRegion(head int) *region {
 }
 
 // hooked reports whether anything is armed that must see every word or every
-// retiring write, or that moves the clock between words; the native tier then
+// retiring write, or that moves the clock between words; every tier then
 // stays on the per-word path.
 func (m *Machine) hooked() bool {
 	return m.InjectWrite != nil || m.TraceFn != nil || m.InterruptEvery > 0 || m.dmaRate > 0
 }
 
-// advance executes the next unit of work of a context on the native tier,
-// never starting a word at or after beat until (which must lie past c.beat):
+// advance executes the next unit of work of a context, on any tier, never
+// starting a word at or after beat until (which must lie past c.beat):
 // the region headed at c.pc, when there is one and nothing is hooked,
 // otherwise one step.
 // eager stops a region after a word that met something dynamic, as the
@@ -686,7 +740,9 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 		}
 		c.pc = int(rw.pc)
 		if event != exitLimit {
-			m.regionEvent(c, w, event)
+			if err := m.regionEvent(c, w, event); err != nil {
+				return err
+			}
 			mi, floor, busy = int(rw.memEnd), uint16(run.floor), max(busy, c.beat+int64(r.maxLat))
 			resident = max(c.residentWords(r), w+1)
 			if n = min(w+1+wordsBefore(until, c.beat+2), len(r.words)); eager {
@@ -694,6 +750,9 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 			}
 		}
 		if c.beat <= busy {
+			if c.tier == TierChecked && c.raceAhead(w, ui) {
+				return m.leaveBefore(c, w)
+			}
 			if c.rcount[c.beat&c.rmask] != 0 {
 				c.landBucket()
 			}
@@ -796,6 +855,63 @@ func (m *Machine) runRegion(c *Context, r *region, w int, until int64, eager boo
 	return nil
 }
 
+// raceAhead is the checked tier's race verdict on region word w, about to
+// issue at c.beat with its records at ui: whether a write the ring holds retires
+// in one of the word's two beats into a register that another write reaches in
+// that beat — one of the ring's too, a landing out of a slot (the ring has the
+// writes from before the run's floor), or a straight write of the word, which
+// is there by its second beat. Two writes of the region's own never do (races).
+func (c *Context) raceAhead(w, ui int) bool {
+	if c.rcount[c.beat&c.rmask]|c.rcount[(c.beat+1)&c.rmask] == 0 {
+		return false
+	}
+	r, floor := c.run.r, uint16(c.run.floor)
+	rw := &r.words[w]
+	lands := r.uops[ui : ui+int(rw.land0)]
+	for beat := range int64(2) {
+		due := c.bucket(c.beat + beat)
+		for i := range due {
+			d := due[i].dst
+			for j := range due[:i] {
+				if due[j].dst == d {
+					return true
+				}
+			}
+			for _, l := range lands {
+				if l.b >= floor && int(l.d) == d.Index() {
+					return true
+				}
+			}
+			if beat == 1 {
+				for _, wr := range r.writes[r.firstWrite(int32(w)):rw.wrEnd] {
+					if wr.straight && wr.dst == d {
+						return true
+					}
+				}
+			}
+		}
+		lands = r.uops[rw.mark+1:][:r.uops[rw.mark].k1]
+	}
+	return false
+}
+
+// leaveBefore leaves c's region before its word w, as at a limit, for the
+// interpreter to issue the word: its drain gives the race verdict.
+func (m *Machine) leaveBefore(c *Context, w int) error {
+	bulk, issued := c.run.r.through(w)
+	m.leaveRegion(c, w, int32(2*w-1), issued, bulk, exitLimit)
+	return m.step(c, true)
+}
+
+// through is what the region's first w words count and how many writes they
+// issue.
+func (r *region) through(w int) (statsBulk, int32) {
+	if w == 0 {
+		return statsBulk{}, 0
+	}
+	return r.words[w-1].bulk, r.words[w-1].wrEnd
+}
+
 // land copies down the results a run of uLands names, of the words from floor
 // on — the rest were never in their slots — and returns how many it was given.
 func land(vals *[valSize]uint64, lands []uop, floor uint16) int {
@@ -829,9 +945,15 @@ func (u *uop) prio() int { return int(int32(u.k1 >> 32)) }
 // by retire beat. The two differ only for two writes to one register in
 // flight together with the earlier-issued retiring later, which the
 // certificate excludes (schedcheck's waw-overlap error).
-func (m *Machine) regionEvent(c *Context, w, event int) {
+func (m *Machine) regionEvent(c *Context, w, event int) error {
 	run := &c.run
 	c.spillAhead(int32(2*w - 1))
+	if c.tier == TierChecked {
+		// The race verdict is on a drain's whole batch, in issue order: the
+		// ring gets everything in flight and land compares it, as in step.
+		c.spill(run.r.firstWrite(run.floor), run.r.firstWrite(int32(w)), int64(2*w-1), run.base)
+		run.floor = int32(w)
+	}
 	run.floor0, run.floor = run.floor, int32(w)
 	run.front++
 	m.regions.by[event]++
@@ -839,8 +961,9 @@ func (m *Machine) regionEvent(c *Context, w, event int) {
 	before := c.beat
 	c.drained = before - 1
 	_ = m.step(c, false) // c.pc is a word of the region: no fetch fault
+	var err error
 	if c.drained+1 != c.beat {
-		_ = m.drainJump(c) // no race verdict on this tier
+		err = m.drainJump(c)
 	}
 	run.shift = c.beat - before
 	run.base = c.beat - int64(2*w)
@@ -849,6 +972,15 @@ func (m *Machine) regionEvent(c *Context, w, event int) {
 	if w > 0 {
 		run.ahead = run.r.words[w-1].landEnd[1]
 	}
+	if run.floor0 == run.floor {
+		run.stop = run.ahead // nothing waits in a slot: a checked context's is all in the ring
+	}
+	if err != nil {
+		// The region is left with the word fetched and nothing of it issued.
+		bulk, issued := run.r.through(w)
+		m.leaveRegion(c, w+1, int32(2*w), issued, bulk, exitFault)
+	}
+	return err
 }
 
 // landAhead lands the writes issued before the last event that retire at
@@ -891,8 +1023,9 @@ func (c *Context) lastDue() int64 {
 }
 
 // landBucket retires the ring bucket due at the current beat: what was in
-// flight when the region was entered. No hook is armed in a region and the
-// native tier gives no race verdict, so the writes simply land.
+// flight when the region was entered. No hook is armed in a region, and a
+// checked context has already compared the bucket (raceAhead), so the writes
+// simply land.
 func (c *Context) landBucket() {
 	due := c.take(c.beat)
 	for i := range due {
@@ -1134,11 +1267,11 @@ func (b *regionBuilder) issue(s *planOp) {
 }
 
 // UseNativeCertificate arms the native tier — the fourth execution tier —
-// for every resident context running the certified image: the safe tier's
-// graded guard deletion, with the words the run keeps coming back to fused
-// into regions. Unproven sites keep exactly the safe tier's guards; exit,
-// output, and every Stats counter are bit-identical to the checked, fast,
-// and safe tiers. The plan, and the regions built on it, are cached on the
+// for every resident context running the certified image. It runs exactly as
+// the safe tier does (every tier fuses the words a run keeps coming back to
+// into regions of its plan); the name is kept for its callers. Unproven sites
+// keep their guards; exit, output, and every Stats counter are bit-identical
+// to the other tiers. The plan, and the regions built on it, are cached on the
 // machine and reused when the same certificate is re-armed after a Reset.
 func (m *Machine) UseNativeCertificate(c SafetyCertificate) error {
 	return m.armCertified(c, TierNative, "native-tier")

@@ -39,10 +39,10 @@ import (
 // The plan resolves the image's operations as they stand when it is built: an
 // image is immutable once a machine is Reset onto it (the mutation tests
 // corrupt theirs before New). The plan is rebuilt whenever Reset targets a
-// different image. Every tier runs from a plan: the safe tier from a copy whose
-// proven sites carry their guard-free kinds (buildSafePlan), the native tier
-// from that copy too, fusing the runs of words it arrives at repeatedly into
-// regions as it goes (native.go).
+// different image. Every tier runs from a plan — the safe and native tiers from
+// a copy whose proven sites carry their guard-free kinds (buildSafePlan) — and
+// fuses the runs of words it arrives at repeatedly into regions of that plan as
+// it goes (native.go).
 
 // plan is one image's pre-decoded form plus the constants every tier's step
 // shares.
@@ -56,9 +56,9 @@ type plan struct {
 	ringSize int64 // retire-ring buckets: the power of two above maxLat
 	ringCap  int64 // writes one beat can retire: over the latencies, the most any beat issues of each
 
-	// The native tier's regions, by head word; nil until the tier is armed.
-	// heat counts a word's arrivals by the per-word path up to regionHeat, and
-	// regionWords is what the regions built so far hold against the budget.
+	// The plan's regions, by head word: heat counts a word's arrivals by the
+	// per-word path up to regionHeat, and regionWords is what the regions built
+	// so far hold against the budget.
 	heads       []*region
 	heat        []uint8
 	regions     int
@@ -224,6 +224,8 @@ func buildPlan(img *isa.Image) *plan {
 		icache:   cfg.ICacheInstrs,
 		itagMask: -1,
 		maxLat:   1,
+		heads:    make([]*region, len(img.Instrs)),
+		heat:     make([]uint8, len(img.Instrs)),
 	}
 	if n := cfg.ICacheInstrs; n > 0 && n&(n-1) == 0 {
 		p.itagMask = n - 1
@@ -447,11 +449,14 @@ func (s *planOp) guardFree() (kind uint8, ok bool) {
 // keeps more of its guards. A beat list is copied when a slot of it changes
 // (the base plan is shared by checked contexts and must stay pristine); the
 // untouched lists, the mem prescan list and the static resource verdicts are
-// shared.
+// shared. Regions copy a plan's records, so the derived plan starts with none
+// of the base plan's.
 func buildSafePlan(base *plan, cert SafetyCertificate) *plan {
 	p := new(plan)
 	*p = *base
 	p.slots = append([]wordSlots(nil), base.slots...)
+	p.heads, p.heat = make([]*region, len(p.words)), make([]uint8, len(p.words))
+	p.regions, p.regionWords = 0, 0
 	for a := range p.slots {
 		ws := &p.slots[a]
 		for b := range ws.beats {

@@ -150,6 +150,57 @@ func TestWatchStoreInsideRegions(t *testing.T) {
 	}
 }
 
+// TestSafePlanBuildsItsOwnRegions: a certificate armed on a machine whose
+// checked run has already built regions — the order a pooled machine meets its
+// tiers in — runs on a plan with region tables of its own. Regions copy their
+// plan's records: run from the base plan's, a proven site would keep its guard.
+func TestSafePlanBuildsItsOwnRegions(t *testing.T) {
+	img := build(t, regionSrc, mach.Trace14())
+	cert, err := safecheck.Certify(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(img)
+	if _, _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checked, base := m.Stats, m.plan
+	if base.regions == 0 || m.regions.built != int64(base.regions) {
+		t.Fatalf("the checked run built %d regions, its plan holds %d", m.regions.built, base.regions)
+	}
+	m.Reset(img)
+	if err := m.UseNativeCertificate(cert); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	safe := m.safePlan
+	if m.Stats != checked || safe == base || safe.regions == 0 || m.regions.built != int64(safe.regions) {
+		t.Fatalf("the native run built %d regions, its plan holds %d (stats %+v, want %+v)", m.regions.built, safe.regions, m.Stats, checked)
+	}
+	guardFree := 0
+	for pc, r := range safe.heads {
+		if r == nil {
+			continue
+		}
+		if r == base.heads[pc] {
+			t.Fatalf("the region headed at word %d is the base plan's", pc)
+		}
+		for _, u := range r.uops {
+			switch u.kind {
+			case uLoad, uStore:
+				t.Fatalf("the region headed at word %d keeps a guarded reference: every site of this image is proven", pc)
+			case uLoad4, uLoad8, uStore4, uStore8:
+				guardFree++
+			}
+		}
+	}
+	if guardFree == 0 {
+		t.Fatal("no region of the safe plan holds a guard-free reference")
+	}
+}
+
 // TestRegionSummary: the counters tracesim prints add up, after a run and
 // after a RunMany (tracesim -contexts prints the same line from the same
 // machine).

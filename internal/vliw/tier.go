@@ -9,15 +9,17 @@ import (
 // strict ladder of statically-discharged dynamic checking: each one runs
 // the identical architectural semantics — exit value, output, and every
 // Stats counter are bit-identical across tiers, the invariant the fuzz
-// oracle enforces — and differs only in which guards a certificate proves
-// redundant.
+// oracle enforces — on the one executor (the runs of words a program keeps
+// returning to fused into regions, one micro-op stream each: native.go), and
+// differs only in which checks a certificate has removed: a tier is a plan
+// and two dynamic checks.
 //
-//	TierChecked  every dynamic check live (no certificate)
-//	TierFast     resource/race checks skipped (schedcheck Certificate)
-//	TierSafe     + proven per-site guards deleted (safecheck SafeCertificate)
-//	TierNative   + the runs of words a program keeps returning to fused into
-//	             regions, one micro-op stream each: no closure or call per
-//	             operation, no per-beat bookkeeping
+//	TierChecked  every dynamic check live (no certificate): the resource and
+//	             write-race verdicts, every guard of the base plan
+//	TierFast     the two verdicts removed (schedcheck Certificate)
+//	TierSafe     + proven per-site guards deleted: the re-kinded plan
+//	             (safecheck SafeCertificate)
+//	TierNative   the safe tier under its former name
 //
 // The zero value is TierChecked, so an unset options field means "fully
 // checked".

@@ -31,23 +31,25 @@ done | tee "$raw"
 # program. One short pass: the number gated here is bytes allocated per
 # analysis, which repeats to within a few hundred bytes.
 go test -run '^$' -bench 'SafecheckAnalyze|TschedCompile' -benchtime=5x -count=1 . | tee -a "$raw"
-# Six floors. The certified fast path has to hold its committed baseline
-# (10% noise floor — the checkpoint/restore and safety machinery must cost
-# nothing when unused), and so does the native tier, against its own history.
-# The checked interpreter has to keep what sharing the native tier's retire
-# ring bought it — at least 1.20x the baseline recorded while it still scanned
-# a pending-write queue every beat. The safe tier has to actually cash in its
-# deleted guards: at least as fast as the fast tier on the same corpus. And
-# since the native tier runs regions it has to be worth its code next to the
-# interpreter — at least 1.86x the checked tier on the same kernel, measured
-# within the run. That is 0.85 of the 2.19 that was the lowest of three runs
-# of this script (about 2.2, 2.19, 2.43; BENCH_sim.json records the last) when the
-# interpreter began to run the regions' records; it was 0.85 of 2.50, and the
-# ratio fell because BenchmarkSimulator rose — daxpy checked 20.7M -> 21.5-22.6M
-# beats/s with operands resolved at plan build — not because the native tier
-# slowed, which its own 0.90 floor above guards. And it must do so while
-# allocating nothing per run once its regions are
-# built, on daxpy, tridiag and fir (allocs/op repeats exactly; the native
+# The floors. Every tier runs regions, so the three daxpy benchmarks that are
+# gated time one executor with fewer and fewer checks, and each is held to the
+# committed baseline, not to another tier within the run: the certified fast
+# path (10% noise floor — the checkpoint/restore and safety machinery must cost
+# nothing when unused), the native tier against its own history, and the
+# checked tier at 2.26x the baseline recorded while it was a per-word
+# interpreter scanning a pending-write queue every beat. That is 0.85 of the
+# lowest of three runs of this script when the checked tier began to run regions
+# (3.51, 2.66, 2.86 on a host whose speed moved as much between them: the native
+# tier read 1.75, 1.05, 1.39 against its own baseline; a fourth run, in a quiet
+# hour, read 4.60 and 1.98 and is what BENCH_sim.json records); it was 1.20
+# while the checked tier was the per-word interpreter. Two ratio floors are gone with the fork they
+# measured: native at least 1.86x checked within a run is what running regions
+# on every tier deliberately collapses — what is left between the two is the
+# worth of the certificates, a result (EXPERIMENTS.md) and not a floor — and
+# fast no slower than safe read 0.99 and 0.88 on this host while the two were
+# one interpreter, and now compares regions with guards against regions without
+# under other names. And a run allocates nothing once its regions are built, on
+# either tier, on daxpy, tridiag and fir (allocs/op repeats exactly; these
 # benchmarks warm up first).
 #
 # The B/op ceilings hold safecheck to states it owns: an analysis allocates
@@ -64,8 +66,7 @@ go test -run '^$' -bench 'SafecheckAnalyze|TschedCompile' -benchtime=5x -count=1
 # cloned per instruction put fft at 310 MB. No ns/op threshold: bytes repeat,
 # nanoseconds on a shared host do not.
 go run ./cmd/benchjson -baseline scripts/bench_baseline.txt \
-	-require 'BenchmarkSimulatorFast=0.90,BenchmarkSimulatorNative=0.90,BenchmarkSimulator=1.20' \
-	-require-ratio 'BenchmarkSimulatorFast/BenchmarkSimulatorSafe=1.00,BenchmarkSimulator/BenchmarkSimulatorNative=1.86' \
-	-require-max 'BenchmarkSimulatorNative:allocs/op=0,BenchmarkSimulatorKernels/tridiag/native:allocs/op=0,BenchmarkSimulatorKernels/fir/native:allocs/op=0,BenchmarkSafecheckAnalyze/matmul:B/op=13000000,BenchmarkSafecheckAnalyze/fft:B/op=78000000,BenchmarkSafecheckAnalyze/scanner:B/op=24000000,BenchmarkSafecheckAnalyze/gen07:B/op=25000000,BenchmarkTschedCompile/matmul:B/op=3800000,BenchmarkTschedCompile/fft:B/op=12300000,BenchmarkTschedCompile/scanner:B/op=5100000,BenchmarkTschedCompile/gen07:B/op=8300000' \
+	-require 'BenchmarkSimulatorFast=0.90,BenchmarkSimulatorNative=0.90,BenchmarkSimulator=2.26' \
+	-require-max 'BenchmarkSimulator:allocs/op=0,BenchmarkSimulatorNative:allocs/op=0,BenchmarkSimulatorKernels/tridiag/checked:allocs/op=0,BenchmarkSimulatorKernels/fir/checked:allocs/op=0,BenchmarkSimulatorKernels/tridiag/native:allocs/op=0,BenchmarkSimulatorKernels/fir/native:allocs/op=0,BenchmarkSafecheckAnalyze/matmul:B/op=13000000,BenchmarkSafecheckAnalyze/fft:B/op=78000000,BenchmarkSafecheckAnalyze/scanner:B/op=24000000,BenchmarkSafecheckAnalyze/gen07:B/op=25000000,BenchmarkTschedCompile/matmul:B/op=3800000,BenchmarkTschedCompile/fft:B/op=12300000,BenchmarkTschedCompile/scanner:B/op=5100000,BenchmarkTschedCompile/gen07:B/op=8300000' \
 	-o "$out" "$raw"
 echo "wrote $out"

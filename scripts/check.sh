@@ -13,7 +13,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch, one way to arm and to run a batch)"
+echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch, one way to arm and to run a batch, one executor for every tier)"
 # Tier is the only spelling of how a run executes, and mach.Config.Latency the
 # only timing model outside the verifier's own copy (internal/schedcheck).
 # bench/ is the frozen harness and is not ours to gate.
@@ -36,6 +36,14 @@ if gosrc -n --exclude='*_test.go' '\b(armTier|advanceContained|[Tt]enancy)\b'; t
 fi
 if gosrc -n --exclude='*_test.go' 'Use(Safe|Native)?Certificate\(' | grep -v -e '^\./internal/vliw/' -e '^\./internal/core/artifact\.go:'; then
 	echo "check: a Use*Certificate call outside internal/vliw and core.Artifact.Arm (arm through Artifact.Arm, RunOn or RunManyOn)"
+	exit 1
+fi
+
+# A tier says which checks a certificate has removed, never which executor
+# runs: every context runs regions (Machine.advance), and hooked() is the only
+# thing that keeps one on the per-word path.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'tier == TierNative' internal/vliw; then
+	echo "check: internal/vliw chooses an executor by tier again (slice calls advance for every tier; c.tier only says which verdicts remain)"
 	exit 1
 fi
 
@@ -119,7 +127,7 @@ echo "== go test -race, focused: simulator tiers/contexts/snapshots + serving la
 # cross-goroutine traffic (pooled machines, hardware contexts, snapshot
 # store, safe-tier plan cache) to re-execute under the detector every time.
 go vet ./internal/vliw/ ./internal/serve/
-go test -race -count=1 ./internal/vliw/ ./internal/serve/
+go test -race -count=1 -timeout 20m ./internal/vliw/ ./internal/serve/
 
 echo "== tracelint (static schedule + safety verification: examples x O0/O1/O2 x Trace 7/14/28)"
 go run ./cmd/tracelint -matrix -safety examples/*.mf

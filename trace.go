@@ -152,11 +152,11 @@ type Stats = vliw.Stats
 // Tier names one of the simulator's execution tiers: TierChecked,
 // TierFast, TierSafe, or TierNative. Every tier runs identical
 // architectural semantics — exit value, output, and all Stats counters are
-// bit-identical — and differs only in how much dynamic checking a
-// certificate statically discharges (and, for TierNative, in dispatch:
-// the runs of words a program keeps returning to are fused into regions,
-// one micro-op stream each, over the certified image). Select one via RunOptions.Tier or
-// RunManyOptions.Tier; the zero value is TierChecked.
+// bit-identical — on one executor (the runs of words a program keeps
+// returning to fused into regions, one micro-op stream each), and differs
+// only in how much dynamic checking a certificate statically discharges;
+// TierNative is TierSafe under its former name. Select one via
+// RunOptions.Tier or RunManyOptions.Tier; the zero value is TierChecked.
 type Tier = vliw.Tier
 
 // The execution tiers, weakest checking discharge first.
