@@ -610,6 +610,45 @@ func BenchmarkSimulatorKernels(b *testing.B) {
 	}
 }
 
+// BenchmarkImageSwitch times what a pooled machine pays to be pointed at another
+// program: one machine runs four artifacts round-robin — fib, sieve, vsum and
+// daxpy of bench/programs, the shortest kernels, where the switch is the
+// largest share of a run — through RunOn, as tracesrv's pool and the fuzz
+// oracle do. An artifact owns its plan, so once the four are warm a switch
+// builds nothing and allocates nothing beyond the output of the two that print
+// (under one allocation a run: scripts/bench.sh holds allocs/op at 0); while the
+// machine kept the one plan of its last image, every run here decoded its image
+// again, derived the certified copy again and grew its regions from nothing.
+func BenchmarkImageSwitch(b *testing.B) {
+	var arts []*Artifact
+	for _, name := range []string{"fib", "sieve", "vsum", "daxpy"} {
+		src, err := os.ReadFile(filepath.Join("bench", "programs", name+".mf"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		arts = append(arts, mustCompile(b, string(src), Options{}))
+	}
+	ctx := context.Background()
+	for _, tier := range []Tier{TierChecked, TierNative} {
+		b.Run(tier.String(), func(b *testing.B) {
+			m := arts[0].Machine()
+			run := func(i int) {
+				if _, err := arts[i%len(arts)].RunOn(ctx, m, RunOptions{Tier: tier}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := range 3 * len(arts) {
+				run(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(i)
+			}
+		})
+	}
+}
+
 // BenchmarkCertificateWorth puts a number on what each static authority
 // deletes: the fourteen kernels of bench/programs (the numeric-hot and
 // systems-hot workloads, Trace 28, O2), each on four machines that run the same

@@ -15,17 +15,25 @@ import (
 
 // Artifact is a completed compilation as a first-class value: the
 // executable image plus every derived product a caller might want — the
-// pass report, the static-verification report, and the fast-path
-// Certificate, the latter two minted lazily and cached on the artifact.
+// pass report, the static-verification report, the fast-path Certificate and
+// the simulator's execution plan, the latter three made lazily and kept on
+// the artifact.
 //
 // An Artifact is immutable after Build and safe for concurrent use: the
 // paper's premise (§4) is that the compiler statically owns every machine
 // resource, so a compiled image never changes after linking. That is what
 // makes artifacts content-addressable and shareable — the serving layer
 // caches one Artifact per (source × options) key and runs it from many
-// requests at once, each on its own Machine.
+// requests at once, each on its own Machine. The same premise makes the
+// plan the artifact's: the pre-decoded words, their guard-free copy under the
+// safety certificate and the regions fused on either are pure functions of the
+// image, so every machine that runs the artifact — Machine, Run, RunOn,
+// RunFromOn, RunManyOn — runs the one plan, and pointing a pooled machine at
+// another artifact rebuilds nothing. Building costs nothing: the first run
+// decodes the plan (vliw.NewPlan).
 type Artifact struct {
-	res *Result
+	res  *Result
+	plan *vliw.Plan
 
 	mu       sync.Mutex
 	cert     *schedcheck.Certificate
@@ -47,7 +55,11 @@ func Build(ctx context.Context, src string, opts Options) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Artifact{res: res}, nil
+	return newArtifact(res), nil
+}
+
+func newArtifact(res *Result) *Artifact {
+	return &Artifact{res: res, plan: vliw.NewPlan(res.Image)}
 }
 
 // BuildFile is Build for source read from a named file: frontend
@@ -57,7 +69,7 @@ func BuildFile(ctx context.Context, name, src string, opts Options) (*Artifact, 
 	if err != nil {
 		return nil, err
 	}
-	return &Artifact{res: res}, nil
+	return newArtifact(res), nil
 }
 
 // Result exposes the underlying compilation record (image, IR, pass
@@ -153,10 +165,19 @@ func (a *Artifact) CertifySafe() (*safecheck.SafeCertificate, error) {
 	return a.safe, a.safeErr
 }
 
-// Machine returns a fresh machine loaded with the artifact's image, for
+// Machine returns a fresh machine loaded with the artifact's plan, for
 // callers who want to instrument execution (watchpoints, traces, beat
 // limits) directly.
-func (a *Artifact) Machine() *vliw.Machine { return vliw.New(a.res.Image) }
+func (a *Artifact) Machine() *vliw.Machine {
+	m := new(vliw.Machine)
+	m.ResetPlan(a.plan)
+	return m
+}
+
+// PlanBytes estimates what the artifact's execution plan holds in memory: nothing
+// before the first run, then the decoded words, their certified copy and the
+// regions machines have built on either so far.
+func (a *Artifact) PlanBytes() int64 { return a.plan.Bytes() }
 
 // Arm puts every context of m that runs this artifact's image onto the
 // tier: it mints (once, cached on the artifact) the certificate grade the
@@ -233,15 +254,16 @@ type ExitResult struct {
 // context stops the simulation within one check interval with a
 // *vliw.ErrCanceled wrapping the context error.
 func (a *Artifact) Run(ctx context.Context, o RunOptions) (ExitResult, error) {
-	return a.RunOn(ctx, vliw.New(a.res.Image), o)
+	return a.RunOn(ctx, new(vliw.Machine), o)
 }
 
 // RunOn is Run on a caller-provided machine, which is Reset onto the
-// artifact's image first: callers serving many runs pool machines (they
+// artifact's plan first: callers serving many runs pool machines (they
 // own multi-megabyte memories) and thread them through here, exactly as
-// internal/serve and the fuzz oracle do.
+// internal/serve and the fuzz oracle do. Whichever artifact the machine ran
+// last, it builds only what no machine has built for this one yet.
 func (a *Artifact) RunOn(ctx context.Context, m *vliw.Machine, o RunOptions) (ExitResult, error) {
-	m.Reset(a.res.Image)
+	m.ResetPlan(a.plan)
 	return a.runPrepared(ctx, m, o)
 }
 
@@ -252,12 +274,12 @@ func (a *Artifact) RunOn(ctx context.Context, m *vliw.Machine, o RunOptions) (Ex
 // bit-identical to the uninterrupted one — exit, output, and every Stats
 // counter.
 func (a *Artifact) RunFrom(ctx context.Context, snapshot []byte, o RunOptions) (ExitResult, error) {
-	return a.RunFromOn(ctx, vliw.New(a.res.Image), snapshot, o)
+	return a.RunFromOn(ctx, new(vliw.Machine), snapshot, o)
 }
 
 // RunFromOn is RunFrom on a caller-provided (pooled) machine.
 func (a *Artifact) RunFromOn(ctx context.Context, m *vliw.Machine, snapshot []byte, o RunOptions) (ExitResult, error) {
-	m.Reset(a.res.Image)
+	m.ResetPlan(a.plan)
 	if err := m.Contexts()[0].Restore(snapshot); err != nil {
 		return ExitResult{}, err
 	}
@@ -279,6 +301,9 @@ func (a *Artifact) runPrepared(ctx context.Context, m *vliw.Machine, o RunOption
 	}
 	v, out, err := m.RunContext(ctx)
 	res := ExitResult{Exit: v, Output: out, Stats: m.Stats, Tier: m.Tier()}
+	if err == nil {
+		return res, nil // before the errors.As targets below, which escape: a clean run allocates nothing
+	}
 	var stop *vliw.ErrStopped
 	if errors.As(err, &stop) {
 		snap, serr := m.Contexts()[0].Snapshot()
@@ -289,7 +314,7 @@ func (a *Artifact) runPrepared(ctx context.Context, m *vliw.Machine, o RunOption
 		res.Snapshot = snap
 		return res, nil
 	}
-	if err != nil && o.SnapshotOnInterrupt {
+	if o.SnapshotOnInterrupt {
 		var ec *vliw.ErrCanceled
 		var el *vliw.ErrCycleLimit
 		if errors.As(err, &ec) || errors.As(err, &el) {

@@ -67,19 +67,19 @@ func RunMany(ctx context.Context, arts []*Artifact, o RunManyOptions) ([]ManyRes
 	if len(arts) == 0 {
 		return nil, vliw.SchedStats{}, fmt.Errorf("core: RunMany needs at least one artifact")
 	}
-	return RunManyOn(ctx, vliw.New(arts[0].Image()), arts, o)
+	return RunManyOn(ctx, new(vliw.Machine), arts, o)
 }
 
-// RunManyOn is RunMany on a caller-provided machine, which is ResetMany
-// onto the artifacts' images first. Callers serving many batches pool
-// machines exactly as they do for RunOn; an artifact may appear several
-// times in the batch (its decoded plan is shared across those contexts).
+// RunManyOn is RunMany on a caller-provided machine, which is Reset onto the
+// artifacts' plans first. Callers serving many batches pool machines exactly
+// as they do for RunOn; an artifact may appear several times in the batch (its
+// plan is shared across those contexts, as it is across machines).
 func RunManyOn(ctx context.Context, m *vliw.Machine, arts []*Artifact, o RunManyOptions) ([]ManyResult, vliw.SchedStats, error) {
-	imgs := make([]*isa.Image, len(arts))
+	plans := make([]*vliw.Plan, len(arts))
 	for i, a := range arts {
-		imgs[i] = a.Image()
+		plans[i] = a.plan
 	}
-	if err := m.ResetMany(imgs); err != nil {
+	if err := m.ResetPlans(plans); err != nil {
 		return nil, vliw.SchedStats{}, err
 	}
 	if o.Snapshots != nil {

@@ -159,3 +159,42 @@ func TestRunManyPerContextFailure(t *testing.T) {
 		t.Errorf("good context disturbed: %+v", rs[0])
 	}
 }
+
+// TestMixedImageBatchKeepsCertifiedPlans: a plan belongs to its artifact, and
+// the certified copy to the plan, so a batch of distinct programs run again on
+// the same machine finds all of it: the first pass decodes each image and
+// derives each certified copy once, and no later pass builds a plan. (While the
+// machine kept one certified plan of its own, arming the second image's
+// certificate threw the first's plan away, regions and all, on every pass.)
+// Heat is the plan's too: a word each pass meets once gets its region in the
+// second pass, and from the third on there is nothing left to build.
+func TestMixedImageBatchKeepsCertifiedPlans(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Config: mach.Trace7(), Opt: opt.Default()}
+	arts, others := buildMany(t, opts), buildMany(t, opts) // the solo runs must not warm the batch's plans
+	m := new(vliw.Machine)
+	for pass := 0; pass < 4; pass++ {
+		rs, _, err := RunManyOn(ctx, m, arts, RunManyOptions{Tier: vliw.TierNative})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rs {
+			solo, err := others[i].Run(ctx, RunOptions{Tier: vliw.TierNative})
+			if err != nil || r.Err != nil {
+				t.Fatal(err, r.Err)
+			}
+			if r.Exit != solo.Exit || r.Output != solo.Output || r.Stats != solo.Stats || r.Tier != vliw.TierNative {
+				t.Errorf("pass %d, context %d diverges from the solo run", pass, i)
+			}
+		}
+		plans, regions := m.Builds()
+		switch {
+		case pass == 0 && (plans != int64(2*len(arts)) || regions == 0):
+			t.Errorf("the cold pass built %d plans and %d regions, want %d plans and some regions", plans, regions, 2*len(arts))
+		case pass > 0 && plans != 0:
+			t.Errorf("pass %d built %d plans, want none", pass, plans)
+		case pass > 1 && regions != 0:
+			t.Errorf("pass %d built %d regions, want none", pass, regions)
+		}
+	}
+}

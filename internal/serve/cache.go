@@ -80,11 +80,7 @@ func (c *lru[V]) add(key string, val V, cost int64) {
 	}
 	c.byKey[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val, cost: cost})
 	c.used += cost
-	var evicted int64
-	for ; c.used > c.budget && c.order.Len() > 1; evicted++ {
-		c.drop(c.order.Back())
-	}
-	c.gauge(c.used, c.order.Len(), evicted)
+	c.evict()
 }
 
 // remove forgets key, if it is held.
@@ -97,6 +93,32 @@ func (c *lru[V]) remove(key string) {
 	}
 }
 
+// recost charges the entry under key, if it is held, what it costs now — an
+// artifact grows while machines build on its plan — and evicts to the budget
+// as add does.
+func (c *lru[V]) recost(key string, cost int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*lruEntry[V])
+	c.used += cost - e.cost
+	e.cost = cost
+	c.evict()
+}
+
+// evict drops least-recently-used entries until the budget holds or one entry
+// is left, and publishes what the table then holds.
+func (c *lru[V]) evict() {
+	var evicted int64
+	for ; c.used > c.budget && c.order.Len() > 1; evicted++ {
+		c.drop(c.order.Back())
+	}
+	c.gauge(c.used, c.order.Len(), evicted)
+}
+
 func (c *lru[V]) drop(el *list.Element) {
 	e := c.order.Remove(el).(*lruEntry[V])
 	delete(c.byKey, e.key)
@@ -104,14 +126,17 @@ func (c *lru[V]) drop(el *list.Element) {
 }
 
 // artifactCost estimates an artifact's resident size. The dominant terms
-// are the linked instruction words and the retained IR (both sides of the
-// differential oracle); the constant per-op factor is a measured
-// approximation, not an accounting guarantee — the budget bounds the cache
-// to the right order of magnitude.
+// are the linked instruction words, the retained IR (both sides of the
+// differential oracle) and — once it has run — the simulator's plan of the
+// image with the regions machines have built on it, up to vliw's region budget
+// times the image (core.Artifact.PlanBytes); the constant per-op factor is a
+// measured approximation, not an accounting guarantee — the budget bounds the
+// cache to the right order of magnitude. The plan grows while runs build on
+// it: Server.recharge charges the difference.
 func artifactCost(key string, art *core.Artifact) int64 {
 	res := art.Result()
 	fixed, _, ops := res.Image.CodeSizes()
-	return int64(len(key)) + fixed + 96*int64(ops) + 256
+	return int64(len(key)) + fixed + 96*int64(ops) + 256 + art.PlanBytes()
 }
 
 // runKey addresses a deterministic execution: the artifact key plus every

@@ -92,6 +92,12 @@ type Metrics struct {
 	CompileErrors expvar.Int // requests rejected with a diagnostic (400)
 	// Machine pool.
 	MachinesInUse expvar.Int // machines currently executing a request
+	// What runs had to build before they could execute: plans (an image
+	// decoded, its certified copy derived) and regions. An artifact owns its
+	// plan, so both stand still once the cached artifacts are warm, whichever
+	// pooled machine a run draws.
+	PlanBuilds   expvar.Int
+	RegionBuilds expvar.Int
 	// Completed runs by the execution tier actually taken (cached results
 	// included): "checked" ran fully dynamically verified, "fast" took the
 	// certified fast path, "safe" ran guard-free under a safety
@@ -166,6 +172,8 @@ func (m *Metrics) Snapshot() map[string]any {
 		"timeouts":        m.Timeouts.Value(),
 		"compile_errors":  m.CompileErrors.Value(),
 		"machines_in_use": m.MachinesInUse.Value(),
+		"plan_builds":     m.PlanBuilds.Value(),
+		"region_builds":   m.RegionBuilds.Value(),
 		"cert_level": map[string]int64{
 			"checked": m.RunsCertChecked.Value(),
 			"fast":    m.RunsCertFast.Value(),

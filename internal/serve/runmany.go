@@ -45,7 +45,7 @@ func (s *Server) handleRunMany(w http.ResponseWriter, r *http.Request) {
 
 	// Compile every distinct program once; duplicates share the artifact.
 	cctx, cancelCompile := context.WithTimeout(r.Context(), s.cfg.CompileTimeout)
-	arts := make([]*core.Artifact, len(req.Programs))
+	arts, keys := make([]*core.Artifact, len(req.Programs)), make([]string, len(req.Programs))
 	resp := RunManyResponse{Results: make([]RunManyResult, len(arts))}
 	for i, p := range req.Programs {
 		res := &resp.Results[i]
@@ -56,12 +56,12 @@ func (s *Server) handleRunMany(w http.ResponseWriter, r *http.Request) {
 			s.writeCompileError(w, err)
 			return
 		}
-		arts[i], res.CachedBuild = art, cached
+		arts[i], keys[i], res.CachedBuild = art, res.Key, cached
 	}
 	cancelCompile()
 
 	rctx, cancelRun := context.WithTimeout(r.Context(), s.cfg.RunTimeout)
-	rs, sched, err := s.runBatch(rctx, arts, core.RunManyOptions{
+	rs, sched, err := s.runBatch(rctx, keys, arts, core.RunManyOptions{
 		Tier: req.Run.Tier, MaxCycles: req.Run.MaxCycles,
 		Quantum: req.Run.Quantum, SwitchBeats: req.Run.SwitchBeats,
 	})
@@ -89,8 +89,14 @@ func (s *Server) handleRunMany(w http.ResponseWriter, r *http.Request) {
 
 // runBatch is runArtifact for a batch: the machine is back in the pool before
 // the response is written.
-func (s *Server) runBatch(ctx context.Context, arts []*core.Artifact, o core.RunManyOptions) ([]core.ManyResult, vliw.SchedStats, error) {
+func (s *Server) runBatch(ctx context.Context, keys []string, arts []*core.Artifact, o core.RunManyOptions) ([]core.ManyResult, vliw.SchedStats, error) {
 	m := s.borrow()
 	defer s.giveBack(m)
-	return core.RunManyOn(ctx, m, arts, o)
+	rs, sched, err := core.RunManyOn(ctx, m, arts, o)
+	if s.built(m) {
+		for i, art := range arts {
+			s.recharge(keys[i], art)
+		}
+	}
+	return rs, sched, err
 }

@@ -543,7 +543,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if !cachedResult {
 		rctx, cancelRun := context.WithTimeout(r.Context(), s.cfg.RunTimeout)
-		out, err = s.runArtifact(rctx, art, nil, tier, req.Run.MaxCycles)
+		out, err = s.runArtifact(rctx, key, art, nil, tier, req.Run.MaxCycles)
 		cancelRun()
 		if err != nil {
 			// A deadline-exceeded run with a captured snapshot is not a
@@ -585,18 +585,40 @@ func (s *Server) giveBack(m *vliw.Machine) {
 	s.machines.Put(m)
 }
 
-// runArtifact executes the artifact on a pooled machine — from the snapshot
-// when there is one (a /resume), from boot otherwise. When checkpointing is
-// on, an interrupted run carries its resume snapshot in the result alongside
-// the error.
-func (s *Server) runArtifact(ctx context.Context, art *core.Artifact, snap []byte, tier vliw.Tier, maxCycles int64) (core.ExitResult, error) {
+// built books what the run m has just finished had to build and reports whether
+// it was anything — it is nothing once the artifacts' plans are warm, whichever
+// machine of the pool the run drew. An artifact pins what machines build on its
+// plan: the caller has the cache charge it again (recharge).
+func (s *Server) built(m *vliw.Machine) bool {
+	plans, regions := m.Builds()
+	s.metrics.PlanBuilds.Add(plans)
+	s.metrics.RegionBuilds.Add(regions)
+	return plans != 0 || regions != 0
+}
+
+// recharge has the artifact cache charge art, cached under key, what it holds
+// now.
+func (s *Server) recharge(key string, art *core.Artifact) {
+	s.artifacts.recost(key, artifactCost(key, art))
+}
+
+// runArtifact executes the artifact, cached under key, on a pooled machine —
+// from the snapshot when there is one (a /resume), from boot otherwise. When
+// checkpointing is on, an interrupted run carries its resume snapshot in the
+// result alongside the error.
+func (s *Server) runArtifact(ctx context.Context, key string, art *core.Artifact, snap []byte, tier vliw.Tier, maxCycles int64) (out core.ExitResult, err error) {
 	m := s.borrow()
 	defer s.giveBack(m)
 	o := core.RunOptions{Tier: tier, MaxCycles: maxCycles, SnapshotOnInterrupt: s.snapshots != nil}
 	if snap != nil {
-		return art.RunFromOn(ctx, m, snap, o)
+		out, err = art.RunFromOn(ctx, m, snap, o)
+	} else {
+		out, err = art.RunOn(ctx, m, o)
 	}
-	return art.RunOn(ctx, m, o)
+	if s.built(m) {
+		s.recharge(key, art)
+	}
+	return out, err
 }
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {

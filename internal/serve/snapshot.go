@@ -284,7 +284,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rctx, cancelRun := context.WithTimeout(r.Context(), s.cfg.RunTimeout)
-	out, err := s.runArtifact(rctx, art, snap, req.Run.Tier, req.Run.MaxCycles)
+	out, err := s.runArtifact(rctx, meta.ArtKey, art, snap, req.Run.Tier, req.Run.MaxCycles)
 	cancelRun()
 	if err != nil {
 		if s.maybePause(w, r, meta, out, err) {

@@ -12,9 +12,9 @@ import (
 // the §8.1 process model says belongs to a *program* rather than to the
 // machine. The TRACE argument is that context switching is cheap because
 // this state is small and bank-organized; the simulator makes the same
-// split literal. The Machine owns the microarchitecture — configuration,
-// decoded execution plans, the DMA engine, instrumentation hooks, and the
-// context scheduler — while each Context owns:
+// split literal. The Machine owns the microarchitecture — configuration, the
+// DMA engine, instrumentation hooks, and the context scheduler — the image's
+// Plan what is a function of the image alone, and each Context owns:
 //
 //   - the partitioned register banks (I, F, store-file, branch-bank) as one
 //     value file, the PC, and the in-flight register-write pipeline (§6.2
@@ -37,8 +37,8 @@ import (
 type Context struct {
 	id   int
 	img  *isa.Image
-	plan *plan
-	tier Tier // raised by the Use*Certificate calls; Reset returns it to checked
+	plan *Plan // the one the context runs: its image's base plan, or the certified copy a certificate armed
+	tier Tier  // raised by the Use*Certificate calls; Reset returns it to checked
 	asid uint8
 
 	pc   int
@@ -115,6 +115,10 @@ type Context struct {
 	// zeroCell and resultCell. Last in the struct, so that the 32 KB do not sit
 	// between the fields every beat reads.
 	vals [valSize]uint64
+
+	// fresh is ievict as reset left it: an older stamp in resident is an
+	// earlier run's (regionsRun). Read by nothing that runs: behind vals.
+	fresh uint64
 }
 
 const (
@@ -128,7 +132,8 @@ const (
 
 // reset re-targets the context at an image, reusing every buffer the
 // previous program allocated, and restores the pristine boot state.
-func (c *Context) reset(id int, img *isa.Image, plan *plan, cfg mach.Config) {
+func (c *Context) reset(id int, plan *Plan) {
+	img, cfg := plan.img, &plan.img.Cfg
 	c.id = id
 	c.img = img
 	c.plan = plan
@@ -176,6 +181,7 @@ func (c *Context) reset(id int, img *isa.Image, plan *plan, cfg mach.Config) {
 	}
 
 	c.ievict++
+	c.fresh = c.ievict
 
 	c.done = false
 	c.err = nil

@@ -46,6 +46,11 @@ type tierPair struct {
 	ref     *vliw.Machine
 	checked *vliw.Machine
 	native  *vliw.Machine
+	// plan, when set, is the image's plan as other machines have left it, and
+	// every reset points a checked and a native machine that have never seen
+	// the image at it: whatever regions it holds they did not build, and their
+	// caches, TLBs and residency tables are cold.
+	plan *vliw.Plan
 }
 
 func newTierPair(t testing.TB, img *isa.Image) *tierPair {
@@ -68,8 +73,14 @@ func (p *tierPair) reset(t testing.TB) {
 	t.Helper()
 	p.ref.Reset(p.img)
 	perWord(p.ref)
-	p.checked.Reset(p.img)
-	p.native.Reset(p.img)
+	if p.plan != nil {
+		p.checked, p.native = new(vliw.Machine), new(vliw.Machine)
+		p.checked.ResetPlan(p.plan)
+		p.native.ResetPlan(p.plan)
+	} else {
+		p.checked.Reset(p.img)
+		p.native.Reset(p.img)
+	}
 	if err := p.native.UseNativeCertificate(p.cert); err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +155,7 @@ func pauseAt(b int64) func(*vliw.Machine) { return func(m *vliw.Machine) { m.Sto
 
 func TestExitStateMatchesChecked(t *testing.T) {
 	t.Run("matrix", exitStateMatrix)
+	t.Run("foreign-machine", exitStateForeignMachine)
 	t.Run("dynamic-events", exitStateDynamicEvents)
 	t.Run("guarded-fault", exitStateGuardedFault)
 	t.Run("call-return", exitStateCallReturn)
@@ -154,23 +166,7 @@ func TestExitStateMatchesChecked(t *testing.T) {
 // the golden matrix: examples, experiment kernels and generated programs on
 // Trace 7/14/28 at O0 and O2.
 func exitStateMatrix(t *testing.T) {
-	type program struct{ name, src string }
-	var progs []program
-	paths, err := filepath.Glob("../../examples/*.mf")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no example programs found: %v", err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs = append(progs, program{"examples/" + strings.TrimSuffix(filepath.Base(p), ".mf"), string(src)})
-	}
-	for _, w := range xp.AllWorkloads() {
-		progs = append(progs, program{"xp/" + w.Name, w.Src})
-	}
+	progs := kernels(t)
 	seeds := int64(24)
 	if testing.Short() {
 		seeds = 6
@@ -178,10 +174,6 @@ func exitStateMatrix(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		progs = append(progs, program{fmt.Sprintf("gen/%02d", seed), fuzz.Gen(seed)})
 	}
-	configs := []struct {
-		name string
-		cfg  mach.Config
-	}{{"Trace7", mach.Trace7()}, {"Trace14", mach.Trace14()}, {"Trace28", mach.Trace28()}}
 	levels := []struct {
 		name string
 		opt  opt.Options
@@ -204,47 +196,126 @@ func exitStateMatrix(t *testing.T) {
 					continue // the generator may exceed a small machine; fingerprints.golden pins which
 				}
 				images++
-				pair := newTierPair(t, res.Image)
-				pair.reset(t)
-				if err := pair.run(t, key+" whole run", nil); err != nil {
-					var f *vliw.Fault
-					if !errors.As(err, &f) {
-						t.Fatalf("%s: %v", key, err)
-					}
-				}
-				total := pair.ref.Stats.Beats
-				h := fnv.New64a()
-				h.Write([]byte(key))
-				rng := rand.New(rand.NewSource(int64(h.Sum64())))
-				beats := []int64{1, total - 1, total + 7}
-				for range early {
-					beats = append(beats, 1+rng.Int63n(min(total, 4096)))
-				}
-				for range spread {
-					beats = append(beats, 1+rng.Int63n(total))
-				}
-				for i, b := range beats {
-					if b < 1 {
-						continue
-					}
-					what := fmt.Sprintf("%s paused at beat %d", key, b)
-					pair.reset(t)
-					err := pair.run(t, what, pauseAt(b))
-					var stop *vliw.ErrStopped
-					if i == len(beats)-1 && errors.As(err, &stop) {
-						// The encoding itself, and a resumed run from it: the
-						// tiers continue from restored state, not only
-						// from boot.
-						snap := pair.snapshots(t, what)
-						pair.resume(t, snap)
-						pair.run(t, what+", resumed", nil)
-					}
-				}
+				newTierPair(t, res.Image).pauses(t, key, early, spread, false)
 			}
 		}
 	}
 	if images < 100 {
 		t.Fatalf("only %d images compiled", images)
+	}
+}
+
+type program struct{ name, src string }
+
+var configs = []struct {
+	name string
+	cfg  mach.Config
+}{{"Trace7", mach.Trace7()}, {"Trace14", mach.Trace14()}, {"Trace28", mach.Trace28()}}
+
+// kernels lists the examples and the experiment kernels.
+func kernels(t *testing.T) []program {
+	var progs []program
+	paths, err := filepath.Glob("../../examples/*.mf")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example programs found: %v", err)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, program{"examples/" + strings.TrimSuffix(filepath.Base(p), ".mf"), string(src)})
+	}
+	for _, w := range xp.AllWorkloads() {
+		progs = append(progs, program{"xp/" + w.Name, w.Src})
+	}
+	return progs
+}
+
+// pauses runs the pair to completion and then to early pauses among the first
+// 4096 beats and spread over the whole run, pseudo-random by key, holding the
+// tiers to the reference at each — to its Snapshot bytes too at the last, which
+// is also resumed from, or at every one (each).
+func (pair *tierPair) pauses(t *testing.T, key string, early, spread int, each bool) {
+	pair.reset(t)
+	if err := pair.run(t, key+" whole run", nil); err != nil {
+		var f *vliw.Fault
+		if !errors.As(err, &f) {
+			t.Fatalf("%s: %v", key, err)
+		}
+	}
+	total := pair.ref.Stats.Beats
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	beats := []int64{1, total - 1, total + 7}
+	for range early {
+		beats = append(beats, 1+rng.Int63n(min(total, 4096)))
+	}
+	for range spread {
+		beats = append(beats, 1+rng.Int63n(total))
+	}
+	for i, b := range beats {
+		if b < 1 {
+			continue
+		}
+		what := fmt.Sprintf("%s paused at beat %d", key, b)
+		pair.reset(t)
+		err := pair.run(t, what, pauseAt(b))
+		var stop *vliw.ErrStopped
+		if !errors.As(err, &stop) {
+			continue
+		}
+		if last := i == len(beats)-1; last || each {
+			// The encoding itself and, once, a resumed run from it: the tiers
+			// continue from restored state, not only from boot.
+			snap := pair.snapshots(t, what)
+			if last {
+				pair.resume(t, snap)
+				pair.run(t, what+", resumed", nil)
+			}
+		}
+	}
+}
+
+// exitStateForeignMachine: a plan belongs to its image, not to a machine, so
+// the regions a context runs may have been built by another machine. One
+// machine runs each kernel's plan on both tiers until it has built its
+// regions; then, for every pause, a checked and a native machine that have
+// never seen the image — cold caches, TLBs and residency tables — are pointed
+// at the plan and held to the per-word reference, Snapshot bytes included.
+func exitStateForeignMachine(t *testing.T) {
+	early, spread := 8, 2
+	for _, p := range kernels(t) {
+		for _, c := range configs {
+			if c.name == "Trace14" || testing.Short() && c.name != "Trace28" {
+				continue // the narrowest and the widest machine; -short, the widest
+			}
+			key := p.name + "/" + c.name + "/foreign"
+			img := compileFor(t, p.src, c.cfg)
+			pair := newTierPair(t, img)
+			pair.plan = vliw.NewPlan(img)
+			warmer := new(vliw.Machine)
+			for round := 0; round < 4; round++ {
+				warmer.ResetPlan(pair.plan)
+				if round&1 == 1 {
+					if err := warmer.UseNativeCertificate(pair.cert); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, _, err := warmer.Run(); err != nil {
+					t.Fatalf("%s: warm-up: %v", key, err)
+				}
+			}
+			pair.pauses(t, key, early, spread, true)
+			for _, m := range []*vliw.Machine{pair.checked, pair.native} {
+				var ran, built int
+				if _, err := fmt.Sscanf(m.RegionSummary(), "%d regions run, %d built here", &ran, &built); err != nil || ran == 0 || ran == built {
+					t.Fatalf("%s: the foreign machine should have run regions it did not build: %s (%v)", key, m.RegionSummary(), err)
+				}
+			}
+		}
 	}
 }
 

@@ -66,3 +66,11 @@ func DiffState(a, b *Context) string {
 	}
 	return ""
 }
+
+// RegionsBuilt is how many regions the plan c runs — its image's base plan, or
+// the certified copy — holds.
+func RegionsBuilt(c *Context) int {
+	c.plan.mu.Lock()
+	defer c.plan.mu.Unlock()
+	return c.plan.regions
+}

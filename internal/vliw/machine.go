@@ -13,9 +13,10 @@
 // the compiler's static resource plan were wrong.
 //
 // The machine is split §8.1-style into shared microarchitecture (the
-// Machine: configuration, decoded plans, DMA engine, hooks, and the
-// context scheduler) and per-program architectural state (the Context:
-// register banks, PC, write pipeline, address space, virtual clock). The
+// Machine: configuration, DMA engine, hooks, and the context scheduler),
+// per-program architectural state (the Context: register banks, PC, write
+// pipeline, address space, virtual clock) and what is a function of the
+// program's image alone (the Plan: decoded words, regions). The
 // processor is always running some context and has one way of doing it
 // (schedule): ResetMany loads K programs into K hardware contexts and RunMany
 // time-shares them on one simulated CPU, rotating on quantum expiry and
@@ -223,20 +224,6 @@ type Machine struct {
 	// context's own clock, and the two then run together.
 	beat int64
 
-	// plan is the pre-decoded execution plan for Img (see plan.go),
-	// cached across Reset calls that re-target the same image.
-	plan *plan
-
-	// Certified plan cache: the guard-free plan derived by buildSafePlan
-	// for (safeImg, safeCert) — and the regions built on it so far
-	// (native.go) — kept across Reset calls exactly like plan so
-	// re-arming the same certificate after a Reset costs one pointer compare,
-	// not a rebuild. Single-slot: arming a second image's certificate
-	// (mixed-image RunMany) rebuilds.
-	safePlan *plan
-	safeImg  *isa.Image
-	safeCert SafetyCertificate
-
 	// Multiway-branch scratch for step and for regions: a word's branch slots —
 	// interpreted or translated — publish the winning target and a HALT here instead of
 	// threading loop-local state through every executor signature.
@@ -333,8 +320,10 @@ type Machine struct {
 	nextInterrupt  int64
 
 	// regions counts region traffic, on whichever tier, since the last Reset
-	// (last: the fields the interpreter's beat loop reads keep their place).
+	// (last: the fields the interpreter's beat loop reads keep their place), and
+	// plans the plans that Reset and the certificates armed since had to build.
 	regions regionStats
+	plans   int64
 }
 
 // New creates a machine for the image with a fresh memory.
@@ -365,14 +354,15 @@ func (m *Machine) context(i int) *Context {
 // Reset re-targets the machine at an image as a single-context machine,
 // reusing every buffer the previous program allocated: the multi-megabyte
 // data memory, the retire ring, the cache tag and TLB arrays, and —
-// when the image pointer is unchanged — the pre-decoded execution plan. It
-// restores the machine to the state New would produce: architectural state
-// zeroed, stats cleared, instrumentation hooks (InjectWrite, TraceFn,
-// WatchStore, OnInterrupt) removed, DMA stopped, and the certified fast
-// path disabled (re-apply a certificate after Reset to re-enable it).
-// Callers that run many programs — the fuzz oracle, the experiment
-// harness, benchmarks — pool machines through Reset instead of
-// reallocating them.
+// when a context of the machine last ran this very image — its pre-decoded
+// plan, regions and all. It restores the machine to the state New would
+// produce: architectural state zeroed, stats cleared, instrumentation hooks
+// (InjectWrite, TraceFn, WatchStore, OnInterrupt) removed, DMA stopped, and
+// the certified fast path disabled (re-apply a certificate after Reset to
+// re-enable it). Callers that run many programs — the fuzz oracle, the
+// experiment harness, benchmarks — pool machines through Reset instead of
+// reallocating them; callers that run one program on many machines share its
+// plan through ResetPlan.
 func (m *Machine) Reset(img *isa.Image) {
 	imgs := [1]*isa.Image{img}
 	_ = m.ResetMany(imgs[:]) // one image cannot disagree with itself
@@ -380,44 +370,78 @@ func (m *Machine) Reset(img *isa.Image) {
 
 // ResetMany re-targets the machine at K images, one per hardware context.
 // Every image must be linked for the same machine configuration (the
-// contexts share one microarchitecture). Context buffers, memories, and
-// decoded plans are pooled and reused exactly as Reset does for one; images
-// repeated within the batch share one decoded plan.
+// contexts share one microarchitecture). Context buffers and memories are
+// pooled and reused exactly as Reset does for one, and so are plans: an image
+// a context of the machine holds from last time, or an earlier context of the
+// batch, is not decoded again.
 func (m *Machine) ResetMany(imgs []*isa.Image) error {
 	if len(imgs) == 0 {
 		return fmt.Errorf("vliw: ResetMany needs at least one image")
 	}
+	var few [4]*Plan // a solo Reset allocates nothing
+	plans := few[:0]
 	for i, img := range imgs {
-		if img.Cfg != imgs[0].Cfg {
-			return fmt.Errorf("vliw: context %d's image targets %q, context 0's targets %q: contexts share one machine configuration",
-				i, img.Cfg.Name, imgs[0].Cfg.Name)
-		}
-	}
-	was, wasPlan := m.Img, m.plan
-	for i, img := range imgs {
-		// The plan of the image the machine last ran, or of an earlier
-		// context of this batch (reset below onto its base plan).
-		var p *plan
-		if img == was {
-			p = wasPlan
-		}
+		p := m.planOf(img)
 		for j := 0; j < i && p == nil; j++ {
 			if imgs[j] == img {
-				p = m.ctxs[j].plan
+				p = plans[j]
 			}
 		}
 		if p == nil {
-			p = buildPlan(img)
+			p = NewPlan(img)
 		}
-		m.context(i).reset(i, img, p, img.Cfg)
+		plans = append(plans, p)
 	}
-	m.ctxs = m.ctxs[:len(imgs)]
-	m.Img = imgs[0]
-	m.plan = m.ctxs[0].plan
+	return m.ResetPlans(plans)
+}
+
+// ResetPlan is Reset onto a plan the caller owns — a core.Artifact's, or one
+// from NewPlan: the machine runs the plan as it finds it, decoded by whoever
+// ran it first and with every region built on it since, and what this run
+// builds is there for the next machine.
+func (m *Machine) ResetPlan(p *Plan) {
+	ps := [1]*Plan{p}
+	_ = m.ResetPlans(ps[:]) // one plan cannot disagree with itself
+}
+
+// ResetPlans is ResetMany onto the callers' plans, one per hardware context.
+func (m *Machine) ResetPlans(plans []*Plan) error {
+	if len(plans) == 0 {
+		return fmt.Errorf("vliw: ResetPlans needs at least one plan")
+	}
+	for i, p := range plans {
+		if cfg, cfg0 := &p.img.Cfg, &plans[0].img.Cfg; *cfg != *cfg0 {
+			return fmt.Errorf("vliw: context %d's image targets %q, context 0's targets %q: contexts share one machine configuration",
+				i, cfg.Name, cfg0.Name)
+		}
+	}
+	m.plans = 0
+	for i, p := range plans {
+		if p.decode() {
+			m.plans++
+		}
+		m.context(i).reset(i, p)
+	}
+	m.ctxs = m.ctxs[:len(plans)]
 	m.cur = m.ctxs[0]
 	m.curIdx = 0
+	m.Img = m.cur.img
 	m.Mem = m.cur.mem
-	m.resetMachine(imgs[0].Cfg)
+	m.resetMachine(m.Img.Cfg)
+	return nil
+}
+
+// planOf returns the base plan of img if a context of the machine holds it from
+// its last run, or nil.
+func (m *Machine) planOf(img *isa.Image) *Plan {
+	for _, c := range m.ctxs[:cap(m.ctxs)] {
+		if c != nil && c.img == img {
+			if c.plan.base != nil {
+				return c.plan.base
+			}
+			return c.plan
+		}
+	}
 	return nil
 }
 
@@ -499,16 +523,25 @@ func (m *Machine) runs(img *isa.Image) bool {
 	return false
 }
 
-// arm raises every resident context running img to tier t and, for a tier
-// that runs a certified plan, onto p. Arming is monotone: a weaker certificate
-// applied after a stronger one leaves the stronger tier and its plan in force.
-func (m *Machine) arm(img *isa.Image, t Tier, p *plan) {
+// arm raises every resident context running img to tier t and, under a safety
+// certificate, onto its plan's certified copy — the plan's to keep, so a
+// context of another image, or another machine, armed in between rebuilds
+// nothing. Arming is monotone: a weaker certificate applied after a stronger
+// one leaves the stronger tier and its plan in force.
+func (m *Machine) arm(img *isa.Image, t Tier, cert SafetyCertificate) {
 	for _, ctx := range m.ctxs {
 		if ctx.img != img || ctx.tier > t {
 			continue
 		}
 		ctx.tier = t
-		if p != nil && ctx.plan != p {
+		if cert == nil {
+			continue
+		}
+		p, built := ctx.plan.certified(cert)
+		if built {
+			m.plans++
+		}
+		if ctx.plan != p {
 			ctx.plan = p
 			ctx.paused = nil
 			ctx.ievict++ // the resident table is by region of the plan
@@ -536,30 +569,26 @@ type SafetyCertificate interface {
 // certificate's bitmask proves safe. Unproven sites keep all their guards,
 // as do PC bounds, bad opcodes, unknown syscalls, and the cycle limit; a
 // certificate with an empty bitmask degenerates to exactly the fast tier.
-// The derived guard-free plan is cached on the machine and reused when the
-// same certificate is re-armed after a Reset.
+// The derived guard-free plan is kept by the image's plan and reused whenever
+// the same certificate is armed again, on this machine or another.
 func (m *Machine) UseSafeCertificate(c SafetyCertificate) error {
 	return m.armCertified(c, TierSafe, "safety")
 }
 
 // armCertified arms tier t (safe or native) under a safety certificate that
-// must cover a resident image: the guard-free plan is built on a cache miss.
+// must cover a resident image.
 func (m *Machine) armCertified(c SafetyCertificate, t Tier, grade string) error {
 	if c == nil || !m.runs(c.CertifiedImage()) {
 		return fmt.Errorf("vliw: %s certificate does not cover this image", grade)
 	}
-	img := c.CertifiedImage()
-	if m.safeCert != c || m.safeImg != img {
-		base := m.plan
-		if m.Img != img {
-			base = buildPlan(img)
-		}
-		m.safePlan = buildSafePlan(base, c)
-		m.safeImg, m.safeCert = img, c
-	}
-	m.arm(img, t, m.safePlan)
+	m.arm(c.CertifiedImage(), t, c)
 	return nil
 }
+
+// Builds reports what the machine had to build since its last Reset, that Reset
+// included: plans — an image decoded, a certified copy derived — and regions.
+// A machine that finds all of it in the plans it was pointed at reports zeros.
+func (m *Machine) Builds() (plans, regions int64) { return m.plans, m.regions.built }
 
 // Tier reports the current context's execution tier.
 func (m *Machine) Tier() Tier { return m.cur.tier }
@@ -1109,7 +1138,7 @@ func isMemOp(k ir.OpKind) bool {
 
 // fetch models the instruction cache: direct-mapped, refilled in aligned
 // blocks of four via the mask-word engine at memory bandwidth (§6.5.1).
-func (m *Machine) fetch(c *Context, p *plan) {
+func (m *Machine) fetch(c *Context, p *Plan) {
 	pc := c.pc
 	// instruction TLB: pages of PageSize/4 instructions (8KB of packed
 	// words approximated)

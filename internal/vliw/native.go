@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/mach"
@@ -242,7 +243,7 @@ const (
 // regionStats counts region traffic, bumped only at region exits and events;
 // uops, lands and idle from prefix sums built with the region (traffic).
 type regionStats struct {
-	built int64
+	built int64 // regions this machine built: the rest of what it ran it found in the plan
 	words int64
 	uops  int64           // the records of those words in the stream
 	lands int64           // the landings among them
@@ -251,16 +252,38 @@ type regionStats struct {
 }
 
 // RegionSummary renders the region counters for this run, on whichever tier:
-// regions built, words run in regions and on the per-word path, region exits
-// by cause, the words on which a region met something dynamic, by cause, and
-// what the words run in regions are made of: stream records per word, the
-// share of landings among them, the share of idle words.
+// regions run and how many of them this machine built (the others were in the
+// plan, built by whoever ran it before), words run in regions and on the
+// per-word path, region exits by cause, the words on which a region met
+// something dynamic, by cause, and what the words run in regions are made of:
+// stream records per word, the share of landings among them, the share of idle
+// words.
 func (m *Machine) RegionSummary() string {
 	r, n := &m.regions, &m.regions.by
 	per := func(a, b int64) float64 { return float64(a) / float64(max(b, 1)) }
-	return fmt.Sprintf("%d regions built; %d words in regions, %d per word; exits: %d branch, %d limit, %d fault; events: %d tlb, %d bank, %d refill; %.1f micro-ops/word, %.0f %% landings, %.0f %% of words empty",
-		r.built, r.words, m.Stats.Instrs-r.words, n[exitBranch], n[exitLimit], n[exitFault], n[exitTLB], n[exitBank], n[exitRefill],
+	return fmt.Sprintf("%d regions run, %d built here; %d words in regions, %d per word; exits: %d branch, %d limit, %d fault; events: %d tlb, %d bank, %d refill; %.1f micro-ops/word, %.0f %% landings, %.0f %% of words empty",
+		m.regionsRun(), r.built, r.words, m.Stats.Instrs-r.words, n[exitBranch], n[exitLimit], n[exitFault], n[exitTLB], n[exitBank], n[exitRefill],
 		per(r.uops, r.words), 100*per(r.lands, r.uops), 100*per(r.idle, r.words))
+}
+
+// regionsRun counts the regions the resident contexts have entered since the
+// machine was Reset, a region two contexts ran once: an entry of a context's
+// residency table is stamped with an eviction count (residentWords), and
+// Context.reset moves that count past everything an earlier run stamped.
+func (m *Machine) regionsRun() int {
+	type key struct {
+		p  *Plan
+		id int
+	}
+	ran := map[key]bool{}
+	for _, c := range m.ctxs {
+		for id, res := range c.resident {
+			if res.epoch >= c.fresh {
+				ran[key{c.plan, id}] = true
+			}
+		}
+	}
+	return len(ran)
 }
 
 // statsBulk is the unconditional counter delta of a run of slots — the
@@ -340,29 +363,55 @@ func opBulk(s *planOp) statsBulk {
 	return b
 }
 
-// arrive notes one arrival of the per-word path at word pc and, on the
-// regionHeat'th, builds the region headed there — unless the plan's regions
-// already hold regionBudget times the image, or the word is one no region
-// takes (buildRegion).
-func (p *plan) arrive(pc int) *region {
-	p.heat[pc]++
-	if p.heat[pc] < regionHeat || p.regionWords >= regionBudget*len(p.words) {
-		return nil
+// noRegion is what a head holds once it is settled that no region will be built
+// there: a region of no words, which advance leaves to the per-word path.
+var noRegion = new(region)
+
+// arrive notes one arrival of the per-word path at word pc, a head with nothing
+// published yet, and, on the regionHeat'th, builds the region headed there and
+// publishes it — or noRegion, when the plan's regions already hold regionBudget
+// times the image, or the word is one no region takes (buildRegion). It is the
+// cold path, the only writer of the region table, and any number of machines
+// may be on it or running the plan's regions at once: the arrivals are counted
+// and the region built under the plan's lock, a head is written once, and what
+// it then points at never changes. built says this call built the region.
+func (p *Plan) arrive(pc int) (r *region, built bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if r = p.heads[pc].Load(); r != nil {
+		return r, false // another machine got here first
 	}
-	r := p.buildRegion(pc)
-	if len(r.words) == 0 {
-		return nil
+	if p.heat[pc]++; p.heat[pc] < regionHeat {
+		return nil, false
 	}
-	r.id = p.regions
-	p.regions++
-	p.heads[pc] = r
-	p.regionWords += len(r.words)
-	return r
+	r = noRegion
+	if p.regionWords < regionBudget*len(p.words) {
+		if b := p.buildRegion(pc); len(b.words) != 0 {
+			b.id = p.regions
+			p.regions++
+			p.regionWords += len(b.words)
+			p.regionBytes += b.bytes()
+			r, built = b, true
+		}
+	}
+	p.heads[pc].Store(r)
+	return r, built
+}
+
+// bytes estimates what the region holds in memory (Plan.Bytes).
+func (r *region) bytes() int64 {
+	return int64(unsafe.Sizeof(*r)) +
+		int64(len(r.words))*int64(unsafe.Sizeof(regionWord{})) +
+		int64(len(r.mems))*memBytes +
+		int64(len(r.uops))*int64(unsafe.Sizeof(uop{})+unsafe.Sizeof(opInfo{})) +
+		int64(len(r.side))*8 +
+		int64(len(r.lands))*int64(unsafe.Sizeof(landing{})) +
+		int64(len(r.writes))*int64(unsafe.Sizeof(regionWrite{}))
 }
 
 // regionBuilder carries the position of the slot being laid out.
 type regionBuilder struct {
-	p      *plan
+	p      *Plan
 	r      *region
 	beat   int32     // its issue beat, relative to region entry
 	direct bool      // the op in hand writes straight to its register (see straight)
@@ -470,7 +519,7 @@ func (b *regionBuilder) aside(s *planOp) uint64 {
 
 // transfers reports whether word pc always transfers control and — when all
 // that always does is one unconditional jump — where to.
-func (p *plan) transfers(pc int) (always bool, jump int) {
+func (p *Plan) transfers(pc int) (always bool, jump int) {
 	jump = -1
 	for beat := range p.slots[pc].beats {
 		for i := range p.slots[pc].beats[beat] {
@@ -510,7 +559,7 @@ func (p *plan) transfers(pc int) (always bool, jump int) {
 // region, and a region ends before the word in which two of its own writes
 // reach one register in one beat (races). Neither exists in an image
 // schedcheck certifies. A head that is such a word yields a region of no words.
-func (p *plan) buildRegion(head int) *region {
+func (p *Plan) buildRegion(head int) *region {
 	r := &region{head: head, maxLat: 1}
 	b := regionBuilder{p: p, r: r}
 	page := head / (PageSize / 4)
@@ -572,6 +621,10 @@ func (p *plan) buildRegion(head int) *region {
 			rw.idle += min(r.words[w+1].idle, 254)
 		}
 	}
+	// A region is kept for as long as its image is: give back what append left
+	// spare.
+	r.words, r.mems, r.uops, r.info = slices.Clone(r.words), slices.Clone(r.mems), slices.Clone(r.uops), slices.Clone(r.info)
+	r.side, r.lands, r.writes = slices.Clone(r.side), slices.Clone(r.lands), slices.Clone(r.writes)
 	return r
 }
 
@@ -599,13 +652,14 @@ func (m *Machine) advance(c *Context, until int64, eager bool) error {
 			}
 		}
 		if p := c.plan; uint(c.pc) < uint(len(p.heads)) {
-			r := p.heads[c.pc]
-			if r == nil && p.heat[c.pc] < regionHeat {
-				if r = p.arrive(c.pc); r != nil {
+			r := p.heads[c.pc].Load()
+			if r == nil {
+				var built bool
+				if r, built = p.arrive(c.pc); built {
 					m.regions.built++
 				}
 			}
-			if r != nil {
+			if r != nil && len(r.words) != 0 {
 				return m.runRegion(c, r, 0, until, eager)
 			}
 		}
@@ -1271,8 +1325,9 @@ func (b *regionBuilder) issue(s *planOp) {
 // the safe tier does (every tier fuses the words a run keeps coming back to
 // into regions of its plan); the name is kept for its callers. Unproven sites
 // keep their guards; exit, output, and every Stats counter are bit-identical
-// to the other tiers. The plan, and the regions built on it, are cached on the
-// machine and reused when the same certificate is re-armed after a Reset.
+// to the other tiers. The certified plan, and the regions built on it, are the
+// image's plan's to keep (Plan.certified), for whichever machine arms the
+// certificate next.
 func (m *Machine) UseNativeCertificate(c SafetyCertificate) error {
 	return m.armCertified(c, TierNative, "native-tier")
 }

@@ -2,6 +2,9 @@ package vliw
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/isa"
@@ -36,17 +39,53 @@ import (
 //     checked interpreter merely consults the precomputed verdict — the
 //     per-beat map allocations of the old checkBeatResources disappear.
 //
-// The plan resolves the image's operations as they stand when it is built: an
-// image is immutable once a machine is Reset onto it (the mutation tests
-// corrupt theirs before New). The plan is rebuilt whenever Reset targets a
-// different image. Every tier runs from a plan — the safe and native tiers from
-// a copy whose proven sites carry their guard-free kinds (buildSafePlan) — and
-// fuses the runs of words it arrives at repeatedly into regions of that plan as
-// it goes (native.go).
+// The plan resolves the image's operations as they stand when it is decoded: an
+// image is immutable once a plan of it exists (the mutation tests corrupt theirs
+// before New). A linked image never changes (§4, §6), so everything derived
+// from it is computed once and belongs to the plan, which lives as long as the
+// image does and is run by any number of machines at once: the pre-decoded
+// words (code), the copy a SafetyCertificate re-kinds (certified) and the
+// regions fused on either as runs arrive (native.go). A machine owns none of
+// it; pointing a pooled machine at another program rebuilds nothing.
 
-// plan is one image's pre-decoded form plus the constants every tier's step
-// shares.
-type plan struct {
+// Plan is one image's pre-decoded form, for any number of machines to run at
+// once: NewPlan names the image, the first machine Reset onto the plan decodes
+// it, and every later one — ResetPlan, ResetPlans — finds the words decoded and
+// the hot runs already fused into regions. A core.Artifact owns the plan of its
+// image; a machine Reset onto a raw image owns a private one.
+type Plan struct {
+	img *isa.Image
+	code
+
+	// A plan derived from base under cert (certified): the code is a copy with
+	// the proven sites' guards deleted, the region table its own. Nil on a base
+	// plan.
+	base *Plan
+	cert SafetyCertificate
+
+	// The plan's regions, by head word, published once built and never changed
+	// after (what a run leaves is in Context.run and Context.resident). A head
+	// that will never have a region — its word has a resource verdict, or the
+	// budget is spent — holds noRegion.
+	heads []atomic.Pointer[region]
+
+	// decoded says code and heads are there to read; mu orders whoever makes
+	// them so, and guards what only the cold paths touch: heat, a word's
+	// arrivals by the per-word path up to regionHeat; regions, regionWords and
+	// regionBytes, what the regions built so far hold against the budget; and
+	// safe, the one certified derivative a base plan keeps.
+	decoded     atomic.Bool
+	mu          sync.Mutex
+	heat        []uint8
+	regions     int
+	regionWords int
+	regionBytes int64
+	safe        *Plan
+}
+
+// code is the pre-decoded words of an image plus the constants every tier's
+// step shares: what buildPlan computes, and what a certified plan copies.
+type code struct {
 	words    []planWord  // the prescan list of every word
 	slots    []wordSlots // what the interpreter executes, word for word
 	geom     bankGeom
@@ -55,14 +94,66 @@ type plan struct {
 	maxLat   int64 // longest write latency the image can issue, in beats
 	ringSize int64 // retire-ring buckets: the power of two above maxLat
 	ringCap  int64 // writes one beat can retire: over the latencies, the most any beat issues of each
+	bytes    int64 // what the arrays above hold, roughly (Plan.Bytes)
+}
 
-	// The plan's regions, by head word: heat counts a word's arrivals by the
-	// per-word path up to regionHeat, and regionWords is what the regions built
-	// so far hold against the budget.
-	heads       []*region
-	heat        []uint8
-	regions     int
-	regionWords int
+// NewPlan returns the plan of img. It costs nothing until a machine is Reset
+// onto it; img must not change from then on.
+func NewPlan(img *isa.Image) *Plan { return &Plan{img: img} }
+
+// decode makes the plan ready to run and reports whether this call did the
+// work: the first machine to be Reset onto a plan pre-decodes its image.
+func (p *Plan) decode() (built bool) {
+	if p.decoded.Load() {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.decoded.Load() {
+		return false
+	}
+	p.code = buildPlan(p.img)
+	p.tables()
+	p.decoded.Store(true)
+	return true
+}
+
+// tables gives a plan whose code is in place its empty region table.
+func (p *Plan) tables() {
+	p.heads = make([]atomic.Pointer[region], len(p.words))
+	p.heat = make([]uint8, len(p.words))
+}
+
+// certified returns the plan's guard-free derivative under cert and reports
+// whether this call built it. A base plan keeps one: an image has one
+// certificate for as long as its artifact lives, and a second one arming the
+// same raw image takes the slot.
+func (p *Plan) certified(cert SafetyCertificate) (safe *Plan, built bool) {
+	if p.base != nil {
+		p = p.base
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.safe == nil || p.safe.cert != cert {
+		p.safe, built = buildSafePlan(p, cert), true
+	}
+	return p.safe, built
+}
+
+// Bytes estimates what the plan holds in memory: the decoded words, the
+// certified copy if one was derived, and the regions built on either so far.
+// It grows as machines run the plan; an undecoded plan holds nothing.
+func (p *Plan) Bytes() int64 {
+	if !p.decoded.Load() {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := p.bytes + p.regionBytes + int64(len(p.heads))*(8+1) // a head and its heat
+	if p.safe != nil {
+		n += p.safe.Bytes()
+	}
+	return n
 }
 
 // bankGeom is the memory-system geometry resolved at plan build: the one
@@ -215,17 +306,15 @@ func (ws *wordSlots) through(s *planOp) (b statsBulk) {
 }
 
 // buildPlan pre-decodes every instruction word of the image.
-func buildPlan(img *isa.Image) *plan {
+func buildPlan(img *isa.Image) code {
 	cfg := img.Cfg
-	p := &plan{
+	p := code{
 		words:    make([]planWord, len(img.Instrs)),
 		slots:    make([]wordSlots, len(img.Instrs)),
 		geom:     geomOf(&img.Cfg),
 		icache:   cfg.ICacheInstrs,
 		itagMask: -1,
 		maxLat:   1,
-		heads:    make([]*region, len(img.Instrs)),
-		heat:     make([]uint8, len(img.Instrs)),
 	}
 	if n := cfg.ICacheInstrs; n > 0 && n&(n-1) == 0 {
 		p.itagMask = n - 1
@@ -242,6 +331,19 @@ func buildPlan(img *isa.Image) *plan {
 		return s
 	}
 
+	// A plan lives as long as its image and is held by whatever caches the
+	// image: every issue list is a run of one array, every prescan list of
+	// another, each exactly as long as the image needs.
+	nops, nmems := 0, 0
+	for a := range img.Instrs {
+		for si := range img.Instrs[a].Slots {
+			if nops++; prescanned(&img.Instrs[a].Slots[si].Op) {
+				nmems++
+			}
+		}
+	}
+	flat, mems := make([]planOp, 0, nops), make([]planMem, 0, nmems)
+
 	// A bucket of the retire ring receives the writes of latency l issued l
 	// beats before it, for every l: at most, for each latency, as many as any
 	// one beat of the image issues with it.
@@ -250,6 +352,16 @@ func buildPlan(img *isa.Image) *plan {
 		in := &img.Instrs[a]
 		pw := &p.words[a]
 		ws := &p.slots[a]
+		first := 0 // slots of the first beat
+		for si := range in.Slots {
+			if in.Slots[si].Beat&1 == 0 {
+				first++
+			}
+		}
+		n := len(flat)
+		flat = flat[:n+len(in.Slots)]
+		ws.beats[0], ws.beats[1] = flat[n:n:n+first], flat[n+first:n+first:n+len(in.Slots)]
+		pw.mem = mems[len(mems):]
 		for si := range in.Slots {
 			s := &in.Slots[si]
 			b := s.Beat & 1
@@ -258,13 +370,13 @@ func buildPlan(img *isa.Image) *plan {
 			p.maxLat = max(p.maxLat, po.lat)
 			ws.beats[b] = append(ws.beats[b], po)
 			ws.bulk[b].add(opBulk(&po))
-			// A reference with no base operand has no address to translate or
-			// bank to stall on; it faults (or returns the §7 funny number) at
-			// execution.
-			if isMemOp(s.Op.Kind) && (s.Op.A.IsImm || s.Op.A.Reg.Valid()) {
+			if prescanned(&s.Op) {
 				pw.mem = append(pw.mem, planMem{addressOf(&s.Op), int64(b)})
 			}
 		}
+		pw.mem = pw.mem[:len(pw.mem):len(pw.mem)]
+		mems = mems[:len(mems)+len(pw.mem)]
+		p.bytes += wordBytes + int64(len(in.Slots))*opBytes + int64(len(pw.mem))*memBytes
 		ws.viol[0] = staticBeatViolation(in, cfg, 0)
 		ws.viol[1] = staticBeatViolation(in, cfg, 1)
 		for _, ops := range ws.beats {
@@ -285,6 +397,20 @@ func buildPlan(img *isa.Image) *plan {
 		p.ringSize *= 2
 	}
 	return p
+}
+
+// What a word, a slot and a prescan entry of a plan cost, for Plan.Bytes.
+const (
+	wordBytes = int64(unsafe.Sizeof(planWord{}) + unsafe.Sizeof(wordSlots{}))
+	opBytes   = int64(unsafe.Sizeof(planOp{}))
+	memBytes  = int64(unsafe.Sizeof(planMem{}))
+)
+
+// prescanned reports whether o is a memory reference step's prescan asks about.
+// A reference with no base operand has no address to translate or bank to stall
+// on; it faults (or returns the §7 funny number) at execution.
+func prescanned(o *mach.Op) bool {
+	return isMemOp(o.Kind) && (o.A.IsImm || o.A.Reg.Valid())
 }
 
 // staticBeatViolation evaluates the §6 static resource plan for one beat of
@@ -451,12 +577,12 @@ func (s *planOp) guardFree() (kind uint8, ok bool) {
 // untouched lists, the mem prescan list and the static resource verdicts are
 // shared. Regions copy a plan's records, so the derived plan starts with none
 // of the base plan's.
-func buildSafePlan(base *plan, cert SafetyCertificate) *plan {
-	p := new(plan)
-	*p = *base
+func buildSafePlan(base *Plan, cert SafetyCertificate) *Plan {
+	p := &Plan{img: base.img, code: base.code, base: base, cert: cert}
 	p.slots = append([]wordSlots(nil), base.slots...)
-	p.heads, p.heat = make([]*region, len(p.words)), make([]uint8, len(p.words))
-	p.regions, p.regionWords = 0, 0
+	p.bytes = int64(len(p.slots)) * int64(unsafe.Sizeof(wordSlots{}))
+	p.tables()
+	p.decoded.Store(true)
 	for a := range p.slots {
 		ws := &p.slots[a]
 		for b := range ws.beats {
@@ -466,6 +592,7 @@ func buildSafePlan(base *plan, cert SafetyCertificate) *plan {
 				if k, ok := s.guardFree(); ok && cert.SafeSite(a, s.unit, uint8(b)) {
 					if !own {
 						ws.beats[b], own = append([]planOp(nil), ws.beats[b]...), true
+						p.bytes += int64(len(ws.beats[b])) * opBytes
 					}
 					ws.beats[b][i].kind = k
 				}

@@ -29,6 +29,14 @@ func main() int {
 	return (int(s) + k) & 65535
 }`
 
+// head is the region the plan has published at word pc, nil when it has none.
+func (p *Plan) head(pc int) *region {
+	if r := p.heads[pc].Load(); r != noRegion {
+		return r
+	}
+	return nil
+}
+
 // warmNative returns a native machine that has run regionSrc once, so its
 // regions are built, Reset and re-armed.
 func warmNative(t *testing.T) (*Machine, *Stats) {
@@ -164,7 +172,7 @@ func TestSafePlanBuildsItsOwnRegions(t *testing.T) {
 	if _, _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	checked, base := m.Stats, m.plan
+	checked, base := m.Stats, m.ctxs[0].plan
 	if base.regions == 0 || m.regions.built != int64(base.regions) {
 		t.Fatalf("the checked run built %d regions, its plan holds %d", m.regions.built, base.regions)
 	}
@@ -175,16 +183,17 @@ func TestSafePlanBuildsItsOwnRegions(t *testing.T) {
 	if _, _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	safe := m.safePlan
+	safe := m.ctxs[0].plan
 	if m.Stats != checked || safe == base || safe.regions == 0 || m.regions.built != int64(safe.regions) {
 		t.Fatalf("the native run built %d regions, its plan holds %d (stats %+v, want %+v)", m.regions.built, safe.regions, m.Stats, checked)
 	}
 	guardFree := 0
-	for pc, r := range safe.heads {
+	for pc := range safe.heads {
+		r := safe.head(pc)
 		if r == nil {
 			continue
 		}
-		if r == base.heads[pc] {
+		if r == base.head(pc) {
 			t.Fatalf("the region headed at word %d is the base plan's", pc)
 		}
 		for _, u := range r.uops {
@@ -229,10 +238,11 @@ func TestRegionSummary(t *testing.T) {
 	check("Run", ref.Instrs)
 	solo := m.regions
 
+	cert := m.ctxs[0].plan.cert
 	if err := m.ResetMany([]*isa.Image{m.Img, m.Img}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.UseNativeCertificate(m.safeCert); err != nil {
+	if err := m.UseNativeCertificate(cert); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := m.RunMany(context.Background())
@@ -341,7 +351,7 @@ func (p *handPair) run(t *testing.T, what string, setup func(m *Machine, c *Cont
 // many results its stream lands at each region beat.
 func (p *handPair) landingsPerBeat(t *testing.T) []int {
 	t.Helper()
-	r := p.native.safePlan.heads[0]
+	r := p.native.ctxs[0].plan.head(0)
 	if r == nil {
 		t.Fatal("no region at the first word")
 	}
@@ -407,7 +417,7 @@ func TestRegionEmptyWords(t *testing.T) {
 	if got := fmt.Sprint(counts[5:8], counts[26]); got != "[1 1 2] 1" {
 		t.Fatalf("the schedule lands %v results at beats 5–7 and 26, want [1 1 2] 1 (all beats: %v)", got, counts)
 	}
-	if r := p.native.safePlan.heads[0]; r.words[1].idle != 1 || r.words[5].idle != 8 || r.words[4].idle != 0 {
+	if r := p.native.ctxs[0].plan.head(0); r.words[1].idle != 1 || r.words[5].idle != 8 || r.words[4].idle != 0 {
 		t.Fatalf("idle runs at words 1, 4, 5: %d %d %d, want 1 0 8", r.words[1].idle, r.words[4].idle, r.words[5].idle)
 	}
 	// Every beat from the first word's issue on (the beats before it are the

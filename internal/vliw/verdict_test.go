@@ -198,7 +198,7 @@ func TestVerdictsInsideWarmRegions(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/CheckRes=%v", tc.name, checkRes), func(t *testing.T) {
 				img := verdictLoop(t, 6, tc.body, tc.last...)
 				ref, m := New(img), verdictMachine(t, img)
-				if r := m.plan.heads[0]; r == nil || len(r.words) != tc.headWords {
+				if r := m.ctxs[0].plan.head(0); r == nil || len(r.words) != tc.headWords {
 					t.Fatalf("the region headed at word 0 should hold %d words: %s", tc.headWords, m.RegionSummary())
 				}
 				for _, tier := range []Tier{TierChecked, TierFast} {

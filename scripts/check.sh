@@ -47,6 +47,22 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'tier == TierNative' interna
 	exit 1
 fi
 
+# A plan belongs to its image, not to a machine: vliw.Plan decodes an image once
+# (Plan.decode, the one caller of buildPlan) and keeps its one certified copy
+# (Plan.certified, the one caller of buildSafePlan), for every machine pointed
+# at it. A machine that builds either for itself is the single-slot cache again.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude='plan.go' 'build(Safe)?Plan\(' internal/vliw; then
+	echo "check: internal/vliw builds a plan outside plan.go (Reset onto a Plan; arm through Plan.certified)"
+	exit 1
+fi
+for fn in buildPlan buildSafePlan; do
+	calls=$(grep -E "\\b$fn\\(" internal/vliw/plan.go | grep -cvE '^(func |//)')
+	if [ "$calls" != 1 ]; then
+		echo "check: $fn has $calls callers in internal/vliw/plan.go, want one (Plan.decode, Plan.certified)"
+		exit 1
+	fi
+done
+
 echo "== one write pipeline, one value file, one micro-op stream (no second fetch, no ring ingest, no pending-write slice, no closure per operation, no banked register arrays in the simulator)"
 if grep -rnE --include='*.go' --exclude='*_test.go' 'nFetch|nRingIngest|\[\]pendingWrite|nChain|native +\[2\]nativeOp' internal/vliw; then
 	echo "check: internal/vliw forks the write pipeline or the word prologue again (Context.push, Machine.step, regions)"
@@ -125,9 +141,14 @@ echo "== go test -race, focused: simulator tiers/contexts/snapshots + serving la
 # The suite above already runs these packages once under -race, but cached
 # results satisfy it on re-runs; -count=1 forces the two packages with real
 # cross-goroutine traffic (pooled machines, hardware contexts, snapshot
-# store, safe-tier plan cache) to re-execute under the detector every time.
+# store, plans shared by every machine that runs an artifact) to re-execute
+# under the detector every time.
 go vet ./internal/vliw/ ./internal/serve/
 go test -race -count=1 -timeout 20m ./internal/vliw/ ./internal/serve/
+# One plan is run by many machines at once, and its region table is built while
+# others run it: the one test whose whole point is the detector, several times
+# over, because a race shows only in the interleavings a run happens to take.
+go test -race -count=5 -run 'TestSharedPlanConcurrentRuns' ./internal/vliw/
 
 echo "== tracelint (static schedule + safety verification: examples x O0/O1/O2 x Trace 7/14/28)"
 go run ./cmd/tracelint -matrix -safety examples/*.mf

@@ -65,6 +65,7 @@ import (
 	"github.com/multiflow-repro/trace/internal/baseline"
 	"github.com/multiflow-repro/trace/internal/core"
 	"github.com/multiflow-repro/trace/internal/ir"
+	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/lang"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
@@ -173,6 +174,18 @@ func ParseTier(s string) (Tier, error) { return vliw.ParseTier(s) }
 
 // Machine is a TRACE processor instance executing a compiled image.
 type Machine = vliw.Machine
+
+// Plan is the simulator's pre-decoded form of one linked image — its words,
+// their guard-free copy under a safety certificate, and the hot runs fused into
+// regions as machines arrive at them — for any number of machines to run at
+// once (Machine.ResetPlan, ResetPlans). An Artifact owns the plan of its image
+// and every Run, RunOn, RunMany and Machine() goes through it, so few callers
+// need one of their own; NewPlan makes one for a raw image.
+type Plan = vliw.Plan
+
+// NewPlan returns the plan of a linked image (Artifact.Image). It costs nothing
+// until a machine is Reset onto it.
+func NewPlan(img *isa.Image) *Plan { return vliw.NewPlan(img) }
 
 // Context is one hardware context: the per-program architectural state a
 // machine time-shares under RunMany.
