@@ -107,14 +107,15 @@ func main() {
 		fmt.Printf("VAX-model size:    %d bytes (packed/VAX = %.2fx)\n", vax, float64(packed)/float64(vax))
 		fmt.Printf("opt pipeline:      %d inlined, %d loops unrolled, %d hoisted\n",
 			res.Opt.Inlined, res.Opt.Unrolled, res.Opt.Hoisted)
-		var comp, spec, copies int
+		var comp, spec, copies, pads int
 		for _, fc := range res.Funcs {
 			comp += fc.CompOps
 			spec += fc.SpecLoads
 			copies += fc.CopyOps
+			pads += fc.PadInstrs
 		}
-		fmt.Printf("trace scheduling:  %d compensation ops, %d speculative loads, %d cross-bank copies\n",
-			comp, spec, copies)
+		fmt.Printf("trace scheduling:  %d compensation ops, %d speculative loads, %d cross-bank copies, %d entry-pad instrs\n",
+			comp, spec, copies, pads)
 	}
 }
 

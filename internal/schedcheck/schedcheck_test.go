@@ -341,3 +341,55 @@ func TestWriteLatencyAgreesWithTheMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialPadOneBeatShort holds the verifier to the stitcher's entry
+// padding. Code shaped like a stitched call: a trace word issues a load
+// (7 beats) and jumps to a serialized call block, whose first op moves the
+// loaded value into an argument register. Three pad words are exact — the
+// load lands at beat 5 of the block, inside the last pad word — and verify
+// clean; with two, the write lands one beat past the pad, in the late beat
+// of the argument move, and the move reads the stale value. Without the
+// move, a write still in flight when the call issues crosses into the
+// callee, which reads it in its first word.
+func TestSerialPadOneBeatShort(t *testing.T) {
+	val, arg := ireg(20), ireg(uint8(mach.ArgIBase))
+	callImage := func(pad int, argMove bool) *isa.Image {
+		instrs := []mach.Instr{{Slots: []mach.SlotOp{
+			ialuSlot(0, 0, mach.Op{Kind: ir.Load, Type: ir.I32, Dst: val, A: regArg(mach.RegSP), B: immArg(-8)}),
+			brSlot(mach.Op{Kind: mach.OpJmp, Target: 1}),
+		}}}
+		instrs = append(instrs, make([]mach.Instr, pad)...)
+		if argMove {
+			instrs = append(instrs, mach.Instr{Slots: []mach.SlotOp{
+				ialuSlot(0, 0, mach.Op{Kind: ir.Mov, Type: ir.I32, Dst: arg, A: regArg(val)}),
+			}})
+		}
+		callee := len(instrs) + 3
+		instrs = append(instrs,
+			mach.Instr{Slots: []mach.SlotOp{brSlot(mach.Op{Kind: mach.OpCall, Dst: mach.RegLR, Target: callee})}},
+			defRVI(), haltInstr(),
+			mach.Instr{Slots: []mach.SlotOp{
+				ialuSlot(0, 0, mach.Op{Kind: ir.Add, Type: ir.I32, Dst: ireg(21), A: regArg(val), B: immArg(1)}),
+			}},
+			mach.Instr{Slots: []mach.SlotOp{brSlot(mach.Op{Kind: mach.OpJmpR, A: regArg(mach.RegLR)})}},
+		)
+		img := image(mach.Trace7(), instrs...)
+		img.FuncLen["main"] = callee
+		img.FuncBase["f"], img.FuncLen["f"] = callee, 2
+		return img
+	}
+	for _, argMove := range []bool{true, false} {
+		if rep := Check(callImage(3, argMove), Options{}); len(rep.Errors()) != 0 {
+			t.Fatalf("exact pad (argument move %v): %v", argMove, rep.Errors())
+		}
+	}
+	f := wantError(t, Check(callImage(2, true), Options{}), CheckStaleRead)
+	if f.Word != 3 || f.Beat != 0 {
+		t.Fatalf("one beat short: stale read attributed to word %d beat %d, want the argument move (word 3, beat 0)", f.Word, f.Beat)
+	}
+	img := callImage(1, false)
+	f = wantError(t, Check(img, Options{}), CheckStaleRead)
+	if f.Word != img.FuncBase["f"] {
+		t.Fatalf("a write across the call: stale read attributed to word %d, want the callee's first word %d", f.Word, img.FuncBase["f"])
+	}
+}

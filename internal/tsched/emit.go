@@ -25,20 +25,14 @@ type FuncCode struct {
 	CompOps   int
 	CopyOps   int
 	SpecLoads int
+	PadInstrs int // empty instructions serialized blocks start with (padSerial)
 }
 
 // Emit lays out the scheduled blocks (entry first) and rewrites virtual
 // registers to their allocated physical registers (alloc is Allocate's
 // result, indexed by VReg).
 func Emit(sf *SFunc, alloc []mach.PReg) (*FuncCode, error) {
-	// block order: entry first, then the rest in creation order
-	var orderIDs []int
-	orderIDs = append(orderIDs, sf.Entry)
-	for _, b := range sf.Blocks {
-		if b.ID != sf.Entry {
-			orderIDs = append(orderIDs, b.ID)
-		}
-	}
+	orderIDs := sf.layout()
 	base := map[int]int{}
 	total := 0
 	for _, id := range orderIDs {
@@ -48,7 +42,7 @@ func Emit(sf *SFunc, alloc []mach.PReg) (*FuncCode, error) {
 
 	fc := &FuncCode{Name: sf.Name, Instrs: make([]mach.Instr, total),
 		Lines:   make([][]int32, total),
-		CompOps: sf.CompOps, CopyOps: sf.CopyOps, SpecLoads: sf.SpecLoads}
+		CompOps: sf.CompOps, CopyOps: sf.CopyOps, SpecLoads: sf.SpecLoads, PadInstrs: sf.PadInstrs}
 
 	regOf := func(r VReg) (mach.PReg, error) {
 		if r == VNone {

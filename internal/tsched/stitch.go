@@ -36,6 +36,11 @@ type SInstr struct {
 type SBlock struct {
 	ID     int
 	Instrs []SInstr
+
+	// Serial marks a serialized NoCompact block (prologue, call, return,
+	// syscall), which padSerial starts with exactly the empty instructions
+	// the flight on its entering edges needs.
+	Serial bool
 }
 
 // SFunc is a fully scheduled function awaiting register allocation.
@@ -50,6 +55,21 @@ type SFunc struct {
 	CompOps   int // compensation ops emitted
 	CopyOps   int // cross-bank copies inserted
 	SpecLoads int // loads converted to the non-trapping opcodes (§7)
+	PadInstrs int // empty instructions serialized blocks start with
+}
+
+// layout returns the block IDs in emission order: the entry first, then the
+// rest in creation order. A block whose last instruction falls through
+// continues in the next one.
+func (sf *SFunc) layout() []int {
+	order := make([]int, 0, len(sf.Blocks))
+	order = append(order, sf.Entry)
+	for _, b := range sf.Blocks {
+		if b.ID != sf.Entry {
+			order = append(order, b.ID)
+		}
+	}
+	return order
 }
 
 // homes records the board whose banks hold each virtual register's value,
@@ -119,6 +139,7 @@ func Assemble(cfg mach.Config, vf *VFunc, prof ir.EdgeWeights, layout map[string
 		return nil, fmt.Errorf("%s: prologue has no entrance", vf.Name)
 	}
 	sf.Entry = e.block
+	st.padSerial()
 	return sf, nil
 }
 
@@ -222,30 +243,98 @@ func (st *stitcher) resolve() error {
 	return nil
 }
 
-// addSerialBlock serializes a NoCompact vblock one op per instruction. The
-// entry padding lets any predecessor's pipeline writes drain before the
-// calling convention executes, so nothing is airborne across a call or
-// return boundary (registers cannot be tracked across functions).
+// addSerialBlock serializes a NoCompact vblock one op per instruction. Its
+// entry padding waits for padSerial, once every edge into it is known.
 func (st *stitcher) addSerialBlock(v int) {
-	b := st.vf.Blocks[v]
 	sb := st.newBlock()
+	sb.Serial = true
 	st.entrances[v] = entrance{block: sb.ID, off: 0}
-	st.pad(sb, st.maxFlight())
-	st.serializeInto(sb, b.Ops, -1)
+	st.serializeInto(sb, st.vf.Blocks[v].Ops, -1)
 }
 
-// maxFlight returns the longest pipeline flight (in instructions) any op of
-// the function can have.
-func (st *stitcher) maxFlight() int {
-	maxLat := st.cfg.LatIALU
-	for _, b := range st.vf.Blocks {
-		for i := range b.Ops {
-			if l := opLatency(&st.cfg, &b.Ops[i]); l > maxLat {
-				maxLat = l
-			}
+// padSerial starts every serialized block with as many empty instructions
+// as the writes in flight on its entering edges need to land, so nothing is
+// airborne when the calling convention executes, nor across a call or
+// return boundary (registers cannot be tracked across functions). Placement
+// inside a block is relative to its first op, so the pad can go in front
+// after the fact; every edge into a serialized block targets its offset 0.
+func (st *stitcher) padSerial() {
+	for id, f := range st.entryFlight() {
+		if sb := st.sf.Blocks[id]; sb.Serial && f > 0 {
+			pad := (f + 1) / 2
+			sb.Instrs = append(make([]SInstr, pad, pad+len(sb.Instrs)), sb.Instrs...)
+			st.sf.PadInstrs += pad
 		}
 	}
-	return (maxLat + 2) / 2
+}
+
+// entryFlight returns, indexed by block ID, the flight on the edges entering
+// each serialized block: the latest beat, counted from the block's first
+// early beat, at which a write issued before the transfer lands (§6.2: a
+// write issued at beat b with latency L is read from beat b+L on, so ≤ 0
+// means nothing is in flight). It is a forward fixpoint over the resolved
+// blocks of the latest landing at each instruction; a serialized block's
+// own code starts with nothing in flight, since its pad drains what enters,
+// and a call passes on to its return site what it issued (callees return
+// drained).
+func (st *stitcher) entryFlight() []int {
+	sf, cfg := st.sf, &st.cfg
+	enter := make([]int, len(sf.Blocks))
+	// Calls enter the prologue with only their link write in flight, issued
+	// in the early beat.
+	enter[sf.Entry] = cfg.Latency(mach.OpCall, ir.Void) - 2
+	at := make([][]int, len(sf.Blocks)) // at[b][i]: the flight a branch or a fallthrough brings to instruction i of block b
+	for _, b := range sf.Blocks {
+		at[b.ID] = make([]int, len(b.Instrs))
+	}
+	changed := false
+	reach := func(b, off, f int) {
+		switch {
+		case sf.Blocks[b].Serial:
+			enter[b] = max(enter[b], f)
+		case off < len(at[b]) && f > at[b][off]:
+			at[b][off] = f
+			changed = true
+		}
+	}
+	order := sf.layout()
+	for {
+		changed = false
+		for pos, id := range order {
+			b := sf.Blocks[id]
+			cur, falls := 0, true
+			for i := range b.Instrs {
+				land := max(cur, at[id][i])
+				falls = true
+				for si := range b.Instrs[i].Slots {
+					if s := &b.Instrs[i].Slots[si]; s.Op.Dst != VNone {
+						land = max(land, int(s.Beat)+opLatency(cfg, &s.Op))
+					}
+				}
+				cur = land - 2
+				for si := range b.Instrs[i].Slots {
+					switch s := &b.Instrs[i].Slots[si]; s.Op.Kind {
+					case mach.OpJmp:
+						falls = false
+						reach(s.TargetBlock, s.TargetOff, cur)
+					case mach.OpBrT:
+						reach(s.TargetBlock, s.TargetOff, cur)
+					case mach.OpJmpR, mach.OpHalt:
+						falls = false
+					}
+				}
+				if !falls {
+					cur = 0
+				}
+			}
+			if falls && len(b.Instrs) > 0 && pos+1 < len(order) {
+				reach(order[pos+1], 0, cur)
+			}
+		}
+		if !changed {
+			return enter
+		}
+	}
 }
 
 // serializeInto appends ops one per instruction, inserting cross-bank copy
@@ -569,7 +658,7 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 				}
 			}
 			for _, u := range op.Uses() {
-				if idx > ss.lastRead[u] {
+				if v, ok := ss.lastRead[u]; !ok || idx > v {
 					ss.lastRead[u] = idx
 				}
 			}

@@ -11,20 +11,24 @@ import (
 
 // snapSrc exercises the float pipelines (6-7 beat latencies keep pending
 // writes in flight), memory traffic (bank-busy windows), loops (icache
-// reuse), and output — a program whose mid-run state is maximally rich.
+// reuse), a data-dependent condition (branch-bank writes, some in flight at
+// an instruction boundary) and output — a program whose mid-run state is
+// maximally rich, running past beat 2000.
 const snapSrc = `
 var acc [64]float
 func main() int {
 	var s float = 0.0
+	var n int = 0
 	for (var i int = 0; i < 64; i = i + 1) {
 		acc[i] = float(i) * 1.5
 	}
 	for (var i int = 0; i < 64; i = i + 1) {
 		s = s + acc[i] * acc[63 - i]
+		if (acc[i] > 20.0) { n = n + 3 }
 	}
 	print_i(int(s))
-	for (var i int = 0; i < 40; i = i + 1) {
-		print_i(i * 3)
+	for (var i int = 0; i < 64; i = i + 1) {
+		print_i(i * 3 + n)
 	}
 	return int(s) % 100
 }`

@@ -150,8 +150,10 @@ go test -race -count=1 -timeout 20m ./internal/vliw/ ./internal/serve/
 # over, because a race shows only in the interleavings a run happens to take.
 go test -race -count=5 -run 'TestSharedPlanConcurrentRuns' ./internal/vliw/
 
-echo "== tracelint (static schedule + safety verification: examples x O0/O1/O2 x Trace 7/14/28)"
-go run ./cmd/tracelint -matrix -safety examples/*.mf
+echo "== tracelint (static schedule + safety verification: examples + the 14 ledger kernels x O0/O1/O2 x Trace 7/14/28)"
+# bench/programs is read, never written: [!g]* is the kernels without the
+# generated gen*.mf programs.
+go run ./cmd/tracelint -matrix -safety examples/*.mf bench/programs/[!g]*.mf
 echo "== tracelint (checked-in fuzz corpus)"
 go run ./cmd/tracelint -corpus internal/fuzz/testdata/fuzz/FuzzDifferential/*
 
