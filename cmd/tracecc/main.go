@@ -107,15 +107,16 @@ func main() {
 		fmt.Printf("VAX-model size:    %d bytes (packed/VAX = %.2fx)\n", vax, float64(packed)/float64(vax))
 		fmt.Printf("opt pipeline:      %d inlined, %d loops unrolled, %d hoisted\n",
 			res.Opt.Inlined, res.Opt.Unrolled, res.Opt.Hoisted)
-		var comp, spec, copies, pads int
+		var comp, spec, copies, pads, serial int
 		for _, fc := range res.Funcs {
 			comp += fc.CompOps
 			spec += fc.SpecLoads
 			copies += fc.CopyOps
 			pads += fc.PadInstrs
+			serial += fc.SerialInstrs
 		}
-		fmt.Printf("trace scheduling:  %d compensation ops, %d speculative loads, %d cross-bank copies, %d entry-pad instrs\n",
-			comp, spec, copies, pads)
+		fmt.Printf("trace scheduling:  %d compensation ops, %d speculative loads, %d cross-bank copies, %d serialized instrs (%d entry-pad)\n",
+			comp, spec, copies, serial, pads)
 	}
 }
 

@@ -5,14 +5,17 @@
 //
 // Usage:
 //
-//	tracelint [-pairs N] [-O level] [-ideal] [-matrix] [-corpus] [-safety] [-json] [-v] prog.mf...
+//	tracelint [-pairs N] [-O level] [-ideal] [-matrix] [-skip cells] [-corpus] [-safety] [-json] [-v] prog.mf...
 //
 // Each argument is compiled and its linked image verified. With -matrix the
 // file is checked across O0/O1/O2 at every machine width (Trace 7, 14, 28)
 // instead of the single -pairs/-O configuration. With -corpus the arguments
 // are go-fuzz corpus entries ("go test fuzz v1" + a quoted string) instead
 // of plain source files; entries the frontend rejects are skipped, since a
-// fuzz corpus legitimately holds invalid programs.
+// fuzz corpus legitimately holds invalid programs, and so are entries the
+// compiler refuses for want of registers or schedule size. Elsewhere such a
+// refusal is a failure, unless -skip names the cell as file:config (the
+// file's base name and the configuration as printed, gen16.mf:O2/trace7).
 //
 // With -safety the value-range safety analysis (internal/safecheck) also
 // runs on each clean image and reports, per guarded site — every load,
@@ -40,6 +43,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -61,6 +65,7 @@ var (
 	safety  = flag.Bool("safety", false, "also run the value-range safety analysis and report per-site guard verdicts")
 	jsonOut = flag.Bool("json", false, "emit findings (and -safety verdicts) as a JSON array on stdout")
 	verbose = flag.Bool("v", false, "print warnings and the per-check summary")
+	skip    = flag.String("skip", "", "comma-separated `file:config` cells (e.g. gen16.mf:O2/trace7) whose capacity rejection is expected")
 )
 
 type config struct {
@@ -199,6 +204,13 @@ func main() {
 		configs = append(configs, config{fmt.Sprintf("O%d/%s", *olevel, cfg.Name), cfg, o})
 	}
 
+	expected := map[string]bool{}
+	for _, cell := range strings.Split(*skip, ",") {
+		if cell != "" {
+			expected[cell] = true
+		}
+	}
+
 	// SIGINT cancels the in-flight compile at the next pass boundary.
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSig()
@@ -228,9 +240,13 @@ func main() {
 		for _, c := range configs {
 			r, e, err := lintOne(ctx, path, src, c, *safety)
 			if err != nil {
-				if *corpus && isCapacityReject(err) {
-					// A corpus program honestly rejected on a narrow machine
-					// is a skip, exactly as in the fuzz oracle.
+				if isCapacityReject(err) && (*corpus || expected[filepath.Base(path)+":"+c.name]) {
+					// A corpus program, or a configuration named by -skip,
+					// honestly rejected on a narrow machine is a skip, exactly
+					// as in the fuzz oracle.
+					if !*jsonOut {
+						fmt.Printf("%s [%s]: skipped (%v)\n", path, c.name, err)
+					}
 					continue
 				}
 				fmt.Fprintf(os.Stderr, "tracelint: %s [%s]: %v\n", path, c.name, err)

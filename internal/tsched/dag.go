@@ -16,7 +16,7 @@ type schedOp struct {
 	srcBlock int
 	traceIdx int  // position of the op's block within the trace
 	isSplit  bool // BrT whose taken edge leaves the trace
-	isFinal  bool // the trace-terminating jump (scheduled last)
+	isFinal  bool // the trace-terminating jump or transfer (scheduled last)
 
 	ref   *alias.Ref // memory ops: address form for disambiguation
 	isMem bool
@@ -31,6 +31,10 @@ type schedOp struct {
 	// isRestore marks the final-exit moves that re-establish original
 	// register names; their writes must drain before control leaves.
 	isRestore bool
+	// keepsName marks a write rename left alone — to a precolored register,
+	// or a parameter or return-value move at the trace's head — which is
+	// visible off the trace.
+	keepsName bool
 	succs     []sedge
 	npreds    int // unscheduled predecessors
 
@@ -70,6 +74,11 @@ type traceGraph struct {
 	joinPos       map[int]int           // vblock ID -> linear position (first op index)
 	splitTarget   map[int]int           // op index -> off-trace vblock
 	finalIdx      int                   // index of the final exit op (-1 if none: trace ends in Halt-like)
+	exit          int                   // the vblock the final exit leaves to (a transfer's NoCompact block)
+	// rewritten holds the precolored registers the trace writes: never
+	// renamed, they are not single-assignment within the trace, so nothing
+	// may read through one to an older value.
+	rewritten map[VReg]bool
 
 	// restore moves appended for the final exit are ordinary ops; for splits
 	// they are generated later from the snapshots.
@@ -87,7 +96,8 @@ var invCmp = map[ir.OpKind]ir.OpKind{
 // linearize flattens the trace's blocks into one op sequence, turning
 // on-trace jumps into fallthroughs and orienting conditional branches so
 // their taken edge leaves the trace (inverting the producing compare when
-// the trace follows the taken side).
+// the trace follows the taken side). A jump to a NoCompact block — the one
+// edge into it — is replaced by the block's transfer, which ends the trace.
 func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 	g := &traceGraph{
 		vf:            vf,
@@ -96,6 +106,7 @@ func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 		joinPos:       map[int]int{},
 		splitTarget:   map[int]int{},
 		finalIdx:      -1,
+		rewritten:     map[VReg]bool{},
 	}
 	inTrace := map[int]int{} // block -> position in trace
 	for i, b := range tr.Blocks {
@@ -103,10 +114,17 @@ func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 	}
 	preds := vf.Preds()
 
+	// A trace starting at the prologue holds the link register the prologue
+	// saved until its first side entrance: a call only ever ends a trace. Its
+	// link reloads are no-ops there.
+	fromEntry := tr.Blocks[0] == 0
 	curTI := 0
 	emit := func(op VOp, src int) *schedOp {
 		s := &schedOp{vop: op, origIdx: len(g.ops), srcBlock: src, traceIdx: curTI, instr: -1}
 		g.ops = append(g.ops, s)
+		if _, pre := vf.precolor[op.Dst]; pre {
+			g.rewritten[op.Dst] = true
+		}
 		return s
 	}
 
@@ -119,6 +137,7 @@ func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 			for _, p := range preds[bid] {
 				if p != prev {
 					g.joinPos[bid] = len(g.ops)
+					fromEntry = false
 					break
 				}
 			}
@@ -127,7 +146,9 @@ func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 			op := b.Ops[oi] // copy
 			isLast := oi == len(b.Ops)-1
 			if !isLast {
-				emit(op, bid)
+				if !(fromEntry && op.Kind == ir.Load && op.Dst == vf.LR) {
+					emit(op, bid)
+				}
 				continue
 			}
 			next := -1
@@ -138,6 +159,10 @@ func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 			case mach.OpJmp:
 				if op.T0 == next {
 					continue // fallthrough
+				}
+				g.exit = op.T0
+				if t := vf.Blocks[op.T0]; t.NoCompact {
+					op = t.Ops[0]
 				}
 				s := emit(op, bid)
 				s.isFinal = true
@@ -164,6 +189,7 @@ func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 					j := emit(VOp{Kind: mach.OpJmp, T0: op.T1, Line: op.Line}, bid)
 					j.isFinal = true
 					g.finalIdx = j.origIdx
+					g.exit = op.T1
 				}
 			default:
 				return nil, fmt.Errorf("%s: block b%d in compacted trace ends with %s",
@@ -196,7 +222,13 @@ func invertBranch(g *traceGraph, br *VOp) error {
 // rename gives every in-trace definition a fresh virtual register, breaking
 // anti- and output-dependences so unrolled iterations can overlap. Snapshots
 // of the renaming map are taken at every split and join for compensation.
-// Precolored registers are never renamed.
+// Precolored registers are never renamed. Nor is a move out of one at the
+// head of the trace — a parameter, or a call's return value, ahead of the
+// trace's first exit and first side entrance — that is its register's only
+// definition in the trace: program order puts it before every edge leaving
+// the trace, so writing the home register directly is what each of them
+// expects, and no restore move has to re-establish it on every exit of the
+// function's first trace.
 func (g *traceGraph) rename() {
 	vf := g.vf
 	cur := map[VReg]VReg{}
@@ -209,8 +241,19 @@ func (g *traceGraph) rename() {
 	}
 	// join snapshots are taken at linear positions; collect reverse map
 	joinAt := map[int][]int{} // position -> blocks joining there
+	head := len(g.ops)        // the ops before head precede every exit and entrance
 	for b, pos := range g.joinPos {
 		joinAt[pos] = append(joinAt[pos], b)
+		head = min(head, pos)
+	}
+	defs := map[VReg]int{}
+	for i, s := range g.ops {
+		if s.isSplit || s.isFinal {
+			head = min(head, i)
+		}
+		if s.vop.Dst != VNone {
+			defs[s.vop.Dst]++
+		}
 	}
 	resolve := func(a *VArg) {
 		if a.IsImm || a.Reg == VNone {
@@ -232,7 +275,10 @@ func (g *traceGraph) rename() {
 			g.renameAtSplit[i] = snap()
 		}
 		if o.Dst != VNone {
-			if _, pre := vf.precolor[o.Dst]; pre {
+			_, pre := vf.precolor[o.Dst]
+			_, fromPre := vf.precolor[o.A.Reg]
+			if pre || fromPre && o.Kind == ir.Mov && !o.A.IsImm && i < head && defs[o.Dst] == 1 {
+				s.keepsName = true
 				continue
 			}
 			fresh := vf.NewReg(vf.Class(o.Dst), vf.TypeOf(o.Dst))
@@ -279,7 +325,9 @@ func (g *traceGraph) foldGlobalConsts(global map[VReg]alias.Form) {
 // the move from dependence chains (the move still executes for its own
 // consumers, e.g. exit restores). Like collapseAddChains, forwarding must
 // not cross a side entrance: the joining path establishes only the current
-// names.
+// names. Nor does it read through a precolored register, which the trace
+// may write again (the argument moves rewrite what the parameter moves
+// read).
 func (g *traceGraph) forwardMoves() {
 	vf := g.vf
 	defs := map[VReg]*VOp{}
@@ -289,7 +337,7 @@ func (g *traceGraph) forwardMoves() {
 		}
 		for hops := 0; hops < 8; hops++ {
 			d, ok := defs[a.Reg]
-			if !ok || d.Kind != ir.Mov || d.A.IsImm || d.A.Reg == VNone {
+			if !ok || d.Kind != ir.Mov || d.A.IsImm || d.A.Reg == VNone || g.rewritten[d.A.Reg] {
 				return
 			}
 			// only forward within a bank class; cross-bank moves are real
@@ -324,11 +372,12 @@ func (g *traceGraph) forwardMoves() {
 func (g *traceGraph) collapseAddChains() {
 	defs := map[VReg]*VOp{}
 	// chase resolves a register through in-trace I32 moves to its defining
-	// op (renaming makes every def unique, so this is sound).
+	// op (renaming makes every def unique, so this is sound — but for the
+	// precolored registers, which are never renamed: a chain ends at one).
 	chase := func(r VReg) *VOp {
 		for i := 0; i < 8; i++ {
 			d, ok := defs[r]
-			if !ok {
+			if !ok || g.rewritten[r] {
 				return nil
 			}
 			if d.Kind == ir.Mov && d.Type == ir.I32 && !d.A.IsImm && d.A.Reg != VNone {
@@ -350,7 +399,7 @@ func (g *traceGraph) collapseAddChains() {
 		o := &s.vop
 		if o.Kind == ir.Add && o.B.IsImm && o.B.Sym == "" && !o.A.IsImm && o.A.Reg != VNone {
 			if d := chase(o.A.Reg); d != nil && d.Kind == ir.Add && d.B.IsImm && d.B.Sym == "" &&
-				!d.A.IsImm && d.A.Reg != VNone {
+				!d.A.IsImm && d.A.Reg != VNone && !g.rewritten[d.A.Reg] {
 				sum := int64(o.B.Imm) + int64(d.B.Imm)
 				if sum >= -1<<31 && sum < 1<<31 {
 					o.A.Reg = d.A.Reg
@@ -381,7 +430,7 @@ func (g *traceGraph) addFinalRestores(lv *VLiveness) {
 		return
 	}
 	snap := g.renameAtSplit[g.finalIdx]
-	target := g.ops[g.finalIdx].vop.T0
+	target := g.exit
 	var movs []*schedOp
 	// deterministic order
 	var origs []VReg
@@ -421,11 +470,12 @@ func (g *traceGraph) addFinalRestores(lv *VLiveness) {
 	g.renameAtSplit[g.finalIdx] = snap
 }
 
-// buildDAG adds dependence edges. layout supplies global addresses and
+// buildDAG adds dependence edges. layout supplies global addresses,
 // globalForms the function-level single-assignment derivations for the
-// disambiguator.
-func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalForms map[VReg]alias.Form) {
+// disambiguator, and lv what each split's off-trace target reads.
+func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalForms map[VReg]alias.Form, lv *VLiveness) {
 	defsite := map[VReg]int{}
+	var kept []int // writes so far that keep their names
 
 	addEdge := func(from, to, minBeats, instrDelta int) {
 		if from == to {
@@ -449,11 +499,29 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 			aboveJoin = aboveJoinUpTo(g, i)
 		}
 
-		// flow dependences
-		for _, u := range o.Uses() {
+		// flow dependences (halt and syscall read their convention registers
+		// as they issue)
+		reads := o.Uses()
+		if o.Kind == mach.OpHalt || o.Kind == mach.OpSyscall {
+			reads = implicitUses(g.vf, o, reads)
+		}
+		for _, u := range reads {
 			if d, ok := defsite[u]; ok {
 				lat := opLatency(&cfg, &g.ops[d].vop)
-				addEdge(d, i, lat, 0)
+				// A convention write (an argument or return-value move) does
+				// not share a word with the op computing its source: the
+				// allocator takes a late-beat read of an early-beat write in
+				// one word for a value live into that word, and so, for a
+				// value computed there, live from the function's entry — one
+				// more register held across the whole function for every
+				// call and return.
+				delta := 0
+				if _, pre := g.vf.precolor[o.Dst]; pre {
+					if _, srcPre := g.vf.precolor[u]; !srcPre {
+						delta = 1
+					}
+				}
+				addEdge(d, i, lat, delta)
 				// chain detection looks through moves: acc = mov t after
 				// t = fadd acc', x is still the same reduction
 				dk := g.ops[d]
@@ -518,9 +586,11 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 		if s.isSplit || s.isFinal {
 			// branches stay ordered among themselves; multiway packing may
 			// place several in one instruction (priority resolves), so the
-			// edge is beat-level only when multiway is on.
+			// edge is beat-level only when multiway is on — but for a
+			// transfer, which takes no part in the priorities: it never
+			// shares a split's instruction.
 			brDelta := 1
-			if cfg.MultiwayBranch {
+			if cfg.MultiwayBranch && (o.Kind == mach.OpBrT || o.Kind == mach.OpJmp) {
 				brDelta = 0
 			}
 			for _, j := range splits {
@@ -530,6 +600,17 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 			// join (the entrance would have to move above it, impossible)
 			for _, j := range aboveJoin {
 				addEdge(j, i, -1, 1)
+			}
+			// A write that keeps its name and that the split's target reads,
+			// issued at or before the split, has landed by the time the
+			// target reads (one that cannot miss the next word needs no edge).
+			if s.isSplit {
+				for _, d := range kept {
+					lat := opLatency(&cfg, &g.ops[d].vop)
+					if lat >= 2 && lv.In[g.splitTarget[i]].Has(ir.Reg(g.ops[d].vop.Dst)) {
+						addEdge(d, i, lat-2, 0)
+					}
+				}
 			}
 			splits = append(splits, i)
 		} else if s.isRestore {
@@ -542,6 +623,19 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 				addEdge(j, i, -1, 1)
 			}
 		} else {
+			if s.keepsName {
+				// The same rule for a write that keeps its name (a
+				// convention register: no other follows a split), but only
+				// where the split's target still reads it: the link reload
+				// may rise above a test whose other side calls, the stack
+				// release may not.
+				for _, j := range splits {
+					if lv.In[g.splitTarget[j]].Has(ir.Reg(o.Dst)) {
+						addEdge(j, i, -1, 1)
+					}
+				}
+				kept = append(kept, i)
+			}
 			switch o.Kind {
 			case ir.Store, mach.OpMovSF:
 				// stores never move above a split: the off-trace path must
@@ -571,16 +665,19 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 
 	// The final jump must not precede anything: give every op an
 	// instruction-level edge to it so it lands in the last instruction.
-	// Ops that write ORIGINAL registers (the restores) additionally hold
-	// the jump until their writes will have drained by the time the next
-	// block reads (next read beat = jump issue + 2).
+	// Ops that write ORIGINAL registers (the restores and the writes that
+	// keep their names) additionally hold the jump until their writes will
+	// have drained by the time the next block reads (next read beat = jump
+	// issue + 2). A transfer holds every op so: nothing the trace wrote may
+	// still be in flight in the callee, the caller or the runtime.
 	if g.finalIdx >= 0 {
+		transfer := g.ops[g.finalIdx].vop.Kind != mach.OpJmp
 		for i := range g.ops {
 			if i == g.finalIdx {
 				continue
 			}
 			mb := -1
-			if g.ops[i].isRestore {
+			if g.ops[i].isRestore || g.ops[i].keepsName || transfer {
 				if l := opLatency(&cfg, &g.ops[i].vop) - 2; l > mb {
 					mb = l
 				}

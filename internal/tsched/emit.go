@@ -21,18 +21,19 @@ type FuncCode struct {
 	Lines [][]int32
 
 	// Stats for the code-size and compensation experiments.
-	Ops       int // real (non-nop) operations
-	CompOps   int
-	CopyOps   int
-	SpecLoads int
-	PadInstrs int // empty instructions serialized blocks start with (padSerial)
+	Ops          int // real (non-nop) operations
+	CompOps      int
+	CopyOps      int
+	SpecLoads    int
+	PadInstrs    int // empty instructions serialized blocks start with (padSerial)
+	SerialInstrs int // instructions of serialized blocks, pads included: the calling convention's words
 }
 
 // Emit lays out the scheduled blocks (entry first) and rewrites virtual
 // registers to their allocated physical registers (alloc is Allocate's
 // result, indexed by VReg).
 func Emit(sf *SFunc, alloc []mach.PReg) (*FuncCode, error) {
-	orderIDs := sf.layout()
+	orderIDs := sf.Layout()
 	base := map[int]int{}
 	total := 0
 	for _, id := range orderIDs {
@@ -42,7 +43,8 @@ func Emit(sf *SFunc, alloc []mach.PReg) (*FuncCode, error) {
 
 	fc := &FuncCode{Name: sf.Name, Instrs: make([]mach.Instr, total),
 		Lines:   make([][]int32, total),
-		CompOps: sf.CompOps, CopyOps: sf.CopyOps, SpecLoads: sf.SpecLoads, PadInstrs: sf.PadInstrs}
+		CompOps: sf.CompOps, CopyOps: sf.CopyOps, SpecLoads: sf.SpecLoads,
+		PadInstrs: sf.PadInstrs, SerialInstrs: sf.SerialInstrs}
 
 	regOf := func(r VReg) (mach.PReg, error) {
 		if r == VNone {

@@ -14,6 +14,14 @@ import (
 // the IR blocks 0..N-1 (block 0 is the prologue), so profile edge weights
 // carry over by adding one to each ID.
 //
+// The convention's moves are ordinary compactable ops: the prologue is a
+// block like any other (the head of the function's first trace), argument
+// moves end the block that jumps to a call, the return-value move opens the
+// call's continuation, and the return moves, link reload and stack release
+// end the block that jumps to the return. Only the transfer itself — call,
+// syscall, jmpr or halt — sits in a NoCompact block of its own, which the
+// trace scheduler ends the jumping trace with.
+//
 // LowerFunc modifies f (it inserts spill code); the driver compiles from a
 // private copy of the program.
 func LowerFunc(p *ir.Program, f *ir.Func, isMain bool) (*VFunc, error) {
@@ -76,7 +84,6 @@ func LowerFunc(p *ir.Program, f *ir.Func, isMain bool) (*VFunc, error) {
 
 	// Block 0: prologue. Blocks 1..N: IR blocks.
 	pro := vf.AddBlock()
-	pro.NoCompact = true
 	for range f.Blocks {
 		vf.AddBlock()
 	}
@@ -283,11 +290,6 @@ func (lw *vlower) lowerOp(b *ir.Block, idx int) error {
 		return lw.lowerCall(o)
 
 	case ir.Ret:
-		ep := vf.AddBlock()
-		ep.NoCompact = true
-		lw.emit(VOp{Kind: mach.OpJmp, T0: ep.ID, Line: o.Line})
-		save := lw.cur
-		lw.cur = ep
 		if len(o.Args) == 1 {
 			r := VReg(o.Args[0])
 			if lw.irf.Ret == ir.F64 {
@@ -296,9 +298,8 @@ func (lw *vlower) lowerOp(b *ir.Block, idx int) error {
 				lw.emit(VOp{Kind: ir.Mov, Type: ir.I32, Dst: vf.RVI, A: VRegArg(r), Line: o.Line})
 			}
 		}
-		if lw.isMain {
-			lw.emit(VOp{Kind: mach.OpHalt, Line: o.Line})
-		} else {
+		transfer := VOp{Kind: mach.OpHalt, Line: o.Line}
+		if !lw.isMain {
 			if !vf.Leaf {
 				lw.emit(VOp{Kind: ir.Load, Type: ir.I32, Dst: vf.LR,
 					A: VRegArg(vf.SP), B: VImmArg(int32(vf.Frame - 8)), Line: o.Line})
@@ -307,9 +308,12 @@ func (lw *vlower) lowerOp(b *ir.Block, idx int) error {
 				lw.emit(VOp{Kind: ir.Add, Type: ir.I32, Dst: vf.SP,
 					A: VRegArg(vf.SP), B: VImmArg(int32(vf.Frame)), Line: o.Line})
 			}
-			lw.emit(VOp{Kind: mach.OpJmpR, A: VRegArg(vf.LR), Line: o.Line})
+			transfer = VOp{Kind: mach.OpJmpR, A: VRegArg(vf.LR), Line: o.Line}
 		}
-		lw.cur = save
+		ep := vf.AddBlock()
+		ep.NoCompact = true
+		ep.Ops = []VOp{transfer}
+		lw.emit(VOp{Kind: mach.OpJmp, T0: ep.ID, Line: o.Line})
 
 	case ir.Br:
 		lw.emit(VOp{Kind: mach.OpJmp, T0: irToV(o.T0), Line: o.Line})
@@ -350,17 +354,13 @@ func (lw *vlower) boolToBB(cond ir.Reg, line int) VReg {
 	return bb
 }
 
-// lowerCall splits the current block: [... jmp] -> nocompact call block ->
-// continuation, so the trace machinery never compacts across the calling
-// convention.
+// lowerCall splits the current block around the transfer: [... argument
+// moves; jmp] -> NoCompact [call or syscall; jmp] -> continuation, which
+// opens with the return-value move. The stitcher lays the continuation out
+// right after the transfer, which returns (or falls) into it.
 func (lw *vlower) lowerCall(o *ir.Op) error {
 	vf := lw.vf
-	cb := vf.AddBlock()
-	cb.NoCompact = true
-	lw.emit(VOp{Kind: mach.OpJmp, T0: cb.ID, Line: o.Line})
-	lw.cur = cb
-	lw.consts = map[ir.Reg]int64{}
-
+	transfer := VOp{Kind: mach.OpSyscall, Sym: o.Sym, Line: o.Line}
 	if ir.IsBuiltin(o.Sym) {
 		sig := ir.Builtins[o.Sym]
 		for i, a := range o.Args {
@@ -370,7 +370,6 @@ func (lw *vlower) lowerCall(o *ir.Op) error {
 				lw.emit(VOp{Kind: ir.Mov, Type: ir.I32, Dst: vf.ArgI[0], A: VRegArg(VReg(a)), Line: o.Line})
 			}
 		}
-		lw.emit(VOp{Kind: mach.OpSyscall, Sym: o.Sym, Line: o.Line})
 	} else {
 		nInt, nFlt := 0, 0
 		for _, a := range o.Args {
@@ -388,19 +387,23 @@ func (lw *vlower) lowerCall(o *ir.Op) error {
 				nInt++
 			}
 		}
-		lw.emit(VOp{Kind: mach.OpCall, Dst: vf.LR, Sym: o.Sym, Line: o.Line})
-		if o.Dst != ir.None {
-			if lw.irf.RegType(o.Dst) == ir.F64 {
-				lw.emit(VOp{Kind: ir.Mov, Type: ir.F64, Dst: VReg(o.Dst), A: VRegArg(vf.RVF), Line: o.Line})
-			} else {
-				lw.emit(VOp{Kind: ir.Mov, Type: ir.I32, Dst: VReg(o.Dst), A: VRegArg(vf.RVI), Line: o.Line})
-			}
-		}
+		transfer = VOp{Kind: mach.OpCall, Dst: vf.LR, Sym: o.Sym, Line: o.Line}
 	}
 
+	cb := vf.AddBlock()
+	cb.NoCompact = true
 	cont := vf.AddBlock()
-	lw.emit(VOp{Kind: mach.OpJmp, T0: cont.ID, Line: o.Line})
+	cb.Ops = []VOp{transfer, {Kind: mach.OpJmp, T0: cont.ID, Line: o.Line}}
+	lw.emit(VOp{Kind: mach.OpJmp, T0: cb.ID, Line: o.Line})
 	lw.cur = cont
+	lw.consts = map[ir.Reg]int64{}
+	if transfer.Kind == mach.OpCall && o.Dst != ir.None {
+		if lw.irf.RegType(o.Dst) == ir.F64 {
+			lw.emit(VOp{Kind: ir.Mov, Type: ir.F64, Dst: VReg(o.Dst), A: VRegArg(vf.RVF), Line: o.Line})
+		} else {
+			lw.emit(VOp{Kind: ir.Mov, Type: ir.I32, Dst: VReg(o.Dst), A: VRegArg(vf.RVI), Line: o.Line})
+		}
+	}
 	return nil
 }
 

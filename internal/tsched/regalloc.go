@@ -198,8 +198,13 @@ func (a *allocator) liveness() {
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				r := a.base[b.ID] + i
 				out := a.row(a.after, r)
-				// fallthrough
-				union(out, a.row(a.before, r+1))
+				// fallthrough, into the next block for the last instruction of
+				// a block that falls
+				next := r + 1
+				if i == len(b.Instrs)-1 && b.Falls != nil {
+					next = a.base[b.Falls.ID]
+				}
+				union(out, a.row(a.before, next))
 				// branch targets
 				for si := range b.Instrs[i].Slots {
 					s := &b.Instrs[i].Slots[si]
@@ -330,6 +335,9 @@ func (a *allocator) conflictWindow(d int32, b *SBlock, off, rem int) {
 				a.conflictWindow(d, a.sf.Blocks[s.TargetBlock], s.TargetOff, off+rem-i-1)
 			}
 		}
+	}
+	if b.Falls != nil && off+rem >= len(b.Instrs) {
+		a.conflictWindow(d, b.Falls, 0, off+rem-len(b.Instrs))
 	}
 }
 

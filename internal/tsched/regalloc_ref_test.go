@@ -121,6 +121,9 @@ func refAllocate(sf *SFunc, cfg mach.Config) (*refAlloc, error) {
 				}
 			}
 		}
+		if b.Falls != nil && off+rem >= len(b.Instrs) {
+			conflictWindow(d, b.Falls, 0, off+rem-len(b.Instrs), seen)
+		}
 	}
 
 	for _, b := range sf.Blocks {
@@ -297,8 +300,12 @@ func refLiveness(sf *SFunc) *refLive {
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := &b.Instrs[i]
 				out := la[i].Clone()
-				// fallthrough
-				out.UnionWith(lb[i+1])
+				// fallthrough, into the next block past a block that falls
+				if i == len(b.Instrs)-1 && b.Falls != nil {
+					out.UnionWith(liveBefore[b.Falls.ID][0])
+				} else {
+					out.UnionWith(lb[i+1])
+				}
 				// branch targets
 				for si := range in.Slots {
 					s := &in.Slots[si]
@@ -584,6 +591,9 @@ func checkSound(sf *SFunc, cfg mach.Config, lv *refLive, alloc map[VReg]mach.PRe
 								window(sf.Blocks[t.TargetBlock], t.TargetOff, off+rem-j-1)
 							}
 						}
+					}
+					if wb.Falls != nil && off+rem >= len(wb.Instrs) {
+						window(wb.Falls, 0, off+rem-len(wb.Instrs))
 					}
 				}
 				// rem 0 covers the defining instruction itself: a write can

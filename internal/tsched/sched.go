@@ -461,7 +461,11 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 		if _, ok := s.home.get(o.Dst); !ok {
 			s.home.set(o.Dst, board)
 		}
-		s.reg(o.Dst).avail = issue + opLatency(&s.cfg, o)
+		// A precolored register is written again within a trace: copies of
+		// its old value are no copies of the new one. (A renamed register is
+		// written once, before anything copies it.)
+		e := s.reg(o.Dst)
+		e.avail, e.copies = issue+opLatency(&s.cfg, o), [maxBoards]VReg{}
 	}
 	switch o.Kind {
 	case mach.OpMovSF:

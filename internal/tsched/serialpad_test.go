@@ -6,7 +6,6 @@ import (
 
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/mach"
-	"github.com/multiflow-repro/trace/internal/profile"
 )
 
 const fibSrc = `
@@ -17,51 +16,48 @@ func fib(n int) int {
 func main() int { return fib(10) }
 `
 
-// TestSerialReturnKeepsWAROrder: fib's return block starts at instruction 0
-// (nothing is in flight on the edges into it), and there placeSerial once
-// forgot the read of sp by "load lr ← [sp+k]" — a read at index 0 compared
-// against the map's zero value — and packed "add sp ← sp+frame" into the
-// same instruction, where the early-beat add lands before the late-beat load
-// reads its base.
+// TestSerialReturnKeepsWAROrder: placeSerial, which packs compensation
+// blocks, once forgot a read at instruction 0 — compared against the map's
+// zero value — and packed "add sp ← sp+frame" into the instruction of the
+// "load lr ← [sp+k]" reading sp, where the early-beat add lands before the
+// late-beat load reads its base.
 func TestSerialReturnKeepsWAROrder(t *testing.T) {
-	prog, vf := lower(t, fibSrc, "fib")
-	sf, err := Assemble(mach.Trace28(), vf, profile.Static(prog)["fib"], map[string]int64{}, 0)
-	if err != nil {
-		t.Fatal(err)
+	_, vf := lower(t, fibSrc, "fib")
+	sf := &SFunc{VF: vf, home: make(homes, vf.NumRegs())}
+	for r, p := range vf.precolor {
+		sf.home.set(r, p.Board)
 	}
-	for _, b := range sf.Blocks {
-		load, add, ret := -1, -1, false
-		for i, in := range b.Instrs {
-			for _, s := range in.Slots {
-				switch {
-				case s.Op.Kind == ir.Load && s.Op.Dst == vf.LR:
-					load = i
-				case s.Op.Kind == ir.Add && s.Op.Dst == vf.SP:
-					add = i
-				case s.Op.Kind == mach.OpJmpR:
-					ret = true
-				}
+	st := &stitcher{cfg: mach.Trace28(), vf: vf, sf: sf,
+		serialReady: map[*SBlock]map[VReg]int{}, serialRes: map[*SBlock]*serialState{}}
+	sb := st.newBlock()
+	st.serializeInto(sb, []VOp{
+		{Kind: ir.Load, Type: ir.I32, Dst: vf.LR, A: VRegArg(vf.SP), B: VImmArg(16)},
+		{Kind: ir.Add, Type: ir.I32, Dst: vf.SP, A: VRegArg(vf.SP), B: VImmArg(24)},
+	}, -1)
+	load, add := -1, -1
+	for i, in := range sb.Instrs {
+		for _, s := range in.Slots {
+			switch s.Op.Kind {
+			case ir.Load:
+				load = i
+			case ir.Add:
+				add = i
 			}
 		}
-		if !ret {
-			continue
-		}
-		if !b.Serial || load != 0 {
-			t.Fatalf("return block: serial=%v, link reload at instruction %d; the test wants an unpadded block reloading at 0", b.Serial, load)
-		}
-		if add <= load {
-			t.Fatalf("sp is popped in instruction %d, before or with the link reload reading it in %d", add, load)
-		}
-		return
 	}
-	t.Fatal("fib has no return block")
+	if load != 0 {
+		t.Fatalf("link reload at instruction %d; the test wants it at 0", load)
+	}
+	if add <= load {
+		t.Fatalf("sp is popped in instruction %d, before or with the link reload reading it in %d", add, load)
+	}
 }
 
 // TestSerialPadCoversTheFlight stitches blocks by hand and holds each
 // serialized block's pad to the flight its entering edges carry: a split
 // and a final jump of one trace, a trace entered with a write still in
-// flight, a fallthrough, and the prologue, which calls enter with only their
-// link write airborne.
+// flight, a fallthrough, and the entry, which no edge of the function
+// enters (a call's link write lands before the callee's first word).
 func TestSerialPadCoversTheFlight(t *testing.T) {
 	const v, lr = VReg(1), VReg(2)
 	slot := func(kind ir.OpKind, beat uint8, dst VReg, target int) SSlot {
@@ -75,7 +71,7 @@ func TestSerialPadCoversTheFlight(t *testing.T) {
 	load := func(beat uint8) SSlot { return slot(ir.Load, beat, v, 0) } // 7 beats on every TRACE
 	halt := instr(slot(mach.OpHalt, 0, VNone, 0))
 	sf := &SFunc{Entry: 0, Blocks: []*SBlock{
-		// prologue → trace 1
+		// entry → trace 1
 		{Serial: true, Instrs: []SInstr{instr(slot(mach.OpJmp, 0, VNone, 1))}},
 		// trace 1: a late-beat load lands at +8; the split leaves with it
 		// 6 beats out, the final jump 4 beats out into trace 4

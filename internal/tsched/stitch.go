@@ -18,11 +18,10 @@ type SSlot struct {
 	Op   VOp
 	Prio int // branch priority within the instruction (lower wins)
 
-	// Branch resolution: TargetSym for calls; otherwise TargetBlock/Off
-	// name an instruction inside another SBlock.
+	// Branch resolution: TargetBlock/Off name an instruction inside another
+	// SBlock (a call names its callee in Op.Sym, for the linker).
 	TargetBlock int
 	TargetOff   int
-	TargetSym   string
 }
 
 // SInstr is one wide instruction of scheduled code.
@@ -30,17 +29,21 @@ type SInstr struct {
 	Slots []SSlot
 }
 
-// SBlock is a scheduled region: a compacted trace, a serialized NoCompact
-// block, or a compensation block. Control may enter at offset 0 or, for
-// traces with relocated join entrances, at an interior instruction.
+// SBlock is a scheduled region: a compacted trace, a serialized transfer,
+// or a compensation block. Control may enter at offset 0 or, for traces with
+// relocated join entrances, at an interior instruction.
 type SBlock struct {
 	ID     int
 	Instrs []SInstr
 
-	// Serial marks a serialized NoCompact block (prologue, call, return,
-	// syscall), which padSerial starts with exactly the empty instructions
-	// the flight on its entering edges needs.
+	// Serial marks a transfer (call, syscall, return, halt) that could not
+	// end its trace, alone in a block that padSerial starts with exactly the
+	// empty instructions the flight on its entering edges needs.
 	Serial bool
+	// Falls is the block control continues in after this one's last word —
+	// a call's return site, or where a syscall falls through — laid out
+	// right behind it; nil if the last word transfers control.
+	Falls *SBlock
 }
 
 // SFunc is a fully scheduled function awaiting register allocation.
@@ -52,21 +55,33 @@ type SFunc struct {
 	home   homes
 
 	// stats for the experiments
-	CompOps   int // compensation ops emitted
-	CopyOps   int // cross-bank copies inserted
-	SpecLoads int // loads converted to the non-trapping opcodes (§7)
-	PadInstrs int // empty instructions serialized blocks start with
+	CompOps      int // compensation ops emitted
+	CopyOps      int // cross-bank copies inserted
+	SpecLoads    int // loads converted to the non-trapping opcodes (§7)
+	PadInstrs    int // empty instructions serialized blocks start with
+	SerialInstrs int // instructions left in serialized blocks, pads included
 }
 
-// layout returns the block IDs in emission order: the entry first, then the
-// rest in creation order. A block whose last instruction falls through
-// continues in the next one.
-func (sf *SFunc) layout() []int {
-	order := make([]int, 0, len(sf.Blocks))
-	order = append(order, sf.Entry)
+// Layout returns the block IDs in emission order: the entry first, then the
+// rest in creation order, each block followed by the chain of blocks it
+// falls into.
+func (sf *SFunc) Layout() []int {
+	behind := make([]bool, len(sf.Blocks)) // laid out behind the block falling into it
 	for _, b := range sf.Blocks {
-		if b.ID != sf.Entry {
+		if b.Falls != nil {
+			behind[b.Falls.ID] = true
+		}
+	}
+	order := make([]int, 0, len(sf.Blocks))
+	chain := func(b *SBlock) {
+		for ; b != nil; b = b.Falls {
 			order = append(order, b.ID)
+		}
+	}
+	chain(sf.Blocks[sf.Entry])
+	for _, b := range sf.Blocks {
+		if b.ID != sf.Entry && !behind[b.ID] {
+			chain(b)
 		}
 	}
 	return order
@@ -119,12 +134,12 @@ func Assemble(cfg mach.Config, vf *VFunc, prof ir.EdgeWeights, layout map[string
 	st := &stitcher{cfg: cfg, vf: vf, sf: sf, lv: lv, layout: layout, globalForms: globalForms,
 		sched:     &scheduler{cfg: cfg, vf: vf, home: &sf.home, gen: 1},
 		entrances: map[int]entrance{}, joinComp: map[int]int{}, pending: map[int][]pendingBranch{},
+		fallsTo:     map[*SBlock]int{},
 		serialReady: map[*SBlock]map[VReg]int{}, serialRes: map[*SBlock]*serialState{}}
 
 	for _, tr := range traces {
 		if vf.Blocks[tr.Blocks[0]].NoCompact {
-			st.addSerialBlock(tr.Blocks[0])
-			continue
+			continue // its transfer ends the trace that jumps to it
 		}
 		if err := st.addTrace(tr); err != nil {
 			return nil, err
@@ -159,11 +174,12 @@ type stitcher struct {
 	entrances   map[int]entrance // vblock -> where control enters
 	joinComp    map[int]int      // vblock -> comp SBlock that must precede entry
 	pending     map[int][]pendingBranch
+	fallsTo     map[*SBlock]int // trace ending in a call or syscall -> its continuation's vblock
 	globalForms map[VReg]alias.Form
 
-	// serialReady tracks, per serialized block, the earliest instruction
+	// serialReady tracks, per compensation block, the earliest instruction
 	// index at which each register's value is usable (its producer's write
-	// has landed). Serial blocks insert empty instructions to respect
+	// has landed). These blocks insert empty instructions to respect
 	// latencies — the interlock-free hardware will not wait for them.
 	serialReady map[*SBlock]map[VReg]int
 	// serialRes tracks slot usage for packed serialization.
@@ -171,9 +187,8 @@ type stitcher struct {
 }
 
 // serialState is the lightweight reservation state for packing several
-// independent ops into each instruction of a serialized block (comp blocks
-// and the calling convention), honoring the same structural limits the main
-// scheduler enforces.
+// independent ops into each instruction of a compensation block, honoring
+// the same structural limits the main scheduler enforces.
 type serialState struct {
 	res resTable // unit slots, memory refs, immediate words, ports, copy-bus traffic
 
@@ -186,7 +201,7 @@ type serialState struct {
 	lastMem     int // memory ops execute in program order
 	barrier     int // ops after a branch start strictly after it
 	maxUsed     int // branches go after everything placed so far
-	maxWriteEnd int // latest landing instr of any write (for implicit uses)
+	maxWriteEnd int // latest landing instr of any write (the jump waits for it)
 }
 
 // Debugging aids, read once: TSCHED_DEBUG prints the traces, the retries and
@@ -240,32 +255,101 @@ func (st *stitcher) resolve() error {
 			slot.TargetOff = e.off
 		}
 	}
+	// A call returns into the word behind it, and a syscall falls there. A
+	// continuation heads its trace (its one predecessor is the transfer's
+	// NoCompact block), so it is laid out behind the trace that ends in the
+	// transfer — unless the chain of continuations leads back to that trace
+	// (a loop whose continuation heads the trace that calls), which then
+	// falls into a jump to its continuation instead.
+	for _, sb := range st.sf.Blocks {
+		v, ok := st.fallsTo[sb]
+		if !ok {
+			continue
+		}
+		e := st.entrances[v]
+		if _, comp := st.joinComp[v]; comp || e.off != 0 {
+			return fmt.Errorf("%s: continuation b%d does not head its trace", st.vf.Name, v)
+		}
+		sb.Falls = st.sf.Blocks[e.block]
+	}
+	for _, sb := range st.sf.Blocks {
+		for b := sb.Falls; b != nil; b = b.Falls {
+			if b == sb {
+				j := st.newBlock()
+				j.Instrs = []SInstr{{Slots: []SSlot{{Unit: mach.Unit{Kind: mach.UBR},
+					Op: VOp{Kind: mach.OpJmp}, TargetBlock: sb.Falls.ID}}}}
+				sb.Falls = j
+				break
+			}
+		}
+	}
 	return nil
 }
 
-// addSerialBlock serializes a NoCompact vblock one op per instruction. Its
-// entry padding waits for padSerial, once every edge into it is known.
-func (st *stitcher) addSerialBlock(v int) {
-	sb := st.newBlock()
-	sb.Serial = true
-	st.entrances[v] = entrance{block: sb.ID, off: 0}
-	st.serializeInto(sb, st.vf.Blocks[v].Ops, -1)
-}
-
-// padSerial starts every serialized block with as many empty instructions
-// as the writes in flight on its entering edges need to land, so nothing is
-// airborne when the calling convention executes, nor across a call or
-// return boundary (registers cannot be tracked across functions). Placement
-// inside a block is relative to its first op, so the pad can go in front
-// after the fact; every edge into a serialized block targets its offset 0.
+// padSerial makes sure nothing is airborne across a call, return, syscall
+// or halt (registers cannot be tracked across functions, nor into the
+// runtime). The dependence graph drains a trace's own writes before the
+// transfer ending it; a write entering the trace from another one that is
+// still in flight at the transfer's word moves the transfer out of the
+// trace, into a serialized block of its own behind a jump (unfold). Every
+// serialized block starts with as many empty instructions as the writes in
+// flight on its entering edges need to land. Placement inside a block is
+// relative to its first op, so the pad can go in front after the fact;
+// every edge into a serialized block targets its offset 0.
 func (st *stitcher) padSerial() {
-	for id, f := range st.entryFlight() {
-		if sb := st.sf.Blocks[id]; sb.Serial && f > 0 {
+	sf := st.sf
+	enter, at := st.entryFlight()
+	if st.unfold(at) {
+		enter, _ = st.entryFlight()
+	}
+	for id, f := range enter {
+		if sb := sf.Blocks[id]; sb.Serial && f > 0 {
 			pad := (f + 1) / 2
 			sb.Instrs = append(make([]SInstr, pad, pad+len(sb.Instrs)), sb.Instrs...)
-			st.sf.PadInstrs += pad
+			sf.PadInstrs += pad
 		}
 	}
+	for _, sb := range sf.Blocks {
+		if sb.Serial {
+			sf.SerialInstrs += len(sb.Instrs)
+		}
+	}
+}
+
+// unfold moves each transfer ending a trace whose word a write from another
+// block is still in flight at (at, entryFlight's table) into a serialized
+// block of its own, which the transfer's slot now jumps to and which falls
+// where the trace fell. It reports whether it moved any.
+func (st *stitcher) unfold(at [][]int) bool {
+	moved := false
+	for _, b := range st.sf.Blocks {
+		k := len(b.Instrs) - 1
+		if b.Serial || k < 0 {
+			continue
+		}
+		for si := range b.Instrs[k].Slots {
+			s := &b.Instrs[k].Slots[si]
+			switch s.Op.Kind {
+			case mach.OpCall, mach.OpSyscall, mach.OpJmpR, mach.OpHalt:
+			default:
+				continue
+			}
+			f := 0
+			for i := 0; i <= k; i++ {
+				f = max(f, at[b.ID][i]-2*(k-i))
+			}
+			if f <= 0 {
+				continue
+			}
+			sb := st.newBlock()
+			sb.Serial = true
+			sb.Instrs = []SInstr{{Slots: []SSlot{*s}}}
+			*s = SSlot{Unit: s.Unit, Prio: s.Prio, Op: VOp{Kind: mach.OpJmp, Line: s.Op.Line}, TargetBlock: sb.ID}
+			sb.Falls, b.Falls = b.Falls, nil
+			moved = true
+		}
+	}
+	return moved
 }
 
 // entryFlight returns, indexed by block ID, the flight on the edges entering
@@ -273,17 +357,18 @@ func (st *stitcher) padSerial() {
 // early beat, at which a write issued before the transfer lands (§6.2: a
 // write issued at beat b with latency L is read from beat b+L on, so ≤ 0
 // means nothing is in flight). It is a forward fixpoint over the resolved
-// blocks of the latest landing at each instruction; a serialized block's
-// own code starts with nothing in flight, since its pad drains what enters,
-// and a call passes on to its return site what it issued (callees return
-// drained).
-func (st *stitcher) entryFlight() []int {
+// blocks of the latest landing at each instruction — at[b][i], the flight a
+// branch or a fallthrough brings to instruction i of block b, is returned
+// too; a serialized block's own code starts with nothing in flight, since
+// its pad drains what enters, and a call or syscall passes nothing on to
+// the word behind it (callees return drained; a trace drains its own writes
+// by then, and unfold moves a transfer that writes from elsewhere reach).
+// Calls enter the prologue with only their link write in flight, landing
+// before its first word.
+func (st *stitcher) entryFlight() (enter []int, at [][]int) {
 	sf, cfg := st.sf, &st.cfg
-	enter := make([]int, len(sf.Blocks))
-	// Calls enter the prologue with only their link write in flight, issued
-	// in the early beat.
-	enter[sf.Entry] = cfg.Latency(mach.OpCall, ir.Void) - 2
-	at := make([][]int, len(sf.Blocks)) // at[b][i]: the flight a branch or a fallthrough brings to instruction i of block b
+	enter = make([]int, len(sf.Blocks))
+	at = make([][]int, len(sf.Blocks))
 	for _, b := range sf.Blocks {
 		at[b.ID] = make([]int, len(b.Instrs))
 	}
@@ -297,7 +382,7 @@ func (st *stitcher) entryFlight() []int {
 			changed = true
 		}
 	}
-	order := sf.layout()
+	order := sf.Layout()
 	for {
 		changed = false
 		for pos, id := range order {
@@ -321,6 +406,8 @@ func (st *stitcher) entryFlight() []int {
 						reach(s.TargetBlock, s.TargetOff, cur)
 					case mach.OpJmpR, mach.OpHalt:
 						falls = false
+					case mach.OpCall, mach.OpSyscall:
+						cur = min(cur, 0)
 					}
 				}
 				if !falls {
@@ -332,7 +419,7 @@ func (st *stitcher) entryFlight() []int {
 			}
 		}
 		if !changed {
-			return enter
+			return enter, at
 		}
 	}
 }
@@ -497,17 +584,6 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 		if ss.maxWriteEnd-1 > minIdx {
 			minIdx = ss.maxWriteEnd - 1
 		}
-	case mach.OpCall, mach.OpJmpR, mach.OpHalt, mach.OpSyscall:
-		// These consume convention registers implicitly (arguments, return
-		// values, the stack pointer), so every pending write must land
-		// before they execute.
-		isBranch = true
-		if ss.maxUsed > minIdx {
-			minIdx = ss.maxUsed
-		}
-		if ss.maxWriteEnd > minIdx {
-			minIdx = ss.maxWriteEnd
-		}
 	}
 	if op.IsMem() && ss.lastMem+1 > minIdx {
 		minIdx = ss.lastMem + 1
@@ -540,7 +616,7 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 	isMem := op.IsMem()
 	needsImmw := false
 	switch op.Kind {
-	case mach.OpBrT, mach.OpJmp, mach.OpCall, mach.OpJmpR, mach.OpHalt, mach.OpSyscall, ir.ConstF:
+	case mach.OpBrT, mach.OpJmp, ir.ConstF:
 		needsImmw = true
 	default:
 		for _, a := range []VArg{op.A, op.B, op.C} {
@@ -624,8 +700,6 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 			switch op.Kind {
 			case mach.OpJmp, mach.OpBrT:
 				st.wantTarget(op.T0, pendingBranch{sb.ID, idx, si})
-			case mach.OpCall:
-				in.Slots[si].TargetSym = op.Sym
 			}
 			// ordering bookkeeping
 			ss.res.row(issue).rd[pair] += uint16(nReads)
@@ -694,7 +768,7 @@ func (st *stitcher) addTrace(tr Trace) error {
 		g.collapseAddChains()
 	}
 	g.addFinalRestores(st.lv)
-	g.buildDAG(cfg, st.layout, st.globalForms)
+	g.buildDAG(cfg, st.layout, st.globalForms, st.lv)
 	res, err := st.sched.scheduleTrace(g)
 	if err != nil {
 		return err
@@ -824,18 +898,22 @@ func (st *stitcher) addTrace(tr Trace) error {
 			slot := &sb.Instrs[pb.instr].Slots[pb.slot]
 			slot.TargetBlock = cb.ID
 			slot.TargetOff = 0
-			slot.TargetSym = "" // resolved directly
 			// mark as resolved by NOT registering a pending target
 		}
 	}
-	// final jump target
+	// final jump target, or the continuation a call or syscall falls into
 	if g.finalIdx >= 0 {
 		fj := g.ops[g.finalIdx]
 		pb, ok := slotOf[fj]
 		if !ok {
 			return fmt.Errorf("%s: final jump not in schedule", vf.Name)
 		}
-		st.wantTarget(fj.vop.T0, pb)
+		switch ops := vf.Blocks[g.exit].Ops; {
+		case fj.vop.Kind == mach.OpJmp:
+			st.wantTarget(g.exit, pb)
+		case len(ops) > 1:
+			st.fallsTo[sb] = ops[1].T0
+		}
 	}
 	for _, p := range placed {
 		if p.src == nil {

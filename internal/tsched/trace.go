@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"github.com/multiflow-repro/trace/internal/ir"
+	"github.com/multiflow-repro/trace/internal/mach"
 )
 
 // Trace is an acyclic path of vblocks selected for compaction, ordered by
@@ -20,13 +21,17 @@ type VLiveness struct {
 	Out []ir.RegSet
 }
 
-// ComputeLiveness runs backward dataflow over the vop CFG.
+// ComputeLiveness runs backward dataflow over the vop CFG. An op reads its
+// operands and the convention registers the transfers consume (implicitUses,
+// the allocator's definition), so a register the calling convention passes
+// on is live up to its transfer.
 func (f *VFunc) ComputeLiveness() *VLiveness {
 	n := len(f.Blocks)
 	nr := f.NumRegs()
 	lv := &VLiveness{In: make([]ir.RegSet, n), Out: make([]ir.RegSet, n)}
 	use := make([]ir.RegSet, n)
 	def := make([]ir.RegSet, n)
+	reads := make([]VReg, 0, 2*mach.MaxArgs+4)
 	for i, b := range f.Blocks {
 		use[i] = ir.NewRegSet(nr)
 		def[i] = ir.NewRegSet(nr)
@@ -34,7 +39,7 @@ func (f *VFunc) ComputeLiveness() *VLiveness {
 		lv.Out[i] = ir.NewRegSet(nr)
 		for j := range b.Ops {
 			o := &b.Ops[j]
-			for _, u := range o.Uses() {
+			for _, u := range implicitUses(f, o, o.appendUses(reads[:0])) {
 				if !def[i].Has(ir.Reg(u)) {
 					use[i].Add(ir.Reg(u))
 				}
@@ -131,10 +136,12 @@ func EdgeWeight(prof ir.EdgeWeights, a, b int) float64 {
 // SelectTraces partitions the function's blocks into traces, most frequent
 // first (§4: "the compiler selects the most likely path, or trace ... the
 // process then repeats; the next-most-likely execution path is chosen").
-// NoCompact blocks always form single-block traces. Growth stops at blocks
-// already assigned, at NoCompact blocks, and at cycles; a block is appended
-// only if the edge into it is both the predecessor's most likely exit and
-// the block's most likely entry (Fisher's mutual-most-likely rule).
+// NoCompact blocks (the transfers) always form single-block traces; the
+// prologue, block 0, has no predecessor, so a trace holding it starts with
+// it. Growth stops at blocks already assigned, at NoCompact blocks, and at
+// cycles; a block is appended only if the edge into it is both the
+// predecessor's most likely exit and the block's most likely entry (Fisher's
+// mutual-most-likely rule).
 // maxBlocks 0 means unlimited.
 func SelectTraces(f *VFunc, prof ir.EdgeWeights, maxBlocks int) []Trace {
 	weights := BlockWeights(f, prof)

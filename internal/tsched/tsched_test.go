@@ -37,12 +37,18 @@ func main() int {
 
 func TestLowerShapes(t *testing.T) {
 	_, vf := lower(t, loopSrc, "main")
-	// block 0 is the prologue and jumps to block 1
-	if !vf.Blocks[0].NoCompact {
-		t.Error("prologue not NoCompact")
+	// block 0 is the prologue, compacted like any block, and jumps to block 1
+	if vf.Blocks[0].NoCompact {
+		t.Error("prologue is NoCompact")
 	}
 	if tm := vf.Blocks[0].Term(); tm == nil || tm.Kind != mach.OpJmp || tm.T0 != 1 {
 		t.Error("prologue does not jump to the first IR block")
+	}
+	// a NoCompact block is its transfer alone (here main's halt)
+	for _, b := range vf.Blocks {
+		if b.NoCompact && (len(b.Ops) != 1 || b.Ops[0].Kind != mach.OpHalt) {
+			t.Errorf("b%d: NoCompact block holds %d ops, want the halt alone", b.ID, len(b.Ops))
+		}
 	}
 	// main ends in OpHalt somewhere
 	foundHalt := false

@@ -170,10 +170,13 @@ func (o *VOp) String() string {
 type VBlock struct {
 	ID  int
 	Ops []VOp
-	// NoCompact marks call/syscall/prologue/epilogue blocks, which are
-	// scheduled serially (each op its own instruction) rather than
-	// compacted: they manipulate the calling convention's precolored
-	// registers, whose ordering the trace machinery must not disturb.
+	// NoCompact marks a block holding one control transfer that leaves the
+	// function's own code — call, syscall, jmpr or halt — and, after a call
+	// or syscall, the jump to its continuation. The transfer ends the trace
+	// that jumps to it, after every write of that trace has drained: nothing
+	// can be in flight across it (the callee, the caller and the runtime
+	// cannot see this function's pipeline). Every other convention op is
+	// compacted with the code around it.
 	NoCompact bool
 }
 
