@@ -112,6 +112,13 @@ type wordOut struct {
 
 func (o *wordOut) dirty(ri int16) bool { return ri >= 0 && o.wrote[ri] > 0 }
 
+// stillborn reports whether an operand of a compare issued at beat was
+// rewritten at that beat: the compare read the old value, the state holds
+// the new one, so the relation talks about a dead value.
+func (o *wordOut) stillborn(p pred, beat uint8) bool {
+	return (p.a.reg >= 0 && o.wrote[p.a.reg] == beat+1) || (p.b.reg >= 0 && o.wrote[p.b.reg] == beat+1)
+}
+
 type write struct {
 	dst mach.PReg
 	v   Val
@@ -221,9 +228,7 @@ func (a *analyzer) applyWrite(out *wordOut, x *write, beat uint8) {
 		np := pred{}
 		if out.wrote[ri] == 0 {
 			np = a.predFor(x.op)
-			if np.ok && ((np.a.reg >= 0 && out.wrote[np.a.reg] == beat+1) ||
-				(np.b.reg >= 0 && out.wrote[np.b.reg] == beat+1) ||
-				np.a.reg == int16(ri) || np.b.reg == int16(ri)) {
+			if np.ok && (out.stillborn(np, beat) || np.a.reg == int16(ri) || np.b.reg == int16(ri)) {
 				// operand rewritten this beat, or the compare overwrites its
 				// own operand: the relation talks about a dead value
 				np = pred{}
@@ -247,11 +252,22 @@ func (a *analyzer) applyWrite(out *wordOut, x *write, beat uint8) {
 		if out.predBorn[bi] == 0 { // double write: meaning ambiguous
 			p = a.predFor(x.op)
 		}
-		// An operand already rewritten this beat: the compare read the old
-		// value, the state holds the new one — the relation is stillborn.
-		if p.ok && ((p.a.reg >= 0 && out.wrote[p.a.reg] == beat+1) ||
-			(p.b.reg >= 0 && out.wrote[p.b.reg] == beat+1)) {
+		if p.ok && out.stillborn(p, beat) {
 			p = pred{}
+		}
+		// A bit testing a compare result held in the I-bank ("i = cmplt a, b;
+		// bb = cmpeq i, #0") records the compare's own relation (here a >= b),
+		// which outlives i: allocators reuse i as soon as the bit is written,
+		// and the bit would then mean nothing.
+		if p.ok && p.a.reg >= 0 && p.b.imm {
+			if ip := st.ipred[p.a.reg]; ip.ok && !out.stillborn(ip, beat) {
+				if w, known := boolTest(p.kind, p.b.val); known {
+					if !w {
+						ip.kind = negateCmp(ip.kind)
+					}
+					p = ip
+				}
+			}
 		}
 		st.preds[bi] = p
 		out.predBorn[bi] = beat + 1

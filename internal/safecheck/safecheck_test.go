@@ -100,9 +100,10 @@ func TestNarrowMachineConstInRegister(t *testing.T) {
 		allProven bool
 	}{
 		{"O0", opt.None(), 6, true},
-		// The unrolled narrow-machine loop still leaves some speculative
-		// loads unproven (the widened counter copies outrun the equality
-		// graph); the floor pins what proves today.
+		// Every site of the unrolled narrow-machine loops proves: the loop
+		// bounds reach the counters through branch bits that test I-bank
+		// compare results, whose registers the allocator reuses at once.
+		// The floor leaves room for allocations that break an equality.
 		{"O2", opt.Default(), 75, false},
 	} {
 		res, err := core.Compile(context.Background(), string(src),

@@ -22,14 +22,15 @@ type schedOp struct {
 	isMem bool
 	// compVop preserves the op's operands before the scheduler rewrote any
 	// of them to board-local copies; compensation code re-executes this
-	// form (serial comp blocks read each operand from its home board).
+	// form (comp blocks route each operand from its home board).
 	compVop *VOp
 	// converted marks a Load rewritten to the non-trapping speculative
 	// opcode because it moved above a split (§7); compensation copies
 	// revert it.
 	converted bool
 	// isRestore marks the final-exit moves that re-establish original
-	// register names; their writes must drain before control leaves.
+	// register names, and every op of a compensation block: their writes
+	// must drain before control leaves.
 	isRestore bool
 	// keepsName marks a write rename left alone — to a precolored register,
 	// or a parameter or return-value move at the trace's head — which is
@@ -79,6 +80,8 @@ type traceGraph struct {
 	// renamed, they are not single-assignment within the trace, so nothing
 	// may read through one to an older value.
 	rewritten map[VReg]bool
+	// comp marks the graph of a compensation block (compBlock).
+	comp bool
 
 	// restore moves appended for the final exit are ordinary ops; for splits
 	// they are generated later from the snapshots.
@@ -514,12 +517,13 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 				// one word for a value live into that word, and so, for a
 				// value computed there, live from the function's entry — one
 				// more register held across the whole function for every
-				// call and return.
+				// call and return. For the same reason no op of a
+				// compensation block reads in its producer's word.
 				delta := 0
-				if _, pre := g.vf.precolor[o.Dst]; pre {
-					if _, srcPre := g.vf.precolor[u]; !srcPre {
-						delta = 1
-					}
+				_, pre := g.vf.precolor[o.Dst]
+				_, srcPre := g.vf.precolor[u]
+				if g.comp || pre && !srcPre {
+					delta = 1
 				}
 				addEdge(d, i, lat, delta)
 				// chain detection looks through moves: acc = mov t after

@@ -136,7 +136,7 @@ func compileOneInner(cfg mach.Config, prog *ir.Program, f *ir.Func, prof ir.Edge
 		return nil, err
 	}
 	var fc *FuncCode
-	for _, maxBlocks := range ladder {
+	for i, maxBlocks := range ladder {
 		fc, err = CompileFunc(cfg, vf, prof, layout, maxBlocks)
 		if err == nil {
 			return fc, nil
@@ -144,8 +144,8 @@ func compileOneInner(cfg mach.Config, prog *ir.Program, f *ir.Func, prof ir.Edge
 		if !isCapacityErr(err) {
 			return nil, err
 		}
-		if debugLog {
-			fmt.Fprintf(os.Stderr, "tsched: %s: %v; retrying with traces <= %d blocks\n", f.Name, err, maxBlocks)
+		if debugLog && i+1 < len(ladder) {
+			fmt.Fprintf(os.Stderr, "tsched: %s: %v; retrying with traces <= %d blocks\n", f.Name, err, ladder[i+1])
 		}
 	}
 	return nil, err

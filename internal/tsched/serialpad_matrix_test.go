@@ -52,10 +52,11 @@ func judgeSerial(p matrixProgram) *serialVerdict {
 }
 
 // TestSerialPadIsExact: on every function of the golden matrix, each
-// serialized block starts with exactly the empty instructions the latest
-// write in flight on its entering edges needs to land — found here by
-// walking back from every edge, not by the stitcher's forward fixpoint —
-// and never more than the function-wide pad it replaced; every write issued
+// serialized and each compensation block starts with exactly the empty
+// instructions the latest write in flight on its entering edges needs to
+// land — found here by walking back from every edge, not by the stitcher's
+// forward fixpoint — and never more than the function-wide pad it replaced;
+// every write issued
 // before a transfer that ends a trace has landed by the word behind it; and
 // every image of the matrix lints clean.
 func TestSerialPadIsExact(t *testing.T) {
@@ -249,30 +250,32 @@ func padsAreExact(sf *tsched.SFunc, cfg mach.Config) error {
 				}
 			}
 		}
-		if !b.Serial {
+		if !b.Serial && !b.Comp {
 			continue
 		}
-		// A serialized block's own code starts with an op, so its pad is
-		// the empty instructions in front.
+		// A serialized or compensation block's own code starts with an op,
+		// so its pad is the empty instructions in front.
 		pad := 0
 		for pad < len(b.Instrs) && len(b.Instrs[pad].Slots) == 0 {
 			pad++
 		}
-		pads += pad
+		if b.Serial {
+			pads += pad
+		}
 		f := 0
 		for _, p := range preds[at{b.ID, 0}] {
 			f = max(f, landing(p.block, p.instr, 0))
 		}
 		if want := (max(f, 0) + 1) / 2; pad != want {
-			return fmt.Errorf("serialized block %d: pad %d, but its entering edges carry a write landing %d beats in (pad %d)", b.ID, pad, f, want)
+			return fmt.Errorf("padded block %d: pad %d, but its entering edges carry a write landing %d beats in (pad %d)", b.ID, pad, f, want)
 		}
 		if old := (oldLat + 2) / 2; pad > old {
-			return fmt.Errorf("serialized block %d: pad %d exceeds the function-wide %d", b.ID, pad, old)
+			return fmt.Errorf("padded block %d: pad %d exceeds the function-wide %d", b.ID, pad, old)
 		}
 	}
 	for t := range preds {
-		if sf.Blocks[t.block].Serial && t.instr != 0 {
-			return fmt.Errorf("serialized block %d is entered at instruction %d", t.block, t.instr)
+		if b := sf.Blocks[t.block]; (b.Serial || b.Comp) && t.instr != 0 {
+			return fmt.Errorf("padded block %d is entered at instruction %d", t.block, t.instr)
 		}
 	}
 	if pads != sf.PadInstrs {

@@ -16,40 +16,150 @@ func fib(n int) int {
 func main() int { return fib(10) }
 `
 
-// TestSerialReturnKeepsWAROrder: placeSerial, which packs compensation
-// blocks, once forgot a read at instruction 0 — compared against the map's
-// zero value — and packed "add sp ← sp+frame" into the instruction of the
-// "load lr ← [sp+k]" reading sp, where the early-beat add lands before the
-// late-beat load reads its base.
-func TestSerialReturnKeepsWAROrder(t *testing.T) {
-	_, vf := lower(t, fibSrc, "fib")
+// compStitcher returns a stitcher of vf with nothing stitched yet, for
+// calling compBlock directly.
+func compStitcher(vf *VFunc, cfg mach.Config) *stitcher {
 	sf := &SFunc{VF: vf, home: make(homes, vf.NumRegs())}
 	for r, p := range vf.precolor {
 		sf.home.set(r, p.Board)
 	}
-	st := &stitcher{cfg: mach.Trace28(), vf: vf, sf: sf,
-		serialReady: map[*SBlock]map[VReg]int{}, serialRes: map[*SBlock]*serialState{}}
-	sb := st.newBlock()
-	st.serializeInto(sb, []VOp{
+	return &stitcher{cfg: cfg, vf: vf, sf: sf, lv: vf.ComputeLiveness(),
+		sched: &scheduler{cfg: cfg, vf: vf, home: &sf.home, gen: 1}}
+}
+
+// issueBeat returns the beat a slot of instruction i issues at.
+func issueBeat(i int, s SSlot) int { return 2*i + int(s.Beat) }
+
+// TestSerialReturnKeepsWAROrder: the serial packer that once placed
+// compensation code forgot a read at instruction 0 — compared against the
+// map's zero value — and packed "add sp ← sp+frame" into the instruction of
+// the "load lr ← [sp+k]" reading sp, where the early-beat add lands before
+// the late-beat load reads its base. A compensation block is scheduled as a
+// trace now, and its graph orders the write after the read.
+func TestSerialReturnKeepsWAROrder(t *testing.T) {
+	_, vf := lower(t, fibSrc, "fib")
+	st := compStitcher(vf, mach.Trace28())
+	cb, _, err := st.compBlock([]VOp{
 		{Kind: ir.Load, Type: ir.I32, Dst: vf.LR, A: VRegArg(vf.SP), B: VImmArg(16)},
 		{Kind: ir.Add, Type: ir.I32, Dst: vf.SP, A: VRegArg(vf.SP), B: VImmArg(24)},
-	}, -1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	load, add := -1, -1
-	for i, in := range sb.Instrs {
+	for i, in := range cb.Instrs {
 		for _, s := range in.Slots {
 			switch s.Op.Kind {
 			case ir.Load:
-				load = i
+				load = issueBeat(i, s)
 			case ir.Add:
-				add = i
+				add = issueBeat(i, s)
 			}
 		}
 	}
-	if load != 0 {
-		t.Fatalf("link reload at instruction %d; the test wants it at 0", load)
+	if load < 0 || add < load {
+		t.Fatalf("sp is popped at beat %d, before the link reload reads it at beat %d", add, load)
 	}
-	if add <= load {
-		t.Fatalf("sp is popped in instruction %d, before or with the link reload reading it in %d", add, load)
+}
+
+// compRegs returns n fresh I registers of vf homed on board 0.
+func compRegs(st *stitcher, n int) []VReg {
+	rs := make([]VReg, n)
+	for i := range rs {
+		rs[i] = st.vf.NewReg(ClassI, ir.I32)
+		st.sf.home.set(rs[i], 0)
+	}
+	return rs
+}
+
+// TestCompBlockHonoursDivideOccupancy: an iterative divide holds its I ALU
+// for its whole latency, and compensation code is placed by the scheduler
+// that reserves the hold — the serial packer did not, and put other ops on
+// the held ALU. Two divides never hold both ALUs of one pair at once, so a
+// pair always has an ALU for the copies that move work elsewhere.
+func TestCompBlockHonoursDivideOccupancy(t *testing.T) {
+	_, vf := lower(t, fibSrc, "fib")
+	cfg := mach.Trace28()
+	st := compStitcher(vf, cfg)
+	r := compRegs(st, 12)
+	ops := []VOp{
+		{Kind: ir.Div, Type: ir.I32, Dst: r[0], A: VRegArg(r[1]), B: VRegArg(r[2])},
+		{Kind: ir.Rem, Type: ir.I32, Dst: r[3], A: VRegArg(r[1]), B: VRegArg(r[2])},
+	}
+	for i := 4; i < len(r); i++ {
+		ops = append(ops, VOp{Kind: ir.Add, Type: ir.I32, Dst: r[i], A: VRegArg(r[1]), B: VImmArg(int32(i))})
+	}
+	cb, _, err := st.compBlock(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type hold struct {
+		unit     mach.Unit
+		from, to int // beats [from, to)
+	}
+	var holds []hold
+	for i, in := range cb.Instrs {
+		for _, s := range in.Slots {
+			if s.Op.Kind == ir.Div || s.Op.Kind == ir.Rem {
+				b := issueBeat(i, s)
+				holds = append(holds, hold{s.Unit, b, b + opLatency(&cfg, &s.Op)})
+			}
+		}
+	}
+	if len(holds) != 2 {
+		t.Fatalf("%d divides in the block, want 2", len(holds))
+	}
+	if h, g := holds[0], holds[1]; h.unit.Pair == g.unit.Pair && h.from < g.to && g.from < h.to {
+		t.Errorf("divides on %s [%d,%d) and %s [%d,%d) hold both ALUs of pair %d at once",
+			h.unit, h.from, h.to, g.unit, g.from, g.to, h.unit.Pair)
+	}
+	for i, in := range cb.Instrs {
+		for _, s := range in.Slots {
+			b := issueBeat(i, s)
+			for _, h := range holds {
+				if s.Unit == h.unit && b > h.from && b < h.to {
+					t.Errorf("%s issues on %s at beat %d, inside the divide's hold [%d,%d)",
+						mach.OpName(s.Op.Kind), s.Unit, b, h.from, h.to)
+				}
+			}
+		}
+	}
+}
+
+// TestCompBlockReadsNoSameWordWrite: no op of a compensation block reads a
+// value in the word that writes it. The allocator's liveness is per word: a
+// late-beat read of an early-beat write in one word counts the value as
+// live into that word, and a value a compensation block computes would then
+// be live from its function's entry.
+func TestCompBlockReadsNoSameWordWrite(t *testing.T) {
+	_, vf := lower(t, fibSrc, "fib")
+	st := compStitcher(vf, mach.Trace28())
+	r := compRegs(st, 5)
+	cb, _, err := st.compBlock([]VOp{
+		{Kind: ir.Add, Type: ir.I32, Dst: r[1], A: VRegArg(r[0]), B: VImmArg(1)},
+		{Kind: ir.Add, Type: ir.I32, Dst: r[2], A: VRegArg(r[1]), B: VImmArg(2)},
+		{Kind: ir.Mov, Type: ir.I32, Dst: r[3], A: VRegArg(r[2])},
+		{Kind: ir.Sub, Type: ir.I32, Dst: r[4], A: VRegArg(r[3]), B: VRegArg(r[1])},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := map[VReg]int{} // register -> instruction writing it
+	for i, in := range cb.Instrs {
+		for _, s := range in.Slots {
+			if s.Op.Dst != VNone {
+				wrote[s.Op.Dst] = i
+			}
+		}
+	}
+	for i, in := range cb.Instrs {
+		for _, s := range in.Slots {
+			for _, u := range s.Op.Uses() {
+				if w, ok := wrote[u]; ok && w >= i {
+					t.Errorf("%s in instruction %d reads v%d, written in instruction %d", mach.OpName(s.Op.Kind), i, u, w)
+				}
+			}
+		}
 	}
 }
 

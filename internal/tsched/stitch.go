@@ -40,6 +40,9 @@ type SBlock struct {
 	// end its trace, alone in a block that padSerial starts with exactly the
 	// empty instructions the flight on its entering edges needs.
 	Serial bool
+	// Comp marks a compensation block (compBlock), which padSerial starts
+	// the same way: no write from the code entering it is still in flight.
+	Comp bool
 	// Falls is the block control continues in after this one's last word —
 	// a call's return site, or where a syscall falls through — laid out
 	// right behind it; nil if the last word transfers control.
@@ -134,8 +137,7 @@ func Assemble(cfg mach.Config, vf *VFunc, prof ir.EdgeWeights, layout map[string
 	st := &stitcher{cfg: cfg, vf: vf, sf: sf, lv: lv, layout: layout, globalForms: globalForms,
 		sched:     &scheduler{cfg: cfg, vf: vf, home: &sf.home, gen: 1},
 		entrances: map[int]entrance{}, joinComp: map[int]int{}, pending: map[int][]pendingBranch{},
-		fallsTo:     map[*SBlock]int{},
-		serialReady: map[*SBlock]map[VReg]int{}, serialRes: map[*SBlock]*serialState{}}
+		fallsTo: map[*SBlock]int{}}
 
 	for _, tr := range traces {
 		if vf.Blocks[tr.Blocks[0]].NoCompact {
@@ -176,52 +178,11 @@ type stitcher struct {
 	pending     map[int][]pendingBranch
 	fallsTo     map[*SBlock]int // trace ending in a call or syscall -> its continuation's vblock
 	globalForms map[VReg]alias.Form
-
-	// serialReady tracks, per compensation block, the earliest instruction
-	// index at which each register's value is usable (its producer's write
-	// has landed). These blocks insert empty instructions to respect
-	// latencies — the interlock-free hardware will not wait for them.
-	serialReady map[*SBlock]map[VReg]int
-	// serialRes tracks slot usage for packed serialization.
-	serialRes map[*SBlock]*serialState
 }
 
-// serialState is the lightweight reservation state for packing several
-// independent ops into each instruction of a compensation block, honoring
-// the same structural limits the main scheduler enforces.
-type serialState struct {
-	res resTable // unit slots, memory refs, immediate words, ports, copy-bus traffic
-
-	// ordering state: packing must not reorder hazardous pairs
-	floor    int          // entry padding boundary: no op before this
-	lastRead map[VReg]int // WAR: a def may not land before a later read
-	// writeEnd[r] is the first instruction index whose reads are safely
-	// after r's last pending write lands (RAW safety net and WAW ordering).
-	writeEnd    map[VReg]int
-	lastMem     int // memory ops execute in program order
-	barrier     int // ops after a branch start strictly after it
-	maxUsed     int // branches go after everything placed so far
-	maxWriteEnd int // latest landing instr of any write (the jump waits for it)
-}
-
-// Debugging aids, read once: TSCHED_DEBUG prints the traces, the retries and
-// the state of a failed stitch to stderr; TSCHED_NOPACK disables comp-block
-// packing.
-var (
-	debugLog          = os.Getenv("TSCHED_DEBUG") != ""
-	serialDebugNoPack = os.Getenv("TSCHED_NOPACK") != ""
-)
-
-func newSerialState(floor int) *serialState {
-	return &serialState{
-		floor:    floor,
-		lastRead: map[VReg]int{},
-		writeEnd: map[VReg]int{},
-		lastMem:  -1,
-		barrier:  0,
-		maxUsed:  -1,
-	}
-}
+// debugLog, read once: TSCHED_DEBUG prints the traces, the retries and the
+// state of a failed stitch to stderr.
+var debugLog = os.Getenv("TSCHED_DEBUG") != ""
 
 func (st *stitcher) newBlock() *SBlock {
 	b := &SBlock{ID: len(st.sf.Blocks)}
@@ -288,14 +249,16 @@ func (st *stitcher) resolve() error {
 
 // padSerial makes sure nothing is airborne across a call, return, syscall
 // or halt (registers cannot be tracked across functions, nor into the
-// runtime). The dependence graph drains a trace's own writes before the
-// transfer ending it; a write entering the trace from another one that is
-// still in flight at the transfer's word moves the transfer out of the
-// trace, into a serialized block of its own behind a jump (unfold). Every
-// serialized block starts with as many empty instructions as the writes in
-// flight on its entering edges need to land. Placement inside a block is
-// relative to its first op, so the pad can go in front after the fact;
-// every edge into a serialized block targets its offset 0.
+// runtime), nor into compensation code, which re-executes ops whose
+// speculative copies the entering trace may still have in flight. The
+// dependence graph drains a trace's own writes before the transfer ending
+// it; a write entering the trace from another one that is still in flight
+// at the transfer's word moves the transfer out of the trace, into a
+// serialized block of its own behind a jump (unfold). Every serialized and
+// every compensation block starts with as many empty instructions as the
+// writes in flight on its entering edges need to land. Placement inside a
+// block is relative to its first op, so the pad can go in front after the
+// fact; every edge into such a block targets its offset 0.
 func (st *stitcher) padSerial() {
 	sf := st.sf
 	enter, at := st.entryFlight()
@@ -303,10 +266,12 @@ func (st *stitcher) padSerial() {
 		enter, _ = st.entryFlight()
 	}
 	for id, f := range enter {
-		if sb := sf.Blocks[id]; sb.Serial && f > 0 {
+		if sb := sf.Blocks[id]; f > 0 {
 			pad := (f + 1) / 2
 			sb.Instrs = append(make([]SInstr, pad, pad+len(sb.Instrs)), sb.Instrs...)
-			sf.PadInstrs += pad
+			if sb.Serial {
+				sf.PadInstrs += pad
+			}
 		}
 	}
 	for _, sb := range sf.Blocks {
@@ -353,14 +318,14 @@ func (st *stitcher) unfold(at [][]int) bool {
 }
 
 // entryFlight returns, indexed by block ID, the flight on the edges entering
-// each serialized block: the latest beat, counted from the block's first
-// early beat, at which a write issued before the transfer lands (§6.2: a
+// each serialized or compensation block: the latest beat, counted from the
+// block's first early beat, at which a write issued before it lands (§6.2: a
 // write issued at beat b with latency L is read from beat b+L on, so ≤ 0
 // means nothing is in flight). It is a forward fixpoint over the resolved
 // blocks of the latest landing at each instruction — at[b][i], the flight a
 // branch or a fallthrough brings to instruction i of block b, is returned
-// too; a serialized block's own code starts with nothing in flight, since
-// its pad drains what enters, and a call or syscall passes nothing on to
+// too; such a block's own code starts with nothing in flight, since its
+// pad drains what enters, and a call or syscall passes nothing on to
 // the word behind it (callees return drained; a trace drains its own writes
 // by then, and unfold moves a transfer that writes from elsewhere reach).
 // Calls enter the prologue with only their link write in flight, landing
@@ -375,7 +340,7 @@ func (st *stitcher) entryFlight() (enter []int, at [][]int) {
 	changed := false
 	reach := func(b, off, f int) {
 		switch {
-		case sf.Blocks[b].Serial:
+		case sf.Blocks[b].Serial || sf.Blocks[b].Comp:
 			enter[b] = max(enter[b], f)
 		case off < len(at[b]) && f > at[b][off]:
 			at[b][off] = f
@@ -420,332 +385,6 @@ func (st *stitcher) entryFlight() (enter []int, at [][]int) {
 		}
 		if !changed {
 			return enter, at
-		}
-	}
-}
-
-// serializeInto appends ops one per instruction, inserting cross-bank copy
-// moves where an operand is not local to the op's unit. jumpTo, if ≥ 0,
-// appends a final jump to that vblock's entrance.
-func (st *stitcher) serializeInto(sb *SBlock, ops []VOp, jumpTo int) {
-	for i := range ops {
-		op := ops[i] // copy
-		st.serializeOne(sb, op)
-	}
-	if jumpTo >= 0 {
-		j := VOp{Kind: mach.OpJmp, T0: jumpTo}
-		st.serializeOne(sb, j)
-	}
-}
-
-// pad appends empty instructions so that sb's next instruction index is at
-// least idx (used for latency spacing and for in-flight writes from a
-// predecessor block).
-func (st *stitcher) pad(sb *SBlock, idx int) {
-	for len(sb.Instrs) < idx {
-		sb.Instrs = append(sb.Instrs, SInstr{})
-	}
-}
-
-// serializeOne appends a single op (plus any operand-routing moves) to sb.
-func (st *stitcher) serializeOne(sb *SBlock, op VOp) {
-	vf := st.vf
-	home := &st.sf.home
-	ready := st.serialReady[sb]
-	if ready == nil {
-		ready = map[VReg]int{}
-		st.serialReady[sb] = ready
-	}
-	// Choose the executing pair. Destinations in the branch bank, store
-	// file, or F bank (other than tagged-bus moves) can only be written
-	// locally, so they pin the pair; otherwise SF/BB operand reads pin it;
-	// otherwise prefer a board holding an operand.
-	pair := -1
-	if op.Dst != VNone {
-		switch vf.Class(op.Dst) {
-		case ClassB, ClassSF:
-			if h, ok := home.get(op.Dst); ok {
-				pair = int(h)
-			}
-		case ClassF:
-			if op.Kind != ir.Mov {
-				if h, ok := home.get(op.Dst); ok {
-					pair = int(h)
-				}
-			}
-		}
-	}
-	if pair < 0 {
-		for _, r := range op.Uses() {
-			switch vf.Class(r) {
-			case ClassSF, ClassB:
-				h, _ := home.get(r)
-				pair = int(h) // hard
-			}
-		}
-	}
-	if pair < 0 {
-		for _, r := range op.Uses() {
-			if h, ok := home.get(r); ok {
-				pair = int(h)
-				break
-			}
-		}
-	}
-	if pair < 0 {
-		pair = 0
-	}
-	// route non-local I/F operands through copies
-	args := []*VArg{&op.A, &op.B, &op.C}
-	for _, a := range args {
-		if a.IsImm || a.Reg == VNone {
-			continue
-		}
-		r := a.Reg
-		cls := vf.Class(r)
-		if cls != ClassI && cls != ClassF {
-			continue
-		}
-		h, ok := home.get(r)
-		if !ok {
-			home.set(r, uint8(pair))
-			continue
-		}
-		if int(h) == pair {
-			continue
-		}
-		tmp := vf.NewReg(cls, vf.TypeOf(r))
-		home.set(tmp, uint8(pair))
-		mv := VOp{Kind: ir.Mov, Type: vf.TypeOf(r), Dst: tmp, A: VRegArg(r)}
-		idx := st.placeSerial(sb, mv, int(h), ready[r])
-		ready[tmp] = idx + (opLatency(&st.cfg, &mv)+1)/2
-		a.Reg = tmp
-		st.sf.CopyOps++
-	}
-	need := 0
-	for _, r := range op.Uses() {
-		if ready[r] > need {
-			need = ready[r]
-		}
-	}
-	idx := st.placeSerial(sb, op, pair, need)
-	if op.Dst != VNone {
-		ready[op.Dst] = idx + (opLatency(&st.cfg, &op)+1)/2
-		if _, ok := home.get(op.Dst); !ok {
-			if pre, isPre := vf.precolor[op.Dst]; isPre {
-				home.set(op.Dst, pre.Board)
-			} else {
-				home.set(op.Dst, uint8(pair))
-			}
-		}
-	}
-}
-
-// placeSerial finds a slot for op from the current ready frontier onward.
-func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
-	ss := st.serialRes[sb]
-	if ss == nil {
-		ss = newSerialState(len(sb.Instrs))
-		st.serialRes[sb] = ss
-	}
-	// ordering constraints
-	if minIdx < ss.floor {
-		minIdx = ss.floor
-	}
-	if minIdx < ss.barrier {
-		minIdx = ss.barrier
-	}
-	if op.Dst != VNone {
-		// WAR: strictly after the last read (a write can land mid-instr)
-		if v, ok := ss.lastRead[op.Dst]; ok && v+1 > minIdx {
-			minIdx = v + 1
-		}
-		// WAW: after the previous write has landed
-		if v, ok := ss.writeEnd[op.Dst]; ok && v > minIdx {
-			minIdx = v
-		}
-	}
-	for _, u := range op.Uses() {
-		// RAW: at or after the producer's landing instruction
-		if v, ok := ss.writeEnd[u]; ok && v > minIdx {
-			minIdx = v
-		}
-	}
-	isBranch := false
-	switch op.Kind {
-	case mach.OpJmp, mach.OpBrT:
-		// The target may read values computed here as soon as the next
-		// instruction, so every pending write must land first (serialized
-		// blocks have no DAG to carry the drain constraint).
-		isBranch = true
-		if ss.maxUsed > minIdx {
-			minIdx = ss.maxUsed
-		}
-		if ss.maxWriteEnd-1 > minIdx {
-			minIdx = ss.maxWriteEnd - 1
-		}
-	}
-	if op.IsMem() && ss.lastMem+1 > minIdx {
-		minIdx = ss.lastMem + 1
-	}
-	if serialDebugNoPack && ss.maxUsed+1 > minIdx {
-		minIdx = ss.maxUsed + 1
-	}
-	// candidate units for this op on the pair
-	var buf [4]unitChoice
-	cands := buf[:0]
-	p8 := uint8(pair)
-	switch unitClass(st.vf, &op) {
-	case UBRClass:
-		cands = append(cands, unitChoice{mach.Unit{Kind: mach.UBR, Pair: p8}, 0})
-	case UFAClass:
-		cands = append(cands, unitChoice{mach.Unit{Kind: mach.UFA, Pair: p8}, 0})
-	case UFMClass:
-		cands = append(cands, unitChoice{mach.Unit{Kind: mach.UFM, Pair: p8}, 0})
-	case UFEitherClass:
-		cands = append(cands,
-			unitChoice{mach.Unit{Kind: mach.UFA, Pair: p8}, 0},
-			unitChoice{mach.Unit{Kind: mach.UFM, Pair: p8}, 0})
-	default:
-		for alu := uint8(0); alu < 2; alu++ {
-			for beat := uint8(0); beat < 2; beat++ {
-				cands = append(cands, unitChoice{mach.Unit{Kind: mach.UIALU, Pair: p8, Idx: alu}, beat})
-			}
-		}
-	}
-	isMem := op.IsMem()
-	needsImmw := false
-	switch op.Kind {
-	case mach.OpBrT, mach.OpJmp, ir.ConstF:
-		needsImmw = true
-	default:
-		for _, a := range []VArg{op.A, op.B, op.C} {
-			if a.IsImm && !fitsImm6(a) {
-				needsImmw = true
-			}
-		}
-	}
-	nReads := 0
-	for _, a := range []VArg{op.A, op.B, op.C} {
-		if !a.IsImm && a.Reg != VNone {
-			nReads++
-		}
-	}
-	pairBit := uint8(1) << pair
-	for idx := minIdx; ; idx++ {
-		for _, c := range cands {
-			issue := 2*idx + int(c.beat)
-			if ss.res.at(issue).units&unitBit(c.unit) != 0 {
-				continue
-			}
-			if int(ss.res.at(issue).rd[pair])+nReads > st.cfg.RFReadPorts {
-				continue
-			}
-			if op.Dst != VNone {
-				wb := issue + opLatency(&st.cfg, &op)
-				db := pair
-				if h, ok := st.sf.home.get(op.Dst); ok {
-					db = int(h)
-				}
-				if int(ss.res.at(wb).wr[db])+1 > st.cfg.RFWritePorts {
-					continue
-				}
-				// Cross-board results ride the tagged load buses (§6.3) — a
-				// machine-global resource the per-board port counts miss:
-				// with homes spread over four boards, the write ports admit
-				// eight retires per beat but only four bus deliveries.
-				if db != pair && !op.IsMem() {
-					kind, beats := busILoad, 1
-					if st.vf.Class(op.Dst) == ClassF {
-						kind, beats = busFLoad, 2
-					}
-					full := false
-					for i := 0; i < beats; i++ {
-						if int(ss.res.at(wb - i).bus[kind])+1 > busCap(&st.cfg, kind) {
-							full = true
-							break
-						}
-					}
-					if full {
-						continue
-					}
-				}
-			}
-			if isMem && ss.res.at(issue).mem&pairBit != 0 {
-				continue
-			}
-			if needsImmw && ss.res.at(issue).imm&pairBit != 0 {
-				continue
-			}
-			// an F constant needs both halves of the shared word (§6.5.1)
-			if op.Kind == ir.ConstF && ss.res.at(2*idx+1).imm&pairBit != 0 {
-				continue
-			}
-			// commit
-			ss.res.row(issue).units |= unitBit(c.unit)
-			if isMem {
-				ss.res.row(issue).mem |= pairBit
-			}
-			if needsImmw {
-				ss.res.row(issue).imm |= pairBit
-				if op.Kind == ir.ConstF {
-					ss.res.row(2*idx + 1).imm |= pairBit
-				}
-			}
-			st.pad(sb, idx+1)
-			slot := SSlot{Unit: c.unit, Beat: c.beat, Op: op}
-			in := &sb.Instrs[idx]
-			si := len(in.Slots)
-			in.Slots = append(in.Slots, slot)
-			switch op.Kind {
-			case mach.OpJmp, mach.OpBrT:
-				st.wantTarget(op.T0, pendingBranch{sb.ID, idx, si})
-			}
-			// ordering bookkeeping
-			ss.res.row(issue).rd[pair] += uint16(nReads)
-			if op.Dst != VNone {
-				wb := issue + opLatency(&st.cfg, &op)
-				db := pair
-				if h, ok := st.sf.home.get(op.Dst); ok {
-					db = int(h)
-				}
-				ss.res.row(wb).wr[db]++
-				if db != pair && !op.IsMem() {
-					kind, beats := busILoad, 1
-					if st.vf.Class(op.Dst) == ClassF {
-						kind, beats = busFLoad, 2
-					}
-					for i := 0; i < beats; i++ {
-						ss.res.row(wb - i).bus[kind]++
-					}
-				}
-			}
-			if op.Dst != VNone {
-				lat := opLatency(&st.cfg, &op)
-				end := (issue + lat + 1) / 2
-				if end <= idx {
-					end = idx + 1
-				}
-				ss.writeEnd[op.Dst] = end
-				if end > ss.maxWriteEnd {
-					ss.maxWriteEnd = end
-				}
-			}
-			for _, u := range op.Uses() {
-				if v, ok := ss.lastRead[u]; !ok || idx > v {
-					ss.lastRead[u] = idx
-				}
-			}
-			if op.IsMem() && idx > ss.lastMem {
-				ss.lastMem = idx
-			}
-			if isBranch {
-				ss.barrier = idx + 1
-			}
-			if idx > ss.maxUsed {
-				ss.maxUsed = idx
-			}
-			return idx
 		}
 	}
 }
@@ -797,30 +436,8 @@ func (st *stitcher) addTrace(tr Trace) error {
 		}
 	}
 
-	// build the trace SBlock
-	sb := st.newBlock()
-	sb.Instrs = make([]SInstr, res.numInstr)
-	// deterministic slot order within each instruction
-	placed := append([]placedOp(nil), res.placed...)
-	sort.SliceStable(placed, func(a, b int) bool {
-		if placed[a].instr != placed[b].instr {
-			return placed[a].instr < placed[b].instr
-		}
-		return slotLess(placed[a], placed[b])
-	})
-	slotOf := map[*schedOp]pendingBranch{}
-	for _, p := range placed {
-		in := &sb.Instrs[p.instr]
-		slot := SSlot{Unit: p.unit, Beat: p.beat, Op: p.vop}
-		if p.src != nil {
-			slot.Op = p.src.vop // includes LoadSpec conversion
-		}
-		idx := len(in.Slots)
-		in.Slots = append(in.Slots, slot)
-		if p.src != nil {
-			slotOf[p.src] = pendingBranch{sb.ID, p.instr, idx}
-		}
-	}
+	sb, slotOf := st.emit(res)
+	placed := res.placed
 	// multiway branch priorities follow original program order (§6.5.2:
 	// "the test that was originally first ... must be the highest priority")
 	for ii := range sb.Instrs {
@@ -875,7 +492,9 @@ func (st *stitcher) addTrace(tr Trace) error {
 				}
 			}
 		}
-		st.emitJoinComp(g, sb, v, pos, e, lateCopies)
+		if err := st.emitJoinComp(g, sb, v, pos, e, lateCopies); err != nil {
+			return err
+		}
 	}
 
 	// split compensation and branch targets
@@ -890,16 +509,16 @@ func (st *stitcher) addTrace(tr Trace) error {
 		}
 		if len(comp) == 0 {
 			st.wantTarget(target, pb)
-		} else {
-			cb := st.newBlock()
-			st.pad(cb, splitDrain(st.cfg, res, sp))
-			st.serializeInto(cb, comp, target)
-			st.sf.CompOps += len(comp)
-			slot := &sb.Instrs[pb.instr].Slots[pb.slot]
-			slot.TargetBlock = cb.ID
-			slot.TargetOff = 0
-			// mark as resolved by NOT registering a pending target
+			continue
 		}
+		cb, jump, err := st.compBlock(comp)
+		if err != nil {
+			return err
+		}
+		st.wantTarget(target, jump)
+		slot := &sb.Instrs[pb.instr].Slots[pb.slot]
+		slot.TargetBlock = cb.ID
+		slot.TargetOff = 0
 	}
 	// final jump target, or the continuation a call or syscall falls into
 	if g.finalIdx >= 0 {
@@ -915,31 +534,60 @@ func (st *stitcher) addTrace(tr Trace) error {
 			st.fallsTo[sb] = ops[1].T0
 		}
 	}
-	for _, p := range placed {
-		if p.src == nil {
-			st.sf.CopyOps++
-		}
-	}
 	return nil
 }
 
-// splitDrain returns how many empty instructions the split's compensation
-// block needs at entry so that every on-trace write issued at or before the
-// branch has drained by the time the comp code reads it.
-func splitDrain(cfg mach.Config, res *schedResult, sp *schedOp) int {
-	branchDone := 2*sp.instr + 2 // first beat after the branch's instruction
-	drain := 0
-	for i := range res.placed {
-		p := &res.placed[i]
-		if p.instr > sp.instr || p.vop.Dst == VNone {
-			continue
+// emit lays a schedule out as a new SBlock, sorting res.placed into slot
+// order, and returns the block and the slot of each op of the graph.
+func (st *stitcher) emit(res *schedResult) (*SBlock, map[*schedOp]pendingBranch) {
+	sb := st.newBlock()
+	sb.Instrs = make([]SInstr, res.numInstr)
+	// deterministic slot order within each instruction
+	placed := res.placed
+	sort.SliceStable(placed, func(a, b int) bool {
+		if placed[a].instr != placed[b].instr {
+			return placed[a].instr < placed[b].instr
 		}
-		w := 2*p.instr + int(p.beat) + opLatency(&cfg, &p.vop)
-		if d := w - branchDone; d > drain {
-			drain = d
+		return slotLess(placed[a], placed[b])
+	})
+	slotOf := map[*schedOp]pendingBranch{}
+	for _, p := range placed {
+		in := &sb.Instrs[p.instr]
+		slot := SSlot{Unit: p.unit, Beat: p.beat, Op: p.vop}
+		if p.src != nil {
+			slot.Op = p.src.vop // includes LoadSpec conversion
+			slotOf[p.src] = pendingBranch{sb.ID, p.instr, len(in.Slots)}
+		} else {
+			st.sf.CopyOps++
 		}
+		in.Slots = append(in.Slots, slot)
 	}
-	return (drain + 1) / 2
+	return sb, slotOf
+}
+
+// compBlock schedules one list of compensation ops into a block of its own,
+// with the list scheduler that compacts the traces: the ops and a closing
+// jump form a one-block trace in which every op is a restore (isRestore), so
+// each write drains before the jump as at a trace's final exit, and no op
+// reads a value in the word that writes it (traceGraph.comp). padSerial puts
+// the pad for the flight entering it in front. It returns the block and the
+// slot of its jump, whose target the caller sets.
+func (st *stitcher) compBlock(ops []VOp) (*SBlock, pendingBranch, error) {
+	g := &traceGraph{vf: st.vf, comp: true, finalIdx: len(ops)}
+	for i, o := range ops {
+		g.ops = append(g.ops, &schedOp{vop: o, origIdx: i, instr: -1, isRestore: true})
+	}
+	jump := &schedOp{vop: VOp{Kind: mach.OpJmp}, origIdx: len(ops), instr: -1, isFinal: true}
+	g.ops = append(g.ops, jump)
+	g.buildDAG(st.cfg, st.layout, st.globalForms, st.lv)
+	res, err := st.sched.scheduleTrace(g)
+	if err != nil {
+		return nil, pendingBranch{}, err
+	}
+	cb, slotOf := st.emit(res)
+	cb.Comp = true
+	st.sf.CompOps += len(ops)
+	return cb, slotOf[jump], nil
 }
 
 // slotLess orders placements within an instruction for determinism.
@@ -1018,7 +666,7 @@ func restoreMovs(vf *VFunc, lv *VLiveness, snap map[VReg]VReg, target int) []VOp
 // for renamed registers, re-execution of on-trace ops that moved above the
 // entrance, and re-execution of cross-bank copies the post-entrance code
 // depends on.
-func (st *stitcher) emitJoinComp(g *traceGraph, sb *SBlock, v, pos, e int, lateCopies []placedOp) {
+func (st *stitcher) emitJoinComp(g *traceGraph, sb *SBlock, v, pos, e int, lateCopies []placedOp) error {
 	vf := st.vf
 	snap := g.renameAtJoin[pos]
 	var comp []VOp
@@ -1058,36 +706,14 @@ func (st *stitcher) emitJoinComp(g *traceGraph, sb *SBlock, v, pos, e int, lateC
 
 	st.entrances[v] = entrance{block: sb.ID, off: e}
 	if len(comp) == 0 {
-		return
+		return nil
 	}
-	cb := st.newBlock()
-	// No entry padding: the entering edges' restore moves carry their own
-	// drain constraints, so the canonical registers this comp reads are
-	// settled by the time control arrives.
-	st.serializeCompInto(cb, comp, sb.ID, e)
-	st.sf.CompOps += len(comp)
+	cb, jump, err := st.compBlock(comp)
+	if err != nil {
+		return err
+	}
+	slot := &cb.Instrs[jump.instr].Slots[jump.slot]
+	slot.TargetBlock, slot.TargetOff = sb.ID, e
 	st.joinComp[v] = cb.ID
-}
-
-// serializeCompInto is serializeInto with a direct (block, offset) jump.
-func (st *stitcher) serializeCompInto(cb *SBlock, ops []VOp, tblock, toff int) {
-	for i := range ops {
-		st.serializeOne(cb, ops[i])
-	}
-	// the jump goes after everything placed AND after every pending write
-	// has drained (the trace reads the comp's results immediately on entry)
-	idx := len(cb.Instrs)
-	if ss := st.serialRes[cb]; ss != nil {
-		idx = ss.maxUsed + 1
-		if ss.maxWriteEnd-1 > idx {
-			idx = ss.maxWriteEnd - 1
-		}
-	}
-	st.pad(cb, idx+1)
-	cb.Instrs[idx].Slots = append(cb.Instrs[idx].Slots, SSlot{
-		Unit:        mach.Unit{Kind: mach.UBR, Pair: 0},
-		Op:          VOp{Kind: mach.OpJmp},
-		TargetBlock: tblock,
-		TargetOff:   toff,
-	})
+	return nil
 }
