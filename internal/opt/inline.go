@@ -6,8 +6,9 @@ import "github.com/multiflow-repro/trace/internal/ir"
 // A call site is inlined when the callee is non-recursive (no path back to
 // itself in the call graph) and its op count is at most threshold. Inlining
 // repeats until no eligible site remains or the caller exceeds growthCap
-// ops, the heuristic that keeps code growth bounded. Returns call sites
-// inlined.
+// ops, the heuristic that keeps code growth bounded. Then it deletes the
+// functions no chain of calls from main reaches: every call to them was
+// inlined, or there was none. Returns call sites inlined.
 func Inline(p *ir.Program, threshold, growthCap int) int {
 	recursive := findRecursive(p)
 	total := 0
@@ -23,7 +24,36 @@ func Inline(p *ir.Program, threshold, growthCap int) int {
 			}
 		}
 	}
+	dropUncalled(p)
 	return total
+}
+
+// dropUncalled deletes the functions no chain of calls from main reaches.
+// A program without main keeps them all.
+func dropUncalled(p *ir.Program) {
+	if p.Func("main") == nil {
+		return
+	}
+	reached := map[string]bool{"main": true}
+	for work := []string{"main"}; len(work) > 0; {
+		f := p.Func(work[len(work)-1])
+		work = work[:len(work)-1]
+		for _, b := range f.Blocks {
+			for i := range b.Ops {
+				if o := &b.Ops[i]; o.Kind == ir.Call && !reached[o.Sym] && p.Func(o.Sym) != nil {
+					reached[o.Sym] = true
+					work = append(work, o.Sym)
+				}
+			}
+		}
+	}
+	kept := p.Funcs[:0]
+	for _, f := range p.Funcs {
+		if reached[f.Name] {
+			kept = append(kept, f)
+		}
+	}
+	p.Funcs = kept
 }
 
 func countOps(f *ir.Func) int {

@@ -271,6 +271,7 @@ func TestInline(t *testing.T) {
 	src := `
 func sq(x int) int { return x * x }
 func cube(x int) int { return sq(x) * x }
+func unused(x int) int { return cube(x) + 1 }
 func main() int {
 	var s int = 0
 	for (var i int = 1; i < 5; i = i + 1) { s = s + cube(i) }
@@ -296,6 +297,12 @@ func main() int {
 			}
 		}
 	}
+	// no call reaches them now, so they are not compiled
+	for _, name := range []string{"sq", "cube", "unused"} {
+		if p.Func(name) != nil {
+			t.Errorf("%s survived inlining with no call from main reaching it", name)
+		}
+	}
 }
 
 func TestInlineSkipsRecursive(t *testing.T) {
@@ -316,7 +323,7 @@ func main() int { return fib(10) }`
 			}
 		}
 	}
-	if !found {
+	if !found || p.Func("fib") == nil {
 		t.Error("recursive function was inlined")
 	}
 	v, _ := runProg(t, p)

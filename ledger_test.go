@@ -16,11 +16,7 @@ import (
 // the native tier, to the .expect file beside it — the reference
 // interpreter's answer, frozen with the program. The files are only read.
 func TestLedgerProgramsMatchExpect(t *testing.T) {
-	mfs, err := filepath.Glob("bench/programs/*.mf")
-	if err != nil || len(mfs) == 0 {
-		t.Fatalf("no ledger programs found: %v", err)
-	}
-	for _, mf := range mfs {
+	for _, mf := range ledgerPrograms(t) {
 		mf := mf
 		t.Run(strings.TrimSuffix(filepath.Base(mf), ".mf"), func(t *testing.T) {
 			t.Parallel()
@@ -53,4 +49,39 @@ func TestLedgerProgramsMatchExpect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLedgerHasNoUnreachableWords: no ledger program, built with the default
+// options, carries a word schedcheck finds no path to — functions every call
+// of which was inlined are not compiled, and no block is laid out that
+// control never enters.
+func TestLedgerHasNoUnreachableWords(t *testing.T) {
+	for _, mf := range ledgerPrograms(t) {
+		mf := mf
+		t.Run(strings.TrimSuffix(filepath.Base(mf), ".mf"), func(t *testing.T) {
+			t.Parallel()
+			src, err := os.ReadFile(mf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			art, err := Build(context.Background(), string(src), Options{})
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			for _, f := range art.Lint().Findings {
+				if f.Check == "unreachable" {
+					t.Errorf("%s", f.String())
+				}
+			}
+		})
+	}
+}
+
+// ledgerPrograms lists the programs the benchmark ledger runs.
+func ledgerPrograms(t *testing.T) []string {
+	mfs, err := filepath.Glob("bench/programs/*.mf")
+	if err != nil || len(mfs) == 0 {
+		t.Fatalf("no ledger programs found: %v", err)
+	}
+	return mfs
 }
