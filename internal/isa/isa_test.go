@@ -206,6 +206,32 @@ func TestNopIsAllZero(t *testing.T) {
 	}
 }
 
+// TestUnpackRejectsMalformed: a stream Pack could not have written is an
+// error, not a panic or a silently different program.
+func TestUnpackRejectsMalformed(t *testing.T) {
+	cfg := mach.Trace7() // 8 words an instruction
+	good := []uint32{0x3, 0x1, 0, 0, 7, 9, 11}
+	if w, err := Unpack(good, 2, cfg); err != nil || w[0][0] != 7 || w[0][1] != 9 || w[1][0] != 11 {
+		t.Fatalf("Unpack(%v) = %v, %v", good, w, err)
+	}
+	for name, c := range map[string]struct {
+		packed []uint32
+		n      int
+	}{
+		"truncated masks":   {good[:2], 2},
+		"truncated payload": {good[:6], 2},
+		"mask past words":   {[]uint32{0x100, 0, 0, 0, 5}, 1},
+		"mask past count":   {[]uint32{0x1, 0x1, 0, 0, 5, 6}, 1},
+		"zero payload":      {[]uint32{0x1, 0, 0, 0, 0}, 1},
+		"trailing words":    {append(good[:7:7], 13), 2},
+		"negative count":    {good, -1},
+	} {
+		if w, err := Unpack(c.packed, c.n, cfg); err == nil {
+			t.Errorf("%s: Unpack(%v, %d) = %v, want an error", name, c.packed, c.n, w)
+		}
+	}
+}
+
 // TestPackUnpackProperty: the §6.5.1 mask format is lossless and strictly
 // no larger than fixed-width plus masks, for arbitrary instruction streams.
 func TestPackUnpackProperty(t *testing.T) {
@@ -224,8 +250,8 @@ func TestPackUnpackProperty(t *testing.T) {
 			}
 		}
 		packed := Pack(words, cfg)
-		got := Unpack(packed, count, cfg)
-		if len(got) != count {
+		got, err := Unpack(packed, count, cfg)
+		if err != nil || len(got) != count {
 			return false
 		}
 		for i := range words {

@@ -1,6 +1,10 @@
 package isa
 
-import "github.com/multiflow-repro/trace/internal/mach"
+import (
+	"fmt"
+
+	"github.com/multiflow-repro/trace/internal/mach"
+)
 
 // The §6.5.1 variable-length main-memory representation: "We store
 // instructions in main memory in blocks of four. Each block is preceded by
@@ -36,29 +40,52 @@ func Pack(words [][]uint32, cfg mach.Config) []uint32 {
 	return out
 }
 
-// Unpack expands the mask-word format back to fixed-width instructions.
-// n is the instruction count.
-func Unpack(packed []uint32, n int, cfg mach.Config) [][]uint32 {
+// Unpack expands the mask-word format back to n fixed-width instructions.
+// It accepts exactly the streams Pack writes: one that ends early, names a
+// word past an instruction's last or a word of an instruction past the n-th,
+// carries a zero word Pack would have left out, or has words left over is
+// an error, so Pack(Unpack(p)) is p.
+func Unpack(packed []uint32, n int, cfg mach.Config) ([][]uint32, error) {
 	wpi := WordsPerPair * cfg.Pairs
+	if n < 0 || n > len(packed) { // a block of four instructions takes four masks
+		return nil, fmt.Errorf("unpack: %d instructions in %d words", n, len(packed))
+	}
 	out := make([][]uint32, 0, n)
 	pos := 0
 	for len(out) < n {
+		if pos+4 > len(packed) {
+			return nil, fmt.Errorf("unpack: the stream ends in the masks of instruction %d", len(out))
+		}
 		masks := packed[pos : pos+4]
 		pos += 4
-		for i := 0; i < 4 && len(out) < n; i++ {
-			w := make([]uint32, wpi)
-			for j := 0; j < wpi; j++ {
-				if masks[i]&(1<<uint(j)) != 0 {
-					w[j] = packed[pos]
-					pos++
+		for _, m := range masks {
+			if len(out) == n {
+				if m != 0 {
+					return nil, fmt.Errorf("unpack: a mask names an instruction past the %d-th", n)
 				}
+				continue
+			}
+			if m>>uint(wpi) != 0 {
+				return nil, fmt.Errorf("unpack: mask %#x of instruction %d names words past its %d", m, len(out), wpi)
+			}
+			w := make([]uint32, wpi)
+			for j := range w {
+				if m&(1<<uint(j)) == 0 {
+					continue
+				}
+				if pos == len(packed) || packed[pos] == 0 {
+					return nil, fmt.Errorf("unpack: word %d of instruction %d is missing or zero", j, len(out))
+				}
+				w[j] = packed[pos]
+				pos++
 			}
 			out = append(out, w)
 		}
-		// skip payload of block slots beyond n (none: masks for absent
-		// instructions are zero)
 	}
-	return out
+	if pos != len(packed) {
+		return nil, fmt.Errorf("unpack: %d words past instruction %d", len(packed)-pos, n)
+	}
+	return out, nil
 }
 
 // PackedSize returns the packed representation's size in bytes.

@@ -227,5 +227,6 @@ echo "== go test -fuzz (10s per target)"
 go test ./internal/fuzz -run=^$ -fuzz=FuzzDifferential -fuzztime=10s
 go test ./internal/fuzz -run=^$ -fuzz=FuzzGen -fuzztime=10s
 go test ./internal/vliw -run=^$ -fuzz=FuzzSnapshotRestore -fuzztime=10s
+go test ./internal/isa -run=^$ -fuzz=FuzzImageDecode -fuzztime=10s
 
 echo "== ok"
