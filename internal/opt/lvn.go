@@ -145,7 +145,9 @@ func lvnBlock(f *ir.Func, b *ir.Block) int {
 			}
 		case ir.Mov:
 			src := o.Args[0]
-			copyOf[dst] = resolve(src)
+			if src != dst { // a self-copy (d = d >> 0 folds to one) would make resolve cycle
+				copyOf[dst] = resolve(src)
+			}
 			if isConstI[src] {
 				isConstI[dst] = true
 				constI[dst] = constI[src]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/lang"
@@ -114,6 +115,27 @@ func main() int {
 	i = i + k
 	return i
 }`, None())
+}
+
+// TestSelfCopyTerminates: d = (d >> 0) >> 0 folds to the self-copy d <- d,
+// which must not enter LVN's copy table, where resolving d would loop.
+func TestSelfCopyTerminates(t *testing.T) {
+	p := compile(t, `
+func f(d int) int { d = ((d >> 0) >> 0); return d + 1 }
+func main() int { return f(5) }`)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		LVN(p.Func("f"))
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("LVN did not return within 10 s")
+	}
+	if v, _ := runProg(t, p); v != 6 {
+		t.Errorf("f(5) = %d after LVN, want 6", v)
+	}
 }
 
 func TestBranchFolding(t *testing.T) {
