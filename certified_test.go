@@ -9,10 +9,9 @@ package trace
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 )
 
 // agreeOnExamples runs every example x O0/O1/O2 x Trace 7/14/28 on the
@@ -23,27 +22,13 @@ import (
 // Stats counter.
 func agreeOnExamples(t *testing.T, tiers []Tier) {
 	t.Helper()
-	mfs, err := filepath.Glob("examples/*.mf")
-	if err != nil || len(mfs) == 0 {
-		t.Fatalf("no example programs found: %v", err)
-	}
-	configs := []Config{Trace7(), Trace14(), Trace28()}
-	levels := []struct {
-		name string
-		lvl  OptLevel
-	}{{"O0", OptNone}, {"O1", OptLight}, {"O2", OptFull}}
-
-	for _, mf := range mfs {
-		src, err := os.ReadFile(mf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cfg := range configs {
-			for _, lv := range levels {
-				name := fmt.Sprintf("%s/%s/%s", filepath.Base(mf), cfg.Name, lv.name)
-				t.Run(name, func(t *testing.T) {
+	for _, p := range testmatrix.Examples(t) {
+		for _, m := range testmatrix.Machines {
+			for _, lv := range testmatrix.Levels {
+				t.Run(p.Name+".mf/"+m.Cfg.Name+"/"+lv.Name, func(t *testing.T) {
 					ctx := context.Background()
-					art, err := Build(ctx, string(src), Options{Config: cfg, OptLevel: lv.lvl})
+					// OptNone, OptLight and OptFull are levels 0, 1 and 2.
+					art, err := Build(ctx, p.Src, Options{Config: m.Cfg, OptLevel: OptNone - OptLevel(lv.N)})
 					if err != nil {
 						t.Fatalf("compile: %v", err)
 					}

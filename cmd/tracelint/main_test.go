@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
-	"github.com/multiflow-repro/trace/internal/mach"
-	"github.com/multiflow-repro/trace/internal/opt"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files")
 
 // TestJSONGolden pins the -json -safety output shape: the structured
 // findings and per-site safety verdicts for a fixed program under a fixed
@@ -26,8 +22,8 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mach.Trace14()
-	c := config{fmt.Sprintf("O0/%s", cfg.Name), cfg, opt.None()}
+	cfg := testmatrix.Trace14.Cfg
+	c := config{fmt.Sprintf("O0/%s", cfg.Name), cfg, testmatrix.O0.Opt}
 	r, exit, err := lintOne(context.Background(), "testdata/guarded.mf", string(raw), c, true)
 	if err != nil {
 		t.Fatal(err)
@@ -42,21 +38,7 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-
-	const golden = "testdata/guarded.golden.json"
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with: go test ./cmd/tracelint -run TestJSONGolden -update)", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("-json output drifted from %s (regenerate with -update if intended)\ngot:\n%s", golden, got)
-	}
+	testmatrix.CheckFile(t, "testdata/guarded.golden.json", append(got, '\n'))
 }
 
 // TestWarningsOnlyUnderVerbose pins the -v contract for warning-severity

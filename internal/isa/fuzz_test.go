@@ -1,19 +1,13 @@
 package isa_test
 
 import (
-	"context"
 	"encoding/binary"
-	"os"
 	"slices"
 	"testing"
 
-	"github.com/multiflow-repro/trace/internal/core"
 	"github.com/multiflow-repro/trace/internal/isa"
-	"github.com/multiflow-repro/trace/internal/mach"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 )
-
-// fuzzConfigs are the machines a fuzz input's pairs byte picks from.
-var fuzzConfigs = []mach.Config{mach.Trace7(), mach.Trace14(), mach.Trace28()}
 
 // FuzzImageDecode feeds arbitrary bytes to the §6.5.1 mask-format decoder
 // and every instruction it yields to Decode: neither may panic, and a stream
@@ -21,20 +15,14 @@ var fuzzConfigs = []mach.Config{mach.Trace7(), mach.Trace14(), mach.Trace28()}
 // programs, besides the corpus checked in under testdata.
 func FuzzImageDecode(f *testing.F) {
 	for _, name := range []string{"fib", "sieve"} {
-		src, err := os.ReadFile("../../bench/programs/" + name + ".mf")
-		if err != nil {
-			f.Fatal(err)
-		}
-		for p, cfg := range fuzzConfigs {
-			res, err := core.Compile(context.Background(), string(src), core.Options{Config: cfg})
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(imageBytes(res.Image.Packed), uint16(len(res.Image.Words)), uint8(p))
+		src := testmatrix.Ledger.Get(f, name).Src
+		for p, m := range testmatrix.Machines {
+			img := testmatrix.MustCompile(f, src, m.Cfg, testmatrix.O0.Opt).Image
+			f.Add(imageBytes(img.Packed), uint16(len(img.Words)), uint8(p))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, n uint16, pairs uint8) {
-		cfg := fuzzConfigs[int(pairs)%len(fuzzConfigs)]
+		cfg := testmatrix.Machines[int(pairs)%len(testmatrix.Machines)].Cfg
 		packed := make([]uint32, len(data)/4)
 		for i := range packed {
 			packed[i] = binary.LittleEndian.Uint32(data[4*i:])

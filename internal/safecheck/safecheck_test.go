@@ -1,35 +1,24 @@
 package safecheck_test
 
 import (
-	"context"
-	"os"
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/core"
 	"github.com/multiflow-repro/trace/internal/mach"
-	"github.com/multiflow-repro/trace/internal/opt"
 	"github.com/multiflow-repro/trace/internal/safecheck"
 	"github.com/multiflow-repro/trace/internal/schedcheck"
-	"github.com/multiflow-repro/trace/internal/xp"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 )
 
-func compileExample(t *testing.T, name string, o opt.Options) *core.Result {
+// compileExample compiles examples/<name>.mf for Trace 14 at lv.
+func compileExample(t *testing.T, name string, lv testmatrix.Level) *core.Result {
 	t.Helper()
-	src, err := os.ReadFile("../../examples/" + name + ".mf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Compile(context.Background(), string(src),
-		core.Options{Config: mach.Trace14(), Opt: o})
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	return res
+	return testmatrix.MustCompile(t, testmatrix.Examples.Get(t, name).Src, mach.Trace14(), lv.Opt)
 }
 
-func analyzeExample(t *testing.T, name string, o opt.Options) *safecheck.Report {
+func analyzeExample(t *testing.T, name string, lv testmatrix.Level) *safecheck.Report {
 	t.Helper()
-	res := compileExample(t, name, o)
+	res := compileExample(t, name, lv)
 	return safecheck.Analyze(res.Image, safecheck.Options{
 		Src: schedcheck.NewSourceMap(res.Image, res.Funcs),
 	})
@@ -39,14 +28,6 @@ func analyzeExample(t *testing.T, name string, o opt.Options) *safecheck.Report 
 // recovery (rotated counters, unrolled bodies, compare results routed
 // through the integer bank) must keep proving these site counts.
 func TestExampleSiteCoverage(t *testing.T) {
-	levels := []struct {
-		name string
-		opt  opt.Options
-	}{
-		{"O0", opt.None()},
-		{"O1", opt.Options{Inline: true, UnrollFactor: 4}},
-		{"O2", opt.Default()},
-	}
 	// minProven floors are what the analysis proves today; allProven pins
 	// full coverage where it exists. fib is recursive: return addresses flow
 	// through indirect jumps the analysis cannot bound, so only its
@@ -61,19 +42,19 @@ func TestExampleSiteCoverage(t *testing.T) {
 		"fib":    {"O0": {1, false}, "O1": {1, false}, "O2": {1, false}},
 	}
 	for ex, perLevel := range want {
-		for _, lv := range levels {
-			rep := analyzeExample(t, ex, lv.opt)
-			w := perLevel[lv.name]
-			t.Logf("%s/%s: %s", ex, lv.name, rep.Summary())
+		for _, lv := range testmatrix.Levels {
+			rep := analyzeExample(t, ex, lv)
+			w := perLevel[lv.Name]
+			t.Logf("%s/%s: %s", ex, lv.Name, rep.Summary())
 			if rep.Exhausted {
-				t.Errorf("%s/%s: analysis budget exhausted", ex, lv.name)
+				t.Errorf("%s/%s: analysis budget exhausted", ex, lv.Name)
 			}
 			if got := rep.Proven(); got < w.minProven {
 				t.Errorf("%s/%s: proved %d/%d sites, want >= %d",
-					ex, lv.name, got, rep.Total(), w.minProven)
+					ex, lv.Name, got, rep.Total(), w.minProven)
 			}
 			if w.allProven && !rep.AllProven() {
-				t.Errorf("%s/%s: want every site proven; unproven:", ex, lv.name)
+				t.Errorf("%s/%s: want every site proven; unproven:", ex, lv.Name)
 				for _, s := range rep.Unproven() {
 					t.Errorf("    %s", s.String())
 				}
@@ -89,38 +70,30 @@ func TestExampleSiteCoverage(t *testing.T) {
 // registers with exact abstract values or every rotated loop on a narrow
 // machine loses its bound and no memory site proves.
 func TestNarrowMachineConstInRegister(t *testing.T) {
-	src, err := os.ReadFile("../../examples/daxpy.mf")
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := testmatrix.Examples.Get(t, "daxpy").Src
 	for _, lv := range []struct {
-		name      string
-		opt       opt.Options
+		testmatrix.Level
 		minProven int
 		allProven bool
 	}{
-		{"O0", opt.None(), 6, true},
+		{testmatrix.O0, 6, true},
 		// Every site of the unrolled narrow-machine loops proves: the loop
 		// bounds reach the counters through branch bits that test I-bank
 		// compare results, whose registers the allocator reuses at once.
 		// The floor leaves room for allocations that break an equality.
-		{"O2", opt.Default(), 75, false},
+		{testmatrix.O2, 75, false},
 	} {
-		res, err := core.Compile(context.Background(), string(src),
-			core.Options{Config: mach.Trace7(), Opt: lv.opt})
-		if err != nil {
-			t.Fatalf("%s: %v", lv.name, err)
-		}
+		res := testmatrix.MustCompile(t, src, mach.Trace7(), lv.Opt)
 		rep := safecheck.Analyze(res.Image, safecheck.Options{
 			Src: schedcheck.NewSourceMap(res.Image, res.Funcs),
 		})
-		t.Logf("daxpy/Trace7/%s: %s", lv.name, rep.Summary())
+		t.Logf("daxpy/Trace7/%s: %s", lv.Name, rep.Summary())
 		if got := rep.Proven(); got < lv.minProven {
 			t.Errorf("daxpy/Trace7/%s: proved %d/%d sites, want >= %d",
-				lv.name, got, rep.Total(), lv.minProven)
+				lv.Name, got, rep.Total(), lv.minProven)
 		}
 		if lv.allProven && !rep.AllProven() {
-			t.Errorf("daxpy/Trace7/%s: want every site proven; unproven:", lv.name)
+			t.Errorf("daxpy/Trace7/%s: want every site proven; unproven:", lv.Name)
 			for _, s := range rep.Unproven() {
 				t.Errorf("    %s", s.String())
 			}
@@ -129,7 +102,7 @@ func TestNarrowMachineConstInRegister(t *testing.T) {
 }
 
 func TestSiteAttribution(t *testing.T) {
-	rep := analyzeExample(t, "daxpy", opt.None())
+	rep := analyzeExample(t, "daxpy", testmatrix.O0)
 	if rep.Total() == 0 {
 		t.Fatal("daxpy has no guarded sites")
 	}
@@ -144,7 +117,7 @@ func TestSiteAttribution(t *testing.T) {
 }
 
 func TestCertifyGradesAndBitmask(t *testing.T) {
-	res := compileExample(t, "daxpy", opt.Default())
+	res := compileExample(t, "daxpy", testmatrix.O2)
 	cert, err := safecheck.Certify(res.Image)
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +145,8 @@ func TestCertifyGradesAndBitmask(t *testing.T) {
 }
 
 func TestCertifyRequiresMatchingResourceCert(t *testing.T) {
-	a := compileExample(t, "daxpy", opt.None())
-	b := compileExample(t, "sieve", opt.None())
+	a := compileExample(t, "daxpy", testmatrix.O0)
+	b := compileExample(t, "sieve", testmatrix.O0)
 	rep := safecheck.Analyze(a.Image, safecheck.Options{})
 	if _, err := rep.Certify(nil); err == nil {
 		t.Fatal("Certify(nil) must fail")
@@ -188,7 +161,7 @@ func TestCertifyRequiresMatchingResourceCert(t *testing.T) {
 }
 
 func TestBudgetExhaustionIsSound(t *testing.T) {
-	res := compileExample(t, "matmul", opt.Default())
+	res := compileExample(t, "matmul", testmatrix.O2)
 	rep := safecheck.Analyze(res.Image, safecheck.Options{MaxVisits: 1})
 	if !rep.Exhausted {
 		t.Fatal("one visit must exhaust the budget")
@@ -210,16 +183,12 @@ func TestBudgetExhaustionIsSound(t *testing.T) {
 // analysis needs today plus ~20 %.
 func TestTransferCeilings(t *testing.T) {
 	ceilings := map[string]int{"fft": 46000, "matmul": 6800, "scanner": 12600}
-	for _, w := range xp.AllWorkloads() {
+	for _, w := range testmatrix.Kernels(t) {
 		ceiling, ok := ceilings[w.Name]
 		if !ok {
 			continue
 		}
-		res, err := core.Compile(context.Background(), w.Src,
-			core.Options{Config: mach.Trace28(), Opt: opt.Default()})
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
+		res := testmatrix.MustCompile(t, w.Src, mach.Trace28(), testmatrix.O2.Opt)
 		rep := safecheck.Analyze(res.Image, safecheck.Options{})
 		words := len(res.Image.Instrs)
 		t.Logf("%s: %d words, %d transfers, %d narrowing rounds", w.Name, words, rep.Transfers, rep.NarrowRounds)
@@ -233,6 +202,6 @@ func TestTransferCeilings(t *testing.T) {
 		delete(ceilings, w.Name)
 	}
 	for name := range ceilings {
-		t.Errorf("kernel %s not found in xp.AllWorkloads", name)
+		t.Errorf("kernel %s not found in testmatrix.Kernels", name)
 	}
 }

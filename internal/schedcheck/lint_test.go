@@ -8,64 +8,38 @@ package schedcheck_test
 // internal/core, which will itself import schedcheck.
 
 import (
-	"context"
-	"os"
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/core"
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
-	"github.com/multiflow-repro/trace/internal/opt"
 	"github.com/multiflow-repro/trace/internal/schedcheck"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 )
 
-var optLevels = []struct {
-	name string
-	opt  opt.Options
-}{
-	{"O0", opt.None()},
-	{"O1", opt.Options{Inline: true, UnrollFactor: 4}},
-	{"O2", opt.Default()},
-}
-
-var machines = []struct {
-	name string
-	cfg  mach.Config
-}{
-	{"trace7", mach.Trace7()},
-	{"trace14", mach.Trace14()},
-	{"trace28", mach.Trace28()},
-}
-
-func compileFile(t *testing.T, path string, cfg mach.Config, o opt.Options) *core.Result {
+// daxpy is testdata/daxpy.mf, compiled for Trace 7 at O2. The image is shared:
+// a mutation clones it first.
+func daxpy(t *testing.T) *core.Result {
 	t.Helper()
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Compile(context.Background(), string(src), core.Options{Config: cfg, Opt: o})
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	return res
+	return testmatrix.MustCompile(t, testmatrix.Testdata.Get(t, "daxpy").Src, mach.Trace7(), testmatrix.O2.Opt)
 }
 
 // TestCleanMatrix is the soundness half of the acceptance bar: every image
 // the compiler emits, across the full optimization × machine-width matrix,
 // must verify with zero error findings.
 func TestCleanMatrix(t *testing.T) {
-	for _, path := range []string{"../../testdata/daxpy.mf", "../../testdata/sort.mf"} {
-		for _, lv := range optLevels {
-			for _, mc := range machines {
-				res := compileFile(t, path, mc.cfg, lv.opt)
+	for _, p := range testmatrix.Testdata(t) {
+		for _, lv := range testmatrix.Levels {
+			for _, mc := range testmatrix.Machines {
+				res := testmatrix.MustCompile(t, p.Src, mc.Cfg, lv.Opt)
 				rep := schedcheck.Check(res.Image,
 					schedcheck.Options{Src: schedcheck.NewSourceMap(res.Image, res.Funcs)})
 				if errs := rep.Errors(); len(errs) != 0 {
 					t.Errorf("%s %s %s: %d error findings, first: %s",
-						path, lv.name, mc.name, len(errs), errs[0].String())
+						p.Key(), lv.Name, mc.Name, len(errs), errs[0].String())
 				}
 				if rep.Reachable == 0 {
-					t.Errorf("%s %s %s: CFG found nothing reachable", path, lv.name, mc.name)
+					t.Errorf("%s %s %s: CFG found nothing reachable", p.Key(), lv.Name, mc.Name)
 				}
 			}
 		}
@@ -75,7 +49,7 @@ func TestCleanMatrix(t *testing.T) {
 // TestCleanIdeal: ideal-machine images skip resource checks but still get
 // CFG and dataflow verification.
 func TestCleanIdeal(t *testing.T) {
-	res := compileFile(t, "../../testdata/daxpy.mf", mach.IdealConfig(4), opt.Default())
+	res := testmatrix.MustCompile(t, testmatrix.Testdata.Get(t, "daxpy").Src, mach.IdealConfig(4), testmatrix.O2.Opt)
 	rep := schedcheck.Check(res.Image, schedcheck.Options{})
 	if errs := rep.Errors(); len(errs) != 0 {
 		t.Fatalf("ideal image: %d error findings, first: %s", len(errs), errs[0].String())
@@ -97,7 +71,7 @@ func cloneImage(img *isa.Image) *isa.Image {
 // ops sharing a functional unit (early <-> late), the classic
 // pipeline-phase encoder bug, and requires the checker to catch it.
 func TestMutationBeatSwap(t *testing.T) {
-	res := compileFile(t, "../../testdata/daxpy.mf", mach.Trace7(), opt.Default())
+	res := daxpy(t)
 	candidates, caught := 0, 0
 	var first *schedcheck.Finding
 	for a := range res.Image.Instrs {
@@ -141,7 +115,7 @@ func TestMutationBeatSwap(t *testing.T) {
 // the same unit class in the same word — the retirements collide, and the
 // extra operand fetches can oversubscribe the read ports.
 func TestMutationCloneWrite(t *testing.T) {
-	res := compileFile(t, "../../testdata/daxpy.mf", mach.Trace7(), opt.Default())
+	res := daxpy(t)
 	candidates, caught := 0, 0
 	var first *schedcheck.Finding
 	for a := range res.Image.Instrs {
@@ -194,7 +168,7 @@ func TestMutationCloneWrite(t *testing.T) {
 // one such path. This is the off-trace variant the simulator cannot see
 // without executing the branch.
 func TestMutationRetargetShadow(t *testing.T) {
-	res := compileFile(t, "../../testdata/daxpy.mf", mach.Trace7(), opt.Default())
+	res := daxpy(t)
 	n := len(res.Image.Instrs)
 	candidates := 0
 	var first *schedcheck.Finding
@@ -248,7 +222,7 @@ func TestMutationRetargetShadow(t *testing.T) {
 // TestSourceMapAttribution: findings on compiled code resolve to function
 // names and source lines through tsched.FuncCode.
 func TestSourceMapAttribution(t *testing.T) {
-	res := compileFile(t, "../../testdata/daxpy.mf", mach.Trace7(), opt.Default())
+	res := daxpy(t)
 	src := schedcheck.NewSourceMap(res.Image, res.Funcs)
 	withLine := 0
 	for a := range res.Image.Instrs {

@@ -4,66 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"github.com/multiflow-repro/trace/internal/fuzz"
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/lang"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
 	"github.com/multiflow-repro/trace/internal/pipeline"
 	"github.com/multiflow-repro/trace/internal/profile"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 	"github.com/multiflow-repro/trace/internal/tsched"
-	"github.com/multiflow-repro/trace/internal/xp"
 )
-
-type matrixProgram struct{ name, src string }
-
-// matrixPrograms is the program axis of internal/safecheck's golden matrix:
-// examples/*.mf, the experiment kernels and fuzz.Gen seeds 1–24 (seeds 1–6
-// under -short).
-func matrixPrograms(t *testing.T) []matrixProgram {
-	t.Helper()
-	paths, err := filepath.Glob("../../examples/*.mf")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no example programs found: %v", err)
-	}
-	sort.Strings(paths)
-	var progs []matrixProgram
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs = append(progs, matrixProgram{"examples/" + strings.TrimSuffix(filepath.Base(p), ".mf"), string(src)})
-	}
-	for _, w := range append(xp.AllWorkloads(), xp.MixedApp()) {
-		progs = append(progs, matrixProgram{"xp/" + w.Name, w.Src})
-	}
-	seeds := int64(24)
-	if testing.Short() {
-		seeds = 6
-	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		progs = append(progs, matrixProgram{fmt.Sprintf("gen/%02d", seed), fuzz.Gen(seed)})
-	}
-	return progs
-}
-
-var matrixConfigs = []struct {
-	name string
-	cfg  mach.Config
-}{{"Trace7", mach.Trace7()}, {"Trace14", mach.Trace14()}, {"Trace28", mach.Trace28()}}
-
-var matrixLevels = []struct {
-	name string
-	opt  opt.Options
-}{{"O0", opt.None()}, {"O2", opt.Default()}}
 
 // eachScheduledFunc hands visit every scheduled function a compile of src
 // allocates registers for — every rung of the trace-length ladder inside
@@ -94,7 +47,7 @@ func eachScheduledFunc(src string, cfg mach.Config, o opt.Options, workers int,
 				fails[i] = err
 				return
 			}
-			for _, maxBlocks := range []int{0, 6, 2, 1} {
+			for _, maxBlocks := range tsched.RetryLadder(0) {
 				sf, err := tsched.Assemble(cfg, vf, pctx.Profile[f.Name], layout, maxBlocks)
 				var size *tsched.ErrScheduleSize
 				if errors.As(err, &size) {
@@ -165,15 +118,15 @@ type matrixVerdict struct {
 
 var matrixVerdicts sync.Map // program name -> *matrixVerdict
 
-func judgeProgram(p matrixProgram) *matrixVerdict {
-	e, _ := matrixVerdicts.LoadOrStore(p.name, new(matrixVerdict))
+func judgeProgram(p testmatrix.Program) *matrixVerdict {
+	e, _ := matrixVerdicts.LoadOrStore(p.Key(), new(matrixVerdict))
 	v := e.(*matrixVerdict)
 	v.once.Do(func() {
-		for _, c := range matrixConfigs {
-			for _, lv := range matrixLevels {
-				at := c.name + "/" + lv.name + ": "
-				err := eachScheduledFunc(p.src, c.cfg, lv.opt, 1, func(sf *tsched.SFunc) (error, error) {
-					allocErr, mismatch, unsound := tsched.CheckAllocate(sf, c.cfg)
+		for _, c := range testmatrix.Machines {
+			for _, lv := range testmatrix.MatrixLevels {
+				at := c.Name + "/" + lv.Name + ": "
+				err := eachScheduledFunc(p.Src, c.Cfg, lv.Opt, 1, func(sf *tsched.SFunc) (error, error) {
+					allocErr, mismatch, unsound := tsched.CheckAllocate(sf, c.Cfg)
 					v.funcs++
 					if allocErr == nil {
 						v.allocations++
@@ -201,9 +154,8 @@ func judgeProgram(p matrixProgram) *matrixVerdict {
 // equal liveness sets, equal neighbour sets, the same physical register for
 // every virtual one, and the same *ErrPressure when a bank is full.
 func TestAllocateMatchesReference(t *testing.T) {
-	for _, p := range matrixPrograms(t) {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
+	for _, p := range testmatrix.Programs(t, testmatrix.Matrix...) {
+		t.Run(p.Key(), func(t *testing.T) {
 			t.Parallel()
 			v := judgeProgram(p)
 			for _, m := range v.mismatch {
@@ -252,9 +204,9 @@ func TestAllocatePressureParity(t *testing.T) {
 		{"I", func(c *mach.Config) { c.IRegsPerBank = 16 }},
 		{"B", func(c *mach.Config) { c.BranchBank = 1 }},
 	}
-	for _, base := range matrixConfigs {
+	for _, base := range testmatrix.Machines {
 		for _, s := range shrunk {
-			cfg := base.cfg
+			cfg := base.Cfg
 			s.shrink(&cfg)
 			overflows := 0
 			err := eachScheduledFunc(src, cfg, opt.Default(), 1, func(sf *tsched.SFunc) (error, error) {
@@ -266,10 +218,10 @@ func TestAllocatePressureParity(t *testing.T) {
 				return allocErr, mismatch
 			})
 			if err != nil {
-				t.Errorf("%s with a shrunken %s bank: %v", base.name, s.name, err)
+				t.Errorf("%s with a shrunken %s bank: %v", base.Name, s.name, err)
 			}
 			if overflows == 0 {
-				t.Errorf("%s with a shrunken %s bank: no bank overflowed, the test exercises nothing", base.name, s.name)
+				t.Errorf("%s with a shrunken %s bank: no bank overflowed, the test exercises nothing", base.Name, s.name)
 			}
 		}
 	}
@@ -281,17 +233,15 @@ func TestAllocatePressureParity(t *testing.T) {
 // at a time, no definition shares a physical register with anything live, or
 // reachable while its write is in flight, in the same bank.
 func TestAllocationSound(t *testing.T) {
-	for _, p := range matrixPrograms(t) {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
+	for _, p := range testmatrix.Programs(t, testmatrix.Matrix...) {
+		t.Run(p.Key(), func(t *testing.T) {
 			t.Parallel()
 			for _, m := range judgeProgram(p).unsound {
 				t.Error(m)
 			}
 		})
 	}
-	for _, w := range append(xp.AllWorkloads(), xp.MixedApp()) {
-		w := w
+	for _, w := range testmatrix.Programs(t, testmatrix.Kernels, testmatrix.MixedApp) {
 		t.Run("j/"+w.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, workers := range []int{1, 4} {

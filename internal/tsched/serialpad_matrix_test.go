@@ -1,15 +1,14 @@
 package tsched_test
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
 
-	"github.com/multiflow-repro/trace/internal/core"
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/schedcheck"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 	"github.com/multiflow-repro/trace/internal/tsched"
 )
 
@@ -24,21 +23,21 @@ type serialVerdict struct {
 
 var serialVerdicts sync.Map // program name -> *serialVerdict
 
-func judgeSerial(p matrixProgram) *serialVerdict {
-	e, _ := serialVerdicts.LoadOrStore(p.name, new(serialVerdict))
+func judgeSerial(p testmatrix.Program) *serialVerdict {
+	e, _ := serialVerdicts.LoadOrStore(p.Key(), new(serialVerdict))
 	v := e.(*serialVerdict)
 	v.once.Do(func() {
-		for _, c := range matrixConfigs {
-			for _, lv := range matrixLevels {
-				at := c.name + "/" + lv.name + ": "
-				err := eachScheduledFunc(p.src, c.cfg, lv.opt, 1, func(sf *tsched.SFunc) (error, error) {
-					if err := padsAreExact(sf, c.cfg); err != nil {
+		for _, c := range testmatrix.Machines {
+			for _, lv := range testmatrix.MatrixLevels {
+				at := c.Name + "/" + lv.Name + ": "
+				err := eachScheduledFunc(p.Src, c.Cfg, lv.Opt, 1, func(sf *tsched.SFunc) (error, error) {
+					if err := padsAreExact(sf, c.Cfg); err != nil {
 						v.pads = append(v.pads, at+sf.Name+": "+err.Error())
 					}
 					if err := holdsOneTransfer(sf); err != nil {
 						v.transfers = append(v.transfers, at+sf.Name+": "+err.Error())
 					}
-					_, allocErr := tsched.Allocate(sf, c.cfg)
+					_, allocErr := tsched.Allocate(sf, c.Cfg)
 					return allocErr, nil
 				})
 				if err != nil {
@@ -60,21 +59,20 @@ func judgeSerial(p matrixProgram) *serialVerdict {
 // before a transfer that ends a trace has landed by the word behind it; and
 // every image of the matrix lints clean.
 func TestSerialPadIsExact(t *testing.T) {
-	for _, p := range matrixPrograms(t) {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
+	for _, p := range testmatrix.Programs(t, testmatrix.Matrix...) {
+		t.Run(p.Key(), func(t *testing.T) {
 			t.Parallel()
 			for _, m := range judgeSerial(p).pads {
 				t.Error(m)
 			}
-			for _, c := range matrixConfigs {
-				for _, lv := range matrixLevels {
-					res, err := core.Compile(context.Background(), p.src, core.Options{Config: c.cfg, Opt: lv.opt})
+			for _, c := range testmatrix.Machines {
+				for _, lv := range testmatrix.MatrixLevels {
+					res, err := testmatrix.Compile(p.Src, c.Cfg, lv.Opt)
 					if err != nil {
 						continue // the matrix's compile-error images
 					}
 					if errs := schedcheck.Check(res.Image, schedcheck.Options{}).Errors(); len(errs) != 0 {
-						t.Errorf("%s/%s: %d error findings, first: %s", c.name, lv.name, len(errs), errs[0].String())
+						t.Errorf("%s/%s: %d error findings, first: %s", c.Name, lv.Name, len(errs), errs[0].String())
 					}
 				}
 			}
@@ -88,9 +86,8 @@ func TestSerialPadIsExact(t *testing.T) {
 // transfer after its pad words; SerialInstrs counts those words; and the
 // layout holds every block once.
 func TestSerialBlocksHoldOneTransfer(t *testing.T) {
-	for _, p := range matrixPrograms(t) {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
+	for _, p := range testmatrix.Programs(t, testmatrix.Matrix...) {
+		t.Run(p.Key(), func(t *testing.T) {
 			t.Parallel()
 			for _, m := range judgeSerial(p).transfers {
 				t.Error(m)

@@ -5,12 +5,11 @@ package tsched_test
 // actually executes correctly when the off-trace paths are taken at runtime.
 
 import (
-	"context"
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/core"
 	"github.com/multiflow-repro/trace/internal/mach"
-	"github.com/multiflow-repro/trace/internal/opt"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
@@ -71,13 +70,11 @@ func main() int {
 // so agreement proves the compensation code itself, not its absence.
 func TestCompensationPathsExecuteCorrectly(t *testing.T) {
 	for name, src := range compensationPrograms {
-		for _, pairs := range []int{1, 2, 4} {
-			for _, lvl := range []opt.Options{opt.None(), opt.Default()} {
-				res, err := core.Compile(context.Background(), src, core.Options{
-					Config: mach.NewConfig(pairs), Opt: lvl, Parallelism: 1,
-				})
+		for _, m := range testmatrix.Machines {
+			for _, lv := range testmatrix.MatrixLevels {
+				res, err := testmatrix.Compile(src, m.Cfg, lv.Opt)
 				if err != nil {
-					t.Errorf("%s pairs=%d: %v", name, pairs, err)
+					t.Errorf("%s %s: %v", name, m.Name, err)
 					continue
 				}
 				wantV, wantOut, err := core.Interpret(res)
@@ -86,20 +83,17 @@ func TestCompensationPathsExecuteCorrectly(t *testing.T) {
 				}
 				gotV, gotOut, err := vliw.New(res.Image).Run()
 				if err != nil {
-					t.Errorf("%s pairs=%d opt=%+v: machine fault: %v", name, pairs, lvl, err)
+					t.Errorf("%s %s/%s: machine fault: %v", name, m.Name, lv.Name, err)
 					continue
 				}
 				if gotV != wantV || gotOut != wantOut {
-					t.Errorf("%s pairs=%d opt=%+v: got exit %d out %q, want %d %q",
-						name, pairs, lvl, gotV, gotOut, wantV, wantOut)
+					t.Errorf("%s %s/%s: got exit %d out %q, want %d %q",
+						name, m.Name, lv.Name, gotV, gotOut, wantV, wantOut)
 				}
 			}
 		}
 		// at full width the build must actually contain compensation code
-		res, err := core.Compile(context.Background(), src, core.Options{Config: mach.Trace28(), Opt: opt.None(), Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := testmatrix.MustCompile(t, src, mach.Trace28(), testmatrix.O0.Opt)
 		comp := 0
 		for _, fc := range res.Funcs {
 			comp += fc.CompOps

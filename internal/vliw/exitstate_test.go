@@ -7,20 +7,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
-	"github.com/multiflow-repro/trace/internal/core"
-	"github.com/multiflow-repro/trace/internal/fuzz"
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
-	"github.com/multiflow-repro/trace/internal/opt"
 	"github.com/multiflow-repro/trace/internal/safecheck"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 	"github.com/multiflow-repro/trace/internal/vliw"
-	"github.com/multiflow-repro/trace/internal/xp"
 )
 
 // The exit-state contract: wherever a run stops — a StopBeat pause, a fault, a
@@ -163,22 +156,9 @@ func TestExitStateMatchesChecked(t *testing.T) {
 }
 
 // exitStateMatrix pauses both tiers at pseudo-random beats of every image of
-// the golden matrix: examples, experiment kernels and generated programs on
-// Trace 7/14/28 at O0 and O2.
+// the golden matrix but the mixed application: examples, experiment kernels and
+// generated programs on Trace 7/14/28 at O0 and O2.
 func exitStateMatrix(t *testing.T) {
-	progs := kernels(t)
-	seeds := int64(24)
-	if testing.Short() {
-		seeds = 6
-	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		progs = append(progs, program{fmt.Sprintf("gen/%02d", seed), fuzz.Gen(seed)})
-	}
-	levels := []struct {
-		name string
-		opt  opt.Options
-	}{{"O0", opt.None()}, {"O2", opt.Default()}}
-
 	// Most pauses fall in the first 4096 beats, where the icache and the TLBs
 	// are still filling; the rest are spread over the whole run. (30 and 4 on
 	// three machines are about the work 56 and 8 were on two.)
@@ -187,50 +167,21 @@ func exitStateMatrix(t *testing.T) {
 		early, spread = 8, 2
 	}
 	images := 0
-	for _, p := range progs {
-		for _, c := range configs {
-			for _, lv := range levels {
-				key := p.name + "/" + c.name + "/" + lv.name
-				res, err := core.Compile(context.Background(), p.src, core.Options{Config: c.cfg, Opt: lv.opt})
+	for _, p := range testmatrix.Programs(t, testmatrix.Examples, testmatrix.Kernels, testmatrix.Gen) {
+		for _, c := range testmatrix.Machines {
+			for _, lv := range testmatrix.MatrixLevels {
+				res, err := testmatrix.Compile(p.Src, c.Cfg, lv.Opt)
 				if err != nil {
 					continue // the generator may exceed a small machine; fingerprints.golden pins which
 				}
 				images++
-				newTierPair(t, res.Image).pauses(t, key, early, spread, false)
+				newTierPair(t, res.Image).pauses(t, p.Key()+"/"+c.Name+"/"+lv.Name, early, spread, false)
 			}
 		}
 	}
 	if images < 100 {
 		t.Fatalf("only %d images compiled", images)
 	}
-}
-
-type program struct{ name, src string }
-
-var configs = []struct {
-	name string
-	cfg  mach.Config
-}{{"Trace7", mach.Trace7()}, {"Trace14", mach.Trace14()}, {"Trace28", mach.Trace28()}}
-
-// kernels lists the examples and the experiment kernels.
-func kernels(t *testing.T) []program {
-	var progs []program
-	paths, err := filepath.Glob("../../examples/*.mf")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no example programs found: %v", err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs = append(progs, program{"examples/" + strings.TrimSuffix(filepath.Base(p), ".mf"), string(src)})
-	}
-	for _, w := range xp.AllWorkloads() {
-		progs = append(progs, program{"xp/" + w.Name, w.Src})
-	}
-	return progs
 }
 
 // pauses runs the pair to completion and then to early pauses among the first
@@ -287,13 +238,14 @@ func (pair *tierPair) pauses(t *testing.T, key string, early, spread int, each b
 // at the plan and held to the per-word reference, Snapshot bytes included.
 func exitStateForeignMachine(t *testing.T) {
 	early, spread := 8, 2
-	for _, p := range kernels(t) {
-		for _, c := range configs {
-			if c.name == "Trace14" || testing.Short() && c.name != "Trace28" {
-				continue // the narrowest and the widest machine; -short, the widest
-			}
-			key := p.name + "/" + c.name + "/foreign"
-			img := compileFor(t, p.src, c.cfg)
+	machines := []testmatrix.Machine{testmatrix.Trace7, testmatrix.Trace28}
+	if testing.Short() {
+		machines = machines[1:]
+	}
+	for _, p := range testmatrix.Programs(t, testmatrix.Examples, testmatrix.Kernels) {
+		for _, c := range machines {
+			key := p.Key() + "/" + c.Name + "/foreign"
+			img := testmatrix.MustCompile(t, p.Src, c.Cfg, testmatrix.O2.Opt).Image
 			pair := newTierPair(t, img)
 			pair.plan = vliw.NewPlan(img)
 			warmer := new(vliw.Machine)
@@ -334,15 +286,6 @@ func main() int {
 	return int(s) & 65535
 }`
 
-func compileFor(t testing.TB, src string, cfg mach.Config) *isa.Image {
-	t.Helper()
-	res, err := core.Compile(context.Background(), src, core.Options{Config: cfg, Opt: opt.Default()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Image
-}
-
 // warm runs the pair once to completion so the next run starts with the
 // tiers' lazily built state in place.
 func (p *tierPair) warm(t testing.TB) int64 {
@@ -359,7 +302,7 @@ func (p *tierPair) warm(t testing.TB) int64 {
 // middle of a hot loop the tiers have already run.
 func exitStateDynamicEvents(t *testing.T) {
 	for _, cfg := range []mach.Config{mach.Trace7(), mach.Trace28()} {
-		pair := newTierPair(t, compileFor(t, hotLoopSrc, cfg))
+		pair := newTierPair(t, testmatrix.MustCompile(t, hotLoopSrc, cfg, testmatrix.O2.Opt).Image)
 		total := pair.warm(t)
 
 		// Cold caches under warm code: every pause of a second run, a stride
@@ -438,7 +381,7 @@ func main() int {
 	return a[5]
 }`, vliw.TrapMemBounds},
 	} {
-		pair := newTierPair(t, compileFor(t, tc.src, tc.cfg))
+		pair := newTierPair(t, testmatrix.MustCompile(t, tc.src, tc.cfg, testmatrix.O2.Opt).Image)
 		for round := 0; round < 2; round++ { // the second with warm regions
 			pair.reset(t)
 			err := pair.run(t, fmt.Sprintf("%s fault, round %d", tc.name, round), nil)
@@ -469,7 +412,7 @@ func main() int {
 	return s & 65535
 }`
 	for _, cfg := range []mach.Config{mach.Trace7(), mach.Trace28()} {
-		pair := newTierPair(t, compileFor(t, src, cfg))
+		pair := newTierPair(t, testmatrix.MustCompile(t, src, cfg, testmatrix.O2.Opt).Image)
 		total := pair.warm(t)
 		if pair.ref.Stats.Taken < 400 {
 			t.Fatalf("%s: only %d taken branches; the calls were inlined away", cfg.Name, pair.ref.Stats.Taken)
@@ -486,12 +429,11 @@ func main() int {
 // aggregate must match the per-word reference's, on the checked and on the
 // native machine.
 func exitStateRunManyQuantum(t *testing.T) {
-	cfg := mach.Trace14()
-	imgs := []*isa.Image{
-		compileFor(t, hotLoopSrc, cfg),
-		compileFor(t, xp.AllWorkloads()[0].Src, cfg),
+	image := func(src string) *isa.Image {
+		return testmatrix.MustCompile(t, src, mach.Trace14(), testmatrix.O2.Opt).Image
 	}
-	imgs = append(imgs, imgs[0], compileFor(t, xp.SystemsSuite()[0].Src, cfg))
+	imgs := []*isa.Image{image(hotLoopSrc), image(testmatrix.Kernels(t)[0].Src)}
+	imgs = append(imgs, imgs[0], image(testmatrix.Kernels.Get(t, "sort").Src))
 	var certs []vliw.SafetyCertificate // one per distinct image
 	for _, img := range []*isa.Image{imgs[0], imgs[1], imgs[3]} {
 		cert, err := safecheck.Certify(img)

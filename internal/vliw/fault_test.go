@@ -332,7 +332,7 @@ func TestContainedPanicNamesUnitAndCounts(t *testing.T) {
 		{"store out of RAM", []ir.OpKind{ir.Store}, 1 << 30, TrapMemBounds, "bus error: store 0x", "bus error (safe tier containment): "},
 		{"divisor zeroed", []ir.OpKind{ir.Div, ir.Rem}, 0, TrapDivZero, "integer divide by zero", "integer divide by zero (safe tier containment)"},
 	} {
-		img, cert := buildSafeCertified(t)
+		img, cert := safeTier.certified(t)
 		provenOp(t, img, cert, tc.kinds...).B = mach.ImmArg(tc.b)
 
 		var want *Fault

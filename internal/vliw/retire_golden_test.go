@@ -1,27 +1,17 @@
 package vliw_test
 
 import (
-	"bufio"
-	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
-	"github.com/multiflow-repro/trace/internal/core"
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
-	"github.com/multiflow-repro/trace/internal/opt"
 	"github.com/multiflow-repro/trace/internal/safecheck"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 	"github.com/multiflow-repro/trace/internal/vliw"
-	"github.com/multiflow-repro/trace/internal/xp"
 )
 
 // The retirement-trace golden pins the write pipeline's observable behaviour:
@@ -31,7 +21,6 @@ import (
 // the file byte for byte; regenerate only on a deliberate behaviour change:
 //
 //	go test ./internal/vliw -run RetirementTraceGolden -update
-var update = flag.Bool("update", false, "rewrite testdata/retire.golden from this build")
 
 var allTiers = []vliw.Tier{vliw.TierChecked, vliw.TierFast, vliw.TierSafe, vliw.TierNative}
 
@@ -86,12 +75,9 @@ func (noProofCert) SafeSite(int, mach.Unit, uint8) bool { return false }
 // retire them in issue order and the second value reaches the exit code.
 func raceImage(t *testing.T) *isa.Image {
 	t.Helper()
-	res, err := core.Compile(context.Background(), `func main() int { return 0 }`,
-		core.Options{Config: mach.Trace7(), Opt: opt.Default()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := res.Image
+	// A clone: the compiled image is shared, and this one is rewritten.
+	res := testmatrix.MustCompile(t, `func main() int { return 0 }`, mach.Trace7(), testmatrix.O2.Opt)
+	img := res.Image.CloneWithConfig(res.Image.Cfg)
 	alu := mach.Unit{Kind: mach.UIALU}
 	br := mach.Unit{Kind: mach.UBR}
 	r := func(idx uint8) mach.PReg { return mach.PReg{Bank: mach.BankI, Idx: idx} }
@@ -117,55 +103,27 @@ func raceImage(t *testing.T) *isa.Image {
 }
 
 func TestRetirementTraceGolden(t *testing.T) {
-	type program struct{ name, src string }
-	var progs []program
-	paths, err := filepath.Glob("../../examples/*.mf")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no example programs found: %v", err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs = append(progs, program{"examples/" + strings.TrimSuffix(filepath.Base(p), ".mf"), string(src)})
-	}
-	for _, w := range xp.AllWorkloads() {
-		progs = append(progs, program{"xp/" + w.Name, w.Src})
-	}
-	configs := []struct {
-		name string
-		cfg  mach.Config
-	}{{"Trace7", mach.Trace7()}, {"Trace14", mach.Trace14()}, {"Trace28", mach.Trace28()}}
-
-	got := map[string]string{}
-	var keys []string
-	record := func(key, val string) {
-		got[key] = val
-		keys = append(keys, key)
-	}
-	for _, p := range progs {
-		for _, c := range configs {
-			key := p.name + "/" + c.name
-			res, err := core.Compile(context.Background(), p.src, core.Options{Config: c.cfg, Opt: opt.Default()})
+	var got testmatrix.Lines
+	for _, p := range testmatrix.Programs(t, testmatrix.Examples, testmatrix.Kernels) {
+		for _, c := range testmatrix.Machines {
+			key := p.Key() + "/" + c.Name
+			img := testmatrix.MustCompile(t, p.Src, c.Cfg, testmatrix.O2.Opt).Image
+			cert, err := safecheck.Certify(img)
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			cert, err := safecheck.Certify(res.Image)
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
+			var checked string
 			for _, tier := range allTiers {
-				m := vliw.New(res.Image)
+				m := vliw.New(img)
 				if err := armTier(m, tier, cert); err != nil {
 					t.Fatalf("%s: arming %v: %v", key, tier, err)
 				}
 				trace := retireTrace(m)
 				if tier == vliw.TierChecked {
-					record(key, trace)
-				} else if trace != got[key] {
-					t.Errorf("%s: %v tier retires differently from checked:\n  checked %s\n  %-7v %s", key, tier, got[key], tier, trace)
+					checked = trace
+					got.Add(key, trace)
+				} else if trace != checked {
+					t.Errorf("%s: %v tier retires differently from checked:\n  checked %s\n  %-7v %s", key, tier, checked, tier, trace)
 				}
 			}
 		}
@@ -182,51 +140,9 @@ func TestRetirementTraceGolden(t *testing.T) {
 			if stall > 0 {
 				m.StallBank(ir.GlobalBase, stall)
 			}
-			record(fmt.Sprintf("race/stall%d/%v", stall, tier), retireTrace(m))
+			got.Add(fmt.Sprintf("race/stall%d/%v", stall, tier), retireTrace(m))
 		}
 	}
 
-	checkGolden(t, "retire.golden", got, keys)
-}
-
-// checkGolden compares "key value" lines against testdata/<file>, or
-// rewrites the file under -update.
-func checkGolden(t *testing.T, file string, got map[string]string, keys []string) {
-	t.Helper()
-	path := filepath.Join("testdata", file)
-	if *update {
-		var b bytes.Buffer
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s %s\n", k, got[k])
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d traces)", path, len(keys))
-		return
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
-	defer f.Close()
-	want := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		k, v, _ := strings.Cut(sc.Text(), " ")
-		want[k] = v
-	}
-	if len(want) != len(keys) {
-		t.Errorf("%s has %d traces, this build produced %d", path, len(want), len(keys))
-	}
-	for _, k := range keys {
-		if w, ok := want[k]; !ok {
-			t.Errorf("%s: not in %s", k, path)
-		} else if w != got[k] {
-			t.Errorf("%s:\n  want %s\n  got  %s", k, w, got[k])
-		}
-	}
+	testmatrix.CheckGolden(t, "testdata/retire.golden", &got, nil)
 }

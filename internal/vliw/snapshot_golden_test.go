@@ -2,23 +2,15 @@ package vliw_test
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
-	"github.com/multiflow-repro/trace/internal/core"
-	"github.com/multiflow-repro/trace/internal/mach"
-	"github.com/multiflow-repro/trace/internal/opt"
 	"github.com/multiflow-repro/trace/internal/safecheck"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 	"github.com/multiflow-repro/trace/internal/vliw"
-	"github.com/multiflow-repro/trace/internal/xp"
 )
 
 // The snapshot golden pins the version-1 encoding of a context byte for byte:
@@ -45,40 +37,14 @@ func pendingWrites(t *testing.T, snap []byte) int {
 }
 
 func TestSnapshotGolden(t *testing.T) {
-	type program struct{ name, src string }
-	var progs []program
-	paths, err := filepath.Glob("../../examples/*.mf")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no example programs found: %v", err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs = append(progs, program{"examples/" + strings.TrimSuffix(filepath.Base(p), ".mf"), string(src)})
-	}
-	for _, w := range xp.AllWorkloads() {
-		progs = append(progs, program{"xp/" + w.Name, w.Src})
-	}
-	configs := []struct {
-		name string
-		cfg  mach.Config
-	}{{"Trace7", mach.Trace7()}, {"Trace28", mach.Trace28()}}
 	tiers := []vliw.Tier{vliw.TierChecked, vliw.TierNative}
-
-	got := map[string]string{}
-	var keys []string
-	for _, p := range progs {
-		for _, c := range configs {
-			res, err := core.Compile(context.Background(), p.src, core.Options{Config: c.cfg, Opt: opt.Default()})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", p.name, c.name, err)
-			}
+	var got testmatrix.Lines
+	for _, p := range testmatrix.Programs(t, testmatrix.Examples, testmatrix.Kernels) {
+		for _, c := range []testmatrix.Machine{testmatrix.Trace7, testmatrix.Trace28} {
+			res := testmatrix.MustCompile(t, p.Src, c.Cfg, testmatrix.O2.Opt)
 			cert, err := safecheck.Certify(res.Image)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", p.name, c.name, err)
+				t.Fatalf("%s/%s: %v", p.Key(), c.Name, err)
 			}
 			// One machine per tier, reused through Reset: the native one has its
 			// regions built by the time the later pauses fall.
@@ -98,7 +64,7 @@ func TestSnapshotGolden(t *testing.T) {
 			}
 			wantExit, wantOut, err := arm(vliw.TierChecked).Run()
 			if err != nil {
-				t.Fatalf("%s/%s: %v", p.name, c.name, err)
+				t.Fatalf("%s/%s: %v", p.Key(), c.Name, err)
 			}
 			wantStats := machines[vliw.TierChecked].Stats
 			total := wantStats.Beats
@@ -110,7 +76,7 @@ func TestSnapshotGolden(t *testing.T) {
 				m := arm(vliw.TierChecked)
 				m.StopBeat = last
 				if _, _, err := m.Run(); err == nil {
-					t.Fatalf("%s/%s: no boundary from beat %d on has a write in flight", p.name, c.name, total-total/3)
+					t.Fatalf("%s/%s: no boundary from beat %d on has a write in flight", p.Key(), c.Name, total-total/3)
 				}
 				snap, err := m.Contexts()[0].Snapshot()
 				if err != nil {
@@ -121,7 +87,7 @@ func TestSnapshotGolden(t *testing.T) {
 				}
 			}
 			for _, stop := range []int64{2, total / 3, last} {
-				key := fmt.Sprintf("%s/%s@%d", p.name, c.name, stop)
+				key := fmt.Sprintf("%s/%s@%d", p.Key(), c.Name, stop)
 				var first []byte
 				for _, tier := range tiers {
 					m := arm(tier)
@@ -138,8 +104,7 @@ func TestSnapshotGolden(t *testing.T) {
 					if first == nil {
 						first = snap
 						n := pendingWrites(t, snap)
-						got[key] = fmt.Sprintf("word=%d beat=%d inflight=%d bytes=%d sha256=%x", paused.PC, paused.Beat, n, len(snap), sha256.Sum256(snap))
-						keys = append(keys, key)
+						got.Add(key, fmt.Sprintf("word=%d beat=%d inflight=%d bytes=%d sha256=%x", paused.PC, paused.Beat, n, len(snap), sha256.Sum256(snap)))
 					} else if !bytes.Equal(snap, first) {
 						t.Errorf("%s: %v tier serializes differently from checked", key, tier)
 					}
@@ -170,5 +135,5 @@ func TestSnapshotGolden(t *testing.T) {
 			}
 		}
 	}
-	checkGolden(t, "snapshot.golden", got, keys)
+	testmatrix.CheckGolden(t, "testdata/snapshot.golden", &got, nil)
 }

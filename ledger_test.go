@@ -3,10 +3,11 @@ package trace
 import (
 	"context"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 )
 
 // TestLedgerProgramsMatchExpect builds every program the benchmark ledger
@@ -16,15 +17,10 @@ import (
 // the native tier, to the .expect file beside it — the reference
 // interpreter's answer, frozen with the program. The files are only read.
 func TestLedgerProgramsMatchExpect(t *testing.T) {
-	for _, mf := range ledgerPrograms(t) {
-		mf := mf
-		t.Run(strings.TrimSuffix(filepath.Base(mf), ".mf"), func(t *testing.T) {
+	for _, p := range testmatrix.Ledger(t) {
+		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			src, err := os.ReadFile(mf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			expect, err := os.ReadFile(strings.TrimSuffix(mf, ".mf") + ".expect")
+			expect, err := os.ReadFile("bench/programs/" + p.Name + ".expect")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +30,7 @@ func TestLedgerProgramsMatchExpect(t *testing.T) {
 				t.Fatalf("expect file: first line %q is not \"exit N\"", head)
 			}
 			ctx := context.Background()
-			art, err := Build(ctx, string(src), Options{})
+			art, err := Build(ctx, p.Src, Options{})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -56,15 +52,10 @@ func TestLedgerProgramsMatchExpect(t *testing.T) {
 // of which was inlined are not compiled, and no block is laid out that
 // control never enters.
 func TestLedgerHasNoUnreachableWords(t *testing.T) {
-	for _, mf := range ledgerPrograms(t) {
-		mf := mf
-		t.Run(strings.TrimSuffix(filepath.Base(mf), ".mf"), func(t *testing.T) {
+	for _, p := range testmatrix.Ledger(t) {
+		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			src, err := os.ReadFile(mf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			art, err := Build(context.Background(), string(src), Options{})
+			art, err := Build(context.Background(), p.Src, Options{})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -75,13 +66,4 @@ func TestLedgerHasNoUnreachableWords(t *testing.T) {
 			}
 		})
 	}
-}
-
-// ledgerPrograms lists the programs the benchmark ledger runs.
-func ledgerPrograms(t *testing.T) []string {
-	mfs, err := filepath.Glob("bench/programs/*.mf")
-	if err != nil || len(mfs) == 0 {
-		t.Fatalf("no ledger programs found: %v", err)
-	}
-	return mfs
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/isa"
-	"github.com/multiflow-repro/trace/internal/xp"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 )
 
 // imageBytes serializes everything the machine executes from an image — the
@@ -35,9 +35,7 @@ func imageBytes(t *testing.T, img *isa.Image) []byte {
 // backend and with an 8-worker pool and requires byte-identical images: the
 // per-function fan-out must not leak scheduling order into the output.
 func TestParallelCompileDeterminism(t *testing.T) {
-	workloads := append(xp.AllWorkloads(), xp.MixedApp())
-	for _, w := range workloads {
-		w := w
+	for _, w := range testmatrix.Programs(t, testmatrix.Kernels, testmatrix.MixedApp) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			seq, err := Build(context.Background(), w.Src, Options{Parallelism: 1})
@@ -64,7 +62,7 @@ func TestParallelCompileDeterminism(t *testing.T) {
 // actually executes: compile the multi-function app with the worker pool
 // and diff simulator output against the reference interpreter.
 func TestParallelCompileRuns(t *testing.T) {
-	w := xp.MixedApp()
+	w := testmatrix.MixedApp(t)[0]
 	res, err := Build(context.Background(), w.Src, Options{Parallelism: 8, Verify: true})
 	if err != nil {
 		t.Fatal(err)
