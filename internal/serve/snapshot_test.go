@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -282,4 +287,71 @@ func TestRunManyPoolExactlyOnce(t *testing.T) {
 	if got := s.Metrics().MachinesInUse.Value(); got != 0 {
 		t.Errorf("MachinesInUse = %d after final batch, want 0", got)
 	}
+}
+
+// FuzzSpillFile feeds arbitrary bytes to the spill directory's recovery scan
+// and to a disk read, as the file <token>.snap: named, the token is the
+// SHA-256 of the bytes behind the meta (when the length prefix fits), and
+// otherwise of the whole file. Neither may panic; the file is re-indexed, and
+// resolves through get, exactly when its meta is JSON of snapMeta and its
+// snapshot bytes hash to its name, and every other file is deleted. The seeds
+// are a real paused run's spill, besides the corpus checked in under testdata.
+func FuzzSpillFile(f *testing.F) {
+	f.Add(pausedSpill(f), true)
+	f.Fuzz(func(t *testing.T, file []byte, named bool) {
+		var meta, snap []byte
+		if len(file) >= 4 {
+			if ml := binary.LittleEndian.Uint32(file); int64(ml) <= int64(len(file))-4 {
+				meta, snap = file[4:4+ml], file[4+ml:]
+			}
+		}
+		name := sha256.Sum256(file)
+		if named && snap != nil {
+			name = sha256.Sum256(snap)
+		}
+		tok := hex.EncodeToString(name[:])
+		keep := snap != nil && json.Unmarshal(meta, new(snapMeta)) == nil && sha256.Sum256(snap) == name
+
+		dir := t.TempDir()
+		path := filepath.Join(dir, tok+".snap")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := &Metrics{}
+		s := newSnapshotStore(1<<30, dir, m)
+		_, err := os.Stat(path)
+		if kept := err == nil; kept != keep || (m.SnapshotsRecovered.Value() == 1) != keep {
+			t.Fatalf("recovery kept the file %v, re-indexed %d; want %v", kept, m.SnapshotsRecovered.Value(), keep)
+		}
+		if _, got, ok := s.get(tok); ok != keep || ok && !bytes.Equal(got, snap) {
+			t.Fatalf("get after recovery: ok=%v; want %v", ok, keep)
+		}
+		// The same file, read from disk by get past an empty RAM tier.
+		s.ram.remove(tok)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, got, ok := s.get(tok); ok != keep || ok && !bytes.Equal(got, snap) {
+			t.Fatalf("get from disk: ok=%v; want %v", ok, keep)
+		}
+	})
+}
+
+// pausedSpill is the spill file of a run of demoSrc paused at beat 100.
+func pausedSpill(f *testing.F) []byte {
+	art, err := core.Build(context.Background(), demoSrc, Options{}.toCore(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	out, err := art.Run(context.Background(), core.RunOptions{SnapshotAt: 100})
+	if err != nil || !out.Paused {
+		f.Fatalf("the run did not pause: %v", err)
+	}
+	dir := f.TempDir()
+	tok := newSnapshotStore(1<<30, dir, &Metrics{}).put(snapMeta{ArtKey: "k", Source: demoSrc, Beats: out.Stats.Beats}, out.Snapshot)
+	file, err := os.ReadFile(filepath.Join(dir, tok+".snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return file
 }

@@ -228,5 +228,6 @@ go test ./internal/fuzz -run=^$ -fuzz=FuzzDifferential -fuzztime=10s
 go test ./internal/fuzz -run=^$ -fuzz=FuzzGen -fuzztime=10s
 go test ./internal/vliw -run=^$ -fuzz=FuzzSnapshotRestore -fuzztime=10s
 go test ./internal/isa -run=^$ -fuzz=FuzzImageDecode -fuzztime=10s
+go test ./internal/serve -run=^$ -fuzz=FuzzSpillFile -fuzztime=10s
 
 echo "== ok"
