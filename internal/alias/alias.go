@@ -1,5 +1,6 @@
-// Package alias is the memory disambiguator (§6.4.2): it builds derivation
-// trees for address expressions as linear forms over symbolic values, and
+// Package alias is the memory disambiguator (§6.4.2): it represents address
+// expressions as linear forms over symbolic values — the derivation trees,
+// which the trace scheduler derives in one place (tsched's formTracker) — and
 // answers, for two memory references, "can these be to the same location?"
 // and the paper's novel *relative* query "can these be equal modulo N memory
 // banks?" (§6.4.4) with No, Maybe, or Yes. "No" lets the code generator
@@ -42,7 +43,8 @@ func (a Answer) String() string {
 // variables v. Symbolic variables stand for run-time values the derivation
 // could not see through (loop-carried registers at trace entry, incoming
 // array-reference parameters, opaque computations). Two Forms are comparable
-// when built by the same Builder, which guarantees variable identity.
+// when derived by the same walk over a trace (the trace scheduler's
+// formTracker, one per trace), which guarantees variable identity.
 type Form struct {
 	Const int64
 	Terms map[int]int64 // variable id -> coefficient (no zero entries)
@@ -132,13 +134,19 @@ func (f Form) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// gcd of the absolute coefficient values; 0 if none.
-func (f Form) coeffGCD() int64 {
-	var g int64
-	for _, c := range f.Terms {
-		g = gcd(g, abs64(c))
+// diff returns a - b as its constant part c and the gcd g of its
+// coefficients' absolute values (0 when the difference is a constant),
+// without building the difference.
+func diff(a, b Form) (c, g int64) {
+	for v, x := range a.Terms {
+		g = gcd(g, abs64(x-b.Terms[v]))
 	}
-	return g
+	for v, y := range b.Terms {
+		if _, ok := a.Terms[v]; !ok {
+			g = gcd(g, abs64(y))
+		}
+	}
+	return a.Const - b.Const, g
 }
 
 func gcd(a, b int64) int64 {
@@ -164,23 +172,18 @@ type Ref struct {
 
 // MayAlias answers whether two references can touch overlapping bytes.
 func MayAlias(a, b Ref) Answer {
-	d := a.Addr.Sub(b.Addr)
+	d, g := diff(a.Addr, b.Addr)
 	// Overlap iff -a.Size < d < b.Size has a solution.
 	lo, hi := -a.Size+1, b.Size-1 // inclusive range for d
-	if d.IsConst() {
-		if d.Const >= lo && d.Const <= hi {
-			if d.Const == 0 && a.Size == b.Size {
-				return Yes
-			}
+	if g == 0 {
+		if d >= lo && d <= hi {
 			return Yes // definite overlap of at least one byte
 		}
 		return No
 	}
-	g := d.coeffGCD()
-	// d takes values {d.Const + g·k'} ∪ … — actually a sublattice of
-	// d.Const + gcd·Z; the achievable set is a subset, so a hit in the
+	// d takes values in a subset of the lattice d + g·Z, so a hit in the
 	// range is only "maybe", while no lattice point in range is a hard no.
-	if hasLatticePointInRange(d.Const, g, lo, hi) {
+	if hasLatticePointInRange(d, g, lo, hi) {
 		return Maybe
 	}
 	return No
@@ -198,29 +201,6 @@ func hasLatticePointInRange(c, g, lo, hi int64) bool {
 	return first <= hi
 }
 
-// SameSlot answers whether the two references are always the exact same
-// location (used for store-to-load bypass checks in tests).
-func SameSlot(a, b Ref) Answer {
-	d := a.Addr.Sub(b.Addr)
-	if d.IsConst() {
-		if d.Const == 0 && a.Size == b.Size {
-			return Yes
-		}
-		if d.Const == 0 {
-			return Maybe
-		}
-		// distinct start addresses can still overlap
-		if MayAlias(a, b) == No {
-			return No
-		}
-		return Maybe
-	}
-	if MayAlias(a, b) == No {
-		return No
-	}
-	return Maybe
-}
-
 // SameBank answers whether the two references hit the same RAM bank, where
 // two byte addresses share a bank iff they are congruent modulo modulus
 // (modulus = 8 bytes × controllers × banks for the TRACE interleave; pass
@@ -228,15 +208,15 @@ func SameSlot(a, b Ref) Answer {
 // relative disambiguation: only the difference matters, so unknown base
 // addresses cancel when both references derive from the same base (§6.4.4).
 func SameBank(a, b Ref, modulus int64) Answer {
-	d := a.Addr.Sub(b.Addr)
+	d, dg := diff(a.Addr, b.Addr)
 	// Same 8-byte granule boundary concern: references within the modulus
 	// window conflict if (addrA >> 3) ≡ (addrB >> 3). Work on byte
 	// difference: same granule-class iff d ≡ r (mod modulus) with r in
 	// (-8, 8) aligned… To stay conservative we test congruence of the byte
 	// difference to any value in (-8, 8): |d mod modulus| < 8 counts as a
 	// possible same-bank hit.
-	if d.IsConst() {
-		m := ((d.Const % modulus) + modulus) % modulus
+	if dg == 0 {
+		m := ((d % modulus) + modulus) % modulus
 		if m < 8 || modulus-m < 8 {
 			// Same congruence granule: definitely same bank when the two
 			// addresses land in the same 8-byte word of their granule;
@@ -248,33 +228,20 @@ func SameBank(a, b Ref, modulus int64) Answer {
 		}
 		return No
 	}
-	g := gcd(d.coeffGCD(), modulus)
-	// d mod modulus ranges over {d.Const + g·k mod modulus}; a same-bank
-	// hit needs d ≡ t (mod modulus) for some t with t mod modulus within
-	// (-8, 8) of 0.
-	c := ((d.Const % g) + g) % g
+	g := gcd(dg, modulus)
+	// d mod modulus ranges over {d + g·k mod modulus}; a same-bank hit
+	// needs d ≡ t (mod modulus) for some t with t mod modulus within (-8, 8)
+	// of 0.
+	c := ((d % g) + g) % g
 	if c < 8 || g-c < 8 {
 		// some achievable difference is within a word of a multiple of the
-		// modulus: cannot rule out a bank conflict
-		if g == modulus && c == 0 && d.Const%modulus == 0 {
-			// stride is an exact multiple of the modulus: always same bank
-			if allMultiples(d, modulus) {
-				return Yes
-			}
+		// modulus: cannot rule out a bank conflict — unless the stride is an
+		// exact multiple of the modulus (g == modulus) and so is the
+		// constant: always the same bank
+		if g == modulus && d%modulus == 0 {
+			return Yes
 		}
 		return Maybe
 	}
 	return No
-}
-
-func allMultiples(d Form, m int64) bool {
-	if d.Const%m != 0 {
-		return false
-	}
-	for _, c := range d.Terms {
-		if c%m != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -1,10 +1,6 @@
 package alias
 
-import (
-	"testing"
-
-	"github.com/multiflow-repro/trace/internal/ir"
-)
+import "testing"
 
 func TestFormArithmetic(t *testing.T) {
 	a := VarForm(1).Scale(4).Add(ConstForm(8)) // 4v1 + 8
@@ -137,100 +133,6 @@ func TestSameController(t *testing.T) {
 	}
 	if got := SameBank(a, c, mod); got != Yes {
 		t.Errorf("stride 4 words: %s, want yes", got)
-	}
-}
-
-func TestSameSlot(t *testing.T) {
-	base := VarForm(1)
-	a := Ref{Addr: base, Size: 4}
-	b := Ref{Addr: base, Size: 4}
-	if got := SameSlot(a, b); got != Yes {
-		t.Errorf("identical refs: %s, want yes", got)
-	}
-	c := Ref{Addr: base.Add(ConstForm(16)), Size: 4}
-	if got := SameSlot(a, c); got != No {
-		t.Errorf("disjoint refs: %s, want no", got)
-	}
-	d := Ref{Addr: base.Add(VarForm(2).Scale(4)), Size: 4}
-	if got := SameSlot(a, d); got != Maybe {
-		t.Errorf("variable refs: %s, want maybe", got)
-	}
-}
-
-// TestBuilderDerivation walks a small op sequence the way the scheduler
-// does: an unrolled a[i], a[i+1] pattern where i is live-in.
-func TestBuilderDerivation(t *testing.T) {
-	f := ir.NewFunc("f", ir.Void)
-	i := f.NewReg(ir.I32)   // live-in loop index
-	sh := f.NewReg(ir.I32)  // constant 3
-	off := f.NewReg(ir.I32) // i << 3
-	ea := f.NewReg(ir.I32)  // base + off
-	one := f.NewReg(ir.I32)
-	v := f.NewReg(ir.F64)
-
-	base := f.NewReg(ir.I32)
-	ops := []ir.Op{
-		{Kind: ir.GAddr, Dst: base, Sym: "a"},
-		{Kind: ir.ConstI, Dst: sh, ImmI: 3},
-		{Kind: ir.Shl, Dst: off, Args: []ir.Reg{i, sh}},
-		{Kind: ir.Add, Dst: ea, Args: []ir.Reg{base, off}},
-		{Kind: ir.Load, Type: ir.F64, Dst: v, Args: []ir.Reg{ea}},
-		{Kind: ir.ConstI, Dst: one, ImmI: 1},
-		{Kind: ir.Add, Dst: i, Args: []ir.Reg{i, one}}, // i = i + 1
-		{Kind: ir.Shl, Dst: off, Args: []ir.Reg{i, sh}},
-		{Kind: ir.Add, Dst: ea, Args: []ir.Reg{base, off}},
-		{Kind: ir.Load, Type: ir.F64, Dst: v, Args: []ir.Reg{ea}},
-	}
-
-	layout := map[string]int64{"a": 0x2000}
-	b := NewBuilder(layout)
-	var refs []Ref
-	for k := range ops {
-		op := &ops[k]
-		if op.Kind == ir.Load {
-			refs = append(refs, b.RefOf(op))
-		}
-		b.Note(op)
-	}
-	if len(refs) != 2 {
-		t.Fatalf("collected %d refs", len(refs))
-	}
-	d := refs[1].Addr.Sub(refs[0].Addr)
-	if !d.IsConst() || d.Const != 8 {
-		t.Fatalf("a[i+1]-a[i] = %s, want 8", d)
-	}
-	if got := MayAlias(refs[0], refs[1]); got != No {
-		t.Errorf("unrolled refs alias = %s, want no", got)
-	}
-	// known global base: bank is decidable for 8-bank machine (mod 64):
-	if got := SameBank(refs[0], refs[1], 64); got != No {
-		t.Errorf("bank conflict = %s, want no", got)
-	}
-}
-
-func TestBuilderOpaque(t *testing.T) {
-	f := ir.NewFunc("f", ir.Void)
-	x := f.NewReg(ir.I32)
-	y := f.NewReg(ir.I32)
-	b := NewBuilder(nil)
-	mul := ir.Op{Kind: ir.Mul, Dst: y, Args: []ir.Reg{x, x}} // nonlinear
-	b.Note(&mul)
-	ld1 := ir.Op{Kind: ir.Load, Type: ir.I32, Args: []ir.Reg{y}}
-	r1 := b.RefOf(&ld1)
-	r2 := b.RefOf(&ld1)
-	// same opaque value: still comparable with itself
-	if got := MayAlias(r1, r2); got != Yes {
-		t.Errorf("same opaque ref twice = %s, want yes", got)
-	}
-	// unlocated globals: same name comparable, different names not
-	g1 := ir.Op{Kind: ir.GAddr, Dst: x, Sym: "g1"}
-	b.Note(&g1)
-	l1 := ir.Op{Kind: ir.Load, Type: ir.I32, Args: []ir.Reg{x}, ImmI: 0}
-	ra := b.RefOf(&l1)
-	l2 := ir.Op{Kind: ir.Load, Type: ir.I32, Args: []ir.Reg{x}, ImmI: 8}
-	rb := b.RefOf(&l2)
-	if got := MayAlias(ra, rb); got != No {
-		t.Errorf("g1[0] vs g1[2] = %s, want no", got)
 	}
 }
 

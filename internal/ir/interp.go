@@ -416,7 +416,3 @@ func (in *Interp) builtin(name string, regs []uint64, args []Reg) {
 		fmt.Fprintf(&in.out, "%g\n", math.Float64frombits(regs[args[0]]))
 	}
 }
-
-// Steps returns the number of ops executed by the last Run. This is the
-// dynamic operation count used as the work measure in speedup experiments.
-func (in *Interp) Steps() int64 { return in.steps }

@@ -59,7 +59,6 @@ type siteKey struct {
 // internal/vliw pin all of this down.
 type SafeCertificate struct {
 	img  *isa.Image
-	res  *schedcheck.Certificate
 	rep  *Report
 	safe map[siteKey]bool
 }
@@ -67,9 +66,6 @@ type SafeCertificate struct {
 // CertifiedImage returns the image this certificate covers. It implements
 // vliw.Certificate (and, with SafeSite, vliw.SafetyCertificate).
 func (c *SafeCertificate) CertifiedImage() *isa.Image { return c.img }
-
-// Resource returns the underlying schedcheck certificate.
-func (c *SafeCertificate) Resource() *schedcheck.Certificate { return c.res }
 
 // Report returns the safety analysis report backing the certificate.
 func (c *SafeCertificate) Report() *Report { return c.rep }
@@ -100,7 +96,7 @@ func (r *Report) Certify(res *schedcheck.Certificate) (*SafeCertificate, error) 
 	if res == nil || res.CertifiedImage() != r.img {
 		return nil, fmt.Errorf("safecheck: resource certificate does not cover this image")
 	}
-	c := &SafeCertificate{img: r.img, res: res, rep: r, safe: map[siteKey]bool{}}
+	c := &SafeCertificate{img: r.img, rep: r, safe: map[siteKey]bool{}}
 	for i := range r.Sites {
 		s := &r.Sites[i]
 		if s.Exec() && s.Proven {

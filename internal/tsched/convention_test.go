@@ -205,7 +205,7 @@ func TestRewrittenRegisterDropsItsCopies(t *testing.T) {
 	_, vf := lower(t, fibSrc, "fib")
 	var home homes
 	home.set(vf.SP, 0)
-	s := &scheduler{cfg: mach.Trace28(), vf: vf, home: &home, gen: 1}
+	s := newScheduler(mach.Trace28(), vf, &home)
 	old, ok := s.insertCopy(vf.SP, 1, 4)
 	if !ok {
 		t.Fatal("no slot for a copy of the stack pointer")

@@ -295,19 +295,19 @@ func (g *traceGraph) rename() {
 // function-level constant (e.g. a loop-invariant stride hoisted to the
 // preheader) into immediates, freeing read ports and exposing add chains to
 // collapsing. Only the src2 leg takes immediates in the encoding (§6.1).
-func (g *traceGraph) foldGlobalConsts(global map[VReg]alias.Form) {
+func (g *traceGraph) foldGlobalConsts(consts map[VReg]int64) {
 	fold := func(a *VArg) {
 		if a.IsImm || a.Reg == VNone {
 			return
 		}
-		f, ok := global[a.Reg]
+		c, ok := consts[a.Reg]
 		// Only the inline 6-bit immediate is free; a 32-bit value would
 		// compete for the pair's single shared immediate word per beat
 		// (§6.1), which costs more than the register read it saves.
-		if !ok || !f.IsConst() || f.Const < -32 || f.Const > 31 {
+		if !ok || c < -32 || c > 31 {
 			return
 		}
-		*a = VImmArg(int32(f.Const))
+		*a = VImmArg(int32(c))
 	}
 	for _, s := range g.ops {
 		o := &s.vop
@@ -433,33 +433,13 @@ func (g *traceGraph) addFinalRestores(lv *VLiveness) {
 		return
 	}
 	snap := g.renameAtSplit[g.finalIdx]
-	target := g.exit
-	var movs []*schedOp
-	// deterministic order
-	var origs []VReg
-	for o := range snap {
-		origs = append(origs, o)
-	}
-	for i := 0; i < len(origs); i++ {
-		for j := i + 1; j < len(origs); j++ {
-			if origs[j] < origs[i] {
-				origs[i], origs[j] = origs[j], origs[i]
-			}
-		}
-	}
-	for _, orig := range origs {
-		cur := snap[orig]
-		if cur == orig || !lv.In[target].Has(ir.Reg(orig)) {
-			continue
-		}
-		movs = append(movs, &schedOp{
-			vop:       VOp{Kind: ir.Mov, Type: g.vf.TypeOf(orig), Dst: orig, A: VRegArg(cur)},
-			instr:     -1,
-			isRestore: true,
-		})
-	}
-	if len(movs) == 0 {
+	restores := restoreMovs(g.vf, lv, snap, g.exit)
+	if len(restores) == 0 {
 		return
+	}
+	movs := make([]*schedOp, len(restores))
+	for i, m := range restores {
+		movs[i] = &schedOp{vop: m, instr: -1, isRestore: true}
 	}
 	fi := g.finalIdx
 	final := g.ops[fi]
@@ -473,10 +453,10 @@ func (g *traceGraph) addFinalRestores(lv *VLiveness) {
 	g.renameAtSplit[g.finalIdx] = snap
 }
 
-// buildDAG adds dependence edges. layout supplies global addresses,
-// globalForms the function-level single-assignment derivations for the
+// buildDAG adds dependence edges. layout supplies global addresses, consts
+// the function's single-assignment constants (globalConsts) for the
 // disambiguator, and lv what each split's off-trace target reads.
-func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalForms map[VReg]alias.Form, lv *VLiveness) {
+func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, consts map[VReg]int64, lv *VLiveness) {
 	defsite := map[VReg]int{}
 	var kept []int // writes so far that keep their names
 
@@ -493,8 +473,7 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, globalFo
 	var aboveJoin []int      // ops before the most recent join (for split barriers)
 	uses := map[VReg][]int{} // reads of each reg since its last definition
 
-	formOf := newFormTracker(layout)
-	formOf.seed(globalForms)
+	formOf := newFormTracker(layout, consts)
 
 	for i, s := range g.ops {
 		o := &s.vop
@@ -729,34 +708,35 @@ func aboveJoinUpTo(g *traceGraph, pos int) []int {
 // opLatency returns the write latency of an op in beats.
 func opLatency(cfg *mach.Config, o *VOp) int { return cfg.Latency(o.Kind, o.Type) }
 
-// formTracker adapts vops (whose operands may be immediates) to the alias
-// package's linear-form derivations.
+// formTracker derives linear address forms (§6.4.2's derivation trees) for
+// vops, whose operands may be immediates, walking a trace in execution order:
+// a register written in the trace takes the form of its definition, one read
+// before any write takes the function's constant for it (globalConsts), and
+// anything else is a fresh opaque variable. Because the walk is in order,
+// redefinitions version correctly: after i = i + 1, references through i
+// differ from earlier ones by exactly the constant, which is what resolves
+// the references of an unrolled loop.
 type formTracker struct {
-	forms map[VReg]alias.Form
-	gaddr map[string]int64
-	next  int
+	forms  map[VReg]alias.Form
+	consts map[VReg]int64
+	gaddr  map[string]int64
+	next   int
 }
 
-func newFormTracker(layout map[string]int64) *formTracker {
-	return &formTracker{forms: map[VReg]alias.Form{}, gaddr: layout, next: 1}
+func newFormTracker(layout map[string]int64, consts map[VReg]int64) *formTracker {
+	return &formTracker{forms: map[VReg]alias.Form{}, consts: consts, gaddr: layout, next: 1}
 }
 
-// seed installs pre-computed derivations (GlobalForms) for trace live-ins.
-func (t *formTracker) seed(global map[VReg]alias.Form) {
-	for r, f := range global {
-		t.forms[r] = f
-	}
-}
-
-// GlobalForms derives linear forms for registers assigned exactly once in
-// the whole function by constant or affine ops. Loop-invariant code motion
-// hoists array base addresses and strides out of loops, so inside a loop
-// trace they are live-ins; without these function-level derivations the
+// globalConsts returns the constant each register holds that is assigned
+// exactly once in the whole function, by an affine op (formTracker.derive)
+// of immediates, located globals and such constants. Loop-invariant code
+// motion hoists array base addresses and strides out of loops, so inside a
+// loop trace they are live-ins; without these function-level values the
 // disambiguator would treat two distinct arrays' bases as unrelated unknowns
-// and answer "maybe" for every load/store pair, serializing the loop.
-// A single-assignment register holds the same value at every point after its
-// definition, so the derivation is sound across traces.
-func GlobalForms(vf *VFunc, layout map[string]int64) map[VReg]alias.Form {
+// and answer "maybe" for every load/store pair, serializing the loop. A
+// single-assignment register holds the same value at every point after its
+// definition, so the value is sound across traces.
+func globalConsts(vf *VFunc, layout map[string]int64) map[VReg]int64 {
 	defs := map[VReg]*VOp{}
 	count := map[VReg]int{}
 	for _, b := range vf.Blocks {
@@ -768,78 +748,29 @@ func GlobalForms(vf *VFunc, layout map[string]int64) map[VReg]alias.Form {
 			}
 		}
 	}
-	forms := map[VReg]alias.Form{}
-	argForm := func(a VArg) (alias.Form, bool) {
+	t := newFormTracker(layout, map[VReg]int64{})
+	// known reports whether a's form is already a constant.
+	known := func(a VArg) bool {
 		if a.IsImm {
-			if a.Sym != "" {
-				if addr, ok := layout[a.Sym]; ok {
-					return alias.ConstForm(addr), true
-				}
-				return alias.Form{}, false
-			}
-			return alias.ConstForm(int64(a.Imm)), true
+			_, located := layout[a.Sym]
+			return a.Sym == "" || located
 		}
-		if a.Reg == VNone {
-			return alias.ConstForm(0), true
-		}
-		f, ok := forms[a.Reg]
-		return f, ok
+		_, ok := t.consts[a.Reg]
+		return a.Reg == VNone || ok
 	}
 	for changed := true; changed; {
 		changed = false
 		for r, o := range defs {
-			if count[r] != 1 {
+			if _, done := t.consts[r]; done || count[r] != 1 || !known(o.A) || !known(o.B) {
 				continue
 			}
-			if _, done := forms[r]; done {
-				continue
-			}
-			var f alias.Form
-			ok := false
-			switch o.Kind {
-			case ir.ConstI:
-				f, ok = argForm(o.A)
-			case ir.Mov:
-				if o.Type == ir.I32 {
-					f, ok = argForm(o.A)
-				}
-			case ir.Add, ir.Sub, ir.Mul, ir.Shl, ir.Neg:
-				a, okA := argForm(o.A)
-				b, okB := argForm(o.B)
-				if okA && okB {
-					ok = true
-					switch o.Kind {
-					case ir.Add:
-						f = a.Add(b)
-					case ir.Sub:
-						f = a.Sub(b)
-					case ir.Mul:
-						switch {
-						case a.IsConst():
-							f = b.Scale(a.Const)
-						case b.IsConst():
-							f = a.Scale(b.Const)
-						default:
-							ok = false
-						}
-					case ir.Shl:
-						if b.IsConst() && b.Const >= 0 && b.Const < 31 {
-							f = a.Scale(1 << uint(b.Const))
-						} else {
-							ok = false
-						}
-					case ir.Neg:
-						f = a.Scale(-1)
-					}
-				}
-			}
-			if ok {
-				forms[r] = f
+			if f := t.derive(o); f.IsConst() {
+				t.consts[r] = f.Const
 				changed = true
 			}
 		}
 	}
-	return forms
+	return t.consts
 }
 
 func (t *formTracker) fresh() alias.Form {
@@ -863,6 +794,9 @@ func (t *formTracker) argForm(a VArg) alias.Form {
 	if f, ok := t.forms[a.Reg]; ok {
 		return f
 	}
+	if c, ok := t.consts[a.Reg]; ok {
+		return alias.ConstForm(c)
+	}
 	f := t.fresh()
 	t.forms[a.Reg] = f
 	return f
@@ -877,42 +811,40 @@ func (t *formTracker) refOf(o *VOp) alias.Ref {
 
 // note updates derivations after executing o.
 func (t *formTracker) note(o *VOp) {
-	if o.Dst == VNone {
-		return
+	if o.Dst != VNone {
+		t.forms[o.Dst] = t.derive(o)
 	}
+}
+
+// derive is the one affine rule: the form o writes when it is ConstI, an I32
+// Mov, Add, Sub, Neg, Mul by a constant or Shl by 0..30 of its operands'
+// forms, and a fresh opaque variable for any other op.
+func (t *formTracker) derive(o *VOp) alias.Form {
 	switch o.Kind {
 	case ir.ConstI:
-		t.forms[o.Dst] = t.argForm(o.A)
+		return t.argForm(o.A)
 	case ir.Mov:
 		if o.Type == ir.I32 {
-			t.forms[o.Dst] = t.argForm(o.A)
-		} else {
-			t.forms[o.Dst] = t.fresh()
+			return t.argForm(o.A)
 		}
 	case ir.Add:
-		t.forms[o.Dst] = t.argForm(o.A).Add(t.argForm(o.B))
+		return t.argForm(o.A).Add(t.argForm(o.B))
 	case ir.Sub:
-		t.forms[o.Dst] = t.argForm(o.A).Sub(t.argForm(o.B))
+		return t.argForm(o.A).Sub(t.argForm(o.B))
 	case ir.Mul:
 		x, y := t.argForm(o.A), t.argForm(o.B)
 		switch {
 		case x.IsConst():
-			t.forms[o.Dst] = y.Scale(x.Const)
+			return y.Scale(x.Const)
 		case y.IsConst():
-			t.forms[o.Dst] = x.Scale(y.Const)
-		default:
-			t.forms[o.Dst] = t.fresh()
+			return x.Scale(y.Const)
 		}
 	case ir.Shl:
-		y := t.argForm(o.B)
-		if y.IsConst() && y.Const >= 0 && y.Const < 31 {
-			t.forms[o.Dst] = t.argForm(o.A).Scale(1 << uint(y.Const))
-		} else {
-			t.forms[o.Dst] = t.fresh()
+		if y := t.argForm(o.B); y.IsConst() && y.Const >= 0 && y.Const < 31 {
+			return t.argForm(o.A).Scale(1 << uint(y.Const))
 		}
 	case ir.Neg:
-		t.forms[o.Dst] = t.argForm(o.A).Scale(-1)
-	default:
-		t.forms[o.Dst] = t.fresh()
+		return t.argForm(o.A).Scale(-1)
 	}
+	return t.fresh()
 }

@@ -1,7 +1,6 @@
 package tsched
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/multiflow-repro/trace/internal/ir"
@@ -121,19 +120,4 @@ func CompileFunc(cfg mach.Config, vf *VFunc, prof ir.EdgeWeights, layout map[str
 		return nil, err
 	}
 	return Emit(sf, alloc)
-}
-
-// Compile lowers and schedules every function of the program for the given
-// machine, using prof for trace selection. It modifies prog (call spills);
-// callers pass a private copy. Functions whose register demand overflows a
-// bank are retried with shorter traces before the error is surfaced.
-func Compile(prog *ir.Program, cfg mach.Config, prof ir.Profile) ([]*FuncCode, error) {
-	return CompileWithLimit(prog, cfg, prof, 0)
-}
-
-// CompileWithLimit is Compile with a trace-length cap (0 = unlimited);
-// maxTraceBlocks = 1 restricts compaction to basic blocks. Compilation is
-// sequential; CompileParallel fans the same work out over a worker pool.
-func CompileWithLimit(prog *ir.Program, cfg mach.Config, prof ir.Profile, maxTraceBlocks int) ([]*FuncCode, error) {
-	return CompileParallel(context.Background(), prog, cfg, prof, CompileOptions{MaxTraceBlocks: maxTraceBlocks, Parallelism: 1})
 }

@@ -42,15 +42,6 @@ type scheduler struct {
 
 	// reservations
 	res resTable
-	// fdivBusy[pair] is the first instruction at which the pair's
-	// multiplier/divider accepts a new op again (the iterative divide
-	// occupies it).
-	fdivBusy [maxBoards]int
-	// idivBusy[pair] is the first beat at which an iterative divide may
-	// take one of the pair's I ALUs: with other pairs to move work to, one
-	// divide at a time per pair, so the other ALU is left for the copies.
-	idivBusy [maxBoards]int
-	memRefs  []memRef // scheduled memory references
 
 	// pendingSF counts, per pair, the store-file registers written but not
 	// yet consumed by their store; the compiler is responsible for not
@@ -79,11 +70,6 @@ type regState struct {
 	}
 }
 
-type memRef struct {
-	ref       alias.Ref
-	issueBeat int
-}
-
 const (
 	busILoad = iota
 	busFLoad
@@ -107,6 +93,11 @@ func (e *ErrScheduleSize) Error() string {
 	return fmt.Sprintf("%s: trace schedule exceeded %d instructions", e.Func, e.Limit)
 }
 
+// newScheduler returns a scheduler for the traces of vf on machine cfg.
+func newScheduler(cfg mach.Config, vf *VFunc, home *homes) *scheduler {
+	return &scheduler{cfg: cfg, vf: vf, home: home, res: newResTable(&cfg), gen: 1}
+}
+
 // reg returns r's state in the trace in hand. The pointer is good until the
 // next vf.NewReg.
 func (s *scheduler) reg(r VReg) *regState {
@@ -124,10 +115,7 @@ func (s *scheduler) reg(r VReg) *regState {
 // over the machine's resources.
 func (s *scheduler) scheduleTrace(g *traceGraph) (*schedResult, error) {
 	s.trace++
-	s.res.rows = s.res.rows[:0]
-	s.fdivBusy = [maxBoards]int{}
-	s.idivBusy = [maxBoards]int{}
-	s.memRefs = s.memRefs[:0]
+	s.res.reset()
 	s.pendingSF = [maxBoards]int{}
 	s.placed, s.maxInstr = nil, 0
 
@@ -206,44 +194,43 @@ const maxCandidates = 4 * maxBoards
 // candidateUnits lists legal units for the op's kind into buf, most preferred
 // first. prefBoard biases toward boards already holding the operands.
 func (s *scheduler) candidateUnits(o *VOp, prefBoard int, buf *[maxCandidates]unitChoice) []unitChoice {
-	out := buf[:0]
-	pairs := s.cfg.Pairs
-	var orderBuf [maxBoards]int
-	order := orderBuf[:0]
-	if prefBoard >= 0 && prefBoard < pairs {
-		order = append(order, prefBoard)
+	first := 0
+	if prefBoard >= 0 && prefBoard < s.cfg.Pairs {
+		first = prefBoard
 	}
-	for p := 0; p < pairs; p++ {
-		if p != prefBoard {
-			order = append(order, p)
+	// the first pair's units, then the same units on each other pair
+	out := pairUnits(buf[:0], unitClass(s.vf, o), uint8(first))
+	n := len(out)
+	for p := 0; p < s.cfg.Pairs; p++ {
+		if p == first {
+			continue
+		}
+		for _, uc := range out[:n] {
+			uc.unit.Pair = uint8(p)
+			out = append(out, uc)
 		}
 	}
-	switch unitClass(s.vf, o) {
+	return out
+}
+
+// pairUnits appends to out the units of pair p that run ops of class cls,
+// and the beats they issue in.
+func pairUnits(out []unitChoice, cls uclass, p uint8) []unitChoice {
+	switch cls {
 	case UIALUClass:
-		for _, p := range order {
-			for alu := 0; alu < 2; alu++ {
-				for beat := uint8(0); beat < 2; beat++ {
-					out = append(out, unitChoice{mach.Unit{Kind: mach.UIALU, Pair: uint8(p), Idx: uint8(alu)}, beat})
-				}
+		for alu := uint8(0); alu < 2; alu++ {
+			for beat := uint8(0); beat < 2; beat++ {
+				out = append(out, unitChoice{mach.Unit{Kind: mach.UIALU, Pair: p, Idx: alu}, beat})
 			}
 		}
 	case UFAClass:
-		for _, p := range order {
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UFA, Pair: uint8(p)}, 0})
-		}
+		out = append(out, unitChoice{mach.Unit{Kind: mach.UFA, Pair: p}, 0})
 	case UFMClass:
-		for _, p := range order {
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UFM, Pair: uint8(p)}, 0})
-		}
+		out = append(out, unitChoice{mach.Unit{Kind: mach.UFM, Pair: p}, 0})
 	case UFEitherClass:
-		for _, p := range order {
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UFA, Pair: uint8(p)}, 0})
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UFM, Pair: uint8(p)}, 0})
-		}
+		out = append(out, unitChoice{mach.Unit{Kind: mach.UFA, Pair: p}, 0}, unitChoice{mach.Unit{Kind: mach.UFM, Pair: p}, 0})
 	case UBRClass:
-		for _, p := range order {
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UBR, Pair: uint8(p)}, 0})
-		}
+		out = append(out, unitChoice{mach.Unit{Kind: mach.UBR, Pair: p}, 0})
 	}
 	return out
 }
@@ -364,22 +351,9 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 		return false
 	}
 	board := uc.unit.Pair
-
-	// unit availability
-	if !s.unitFree(uc, k) {
+	// the unit first: most candidate slots fall here
+	if !s.takeUnit(op, uc, issue, false) {
 		return false
-	}
-	if o.Kind == ir.Div || o.Kind == ir.Rem {
-		// the divide holds its ALU from its issue on: nothing placed there
-		// before it may fall inside the hold
-		if s.cfg.Pairs > 1 && issue < s.idivBusy[board] {
-			return false
-		}
-		for b := issue + 1; b < issue+opLatency(&s.cfg, o); b++ {
-			if s.res.at(b).units&unitBit(uc.unit) != 0 {
-				return false
-			}
-		}
 	}
 
 	// store-file pressure: hold back new store-file writes while too many
@@ -435,8 +409,9 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 		copyPlans = append(copyPlans, r)
 	}
 
-	// resource feasibility at this slot (before committing copies)
-	if !s.resourcesFree(op, uc, issue) {
+	// the destination is reachable from the unit, and the shared resources
+	// the op takes at this slot are free (before committing copies)
+	if !s.reachable(o, board) || !s.takeShared(op, uc, issue, false) {
 		return false
 	}
 
@@ -505,124 +480,171 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 	return true
 }
 
-// unitFree reports whether the unit slot is open at instruction k.
-func (s *scheduler) unitFree(uc unitChoice, k int) bool {
-	if uc.unit.Kind == mach.UFM && k < s.fdivBusy[uc.unit.Pair] {
-		return false
-	}
-	return s.res.at(2*k+int(uc.beat)).units&unitBit(uc.unit) == 0
-}
-
-// resourcesFree checks ports, buses, and the memory rules of §6.4.1 for
-// issuing op at the given slot. The Ideal machine (Figure 1) skips all
-// shared-resource checks.
-func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
-	o := &op.vop
-	board := int(uc.unit.Pair)
-
-	// Destination-bank reachability (encoding constraint, not a shared
-	// resource): the dest_bank field can route results to any I bank, but
-	// F/SF/branch-bank writes are pair-local, and SELECT's encoding spends
-	// the dest_bank field on its branch-bank selector, so its destination
-	// is local too. Enforced even on the Ideal machine for encodability.
-	if o.Dst != VNone {
-		cls := s.vf.Class(o.Dst)
-		if h, ok := s.home.get(o.Dst); ok && int(h) != board {
-			// MOV is the exception: data moves ride the tagged load buses
-			// (§6.3) and can deliver to any board's F bank, like loads.
-			crossOK := cls == ClassI || (o.Kind == ir.Mov && cls == ClassF)
-			if !crossOK || o.Kind == ir.Select {
-				return false
-			}
-		}
-	}
-	if s.cfg.Ideal {
+// reachable checks destination-bank reachability (an encoding constraint,
+// not a shared resource): the dest_bank field can route results to any I
+// bank, but F/SF/branch-bank writes are pair-local, and SELECT's encoding
+// spends the dest_bank field on its branch-bank selector, so its destination
+// is local too. Enforced even on the Ideal machine for encodability.
+func (s *scheduler) reachable(o *VOp, board uint8) bool {
+	h, ok := s.home.get(o.Dst)
+	if o.Dst == VNone || !ok || h == board {
 		return true
 	}
+	// MOV is the exception: data moves ride the tagged load buses (§6.3)
+	// and can deliver to any board's F bank, like loads.
+	cls := s.vf.Class(o.Dst)
+	return (cls == ClassI || o.Kind == ir.Mov && cls == ClassF) && o.Kind != ir.Select
+}
 
-	// shared immediate word (one long immediate or branch per pair-beat)
-	for b := issue; b < issue+immWordBeats(o); b++ {
-		if s.res.at(b).imm&(1<<board) != 0 {
+// reserve books everything op takes issuing on uc at beat issue.
+func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
+	s.gen++
+	s.takeUnit(op, uc, issue, true)
+	s.takeShared(op, uc, issue, true)
+}
+
+// takeUnit and takeShared are the one account of what op takes issuing on uc
+// at beat issue, which placeOn tests in two halves (a slot whose unit is
+// taken needs no operand routing) and reserve books whole. Each hands its
+// claims in turn to take or hold: with book set it books them all,
+// otherwise it reports whether all are free, stopping at the first that is
+// not.
+//
+// takeUnit claims the unit's issue slot, and the divider holding it.
+func (s *scheduler) takeUnit(op *schedOp, uc unitChoice, issue int, book bool) bool {
+	o := &op.vop
+	board := uc.unit.Pair
+	unit := claim{slot: unitSlot(uc.unit), beat: issue, beats: 1, n: 1}
+	switch {
+	case o.Kind == ir.Div || o.Kind == ir.Rem:
+		// the iterative divide holds its ALU from its issue on, one divide at
+		// a time per pair when there are other pairs to move work to
+		unit.beats = opLatency(&s.cfg, o)
+		if s.cfg.Pairs > 1 && !hold(&s.res.idiv[board], issue, issue+unit.beats, book) {
+			return false
+		}
+	case uc.unit.Kind == mach.UFM:
+		// nothing issues on a multiplier the FP divide holds
+		end := 0
+		if o.Kind == ir.FDiv {
+			end = 2 * (op2instr(issue) + (s.cfg.LatFDiv+1)/2)
+		}
+		if !hold(&s.res.fdiv[board], issue, end, book) {
 			return false
 		}
 	}
+	return s.take(unit, book)
+}
 
-	// register file read ports
-	if int(s.res.at(issue).rd[board])+len(o.Uses()) > s.cfg.RFReadPorts {
+// takeShared claims what the units share: the immediate word, register
+// ports, buses, and the memory rules of §6.4.1. The Ideal machine (Figure 1)
+// has no shared resources.
+func (s *scheduler) takeShared(op *schedOp, uc unitChoice, issue int, book bool) bool {
+	if s.cfg.Ideal {
+		return true
+	}
+	o := &op.vop
+	board := uc.unit.Pair
+	// the shared immediate word (one long immediate or branch per
+	// pair-beat) and the register file read ports
+	if !s.take(claim{slot: slotImm + board, beat: issue, beats: immWordBeats(o), n: 1}, book) ||
+		!s.take(claim{slot: slotRead + board, beat: issue, beats: 1, n: len(o.Uses())}, book) {
 		return false
 	}
-
 	// destination write port (and cross-board bus for non-load writes)
 	if o.Dst != VNone {
 		wb := issue + opLatency(&s.cfg, o)
 		db := s.dstBoard(o, uc.unit)
-		if int(s.res.at(wb).wr[db])+1 > s.cfg.RFWritePorts {
-			return false
+		var bus claim // none for a write to the unit's own board, or a load's
+		switch {
+		case db == int(board) || o.IsMem():
+		case s.vf.Class(o.Dst) == ClassF:
+			bus = claim{slot: slotBus + busFLoad, beat: wb - 1, beats: 2, n: 1}
+		default:
+			bus = claim{slot: slotBus + busILoad, beat: wb, beats: 1, n: 1}
 		}
-		if db != board && !o.IsMem() {
-			kind, beats := busILoad, 1
-			if s.vf.Class(o.Dst) == ClassF {
-				kind, beats = busFLoad, 2
-			}
-			for i := 0; i < beats; i++ {
-				if int(s.res.at(wb - i).bus[kind])+1 > busCap(&s.cfg, kind) {
-					return false
-				}
-			}
+		if !s.take(claim{slot: slotWrite + uint8(db), beat: wb, beats: 1, n: 1}, book) ||
+			!s.take(bus, book) {
+			return false
 		}
 	}
+	if !o.IsMem() {
+		return true
+	}
 
-	// memory reference rules
-	if o.IsMem() {
-		// one reference per I board per beat
-		if s.res.at(issue).mem&(1<<board) != 0 {
+	// memory reference rules: one reference per I board per beat, the
+	// address bus, the data bus, and the banks and controllers the
+	// references in flight keep busy
+	data := claim{slot: slotBus + busILoad, beat: issue + mach.StageData, beats: 1, n: 1}
+	switch {
+	case o.Kind == ir.Store:
+		data = claim{slot: slotBus + busStore, beat: issue + mach.StagePA, beats: 1, n: 1}
+	case s.vf.Class(o.Dst) == ClassF:
+		data = claim{slot: slotBus + busFLoad, beat: issue + mach.StageData, beats: 1, n: 1}
+	}
+	if !s.take(claim{slot: slotMem + board, beat: issue, beats: 1, n: 1}, book) ||
+		!s.take(claim{slot: slotBus + busPA, beat: issue + mach.StagePA, beats: 1, n: 1}, book) || !s.take(data, book) {
+		return false
+	}
+	ref := s.refOfPlaced(op)
+	if book {
+		s.res.refs = append(s.res.refs, memRef{ref, issue})
+	}
+	return book || s.bankFree(ref, issue)
+}
+
+// take books claim c when book is set, and otherwise reports whether it
+// fits. It is the one place a row of the table is read or written.
+func (s *scheduler) take(c claim, book bool) bool {
+	for b := c.beat; b < c.beat+c.beats; b++ {
+		used := &s.res.row(b)[c.slot]
+		if book {
+			*used += uint8(c.n)
+		} else if int(*used)+c.n > int(s.res.limit[c.slot]) {
 			return false
 		}
-		if int(s.res.at(issue + mach.StagePA).bus[busPA])+1 > s.cfg.PABuses {
+	}
+	return true
+}
+
+// hold books a divider's hold until beat end when book is set, and
+// otherwise reports whether the divider takes an op at beat.
+func hold(busy *int, beat, end int, book bool) bool {
+	if book {
+		*busy = max(*busy, end)
+	}
+	return book || beat >= *busy
+}
+
+// bankFree reports whether a reference issued at beat issue keeps clear of
+// the banks and controllers the scheduled references keep busy.
+func (s *scheduler) bankFree(ref alias.Ref, issue int) bool {
+	bankBeat := issue + mach.StageBank
+	modBank := int64(8 * s.cfg.Controllers * s.cfg.BanksPerController)
+	modCtrl := int64(8 * s.cfg.Controllers)
+	for _, m := range s.res.refs {
+		d := bankBeat - (m.issueBeat + mach.StageBank)
+		if d < 0 {
+			d = -d
+		}
+		if d >= s.cfg.BankBusyBeats {
+			continue
+		}
+		switch alias.SameBank(ref, m.ref, modBank) {
+		case alias.Yes:
 			return false
-		}
-		if o.Kind == ir.Store {
-			if int(s.res.at(issue + mach.StagePA).bus[busStore])+1 > s.cfg.StoreBuses {
-				return false
-			}
-		} else {
-			kind := busILoad
-			if s.vf.Class(o.Dst) == ClassF {
-				kind = busFLoad
-			}
-			if int(s.res.at(issue + mach.StageData).bus[kind])+1 > busCap(&s.cfg, kind) {
+		case alias.Maybe:
+			if !s.cfg.RollTheDice {
 				return false
 			}
 		}
-		// bank and controller disambiguation against in-flight references
-		ref := s.refOfPlaced(op)
-		bankBeat := issue + mach.StageBank
-		modBank := int64(8 * s.cfg.Controllers * s.cfg.BanksPerController)
-		modCtrl := int64(8 * s.cfg.Controllers)
-		for _, m := range s.memRefs {
-			d := bankBeat - (m.issueBeat + mach.StageBank)
-			if d < 0 {
-				d = -d
-			}
-			if d >= s.cfg.BankBusyBeats {
-				continue
-			}
-			switch alias.SameBank(ref, m.ref, modBank) {
+		if d == 0 {
+			switch alias.SameBank(ref, m.ref, modCtrl) {
 			case alias.Yes:
 				return false
 			case alias.Maybe:
 				if !s.cfg.RollTheDice {
 					return false
-				}
-			}
-			if d == 0 {
-				switch alias.SameBank(ref, m.ref, modCtrl) {
-				case alias.Yes:
-					return false
-				case alias.Maybe:
-					if !s.cfg.RollTheDice {
-						return false
-					}
 				}
 			}
 		}
@@ -646,74 +668,6 @@ func (s *scheduler) dstBoard(o *VOp, u mach.Unit) int {
 		return int(h)
 	}
 	return int(u.Pair)
-}
-
-// busCap returns the number of buses of the given kind.
-func busCap(cfg *mach.Config, kind int) int {
-	switch kind {
-	case busILoad:
-		return cfg.ILoadBuses
-	case busFLoad:
-		return cfg.FLoadBuses
-	case busStore:
-		return cfg.StoreBuses
-	default:
-		return cfg.PABuses
-	}
-}
-
-// reserve commits the op's resource usage.
-func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
-	s.gen++
-	o := &op.vop
-	board := int(uc.unit.Pair)
-	bit := unitBit(uc.unit)
-	s.res.row(issue).units |= bit
-	switch o.Kind {
-	case ir.Div, ir.Rem:
-		// the iterative divide occupies this ALU
-		for b := issue; b < issue+opLatency(&s.cfg, o); b++ {
-			s.res.row(b).units |= bit
-		}
-		s.idivBusy[board] = issue + opLatency(&s.cfg, o)
-	case ir.FDiv:
-		s.fdivBusy[board] = op2instr(issue) + (s.cfg.LatFDiv+1)/2
-	}
-	if s.cfg.Ideal {
-		return
-	}
-	for b := issue; b < issue+immWordBeats(o); b++ {
-		s.res.row(b).imm |= 1 << board
-	}
-	s.res.row(issue).rd[board] += uint16(len(o.Uses()))
-	if o.Dst != VNone {
-		wb := issue + opLatency(&s.cfg, o)
-		db := s.dstBoard(o, uc.unit)
-		s.res.row(wb).wr[db]++
-		if db != board && !o.IsMem() {
-			kind, beats := busILoad, 1
-			if s.vf.Class(o.Dst) == ClassF {
-				kind, beats = busFLoad, 2
-			}
-			for i := 0; i < beats; i++ {
-				s.res.row(wb - i).bus[kind]++
-			}
-		}
-	}
-	if o.IsMem() {
-		s.res.row(issue).mem |= 1 << board
-		s.res.row(issue + mach.StagePA).bus[busPA]++
-		if o.Kind == ir.Store {
-			s.res.row(issue + mach.StagePA).bus[busStore]++
-		} else {
-			kind := busILoad
-			if s.vf.Class(o.Dst) == ClassF {
-				kind = busFLoad
-			}
-			s.res.row(issue + mach.StageData).bus[kind]++
-		}
-		s.memRefs = append(s.memRefs, memRef{s.refOfPlaced(op), issue})
-	}
 }
 
 func op2instr(beat int) int { return beat / 2 }
@@ -780,25 +734,15 @@ func (s *scheduler) insertCopy(r VReg, board uint8, needBy int) (VReg, bool) {
 
 	// candidate units on the SOURCE board (reads must be local)
 	var ucBuf [4]unitChoice
-	ucs := ucBuf[:0]
-	if cls == ClassI {
-		for alu := 0; alu < 2; alu++ {
-			for beat := uint8(0); beat < 2; beat++ {
-				ucs = append(ucs, unitChoice{mach.Unit{Kind: mach.UIALU, Pair: src, Idx: uint8(alu)}, beat})
-			}
-		}
-	} else {
-		ucs = append(ucs,
-			unitChoice{mach.Unit{Kind: mach.UFA, Pair: src}, 0},
-			unitChoice{mach.Unit{Kind: mach.UFM, Pair: src}, 0})
-	}
+	ucs := pairUnits(ucBuf[:0], unitClass(s.vf, &tmp.vop), src)
 	for k := max(kStart, op2instr(known+1-lat)); 2*k+lat <= needBy+1; k++ {
 		for _, uc := range ucs {
 			issue := 2*k + int(uc.beat)
 			if issue < earliest || issue+lat > needBy || issue+lat <= known {
 				continue
 			}
-			if !s.unitFree(uc, k) || !s.resourcesFree(&tmp, uc, issue) {
+			// (a move reaches the I or F bank of any board)
+			if !s.takeUnit(&tmp, uc, issue, false) || !s.takeShared(&tmp, uc, issue, false) {
 				continue
 			}
 			s.reserve(&tmp, uc, issue)

@@ -24,7 +24,7 @@ func compStitcher(vf *VFunc, cfg mach.Config) *stitcher {
 		sf.home.set(r, p.Board)
 	}
 	return &stitcher{cfg: cfg, vf: vf, sf: sf, lv: vf.ComputeLiveness(),
-		sched: &scheduler{cfg: cfg, vf: vf, home: &sf.home, gen: 1}}
+		sched: newScheduler(cfg, vf, &sf.home)}
 }
 
 // issueBeat returns the beat a slot of instruction i issues at.

@@ -5,7 +5,6 @@ import (
 	"os"
 	"sort"
 
-	"github.com/multiflow-repro/trace/internal/alias"
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/mach"
 )
@@ -133,9 +132,8 @@ func Assemble(cfg mach.Config, vf *VFunc, prof ir.EdgeWeights, layout map[string
 			fmt.Fprintf(os.Stderr, "trace %d: %v\n", i, tr.Blocks)
 		}
 	}
-	globalForms := GlobalForms(vf, layout)
-	st := &stitcher{cfg: cfg, vf: vf, sf: sf, lv: lv, layout: layout, globalForms: globalForms,
-		sched:     &scheduler{cfg: cfg, vf: vf, home: &sf.home, gen: 1},
+	st := &stitcher{cfg: cfg, vf: vf, sf: sf, lv: lv, layout: layout, consts: globalConsts(vf, layout),
+		sched:     newScheduler(cfg, vf, &sf.home),
 		entrances: map[int]entrance{}, joinComp: map[int]int{}, pending: map[int][]pendingBranch{},
 		fallsTo: map[*SBlock]int{}}
 
@@ -173,11 +171,11 @@ type stitcher struct {
 	layout map[string]int64
 	sched  *scheduler
 
-	entrances   map[int]entrance // vblock -> where control enters
-	joinComp    map[int]int      // vblock -> comp SBlock that must precede entry
-	pending     map[int][]pendingBranch
-	fallsTo     map[*SBlock]int // trace ending in a call or syscall -> its continuation's vblock
-	globalForms map[VReg]alias.Form
+	entrances map[int]entrance // vblock -> where control enters
+	joinComp  map[int]int      // vblock -> comp SBlock that must precede entry
+	pending   map[int][]pendingBranch
+	fallsTo   map[*SBlock]int // trace ending in a call or syscall -> its continuation's vblock
+	consts    map[VReg]int64  // the function's single-assignment constants (globalConsts)
 }
 
 // debugLog, read once: TSCHED_DEBUG prints the traces, the retries and the
@@ -403,11 +401,11 @@ func (st *stitcher) addTrace(tr Trace) error {
 		// unrolled iterations so they can spread across board pairs; on a
 		// single pair there is nothing to spread to, and the extra
 		// immediate-word traffic only costs.
-		g.foldGlobalConsts(st.globalForms)
+		g.foldGlobalConsts(st.consts)
 		g.collapseAddChains()
 	}
 	g.addFinalRestores(st.lv)
-	g.buildDAG(cfg, st.layout, st.globalForms, st.lv)
+	g.buildDAG(cfg, st.layout, st.consts, st.lv)
 	res, err := st.sched.scheduleTrace(g)
 	if err != nil {
 		return err
@@ -579,7 +577,7 @@ func (st *stitcher) compBlock(ops []VOp) (*SBlock, pendingBranch, error) {
 	}
 	jump := &schedOp{vop: VOp{Kind: mach.OpJmp}, origIdx: len(ops), instr: -1, isFinal: true}
 	g.ops = append(g.ops, jump)
-	g.buildDAG(st.cfg, st.layout, st.globalForms, st.lv)
+	g.buildDAG(st.cfg, st.layout, st.consts, st.lv)
 	res, err := st.sched.scheduleTrace(g)
 	if err != nil {
 		return nil, pendingBranch{}, err
@@ -623,27 +621,32 @@ func readsReg(o *VOp, r VReg) bool {
 func (st *stitcher) splitCompOps(g *traceGraph, sp *schedOp, target int) []VOp {
 	var comp []VOp
 	for i := 0; i < sp.origIdx; i++ {
-		op := g.ops[i]
-		if op.instr > sp.instr {
-			v := op.vop
-			if op.compVop != nil {
-				v = *op.compVop
-			}
-			if op.converted {
-				// on the off-trace path the load runs in its original
-				// position, so the ordinary trapping opcode is correct
-				v.Kind = ir.Load
-				v.Spec = false
-			}
-			comp = append(comp, v)
+		if op := g.ops[i]; op.instr > sp.instr {
+			comp = append(comp, op.reexec())
 		}
 	}
 	snap := g.renameAtSplit[sp.origIdx]
-	comp = append(comp, restoreMovs(st.vf, st.lv, snap, target)...)
-	return comp
+	return append(comp, restoreMovs(st.vf, st.lv, snap, target)...)
 }
 
-// restoreMovs builds "orig ← renamed" moves for registers live into target.
+// reexec returns the form compensation code re-executes op in: its operands
+// from before the scheduler rewrote any to board-local copies (compVop), and
+// a load converted to the speculative opcode back to the trapping one, since
+// on the off-trace path it runs in its original position.
+func (op *schedOp) reexec() VOp {
+	v := op.vop
+	if op.compVop != nil {
+		v = *op.compVop
+	}
+	if op.converted {
+		v.Kind = ir.Load
+		v.Spec = false
+	}
+	return v
+}
+
+// restoreMovs builds "orig ← renamed" moves, in register order, for the
+// registers renamed in snap that are live into target.
 func restoreMovs(vf *VFunc, lv *VLiveness, snap map[VReg]VReg, target int) []VOp {
 	var origs []VReg
 	for o := range snap {
@@ -667,36 +670,18 @@ func restoreMovs(vf *VFunc, lv *VLiveness, snap map[VReg]VReg, target int) []VOp
 // entrance, and re-execution of cross-bank copies the post-entrance code
 // depends on.
 func (st *stitcher) emitJoinComp(g *traceGraph, sb *SBlock, v, pos, e int, lateCopies []placedOp) error {
-	vf := st.vf
 	snap := g.renameAtJoin[pos]
-	var comp []VOp
 	// establish renamed names from the canonical registers the entering
-	// flow provides
-	var origs []VReg
-	for o := range snap {
-		origs = append(origs, o)
-	}
-	sort.Slice(origs, func(a, b int) bool { return origs[a] < origs[b] })
-	for _, orig := range origs {
-		cur := snap[orig]
-		if cur == orig || !st.lv.In[v].Has(ir.Reg(orig)) {
-			continue
-		}
-		comp = append(comp, VOp{Kind: ir.Mov, Type: vf.TypeOf(cur), Dst: cur, A: VRegArg(orig)})
+	// flow provides: the restore moves reversed
+	comp := restoreMovs(st.vf, st.lv, snap, v)
+	for i := range comp {
+		m := &comp[i]
+		m.Dst, m.A = m.A.Reg, VRegArg(m.Dst)
 	}
 	// ops from at/after the join that were scheduled above the entrance
 	for i := pos; i < len(g.ops); i++ {
-		op := g.ops[i]
-		if op.instr < e {
-			vop := op.vop
-			if op.compVop != nil {
-				vop = *op.compVop
-			}
-			if op.converted {
-				vop.Kind = ir.Load
-				vop.Spec = false
-			}
-			comp = append(comp, vop)
+		if op := g.ops[i]; op.instr < e {
+			comp = append(comp, op.reexec())
 		}
 	}
 	// cross-bank copies consumed past the entrance

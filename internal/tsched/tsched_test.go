@@ -1,9 +1,11 @@
 package tsched
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/multiflow-repro/trace/internal/alias"
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/lang"
 	"github.com/multiflow-repro/trace/internal/mach"
@@ -220,19 +222,60 @@ func main() int {
 	t.Skip("no suitable branch found")
 }
 
-func TestGlobalForms(t *testing.T) {
+func TestGlobalConsts(t *testing.T) {
 	_, vf := lower(t, loopSrc, "main")
 	layout := map[string]int64{"a": 0x2000}
-	forms := GlobalForms(vf, layout)
 	// some register must resolve to the global's absolute address
 	found := false
-	for _, f := range forms {
-		if f.IsConst() && f.Const == 0x2000 {
+	for _, c := range globalConsts(vf, layout) {
+		if c == 0x2000 {
 			found = true
 		}
 	}
 	if !found {
 		t.Error("global base address not derived")
+	}
+}
+
+// TestFormDerivation walks a small op sequence the way buildDAG does: an
+// unrolled a[i], a[i+1] pattern where i is live-in and the shift amount a
+// function-level constant.
+func TestFormDerivation(t *testing.T) {
+	const i, sh, off, ea, base, v, x, y = 1, 2, 3, 4, 5, 6, 7, 8
+	ops := []VOp{
+		{Kind: ir.ConstI, Type: ir.I32, Dst: base, A: VSymArg("a")},
+		{Kind: ir.Shl, Type: ir.I32, Dst: off, A: VRegArg(i), B: VRegArg(sh)},
+		{Kind: ir.Add, Type: ir.I32, Dst: ea, A: VRegArg(base), B: VRegArg(off)},
+		{Kind: ir.Load, Type: ir.F64, Dst: v, A: VRegArg(ea), B: VImmArg(0)},
+		{Kind: ir.Add, Type: ir.I32, Dst: i, A: VRegArg(i), B: VImmArg(1)}, // i = i + 1
+		{Kind: ir.Shl, Type: ir.I32, Dst: off, A: VRegArg(i), B: VRegArg(sh)},
+		{Kind: ir.Add, Type: ir.I32, Dst: ea, A: VRegArg(base), B: VRegArg(off)},
+		{Kind: ir.Load, Type: ir.F64, Dst: v, A: VRegArg(ea), B: VImmArg(0)},
+		{Kind: ir.Mul, Type: ir.I32, Dst: y, A: VRegArg(x), B: VRegArg(x)}, // nonlinear
+		{Kind: ir.Load, Type: ir.I32, Dst: v, A: VRegArg(y), B: VImmArg(0)},
+		{Kind: ir.Load, Type: ir.I32, Dst: v, A: VRegArg(y), B: VImmArg(0)},
+	}
+	tr := newFormTracker(map[string]int64{"a": 0x2000}, map[VReg]int64{sh: 3})
+	var refs []alias.Ref
+	for k := range ops {
+		if o := &ops[k]; o.Kind == ir.Load {
+			refs = append(refs, tr.refOf(o))
+		}
+		tr.note(&ops[k])
+	}
+	if d := refs[1].Addr.Sub(refs[0].Addr); !d.IsConst() || d.Const != 8 {
+		t.Fatalf("a[i+1]-a[i] = %s, want 8", d)
+	}
+	if got := alias.MayAlias(refs[0], refs[1]); got != alias.No {
+		t.Errorf("unrolled refs alias = %s, want no", got)
+	}
+	// known global base: the bank is decidable for an 8-bank machine (mod 64)
+	if got := alias.SameBank(refs[0], refs[1], 64); got != alias.No {
+		t.Errorf("bank conflict = %s, want no", got)
+	}
+	// the same opaque value is still comparable with itself
+	if got := alias.MayAlias(refs[2], refs[3]); got != alias.Yes {
+		t.Errorf("same opaque ref twice = %s, want yes", got)
 	}
 }
 
@@ -243,7 +286,7 @@ func TestCompileProducesEncodableCode(t *testing.T) {
 			t.Fatal(err)
 		}
 		prof := profile.Static(prog)
-		codes, err := Compile(prog, mach.NewConfig(pairs), prof)
+		codes, err := CompileParallel(context.Background(), prog, mach.NewConfig(pairs), prof, CompileOptions{})
 		if err != nil {
 			t.Fatalf("pairs=%d: %v", pairs, err)
 		}
@@ -335,7 +378,7 @@ func TestUnitClassRouting(t *testing.T) {
 func TestFailedCopySearchLeaksNoRegister(t *testing.T) {
 	_, vf := lower(t, loopSrc, "main")
 	var home homes
-	s := &scheduler{cfg: mach.Trace28(), vf: vf, home: &home, gen: 1}
+	s := newScheduler(mach.Trace28(), vf, &home)
 	r := vf.NewReg(ClassI, ir.I32)
 	home.set(r, 0)
 	before := vf.NumRegs()
@@ -347,7 +390,7 @@ func TestFailedCopySearchLeaksNoRegister(t *testing.T) {
 	// every ALU slot of the source board taken across the whole window
 	for beat := 0; beat < 2*80; beat++ {
 		for alu := uint8(0); alu < 2; alu++ {
-			s.res.row(beat).units |= unitBit(mach.Unit{Kind: mach.UIALU, Pair: 0, Idx: alu})
+			s.res.row(beat)[unitSlot(mach.Unit{Kind: mach.UIALU, Pair: 0, Idx: alu})] = 1
 		}
 	}
 	for try := 0; try < 3; try++ { // the second and third are answered from the memo

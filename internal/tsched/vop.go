@@ -258,12 +258,6 @@ func (f *VFunc) TypeOf(r VReg) ir.Type {
 // NumRegs returns one past the highest virtual register.
 func (f *VFunc) NumRegs() int { return len(f.classes) }
 
-// Precolor returns the fixed physical register for r, if any.
-func (f *VFunc) Precolor(r VReg) (mach.PReg, bool) {
-	p, ok := f.precolor[r]
-	return p, ok
-}
-
 // AddBlock appends an empty block.
 func (f *VFunc) AddBlock() *VBlock {
 	b := &VBlock{ID: len(f.Blocks)}

@@ -684,11 +684,6 @@ func (m *Machine) PeekI(board, idx int) int32 {
 	return int32(m.cur.readReg(mach.PReg{Bank: mach.BankI, Board: uint8(board), Idx: uint8(idx)}))
 }
 
-// PeekF reads a floating register of the current context (debugging/tests).
-func (m *Machine) PeekF(board, idx int) float64 {
-	return math.Float64frombits(m.cur.readReg(mach.PReg{Bank: mach.BankF, Board: uint8(board), Idx: uint8(idx)}))
-}
-
 // Run boots the machine and executes context 0 until HALT. It returns main's
 // exit value and the captured output. Run never polls a context; use
 // RunContext for cancelable execution, RunMany to time-share several resident

@@ -1,6 +1,7 @@
 package vliw
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func build(t testing.TB, src string, cfg mach.Config) *isa.Image {
 	}
 	opt.Run(prog, opt.Default())
 	prof := profile.Static(prog)
-	codes, err := tsched.Compile(prog, cfg, prof)
+	codes, err := tsched.CompileParallel(context.Background(), prog, cfg, prof, tsched.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

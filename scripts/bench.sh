@@ -62,17 +62,21 @@ go test -run '^$' -bench 'SafecheckAnalyze|TschedCompile' -benchtime=5x -count=1
 #
 # The B/op ceilings hold safecheck to states it owns: an analysis allocates
 # one pooled state per reachable word (plus the ones a descending round is
-# rebuilding), each sized by the registers the image names — 9.6 MB for
-# matmul, 59 MB for fft today, ceilings ~30 % above. States passed by value,
-# or fresh state arrays per descending round, cost words × 28 KB × rounds —
-# gigabytes on the same kernels — and trip this at once. The trace scheduler
-# is held the same way: its register allocator keeps liveness and the
-# interference graph in flat slabs over the registers a function names, and its
-# list scheduler keeps per-register state in one table per function, 2.9 MB a
-# compile for matmul, 9.4 MB for fft, 3.9 MB for scanner, 6.4 MB for gen07
-# (to within 100 bytes run to run), ceilings ~30 % above; a register set
-# cloned per instruction put fft at 310 MB. No ns/op threshold: bytes repeat,
-# nanoseconds on a shared host do not.
+# rebuilding), each sized by the registers the image names — 9.3 MB for
+# matmul, 51.8 MB for fft, 15.8 MB for scanner, 14.2 MB for gen07 as measured,
+# so the ceilings sit 40–76 % above. States passed by value, or fresh state
+# arrays per descending round, cost words × 28 KB × rounds — gigabytes on the
+# same kernels — and trip this at once. The trace scheduler is held the same
+# way: its register allocator keeps liveness and the interference graph in
+# flat slabs over the registers a function names, its list scheduler keeps
+# per-register state in one table per function, and the disambiguator
+# compares two addresses without building their difference: 3.38 MB a
+# compile for matmul, 10.38 MB for fft, 3.87 MB for scanner, 4.95 MB for
+# gen07 as measured (to within 100 bytes run to run), so the ceilings sit
+# 12 %, 18 %, 32 % and 68 % above. fft read 12.29 MB, 0.09 % under its
+# ceiling, while every trace copied the function's constant table; a register
+# set cloned per instruction put it at 310 MB. No ns/op threshold: bytes
+# repeat, nanoseconds on a shared host do not.
 go run ./cmd/benchjson -baseline scripts/bench_baseline.txt \
 	-require 'BenchmarkSimulatorFast=0.90,BenchmarkSimulatorNative=0.90,BenchmarkSimulator=2.26' \
 	-require-max 'BenchmarkSimulator:allocs/op=0,BenchmarkSimulatorNative:allocs/op=0,BenchmarkSimulatorKernels/tridiag/checked:allocs/op=0,BenchmarkSimulatorKernels/fir/checked:allocs/op=0,BenchmarkSimulatorKernels/tridiag/native:allocs/op=0,BenchmarkSimulatorKernels/fir/native:allocs/op=0,BenchmarkImageSwitch/checked:allocs/op=1,BenchmarkImageSwitch/native:allocs/op=1,BenchmarkSafecheckAnalyze/matmul:B/op=13000000,BenchmarkSafecheckAnalyze/fft:B/op=78000000,BenchmarkSafecheckAnalyze/scanner:B/op=24000000,BenchmarkSafecheckAnalyze/gen07:B/op=25000000,BenchmarkTschedCompile/matmul:B/op=3800000,BenchmarkTschedCompile/fft:B/op=12300000,BenchmarkTschedCompile/scanner:B/op=5100000,BenchmarkTschedCompile/gen07:B/op=8300000' \

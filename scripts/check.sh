@@ -111,6 +111,27 @@ if grep -nE 'ir\.RegSet|\.Clone\(\)|map\[VReg\]' internal/tsched/regalloc.go; th
 	exit 1
 fi
 
+echo "== one derivation of an address, one set of resource books (no alias.Builder, no per-trace copy of the function's constants, one function reading and writing the reservation table)"
+# Address forms are derived by tsched's formTracker alone, which reads the
+# function's single-assignment constants (globalConsts) through instead of
+# copying them into every trace's graph.
+if gosrc -n --exclude='*_test.go' '\balias\.(New)?Builder\b' ||
+	grep -rnE --include='*.go' --exclude='*_test.go' 'Builder' internal/alias ||
+	grep -rnE --include='*.go' --exclude='*_test.go' 'seed\(' internal/tsched; then
+	echo "check: a second address derivation is back (formTracker.derive is the one affine rule)"
+	exit 1
+fi
+# What an op takes is listed once (scheduler.takeUnit, takeShared), and one
+# function tests and books every claim against the table's rows.
+rows=$(awk '
+	/^func / { fn = $0; sub(/^func +(\([^)]*\) +)?/, "", fn); sub(/[(\[].*/, "", fn) }
+	/s\.res\.row\(/ { print fn }
+' $(ls internal/tsched/*.go | grep -v _test.go) | sort -u)
+if [ "$(echo "$rows" | grep -c .)" != 1 ]; then
+	echo "check: the reservation table's rows are used in" $rows "in internal/tsched, want one function (scheduler.take)"
+	exit 1
+fi
+
 echo "== one home for the optimisation level (opt.Level)"
 if gosrc -n --exclude='*_test.go' 'UnrollFactor: 4' | grep -v -e '^\./internal/opt/' -e '^\./internal/xp/'; then
 	echo "check: the -O1 options are spelled out again (use opt.Level)"
@@ -229,5 +250,6 @@ go test ./internal/fuzz -run=^$ -fuzz=FuzzGen -fuzztime=10s
 go test ./internal/vliw -run=^$ -fuzz=FuzzSnapshotRestore -fuzztime=10s
 go test ./internal/isa -run=^$ -fuzz=FuzzImageDecode -fuzztime=10s
 go test ./internal/serve -run=^$ -fuzz=FuzzSpillFile -fuzztime=10s
+go test ./internal/serve -run=^$ -fuzz=FuzzServeRequest -fuzztime=10s
 
 echo "== ok"
