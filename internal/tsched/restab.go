@@ -64,15 +64,20 @@ func newResTable(cfg *mach.Config) resTable {
 		t.limit[i] = 1
 	}
 	for b := range maxBoards {
-		t.limit[slotRead+b] = uint8(cfg.RFReadPorts)
-		t.limit[slotWrite+b] = uint8(cfg.RFWritePorts)
+		t.limit[slotRead+b] = capacity(cfg.RFReadPorts)
+		t.limit[slotWrite+b] = capacity(cfg.RFWritePorts)
 	}
-	t.limit[slotBus+busILoad] = uint8(cfg.ILoadBuses)
-	t.limit[slotBus+busFLoad] = uint8(cfg.FLoadBuses)
-	t.limit[slotBus+busStore] = uint8(cfg.StoreBuses)
-	t.limit[slotBus+busPA] = uint8(cfg.PABuses)
+	t.limit[slotBus+busILoad] = capacity(cfg.ILoadBuses)
+	t.limit[slotBus+busFLoad] = capacity(cfg.FLoadBuses)
+	t.limit[slotBus+busStore] = capacity(cfg.StoreBuses)
+	t.limit[slotBus+busPA] = capacity(cfg.PABuses)
 	return t
 }
+
+// capacity is a configured count of ports or buses as a slot's limit. No
+// beat issues enough ops to use 255 of anything, so a larger count holds
+// like 255 does.
+func capacity(n int) uint8 { return uint8(min(max(n, 0), 255)) }
 
 // reset empties the books for the next trace, keeping their storage.
 func (t *resTable) reset() {
