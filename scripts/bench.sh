@@ -73,10 +73,9 @@ go test -run '^$' -bench 'SafecheckAnalyze|TschedCompile' -benchtime=5x -count=1
 # compares two addresses without building their difference: 3.38 MB a
 # compile for matmul, 10.38 MB for fft, 3.87 MB for scanner, 4.95 MB for
 # gen07 as measured (to within 100 bytes run to run), so the ceilings sit
-# 12 %, 18 %, 32 % and 68 % above. fft read 12.29 MB, 0.09 % under its
-# ceiling, while every trace copied the function's constant table; a register
-# set cloned per instruction put it at 310 MB. No ns/op threshold: bytes
-# repeat, nanoseconds on a shared host do not.
+# 12 %, 18 %, 32 % and 68 % above; a register set cloned per instruction put
+# fft at 310 MB. No ns/op threshold: bytes repeat, nanoseconds on a shared
+# host do not.
 go run ./cmd/benchjson -baseline scripts/bench_baseline.txt \
 	-require 'BenchmarkSimulatorFast=0.90,BenchmarkSimulatorNative=0.90,BenchmarkSimulator=2.26' \
 	-require-max 'BenchmarkSimulator:allocs/op=0,BenchmarkSimulatorNative:allocs/op=0,BenchmarkSimulatorKernels/tridiag/checked:allocs/op=0,BenchmarkSimulatorKernels/fir/checked:allocs/op=0,BenchmarkSimulatorKernels/tridiag/native:allocs/op=0,BenchmarkSimulatorKernels/fir/native:allocs/op=0,BenchmarkImageSwitch/checked:allocs/op=1,BenchmarkImageSwitch/native:allocs/op=1,BenchmarkSafecheckAnalyze/matmul:B/op=13000000,BenchmarkSafecheckAnalyze/fft:B/op=78000000,BenchmarkSafecheckAnalyze/scanner:B/op=24000000,BenchmarkSafecheckAnalyze/gen07:B/op=25000000,BenchmarkTschedCompile/matmul:B/op=3800000,BenchmarkTschedCompile/fft:B/op=12300000,BenchmarkTschedCompile/scanner:B/op=5100000,BenchmarkTschedCompile/gen07:B/op=8300000' \
