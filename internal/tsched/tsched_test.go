@@ -241,7 +241,7 @@ func TestGlobalConsts(t *testing.T) {
 // unrolled a[i], a[i+1] pattern where i is live-in and the shift amount a
 // function-level constant.
 func TestFormDerivation(t *testing.T) {
-	const i, sh, off, ea, base, v, x, y = 1, 2, 3, 4, 5, 6, 7, 8
+	const i, sh, off, ea, base, v = 1, 2, 3, 4, 5, 6
 	ops := []VOp{
 		{Kind: ir.ConstI, Type: ir.I32, Dst: base, A: VSymArg("a")},
 		{Kind: ir.Shl, Type: ir.I32, Dst: off, A: VRegArg(i), B: VRegArg(sh)},
@@ -251,17 +251,10 @@ func TestFormDerivation(t *testing.T) {
 		{Kind: ir.Shl, Type: ir.I32, Dst: off, A: VRegArg(i), B: VRegArg(sh)},
 		{Kind: ir.Add, Type: ir.I32, Dst: ea, A: VRegArg(base), B: VRegArg(off)},
 		{Kind: ir.Load, Type: ir.F64, Dst: v, A: VRegArg(ea), B: VImmArg(0)},
-		{Kind: ir.Mul, Type: ir.I32, Dst: y, A: VRegArg(x), B: VRegArg(x)}, // nonlinear
-		{Kind: ir.Load, Type: ir.I32, Dst: v, A: VRegArg(y), B: VImmArg(0)},
-		{Kind: ir.Load, Type: ir.I32, Dst: v, A: VRegArg(y), B: VImmArg(0)},
 	}
-	tr := newFormTracker(map[string]int64{"a": 0x2000}, map[VReg]int64{sh: 3})
-	var refs []alias.Ref
-	for k := range ops {
-		if o := &ops[k]; o.Kind == ir.Load {
-			refs = append(refs, tr.refOf(o))
-		}
-		tr.note(&ops[k])
+	refs := trackLoads(newFormTracker(map[string]int64{"a": 0x2000}, map[VReg]int64{sh: 3}), ops)
+	if len(refs) != 2 {
+		t.Fatalf("collected %d refs", len(refs))
 	}
 	if d := refs[1].Addr.Sub(refs[0].Addr); !d.IsConst() || d.Const != 8 {
 		t.Fatalf("a[i+1]-a[i] = %s, want 8", d)
@@ -273,10 +266,45 @@ func TestFormDerivation(t *testing.T) {
 	if got := alias.SameBank(refs[0], refs[1], 64); got != alias.No {
 		t.Errorf("bank conflict = %s, want no", got)
 	}
+}
+
+// TestFormOpaque checks the forms formTracker gives values it cannot derive:
+// a nonlinear result and the address of a global with no layout entry.
+func TestFormOpaque(t *testing.T) {
+	const x, y, g, v = 1, 2, 3, 4
+	ops := []VOp{
+		{Kind: ir.Mul, Type: ir.I32, Dst: y, A: VRegArg(x), B: VRegArg(x)}, // nonlinear
+		{Kind: ir.Load, Type: ir.I32, Dst: v, A: VRegArg(y), B: VImmArg(0)},
+		{Kind: ir.Load, Type: ir.I32, Dst: v, A: VRegArg(y), B: VImmArg(0)},
+		{Kind: ir.ConstI, Type: ir.I32, Dst: g, A: VSymArg("g1")}, // unlocated
+		{Kind: ir.Load, Type: ir.I32, Dst: v, A: VRegArg(g), B: VImmArg(0)},
+		{Kind: ir.Load, Type: ir.I32, Dst: v, A: VRegArg(g), B: VImmArg(8)},
+	}
+	refs := trackLoads(newFormTracker(nil, map[VReg]int64{}), ops)
+	if len(refs) != 4 {
+		t.Fatalf("collected %d refs", len(refs))
+	}
 	// the same opaque value is still comparable with itself
-	if got := alias.MayAlias(refs[2], refs[3]); got != alias.Yes {
+	if got := alias.MayAlias(refs[0], refs[1]); got != alias.Yes {
 		t.Errorf("same opaque ref twice = %s, want yes", got)
 	}
+	// an unlocated global's base is unknown, but offsets from it still compare
+	if got := alias.MayAlias(refs[2], refs[3]); got != alias.No {
+		t.Errorf("g1[0] vs g1[2] = %s, want no", got)
+	}
+}
+
+// trackLoads walks ops in order the way buildDAG does and returns the
+// reference of each load.
+func trackLoads(tr *formTracker, ops []VOp) []alias.Ref {
+	var refs []alias.Ref
+	for k := range ops {
+		if o := &ops[k]; o.Kind == ir.Load {
+			refs = append(refs, tr.refOf(o))
+		}
+		tr.note(&ops[k])
+	}
+	return refs
 }
 
 func TestCompileProducesEncodableCode(t *testing.T) {
