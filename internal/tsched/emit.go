@@ -26,6 +26,7 @@ type FuncCode struct {
 	SpecLoads    int
 	PadInstrs    int // empty instructions serialized blocks start with (padSerial)
 	SerialInstrs int // instructions of serialized blocks, pads included: the calling convention's words
+	TraceCap     int // the trace-length cap of the §8.4 ladder's rung it compiled on (0 = none)
 }
 
 // Emit lays out the scheduled blocks (entry first) and rewrites virtual

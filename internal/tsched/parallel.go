@@ -139,6 +139,7 @@ func compileOneInner(cfg mach.Config, prog *ir.Program, f *ir.Func, prof ir.Edge
 	for i, maxBlocks := range ladder {
 		fc, err = CompileFunc(cfg, vf, prof, layout, maxBlocks)
 		if err == nil {
+			fc.TraceCap = maxBlocks
 			return fc, nil
 		}
 		if !isCapacityErr(err) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -45,6 +46,49 @@ func TestLedgerProgramsMatchExpect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLedgerSimGolden records what the simulated machine does with every
+// ledger program built with the default options: beats, instructions and
+// operations of a checked run, packed code bytes, and the §8.4 rung the
+// compile settled on: pressure retries of the whole program / the tightest
+// trace-length cap a function took (0/0: neither). A change to the compiler or the
+// machine that moves any of them shows per program, under -update, in the
+// diff of testdata/ledger_sim.golden.
+func TestLedgerSimGolden(t *testing.T) {
+	progs := testmatrix.Ledger(t)
+	lines := make([]string, len(progs))
+	t.Run("programs", func(t *testing.T) {
+		for i, p := range progs {
+			t.Run(p.Name, func(t *testing.T) {
+				t.Parallel()
+				ctx := context.Background()
+				art, err := Build(ctx, p.Src, Options{})
+				if err != nil {
+					t.Fatalf("compile: %v", err)
+				}
+				got, err := art.Run(ctx, RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, packed, _ := art.Image().CodeSizes()
+				capped := 0 // the tightest trace-length cap any function took
+				for _, fc := range art.Result().Funcs {
+					if fc.TraceCap > 0 && (capped == 0 || fc.TraceCap < capped) {
+						capped = fc.TraceCap
+					}
+				}
+				st := got.Stats
+				lines[i] = fmt.Sprintf("beats=%d instrs=%d ops=%d packed=%d rung=%d/%d",
+					st.Beats, st.Instrs, st.Ops, packed, art.Result().Attempts-1, capped)
+			})
+		}
+	})
+	var got testmatrix.Lines
+	for i, p := range progs {
+		got.Add(p.Name, lines[i])
+	}
+	testmatrix.CheckGolden(t, "testdata/ledger_sim.golden", &got, nil)
 }
 
 // TestLedgerHasNoUnreachableWords: no ledger program, built with the default
