@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e12, f1, all)")
+	exp := flag.String("exp", "all", "experiment id (e1..e14, f1, all)")
 	list := flag.Bool("list", false, "list experiments")
 	jobs := flag.Int("j", 0, "compiler backend worker pool size (0 = one per CPU, 1 = sequential)")
 	tierName := flag.String("tier", "", "execution tier for the simulations: checked (default), fast, safe, or native (tables are identical)")

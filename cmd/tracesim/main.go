@@ -6,7 +6,7 @@
 //	tracesim [-pairs N] [-O level] [-profile] [-j N] [-verify] [-time-passes]
 //	         [-trace] [-baselines] [-tier T] [-max-cycles N]
 //	         [-snapshot-at N] [-snapshot-file F] [-resume F]
-//	         [-contexts K] [-quantum N] [-switch-beats N]
+//	         [-contexts K] [-quantum N] [-switch-beats N] [-beats N]
 //	         [-cpuprofile F] [-memprofile F] prog.mf [prog2.mf ...]
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole command —
@@ -28,6 +28,13 @@
 // re-decode or per-beat bookkeeping; a summary of the regions goes to stderr). All
 // tiers produce bit-identical results; only speed and how much dynamic
 // checking remains differ.
+//
+// With -beats N it also prints the N words that took the most beats: how
+// often each issued, its beats split into issue beats and beats the schedule
+// did not plan (bank stalls, TLB traps, icache refills), its function and the
+// source lines of its ops. The accounting runs through the per-word trace hook,
+// so every word takes the per-word path; the counters are those of a run
+// without the flag.
 //
 // With -snapshot-at N the run pauses at beat N and serializes the complete
 // machine-context state to -snapshot-file; a later invocation with the same
@@ -71,6 +78,7 @@ func main() {
 	contexts := flag.Int("contexts", 0, "hardware contexts: time-share K programs (or K copies of one) on one machine")
 	quantum := flag.Int64("quantum", 0, "context-scheduler timeslice in beats (0 = default)")
 	switchBeats := flag.Int64("switch-beats", 0, "wall-clock beats charged per context rotation")
+	topBeats := flag.Int("beats", 0, "print the N words that took the most beats (issue vs stall, function, source lines)")
 	profiles := prof.Register()
 	flag.Parse()
 	tier, err := vliw.ParseTier(*tierName)
@@ -124,8 +132,8 @@ func main() {
 	}
 
 	if k := max(*contexts, flag.NArg()); k > 1 {
-		if *snapshotAt > 0 || *resume != "" {
-			fmt.Fprintln(os.Stderr, "tracesim: -snapshot-at/-resume apply to single-context runs only")
+		if *snapshotAt > 0 || *resume != "" || *topBeats > 0 {
+			fmt.Fprintln(os.Stderr, "tracesim: -snapshot-at/-resume/-beats apply to single-context runs only")
 			os.Exit(2)
 		}
 		runContexts(ctx, art, k, core.Options{
@@ -146,7 +154,14 @@ func main() {
 		fatal(err)
 	}
 	reportProven(art, tier, "")
-	if *traceExec {
+	var beats *beatProfile
+	switch {
+	case *topBeats > 0 && *traceExec:
+		fmt.Fprintln(os.Stderr, "tracesim: -beats and -trace both take the trace hook; pick one")
+		os.Exit(2)
+	case *topBeats > 0:
+		beats = profileBeats(m, art.Image())
+	case *traceExec:
 		last := -2
 		m.TraceFn = func(pc int, beat int64) {
 			if pc != last+1 {
@@ -205,6 +220,10 @@ func main() {
 		st.ICacheMiss, st.ICacheMiss+st.ICacheHits, st.RefillBeats)
 	fmt.Printf("tlb:         %d misses, %d trap beats\n", st.TLBMisses, st.TrapBeats)
 	fmt.Printf("branches:    %d executed, %d taken\n", st.Branches, st.Taken)
+	if beats != nil {
+		beats.finish()
+		beats.report(os.Stdout, *topBeats, art.Image(), art.Result().Funcs)
+	}
 
 	if *baselines {
 		prog, err := lang.CompileFile(flag.Arg(0), string(src))

@@ -12,7 +12,10 @@ const LoopWeight = 10
 
 // Static estimates edge weights for every function: block frequency is
 // LoopWeight^depth, and conditional branches favor the successor that stays
-// in the loop (90/10); even splits get 50/50.
+// in the loop (90/10); even splits get 50/50. The weights conserve flow into
+// each block: a block's in-edges are scaled to sum to its own frequency, so a
+// loop header entered by several latches weighs what its body does, not a
+// multiple of it (Wu & Larus's flow-consistent static frequencies).
 func Static(p *ir.Program) ir.Profile {
 	prof := ir.Profile{}
 	for _, f := range p.Funcs {
@@ -34,11 +37,16 @@ func staticFunc(f *ir.Func) ir.EdgeWeights {
 		freq[i] = pow(LoopWeight, depth[i])
 	}
 	edges := ir.EdgeWeights{}
+	in := make([]float64, len(f.Blocks)) // summed in block order: deterministic
+	add := func(a, b int, w float64) {
+		edges[[2]int{a, b}] += w
+		in[b] += w
+	}
 	for _, b := range f.Blocks {
 		succs := b.Succs()
 		switch len(succs) {
 		case 1:
-			edges[[2]int{b.ID, succs[0]}] += freq[b.ID]
+			add(b.ID, succs[0], freq[b.ID])
 		case 2:
 			p0 := 0.5
 			d0, d1 := depth[succs[0]], depth[succs[1]]
@@ -48,9 +56,12 @@ func staticFunc(f *ir.Func) ir.EdgeWeights {
 			case d1 > d0:
 				p0 = 0.1
 			}
-			edges[[2]int{b.ID, succs[0]}] += freq[b.ID] * p0
-			edges[[2]int{b.ID, succs[1]}] += freq[b.ID] * (1 - p0)
+			add(b.ID, succs[0], freq[b.ID]*p0)
+			add(b.ID, succs[1], freq[b.ID]*(1-p0))
 		}
+	}
+	for e, w := range edges {
+		edges[e] = w * freq[e[1]] / in[e[1]]
 	}
 	return edges
 }

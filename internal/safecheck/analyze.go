@@ -281,21 +281,49 @@ func (a *analyzer) applyWrite(out *wordOut, x *write, beat uint8) {
 // known constant to the register's own old value (r = r ± imm directly, or
 // via an affine copy — see selfDelta) and provably cannot wrap, the
 // predicate's immediate side shifts by the delta ("old r < 256" becomes
-// "new r < 257"); anything else invalidates the predicate.
+// "new r < 257"). Otherwise, where another register still holds r's old value
+// plus a constant d (an affine copy, st.eq) and the other side is a known
+// constant, the predicate moves onto that register ("old r < n" becomes
+// "c < n + d"): an allocator may reuse r in the very word that branches on
+// it, once the incremented copy carries the count. Anything else invalidates
+// the predicate.
 func shiftPreds(out *wordOut, ri int, delta int64, canShift bool, beat uint8) {
+	st := out.st
+	rebase := func(p *pred) bool {
+		own, other := &p.a, &p.b
+		if p.b.reg == int16(ri) {
+			own, other = &p.b, &p.a
+		}
+		if own.reg != int16(ri) || other.reg == int16(ri) {
+			return false
+		}
+		k := other.val
+		if !other.imm {
+			v := st.regs[other.reg]
+			if v.M != 0 {
+				return false
+			}
+			k = v.R
+		}
+		for c := range st.eq {
+			if e := st.eq[c]; e.ok && e.base == int16(ri) && c != ri {
+				*own = operand{reg: int16(c)}
+				*other = operand{imm: true, val: k + e.delta, reg: -1}
+				return true
+			}
+		}
+		return false
+	}
 	shift := func(p *pred) {
 		switch {
-		case !canShift:
-			*p = pred{}
-		case p.a.reg == int16(ri) && p.b.imm:
+		case canShift && p.a.reg == int16(ri) && p.b.imm:
 			p.b.val += delta
-		case p.b.reg == int16(ri) && p.a.imm:
+		case canShift && p.b.reg == int16(ri) && p.a.imm:
 			p.a.val += delta
-		default:
+		case !rebase(p):
 			*p = pred{}
 		}
 	}
-	st := out.st
 	for i := range st.preds {
 		p := &st.preds[i]
 		if !p.ok || (p.a.reg != int16(ri) && p.b.reg != int16(ri)) {

@@ -31,14 +31,16 @@ func TestExampleSiteCoverage(t *testing.T) {
 	// minProven floors are what the analysis proves today; allProven pins
 	// full coverage where it exists. fib is recursive: return addresses flow
 	// through indirect jumps the analysis cannot bound, so only its
-	// straight-line prologue site is provable.
+	// straight-line prologue site is provable. sieve/O1 proved 16 of 20 until
+	// flow-conserving trace weights reshaped it: a proven site went with the
+	// code it was in, and the same 4 stay unproven.
 	want := map[string]map[string]struct {
 		minProven int
 		allProven bool
 	}{
 		"daxpy":  {"O0": {6, true}, "O1": {30, true}, "O2": {80, true}},
 		"matmul": {"O0": {9, true}, "O1": {43, false}, "O2": {145, false}},
-		"sieve":  {"O0": {4, false}, "O1": {16, false}, "O2": {42, false}},
+		"sieve":  {"O0": {4, false}, "O1": {15, false}, "O2": {42, false}},
 		"fib":    {"O0": {1, false}, "O1": {1, false}, "O2": {1, false}},
 	}
 	for ex, perLevel := range want {

@@ -197,6 +197,57 @@ func TestRenameKeepsHeadDefsLiveOffTrace(t *testing.T) {
 	}
 }
 
+// TestExitRestoresReadThroughMoves: in a one-block trace t = fadd a, a;
+// x = mov t; jmp, the exit restores x from t's name, so it need not wait for
+// the move, and the move stays. Behind a side entrance it does not: a source
+// written above the join is not written on the joining path.
+func TestExitRestoresReadThroughMoves(t *testing.T) {
+	_, probe := lower(t, fibSrc, "fib")
+	a, tv, x := VReg(probe.NumRegs()), VReg(probe.NumRegs()+1), VReg(probe.NumRegs()+2)
+	fadd := VOp{Kind: ir.FAdd, Type: ir.F64, Dst: tv, A: VRegArg(a), B: VRegArg(a)}
+	mov := VOp{Kind: ir.Mov, Type: ir.F64, Dst: x, A: VRegArg(tv)}
+	vf := convFunc(t,
+		[]VOp{jmpTo(1)},
+		[]VOp{fadd, mov, jmpTo(2)},
+		[]VOp{{Kind: ir.Mov, Type: ir.F64, Dst: probe.RVF, A: VRegArg(x)}, jmpTo(3)},
+		[]VOp{{Kind: mach.OpJmpR, A: VRegArg(probe.LR)}},
+		// b4 = b1 split at the move, with a second way into its lower half
+		[]VOp{fadd, jmpTo(5)},
+		[]VOp{mov, jmpTo(2)},
+		[]VOp{fadd, jmpTo(5)},
+	)
+	for range 3 {
+		vf.NewReg(ClassF, ir.F64)
+	}
+	lv := vf.ComputeLiveness()
+	restoreOf := func(blocks ...int) (src VReg, g *traceGraph) {
+		t.Helper()
+		g, err := linearize(vf, Trace{Blocks: blocks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.rename()
+		g.addFinalRestores(lv)
+		for _, s := range g.ops {
+			if s.isRestore && s.vop.Dst == x {
+				return s.vop.A.Reg, g
+			}
+		}
+		t.Fatalf("trace %v restores no x: %v", blocks, g.ops)
+		return VNone, nil
+	}
+	src, g := restoreOf(1)
+	if src != g.ops[0].vop.Dst {
+		t.Errorf("the exit restores x from t%d, want the fadd's t%d", src, g.ops[0].vop.Dst)
+	}
+	if m := g.ops[1].vop; m.Kind != ir.Mov || m.A.Reg != g.ops[0].vop.Dst {
+		t.Errorf("the move left the trace: op 1 is %v", m)
+	}
+	if src, g := restoreOf(4, 5); src != g.ops[1].vop.Dst {
+		t.Errorf("behind the join the exit restores x from t%d, want the move's t%d", src, g.ops[1].vop.Dst)
+	}
+}
+
 // TestRewrittenRegisterDropsItsCopies: a trace writes a precolored register
 // again (the prologue's stack allocation) after a cross-board copy of its
 // old value was made; later readers on that board must not be handed the

@@ -232,13 +232,30 @@ func invertBranch(g *traceGraph, br *VOp) error {
 // the trace, so writing the home register directly is what each of them
 // expects, and no restore move has to re-establish it on every exit of the
 // function's first trace.
+//
+// An exit's snapshot reads through in-trace moves: where a register's current
+// name was last written by a same-class move from a register the trace wrote
+// after its last side entrance, the exit restores from that source, which
+// holds the same value on every path reaching the exit, and so does not wait
+// for the move.
 func (g *traceGraph) rename() {
 	vf := g.vf
 	cur := map[VReg]VReg{}
+	wrote := map[VReg]bool{}     // names the trace wrote since its last side entrance
+	movedFrom := map[VReg]VReg{} // a name a move wrote -> the move's source, if in wrote
 	snap := func() map[VReg]VReg {
 		m := make(map[VReg]VReg, len(cur))
 		for k, v := range cur {
 			m[k] = v
+		}
+		return m
+	}
+	exitSnap := func() map[VReg]VReg {
+		m := snap()
+		for k, v := range m {
+			if src, ok := movedFrom[v]; ok {
+				m[k] = src
+			}
 		}
 		return m
 	}
@@ -269,24 +286,38 @@ func (g *traceGraph) rename() {
 	for i, s := range g.ops {
 		if _, ok := joinAt[i]; ok {
 			g.renameAtJoin[i] = snap()
+			clear(wrote)
+			clear(movedFrom)
 		}
 		o := &s.vop
 		resolve(&o.A)
 		resolve(&o.B)
 		resolve(&o.C)
 		if s.isSplit || s.isFinal {
-			g.renameAtSplit[i] = snap()
+			g.renameAtSplit[i] = exitSnap()
 		}
-		if o.Dst != VNone {
-			_, pre := vf.precolor[o.Dst]
-			_, fromPre := vf.precolor[o.A.Reg]
-			if pre || fromPre && o.Kind == ir.Mov && !o.A.IsImm && i < head && defs[o.Dst] == 1 {
-				s.keepsName = true
-				continue
-			}
+		if o.Dst == VNone {
+			continue
+		}
+		_, pre := vf.precolor[o.Dst]
+		_, fromPre := vf.precolor[o.A.Reg]
+		if pre || fromPre && o.Kind == ir.Mov && !o.A.IsImm && i < head && defs[o.Dst] == 1 {
+			s.keepsName = true
+		} else {
 			fresh := vf.NewReg(vf.Class(o.Dst), vf.TypeOf(o.Dst))
 			cur[o.Dst] = fresh
 			o.Dst = fresh
+		}
+		if g.rewritten[o.Dst] {
+			continue
+		}
+		wrote[o.Dst] = true
+		if o.Kind == ir.Mov && !o.A.IsImm && wrote[o.A.Reg] && vf.Class(o.A.Reg) == vf.Class(o.Dst) {
+			src := o.A.Reg
+			if m, ok := movedFrom[src]; ok {
+				src = m
+			}
+			movedFrom[o.Dst] = src
 		}
 	}
 }

@@ -107,13 +107,14 @@ func eachScheduledFunc(src string, cfg mach.Config, o opt.Options, workers int,
 	}
 }
 
-// matrixVerdict is what CheckAllocate found on one program of the matrix,
-// over Trace 7/14/28 × O0/O2. Both tests below judge the same allocations, so
-// the walk (and the oracle, which is most of its cost) runs once per program.
+// matrixVerdict is what CheckAllocate and DeadCompOps found on one program of
+// the matrix, over Trace 7/14/28 × O0/O2. The tests below judge the same
+// functions, so the walk (and the oracle, which is most of its cost) runs once
+// per program.
 type matrixVerdict struct {
-	once               sync.Once
-	mismatch, unsound  []string
-	funcs, allocations int
+	once                        sync.Once
+	mismatch, unsound, deadComp []string
+	funcs, allocations          int
 }
 
 var matrixVerdicts sync.Map // program name -> *matrixVerdict
@@ -127,6 +128,9 @@ func judgeProgram(p testmatrix.Program) *matrixVerdict {
 				at := c.Name + "/" + lv.Name + ": "
 				err := eachScheduledFunc(p.Src, c.Cfg, lv.Opt, 1, func(sf *tsched.SFunc) (error, error) {
 					allocErr, mismatch, unsound := tsched.CheckAllocate(sf, c.Cfg)
+					for _, d := range tsched.DeadCompOps(sf, c.Cfg) {
+						v.deadComp = append(v.deadComp, at+d)
+					}
 					v.funcs++
 					if allocErr == nil {
 						v.allocations++
@@ -163,6 +167,22 @@ func TestAllocateMatchesReference(t *testing.T) {
 			}
 			if v.allocations == 0 {
 				t.Errorf("no function was allocated (%d reached the allocator)", v.funcs)
+			}
+		})
+	}
+}
+
+// TestCompensationOpsAreRead: on every function of the golden matrix, each
+// op of a split's compensation block is a load, a divide, a store or another
+// op with an effect of its own, or something reads its result — a later op of
+// the block, or the code the block jumps to (splitCompOps leaves out the pure
+// ops nothing reads).
+func TestCompensationOpsAreRead(t *testing.T) {
+	for _, p := range testmatrix.Programs(t, testmatrix.Matrix...) {
+		t.Run(p.Key(), func(t *testing.T) {
+			t.Parallel()
+			for _, d := range judgeProgram(p).deadComp {
+				t.Error(d)
 			}
 		})
 	}

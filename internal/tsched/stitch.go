@@ -3,6 +3,7 @@ package tsched
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"github.com/multiflow-repro/trace/internal/ir"
@@ -16,6 +17,9 @@ type SSlot struct {
 	Beat uint8
 	Op   VOp
 	Prio int // branch priority within the instruction (lower wins)
+	// Copy marks a cross-bank copy the scheduler inserted to route an
+	// operand, rather than an op of the trace or compensation list.
+	Copy bool
 
 	// Branch resolution: TargetBlock/Off name an instruction inside another
 	// SBlock (a call names its callee in Op.Sym, for the linker).
@@ -42,6 +46,9 @@ type SBlock struct {
 	// Comp marks a compensation block (compBlock), which padSerial starts
 	// the same way: no write from the code entering it is still in flight.
 	Comp bool
+	// Join marks a compensation block on a side entrance (emitJoinComp); a
+	// compensation block without it is on a split's off-trace edge.
+	Join bool
 	// Falls is the block control continues in after this one's last word —
 	// a call's return site, or where a syscall falls through — laid out
 	// right behind it; nil if the last word transfers control.
@@ -556,6 +563,7 @@ func (st *stitcher) emit(res *schedResult) (*SBlock, map[*schedOp]pendingBranch)
 			slot.Op = p.src.vop // includes LoadSpec conversion
 			slotOf[p.src] = pendingBranch{sb.ID, p.instr, len(in.Slots)}
 		} else {
+			slot.Copy = true
 			st.sf.CopyOps++
 		}
 		in.Slots = append(in.Slots, slot)
@@ -617,7 +625,10 @@ func readsReg(o *VOp, r VReg) bool {
 // (re-executed from its pre-copy form), followed by moves restoring the
 // original register names live at the split target (§4: "the compiler
 // inserts special compensation code into the program graph on the off-trace
-// branch edges to undo these inconsistencies").
+// branch edges to undo these inconsistencies"). A pure op whose result
+// neither a later op of the list nor the target reads is left out: the
+// off-trace path would compute it for nothing. Loads, divides and stores
+// stay, read or not: their traps and effects belong to the program.
 func (st *stitcher) splitCompOps(g *traceGraph, sp *schedOp, target int) []VOp {
 	var comp []VOp
 	for i := 0; i < sp.origIdx; i++ {
@@ -626,7 +637,43 @@ func (st *stitcher) splitCompOps(g *traceGraph, sp *schedOp, target int) []VOp {
 		}
 	}
 	snap := g.renameAtSplit[sp.origIdx]
-	return append(comp, restoreMovs(st.vf, st.lv, snap, target)...)
+	comp = append(comp, restoreMovs(st.vf, st.lv, snap, target)...)
+	read := map[VReg]bool{}
+	keep := make([]VOp, 0, len(comp))
+	for i := len(comp) - 1; i >= 0; i-- {
+		o := comp[i]
+		if pureOp(o.Kind) && !read[o.Dst] && !liveIn(st.lv, target, o.Dst) {
+			continue
+		}
+		for _, u := range o.Uses() {
+			read[u] = true
+		}
+		keep = append(keep, o)
+	}
+	slices.Reverse(keep)
+	return keep
+}
+
+// pureOp reports whether an op of kind k does nothing but compute its
+// result: a move, a constant, integer arithmetic or logic other than a
+// divide, a compare, or a floating add, subtract or multiply.
+func pureOp(k ir.OpKind) bool {
+	switch k {
+	case ir.Mov, ir.ConstI, ir.ConstF,
+		ir.Add, ir.Sub, ir.Mul, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr, ir.Sra, ir.Neg, ir.Not,
+		ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE,
+		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE,
+		ir.FAdd, ir.FSub, ir.FMul:
+		return true
+	}
+	return false
+}
+
+// liveIn reports whether r is live into vblock b. A register named after
+// liveness was computed (a rename) is live nowhere off the trace.
+func liveIn(lv *VLiveness, b int, r VReg) bool {
+	in := lv.In[b]
+	return int(r)/64 < len(in) && in.Has(ir.Reg(r))
 }
 
 // reexec returns the form compensation code re-executes op in: its operands
@@ -697,6 +744,7 @@ func (st *stitcher) emitJoinComp(g *traceGraph, sb *SBlock, v, pos, e int, lateC
 	if err != nil {
 		return err
 	}
+	cb.Join = true
 	slot := &cb.Instrs[jump.instr].Slots[jump.slot]
 	slot.TargetBlock, slot.TargetOff = sb.ID, e
 	st.joinComp[v] = cb.ID

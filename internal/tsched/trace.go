@@ -82,15 +82,27 @@ func (f *VFunc) ComputeLiveness() *VLiveness {
 // BlockWeights estimates an execution frequency for every vblock from the
 // IR-level profile (vblock i+1 mirrors IR block i). Inserted blocks
 // (prologue, call blocks, epilogues, continuations) inherit flow from their
-// predecessors by propagation.
+// predecessors by propagation. The profile is summed in edge order, not map
+// order: float addition is not associative, and the seed order — so the
+// image — must not change between two compiles of one program.
 func BlockWeights(f *VFunc, prof ir.EdgeWeights) []float64 {
 	n := len(f.Blocks)
 	w := make([]float64, n)
 	w[0] = 1
-	for e, c := range prof {
+	edges := make([][2]int, 0, len(prof))
+	for e := range prof {
+		edges = append(edges, e)
+	}
+	sort.Slice(edges, func(a, b int) bool {
+		if edges[a][0] != edges[b][0] {
+			return edges[a][0] < edges[b][0]
+		}
+		return edges[a][1] < edges[b][1]
+	})
+	for _, e := range edges {
 		// edge (a,b) in IR = (a+1, b+1) here; weight lands on the target
 		if e[1]+1 < n {
-			w[e[1]+1] += c
+			w[e[1]+1] += prof[e]
 		}
 	}
 	// IR entry block weight: at least 1

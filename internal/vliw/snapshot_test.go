@@ -11,7 +11,7 @@ import (
 
 // snapSrc exercises the float pipelines (6-7 beat latencies keep pending
 // writes in flight), memory traffic (bank-busy windows), loops (icache
-// reuse), a data-dependent condition (branch-bank writes, some in flight at
+// reuse), data-dependent conditions (branch-bank writes, some in flight at
 // an instruction boundary) and output — a program whose mid-run state is
 // maximally rich, running past beat 2000.
 const snapSrc = `
@@ -25,6 +25,7 @@ func main() int {
 	for (var i int = 0; i < 64; i = i + 1) {
 		s = s + acc[i] * acc[63 - i]
 		if (acc[i] > 20.0) { n = n + 3 }
+		if ((i & 3) == 1) { n = n + 1 }
 	}
 	print_i(int(s))
 	for (var i int = 0; i < 64; i = i + 1) {

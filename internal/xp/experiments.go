@@ -3,6 +3,8 @@ package xp
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"github.com/multiflow-repro/trace/internal/baseline"
 	"github.com/multiflow-repro/trace/internal/core"
@@ -10,6 +12,7 @@ import (
 	"github.com/multiflow-repro/trace/internal/lang"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
+	"github.com/multiflow-repro/trace/internal/tsched"
 	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
@@ -743,6 +746,71 @@ func ExpE13(ctx context.Context) ([]*Table, error) {
 		"blocks-only = same machine, same optimizer (incl. unrolling), but every trace is a single basic block",
 		"\"trace win\" = beats saved by compacting past branches: the paper's core thesis isolated")
 	return []*Table{t}, nil
+}
+
+// ExpE14 sets the two sources of branch directions §4 names side by side:
+// each kernel compiled from the static loop-depth heuristic (what the ledger
+// and the service compile with) and from a profiling run of the program
+// itself, with the one-block traces each selects — a block every path into
+// jumps to and every path out of jumps from.
+func ExpE14(ctx context.Context) ([]*Table, error) {
+	t := &Table{
+		ID:         "E14",
+		Title:      "heuristics or profiling: static weights vs. the program's own profile (28/200)",
+		PaperClaim: "traces are picked from \"estimates of branch directions obtained automatically through heuristics or profiling\" (§4)",
+		Headers:    []string{"kernel", "heuristic beats", "1-block traces", "own-profile beats", "1-block traces", "profile vs heuristic"},
+	}
+	cfg := mach.Trace28()
+	ws := AllWorkloads()
+	for _, name := range []string{"fib", "sieve"} { // the ledger's two kernels from examples/
+		src, err := os.ReadFile(filepath.Join("examples", name+".mf"))
+		if err != nil {
+			return nil, fmt.Errorf("E14 runs from the module root: %w", err)
+		}
+		ws = append(ws, Workload{Name: name, Kind: "systems", Src: string(src)})
+	}
+	for _, w := range ws {
+		row := []string{w.Name}
+		var beats [2]int64
+		for i, profRun := range []bool{false, true} {
+			st, res, err := runOn(ctx, w, cfg, opt.Default(), profRun)
+			if err != nil {
+				return nil, err
+			}
+			n, err := oneBlockTraces(res)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", w.Name, err)
+			}
+			beats[i] = st.Beats
+			row = append(row, i64(st.Beats), fmt.Sprint(n))
+		}
+		t.Rows = append(t.Rows, append(row, pct(float64(beats[1]-beats[0])/float64(max64(beats[0], 1)))))
+	}
+	t.Notes = append(t.Notes,
+		"static weights conserve flow: a block's in-edges sum to 10^loop depth, so a header entered by k latches weighs what its body does",
+		"1-block traces count compactable blocks only; a call, return, syscall or halt always stands alone",
+		"fib runs slower under its own profile: still open")
+	return []*Table{t}, nil
+}
+
+// oneBlockTraces counts the traces of one compactable block that trace
+// selection picks in res's functions, on the trace-length rung each was
+// compiled on.
+func oneBlockTraces(res *core.Result) (int, error) {
+	n := 0
+	for _, fc := range res.Funcs {
+		f := res.OptIR.Func(fc.Name)
+		vf, err := tsched.LowerFunc(res.OptIR, f, f.Name == "main")
+		if err != nil {
+			return 0, err
+		}
+		for _, tr := range tsched.SelectTraces(vf, res.Profile[f.Name], fc.TraceCap) {
+			if len(tr.Blocks) == 1 && !vf.Blocks[tr.Blocks[0]].NoCompact {
+				n++
+			}
+		}
+	}
+	return n, nil
 }
 
 func max64(a, b int64) int64 {

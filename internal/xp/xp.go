@@ -110,10 +110,11 @@ func Registry() []Experiment {
 		{"e11", "TLB misses and history-queue trap replay (Section 6.4.3)", ExpE11},
 		{"e12", "Systems code on a VLIW (Section 8.4)", ExpE12},
 		{"e13", "Ablation: trace scheduling vs basic-block compaction (Section 10)", ExpE13},
+		{"e14", "Heuristics or profiling: static weights vs. the program's own profile (Section 4)", ExpE14},
 	}
 }
 
-// RunByID runs one experiment ("e1".."e12", "f1") or all of them ("all").
+// RunByID runs one experiment ("e1".."e14", "f1") or all of them ("all").
 func RunByID(ctx context.Context, id string) ([]*Table, error) {
 	if id == "all" {
 		var out []*Table

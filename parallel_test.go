@@ -58,6 +58,37 @@ func TestParallelCompileDeterminism(t *testing.T) {
 	}
 }
 
+// TestStaticWeightsCompileDeterministically builds programs whose static
+// weights are not binary fractions (a header's latches share its frequency)
+// several times, sequentially and on four workers, and requires one image
+// fingerprint: trace selection sums the weights in a fixed order, so float
+// rounding cannot reorder the seeds between two compiles.
+func TestStaticWeightsCompileDeterministically(t *testing.T) {
+	progs := []testmatrix.Program{
+		testmatrix.Gen.Get(t, "02"),
+		testmatrix.Ledger.Get(t, "sort"),
+		testmatrix.Ledger.Get(t, "scanner"),
+	}
+	for _, p := range progs {
+		t.Run(p.Key(), func(t *testing.T) {
+			t.Parallel()
+			var want [32]byte
+			for i := 0; i < 6; i++ {
+				art, err := Build(context.Background(), p.Src, Options{Parallelism: 1 + 3*(i%2)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp := art.Image().Fingerprint()
+				if i == 0 {
+					want = fp
+				} else if fp != want {
+					t.Fatalf("build %d (Parallelism %d) has fingerprint %x, build 0 %x", i, 1+3*(i%2), fp[:8], want[:8])
+				}
+			}
+		})
+	}
+}
+
 // TestParallelCompileRuns sanity-checks that a parallel-compiled image
 // actually executes: compile the multi-function app with the worker pool
 // and diff simulator output against the reference interpreter.
