@@ -64,7 +64,7 @@ import (
 func main() {
 	pairs := flag.Int("pairs", 4, "I-F board pairs (1, 2, or 4)")
 	olevel := flag.Int("O", 2, "optimization level (0-2)")
-	profRun := flag.Bool("profile", true, "profile-guided trace selection")
+	profRun := flag.Bool("profile", false, "profile-guided trace selection")
 	traceExec := flag.Bool("trace", false, "print taken control transfers")
 	baselines := flag.Bool("baselines", false, "also run the scalar and scoreboard baselines")
 	verify := flag.Bool("verify", false, "validate the IR after every compiler pass")

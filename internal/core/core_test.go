@@ -392,3 +392,37 @@ func TestCodeSizesConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadFaultIsDeleted pins the dead-fault policy (DESIGN.md, "Faults of
+// dead operations"): a divide nothing reads is deleted with its fault at
+// every level, so the compiled program prints and exits where the reference
+// interpreter, which runs the unoptimized IR op by op, traps.
+func TestDeadFaultIsDeleted(t *testing.T) {
+	const src = `var g [4]int
+
+func main() int {
+	var z int = g[1]
+	var x int = 7 / z
+	print_i(3)
+	return 0
+}`
+	for level := 0; level <= 2; level++ {
+		opts := DefaultOptions()
+		o, err := opt.Level(level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Opt = o
+		res, err := Compile(context.Background(), src, opts)
+		if err != nil {
+			t.Fatalf("O%d: compile: %v", level, err)
+		}
+		if _, _, err := Interpret(res); err == nil || !strings.Contains(err.Error(), "divide by zero (line 5)") {
+			t.Errorf("O%d: the reference interpreter reports %v, want the divide by zero of line 5", level, err)
+		}
+		v, out, _, err := runChecked(res)
+		if err != nil || v != 0 || out != "3\n" {
+			t.Errorf("O%d: the machine exits %d, prints %q, err %v; want 0, \"3\\n\", nil", level, v, out, err)
+		}
+	}
+}

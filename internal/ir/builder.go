@@ -5,6 +5,8 @@ package ir
 type Builder struct {
 	F   *Func
 	Cur *Block
+	// Line is the source line every op emitted from now on carries.
+	Line int
 }
 
 // NewBuilder returns a builder positioned at f's entry block.
@@ -18,8 +20,11 @@ func (b *Builder) SetBlock(blk *Block) { b.Cur = blk }
 // NewBlock creates a block (without moving the insertion point).
 func (b *Builder) NewBlock() *Block { return b.F.AddBlock() }
 
-// Emit appends op to the current block.
-func (b *Builder) Emit(op Op) { b.Cur.Ops = append(b.Cur.Ops, op) }
+// Emit appends op to the current block, at the current source line.
+func (b *Builder) Emit(op Op) {
+	op.Line = b.Line
+	b.Cur.Ops = append(b.Cur.Ops, op)
+}
 
 // ConstI emits an integer constant and returns its register.
 func (b *Builder) ConstI(v int64) Reg {

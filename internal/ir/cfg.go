@@ -356,22 +356,3 @@ func equalSets(a, b RegSet) bool {
 	}
 	return true
 }
-
-// LiveOutAt computes the set of registers live immediately after op index j
-// in block b, given block-level liveness. Used by the trace scheduler to
-// decide whether a register written above a split is live on the off-trace
-// edge.
-func (f *Func) LiveOutAt(lv *Liveness, b, j int) RegSet {
-	live := lv.Out[b].Clone()
-	ops := f.Blocks[b].Ops
-	for k := len(ops) - 1; k > j; k-- {
-		o := &ops[k]
-		if o.Dst != None {
-			live.Remove(o.Dst)
-		}
-		for _, a := range o.Args {
-			live.Add(a)
-		}
-	}
-	return live
-}

@@ -170,18 +170,6 @@ func TestLiveness(t *testing.T) {
 	}
 }
 
-func TestLiveOutAt(t *testing.T) {
-	p := buildCountdown(t)
-	f := p.Func("main")
-	lv := f.ComputeLiveness()
-	// after the CondBr in head (index = last), live-out equals union of succ ins
-	head := f.Blocks[1]
-	live := f.LiveOutAt(lv, 1, len(head.Ops)-1)
-	if !equalSets(live, lv.Out[1]) {
-		t.Error("LiveOutAt at terminator != block live-out")
-	}
-}
-
 func TestRegSet(t *testing.T) {
 	s := NewRegSet(200)
 	if s.Has(5) {

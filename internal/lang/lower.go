@@ -107,7 +107,6 @@ type lowerer struct {
 	// loop context for break/continue
 	breakTo    []*ir.Block
 	continueTo []*ir.Block
-	pos        Pos
 }
 
 func irType(k TypeKind) ir.Type {
@@ -115,11 +114,6 @@ func irType(k TypeKind) ir.Type {
 		return ir.F64
 	}
 	return ir.I32
-}
-
-func (lw *lowerer) emit(op ir.Op) {
-	op.Line = lw.pos.Line
-	lw.b.Emit(op)
 }
 
 func (lw *lowerer) lookup(name string) *local {
@@ -155,6 +149,7 @@ func (lw *lowerer) lowerFunc(fn *FuncDecl) (*ir.Func, error) {
 	f := ir.NewFunc(fn.Name, ret)
 	lw.f = f
 	lw.b = ir.NewBuilder(f)
+	lw.b.Line = fn.Pos.Line
 	lw.fn = fn
 	lw.scopes = []map[string]*local{{}}
 	lw.breakTo, lw.continueTo = nil, nil
@@ -182,13 +177,13 @@ func (lw *lowerer) lowerFunc(fn *FuncDecl) (*ir.Func, error) {
 	if lw.b.Cur.Term() == nil {
 		switch ret {
 		case ir.Void:
-			lw.emit(ir.Op{Kind: ir.Ret})
+			lw.b.Emit(ir.Op{Kind: ir.Ret})
 		case ir.I32:
 			z := lw.b.ConstI(0)
-			lw.emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{z}})
+			lw.b.Emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{z}})
 		case ir.F64:
 			z := lw.b.ConstF(0)
-			lw.emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{z}})
+			lw.b.Emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{z}})
 		}
 	}
 	// Any other block left unterminated (e.g. a loop body ending in break
@@ -198,13 +193,13 @@ func (lw *lowerer) lowerFunc(fn *FuncDecl) (*ir.Func, error) {
 			lw.b.SetBlock(blk)
 			switch ret {
 			case ir.Void:
-				lw.emit(ir.Op{Kind: ir.Ret})
+				lw.b.Emit(ir.Op{Kind: ir.Ret})
 			case ir.I32:
 				z := lw.b.ConstI(0)
-				lw.emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{z}})
+				lw.b.Emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{z}})
 			case ir.F64:
 				z := lw.b.ConstF(0)
-				lw.emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{z}})
+				lw.b.Emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{z}})
 			}
 		}
 	}
@@ -227,7 +222,7 @@ func (lw *lowerer) popScope()  { lw.scopes = lw.scopes[:len(lw.scopes)-1] }
 func (lw *lowerer) stmt(s Stmt) error {
 	switch s := s.(type) {
 	case *VarStmt:
-		lw.pos = s.Pos
+		lw.b.Line = s.Pos.Line
 		switch s.Type.Kind {
 		case TInt, TFloat, TRef:
 			t := irType(s.Type.Kind)
@@ -243,14 +238,14 @@ func (lw *lowerer) stmt(s Stmt) error {
 				if !assignable(s.Type, vt) {
 					return errf(s.Pos, "cannot initialize %s %s with %s", s.Name, s.Type, vt)
 				}
-				lw.emit(ir.Op{Kind: ir.Mov, Type: t, Dst: r, Args: []ir.Reg{v}})
+				lw.b.Emit(ir.Op{Kind: ir.Mov, Type: t, Dst: r, Args: []ir.Reg{v}})
 			} else {
 				if t == ir.F64 {
 					z := lw.b.ConstF(0)
-					lw.emit(ir.Op{Kind: ir.Mov, Type: t, Dst: r, Args: []ir.Reg{z}})
+					lw.b.Emit(ir.Op{Kind: ir.Mov, Type: t, Dst: r, Args: []ir.Reg{z}})
 				} else {
 					z := lw.b.ConstI(0)
-					lw.emit(ir.Op{Kind: ir.Mov, Type: t, Dst: r, Args: []ir.Reg{z}})
+					lw.b.Emit(ir.Op{Kind: ir.Mov, Type: t, Dst: r, Args: []ir.Reg{z}})
 				}
 			}
 			return lw.define(s.Pos, s.Name, &local{typ: s.Type, reg: r})
@@ -264,11 +259,11 @@ func (lw *lowerer) stmt(s Stmt) error {
 		return errf(s.Pos, "bad variable type")
 
 	case *AssignStmt:
-		lw.pos = s.Pos
+		lw.b.Line = s.Pos.Line
 		return lw.assign(s)
 
 	case *IfStmt:
-		lw.pos = s.Pos
+		lw.b.Line = s.Pos.Line
 		cond, err := lw.condValue(s.Cond)
 		if err != nil {
 			return err
@@ -304,7 +299,7 @@ func (lw *lowerer) stmt(s Stmt) error {
 		return nil
 
 	case *WhileStmt:
-		lw.pos = s.Pos
+		lw.b.Line = s.Pos.Line
 		head := lw.b.NewBlock()
 		body := lw.b.NewBlock()
 		done := lw.b.NewBlock()
@@ -333,7 +328,7 @@ func (lw *lowerer) stmt(s Stmt) error {
 		return nil
 
 	case *ForStmt:
-		lw.pos = s.Pos
+		lw.b.Line = s.Pos.Line
 		lw.pushScope() // for-init scope
 		if s.Init != nil {
 			if err := lw.stmt(s.Init); err != nil {
@@ -381,12 +376,12 @@ func (lw *lowerer) stmt(s Stmt) error {
 		return nil
 
 	case *ReturnStmt:
-		lw.pos = s.Pos
+		lw.b.Line = s.Pos.Line
 		if s.Val == nil {
 			if lw.fn.Ret.Kind != TVoid {
 				return errf(s.Pos, "missing return value in %s", lw.fn.Name)
 			}
-			lw.emit(ir.Op{Kind: ir.Ret})
+			lw.b.Emit(ir.Op{Kind: ir.Ret})
 		} else {
 			v, vt, err := lw.expr(s.Val)
 			if err != nil {
@@ -395,7 +390,7 @@ func (lw *lowerer) stmt(s Stmt) error {
 			if !vt.Equal(lw.fn.Ret) {
 				return errf(s.Pos, "return %s from function returning %s", vt, lw.fn.Ret)
 			}
-			lw.emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{v}})
+			lw.b.Emit(ir.Op{Kind: ir.Ret, Args: []ir.Reg{v}})
 		}
 		// Code after a return in the same block is unreachable; park the
 		// builder on a fresh block so lowering can continue.
@@ -403,7 +398,7 @@ func (lw *lowerer) stmt(s Stmt) error {
 		return nil
 
 	case *BreakStmt:
-		lw.pos = s.Pos
+		lw.b.Line = s.Pos.Line
 		if len(lw.breakTo) == 0 {
 			return errf(s.Pos, "break outside loop")
 		}
@@ -412,7 +407,7 @@ func (lw *lowerer) stmt(s Stmt) error {
 		return nil
 
 	case *ContinueStmt:
-		lw.pos = s.Pos
+		lw.b.Line = s.Pos.Line
 		if len(lw.continueTo) == 0 {
 			return errf(s.Pos, "continue outside loop")
 		}
@@ -421,7 +416,7 @@ func (lw *lowerer) stmt(s Stmt) error {
 		return nil
 
 	case *ExprStmt:
-		lw.pos = s.Pos
+		lw.b.Line = s.Pos.Line
 		if c, ok := s.X.(*Call); ok {
 			_, _, err := lw.call(c, true)
 			return err
@@ -470,7 +465,7 @@ func (lw *lowerer) assign(s *AssignStmt) error {
 			if l.typ.Kind == TRef {
 				t = ir.I32
 			}
-			lw.emit(ir.Op{Kind: ir.Mov, Type: t, Dst: l.reg, Args: []ir.Reg{v}})
+			lw.b.Emit(ir.Op{Kind: ir.Mov, Type: t, Dst: l.reg, Args: []ir.Reg{v}})
 			return nil
 		}
 		if g := lw.globals[lhs.Name]; g != nil {
@@ -485,7 +480,7 @@ func (lw *lowerer) assign(s *AssignStmt) error {
 				return errf(s.Pos, "cannot assign %s to %s %s", vt, lhs.Name, g.Type)
 			}
 			addr := lw.b.GAddr(g.Name)
-			lw.emit(ir.Op{Kind: ir.Store, Type: irType(g.Type.Kind), Args: []ir.Reg{addr, v}})
+			lw.b.Emit(ir.Op{Kind: ir.Store, Type: irType(g.Type.Kind), Args: []ir.Reg{addr, v}})
 			return nil
 		}
 		return errf(s.Pos, "undefined: %s", lhs.Name)
@@ -502,7 +497,7 @@ func (lw *lowerer) assign(s *AssignStmt) error {
 		if (elem == TInt && vt.Kind != TInt) || (elem == TFloat && vt.Kind != TFloat) {
 			return errf(s.Pos, "cannot store %s into %s element", vt, Type{Kind: elem})
 		}
-		lw.emit(ir.Op{Kind: ir.Store, Type: irType(elem), Args: []ir.Reg{addr, v}, ImmI: off})
+		lw.b.Emit(ir.Op{Kind: ir.Store, Type: irType(elem), Args: []ir.Reg{addr, v}, ImmI: off})
 		return nil
 	}
 	return errf(s.Pos, "bad assignment target")
@@ -598,14 +593,14 @@ func (lw *lowerer) expr(e Expr) (ir.Reg, Type, error) {
 	tFloat := Type{Kind: TFloat}
 	switch e := e.(type) {
 	case *IntLit:
-		lw.pos = e.Pos
+		lw.b.Line = e.Pos.Line
 		return lw.b.ConstI(e.Val), tInt, nil
 	case *FloatLit:
-		lw.pos = e.Pos
+		lw.b.Line = e.Pos.Line
 		return lw.b.ConstF(e.Val), tFloat, nil
 
 	case *Ident:
-		lw.pos = e.Pos
+		lw.b.Line = e.Pos.Line
 		if l := lw.lookup(e.Name); l != nil {
 			switch l.typ.Kind {
 			case TInt, TFloat, TRef:
@@ -631,7 +626,7 @@ func (lw *lowerer) expr(e Expr) (ir.Reg, Type, error) {
 		return ir.None, Type{}, errf(e.Pos, "undefined: %s", e.Name)
 
 	case *Index:
-		lw.pos = e.Pos
+		lw.b.Line = e.Pos.Line
 		addr, off, elem, err := lw.elemAddr(e)
 		if err != nil {
 			return ir.None, Type{}, err
@@ -641,11 +636,11 @@ func (lw *lowerer) expr(e Expr) (ir.Reg, Type, error) {
 			t = Type{Kind: TFloat}
 		}
 		r := lw.f.NewReg(irType(elem))
-		lw.emit(ir.Op{Kind: ir.Load, Type: irType(elem), Dst: r, Args: []ir.Reg{addr}, ImmI: off})
+		lw.b.Emit(ir.Op{Kind: ir.Load, Type: irType(elem), Dst: r, Args: []ir.Reg{addr}, ImmI: off})
 		return r, t, nil
 
 	case *Unary:
-		lw.pos = e.Pos
+		lw.b.Line = e.Pos.Line
 		v, t, err := lw.expr(e.X)
 		if err != nil {
 			return ir.None, Type{}, err
@@ -671,7 +666,7 @@ func (lw *lowerer) expr(e Expr) (ir.Reg, Type, error) {
 		return ir.None, Type{}, errf(e.Pos, "invalid operand type %s for unary %s", t, e.Op)
 
 	case *Binary:
-		lw.pos = e.Pos
+		lw.b.Line = e.Pos.Line
 		if e.Op == ANDAND || e.Op == OROR {
 			return lw.shortCircuit(e)
 		}
@@ -697,7 +692,7 @@ func (lw *lowerer) expr(e Expr) (ir.Reg, Type, error) {
 			// compare predicates always produce an i32 truth value; the
 			// op's Type field records the operand type
 			r := lw.f.NewReg(ir.I32)
-			lw.emit(ir.Op{Kind: k, Type: irType(xt.Kind), Dst: r, Args: []ir.Reg{x, y}})
+			lw.b.Emit(ir.Op{Kind: k, Type: irType(xt.Kind), Dst: r, Args: []ir.Reg{x, y}})
 			return r, tInt, nil
 		}
 		if ops, ok := arithOps[e.Op]; ok {
@@ -710,7 +705,7 @@ func (lw *lowerer) expr(e Expr) (ir.Reg, Type, error) {
 		return ir.None, Type{}, errf(e.Pos, "bad operator %s", e.Op)
 
 	case *Cond:
-		lw.pos = e.Pos
+		lw.b.Line = e.Pos.Line
 		c, err := lw.condValue(e.C)
 		if err != nil {
 			return ir.None, Type{}, err
@@ -727,15 +722,15 @@ func (lw *lowerer) expr(e Expr) (ir.Reg, Type, error) {
 			return ir.None, Type{}, errf(e.Pos, "mismatched ?: arms: %s and %s", at, bt)
 		}
 		r := lw.f.NewReg(irType(at.Kind))
-		lw.emit(ir.Op{Kind: ir.Select, Type: irType(at.Kind), Dst: r, Args: []ir.Reg{c, a, b}})
+		lw.b.Emit(ir.Op{Kind: ir.Select, Type: irType(at.Kind), Dst: r, Args: []ir.Reg{c, a, b}})
 		return r, at, nil
 
 	case *Call:
-		lw.pos = e.Pos
+		lw.b.Line = e.Pos.Line
 		return lw.call(e, false)
 
 	case *Cast:
-		lw.pos = e.Pos
+		lw.b.Line = e.Pos.Line
 		v, t, err := lw.expr(e.X)
 		if err != nil {
 			return ir.None, Type{}, err
@@ -788,7 +783,7 @@ func (lw *lowerer) shortCircuit(e *Binary) (ir.Reg, Type, error) {
 	}
 	z := lw.b.ConstI(0)
 	norm := lw.b.Bin(ir.CmpNE, ir.I32, y, z)
-	lw.emit(ir.Op{Kind: ir.Mov, Type: ir.I32, Dst: res, Args: []ir.Reg{norm}})
+	lw.b.Emit(ir.Op{Kind: ir.Mov, Type: ir.I32, Dst: res, Args: []ir.Reg{norm}})
 	lw.b.Br(done)
 	lw.b.SetBlock(short)
 	var k int64
@@ -796,7 +791,7 @@ func (lw *lowerer) shortCircuit(e *Binary) (ir.Reg, Type, error) {
 		k = 1
 	}
 	c := lw.b.ConstI(k)
-	lw.emit(ir.Op{Kind: ir.Mov, Type: ir.I32, Dst: res, Args: []ir.Reg{c}})
+	lw.b.Emit(ir.Op{Kind: ir.Mov, Type: ir.I32, Dst: res, Args: []ir.Reg{c}})
 	lw.b.Br(done)
 	lw.b.SetBlock(done)
 	return res, Type{Kind: TInt}, nil
@@ -822,7 +817,7 @@ func (lw *lowerer) call(e *Call, stmtCtx bool) (ir.Reg, Type, error) {
 			}
 			args = append(args, v)
 		}
-		lw.emit(ir.Op{Kind: ir.Call, Sym: e.Name, Args: args})
+		lw.b.Emit(ir.Op{Kind: ir.Call, Sym: e.Name, Args: args})
 		return ir.None, Type{Kind: TVoid}, nil
 	}
 	fn := lw.funcs[e.Name]
@@ -858,6 +853,6 @@ func (lw *lowerer) call(e *Call, stmtCtx bool) (ir.Reg, Type, error) {
 		rt = Type{Kind: TFloat}
 		dst = lw.f.NewReg(ir.F64)
 	}
-	lw.emit(ir.Op{Kind: ir.Call, Sym: e.Name, Dst: dst, Args: args})
+	lw.b.Emit(ir.Op{Kind: ir.Call, Sym: e.Name, Dst: dst, Args: args})
 	return dst, rt, nil
 }

@@ -34,8 +34,7 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) peek() Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func (p *parser) cur() Token { return p.toks[p.pos] }
 
 func (p *parser) next() Token {
 	t := p.toks[p.pos]

@@ -120,7 +120,7 @@ func TestConventionWritesStayBelowSplitsThatReadThem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.rename()
+	g.nameValues(lv, nil, false)
 	g.buildDAG(cfg, nil, nil, lv)
 	split, load, release, rv, sum := -1, -1, -1, -1, -1
 	for i, s := range g.ops {
@@ -181,16 +181,16 @@ func TestRenameKeepsHeadDefsLiveOffTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.rename()
+	g.nameValues(lv, nil, false)
 	if o := g.ops[0]; o.vop.Dst != p || !o.keepsName {
 		t.Errorf("p, read off the trace, was renamed to t%d", o.vop.Dst)
 	}
 	if o := g.ops[1]; o.vop.Dst == q || o.keepsName {
 		t.Error("q, computed at the head, kept its name")
 	}
-	for i, s := range g.ops {
+	for _, s := range g.ops {
 		if s.isSplit {
-			if m := restoreMovs(vf, lv, g.renameAtSplit[i], 3); len(m) != 1 || m[0].Dst != q {
+			if m := restoreMovs(vf, lv, s.exit, s.target); s.target != 3 || len(m) != 1 || m[0].Dst != q {
 				t.Errorf("the split restores %v, want q alone", m)
 			}
 		}
@@ -226,8 +226,7 @@ func TestExitRestoresReadThroughMoves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.rename()
-		g.addFinalRestores(lv)
+		g.nameValues(lv, nil, false)
 		for _, s := range g.ops {
 			if s.isRestore && s.vop.Dst == x {
 				return s.vop.A.Reg, g
@@ -245,6 +244,60 @@ func TestExitRestoresReadThroughMoves(t *testing.T) {
 	}
 	if src, g := restoreOf(4, 5); src != g.ops[1].vop.Dst {
 		t.Errorf("behind the join the exit restores x from t%d, want the move's t%d", src, g.ops[1].vop.Dst)
+	}
+}
+
+// TestSideEntranceStopsReadingThrough: nameValues reads through a register
+// the trace wrote — an operand forwarded through a move, an add chain
+// collapsed to its live-in, an exit restored from a move's source — but not
+// through one written above a side entrance below which the read is: the
+// joining path writes only the current names.
+func TestSideEntranceStopsReadingThrough(t *testing.T) {
+	_, probe := lower(t, fibSrc, "fib")
+	a, x, y := VReg(probe.NumRegs()), VReg(probe.NumRegs()+1), VReg(probe.NumRegs()+2)
+	addOne := func(dst, src VReg) VOp {
+		return VOp{Kind: ir.Add, Type: ir.I32, Dst: dst, A: VRegArg(src), B: VImmArg(1)}
+	}
+	cases := []struct {
+		name         string
+		above, below VOp // x is written above, y below where the entrance is
+		spread       bool
+		exit         bool // check the exit's restore of y, not y's operand
+	}{
+		{"forwarding", movI(x, a), addOne(y, x), false, false},
+		{"add chain", addOne(x, a), addOne(y, x), true, false},
+		{"exit read-through", addOne(x, a), movI(y, x), false, true},
+	}
+	for _, c := range cases {
+		for _, joined := range []bool{false, true} {
+			blocks := [][]VOp{{jmpTo(1)}, {c.above, jmpTo(2)}, {c.below, jmpTo(3)},
+				{movI(probe.RVI, y), jmpTo(4)}, {{Kind: mach.OpJmpR, A: VRegArg(probe.LR)}}}
+			if joined {
+				blocks = append(blocks, []VOp{jmpTo(2)})
+			}
+			vf := convFunc(t, blocks...)
+			for range 3 {
+				vf.NewReg(ClassI, ir.I32)
+			}
+			g, err := linearize(vf, Trace{Blocks: []int{1, 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.nameValues(vf.ComputeLiveness(), nil, c.spread)
+			xName, yName := g.ops[0].vop.Dst, g.ops[1].vop.Dst
+			got, through, stopped := g.ops[1].vop.A.Reg, a, xName
+			if c.exit {
+				got, through, stopped = VNone, xName, yName
+				for _, s := range g.ops {
+					if s.isRestore && s.vop.Dst == y {
+						got = s.vop.A.Reg
+					}
+				}
+			}
+			if want := map[bool]VReg{false: through, true: stopped}[joined]; got != want {
+				t.Errorf("%s, entrance below x %v: reads t%d, want t%d", c.name, joined, got, want)
+			}
+		}
 	}
 }
 
@@ -304,11 +357,11 @@ func TestTransferEndsItsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.rename()
+	g.nameValues(lv, nil, false)
 	g.buildDAG(cfg, nil, nil, lv)
 	final := g.ops[g.finalIdx]
-	if final.vop.Kind != mach.OpHalt || g.exit != 4 {
-		t.Fatalf("the trace ends in %s leaving to b%d; want the halt of b4", mach.OpName(final.vop.Kind), g.exit)
+	if final.vop.Kind != mach.OpHalt || final.target != 4 {
+		t.Fatalf("the trace ends in %s leaving to b%d; want the halt of b4", mach.OpName(final.vop.Kind), final.target)
 	}
 	edge := func(i int) (beats int, instrs int) {
 		beats, instrs = -1, -1

@@ -1,7 +1,9 @@
 package tsched
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 
 	"github.com/multiflow-repro/trace/internal/alias"
 	"github.com/multiflow-repro/trace/internal/ir"
@@ -17,6 +19,15 @@ type schedOp struct {
 	traceIdx int  // position of the op's block within the trace
 	isSplit  bool // BrT whose taken edge leaves the trace
 	isFinal  bool // the trace-terminating jump or transfer (scheduled last)
+	// An exit (a split or the final op) leaves to target; exit names, for
+	// each original register, the register holding its value there
+	// (nameValues), from which restore moves re-establish it.
+	target int
+	exit   map[VReg]VReg
+	// joins lists the blocks entering the trace at this op, and entry the
+	// names they find; the entrance's compensation establishes them.
+	joins []int
+	entry map[VReg]VReg
 
 	ref   *alias.Ref // memory ops: address form for disambiguation
 	isMem bool
@@ -63,28 +74,18 @@ type sedge struct {
 	instrDelta int
 }
 
-// traceGraph is a linearized, renamed trace with its dependence DAG and the
-// bookkeeping needed to generate compensation code afterwards.
+// traceGraph is a linearized, renamed trace with its dependence DAG; its
+// exits and entrances carry what compensation code needs afterwards.
 type traceGraph struct {
-	vf  *VFunc
-	ops []*schedOp
-
-	// rename bookkeeping
-	renameAtSplit map[int]map[VReg]VReg // op index -> snapshot of cur map
-	renameAtJoin  map[int]map[VReg]VReg // linear position of join -> snapshot
-	joinPos       map[int]int           // vblock ID -> linear position (first op index)
-	splitTarget   map[int]int           // op index -> off-trace vblock
-	finalIdx      int                   // index of the final exit op (-1 if none: trace ends in Halt-like)
-	exit          int                   // the vblock the final exit leaves to (a transfer's NoCompact block)
+	vf       *VFunc
+	ops      []*schedOp
+	finalIdx int // index of the final exit op (-1 if none)
 	// rewritten holds the precolored registers the trace writes: never
 	// renamed, they are not single-assignment within the trace, so nothing
 	// may read through one to an older value.
 	rewritten map[VReg]bool
 	// comp marks the graph of a compensation block (compBlock).
 	comp bool
-
-	// restore moves appended for the final exit are ordinary ops; for splits
-	// they are generated later from the snapshots.
 }
 
 var invCmp = map[ir.OpKind]ir.OpKind{
@@ -102,19 +103,7 @@ var invCmp = map[ir.OpKind]ir.OpKind{
 // the trace follows the taken side). A jump to a NoCompact block — the one
 // edge into it — is replaced by the block's transfer, which ends the trace.
 func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
-	g := &traceGraph{
-		vf:            vf,
-		renameAtSplit: map[int]map[VReg]VReg{},
-		renameAtJoin:  map[int]map[VReg]VReg{},
-		joinPos:       map[int]int{},
-		splitTarget:   map[int]int{},
-		finalIdx:      -1,
-		rewritten:     map[VReg]bool{},
-	}
-	inTrace := map[int]int{} // block -> position in trace
-	for i, b := range tr.Blocks {
-		inTrace[b] = i
-	}
+	g := &traceGraph{vf: vf, finalIdx: -1, rewritten: map[VReg]bool{}}
 	preds := vf.Preds()
 
 	// A trace starting at the prologue holds the link register the prologue
@@ -122,9 +111,10 @@ func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 	// link reloads are no-ops there.
 	fromEntry := tr.Blocks[0] == 0
 	curTI := 0
+	var joins []int // blocks entering at the next op
 	emit := func(op VOp, src int) *schedOp {
-		s := &schedOp{vop: op, origIdx: len(g.ops), srcBlock: src, traceIdx: curTI, instr: -1}
-		g.ops = append(g.ops, s)
+		s := &schedOp{vop: op, origIdx: len(g.ops), srcBlock: src, traceIdx: curTI, instr: -1, joins: joins}
+		g.ops, joins = append(g.ops, s), nil
 		if _, pre := vf.precolor[op.Dst]; pre {
 			g.rewritten[op.Dst] = true
 		}
@@ -139,7 +129,7 @@ func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 			prev := tr.Blocks[ti-1]
 			for _, p := range preds[bid] {
 				if p != prev {
-					g.joinPos[bid] = len(g.ops)
+					joins = append(joins, bid)
 					fromEntry = false
 					break
 				}
@@ -163,36 +153,28 @@ func linearize(vf *VFunc, tr Trace) (*traceGraph, error) {
 				if op.T0 == next {
 					continue // fallthrough
 				}
-				g.exit = op.T0
+				exit := op.T0
 				if t := vf.Blocks[op.T0]; t.NoCompact {
 					op = t.Ops[0]
 				}
 				s := emit(op, bid)
-				s.isFinal = true
+				s.isFinal, s.target = true, exit
 				g.finalIdx = s.origIdx
 			case mach.OpBrT:
-				if op.T1 == next {
-					s := emit(op, bid)
-					s.isSplit = true
-					g.splitTarget[s.origIdx] = op.T0
-				} else if op.T0 == next {
+				if op.T0 == next && op.T1 != next {
 					// invert: find the BB def and flip its sense
 					if err := invertBranch(g, &op); err != nil {
 						return nil, err
 					}
 					op.T0, op.T1 = op.T1, op.T0
-					s := emit(op, bid)
-					s.isSplit = true
-					g.splitTarget[s.origIdx] = op.T0
-				} else {
+				}
+				s := emit(op, bid)
+				s.isSplit, s.target = true, op.T0
+				if op.T1 != next {
 					// trace ends at a two-way branch: split + final jump
-					s := emit(op, bid)
-					s.isSplit = true
-					g.splitTarget[s.origIdx] = op.T0
 					j := emit(VOp{Kind: mach.OpJmp, T0: op.T1, Line: op.Line}, bid)
-					j.isFinal = true
+					j.isFinal, j.target = true, op.T1
 					g.finalIdx = j.origIdx
-					g.exit = op.T1
 				}
 			default:
 				return nil, fmt.Errorf("%s: block b%d in compacted trace ends with %s",
@@ -222,266 +204,174 @@ func invertBranch(g *traceGraph, br *VOp) error {
 	return fmt.Errorf("%s: branch condition t%d not defined in trace", g.vf.Name, bb)
 }
 
-// rename gives every in-trace definition a fresh virtual register, breaking
-// anti- and output-dependences so unrolled iterations can overlap. Snapshots
-// of the renaming map are taken at every split and join for compensation.
-// Precolored registers are never renamed. Nor is a move out of one at the
-// head of the trace — a parameter, or a call's return value, ahead of the
-// trace's first exit and first side entrance — that is its register's only
-// definition in the trace: program order puts it before every edge leaving
-// the trace, so writing the home register directly is what each of them
-// expects, and no restore move has to re-establish it on every exit of the
-// function's first trace.
+// value is what nameValues knows of a register written since the trace's
+// last side entrance: the op that wrote it and, for a same-class move from
+// another such register, the first of the chain holding the same value
+// (VNone otherwise).
+type value struct {
+	def  *VOp
+	held VReg
+}
+
+// nameValues is the one forward walk that says what each register of the
+// trace holds. Its table holds the registers written since the last side
+// entrance: a joining path establishes only the current names, so nothing
+// below a join reads through a register written above it. For each op it
 //
-// An exit's snapshot reads through in-trace moves: where a register's current
-// name was last written by a same-class move from a register the trace wrote
-// after its last side entrance, the exit restores from that source, which
-// holds the same value on every path reaching the exit, and so does not wait
-// for the move.
-func (g *traceGraph) rename() {
+//   - resolves each operand once: to its current name, then through
+//     same-class in-trace moves to their source (the move stays for its own
+//     readers; a precolored source, which the trace may write again, ends
+//     the chain), and, when spread, to a function-level constant that fits
+//     the inline 6-bit immediate (src2 only: a 32-bit one would compete for
+//     the pair's one immediate word per beat, §6.1), and for an add of an
+//     immediate, through a chain of such adds to its live-in (i2 = i1+1
+//     after i1 = i0+1 becomes i2 = i0+2: Bulldog-style height reduction, so
+//     unrolled iterations spread across board pairs);
+//   - at a split or the final exit, records in exit the name of each
+//     original register's value there. Where a name was last written by a
+//     same-class move from a register in the table, the exit restores from
+//     that source, which holds the same value on every path reaching the
+//     exit, and does not wait for the move. The moves restoring what the
+//     final exit's target reads are placed before it;
+//   - gives its result a fresh register, breaking anti- and output
+//     dependences so unrolled iterations can overlap. Precolored registers
+//     keep their names, and so does a move out of one at the trace's head —
+//     a parameter, or a call's return value, ahead of the first exit and
+//     first side entrance — that is its register's only definition in the
+//     trace: it precedes every edge leaving the trace, each of which expects
+//     the home register written.
+//
+// At a side entrance it records in entry the names the entrance finds.
+func (g *traceGraph) nameValues(lv *VLiveness, consts map[VReg]int64, spread bool) {
 	vf := g.vf
-	cur := map[VReg]VReg{}
-	wrote := map[VReg]bool{}     // names the trace wrote since its last side entrance
-	movedFrom := map[VReg]VReg{} // a name a move wrote -> the move's source, if in wrote
-	snap := func() map[VReg]VReg {
-		m := make(map[VReg]VReg, len(cur))
-		for k, v := range cur {
-			m[k] = v
-		}
-		return m
-	}
-	exitSnap := func() map[VReg]VReg {
-		m := snap()
-		for k, v := range m {
-			if src, ok := movedFrom[v]; ok {
-				m[k] = src
-			}
-		}
-		return m
-	}
-	// join snapshots are taken at linear positions; collect reverse map
-	joinAt := map[int][]int{} // position -> blocks joining there
-	head := len(g.ops)        // the ops before head precede every exit and entrance
-	for b, pos := range g.joinPos {
-		joinAt[pos] = append(joinAt[pos], b)
-		head = min(head, pos)
-	}
+	cur := map[VReg]VReg{} // original register -> its current name
+	since := map[VReg]value{}
+	head := len(g.ops) // the ops before head precede every exit and entrance
 	defs := map[VReg]int{}
 	for i, s := range g.ops {
-		if s.isSplit || s.isFinal {
+		if s.isSplit || s.isFinal || s.joins != nil {
 			head = min(head, i)
 		}
 		if s.vop.Dst != VNone {
 			defs[s.vop.Dst]++
 		}
 	}
-	resolve := func(a *VArg) {
-		if a.IsImm || a.Reg == VNone {
-			return
-		}
-		if r, ok := cur[a.Reg]; ok {
-			a.Reg = r
-		}
-	}
+	ops := make([]*schedOp, 0, len(g.ops))
 	for i, s := range g.ops {
-		if _, ok := joinAt[i]; ok {
-			g.renameAtJoin[i] = snap()
-			clear(wrote)
-			clear(movedFrom)
+		if s.joins != nil {
+			s.entry = maps.Clone(cur)
+			clear(since)
 		}
 		o := &s.vop
-		resolve(&o.A)
-		resolve(&o.B)
-		resolve(&o.C)
-		if s.isSplit || s.isFinal {
-			g.renameAtSplit[i] = exitSnap()
-		}
-		if o.Dst == VNone {
-			continue
-		}
-		_, pre := vf.precolor[o.Dst]
-		_, fromPre := vf.precolor[o.A.Reg]
-		if pre || fromPre && o.Kind == ir.Mov && !o.A.IsImm && i < head && defs[o.Dst] == 1 {
-			s.keepsName = true
-		} else {
-			fresh := vf.NewReg(vf.Class(o.Dst), vf.TypeOf(o.Dst))
-			cur[o.Dst] = fresh
-			o.Dst = fresh
-		}
-		if g.rewritten[o.Dst] {
-			continue
-		}
-		wrote[o.Dst] = true
-		if o.Kind == ir.Mov && !o.A.IsImm && wrote[o.A.Reg] && vf.Class(o.A.Reg) == vf.Class(o.Dst) {
-			src := o.A.Reg
-			if m, ok := movedFrom[src]; ok {
-				src = m
-			}
-			movedFrom[o.Dst] = src
-		}
-	}
-}
-
-// foldGlobalConsts rewrites src2 register operands whose value is a
-// function-level constant (e.g. a loop-invariant stride hoisted to the
-// preheader) into immediates, freeing read ports and exposing add chains to
-// collapsing. Only the src2 leg takes immediates in the encoding (§6.1).
-func (g *traceGraph) foldGlobalConsts(consts map[VReg]int64) {
-	fold := func(a *VArg) {
-		if a.IsImm || a.Reg == VNone {
-			return
-		}
-		c, ok := consts[a.Reg]
-		// Only the inline 6-bit immediate is free; a 32-bit value would
-		// compete for the pair's single shared immediate word per beat
-		// (§6.1), which costs more than the register read it saves.
-		if !ok || c < -32 || c > 31 {
-			return
-		}
-		*a = VImmArg(int32(c))
-	}
-	for _, s := range g.ops {
-		o := &s.vop
-		switch o.Kind {
-		case ir.Add, ir.Sub, ir.Mul, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr, ir.Sra,
-			ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE:
-			fold(&o.B)
-		case ir.Select:
-			if o.Type == ir.I32 {
-				fold(&o.C)
-			}
-		}
-	}
-}
-
-// forwardMoves rewrites operands that read the result of an in-trace
-// register-to-register move to read the move's source directly, removing
-// the move from dependence chains (the move still executes for its own
-// consumers, e.g. exit restores). Like collapseAddChains, forwarding must
-// not cross a side entrance: the joining path establishes only the current
-// names. Nor does it read through a precolored register, which the trace
-// may write again (the argument moves rewrite what the parameter moves
-// read).
-func (g *traceGraph) forwardMoves() {
-	vf := g.vf
-	defs := map[VReg]*VOp{}
-	fwd := func(a *VArg) {
-		if a.IsImm || a.Reg == VNone {
-			return
-		}
-		for hops := 0; hops < 8; hops++ {
-			d, ok := defs[a.Reg]
-			if !ok || d.Kind != ir.Mov || d.A.IsImm || d.A.Reg == VNone || g.rewritten[d.A.Reg] {
-				return
-			}
-			// only forward within a bank class; cross-bank moves are real
-			// data routing
-			if vf.Class(d.Dst) != vf.Class(d.A.Reg) {
-				return
-			}
-			a.Reg = d.A.Reg
-		}
-	}
-	for i, s := range g.ops {
-		if _, isJoin := g.joinAtIndex(i); isJoin {
-			defs = map[VReg]*VOp{}
-		}
-		o := &s.vop
-		fwd(&o.A)
-		fwd(&o.B)
-		fwd(&o.C)
-		if o.Dst != VNone {
-			defs[o.Dst] = o
-		}
-	}
-}
-
-// collapseAddChains rewrites renamed add-immediate chains so each link
-// depends on the chain's trace live-in rather than its predecessor:
-// i1=i0+1, i2=i1+1 becomes i1=i0+1, i2=i0+2. Unrolled induction updates
-// otherwise form a serial recurrence through the whole trace; collapsed,
-// every unrolled iteration's address arithmetic is independent and can
-// spread across the board pairs. (Height reduction in the style of
-// Ellis's Bulldog generator.)
-func (g *traceGraph) collapseAddChains() {
-	defs := map[VReg]*VOp{}
-	// chase resolves a register through in-trace I32 moves to its defining
-	// op (renaming makes every def unique, so this is sound — but for the
-	// precolored registers, which are never renamed: a chain ends at one).
-	chase := func(r VReg) *VOp {
-		for i := 0; i < 8; i++ {
-			d, ok := defs[r]
-			if !ok || g.rewritten[r] {
-				return nil
-			}
-			if d.Kind == ir.Mov && d.Type == ir.I32 && !d.A.IsImm && d.A.Reg != VNone {
-				r = d.A.Reg
+		src := VNone // the register a move reads, by its current name
+		for k, a := range [...]*VArg{&o.A, &o.B, &o.C} {
+			if a.IsImm || a.Reg == VNone {
 				continue
 			}
-			return d
+			if r, ok := cur[a.Reg]; ok {
+				a.Reg = r
+			}
+			if k == 0 {
+				src = a.Reg
+			}
+			for hops := 0; hops < 8; hops++ {
+				d := since[a.Reg].def
+				if d == nil || d.Kind != ir.Mov || d.A.IsImm || g.rewritten[d.A.Reg] || vf.Class(d.Dst) != vf.Class(d.A.Reg) {
+					break
+				}
+				a.Reg = d.A.Reg
+			}
 		}
-		return nil
-	}
-	for i, s := range g.ops {
-		// A side entrance re-establishes only the registers current at the
-		// join; rewriting a later op to read an older rename would make the
-		// joining path read a value its compensation never set. Chains must
-		// not cross a join.
-		if _, isJoin := g.joinAtIndex(i); isJoin {
-			defs = map[VReg]*VOp{}
-		}
-		o := &s.vop
-		if o.Kind == ir.Add && o.B.IsImm && o.B.Sym == "" && !o.A.IsImm && o.A.Reg != VNone {
-			if d := chase(o.A.Reg); d != nil && d.Kind == ir.Add && d.B.IsImm && d.B.Sym == "" &&
-				!d.A.IsImm && d.A.Reg != VNone && !g.rewritten[d.A.Reg] {
-				sum := int64(o.B.Imm) + int64(d.B.Imm)
-				if sum >= -1<<31 && sum < 1<<31 {
-					o.A.Reg = d.A.Reg
-					o.B.Imm = int32(sum)
+		if spread {
+			switch o.Kind {
+			case ir.Add, ir.Sub, ir.Mul, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr, ir.Sra,
+				ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE:
+				foldConst(&o.B, consts)
+			case ir.Select:
+				if o.Type == ir.I32 {
+					foldConst(&o.C, consts)
+				}
+			}
+			if d := g.addChain(since, o); d != nil {
+				if sum := int64(o.B.Imm) + int64(d.B.Imm); sum == int64(int32(sum)) {
+					o.A.Reg, o.B.Imm = d.A.Reg, int32(sum)
 				}
 			}
 		}
-		if o.Dst != VNone {
-			defs[o.Dst] = o
+		if s.isSplit || s.isFinal {
+			s.exit = maps.Clone(cur)
+			for r, v := range s.exit {
+				if h := since[v].held; h != VNone {
+					s.exit[r] = h
+				}
+			}
+		}
+		if s.isFinal {
+			for k, m := range restoreMovs(vf, lv, s.exit, s.target) {
+				r := &schedOp{vop: m, instr: -1, isRestore: true}
+				if k == 0 { // an entrance at the exit enters at its restores
+					r.joins, r.entry, s.joins, s.entry = s.joins, s.entry, nil, nil
+				}
+				ops = append(ops, r)
+			}
+		}
+		if d := o.Dst; d != VNone {
+			_, pre := vf.precolor[d]
+			_, fromPre := vf.precolor[src]
+			if pre || fromPre && o.Kind == ir.Mov && i < head && defs[d] == 1 {
+				s.keepsName = true
+			} else {
+				o.Dst = vf.NewReg(vf.Class(d), vf.TypeOf(d))
+				cur[d] = o.Dst
+			}
+			v := value{def: o}
+			if w, ok := since[src]; ok && o.Kind == ir.Mov && !g.rewritten[src] && !g.rewritten[o.Dst] && vf.Class(src) == vf.Class(o.Dst) {
+				v.held = cmp.Or(w.held, src)
+			}
+			since[o.Dst] = v
+		}
+		ops = append(ops, s)
+	}
+	g.ops = ops
+	for i, s := range ops {
+		s.origIdx = i
+		if s.isFinal {
+			g.finalIdx = i
 		}
 	}
 }
 
-// origOf inverts a rename snapshot: renamed -> original.
-func origOf(snap map[VReg]VReg) map[VReg]VReg {
-	m := make(map[VReg]VReg, len(snap))
-	for o, r := range snap {
-		m[r] = o
+// foldConst rewrites a register operand holding a function-level constant
+// (consts) that fits the inline 6-bit immediate into that immediate.
+func foldConst(a *VArg, consts map[VReg]int64) {
+	if c, ok := consts[a.Reg]; ok && !a.IsImm && c >= -32 && c <= 31 {
+		*a = VImmArg(int32(c))
 	}
-	return m
 }
 
-// addFinalRestores appends, just before the trace's final exit jump, a move
-// re-establishing each original register (live into the exit's target) from
-// its current renamed name, so off-trace code sees the canonical locations.
-func (g *traceGraph) addFinalRestores(lv *VLiveness) {
-	if g.finalIdx < 0 {
-		return
+// addChain returns, for an add of an immediate to a register, the add of an
+// immediate that wrote the register since the last side entrance, looking
+// through I32 moves, if it reads a register too; nil otherwise. A chain ends
+// at a precolored register the trace writes.
+func (g *traceGraph) addChain(since map[VReg]value, o *VOp) *VOp {
+	if o.Kind != ir.Add || !o.B.IsImm || o.B.Sym != "" || o.A.IsImm || o.A.Reg == VNone {
+		return nil
 	}
-	snap := g.renameAtSplit[g.finalIdx]
-	restores := restoreMovs(g.vf, lv, snap, g.exit)
-	if len(restores) == 0 {
-		return
+	r := o.A.Reg
+	for hops := 0; hops < 8; hops++ {
+		d := since[r].def
+		switch {
+		case d == nil || g.rewritten[r]:
+			return nil
+		case d.Kind == ir.Mov && d.Type == ir.I32 && !d.A.IsImm && d.A.Reg != VNone:
+			r = d.A.Reg
+		case d.Kind == ir.Add && d.B.IsImm && d.B.Sym == "" && !d.A.IsImm && d.A.Reg != VNone && !g.rewritten[d.A.Reg]:
+			return d
+		default:
+			return nil
+		}
 	}
-	movs := make([]*schedOp, len(restores))
-	for i, m := range restores {
-		movs[i] = &schedOp{vop: m, instr: -1, isRestore: true}
-	}
-	fi := g.finalIdx
-	final := g.ops[fi]
-	g.ops = append(g.ops[:fi], append(movs, final)...)
-	for i := fi; i < len(g.ops); i++ {
-		g.ops[i].origIdx = i
-	}
-	g.finalIdx = final.origIdx
-	// the snapshot and split bookkeeping keyed by the old index move
-	delete(g.renameAtSplit, fi)
-	g.renameAtSplit[g.finalIdx] = snap
+	return nil
 }
 
 // buildDAG adds dependence edges. layout supplies global addresses, consts
@@ -501,15 +391,15 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, consts m
 
 	var mems []int           // indices of memory ops so far
 	var splits []int         // indices of splits so far
-	var aboveJoin []int      // ops before the most recent join (for split barriers)
+	joined := 0              // the ops before it precede the most recent join
 	uses := map[VReg][]int{} // reads of each reg since its last definition
 
 	formOf := newFormTracker(layout, consts)
 
 	for i, s := range g.ops {
 		o := &s.vop
-		if _, ok := g.joinAtIndex(i); ok {
-			aboveJoin = aboveJoinUpTo(g, i)
+		if s.joins != nil {
+			joined = i
 		}
 
 		// flow dependences (halt and syscall read their convention registers
@@ -612,7 +502,7 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, consts m
 			}
 			// a branch may not move above any op that precedes the nearest
 			// join (the entrance would have to move above it, impossible)
-			for _, j := range aboveJoin {
+			for j := range joined {
 				addEdge(j, i, -1, 1)
 			}
 			// A write that keeps its name and that the split's target reads,
@@ -621,7 +511,7 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, consts m
 			if s.isSplit {
 				for _, d := range kept {
 					lat := opLatency(&cfg, &g.ops[d].vop)
-					if lat >= 2 && lv.In[g.splitTarget[i]].Has(ir.Reg(g.ops[d].vop.Dst)) {
+					if lat >= 2 && lv.In[s.target].Has(ir.Reg(g.ops[d].vop.Dst)) {
 						addEdge(d, i, lat-2, 0)
 					}
 				}
@@ -644,7 +534,7 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, consts m
 				// may rise above a test whose other side calls, the stack
 				// release may not.
 				for _, j := range splits {
-					if lv.In[g.splitTarget[j]].Has(ir.Reg(o.Dst)) {
+					if lv.In[g.ops[j].target].Has(ir.Reg(o.Dst)) {
 						addEdge(j, i, -1, 1)
 					}
 				}
@@ -715,25 +605,6 @@ func (g *traceGraph) buildDAG(cfg mach.Config, layout map[string]int64, consts m
 		}
 		s.prio = h
 	}
-}
-
-// joinAtIndex reports whether linear index i is a join position.
-func (g *traceGraph) joinAtIndex(i int) (int, bool) {
-	for _, pos := range g.joinPos {
-		if pos == i {
-			return pos, true
-		}
-	}
-	return 0, false
-}
-
-// aboveJoinUpTo returns the indices of all ops before linear position pos.
-func aboveJoinUpTo(g *traceGraph, pos int) []int {
-	out := make([]int, 0, pos)
-	for i := 0; i < pos; i++ {
-		out = append(out, i)
-	}
-	return out
 }
 
 // opLatency returns the write latency of an op in beats.

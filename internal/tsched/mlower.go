@@ -494,8 +494,10 @@ func insertCallSpills(f *ir.Func) {
 	}
 }
 
-// sweepDeadVOps removes pure vops whose destinations are never read.
-// Memory, control, call, and precolored-dest ops always stay.
+// sweepDeadVOps removes the vops whose destinations are never read, by
+// opt.DCE's rule: any op but a store, call, return or branch, so a dead load
+// or divide goes with its fault (DESIGN.md, "Faults of dead operations").
+// Ops writing a precolored register, a call's link write among them, stay.
 func sweepDeadVOps(vf *VFunc) {
 	for {
 		uses := make([]int, vf.NumRegs())
@@ -510,7 +512,7 @@ func sweepDeadVOps(vf *VFunc) {
 		for _, b := range vf.Blocks {
 			var kept []VOp
 			for _, o := range b.Ops {
-				dead := o.Dst != VNone && uses[o.Dst] == 0 && isPureVOp(o.Kind)
+				dead := o.Dst != VNone && uses[o.Dst] == 0 && !o.Kind.HasSideEffect()
 				if _, pre := vf.precolor[o.Dst]; pre {
 					dead = false
 				}
@@ -526,19 +528,4 @@ func sweepDeadVOps(vf *VFunc) {
 			return
 		}
 	}
-}
-
-func isPureVOp(k ir.OpKind) bool {
-	switch k {
-	// Div and Rem are excluded: removing a dead divide would also remove
-	// its divide-by-zero fault, diverging from the reference interpreter.
-	case ir.ConstI, ir.ConstF, ir.Mov, ir.Add, ir.Sub, ir.Mul,
-		ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr, ir.Sra, ir.Neg, ir.Not,
-		ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE,
-		ir.FAdd, ir.FSub, ir.FMul, ir.FDiv, ir.FNeg,
-		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE,
-		ir.ItoF, ir.FtoI, ir.Select, mach.OpMovSF:
-		return true
-	}
-	return false
 }

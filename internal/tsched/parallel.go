@@ -3,7 +3,6 @@ package tsched
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -136,7 +135,7 @@ func compileOneInner(cfg mach.Config, prog *ir.Program, f *ir.Func, prof ir.Edge
 		return nil, err
 	}
 	var fc *FuncCode
-	for i, maxBlocks := range ladder {
+	for _, maxBlocks := range ladder {
 		fc, err = CompileFunc(cfg, vf, prof, layout, maxBlocks)
 		if err == nil {
 			fc.TraceCap = maxBlocks
@@ -144,9 +143,6 @@ func compileOneInner(cfg mach.Config, prog *ir.Program, f *ir.Func, prof ir.Edge
 		}
 		if !isCapacityErr(err) {
 			return nil, err
-		}
-		if debugLog && i+1 < len(ladder) {
-			fmt.Fprintf(os.Stderr, "tsched: %s: %v; retrying with traces <= %d blocks\n", f.Name, err, ladder[i+1])
 		}
 	}
 	return nil, err

@@ -2,7 +2,6 @@ package tsched
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 
@@ -134,11 +133,6 @@ func Assemble(cfg mach.Config, vf *VFunc, prof ir.EdgeWeights, layout map[string
 		sf.home.set(r, p.Board)
 	}
 
-	if debugLog {
-		for i, tr := range traces {
-			fmt.Fprintf(os.Stderr, "trace %d: %v\n", i, tr.Blocks)
-		}
-	}
 	st := &stitcher{cfg: cfg, vf: vf, sf: sf, lv: lv, layout: layout, consts: globalConsts(vf, layout),
 		sched:     newScheduler(cfg, vf, &sf.home),
 		entrances: map[int]entrance{}, joinComp: map[int]int{}, pending: map[int][]pendingBranch{},
@@ -185,10 +179,6 @@ type stitcher struct {
 	consts    map[VReg]int64  // the function's single-assignment constants (globalConsts)
 }
 
-// debugLog, read once: TSCHED_DEBUG prints the traces, the retries and the
-// state of a failed stitch to stderr.
-var debugLog = os.Getenv("TSCHED_DEBUG") != ""
-
 func (st *stitcher) newBlock() *SBlock {
 	b := &SBlock{ID: len(st.sf.Blocks)}
 	st.sf.Blocks = append(st.sf.Blocks, b)
@@ -207,9 +197,6 @@ func (st *stitcher) resolve() error {
 	for v, pbs := range st.pending {
 		e, ok := st.entrances[v]
 		if !ok {
-			if debugLog {
-				fmt.Fprintf(os.Stderr, "entrances: %v\nvfunc:\n%s\n", st.entrances, st.vf)
-			}
 			return fmt.Errorf("%s: no entrance for vblock %d", st.vf.Name, v)
 		}
 		if jc, ok := st.joinComp[v]; ok {
@@ -401,17 +388,11 @@ func (st *stitcher) addTrace(tr Trace) error {
 	if err != nil {
 		return err
 	}
-	g.rename()
-	g.forwardMoves()
-	if cfg.Pairs > 1 {
-		// Constant folding and add-chain collapsing exist to decouple the
-		// unrolled iterations so they can spread across board pairs; on a
-		// single pair there is nothing to spread to, and the extra
-		// immediate-word traffic only costs.
-		g.foldGlobalConsts(st.consts)
-		g.collapseAddChains()
-	}
-	g.addFinalRestores(st.lv)
+	// Constant folding and add-chain collapsing exist to decouple the
+	// unrolled iterations so they can spread across board pairs; on a single
+	// pair there is nothing to spread to, and the extra immediate-word
+	// traffic only costs.
+	g.nameValues(st.lv, st.consts, cfg.Pairs > 1)
 	g.buildDAG(cfg, st.layout, st.consts, st.lv)
 	res, err := st.sched.scheduleTrace(g)
 	if err != nil {
@@ -443,37 +424,12 @@ func (st *stitcher) addTrace(tr Trace) error {
 
 	sb, slotOf := st.emit(res)
 	placed := res.placed
-	// multiway branch priorities follow original program order (§6.5.2:
-	// "the test that was originally first ... must be the highest priority")
-	for ii := range sb.Instrs {
-		type brSlot struct{ slotIdx, origIdx int }
-		var brs []brSlot
-		for si := range sb.Instrs[ii].Slots {
-			k := sb.Instrs[ii].Slots[si].Op.Kind
-			if k == mach.OpBrT || k == mach.OpJmp {
-				oi := 1 << 30
-				for src, pb := range slotOf {
-					if pb.instr == ii && pb.slot == si {
-						oi = src.origIdx
-					}
-				}
-				brs = append(brs, brSlot{si, oi})
-			}
-		}
-		sort.Slice(brs, func(a, b int) bool { return brs[a].origIdx < brs[b].origIdx })
-		for rank, b := range brs {
-			sb.Instrs[ii].Slots[b.slotIdx].Prio = rank
-		}
-	}
-	// entrances for trace blocks; join entrance relocation
-	for ti, v := range tr.Blocks {
-		if ti == 0 {
-			st.entrances[v] = entrance{block: sb.ID, off: 0}
+	// entrances: the trace's head, and the side entrances, relocated; the
+	// other blocks are only reachable along the trace
+	st.entrances[tr.Blocks[0]] = entrance{block: sb.ID, off: 0}
+	for pos, op := range g.ops {
+		if op.joins == nil {
 			continue
-		}
-		pos, isJoin := g.joinPos[v]
-		if !isJoin {
-			continue // only reachable along the trace
 		}
 		// E = 1 + max instr of any op before the join
 		e := 0
@@ -497,30 +453,31 @@ func (st *stitcher) addTrace(tr Trace) error {
 				}
 			}
 		}
-		if err := st.emitJoinComp(g, sb, v, pos, e, lateCopies); err != nil {
-			return err
+		for _, v := range op.joins {
+			if err := st.emitJoinComp(g, sb, v, pos, e, lateCopies); err != nil {
+				return err
+			}
 		}
 	}
 
 	// split compensation and branch targets
 	for _, si := range splitIdxs {
 		sp := g.ops[si]
-		target := g.splitTarget[si]
-		comp := st.splitCompOps(g, sp, target)
+		comp := st.splitCompOps(g, sp)
 		// locate the split's slot
 		pb, ok := slotOf[sp]
 		if !ok {
 			return fmt.Errorf("%s: split op not found in schedule", vf.Name)
 		}
 		if len(comp) == 0 {
-			st.wantTarget(target, pb)
+			st.wantTarget(sp.target, pb)
 			continue
 		}
 		cb, jump, err := st.compBlock(comp)
 		if err != nil {
 			return err
 		}
-		st.wantTarget(target, jump)
+		st.wantTarget(sp.target, jump)
 		slot := &sb.Instrs[pb.instr].Slots[pb.slot]
 		slot.TargetBlock = cb.ID
 		slot.TargetOff = 0
@@ -532,9 +489,9 @@ func (st *stitcher) addTrace(tr Trace) error {
 		if !ok {
 			return fmt.Errorf("%s: final jump not in schedule", vf.Name)
 		}
-		switch ops := vf.Blocks[g.exit].Ops; {
+		switch ops := vf.Blocks[fj.target].Ops; {
 		case fj.vop.Kind == mach.OpJmp:
-			st.wantTarget(g.exit, pb)
+			st.wantTarget(fj.target, pb)
 		case len(ops) > 1:
 			st.fallsTo[sb] = ops[1].T0
 		}
@@ -543,7 +500,10 @@ func (st *stitcher) addTrace(tr Trace) error {
 }
 
 // emit lays a schedule out as a new SBlock, sorting res.placed into slot
-// order, and returns the block and the slot of each op of the graph.
+// order, and returns the block and the slot of each op of the graph. The
+// branches of an instruction take priorities in original program order
+// (§6.5.2: "the test that was originally first ... must be the highest
+// priority").
 func (st *stitcher) emit(res *schedResult) (*SBlock, map[*schedOp]pendingBranch) {
 	sb := st.newBlock()
 	sb.Instrs = make([]SInstr, res.numInstr)
@@ -556,12 +516,26 @@ func (st *stitcher) emit(res *schedResult) (*SBlock, map[*schedOp]pendingBranch)
 		return slotLess(placed[a], placed[b])
 	})
 	slotOf := map[*schedOp]pendingBranch{}
+	var brs []*schedOp // the branches placed so far in p's instruction
 	for _, p := range placed {
 		in := &sb.Instrs[p.instr]
 		slot := SSlot{Unit: p.unit, Beat: p.beat, Op: p.vop}
 		if p.src != nil {
 			slot.Op = p.src.vop // includes LoadSpec conversion
 			slotOf[p.src] = pendingBranch{sb.ID, p.instr, len(in.Slots)}
+			if k := slot.Op.Kind; k == mach.OpBrT || k == mach.OpJmp {
+				if len(brs) > 0 && brs[0].instr != p.instr {
+					brs = brs[:0]
+				}
+				for _, b := range brs {
+					if b.origIdx < p.src.origIdx {
+						slot.Prio++
+					} else {
+						in.Slots[slotOf[b].slot].Prio++
+					}
+				}
+				brs = append(brs, p.src)
+			}
 		} else {
 			slot.Copy = true
 			st.sf.CopyOps++
@@ -628,21 +602,20 @@ func readsReg(o *VOp, r VReg) bool {
 // branch edges to undo these inconsistencies"). A pure op whose result
 // neither a later op of the list nor the target reads is left out: the
 // off-trace path would compute it for nothing. Loads, divides and stores
-// stay, read or not: their traps and effects belong to the program.
-func (st *stitcher) splitCompOps(g *traceGraph, sp *schedOp, target int) []VOp {
+// stay, read or not (see pureOp).
+func (st *stitcher) splitCompOps(g *traceGraph, sp *schedOp) []VOp {
 	var comp []VOp
 	for i := 0; i < sp.origIdx; i++ {
 		if op := g.ops[i]; op.instr > sp.instr {
 			comp = append(comp, op.reexec())
 		}
 	}
-	snap := g.renameAtSplit[sp.origIdx]
-	comp = append(comp, restoreMovs(st.vf, st.lv, snap, target)...)
+	comp = append(comp, restoreMovs(st.vf, st.lv, sp.exit, sp.target)...)
 	read := map[VReg]bool{}
 	keep := make([]VOp, 0, len(comp))
 	for i := len(comp) - 1; i >= 0; i-- {
 		o := comp[i]
-		if pureOp(o.Kind) && !read[o.Dst] && !liveIn(st.lv, target, o.Dst) {
+		if pureOp(o.Kind) && !read[o.Dst] && !liveIn(st.lv, sp.target, o.Dst) {
 			continue
 		}
 		for _, u := range o.Uses() {
@@ -656,7 +629,12 @@ func (st *stitcher) splitCompOps(g *traceGraph, sp *schedOp, target int) []VOp {
 
 // pureOp reports whether an op of kind k does nothing but compute its
 // result: a move, a constant, integer arithmetic or logic other than a
-// divide, a compare, or a floating add, subtract or multiply.
+// divide, a compare, or a floating add, subtract or multiply. It is
+// narrower than opt.DCE's rule, which also drops a dead load or divide
+// (DESIGN.md, "Faults of dead operations"): dropping those from
+// compensation code too moves the measured machine (fft runs fewer ops in
+// as many words, list 18 % fewer beats for a reason not found), which is a
+// change to make and measure on its own.
 func pureOp(k ir.OpKind) bool {
 	switch k {
 	case ir.Mov, ir.ConstI, ir.ConstF,
@@ -717,10 +695,9 @@ func restoreMovs(vf *VFunc, lv *VLiveness, snap map[VReg]VReg, target int) []VOp
 // entrance, and re-execution of cross-bank copies the post-entrance code
 // depends on.
 func (st *stitcher) emitJoinComp(g *traceGraph, sb *SBlock, v, pos, e int, lateCopies []placedOp) error {
-	snap := g.renameAtJoin[pos]
 	// establish renamed names from the canonical registers the entering
 	// flow provides: the restore moves reversed
-	comp := restoreMovs(st.vf, st.lv, snap, v)
+	comp := restoreMovs(st.vf, st.lv, g.ops[pos].entry, v)
 	for i := range comp {
 		m := &comp[i]
 		m.Dst, m.A = m.A.Reg, VRegArg(m.Dst)

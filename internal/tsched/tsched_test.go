@@ -353,7 +353,7 @@ func TestCollapseAddChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.collapseAddChains()
+	g.nameValues(vf.ComputeLiveness(), nil, true)
 	// the second add must now read i0 directly with immediate 2
 	var second *VOp
 	for _, s := range g.ops {

@@ -132,6 +132,14 @@ if [ "$(echo "$rows" | grep -c .)" != 1 ]; then
 	exit 1
 fi
 
+echo "== one walk names a trace's values (traceGraph.nameValues), and tsched reads no environment"
+# Operands, exit snapshots and final restores come from one forward walk; a
+# trace's exits and entrances live on its ops, not in index-keyed maps.
+if grep -rnE --include='*.go' --exclude='*_test.go' '\b(forwardMoves|collapseAddChains|foldGlobalConsts|renameAtSplit|renameAtJoin|splitTarget|joinAtIndex|aboveJoinUpTo)\b|os\.Getenv' internal/tsched; then
+	echo "check: a second walk over a trace's values, or an environment knob, is back in internal/tsched"
+	exit 1
+fi
+
 echo "== one home for the optimisation level (opt.Level)"
 if gosrc -n --exclude='*_test.go' 'UnrollFactor: 4' | grep -v -e '^\./internal/opt/' -e '^\./internal/xp/'; then
 	echo "check: the -O1 options are spelled out again (use opt.Level)"
