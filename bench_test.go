@@ -22,6 +22,7 @@ import (
 	"github.com/multiflow-repro/trace/internal/pipeline"
 	"github.com/multiflow-repro/trace/internal/profile"
 	"github.com/multiflow-repro/trace/internal/safecheck"
+	"github.com/multiflow-repro/trace/internal/testmatrix"
 	"github.com/multiflow-repro/trace/internal/tsched"
 	"github.com/multiflow-repro/trace/internal/xp"
 )
@@ -454,6 +455,42 @@ func BenchmarkTschedCompile(b *testing.B) {
 					tsched.CompileOptions{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReference times the reference machines every benchmark set-up
+// rebuilds, one pass over the ledger programs per op: the IR interpreter
+// alone, the scalar baseline and the scoreboard (TRACE 28) on top of it.
+// allocs/op is gated in scripts/bench.sh (a call allocates nothing, so it
+// does not grow with the number of calls), and so is the scalar baseline's
+// time against the bare interpreter's.
+func BenchmarkReference(b *testing.B) {
+	var progs []*ir.Program
+	for _, p := range testmatrix.Ledger(b) {
+		prog, err := lang.Compile(p.Src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	for _, m := range []struct {
+		name string
+		run  func(*ir.Program) error
+	}{
+		{"interp", func(p *ir.Program) error { _, _, err := (&ir.Interp{Prog: p}).Run(); return err }},
+		{"scalar", func(p *ir.Program) error { _, _, _, err := baseline.Scalar(p, mach.Trace28()); return err }},
+		{"scoreboard", func(p *ir.Program) error { _, _, _, err := baseline.Scoreboard(p, mach.Trace28()); return err }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range progs {
+					if err := m.run(p); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -54,7 +54,7 @@ func main() {
 	baseline := flag.String("baseline", "", "raw bench output of the build to compare against")
 	out := flag.String("o", "", "output file (default stdout)")
 	require := flag.String("require", "", "Name=minSpeedup[,...]: fail unless each named benchmark's ns/op speedup vs -baseline meets the floor")
-	requireRatio := flag.String("require-ratio", "", "A/B=min[,...]: fail unless A's mean ns/op divided by B's (both from this run) meets the floor — i.e. require B at least min× as fast as A")
+	requireRatio := flag.String("require-ratio", "", "A/B=min[,...] (A and B benchmark names, sub-benchmarks too): fail unless A's mean ns/op divided by B's (both from this run) meets the floor — i.e. require B at least min× as fast as A")
 	requireMax := flag.String("require-max", "", "Name:unit=ceiling[,...]: fail unless each named benchmark's mean value of that metric (B/op, allocs/op, ...) is at most the ceiling — for metrics that repeat exactly, where a ceiling is a floor without noise")
 	flag.Parse()
 
@@ -128,7 +128,14 @@ func main() {
 		rep.Ratios = map[string]float64{}
 		for _, pair := range strings.Split(*requireRatio, ",") {
 			names, floorStr, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			a, b, ok2 := strings.Cut(names, "/")
+			// A may be a sub-benchmark ("BenchmarkX/y"): B is what follows
+			// the next "/Benchmark".
+			i := strings.Index(names, "/Benchmark")
+			ok2 := i > 0
+			a, b := names, ""
+			if ok2 {
+				a, b = names[:i], names[i+1:]
+			}
 			if !ok || !ok2 {
 				fatal(fmt.Errorf("-require-ratio: bad entry %q, want A/B=min", pair))
 			}

@@ -228,3 +228,68 @@ func main() int {
 		}
 	}
 }
+
+// TestCalleeFrameStartsAllReady: a call's registers start ready. f returns
+// with a divide still in flight to its v3 (a return does not wait for it),
+// and g, called next at the same depth, branches on its own v3 at once. g must not
+// wait for f's divide: with f dividing or adding, both machines take the same
+// beats. (Ready times used to be keyed by call depth and register number and
+// never cleared, so g stalled for the divide's 30 beats.)
+func TestCalleeFrameStartsAllReady(t *testing.T) {
+	build := func(k ir.OpKind) *ir.Program {
+		param := func(f *ir.Func) ir.Reg {
+			r := f.NewReg(ir.I32)
+			f.Params = append(f.Params, ir.Param{Reg: r, Type: ir.I32})
+			return r
+		}
+		f := ir.NewFunc("f", ir.Void)
+		bf := ir.NewBuilder(f)
+		a := param(f)
+		if r := bf.Bin(k, ir.I32, a, bf.ConstI(7)); r != 3 {
+			t.Fatalf("f writes v%d, want v3", r)
+		}
+		bf.Ret(ir.None)
+
+		g := ir.NewFunc("g", ir.I32)
+		bg := ir.NewBuilder(g)
+		param(g)
+		param(g)
+		x := param(g) // v3
+		s := bg.Bin(ir.Add, ir.I32, x, x)
+		then, els := bg.NewBlock(), bg.NewBlock()
+		bg.CondBr(s, then, els) // the scoreboard's issue waits at a branch
+		bg.SetBlock(then)
+		bg.Ret(s)
+		bg.SetBlock(els)
+		bg.Ret(x)
+
+		m := ir.NewFunc("main", ir.I32)
+		bm := ir.NewBuilder(m)
+		one := bm.ConstI(1)
+		bm.Call("f", ir.Void, one)
+		bm.Ret(bm.Call("g", ir.I32, one, one, one))
+		p := &ir.Program{Funcs: []*ir.Func{m, f, g}}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cfg := mach.Trace28()
+	for _, m := range []struct {
+		name string
+		run  func(*ir.Program, mach.Config) (Result, int32, string, error)
+	}{{"scalar", Scalar}, {"scoreboard", Scoreboard}} {
+		add, v, _, err := m.run(build(ir.Add), cfg)
+		if err != nil || v != 2 {
+			t.Fatalf("%s: exit %d, %v", m.name, v, err)
+		}
+		div, _, _, err := m.run(build(ir.Div), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if div.Beats != add.Beats {
+			t.Errorf("%s: %d beats with a divide in flight in an earlier callee, %d without: g waited on f's register",
+				m.name, div.Beats, add.Beats)
+		}
+	}
+}

@@ -27,113 +27,57 @@ func ScoreboardWide(prog *ir.Program, cfg mach.Config, width int) (Result, int32
 	if width < 1 {
 		width = 1
 	}
-	var res Result
-	ready := map[regKey]int64{} // operand available (write completes)
-	depth := 0
-
-	// earliest-free beat per functional unit instance; two memory pipes
-	// (loads and stores could proceed in parallel on the 360/91)
-	ialu := make([]int64, 2*cfg.Pairs)
-	fa := make([]int64, cfg.Pairs)
-	fm := make([]int64, cfg.Pairs)
-	memu := make([]int64, 2)
-
-	var clock int64     // in-order issue pointer
+	t := newTiming(prog, &cfg)
+	// earliest-free beat per functional unit instance, by class; two memory
+	// pipes (loads and stores could proceed in parallel on the 360/91)
+	units := [...][]int64{
+		unitIALU: make([]int64, 2*cfg.Pairs),
+		unitFAdd: make([]int64, cfg.Pairs),
+		unitFMul: make([]int64, cfg.Pairs),
+		unitMem:  make([]int64, 2),
+	}
 	var slot int        // ops already issued in the current beat
 	var lastStore int64 // conservative in-flight memory ordering
 
-	unitFor := func(k ir.OpKind) []int64 {
-		switch k {
-		case ir.Load, ir.LoadSpec, ir.Store:
-			return memu
-		case ir.FAdd, ir.FSub, ir.FNeg, ir.ItoF, ir.FtoI,
-			ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
-			return fa
-		case ir.FMul, ir.FDiv:
-			return fm
-		}
-		return ialu
-	}
-
 	in := &ir.Interp{Prog: prog}
-	in.OnOp = func(f *ir.Func, block int, o *ir.Op) {
-		switch o.Kind {
-		case ir.Nop:
-			return
-		case ir.Call:
-			res.Ops += int64(len(o.Args)) + 1
-			res.Branches++
-			depth++
-			clock += int64(len(o.Args)) + 2
-			slot = 0
-			return
-		case ir.Ret:
-			res.Ops += 2
-			res.Branches++
-			depth--
-			clock += 2
+	in.OnOp = func(o *ir.Op) {
+		if o.Kind == ir.Call || o.Kind == ir.Ret {
+			t.transfer(o, 2)
 			slot = 0
 			return
 		}
 		// the issue slot itself: width ops share a beat
 		slot++
 		if slot >= width {
-			clock++
+			t.clock++
 			slot = 0
 		}
 		// Reservation stations: issue hands the op to a station and moves
 		// on; execution starts when the operands arrive and the (pipelined)
 		// unit is free.
-		units := unitFor(o.Kind)
+		u := units[t.unit[o.Kind]]
 		best := 0
-		for i := 1; i < len(units); i++ {
-			if units[i] < units[best] {
+		for i := 1; i < len(u); i++ {
+			if u[i] < u[best] {
 				best = i
 			}
 		}
-		start := clock
-		if units[best] > start {
-			start = units[best]
-		}
-		for _, a := range o.Args {
-			if t, ok := ready[regKey{depth, a}]; ok && t > start {
-				start = t
-			}
-		}
-		lat := int64(opLatency(cfg, o))
+		start := t.operands(o, max(t.clock, u[best]))
 		switch o.Kind {
 		case ir.Load, ir.LoadSpec:
-			if lastStore > start {
-				start = lastStore
-			}
-			res.MemRefs++
+			start = max(start, lastStore)
 		case ir.Store:
-			if lastStore > start {
-				start = lastStore
-			}
+			start = max(start, lastStore)
 			lastStore = start + 1
-			res.MemRefs++
 		}
-		units[best] = start + 1 // pipelined: a new op every beat
-		res.Ops++
-		if isFloat(o.Kind) {
-			res.FloatOps++
-		}
-		if o.Dst != ir.None {
-			ready[regKey{depth, o.Dst}] = start + lat
-		}
-		switch o.Kind {
-		case ir.Br, ir.CondBr:
-			res.Branches++
-			// the block boundary: issue cannot proceed past an unresolved
-			// branch
-			if start+1 > clock {
-				clock = start + 1
-				slot = 0
-			}
+		u[best] = start + 1 // pipelined: a new op every beat
+		t.issue(o, start)
+		// the block boundary: issue cannot proceed past an unresolved branch
+		if (o.Kind == ir.Br || o.Kind == ir.CondBr) && start+1 > t.clock {
+			t.clock = start + 1
+			slot = 0
 		}
 	}
 	v, out, err := in.Run()
-	res.Beats = clock + 1
-	return res, v, out, err
+	return t.result(t.clock + 1), v, out, err
 }

@@ -18,41 +18,6 @@ type Profile map[string]EdgeWeights
 // → weight.
 type EdgeWeights = map[[2]int]float64
 
-// Edge returns the weight of edge from→to in function name (0 if absent).
-func (p Profile) Edge(name string, from, to int) float64 {
-	if p == nil {
-		return 0
-	}
-	return p[name][[2]int{from, to}]
-}
-
-// BlockWeight returns the total inbound weight of a block (entry blocks get
-// the function's total entry weight).
-func (p Profile) BlockWeight(f *Func, b int) float64 {
-	if p == nil || p[f.Name] == nil {
-		return 0
-	}
-	if b == 0 {
-		// entry weight = sum of returns is unknowable; approximate by the
-		// max of 1 and outbound weight of block 0
-		var w float64
-		for _, s := range f.Blocks[0].Succs() {
-			w += p.Edge(f.Name, 0, s)
-		}
-		if w < 1 {
-			w = 1
-		}
-		return w
-	}
-	var w float64
-	for e, c := range p[f.Name] {
-		if e[1] == b {
-			w += c
-		}
-	}
-	return w
-}
-
 // FunnyI32 is the "funny number" written by a failed speculative load (§7),
 // chosen to be recognizable in dumps.
 const FunnyI32 = int64(int32(-559038737)) // 0xDEADBEEF as i32
@@ -90,20 +55,24 @@ type Interp struct {
 	MaxDepth int
 	// Profile, when non-nil, accumulates edge counts during execution.
 	Profile Profile
-	// WatchStore, when non-nil, observes every store (address, raw value).
-	WatchStore func(ea int64, val uint64)
-	// OnOp, when non-nil, observes every executed op in dynamic order with
-	// its function and block; timing models (the scalar and scoreboard
-	// baselines) are built on this hook.
-	OnOp func(f *Func, block int, o *Op)
+	// OnOp, when non-nil, observes every executed op but a nop in dynamic
+	// order; timing models (the scalar and scoreboard baselines) are built on
+	// this hook.
+	OnOp func(o *Op)
 
-	mem      []byte
-	out      bytes.Buffer
-	steps    int64
-	sp       int64
-	depth    int
-	gaddr    map[string]int64
-	maxFrame int64
+	mem   []byte
+	out   bytes.Buffer
+	steps int64
+	sp    int64
+	depth int
+	gaddr map[string]int64
+	funcs map[string]*Func // callee by name, built once per Run
+	// regs holds every live call's registers, one frame above its caller's
+	// (top is the first free slot), and args passes a call's operands: a
+	// call allocates nothing once the slab has grown to the deepest one.
+	regs []uint64
+	top  int
+	args []uint64
 }
 
 // GlobalBase is the address of the first global; low memory is left unmapped
@@ -154,7 +123,14 @@ func (in *Interp) Run() (int32, string, error) {
 		}
 	}
 	in.sp = in.MemSize &^ 7
-	m := in.Prog.Func("main")
+	in.top = 0
+	in.funcs = make(map[string]*Func, len(in.Prog.Funcs))
+	for i := len(in.Prog.Funcs) - 1; i >= 0; i-- { // the first of a name wins, as in Program.Func
+		if f := in.Prog.Funcs[i]; !IsBuiltin(f.Name) {
+			in.funcs[f.Name] = f
+		}
+	}
+	m := in.funcs["main"]
 	if m == nil {
 		return 0, "", &RunError{"main", "not found"}
 	}
@@ -165,39 +141,46 @@ func (in *Interp) Run() (int32, string, error) {
 	return int32(v), in.out.String(), nil
 }
 
-// Output returns the output captured so far.
-func (in *Interp) Output() string { return in.out.String() }
-
+// call runs f on args in a fresh frame at the top of the register slab.
 func (in *Interp) call(f *Func, args []uint64) (uint64, error) {
 	if len(args) != len(f.Params) {
 		return 0, &RunError{f.Name, fmt.Sprintf("have %d args, want %d", len(args), len(f.Params))}
 	}
-	in.depth++
-	if in.depth > in.MaxDepth {
-		in.depth--
+	if in.depth >= in.MaxDepth {
 		return 0, &RunError{f.Name, "call depth limit exceeded"}
 	}
 	frame := (f.FrameSize + 7) &^ 7
-	in.sp -= frame
-	fp := in.sp
-	if fp < GlobalBase {
-		in.sp += frame
-		in.depth--
+	if in.sp-frame < GlobalBase {
 		return 0, &RunError{f.Name, "stack overflow"}
 	}
-	defer func() { in.sp += frame; in.depth-- }()
-	if frame > in.maxFrame {
-		in.maxFrame = frame
+	base, n := in.top, f.NumRegs()
+	if base+n > len(in.regs) {
+		in.regs = append(in.regs[:cap(in.regs)], make([]uint64, base+n)...)
 	}
-
-	regs := make([]uint64, f.NumRegs())
+	regs := in.regs[base : base+n]
+	clear(regs)
 	for i, p := range f.Params {
 		regs[p.Reg] = args[i]
 	}
-	prof := in.Profile[f.Name]
-	if in.Profile != nil && prof == nil {
-		prof = EdgeWeights{}
-		in.Profile[f.Name] = prof
+	in.sp -= frame
+	in.depth++
+	in.top = base + n
+	v, err := in.exec(f, base, in.sp)
+	in.top = base
+	in.depth--
+	in.sp += frame
+	return v, err
+}
+
+// exec runs f's blocks in the frame at regs[base:] with frame pointer fp.
+func (in *Interp) exec(f *Func, base int, fp int64) (uint64, error) {
+	regs := in.regs[base:in.top]
+	var prof EdgeWeights
+	if in.Profile != nil {
+		if prof = in.Profile[f.Name]; prof == nil {
+			prof = EdgeWeights{}
+			in.Profile[f.Name] = prof
+		}
 	}
 
 	b := 0
@@ -209,8 +192,8 @@ func (in *Interp) call(f *Func, args []uint64) (uint64, error) {
 			if in.steps > in.StepLimit {
 				return 0, &RunError{f.Name, "step limit exceeded"}
 			}
-			if in.OnOp != nil {
-				in.OnOp(f, b, o)
+			if in.OnOp != nil && o.Kind != Nop {
+				in.OnOp(o)
 			}
 			ri := func(k int) int32 { return int32(regs[o.Args[k]]) }
 			rf := func(k int) float64 { return math.Float64frombits(regs[o.Args[k]]) }
@@ -342,14 +325,8 @@ func (in *Interp) call(f *Func, args []uint64) (uint64, error) {
 				}
 				if o.Type == I32 {
 					binary.LittleEndian.PutUint32(in.mem[ea:], uint32(ri(1)))
-					if in.WatchStore != nil {
-						in.WatchStore(ea, uint64(uint32(ri(1))))
-					}
 				} else {
 					binary.LittleEndian.PutUint64(in.mem[ea:], math.Float64bits(rf(1)))
-					if in.WatchStore != nil {
-						in.WatchStore(ea, math.Float64bits(rf(1)))
-					}
 				}
 			case GAddr:
 				a, ok := in.gaddr[o.Sym]
@@ -360,22 +337,23 @@ func (in *Interp) call(f *Func, args []uint64) (uint64, error) {
 			case FrAddr:
 				seti(int32(fp + o.ImmI))
 			case Call:
-				if IsBuiltin(o.Sym) {
-					in.builtin(o.Sym, regs, o.Args)
-					break
-				}
-				callee := in.Prog.Func(o.Sym)
+				callee := in.funcs[o.Sym]
 				if callee == nil {
+					if IsBuiltin(o.Sym) {
+						in.builtin(o.Sym, regs, o.Args)
+						break
+					}
 					return 0, &RunError{f.Name, "unknown function " + o.Sym}
 				}
-				vals := make([]uint64, len(o.Args))
-				for k, a := range o.Args {
-					vals[k] = regs[a]
+				in.args = in.args[:0]
+				for _, a := range o.Args {
+					in.args = append(in.args, regs[a])
 				}
-				rv, err := in.call(callee, vals)
+				rv, err := in.call(callee, in.args)
 				if err != nil {
 					return 0, err
 				}
+				regs = in.regs[base:in.top] // the slab may have grown
 				if o.Dst != None {
 					regs[o.Dst] = rv
 				}

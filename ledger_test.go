@@ -111,3 +111,47 @@ func TestLedgerHasNoUnreachableWords(t *testing.T) {
 		})
 	}
 }
+
+// profileSerializes names the ledger programs that an exact profile
+// (Options.ProfileRun) builds with serialized instructions although the
+// heuristic builds them with none (ROADMAP item 1: a better profile must never
+// undo the compaction of the calling convention). A fix removes names here.
+var profileSerializes = map[string]bool{
+	"fib": true, "scanner": true, "gen03": true, "gen05": true, "gen07": true,
+	"gen08": true, "gen10": true, "gen12": true, "gen16": true, "gen17": true,
+	"gen20": true, "gen21": true, "gen23": true,
+}
+
+// TestProfileKeepsTransfersCompact builds every ledger program under the
+// heuristic and under its own profile (the interpreter's profiling run), and
+// holds the profile build to no serialized instruction wherever the heuristic
+// build has none, but for the recorded exceptions, each of which must still
+// be one.
+func TestProfileKeepsTransfersCompact(t *testing.T) {
+	serial := func(t *testing.T, src string, o Options) int {
+		art, err := Build(context.Background(), src, o)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		n := 0
+		for _, fc := range art.Result().Funcs {
+			n += fc.SerialInstrs
+		}
+		return n
+	}
+	for _, p := range testmatrix.Ledger(t) {
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			if serial(t, p.Src, Options{}) != 0 {
+				return
+			}
+			got := serial(t, p.Src, Options{ProfileRun: true})
+			switch {
+			case got != 0 && !profileSerializes[p.Name]:
+				t.Errorf("%d serialized instructions under the profile, none under the heuristic", got)
+			case got == 0 && profileSerializes[p.Name]:
+				t.Errorf("no serialized instruction under the profile any more: remove %s from profileSerializes", p.Name)
+			}
+		})
+	}
+}

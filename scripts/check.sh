@@ -140,6 +140,37 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '\b(forwardMoves|collapseAdd
 	exit 1
 fi
 
+echo "== the reference machines: one register slab in ir.Interp, one timing core for the baselines"
+# Ready times live in per-call frames of the baselines' timing core, whose
+# latencies come from one table per configuration; the interpreter keeps no
+# hook or profile reader that nothing calls.
+if gosrc -n '\bregKey\b|map\[regKey\]' ||
+	grep -rnE --include='*.go' '\bopLatency\b' internal/baseline ||
+	grep -rnE --include='*.go' '\b(WatchStore|BlockWeight)\b|\) (Output|Edge)\(' internal/ir; then
+	echo "check: a map-keyed ready table, a per-op latency switch or a deleted ir.Interp/ir.Profile method is back (baseline.timing, ir.Interp)"
+	exit 1
+fi
+
+echo "== the verify notes name tests that exist"
+# Every test, fuzz target or benchmark .claude/skills/verify/SKILL.md names
+# must be a function of some _test.go, or the prefix of some (TestRegion
+# stands for the TestRegion* cases), and every -run pattern it gives must
+# match one.
+skill=.claude/skills/verify/SKILL.md
+defined=$(grep -rhoE --include='*_test.go' --exclude-dir=.bench_build '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' . | cut -c6- | sort -u)
+for name in $(grep -oE '\b(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*' "$skill" | sort -u); do
+	if ! echo "$defined" | grep -q "^$name"; then
+		echo "check: $skill names $name, which no _test.go defines"
+		exit 1
+	fi
+done
+for pat in $(grep -oE -- "-run[ =]+('[^']*'|[^ '\`]+)" "$skill" | sed -E "s/^-run[ =]+//; s/'//g" | tr '|' '\n' | grep -vx '\^\$' | sort -u); do
+	if ! echo "$defined" | grep -qE -- "$pat"; then
+		echo "check: $skill runs -run $pat, which matches no test"
+		exit 1
+	fi
+done
+
 echo "== one home for the optimisation level (opt.Level)"
 if gosrc -n --exclude='*_test.go' 'UnrollFactor: 4' | grep -v -e '^\./internal/opt/' -e '^\./internal/xp/'; then
 	echo "check: the -O1 options are spelled out again (use opt.Level)"
