@@ -162,14 +162,19 @@ func Scalar(prog *ir.Program, cfg mach.Config) (Result, int32, string, error) {
 func ScalarBudget(prog *ir.Program, cfg mach.Config, stepLimit int64) (Result, int32, string, error) {
 	t := newTiming(prog, &cfg)
 	in := &ir.Interp{Prog: prog, StepLimit: stepLimit}
-	in.OnOp = func(o *ir.Op) {
-		if o.Kind == ir.Call || o.Kind == ir.Ret {
-			t.transfer(o, 1)
-			return
+	in.OnOps = func(ops []ir.Op) {
+		for i := range ops {
+			o := &ops[i]
+			switch o.Kind {
+			case ir.Nop:
+			case ir.Call, ir.Ret:
+				t.transfer(o, 1)
+			default:
+				start := t.operands(o, t.clock)
+				t.issue(o, start)
+				t.clock = start + 1
+			}
 		}
-		start := t.operands(o, t.clock)
-		t.issue(o, start)
-		t.clock = start + 1
 	}
 	v, out, err := in.Run()
 	return t.result(t.clock), v, out, err

@@ -40,42 +40,49 @@ func ScoreboardWide(prog *ir.Program, cfg mach.Config, width int) (Result, int32
 	var lastStore int64 // conservative in-flight memory ordering
 
 	in := &ir.Interp{Prog: prog}
-	in.OnOp = func(o *ir.Op) {
-		if o.Kind == ir.Call || o.Kind == ir.Ret {
-			t.transfer(o, 2)
-			slot = 0
-			return
-		}
-		// the issue slot itself: width ops share a beat
-		slot++
-		if slot >= width {
-			t.clock++
-			slot = 0
-		}
-		// Reservation stations: issue hands the op to a station and moves
-		// on; execution starts when the operands arrive and the (pipelined)
-		// unit is free.
-		u := units[t.unit[o.Kind]]
-		best := 0
-		for i := 1; i < len(u); i++ {
-			if u[i] < u[best] {
-				best = i
+	in.OnOps = func(ops []ir.Op) {
+		for i := range ops {
+			o := &ops[i]
+			switch o.Kind {
+			case ir.Nop:
+				continue
+			case ir.Call, ir.Ret:
+				t.transfer(o, 2)
+				slot = 0
+				continue
 			}
-		}
-		start := t.operands(o, max(t.clock, u[best]))
-		switch o.Kind {
-		case ir.Load, ir.LoadSpec:
-			start = max(start, lastStore)
-		case ir.Store:
-			start = max(start, lastStore)
-			lastStore = start + 1
-		}
-		u[best] = start + 1 // pipelined: a new op every beat
-		t.issue(o, start)
-		// the block boundary: issue cannot proceed past an unresolved branch
-		if (o.Kind == ir.Br || o.Kind == ir.CondBr) && start+1 > t.clock {
-			t.clock = start + 1
-			slot = 0
+			// the issue slot itself: width ops share a beat
+			slot++
+			if slot >= width {
+				t.clock++
+				slot = 0
+			}
+			// Reservation stations: issue hands the op to a station and
+			// moves on; execution starts when the operands arrive and the
+			// (pipelined) unit is free.
+			u := units[t.unit[o.Kind]]
+			best := 0
+			for j := 1; j < len(u); j++ {
+				if u[j] < u[best] {
+					best = j
+				}
+			}
+			start := t.operands(o, max(t.clock, u[best]))
+			switch o.Kind {
+			case ir.Load, ir.LoadSpec:
+				start = max(start, lastStore)
+			case ir.Store:
+				start = max(start, lastStore)
+				lastStore = start + 1
+			}
+			u[best] = start + 1 // pipelined: a new op every beat
+			t.issue(o, start)
+			// the block boundary: issue cannot proceed past an unresolved
+			// branch
+			if (o.Kind == ir.Br || o.Kind == ir.CondBr) && start+1 > t.clock {
+				t.clock = start + 1
+				slot = 0
+			}
 		}
 	}
 	v, out, err := in.Run()

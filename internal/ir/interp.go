@@ -55,10 +55,13 @@ type Interp struct {
 	MaxDepth int
 	// Profile, when non-nil, accumulates edge counts during execution.
 	Profile Profile
-	// OnOp, when non-nil, observes every executed op but a nop in dynamic
-	// order; timing models (the scalar and scoreboard baselines) are built on
-	// this hook.
-	OnOp func(o *Op)
+	// OnOps, when non-nil, observes every executed op in dynamic order, one
+	// straight run of a block at a time: a run ends at a call or at the
+	// block's terminator and is observed before that op executes, so a
+	// callee's ops come after the call that enters them (a run a fault cuts
+	// short is not observed). Timing models (the scalar and scoreboard
+	// baselines) are built on this hook.
+	OnOps func(ops []Op)
 
 	mem   []byte
 	out   bytes.Buffer
@@ -186,14 +189,16 @@ func (in *Interp) exec(f *Func, base int, fp int64) (uint64, error) {
 	b := 0
 	for {
 		blk := f.Blocks[b]
+		run := 0 // the first op OnOps has not observed
 		for i := range blk.Ops {
 			o := &blk.Ops[i]
 			in.steps++
 			if in.steps > in.StepLimit {
 				return 0, &RunError{f.Name, "step limit exceeded"}
 			}
-			if in.OnOp != nil && o.Kind != Nop {
-				in.OnOp(o)
+			if in.OnOps != nil && (o.Kind == Call || o.Kind.IsTerminator()) {
+				in.OnOps(blk.Ops[run : i+1])
+				run = i + 1
 			}
 			ri := func(k int) int32 { return int32(regs[o.Args[k]]) }
 			rf := func(k int) float64 { return math.Float64frombits(regs[o.Args[k]]) }
