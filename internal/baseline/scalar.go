@@ -41,9 +41,10 @@ type timing struct {
 	issued [256]int64 // by op kind
 	lat    [256]int64
 	unit   [256]uint8
-	// ready holds one frame of stride beats per live call, the current one at
-	// frame. A call's frame starts all-ready: a callee never waits on a write
-	// an earlier callee made to the same register number.
+	// ready holds one frame of stride beats (the most registers a function
+	// names) per live call, the current one at frame. A call's frame starts
+	// all-ready: a callee never waits on a write an earlier callee made to
+	// the same register number.
 	ready         []int64
 	frame, stride int
 }

@@ -84,16 +84,16 @@ go test -run '^$' -bench 'Reference' -benchtime=20x -count=1 . | tee -a "$raw"
 # host do not.
 #
 # The reference machines keep every call's registers and ready times in one
-# slab per run and resolve callees through one index: 464–477 allocs a pass
+# slab per run and resolve callees through one index: 464–478 allocs a pass
 # for the interpreter (a 1 MiB memory, the globals' map and the output of each
-# of 38 programs), 703–728 for the scalar baseline and 950–962 for the
+# of 38 programs), 703–732 for the scalar baseline and 950–962 for the
 # scoreboard as measured, so the ceilings sit about 25 % above. A fresh
-# register slice per call read 48 634–48 639, 49 371–49 379 and 49 643–49 648.
+# register slice per call read 48 634–48 639, 49 371–49 380 and 49 640–49 648.
 # The one ns/op gate is a ratio within the run: the scalar baseline is the
-# interpreter plus a timing hook per op, and that hook may cost at most as
-# much as interpreting the op. Six runs of this line on the 2-vCPU reference
-# host read 1.45–1.98x (mean 1.62); with a map lookup per operand and the
-# configuration copied per op it read 5.0–8.3x.
+# interpreter plus the timing of each straight run of ops it hands over, and
+# that timing may cost at most as much as interpreting the ops. Nine runs of
+# this line on the 2-vCPU reference host read 1.47–1.88x; with a map lookup
+# per operand and the configuration copied per op it read 5.0–8.3x.
 go run ./cmd/benchjson -baseline scripts/bench_baseline.txt \
 	-require 'BenchmarkSimulatorFast=0.90,BenchmarkSimulatorNative=0.90,BenchmarkSimulator=2.26' \
 	-require-ratio 'BenchmarkReference/interp/BenchmarkReference/scalar=0.50' \
