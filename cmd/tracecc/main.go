@@ -55,6 +55,10 @@ func main() {
 	stopProfiles = stop
 	defer stop()
 
+	if err := mach.CheckPairs(*pairs); err != nil {
+		fmt.Fprintf(os.Stderr, "tracecc: -pairs: %v\n", err)
+		os.Exit(2)
+	}
 	cfg := mach.NewConfig(*pairs)
 	if *ideal {
 		cfg = mach.IdealConfig(*pairs)

@@ -44,6 +44,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -106,12 +107,10 @@ type safetyJSON struct {
 	CertLevel string     `json:"cert_level"`
 	Sites     []siteJSON `json:"sites"`
 
-	// What the analysis cost, for the text summary line only: the two work
-	// counters repeat exactly, the wall time does not, so none of them is
-	// part of the -json schema.
-	Transfers    int           `json:"-"`
-	NarrowRounds int           `json:"-"`
-	Elapsed      time.Duration `json:"-"`
+	// For the text output only: the report (its sites and transfer count,
+	// which repeats exactly) and the wall time, which does not.
+	rep     *safecheck.Report
+	Elapsed time.Duration `json:"-"`
 }
 
 // resultJSON is one file × configuration element of the -json array.
@@ -148,8 +147,7 @@ func lintOne(ctx context.Context, path, src string, c config, withSafety bool) (
 		srep := art.Safety()
 		sj := &safetyJSON{
 			Proven: srep.Proven(), Total: srep.Total(), Exhausted: srep.Exhausted,
-			Sites:     []siteJSON{},
-			Transfers: srep.Transfers, NarrowRounds: srep.NarrowRounds, Elapsed: time.Since(start),
+			Sites: []siteJSON{}, rep: srep, Elapsed: time.Since(start),
 		}
 		switch {
 		case r.Errors > 0:
@@ -183,33 +181,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var configs []config
-	if *matrix {
-		for _, lvl := range []int{0, 1, 2} {
-			o, _ := opt.Level(lvl)
-			for _, p := range []int{1, 2, 4} {
-				configs = append(configs, config{fmt.Sprintf("O%d/trace%d", lvl, 7*p), mach.NewConfig(p), o})
-			}
-		}
-	} else {
-		cfg := mach.NewConfig(*pairs)
-		if *ideal {
-			cfg = mach.IdealConfig(*pairs)
-		}
-		o, err := opt.Level(*olevel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracelint: -O: %v\n", err)
-			os.Exit(2)
-		}
-		configs = append(configs, config{fmt.Sprintf("O%d/%s", *olevel, cfg.Name), cfg, o})
+	configs, err := configsFor(*matrix, *ideal, *pairs, *olevel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracelint: %v\n", err)
+		os.Exit(2)
 	}
 
-	expected := map[string]bool{}
-	for _, cell := range strings.Split(*skip, ",") {
-		if cell != "" {
-			expected[cell] = true
-		}
-	}
+	expected := strings.Split(*skip, ",")
 
 	// SIGINT cancels the in-flight compile at the next pass boundary.
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -240,7 +218,7 @@ func main() {
 		for _, c := range configs {
 			r, e, err := lintOne(ctx, path, src, c, *safety)
 			if err != nil {
-				if isCapacityReject(err) && (*corpus || expected[filepath.Base(path)+":"+c.name]) {
+				if isCapacityReject(err) && (*corpus || slices.Contains(expected, filepath.Base(path)+":"+c.name)) {
 					// A corpus program, or a configuration named by -skip,
 					// honestly rejected on a narrow machine is a skip, exactly
 					// as in the fuzz oracle.
@@ -271,6 +249,34 @@ func main() {
 	os.Exit(exit)
 }
 
+// configsFor returns the configurations to check: O0/O1/O2 × Trace 7/14/28
+// under -matrix, otherwise the one -pairs/-O machine. A flag value no machine
+// or level has is an error, which main reports as a usage error.
+func configsFor(matrix, ideal bool, pairs, olevel int) ([]config, error) {
+	if matrix {
+		var configs []config
+		for _, lvl := range []int{0, 1, 2} {
+			o, _ := opt.Level(lvl)
+			for _, p := range []int{1, 2, 4} {
+				configs = append(configs, config{fmt.Sprintf("O%d/trace%d", lvl, 7*p), mach.NewConfig(p), o})
+			}
+		}
+		return configs, nil
+	}
+	if err := mach.CheckPairs(pairs); err != nil {
+		return nil, fmt.Errorf("-pairs: %w", err)
+	}
+	o, err := opt.Level(olevel)
+	if err != nil {
+		return nil, fmt.Errorf("-O: %w", err)
+	}
+	cfg := mach.NewConfig(pairs)
+	if ideal {
+		cfg = mach.IdealConfig(pairs)
+	}
+	return []config{{fmt.Sprintf("O%d/%s", olevel, cfg.Name), cfg, o}}, nil
+}
+
 // printResult renders one file × configuration verdict as text: errors
 // always, warnings and the summary under -v, and the per-site safety
 // verdicts under -safety.
@@ -293,23 +299,13 @@ func printResult(w io.Writer, path, cname string, r resultJSON, verbose bool) {
 		return
 	}
 	s := r.Safety
-	for _, site := range s.Sites {
-		if site.Proven && !verbose {
-			continue // by default only the sites that keep their guards
+	for _, site := range s.rep.Sites {
+		if !site.Proven || verbose { // by default only the sites that keep their guards
+			fmt.Fprintf(w, "%s [%s]: %s\n", path, cname, site.String())
 		}
-		verdict := "unproven"
-		if site.Proven {
-			verdict = "proven"
-		}
-		at := ""
-		if site.Func != "" {
-			at = fmt.Sprintf(" (%s:%d)", site.Func, site.Line)
-		}
-		fmt.Fprintf(w, "%s [%s]: %s[%s] word=%d beat=%d unit=%s%s: %s\n",
-			path, cname, verdict, site.Kind, site.Word, site.Beat, site.Unit, at, site.Detail)
 	}
-	fmt.Fprintf(w, "%s [%s]: safety: %d/%d guarded sites proven (cert level %s; %d transfers, %d narrowing rounds, %s)\n",
-		path, cname, s.Proven, s.Total, s.CertLevel, s.Transfers, s.NarrowRounds, s.Elapsed.Round(10*time.Microsecond))
+	fmt.Fprintf(w, "%s [%s]: safety: %d/%d guarded sites proven (cert level %s; %d transfers, %s)\n",
+		path, cname, s.Proven, s.Total, s.CertLevel, s.rep.Transfers, s.Elapsed.Round(10*time.Microsecond))
 }
 
 // findingText reconstructs schedcheck's text rendering from the JSON form.

@@ -97,3 +97,30 @@ func TestJSONGoldenValid(t *testing.T) {
 		t.Fatalf("golden file lost its shape: %+v", rs)
 	}
 }
+
+// TestConfigsRefuseBadFlags: a -pairs or -O value no machine or level has is
+// a usage error (main exits 2 with the message), never a panic in
+// mach.NewConfig; -matrix names its own machines and levels.
+func TestConfigsRefuseBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		pairs, olevel int
+		ideal         bool
+		want          string
+	}{
+		{3, 2, false, "-pairs: mach: pairs must be 1, 2, or 4 (got 3)"},
+		{0, 2, false, "-pairs: mach: pairs must be 1, 2, or 4 (got 0)"},
+		{3, 2, true, "-pairs: mach: pairs must be 1, 2, or 4 (got 3)"},
+		{4, 5, false, "-O: opt: level must be 0, 1, or 2 (got 5)"},
+	} {
+		_, err := configsFor(false, c.ideal, c.pairs, c.olevel)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("-pairs %d -O %d -ideal=%t: error %v, want %q", c.pairs, c.olevel, c.ideal, err, c.want)
+		}
+	}
+	if cs, err := configsFor(false, false, 2, 1); err != nil || len(cs) != 1 || cs[0].cfg.Pairs != 2 || cs[0].name != "O1/TRACE 14/200" {
+		t.Errorf("-pairs 2 -O 1: %+v, %v", cs, err)
+	}
+	if cs, err := configsFor(true, false, 3, 5); err != nil || len(cs) != 9 {
+		t.Errorf("-matrix: %d configurations, %v; want 9", len(cs), err)
+	}
+}

@@ -109,6 +109,10 @@ func main() {
 	stopProfiles = stop
 	defer stop()
 
+	if err := mach.CheckPairs(*pairs); err != nil {
+		fmt.Fprintf(os.Stderr, "tracesim: -pairs: %v\n", err)
+		os.Exit(2)
+	}
 	cfg := mach.NewConfig(*pairs)
 	lvl, err := opt.Level(*olevel)
 	if err != nil {

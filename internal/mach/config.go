@@ -124,11 +124,20 @@ type Config struct {
 	MultiwayBranch bool
 }
 
-// NewConfig returns a TRACE with the given number of I-F pairs and all
-// paper-standard parameters. Pairs must be 1, 2, or 4.
-func NewConfig(pairs int) Config {
+// CheckPairs reports whether NewConfig builds a machine of this many I-F
+// pairs: 1, 2, or 4.
+func CheckPairs(pairs int) error {
 	if pairs != 1 && pairs != 2 && pairs != 4 {
-		panic(fmt.Sprintf("mach: invalid pair count %d", pairs))
+		return fmt.Errorf("mach: pairs must be 1, 2, or 4 (got %d)", pairs)
+	}
+	return nil
+}
+
+// NewConfig returns a TRACE with the given number of I-F pairs and all
+// paper-standard parameters. It panics unless CheckPairs accepts pairs.
+func NewConfig(pairs int) Config {
+	if err := CheckPairs(pairs); err != nil {
+		panic(err)
 	}
 	return Config{
 		Name:  fmt.Sprintf("TRACE %d/200", pairs*7),

@@ -3,7 +3,6 @@ package safecheck
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/isa"
@@ -25,32 +24,39 @@ import (
 // the resource certificate first.
 
 const (
-	widenAt       = 8     // joins at one word before widening kicks in
-	narrowRounds  = 64    // descending-sweep cap after the ascending fixpoint
+	widenAt       = 8     // transfers of a component head before joins into it widen
 	defaultBudget = 50000 // word-transfer cap before the analysis gives up
 )
 
 type analyzer struct {
 	img    *isa.Image
-	succ   [][]int
 	memLen int64
 	src    schedcheck.SourceMap
-	fnames []string
-	fbases []int
 
 	budget    int
 	transfers int
+	starved   bool // a word needed a transfer after the budget ran out
+	names     *regNames
+	pool      statePool
+	plans     []wordPlan
 
-	names *regNames
-	pool  statePool
-	plans []wordPlan
+	// The iteration (see fixpoint): the weak topological order, each word's
+	// in-edges, and what the ascending phase accumulates at component heads.
+	order  []int
+	end    []int // end[i] > i: order[i] heads the component order[i:end[i]]; else i
+	ins    [][]*edgePlan
+	in     []*state
+	visits []int
+	dirty  []bool
+	widen  bool
+	boot   *state
 
 	// Scratch reused by every transfer: the one wordOut the transfer function
 	// runs in, the edge state a refining branch copies the out-state into,
-	// the entry-state snapshot self-looping words need, and small buffers.
+	// the join of a word's in-edges, and small buffers.
 	out    wordOut
 	edgeSt *state
-	s0Copy *state
+	joined *state
 	writes []write
 	seen   []bool
 	queue  []clampItem
@@ -596,13 +602,13 @@ func (a *analyzer) evalOp(st *state, o *mach.Op) Val {
 type wordPlan struct {
 	edges []edgePlan
 	brs   []mach.Arg // conditions of the word's conditional branches, slot order
-	self  bool       // the word is its own successor
 }
 
 type edgePlan struct {
 	to   int
 	mode uint8
 	arg  mach.Arg // edgeTaken: the condition that tested true
+	st   *state   // what the edge carried at its source's last transfer; nil: nothing
 }
 
 const (
@@ -611,8 +617,7 @@ const (
 	edgeFall               // fallthrough: every branch test in the word was false
 )
 
-func (a *analyzer) planWord(w int) wordPlan {
-	succ := a.succ[w]
+func (a *analyzer) planWord(w int, succ []int) wordPlan {
 	var p wordPlan
 	if len(succ) == 0 {
 		return p
@@ -663,19 +668,19 @@ func (a *analyzer) planWord(w int) wordPlan {
 				e.mode = edgeFall
 			}
 		}
-		p.self = p.self || t == w
 		p.edges = append(p.edges, e)
 	}
 	return p
 }
 
-// edges streams the live out-edges of word w — whose transfer from s0 sits
-// in a.out — to flow, with branch-predicate refinement applied. An edge that
-// refines nothing passes the out-state itself; one that does passes the
-// analyzer's edge scratch state. Either is only valid during the call.
-// Refinement is valid only for registers the word itself did not write
-// (their out-state value is the one the branch tested).
-func (a *analyzer) edges(w int, s0 *state, flow func(t int, st *state)) {
+// edges streams the out-edges of word w — whose transfer from s0 sits in
+// a.out — to flow, with branch-predicate refinement applied; an edge the
+// refinement proves dead passes nil. An edge that refines nothing passes the
+// out-state itself; one that does passes the analyzer's edge scratch state.
+// Either is only valid during the call. Refinement is valid only for
+// registers the word itself did not write (their out-state value is the one
+// the branch tested).
+func (a *analyzer) edges(w int, s0 *state, flow func(e *edgePlan, st *state)) {
 	p := &a.plans[w]
 	for i := range p.edges {
 		e := &p.edges[i]
@@ -692,9 +697,10 @@ func (a *analyzer) edges(w int, s0 *state, flow func(t int, st *state)) {
 				}
 			}
 		}
-		if live {
-			flow(e.to, r.st)
+		if !live {
+			r.st = nil
 		}
+		flow(e, r.st)
 	}
 }
 
@@ -1015,215 +1021,231 @@ func (a *analyzer) setBoot(s *state) {
 }
 
 func (a *analyzer) funcOf(w int) string {
-	i := sort.SearchInts(a.fbases, w+1) - 1
-	if i < 0 {
-		return ""
-	}
-	name := a.fnames[i]
-	if w < a.fbases[i]+a.img.FuncLen[name] {
-		return name
+	for name, base := range a.img.FuncBase {
+		if w >= base && w < base+a.img.FuncLen[name] {
+			return name
+		}
 	}
 	return ""
 }
 
-// run drives the fixpoint: ascending worklist with widening, then a bounded
-// number of descending sweeps (one parallel application of the transfer
-// function each — monotone, so the result stays above the least fixpoint),
-// then the reporting sweep that mints per-site verdicts into rep.
+// run drives the fixpoint, then the reporting sweep mints per-site verdicts
+// into rep; with no fixpoint to report from, every site is unproven.
 func (a *analyzer) run(rep *Report) {
+	if reason := a.fixpoint(rep); reason != "" {
+		for w := range a.img.Instrs {
+			a.sweep(rep, w, false, reason)
+		}
+		return
+	}
+	for w := range a.img.Instrs {
+		if s0 := a.entry(w); s0 != nil {
+			a.xfer(w, s0, rep)
+		} else {
+			a.sweep(rep, w, true, "unreachable: no path executes this site")
+		}
+	}
+}
+
+// fixpoint runs one strategy for both phases (Bourdoncle, "Efficient chaotic
+// iteration strategies with widenings", FMPA 1993): walk the weak topological
+// order of the reachable words, stabilising each component until its head's
+// entry state stops changing. A word is visited only when something one of
+// its in-edges carries has changed; it joins them, transfers once and pushes
+// its refined out-edges. The ascending phase accumulates each head's entry
+// state, widening after widenAt transfers; the descending phase walks the
+// same order, every head marked, until no state changes. Each descending
+// step applies the transfer system to states that already cover every
+// execution, so it is sound wherever the budget stops it; an ascending phase
+// cut short is not, and gives up.
+func (a *analyzer) fixpoint(rep *Report) (giveUp string) {
 	n := len(a.img.Instrs)
 	entry := a.img.Entry
 	if n == 0 || entry < 0 || entry >= n {
-		a.sweepUnproven(rep, "no entry point: analysis not run")
-		return
+		return "no entry point: analysis not run"
 	}
-
 	a.names = nameRegs(a.img.Instrs)
-	nr := a.names.n
-	a.pool.nr = nr
-	a.out.st = a.pool.get()
-	a.out.wrote = make([]uint8, nr)
-	a.edgeSt, a.s0Copy = a.pool.get(), a.pool.get()
-	a.seen = make([]bool, nr)
-	a.plans = make([]wordPlan, n)
-	preds := make([][]int, n)
+	a.pool.nr = a.names.n
+	a.out.st, a.edgeSt, a.joined, a.boot = a.pool.get(), a.pool.get(), a.pool.get(), a.pool.get()
+	a.out.wrote, a.seen = make([]uint8, a.names.n), make([]bool, a.names.n)
+	a.setBoot(a.boot)
+	succ, _ := schedcheck.CFG(a.img)
+	a.plans, a.ins = make([]wordPlan, n), make([][]*edgePlan, n)
 	for w := range a.plans {
-		a.plans[w] = a.planWord(w)
+		a.plans[w] = a.planWord(w, succ[w])
 		for i := range a.plans[w].edges {
-			t := a.plans[w].edges[i].to
-			preds[t] = append(preds[t], w)
+			e := &a.plans[w].edges[i]
+			a.ins[e.to] = append(a.ins[e.to], e)
 		}
 	}
+	a.wto(entry)
+	a.in, a.visits, a.dirty = make([]*state, n), make([]int, n), make([]bool, n)
 
-	// in[w] is the entry state of word w, nil until some path reaches it.
-	in := make([]*state, n)
-	joins := make([]int, n)
-	inWork := make([]bool, n)
-	work := []int{entry}
-	in[entry] = a.pool.get()
-	a.setBoot(in[entry])
-	inWork[entry] = true
+	a.widen, a.dirty[entry] = true, true
+	if a.stabilize(0, len(a.order)); a.starved {
+		rep.Exhausted = true
+		return "analysis budget exhausted: value ranges unavailable"
+	}
+	a.widen = false
+	for i, end := range a.end {
+		a.dirty[a.order[i]] = end > i
+	}
+	a.stabilize(0, len(a.order))
+	return ""
+}
 
-	ascend := func(t int, st *state) {
-		if in[t] == nil {
-			in[t] = a.pool.clone(st)
-		} else {
-			if !in[t].join(st, joins[t]+1 > widenAt) {
-				return
+// wto computes the weak topological order of the words reachable from entry
+// over the plan edges (Bourdoncle's algorithm): a.order lists them so that
+// every edge runs forward except one into the head of a component that holds
+// its source, and a.end marks the components. Every cycle passes through a
+// head, so widening at heads alone makes the ascending phase terminate.
+func (a *analyzer) wto(entry int) {
+	dfn := make([]int, len(a.plans)) // 0: not yet seen; MaxInt: placed
+	var stack, rev, begin []int      // rev: the order reversed; begin: where each entry's body starts in rev
+	num := 0
+	var visit func(v int) int
+	visit = func(v int) int {
+		stack = append(stack, v)
+		num++
+		dfn[v] = num
+		head, loop := num, false
+		for _, e := range a.plans[v].edges {
+			low := dfn[e.to]
+			if low == 0 {
+				low = visit(e.to)
 			}
-			joins[t]++
-		}
-		if !inWork[t] {
-			inWork[t] = true
-			work = append(work, t)
-		}
-	}
-	for len(work) > 0 {
-		if a.budget <= 0 {
-			rep.Exhausted = true
-			a.sweepUnproven(rep, "analysis budget exhausted: value ranges unavailable")
-			return
-		}
-		w := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[w] = false
-		s0 := in[w]
-		if a.plans[w].self {
-			// the self-edge joins into in[w] while later edges still refine
-			// against the entry state this transfer started from
-			a.s0Copy.copyFrom(s0)
-			s0 = a.s0Copy
-		}
-		a.budget--
-		a.xfer(w, s0, nil)
-		a.edges(w, s0, ascend)
-	}
-
-	// Descending sweeps: recompute entry states from scratch as the join of
-	// their (refined) incoming edges, recovering the precision the widening
-	// threw away. Each sweep reads only the previous iterate and is
-	// independently sound (it applies one parallel step of the sound
-	// transfer system to a superset of the reachable states), so iterating
-	// until the states stop changing — bounded by narrowRounds and the
-	// transfer budget — is safe and lets a narrowed loop bound propagate
-	// through arbitrarily long loop bodies.
-	//
-	// The sweeps are incremental. The new entry state of t is a function of
-	// the previous states of t's predecessors alone, so it can differ from
-	// the current one only if a predecessor's state changed in the previous
-	// round. A round therefore recomputes just those targets — transferring
-	// each of their predecessors once, in word order, exactly as a full sweep
-	// would — and every other word keeps its state. The first round starts
-	// from "every reachable word changed", which makes it a full sweep: a
-	// reachable word other than the entry is some reachable word's successor.
-	// The sequence of iterates is the full Jacobi sweep's; converged regions
-	// simply stop being re-swept. A round is still charged to the
-	// budget at the full sweep's price, one unit per reachable word, so where
-	// the budget cuts narrowing short — and with it every verdict — does not
-	// depend on how little of the sweep had to be executed.
-	nin := make([]*state, n)
-	recompute := make([]bool, n) // targets whose entry state is rebuilt this round
-	source := make([]bool, n)    // words with a successor being rebuilt
-	var changed []int            // words whose entry state the previous round changed
-	for w := range in {
-		if in[w] != nil {
-			changed = append(changed, w)
-		}
-	}
-	descend := func(t int, st *state) {
-		if !recompute[t] {
-			return
-		}
-		if nin[t] == nil {
-			nin[t] = a.pool.clone(st)
-		} else {
-			nin[t].join(st, false)
-		}
-	}
-	for round := 0; round < narrowRounds; round++ {
-		if a.budget <= 0 {
-			break // keep the last iterate: still sound, just less precise
-		}
-		rep.NarrowRounds++
-		clear(recompute)
-		clear(source)
-		for _, w := range changed {
-			for i := range a.plans[w].edges {
-				recompute[a.plans[w].edges[i].to] = true
+			if low <= head {
+				head, loop = low, true
 			}
 		}
-		for t, re := range recompute {
-			if re {
-				for _, p := range preds[t] {
-					source[p] = true
+		if head != dfn[v] {
+			return head
+		}
+		for x := -1; x != v; { // v's component leaves the stack, to be numbered again
+			x, stack = stack[len(stack)-1], stack[:len(stack)-1]
+			dfn[x] = 0
+		}
+		dfn[v] = math.MaxInt
+		b := len(rev) + 1 // a plain word: no body
+		if loop {
+			b = len(rev)
+			for _, e := range a.plans[v].edges {
+				if dfn[e.to] == 0 {
+					visit(e.to)
 				}
 			}
 		}
-		if recompute[entry] {
-			nin[entry] = a.pool.get()
-			a.setBoot(nin[entry])
-		}
-		for w := 0; w < n; w++ {
-			if in[w] == nil {
-				continue
-			}
-			a.budget--
-			if source[w] {
-				a.xfer(w, in[w], nil)
-				a.edges(w, in[w], descend)
-			}
-		}
-		changed = changed[:0]
-		for t, re := range recompute {
-			if !re {
-				continue
-			}
-			next := nin[t]
-			nin[t] = nil
-			switch {
-			case next != nil && in[t] != nil && next.equal(in[t]):
-				a.pool.put(next)
-				continue
-			case next == nil && in[t] == nil:
-				continue
-			}
-			if in[t] != nil {
-				a.pool.put(in[t])
-			}
-			in[t] = next
-			changed = append(changed, t)
-		}
-		if len(changed) == 0 {
-			break
-		}
+		rev, begin = append(rev, v), append(begin, b)
+		return head
 	}
+	visit(entry)
+	slices.Reverse(rev)
+	slices.Reverse(begin)
+	for p := range begin {
+		begin[p] = len(rev) - begin[p]
+	}
+	a.order, a.end = rev, begin
+}
 
-	// Reporting sweep.
-	for w := 0; w < n; w++ {
-		if in[w] != nil {
-			a.xfer(w, in[w], rep)
-		} else {
-			a.wordUnreachable(rep, w)
+// stabilize iterates the elements of order[lo:hi]: a plain word once, a
+// component until its head's entry state stops changing.
+func (a *analyzer) stabilize(lo, hi int) {
+	for i := lo; i < hi && !a.starved; i++ {
+		w, end := a.order[i], a.end[i]
+		if end == i {
+			a.visit(w, false)
+			continue
 		}
+		for first := true; first || a.dirty[w] && !a.starved; first = false {
+			a.visit(w, true)
+			a.stabilize(i+1, end)
+		}
+		i = end - 1
 	}
 }
 
-// sweepUnproven emits every site as unproven with a blanket reason (budget
-// exhaustion, missing entry) — the sound answer when no fixpoint exists.
-func (a *analyzer) sweepUnproven(rep *Report, reason string) {
-	for w := range a.img.Instrs {
-		a.eachSite(w, func(s *mach.SlotOp) {
-			rep.add(a.site(w, s, false, reason))
-		})
+// visit recomputes word w's entry state if one of its in-edges changed,
+// transfers the word and records what each out-edge carries now.
+func (a *analyzer) visit(w int, head bool) {
+	if !a.dirty[w] {
+		return
 	}
+	if a.budget <= 0 {
+		a.starved = true
+		return
+	}
+	a.dirty[w] = false
+	s0 := a.entry(w)
+	if head && a.widen {
+		switch in := a.in[w]; {
+		case s0 == nil:
+			return
+		case in == nil:
+			a.in[w] = a.pool.clone(s0)
+		case !in.join(s0, a.visits[w] >= widenAt):
+			return
+		}
+		a.visits[w]++
+		s0 = a.in[w]
+	}
+	if s0 == nil {
+		for i := range a.plans[w].edges {
+			a.carry(&a.plans[w].edges[i], nil)
+		}
+		return
+	}
+	a.budget--
+	a.xfer(w, s0, nil)
+	a.edges(w, s0, a.carry)
 }
 
-// wordUnreachable emits the sites of a word no abstract path reaches. The
-// abstraction over-approximates reachable concrete states, so these sites
-// provably never execute — trivially safe.
-func (a *analyzer) wordUnreachable(rep *Report, w int) {
+// carry records what edge e carries now (nil: nothing) and marks its target
+// for a visit if that changed.
+func (a *analyzer) carry(e *edgePlan, st *state) {
+	switch {
+	case st == nil && e.st == nil, st != nil && e.st != nil && e.st.equal(st):
+		return
+	case st == nil:
+		a.pool.put(e.st)
+		e.st = nil
+	case e.st == nil:
+		e.st = a.pool.clone(st)
+	default:
+		e.st.copyFrom(st)
+	}
+	a.dirty[e.to] = true
+}
+
+// entry is the join of what word w's in-edges carry, and of the boot state
+// at the image entry; nil when nothing reaches w. A lone carrier is returned
+// itself, a join lives in the analyzer's scratch state.
+func (a *analyzer) entry(w int) *state {
+	var s *state
+	if w == a.img.Entry {
+		s = a.boot
+	}
+	for _, e := range a.ins[w] {
+		switch {
+		case e.st == nil:
+		case s == nil:
+			s = e.st
+		case s != a.joined:
+			a.joined.copyFrom(s)
+			s = a.joined
+			fallthrough
+		default:
+			s.join(e.st, false)
+		}
+	}
+	return s
+}
+
+// sweep emits every site of word w with one verdict: unproven where the
+// fixpoint has no states, proven where no abstract path reaches w (the
+// abstraction over-approximates the reachable states).
+func (a *analyzer) sweep(rep *Report, w int, proven bool, reason string) {
 	a.eachSite(w, func(s *mach.SlotOp) {
-		rep.add(a.site(w, s, true, "unreachable: no path executes this site"))
+		rep.add(a.site(w, s, proven, reason))
 	})
 }
 

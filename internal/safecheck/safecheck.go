@@ -1,10 +1,11 @@
 // Package safecheck proves runtime safety guards redundant. It runs a
 // whole-image value-range abstract interpretation (interval × alignment
-// congruence per integer register, widening at loop joins, descending
-// narrowing sweeps) over the same machine-level CFG schedcheck certifies,
-// and classifies every memory reference, divide, and indirect jump as
-// proven-safe or unprovable — with word/beat/unit and func:line attribution
-// in the simulator's Fault vocabulary.
+// congruence per integer register, iterated in weak topological order,
+// widening at loop heads, then descending until no state changes) over the
+// same machine-level CFG schedcheck certifies, and classifies every memory
+// reference, divide, and indirect jump as proven-safe or unprovable — with
+// word/beat/unit and func:line attribution in the simulator's Fault
+// vocabulary.
 //
 // schedcheck answers "does this image respect the §6 resource and
 // no-interlock contract"; safecheck answers the next question down: "can
@@ -16,7 +17,6 @@ package safecheck
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/multiflow-repro/trace/internal/ir"
@@ -75,14 +75,12 @@ type Report struct {
 	Sites     []Site
 	Words     int
 	Exhausted bool // the transfer budget ran out; every site is unproven
-	// Work counters. Both are deterministic — a function of the image and
-	// the options alone — so a test can pin them where a wall-clock floor
-	// would be noise. Transfers counts word transfers executed (ascending
-	// fixpoint, descending sweeps and the reporting sweep); NarrowRounds
-	// counts descending sweeps run.
-	Transfers    int
-	NarrowRounds int
-	img          *isa.Image
+	// Transfers counts the word transfers executed (both fixpoint phases and
+	// the reporting sweep). It is deterministic — a function of the image and
+	// the options alone — so a test can pin it where a wall-clock floor would
+	// be noise.
+	Transfers int
+	img       *isa.Image
 }
 
 // Image returns the analyzed image.
@@ -152,17 +150,12 @@ func (r *Report) Summary() string {
 type Options struct {
 	// Src attributes sites to func:line (see schedcheck.NewSourceMap).
 	Src schedcheck.SourceMap
-	// MaxVisits caps the analysis effort, in word transfers (0 means a
-	// generous default, max(50000, 64 × words)). The ascending fixpoint
-	// spends one unit per transfer; running out there gives up and reports
-	// every site unproven with Report.Exhausted set (a soundness-preserving
-	// bail-out for pathological fuzz images). A descending round spends one
-	// unit per reachable word — the price of a full sweep, although the
-	// incremental sweep executes far fewer transfers (Report.Transfers counts
-	// those) — and running out there merely stops narrowing early, which is
-	// still sound. Pricing rounds rather than executed transfers keeps the
-	// verdicts a function of the image and this number alone, not of how
-	// the sweeps are scheduled.
+	// MaxVisits caps the word transfers the fixpoint executes (0 means a
+	// generous default, max(50000, 64 × words)); the reporting sweep is not
+	// charged. Running out in the ascending phase gives up and reports every
+	// site unproven with Report.Exhausted set (a soundness-preserving bail-out
+	// for pathological fuzz images); running out in the descending phase
+	// merely stops narrowing early, which is still sound.
 	MaxVisits int
 }
 
@@ -170,35 +163,19 @@ type Options struct {
 // the per-site verdicts. It never fails: an image it cannot reason about
 // simply gets no proven sites.
 func Analyze(img *isa.Image, opts Options) *Report {
-	n := len(img.Instrs)
-	succ, _ := schedcheck.CFG(img)
-	budget := opts.MaxVisits
-	if budget <= 0 {
-		budget = defaultBudget
-		if 64*n > budget {
-			budget = 64 * n
-		}
-	}
-	a := &analyzer{
-		img:    img,
-		succ:   succ,
-		memLen: img.RequiredMem(),
-		src:    opts.Src,
-		budget: budget,
-	}
-	for name := range img.FuncBase {
-		a.fnames = append(a.fnames, name)
-	}
-	sort.Slice(a.fnames, func(i, j int) bool {
-		return img.FuncBase[a.fnames[i]] < img.FuncBase[a.fnames[j]]
-	})
-	for _, name := range a.fnames {
-		a.fbases = append(a.fbases, img.FuncBase[name])
-	}
-	rep := &Report{Words: n, img: img}
+	a := newAnalyzer(img, opts)
+	rep := &Report{Words: len(img.Instrs), img: img}
 	a.run(rep)
 	rep.Transfers = a.transfers
 	return rep
+}
+
+func newAnalyzer(img *isa.Image, opts Options) *analyzer {
+	budget := opts.MaxVisits
+	if budget <= 0 {
+		budget = max(defaultBudget, 64*len(img.Instrs))
+	}
+	return &analyzer{img: img, memLen: img.RequiredMem(), src: opts.Src, budget: budget}
 }
 
 // addMemSite classifies one load/store: the effective address interval must

@@ -176,15 +176,33 @@ func TestBudgetExhaustionIsSound(t *testing.T) {
 	}
 }
 
+// TestFixpointConverges is the evidence that the analysis runs its
+// descending phase to the end rather than stopping at a cap: on every ledger
+// program and experiment kernel (Trace 28/200, O2), recomputing any reachable
+// word's entry state from its predecessors, without widening, changes
+// nothing.
+func TestFixpointConverges(t *testing.T) {
+	for _, p := range testmatrix.Programs(t, testmatrix.Ledger, testmatrix.Kernels) {
+		res := testmatrix.MustCompile(t, p.Src, mach.Trace28(), testmatrix.O2.Opt)
+		exhausted, words := safecheck.Unconverged(res.Image)
+		switch {
+		case exhausted:
+			t.Errorf("%s: analysis budget exhausted", p.Key())
+		case len(words) > 0:
+			t.Errorf("%s: one more step changes the entry state of %d words, first word %d", p.Key(), len(words), words[0])
+		}
+	}
+}
+
 // TestTransferCeilings pins the analysis work, in word transfers executed, on
-// the three kernels the cold-path benchmarks use (Trace 28/200, O2). The
-// counter repeats exactly, so this is the regression floor a wall-clock
-// number cannot be: descending sweeps that went back to re-transferring every
-// reachable word every round would cost NarrowRounds × words — 3–5× these
-// ceilings — and fail here, not in a noisy benchmark. Ceilings are what the
-// analysis needs today plus ~20 %.
+// the three kernels the cold-path benchmarks use and over the whole ledger
+// (Trace 28/200, O2). The counter repeats exactly, so this is the regression
+// floor a wall-clock number cannot be: the worklist and the capped narrowing
+// sweeps this analysis replaced cost 1.2–2.1× these ceilings and would fail
+// here, not in a noisy benchmark. Ceilings are what the analysis needs today
+// plus ~20 %.
 func TestTransferCeilings(t *testing.T) {
-	ceilings := map[string]int{"fft": 46000, "matmul": 6800, "scanner": 12600}
+	ceilings := map[string]int{"fft": 17000, "matmul": 1750, "scanner": 4600}
 	for _, w := range testmatrix.Kernels(t) {
 		ceiling, ok := ceilings[w.Name]
 		if !ok {
@@ -192,18 +210,26 @@ func TestTransferCeilings(t *testing.T) {
 		}
 		res := testmatrix.MustCompile(t, w.Src, mach.Trace28(), testmatrix.O2.Opt)
 		rep := safecheck.Analyze(res.Image, safecheck.Options{})
-		words := len(res.Image.Instrs)
-		t.Logf("%s: %d words, %d transfers, %d narrowing rounds", w.Name, words, rep.Transfers, rep.NarrowRounds)
+		t.Logf("%s: %d words, %d transfers", w.Name, len(res.Image.Instrs), rep.Transfers)
 		if rep.Exhausted {
 			t.Errorf("%s: analysis budget exhausted", w.Name)
 		}
 		if rep.Transfers > ceiling {
-			t.Errorf("%s: %d transfers, ceiling %d (a full re-sweep per round would be %d)",
-				w.Name, rep.Transfers, ceiling, rep.NarrowRounds*words)
+			t.Errorf("%s: %d transfers, ceiling %d", w.Name, rep.Transfers, ceiling)
 		}
 		delete(ceilings, w.Name)
 	}
 	for name := range ceilings {
 		t.Errorf("kernel %s not found in testmatrix.Kernels", name)
+	}
+	const ledgerCeiling = 103000
+	total := 0
+	for _, p := range testmatrix.Ledger(t) {
+		res := testmatrix.MustCompile(t, p.Src, mach.Trace28(), testmatrix.O2.Opt)
+		total += safecheck.Analyze(res.Image, safecheck.Options{}).Transfers
+	}
+	t.Logf("ledger: %d transfers", total)
+	if total > ledgerCeiling {
+		t.Errorf("ledger: %d transfers, ceiling %d", total, ledgerCeiling)
 	}
 }

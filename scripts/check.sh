@@ -151,6 +151,15 @@ if gosrc -n '\bregKey\b|map\[regKey\]' ||
 	exit 1
 fi
 
+echo "== one fixpoint for the safety analysis (no capped, priced narrowing sweeps)"
+# safecheck iterates in weak topological order until no state changes
+# (analyzer.fixpoint): no round cap or round counter, and no entry-state copy
+# for a word that is its own successor.
+if gosrc -n '\b(narrowRounds|NarrowRounds|s0Copy)\b'; then
+	echo "check: a narrowing round cap, its counter or the self-loop entry copy is back (internal/safecheck fixpoint)"
+	exit 1
+fi
+
 echo "== the verify notes name tests that exist"
 # Every test, fuzz target or benchmark .claude/skills/verify/SKILL.md names
 # must be a function of some _test.go, or the prefix of some (TestRegion
@@ -184,7 +193,8 @@ echo "== go test -race"
 # Measured on the 2-vCPU reference host: the whole suite takes 4m22s under
 # the race detector, and the two slowest packages — internal/fuzz (the
 # four-way tier matrix: every seed on checked/fast/safe/native) and
-# internal/safecheck (the 246-image golden matrix) — take 120 s and 117 s.
+# internal/safecheck (the golden matrix: 246 cells, 245 images and one
+# compile error) — take 120 s and 117 s.
 # The per-package budget is 5x that: on a slower shared 2-vCPU host
 # internal/vliw alone took 7m43 at PR 22's head and takes ~8m with PR 23's
 # hand-built-word tests (microop_test.go, the TestRegion* cases: +14 s). At
