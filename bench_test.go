@@ -407,8 +407,8 @@ func coldPrograms() []xp.Workload {
 
 // BenchmarkSafecheckAnalyze measures the safety analysis on a linked image.
 // B/op is the tracked number (scripts/bench.sh holds a ceiling on it): the
-// analyzer owns its states, so an analysis allocates O(reachable words ×
-// named registers) however many sweeps the fixpoint takes.
+// analyzer owns its states, so an analysis allocates O(CFG edges × named
+// registers) however many visits the fixpoint makes.
 func BenchmarkSafecheckAnalyze(b *testing.B) {
 	for _, w := range coldPrograms() {
 		b.Run(w.Name, func(b *testing.B) {

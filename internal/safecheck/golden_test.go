@@ -54,8 +54,9 @@ func TestImageFingerprintsGolden(t *testing.T) {
 // TestVerdictsGolden pins every Site verdict (word, beat, unit, kind, proven,
 // detail) of every matrix entry. The one tolerated drift is the transfer
 // budget: an image whose golden analysis exhausted the budget may finish now
-// (Options.MaxVisits counts transfers actually executed, and fewer are
-// needed); an image that used to finish must never exhaust.
+// (Options.MaxVisits counts the transfers the fixpoint executes, and a
+// cheaper fixpoint needs fewer); an image that used to finish must never
+// exhaust.
 func TestVerdictsGolden(t *testing.T) {
 	var got testmatrix.Lines
 	eachGoldenImage(t, func(key string, img *isa.Image) {

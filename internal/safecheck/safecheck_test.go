@@ -197,10 +197,10 @@ func TestFixpointConverges(t *testing.T) {
 // TestTransferCeilings pins the analysis work, in word transfers executed, on
 // the three kernels the cold-path benchmarks use and over the whole ledger
 // (Trace 28/200, O2). The counter repeats exactly, so this is the regression
-// floor a wall-clock number cannot be: the worklist and the capped narrowing
-// sweeps this analysis replaced cost 1.2–2.1× these ceilings and would fail
-// here, not in a noisy benchmark. Ceilings are what the analysis needs today
-// plus ~20 %.
+// floor a wall-clock number cannot be: sweep-style narrowing, which
+// re-transfers every predecessor of every word a round rebuilds, costs
+// 1.2–2.1× these ceilings on the same programs and fails here, not in a noisy
+// benchmark. Ceilings are what the analysis needs today plus ~20 %.
 func TestTransferCeilings(t *testing.T) {
 	ceilings := map[string]int{"fft": 17000, "matmul": 1750, "scanner": 4600}
 	for _, w := range testmatrix.Kernels(t) {

@@ -178,8 +178,7 @@ func (s *state) join(src *state, widen bool) bool {
 
 // statePool hands out states of one analysis. Storage is carved from slabs
 // of poolChunk states, and released states are reused, so an analysis
-// allocates O(reachable words × named registers) however many sweeps it
-// runs.
+// allocates O(CFG edges × named registers) however many visits it makes.
 type statePool struct {
 	nr   int
 	free []*state

@@ -67,12 +67,13 @@ go test -run '^$' -bench 'Reference' -benchtime=20x -count=1 . | tee -a "$raw"
 # against that baseline and not gated: 1.1–1.5x on this host, inside its noise.
 #
 # The B/op ceilings hold safecheck to states it owns: an analysis allocates
-# one pooled state per reachable word (plus the ones a descending round is
-# rebuilding), each sized by the registers the image names — 9.3 MB for
-# matmul, 51.8 MB for fft, 15.8 MB for scanner, 14.2 MB for gen07 as measured,
-# so the ceilings sit 40–76 % above. States passed by value, or fresh state
-# arrays per descending round, cost words × 28 KB × rounds — gigabytes on the
-# same kernels — and trip this at once. The trace scheduler is held the same
+# one pooled state per live CFG edge and per loop head, each sized by the
+# registers the image names — 1.7 MB for matmul, 26.9 MB for fft, 5.1 MB for
+# scanner, 7.3 MB for gen07 as measured. The ceilings date from one state per
+# word plus the ones a descending round rebuilt (9.3, 51.8, 15.8 and 14.2 MB)
+# and now sit 2.9–7.7x above. States passed by value, or fresh state arrays
+# per iteration, cost words × 28 KB × rounds — gigabytes on the same kernels
+# — and trip this at once. The trace scheduler is held the same
 # way: its register allocator keeps liveness and the interference graph in
 # flat slabs over the registers a function names, its list scheduler keeps
 # per-register state in one table per function, and the disambiguator
