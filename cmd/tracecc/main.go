@@ -68,12 +68,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracecc: -O: %v\n", err)
 		os.Exit(2)
 	}
-	mode := core.ProfileHeuristic
-	if *profRun {
-		mode = core.ProfileRun
-	}
 	copts := core.Options{
-		Config: cfg, Opt: lvl, Profile: mode,
+		Config: cfg, Opt: lvl, ProfileRun: *profRun,
 		Verify: *verify, Lint: *lint, Parallelism: *jobs,
 	}
 	if *dumpIR {

@@ -119,31 +119,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracesim: -O: %v\n", err)
 		os.Exit(2)
 	}
-	mode := core.ProfileHeuristic
-	if *profRun {
-		mode = core.ProfileRun
-	}
 	// SIGINT cancels the compile at the next pass boundary and the
 	// simulation within one beat-check interval.
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSig()
-	art, err := core.BuildFile(ctx, flag.Arg(0), string(src), core.Options{
-		Config: cfg, Opt: lvl, Profile: mode,
-		Verify: *verify, TimePasses: *timePasses, Parallelism: *jobs,
-	})
-	if err != nil {
-		fatal(err)
+	copts := core.Options{Config: cfg, Opt: lvl, ProfileRun: *profRun, Verify: *verify, Parallelism: *jobs}
+	build := func(name string, src []byte) *core.Artifact {
+		art, err := core.BuildFile(ctx, name, string(src), copts)
+		if err != nil {
+			fatal(err)
+		}
+		if *timePasses {
+			fmt.Fprint(os.Stderr, art.Result().Report.String())
+		}
+		return art
 	}
+	art := build(flag.Arg(0), src)
 
 	if k := max(*contexts, flag.NArg()); k > 1 {
 		if *snapshotAt > 0 || *resume != "" || *topBeats > 0 {
 			fmt.Fprintln(os.Stderr, "tracesim: -snapshot-at/-resume/-beats apply to single-context runs only")
 			os.Exit(2)
 		}
-		runContexts(ctx, art, k, core.Options{
-			Config: cfg, Opt: lvl, Profile: mode,
-			Verify: *verify, TimePasses: *timePasses, Parallelism: *jobs,
-		}, runManyFlags{
+		runContexts(ctx, art, k, build, runManyFlags{
 			tier: tier, maxCycles: *maxCycles,
 			quantum: *quantum, switchBeats: *switchBeats,
 		})
@@ -281,7 +279,7 @@ type runManyFlags struct {
 // prints each context's output, a per-context stats table (each row is
 // exactly what a solo run of that program would report), and the machine
 // scheduler's summary.
-func runContexts(ctx context.Context, first *core.Artifact, k int, copts core.Options, rf runManyFlags) {
+func runContexts(ctx context.Context, first *core.Artifact, k int, build func(string, []byte) *core.Artifact, rf runManyFlags) {
 	names := make([]string, k)
 	arts := make([]*core.Artifact, k)
 	if flag.NArg() == 1 {
@@ -302,10 +300,7 @@ func runContexts(ctx context.Context, first *core.Artifact, k int, copts core.Op
 			if err != nil {
 				fatal(err)
 			}
-			a, err := core.BuildFile(ctx, name, string(src), copts)
-			if err != nil {
-				fatal(err)
-			}
+			a := build(name, src)
 			built[name] = a
 			arts[i] = a
 		}

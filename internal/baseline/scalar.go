@@ -71,10 +71,11 @@ func newTiming(prog *ir.Program, cfg *mach.Config) *timing {
 			t.lat[i] = int64(cfg.LatIALU)
 		case ir.Load, ir.LoadSpec, ir.Store:
 			t.unit[i] = unitMem
-		case ir.FAdd, ir.FSub, ir.FNeg, ir.ItoF, ir.FtoI,
-			ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
+		}
+		switch mach.FUnit(k) {
+		case mach.UFA:
 			t.unit[i] = unitFAdd
-		case ir.FMul, ir.FDiv:
+		case mach.UFM:
 			t.unit[i] = unitFMul
 		}
 	}

@@ -28,7 +28,7 @@ func TestBigFuzz(t *testing.T) {
 		}
 		cfg := cfgs[trial%len(cfgs)]
 		level := opt.Options{Inline: trial%2 == 0, UnrollFactor: 1 + rng.Intn(8)}
-		res, err := Compile(context.Background(), src, Options{Config: cfg, Opt: level, Profile: ProfileMode(trial % 2)})
+		res, err := Compile(context.Background(), src, Options{Config: cfg, Opt: level, ProfileRun: trial%2 == 1})
 		if err != nil {
 			t.Fatalf("trial %d [%s u%d]: compile: %v\n%s", trial, cfg.Name, level.UnrollFactor, err, src)
 		}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync/atomic"
 
 	"github.com/multiflow-repro/trace/internal/ir"
@@ -31,23 +30,14 @@ import (
 	"github.com/multiflow-repro/trace/internal/tsched"
 )
 
-// ProfileMode selects how branch probabilities are estimated (§4:
-// "heuristics or profiling").
-type ProfileMode int
-
-const (
-	// ProfileHeuristic uses static loop-depth heuristics.
-	ProfileHeuristic ProfileMode = iota
-	// ProfileRun executes the program in the IR interpreter first and feeds
-	// the measured edge counts to trace selection.
-	ProfileRun
-)
-
 // Options configures a compilation.
 type Options struct {
-	Config  mach.Config
-	Opt     opt.Options
-	Profile ProfileMode
+	Config mach.Config
+	Opt    opt.Options
+	// ProfileRun executes the program in the IR interpreter first and feeds
+	// the measured edge counts to trace selection; otherwise static
+	// loop-depth heuristics estimate them (§4: "heuristics or profiling").
+	ProfileRun bool
 	// MaxTraceBlocks caps trace length (0 = unlimited). 1 restricts the
 	// code generator to basic-block compaction — the ablation §10 proposes
 	// ("quantifying the speedups due to trace scheduling vs. those achieved
@@ -62,10 +52,6 @@ type Options struct {
 	// Any error-severity finding fails the compilation; the report is
 	// returned as Result.Lint either way.
 	Lint bool
-	// TimePasses prints the per-pass timing/size report to stderr when
-	// compilation finishes (the report is also always available as
-	// Result.Report).
-	TimePasses bool
 	// DumpIR, when non-nil, receives a printout of the IR after every pass.
 	DumpIR io.Writer
 	// Parallelism bounds the worker pool the per-function backend fans out
@@ -77,7 +63,28 @@ type Options struct {
 // DefaultOptions compiles for the 4-pair TRACE 28/200 at full optimization
 // with heuristic profiles.
 func DefaultOptions() Options {
-	return Options{Config: mach.Trace28(), Opt: opt.Default(), Profile: ProfileHeuristic}
+	return Options{Config: mach.Trace28(), Opt: opt.Default()}
+}
+
+// Ablate turns off what the ablation switches of a compile request name:
+// the §7 speculative loads (noSpeculation), the §6.5.2 multiway branch
+// (noMultiway), the §6.4.4 bank-stall gamble (conservative) and, with
+// basicBlockOnly, trace scheduling beyond one basic block (§10: "quantifying
+// the speedups due to trace scheduling"). trace.Options and the service's
+// wire options both apply their switches through it.
+func (o *Options) Ablate(noSpeculation, noMultiway, conservative, basicBlockOnly bool) {
+	if noSpeculation {
+		o.Config.SpeculativeLoads = false
+	}
+	if noMultiway {
+		o.Config.MultiwayBranch = false
+	}
+	if conservative {
+		o.Config.RollTheDice = false
+	}
+	if basicBlockOnly {
+		o.MaxTraceBlocks = 1
+	}
 }
 
 // Result is a completed compilation.
@@ -163,7 +170,7 @@ func CompileIR(ctx context.Context, prog *ir.Program, opts Options) (*Result, er
 		// Front half: classical optimization then profile estimation, as
 		// registered passes.
 		opsBefore := pipeline.CountOps(work)
-		passes := append(opt.Passes(optCfg), profile.Pass(opts.Profile == ProfileRun))
+		passes := append(opt.Passes(optCfg), profile.Pass(opts.ProfileRun))
 		if err := pipeline.Run(ctx, work, pctx, passes...); err != nil {
 			return nil, err
 		}
@@ -222,9 +229,6 @@ func CompileIR(ctx context.Context, prog *ir.Program, opts Options) (*Result, er
 		res.Report = pctx.Report
 		res.Attempts = attempt + 1
 		res.OptUsed = optCfg
-		if opts.TimePasses {
-			fmt.Fprint(os.Stderr, pctx.Report.String())
-		}
 		return res, nil
 	}
 }

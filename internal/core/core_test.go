@@ -252,7 +252,7 @@ func main() int {
 		for _, cfg := range cfgs {
 			for li, lvl := range levels {
 				t.Run(fmt.Sprintf("%s/%s/O%d", name, cfg.Name, li), func(t *testing.T) {
-					opts := Options{Config: cfg, Opt: lvl, Profile: ProfileHeuristic}
+					opts := Options{Config: cfg, Opt: lvl}
 					diff(t, src, opts)
 				})
 			}
@@ -262,7 +262,7 @@ func main() int {
 
 func TestProfileGuided(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Profile = ProfileRun
+	opts.ProfileRun = true
 	diff(t, daxpySrc, opts)
 }
 

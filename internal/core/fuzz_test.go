@@ -38,7 +38,7 @@ func TestFuzzDifferential(t *testing.T) {
 		cfg := cfgs[trial%len(cfgs)]
 		level := opt.Options{Inline: trial%2 == 0, UnrollFactor: 1 + rng.Intn(8)}
 		res, err := Compile(context.Background(), src, Options{Config: cfg, Opt: level,
-			Profile: ProfileMode(trial % 2)})
+			ProfileRun: trial%2 == 1})
 		if err != nil {
 			t.Fatalf("trial %d [%s u%d]: compile: %v\n%s", trial, cfg.Name, level.UnrollFactor, err, src)
 		}
@@ -242,7 +242,7 @@ func main() int {
 	return h
 }`
 	for _, cfg := range []mach.Config{mach.Trace7(), mach.Trace28()} {
-		res, err := Compile(context.Background(), src, Options{Config: cfg, Opt: opt.Default(), Profile: ProfileRun})
+		res, err := Compile(context.Background(), src, Options{Config: cfg, Opt: opt.Default(), ProfileRun: true})
 		if err != nil {
 			t.Fatal(err)
 		}

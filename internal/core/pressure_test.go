@@ -12,8 +12,8 @@ import (
 	"github.com/multiflow-repro/trace/internal/tsched"
 )
 
-// pressureSrc builds a program whose float register demand overflows the
-// single F bank of a TRACE 7/200 only when wide() is inlined into main:
+// pressureSrc builds a program whose float register demand overflows a
+// small F bank of a TRACE 7/200 only when wide() is inlined into main:
 // every u value must stay live until w is available (each term is u*w), and
 // inside the inlined body every t value is likewise pinned live until s is
 // done, so the peak simultaneous liveness is roughly 2k registers. Compiled
@@ -54,14 +54,12 @@ func pressureSrc(k int) string {
 // with inlining off ("the compiler tunes its heuristics"), and the final
 // compile must both succeed and still compute the right answer.
 func TestPressureRetryDisablesInline(t *testing.T) {
-	src := pressureSrc(16)
-	opts := Options{
-		Config: mach.Trace7(),
-		// A generous inline threshold forces wide() into main so the
-		// combined live ranges overflow the one F bank.
-		Opt:     opt.Options{Inline: true, InlineThreshold: 1000, InlineGrowthCap: 4000, UnrollFactor: 8, TailDup: true},
-		Profile: ProfileHeuristic,
-	}
+	src := pressureSrc(5)
+	// The default options inline wide() into main; a 16-register F bank
+	// cannot hold the combined live ranges, and holds either half alone.
+	cfg := mach.Trace7()
+	cfg.FRegsPerBank = 16
+	opts := Options{Config: cfg, Opt: opt.Default()}
 	res := diff(t, src, opts)
 
 	if res.Attempts < 2 {
@@ -91,11 +89,7 @@ func TestPressureErrorSurfacesWhenUnfixable(t *testing.T) {
 	// Force pressure without inlining by shrinking the F bank directly.
 	cfg := mach.Trace7()
 	cfg.FRegsPerBank = 12
-	opts := Options{
-		Config:  cfg,
-		Opt:     opt.Options{UnrollFactor: 1},
-		Profile: ProfileHeuristic,
-	}
+	opts := Options{Config: cfg, Opt: opt.Options{UnrollFactor: 1}}
 	_, err := Compile(context.Background(), src, opts)
 	if err == nil {
 		t.Fatal("want pressure error with a 12-register F bank, got success")

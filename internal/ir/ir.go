@@ -172,11 +172,6 @@ func (k OpKind) IsCompare() bool {
 	return (k >= CmpEQ && k <= CmpGE) || (k >= FCmpEQ && k <= FCmpGE)
 }
 
-// IsFloat reports whether the op executes on a floating functional unit.
-func (k OpKind) IsFloat() bool {
-	return (k >= FAdd && k <= FNeg) || (k >= FCmpEQ && k <= FCmpGE) || k == ItoF || k == FtoI
-}
-
 // HasSideEffect reports whether the op cannot be removed even if its result
 // is dead.
 func (k OpKind) HasSideEffect() bool {

@@ -521,20 +521,11 @@ func decodeALU(w uint32, pair, beat uint8, fside bool, earlyImm, lateImm uint32)
 	return o, usesEarly, nil
 }
 
-// isFSide reports whether the opcode executes on an F-board unit.
-func isFSide(k ir.OpKind) bool {
-	switch k {
-	case ir.FAdd, ir.FSub, ir.FMul, ir.FDiv, ir.FNeg,
-		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE,
-		ir.ItoF, ir.FtoI, ir.ConstF:
-		return true
-	}
-	return false
-}
-
-// typeOfKind gives the default element type when the size64 bit is clear.
+// typeOfKind gives the default element type when the size64 bit is clear:
+// f64 for a float constant and for every F-unit opcode but the conversion
+// to integer.
 func typeOfKind(k ir.OpKind) ir.Type {
-	if isFSide(k) && k != ir.FtoI {
+	if k == ir.ConstF || mach.FUnit(k) != mach.UnitNone && k != ir.FtoI {
 		return ir.F64
 	}
 	return ir.I32

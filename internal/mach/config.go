@@ -249,13 +249,8 @@ func (c *Config) Latency(k ir.OpKind, t ir.Type) int {
 		return c.LatLoad
 	case ir.Store, OpCall:
 		return 1
-	case ir.FAdd, ir.FSub, ir.FNeg, ir.ItoF, ir.FtoI,
-		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
-		return c.LatFAdd
-	case ir.FMul:
-		return c.LatFMul
 	case ir.FDiv:
-		return c.LatFDiv
+		return c.LatFDiv // the multiplier's unit, its own latency
 	case ir.Mul:
 		// 32-bit integer multiply is composed from the 16-bit primitives of
 		// §6.1; modeled as one multi-beat op (see DESIGN.md substitutions)
@@ -276,13 +271,19 @@ func (c *Config) Latency(k ir.OpKind, t ir.Type) int {
 		}
 		return 1
 	}
+	switch FUnit(k) {
+	case UFA:
+		return c.LatFAdd
+	case UFM:
+		return c.LatFMul
+	}
 	return c.LatIALU
 }
 
 // Validate sanity-checks the configuration.
 func (c Config) Validate() error {
-	if c.Pairs < 1 || c.Pairs > 4 {
-		return fmt.Errorf("mach: %d pairs out of range", c.Pairs)
+	if err := CheckPairs(c.Pairs); err != nil {
+		return err
 	}
 	if c.Controllers < 1 || c.Controllers > 8 {
 		return fmt.Errorf("mach: %d controllers out of range", c.Controllers)

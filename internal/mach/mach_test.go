@@ -74,6 +74,7 @@ func TestBankInterleave(t *testing.T) {
 func TestInvalidConfigs(t *testing.T) {
 	for _, f := range []func() Config{
 		func() Config { c := Trace7(); c.Pairs = 5; return c },
+		func() Config { c := Trace28(); c.Pairs = 3; return c },
 		func() Config { c := Trace7(); c.Controllers = 0; return c },
 		func() Config { c := Trace7(); c.BanksPerController = 9; return c },
 		func() Config { c := Trace7(); c.IRegsPerBank = 2; return c },

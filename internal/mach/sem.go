@@ -6,10 +6,12 @@ import (
 	"github.com/multiflow-repro/trace/internal/ir"
 )
 
-// This file is the one definition of what each pure opcode computes. Every
-// vliw executor (the plan interpreter, the native translator) and the
-// optimizer's constant folder draw from it, so a semantics fix or a new
-// opcode is one table entry and the tiers agree by construction.
+// This file is the one definition of what each pure opcode computes and of
+// which F unit issues it. Every vliw executor (the plan interpreter, the
+// native translator) and the optimizer's constant folder draw from it, and
+// so do the timing model (Config.Latency), the scheduler's unit classes, the
+// baselines' scoreboard and the image decoder, so a semantics fix or a new
+// opcode is one table entry and they agree by construction.
 //
 // Two implementations deliberately stay out: ir.Interp is the reference the
 // fuzz oracle compares the machine against, and internal/schedcheck is the
@@ -32,6 +34,10 @@ type Value struct {
 	Unary    bool
 	// Flop marks floating arithmetic, the ops Stats.FloatOps counts.
 	Flop bool
+	// Unit is the F unit that issues the opcode (§6.1, §6.2): UFA, the
+	// adder, for additions, compares and conversions; UFM, the multiplier,
+	// for multiplies and divides. UnitNone is an integer ALU op.
+	Unit UnitKind
 }
 
 // ValueOf returns the value semantics of a pure opcode, or nil for the
@@ -42,6 +48,16 @@ func ValueOf(k ir.OpKind) *Value {
 		return &values[k]
 	}
 	return nil
+}
+
+// FUnit returns the F unit that issues opcode k, or UnitNone when k is not
+// a pure F opcode. The moves, selects and float constants that either F unit
+// or an I ALU may issue, by the bank of their operands, are the scheduler's.
+func FUnit(k ir.OpKind) UnitKind {
+	if v := ValueOf(k); v != nil {
+		return v.Unit
+	}
+	return UnitNone
 }
 
 // IBits, FBits and BoolBits pack a result for the register-write pipeline.
@@ -107,19 +123,19 @@ var values = [...]Value{
 	ir.CmpGE: {Fn: func(a, b uint64) uint64 { return BoolBits(i32(a) >= i32(b)) }},
 
 	// Floating arithmetic never traps: NaN and Inf propagate (§7).
-	ir.FAdd: {FloatIn: true, FloatOut: true, Flop: true, Fn: func(a, b uint64) uint64 { return FBits(f64(a) + f64(b)) }},
-	ir.FSub: {FloatIn: true, FloatOut: true, Flop: true, Fn: func(a, b uint64) uint64 { return FBits(f64(a) - f64(b)) }},
-	ir.FMul: {FloatIn: true, FloatOut: true, Flop: true, Fn: func(a, b uint64) uint64 { return FBits(f64(a) * f64(b)) }},
-	ir.FDiv: {FloatIn: true, FloatOut: true, Flop: true, Fn: func(a, b uint64) uint64 { return FBits(f64(a) / f64(b)) }},
-	ir.FNeg: {FloatIn: true, FloatOut: true, Unary: true, Fn: func(a, _ uint64) uint64 { return FBits(-f64(a)) }},
+	ir.FAdd: {FloatIn: true, FloatOut: true, Flop: true, Unit: UFA, Fn: func(a, b uint64) uint64 { return FBits(f64(a) + f64(b)) }},
+	ir.FSub: {FloatIn: true, FloatOut: true, Flop: true, Unit: UFA, Fn: func(a, b uint64) uint64 { return FBits(f64(a) - f64(b)) }},
+	ir.FMul: {FloatIn: true, FloatOut: true, Flop: true, Unit: UFM, Fn: func(a, b uint64) uint64 { return FBits(f64(a) * f64(b)) }},
+	ir.FDiv: {FloatIn: true, FloatOut: true, Flop: true, Unit: UFM, Fn: func(a, b uint64) uint64 { return FBits(f64(a) / f64(b)) }},
+	ir.FNeg: {FloatIn: true, FloatOut: true, Unary: true, Unit: UFA, Fn: func(a, _ uint64) uint64 { return FBits(-f64(a)) }},
 
-	ir.FCmpEQ: {FloatIn: true, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) == f64(b)) }},
-	ir.FCmpNE: {FloatIn: true, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) != f64(b)) }},
-	ir.FCmpLT: {FloatIn: true, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) < f64(b)) }},
-	ir.FCmpLE: {FloatIn: true, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) <= f64(b)) }},
-	ir.FCmpGT: {FloatIn: true, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) > f64(b)) }},
-	ir.FCmpGE: {FloatIn: true, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) >= f64(b)) }},
+	ir.FCmpEQ: {FloatIn: true, Unit: UFA, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) == f64(b)) }},
+	ir.FCmpNE: {FloatIn: true, Unit: UFA, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) != f64(b)) }},
+	ir.FCmpLT: {FloatIn: true, Unit: UFA, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) < f64(b)) }},
+	ir.FCmpLE: {FloatIn: true, Unit: UFA, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) <= f64(b)) }},
+	ir.FCmpGT: {FloatIn: true, Unit: UFA, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) > f64(b)) }},
+	ir.FCmpGE: {FloatIn: true, Unit: UFA, Fn: func(a, b uint64) uint64 { return BoolBits(f64(a) >= f64(b)) }},
 
-	ir.ItoF: {FloatOut: true, Unary: true, Fn: func(a, _ uint64) uint64 { return FBits(float64(i32(a))) }},
-	ir.FtoI: {FloatIn: true, Unary: true, Fn: func(a, _ uint64) uint64 { return IBits(FtoI(f64(a))) }},
+	ir.ItoF: {FloatOut: true, Unary: true, Unit: UFA, Fn: func(a, _ uint64) uint64 { return FBits(float64(i32(a))) }},
+	ir.FtoI: {FloatIn: true, Unary: true, Unit: UFA, Fn: func(a, _ uint64) uint64 { return IBits(FtoI(f64(a))) }},
 }

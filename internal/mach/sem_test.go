@@ -146,9 +146,9 @@ func TestShiftCountAndPacking(t *testing.T) {
 	}
 }
 
-// TestValueTableShape checks the per-opcode metadata the executors rely on
-// against the IR's own classification, and that the structural opcodes stay
-// out of the table.
+// TestValueTableShape checks the per-opcode metadata the executors, the
+// timing model and the scheduler rely on against the IR's opcode ranges, and
+// that the structural opcodes stay out of the table.
 func TestValueTableShape(t *testing.T) {
 	unary := map[ir.OpKind]bool{ir.Neg: true, ir.Not: true, ir.FNeg: true, ir.ItoF: true, ir.FtoI: true}
 	flop := map[ir.OpKind]bool{ir.FAdd: true, ir.FSub: true, ir.FMul: true, ir.FDiv: true}
@@ -157,6 +157,9 @@ func TestValueTableShape(t *testing.T) {
 		if k < ir.Add || k > ir.FtoI {
 			if v != nil {
 				t.Errorf("%s is in the value table but is not a pure value op", OpName(k))
+			}
+			if u := FUnit(k); u != UnitNone {
+				t.Errorf("FUnit(%s) = %s, want none for an op outside the table", OpName(k), u)
 			}
 			continue
 		}
@@ -167,7 +170,17 @@ func TestValueTableShape(t *testing.T) {
 		if v.Unary != unary[k] || v.Flop != flop[k] {
 			t.Errorf("%s: Unary=%v Flop=%v", k, v.Unary, v.Flop)
 		}
-		if wantIn := k.IsFloat() && k != ir.ItoF; v.FloatIn != wantIn {
+		wantUnit := UnitNone
+		switch {
+		case k == ir.FMul || k == ir.FDiv:
+			wantUnit = UFM
+		case k >= ir.FAdd && k <= ir.FNeg, k >= ir.FCmpEQ && k <= ir.FCmpGE, k == ir.ItoF, k == ir.FtoI:
+			wantUnit = UFA
+		}
+		if v.Unit != wantUnit || FUnit(k) != wantUnit {
+			t.Errorf("%s: Unit=%s FUnit=%s, want %s", k, v.Unit, FUnit(k), wantUnit)
+		}
+		if wantIn := v.Unit != UnitNone && k != ir.ItoF; v.FloatIn != wantIn {
 			t.Errorf("%s: FloatIn=%v, want %v", k, v.FloatIn, wantIn)
 		}
 		if wantOut := (k >= ir.FAdd && k <= ir.FNeg) || k == ir.ItoF; v.FloatOut != wantOut {

@@ -12,21 +12,22 @@ import (
 type Options struct {
 	// Inline enables inline substitution of subroutines.
 	Inline bool
-	// InlineThreshold is the max callee size in ops (default 60).
-	InlineThreshold int
-	// InlineGrowthCap bounds caller size in ops during inlining (default 2000).
-	InlineGrowthCap int
 	// UnrollFactor replicates innermost loop bodies this many times total
-	// (1 = no unrolling).
+	// (0 or 1 = no unrolling).
 	UnrollFactor int
-	// UnrollMaxOps bounds the ops added per unrolled loop (default 400).
-	UnrollMaxOps int
 	// TailDup duplicates small merge blocks so traces can run through
 	// if-chains without side entrances (see TailDup).
 	TailDup bool
-	// TailDupBudget bounds duplicated ops per function (default 200).
-	TailDupBudget int
 }
+
+// The §8.4 growth budgets every level shares.
+const (
+	inlineThreshold = 60   // the largest callee inlined, in ops
+	inlineGrowthCap = 2000 // the largest a caller grows to by inlining, in ops
+	unrollMaxOps    = 400  // the most ops unrolling adds to one loop
+	tailDupBlockOps = 12   // the largest merge block duplicated, in ops
+	tailDupBudget   = 200  // the most ops tail duplication adds to one function
+)
 
 // Default returns the optimization options the compiler driver uses at -O2:
 // inlining on, unroll by 8 — comparable in spirit to the heuristics the
@@ -52,25 +53,6 @@ func Level(n int) (Options, error) {
 		return Default(), nil
 	}
 	return Options{}, fmt.Errorf("opt: level must be 0, 1, or 2 (got %d)", n)
-}
-
-func (o Options) withDefaults() Options {
-	if o.InlineThreshold == 0 {
-		o.InlineThreshold = 60
-	}
-	if o.InlineGrowthCap == 0 {
-		o.InlineGrowthCap = 2000
-	}
-	if o.UnrollMaxOps == 0 {
-		o.UnrollMaxOps = 400
-	}
-	if o.UnrollFactor == 0 {
-		o.UnrollFactor = 1
-	}
-	if o.TailDupBudget == 0 {
-		o.TailDupBudget = 200
-	}
-	return o
 }
 
 // Stats reports what the pipeline did, for the code-growth experiments.

@@ -23,11 +23,10 @@ const (
 // IR the fused driver produced. Unrolling runs after LICM so invariants are
 // hoisted once, not per copy.
 func Passes(o Options) []pipeline.Pass {
-	o = o.withDefaults()
 	var ps []pipeline.Pass
 	if o.Inline {
 		ps = append(ps, pipeline.New("inline", func(p *ir.Program, ctx *pipeline.Context) error {
-			ctx.Add(MetricInlined, Inline(p, o.InlineThreshold, o.InlineGrowthCap))
+			ctx.Add(MetricInlined, Inline(p, inlineThreshold, inlineGrowthCap))
 			return nil
 		}))
 	}
@@ -37,12 +36,12 @@ func Passes(o Options) []pipeline.Pass {
 	)
 	if o.UnrollFactor > 1 {
 		ps = append(ps, pipeline.PerFunc("unroll", MetricUnrolled, func(f *ir.Func) int {
-			return Unroll(f, o.UnrollFactor, o.UnrollMaxOps)
+			return Unroll(f, o.UnrollFactor, unrollMaxOps)
 		}))
 	}
 	if o.TailDup {
 		ps = append(ps, pipeline.PerFunc("taildup", MetricTailDups, func(f *ir.Func) int {
-			return TailDup(f, 12, o.TailDupBudget)
+			return TailDup(f, tailDupBlockOps, tailDupBudget)
 		}))
 	}
 	ps = append(ps,

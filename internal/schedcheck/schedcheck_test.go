@@ -342,6 +342,33 @@ func TestWriteLatencyAgreesWithTheMachine(t *testing.T) {
 	}
 }
 
+// TestUnitRulesAgreeWithTheMachine: the verifier's own unit rules
+// (legalOnUnit, isFloatArith) and mach's opcode table (mach.FUnit), which the
+// scheduler, the timing model and the decoder read, are kept apart on purpose
+// like the latencies above; this is where they are compared. An F opcode goes
+// on its own F unit only; any other op that an F unit takes, either F unit
+// takes.
+func TestUnitRulesAgreeWithTheMachine(t *testing.T) {
+	other := map[mach.UnitKind]mach.UnitKind{mach.UFA: mach.UFM, mach.UFM: mach.UFA}
+	for k := ir.OpKind(0); k <= mach.OpHalt; k++ {
+		name := mach.OpName(k)
+		u := mach.FUnit(k)
+		if u == mach.UnitNone {
+			if isFloatArith(k) != (k == ir.ConstF) {
+				t.Errorf("%s: schedcheck says F-owned=%v, mach names no F unit", name, isFloatArith(k))
+			}
+			if legalOnUnit(mach.UFA, k) != legalOnUnit(mach.UFM, k) {
+				t.Errorf("%s: schedcheck puts it on one F unit only, mach names none", name)
+			}
+			continue
+		}
+		if !isFloatArith(k) || !legalOnUnit(u, k) || legalOnUnit(other[u], k) || legalOnUnit(mach.UIALU, k) {
+			t.Errorf("%s: mach issues it on %s only; schedcheck says F-owned=%v, fa=%v, fm=%v, ialu=%v", name, u,
+				isFloatArith(k), legalOnUnit(mach.UFA, k), legalOnUnit(mach.UFM, k), legalOnUnit(mach.UIALU, k))
+		}
+	}
+}
+
 // TestSerialPadOneBeatShort holds the verifier to the stitcher's entry
 // padding. Code shaped like a stitched call: a trace word issues a load
 // (7 beats) and jumps to a serialized call block, whose first op moves the

@@ -112,28 +112,10 @@ func (o Options) toCore(parallelism int) core.Options {
 	if o.Ideal {
 		cfg = mach.IdealConfig(o.pairs())
 	}
-	if o.DisableSpeculation {
-		cfg.SpeculativeLoads = false
-	}
-	if o.DisableMultiway {
-		cfg.MultiwayBranch = false
-	}
-	if o.Conservative {
-		cfg.RollTheDice = false
-	}
 	lvl, _ := opt.Level(o.level()) // validate vouches for the level
-	prof := core.ProfileHeuristic
-	if o.Profile {
-		prof = core.ProfileRun
-	}
-	maxBlocks := 0
-	if o.BasicBlockOnly {
-		maxBlocks = 1
-	}
-	return core.Options{
-		Config: cfg, Opt: lvl, Profile: prof,
-		MaxTraceBlocks: maxBlocks, Parallelism: parallelism,
-	}
+	co := core.Options{Config: cfg, Opt: lvl, ProfileRun: o.Profile, Parallelism: parallelism}
+	co.Ablate(o.DisableSpeculation, o.DisableMultiway, o.Conservative, o.BasicBlockOnly)
+	return co
 }
 
 // RunRequestOptions is the wire form of the execution options.

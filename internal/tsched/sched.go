@@ -247,18 +247,14 @@ const (
 
 // unitClass maps an op to the functional units that can execute it (§6.1,
 // §6.2: the F board ALUs share opcodes with the adder/multiplier and carry
-// the fast-move and SELECT paths; conversions run on the F side). Moves and
-// selects follow their source operand's bank: a value in an F bank — even a
-// 32-bit integer staged for conversion — can only be read by an F-side unit.
+// the fast-move and SELECT paths). The F unit of an F opcode is mach's
+// (FUnit); what stays here is the bank-dependent part. Moves and selects
+// follow their source operand's bank: a value in an F bank — even a 32-bit
+// integer staged for conversion — can only be read by an F-side unit.
 func unitClass(vf *VFunc, o *VOp) uclass {
 	switch o.Kind {
 	case mach.OpBrT, mach.OpJmp, mach.OpJmpR, mach.OpCall, mach.OpHalt, mach.OpSyscall:
 		return UBRClass
-	case ir.FAdd, ir.FSub, ir.FNeg, ir.FtoI, ir.ItoF,
-		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
-		return UFAClass
-	case ir.FMul, ir.FDiv:
-		return UFMClass
 	case ir.ConstF:
 		return UFEitherClass
 	case ir.Mov, mach.OpMovSF:
@@ -273,9 +269,14 @@ func unitClass(vf *VFunc, o *VOp) uclass {
 			return UFEitherClass
 		}
 		return UIALUClass
-	default:
-		return UIALUClass
 	}
+	switch mach.FUnit(o.Kind) {
+	case mach.UFA:
+		return UFAClass
+	case mach.UFM:
+		return UFMClass
+	}
+	return UIALUClass
 }
 
 // operandBoards inspects the op's register operands: it returns the

@@ -586,7 +586,7 @@ func ExpE10(ctx context.Context) ([]*Table, error) {
 	for _, w := range []Workload{daxpy, sortW} {
 		for _, u := range []int{1, 2, 4, 8, 16} {
 			lvl := opt.Options{Inline: true, UnrollFactor: u}
-			res, err := core.Compile(ctx, w.Src, core.Options{Config: mach.Trace28(), Opt: lvl, Profile: core.ProfileRun, Parallelism: Parallelism})
+			res, err := core.Compile(ctx, w.Src, core.Options{Config: mach.Trace28(), Opt: lvl, ProfileRun: true, Parallelism: Parallelism})
 			if err != nil {
 				return nil, err
 			}
@@ -722,7 +722,7 @@ func ExpE13(ctx context.Context) ([]*Table, error) {
 			return nil, err
 		}
 		blocksArt, err := core.Build(ctx, w.Src, core.Options{
-			Config: cfg, Opt: opt.Default(), Profile: core.ProfileRun, MaxTraceBlocks: 1, Parallelism: Parallelism})
+			Config: cfg, Opt: opt.Default(), ProfileRun: true, MaxTraceBlocks: 1, Parallelism: Parallelism})
 		if err != nil {
 			return nil, err
 		}

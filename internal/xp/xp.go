@@ -142,11 +142,7 @@ func RunByID(ctx context.Context, id string) ([]*Table, error) {
 
 // runOn compiles and simulates a workload, returning the run statistics.
 func runOn(ctx context.Context, w Workload, cfg mach.Config, lvl opt.Options, profRun bool) (*vliw.Stats, *core.Result, error) {
-	prof := core.ProfileHeuristic
-	if profRun {
-		prof = core.ProfileRun
-	}
-	art, err := core.Build(ctx, w.Src, core.Options{Config: cfg, Opt: lvl, Profile: prof, Parallelism: Parallelism})
+	art, err := core.Build(ctx, w.Src, core.Options{Config: cfg, Opt: lvl, ProfileRun: profRun, Parallelism: Parallelism})
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}

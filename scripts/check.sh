@@ -13,7 +13,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch, one way to arm and to run a batch, one executor for every tier)"
+echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch, one F-unit table, no unset compile knob, one way to arm and to run a batch, one executor for every tier)"
 # Tier is the only spelling of how a run executes, and mach.Config.Latency the
 # only timing model outside the verifier's own copy (internal/schedcheck).
 # bench/ is the frozen harness and is not ours to gate.
@@ -24,6 +24,20 @@ if gosrc -n 'Deprecated:|\b(ResolveTier|ErrTierConflict)\b'; then
 fi
 if gosrc -l --exclude='*_test.go' 'LatFMul' | grep -v -e '^\./internal/mach/' -e '^\./internal/schedcheck/'; then
 	echo "check: a second definition of the latency switch (use mach.Config.Latency)"
+	exit 1
+fi
+
+# mach's opcode table is the one home of the F unit an opcode issues on
+# (mach.FUnit; schedcheck keeps its own copy on purpose), and a compile request
+# says what it means once: a profile is core.Options.ProfileRun, the library
+# prints no pass report (a tool prints Result.Report under -time-passes), and
+# the optimizer's growth budgets are constants, not options.
+if gosrc -n --exclude='*_test.go' '\b(ProfileMode|ProfileHeuristic|TimePasses|isFSide|InlineThreshold|InlineGrowthCap|UnrollMaxOps|TailDupBudget)\b|\bIsFloat\(\)'; then
+	echo "check: a profile enum, a library pass-report switch, a settable optimizer budget or a second F-unit predicate is back"
+	exit 1
+fi
+if gosrc -n --exclude='*_test.go' 'ir\.FAdd, ir\.FSub, ir\.FNeg' | grep -v -e '^\./internal/mach/' -e '^\./internal/schedcheck/'; then
+	echo "check: a second list of the F adder's opcodes (use mach.FUnit)"
 	exit 1
 fi
 

@@ -60,6 +60,7 @@ package trace
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"github.com/multiflow-repro/trace/internal/baseline"
@@ -86,7 +87,8 @@ type Options struct {
 	// Config is the target machine; the zero value means Trace28().
 	Config Config
 	// OptLevel selects the classical-optimization pipeline; the zero value
-	// is the full pipeline (OptFull).
+	// is the full pipeline (OptFull). A value that is not one of the three
+	// levels fails the build.
 	OptLevel OptLevel
 	// ProfileRun, when true, gathers an exact execution profile with the IR
 	// interpreter before trace selection instead of using heuristics (§4:
@@ -113,9 +115,6 @@ type Options struct {
 	// schedule contract (see cmd/tracelint) as a final compiler stage; any
 	// error-severity finding fails the compilation.
 	Lint bool
-	// TimePasses prints the per-pass timing/size report to stderr after
-	// compilation (also always available as Result.Report).
-	TimePasses bool
 	// DumpIR, when non-nil, receives a printout of the IR after every
 	// compiler pass.
 	DumpIR io.Writer
@@ -234,37 +233,22 @@ func Trace28() Config { return mach.Trace28() }
 // unlimited ports and buses.
 func Ideal(pairs int) Config { return mach.IdealConfig(pairs) }
 
-func (o Options) toCore() core.Options {
+func (o Options) toCore() (core.Options, error) {
 	cfg := o.Config
 	if cfg.Pairs == 0 {
 		cfg = mach.Trace28()
 	}
-	if o.DisableSpeculation {
-		cfg.SpeculativeLoads = false
-	}
-	if o.DisableMultiway {
-		cfg.MultiwayBranch = false
-	}
-	if o.Conservative {
-		cfg.RollTheDice = false
-	}
-	// OptFull, OptLight, OptNone are levels 2, 1, 0; anything else is the default.
+	// OptFull, OptLight, OptNone are levels 2, 1, 0.
 	lvl, err := opt.Level(int(OptNone - o.OptLevel))
 	if err != nil {
-		lvl = opt.Default()
+		return core.Options{}, fmt.Errorf("trace: OptLevel %d is not OptFull, OptLight or OptNone", o.OptLevel)
 	}
-	prof := core.ProfileHeuristic
-	if o.ProfileRun {
-		prof = core.ProfileRun
+	co := core.Options{
+		Config: cfg, Opt: lvl, ProfileRun: o.ProfileRun,
+		Verify: o.Verify, Lint: o.Lint, DumpIR: o.DumpIR, Parallelism: o.Parallelism,
 	}
-	maxBlocks := 0
-	if o.BasicBlockOnly {
-		maxBlocks = 1
-	}
-	return core.Options{
-		Config: cfg, Opt: lvl, Profile: prof, MaxTraceBlocks: maxBlocks,
-		Verify: o.Verify, Lint: o.Lint, TimePasses: o.TimePasses, DumpIR: o.DumpIR, Parallelism: o.Parallelism,
-	}
+	co.Ablate(o.DisableSpeculation, o.DisableMultiway, o.Conservative, o.BasicBlockOnly)
+	return co, nil
 }
 
 // Artifact is an immutable compiled program: the executable image plus the
@@ -289,13 +273,21 @@ type ExitResult = core.ExitResult
 // per-function backend jobs: a canceled build stops at the next boundary
 // with an error satisfying errors.Is(err, ctx.Err()).
 func Build(ctx context.Context, src string, o Options) (*Artifact, error) {
-	return core.Build(ctx, src, o.toCore())
+	co, err := o.toCore()
+	if err != nil {
+		return nil, err
+	}
+	return core.Build(ctx, src, co)
 }
 
 // BuildFile is Build for source read from a named file; frontend
 // diagnostics render as "name:line:col: message".
 func BuildFile(ctx context.Context, name, src string, o Options) (*Artifact, error) {
-	return core.BuildFile(ctx, name, src, o.toCore())
+	co, err := o.toCore()
+	if err != nil {
+		return nil, err
+	}
+	return core.BuildFile(ctx, name, src, co)
 }
 
 // RunMany time-shares the artifacts' programs on one simulated CPU, one

@@ -54,14 +54,25 @@ func TestOptionKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Options{
-		{DisableSpeculation: true},
-		{DisableMultiway: true},
-		{Conservative: true},
-		{OptLevel: OptNone},
-		{OptLevel: OptLight},
+	for _, tc := range []struct {
+		o   Options
+		err string // what the build error names; "" builds
+	}{
+		{o: Options{DisableSpeculation: true}},
+		{o: Options{DisableMultiway: true}},
+		{o: Options{Conservative: true}},
+		{o: Options{OptLevel: OptNone}},
+		{o: Options{OptLevel: OptLight}},
+		{o: Options{OptLevel: 7}, err: "OptLevel 7"},
 	} {
+		o := tc.o
 		res, err := Build(context.Background(), demo, o)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%+v: err = %v, want one naming %q", o, err, tc.err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)
 		}
