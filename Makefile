@@ -1,6 +1,7 @@
 # Developer checks for the trace reproduction. `make check` is the gate:
-# formatting, vet, and the full test suite under the race detector (the
-# parallel per-function backend must stay race-clean).
+# formatting, vet, and the full test suite under the race detector (plans
+# shared by machines and the service's concurrent requests must stay
+# race-clean).
 
 GO ?= go
 

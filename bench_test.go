@@ -370,27 +370,6 @@ func BenchmarkCompiler(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileParallel measures compile throughput of the per-function
-// backend fan-out on the multi-function application, sequential vs one
-// worker per CPU. The images are identical at every setting (see
-// TestParallelCompileDeterminism); only wall-clock should move.
-func BenchmarkCompileParallel(b *testing.B) {
-	src := xp.MixedApp().Src
-	for _, c := range []struct {
-		name string
-		jobs int
-	}{{"j1", 1}, {"jNumCPU", 0}} {
-		b.Run(c.name, func(b *testing.B) {
-			var funcs int
-			for i := 0; i < b.N; i++ {
-				art := mustCompile(b, src, Options{Parallelism: c.jobs})
-				funcs = len(art.Result().Funcs)
-			}
-			b.ReportMetric(float64(funcs)/b.Elapsed().Seconds()*float64(b.N), "funcs/s")
-		})
-	}
-}
-
 // coldPrograms are the programs the two cold-path micro-benchmarks run: the
 // largest numeric kernel, a mid-sized one, the branchy systems kernel and one
 // generated program, all for the 4-pair machine at full optimization.
@@ -451,8 +430,7 @@ func BenchmarkTschedCompile(b *testing.B) {
 				b.StopTimer()
 				work := prog.Clone() // the backend inserts call spills
 				b.StartTimer()
-				_, err := tsched.CompileParallel(ctx, work, mach.Trace28(), pctx.Profile,
-					tsched.CompileOptions{Parallelism: 1})
+				_, err := tsched.CompileParallel(ctx, work, mach.Trace28(), pctx.Profile, tsched.CompileOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

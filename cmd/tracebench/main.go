@@ -6,7 +6,6 @@
 //	tracebench             run everything
 //	tracebench -exp e1     run one experiment (e1..e12, f1)
 //	tracebench -list       list experiments
-//	tracebench -j N        bound the compiler's backend worker pool
 //	tracebench -tier T     simulate on the named tier (same tables)
 package main
 
@@ -25,11 +24,9 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id (e1..e14, f1, all)")
 	list := flag.Bool("list", false, "list experiments")
-	jobs := flag.Int("j", 0, "compiler backend worker pool size (0 = one per CPU, 1 = sequential)")
 	tierName := flag.String("tier", "", "execution tier for the simulations: checked (default), fast, safe, or native (tables are identical)")
 	profiles := prof.Register()
 	flag.Parse()
-	xp.Parallelism = *jobs
 	var err error
 	xp.Tier, err = vliw.ParseTier(*tierName)
 	if err != nil {

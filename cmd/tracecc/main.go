@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	tracecc [-pairs N] [-O level] [-profile] [-j N] [-verify] [-time-passes]
+//	tracecc [-pairs N] [-O level] [-profile] [-verify] [-time-passes]
 //	        [-dump-ir] [-disasm] [-stats] [-cpuprofile F] [-memprofile F] prog.mf
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole command, so a
@@ -37,7 +37,6 @@ func main() {
 	verify := flag.Bool("verify", false, "validate the IR after every compiler pass")
 	lint := flag.Bool("lint", false, "statically verify the linked schedule (schedcheck) after linking")
 	timePasses := flag.Bool("time-passes", false, "print per-pass timing and IR-size report")
-	jobs := flag.Int("j", 0, "backend worker pool size (0 = one per CPU, 1 = sequential)")
 	profiles := prof.Register()
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -70,7 +69,7 @@ func main() {
 	}
 	copts := core.Options{
 		Config: cfg, Opt: lvl, ProfileRun: *profRun,
-		Verify: *verify, Lint: *lint, Parallelism: *jobs,
+		Verify: *verify, Lint: *lint,
 	}
 	if *dumpIR {
 		copts.DumpIR = os.Stdout

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	tracesim [-pairs N] [-O level] [-profile] [-j N] [-verify] [-time-passes]
+//	tracesim [-pairs N] [-O level] [-profile] [-verify] [-time-passes]
 //	         [-trace] [-baselines] [-tier T] [-max-cycles N]
 //	         [-snapshot-at N] [-snapshot-file F] [-resume F]
 //	         [-contexts K] [-quantum N] [-switch-beats N] [-beats N]
@@ -69,7 +69,6 @@ func main() {
 	baselines := flag.Bool("baselines", false, "also run the scalar and scoreboard baselines")
 	verify := flag.Bool("verify", false, "validate the IR after every compiler pass")
 	timePasses := flag.Bool("time-passes", false, "print per-pass compile timing to stderr")
-	jobs := flag.Int("j", 0, "backend worker pool size (0 = one per CPU, 1 = sequential)")
 	maxCycles := flag.Int64("max-cycles", 50_000_000, "beat budget before a runaway program is killed")
 	tierName := flag.String("tier", "", "execution tier: checked (default), fast, safe, or native")
 	snapshotAt := flag.Int64("snapshot-at", 0, "pause at this beat and serialize the context to -snapshot-file")
@@ -90,12 +89,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: tracesim [flags] prog.mf [prog2.mf ...]")
 		os.Exit(2)
 	}
-	if *contexts < 0 || *contexts > 255 {
-		fmt.Fprintln(os.Stderr, "tracesim: -contexts out of range (0-255)")
-		os.Exit(2)
-	}
-	if *contexts > 0 && flag.NArg() > 1 && *contexts != flag.NArg() {
-		fmt.Fprintf(os.Stderr, "tracesim: -contexts %d does not match %d source files\n", *contexts, flag.NArg())
+	if err := checkCounts(counts{
+		maxCycles: *maxCycles, quantum: *quantum, switchBeats: *switchBeats,
+		snapshotAt: *snapshotAt, beats: *topBeats, contexts: *contexts,
+	}, flag.NArg()); err != nil {
+		fmt.Fprintln(os.Stderr, "tracesim:", err)
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -123,7 +121,7 @@ func main() {
 	// simulation within one beat-check interval.
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSig()
-	copts := core.Options{Config: cfg, Opt: lvl, ProfileRun: *profRun, Verify: *verify, Parallelism: *jobs}
+	copts := core.Options{Config: cfg, Opt: lvl, ProfileRun: *profRun, Verify: *verify}
 	build := func(name string, src []byte) *core.Artifact {
 		art, err := core.BuildFile(ctx, name, string(src), copts)
 		if err != nil {
@@ -246,6 +244,31 @@ func main() {
 		fmt.Printf("scoreboard:  %d beats (speedup over scalar %.2fx)\n", sb.Beats,
 			float64(sc.Beats)/float64(sb.Beats))
 	}
+}
+
+// counts are tracesim's numeric flags.
+type counts struct {
+	maxCycles, quantum, switchBeats, snapshotAt int64
+	beats, contexts                             int
+}
+
+// checkCounts refuses a count no run can honour: a negative beat count, which
+// the run would otherwise replace by its default without a word, and a
+// -contexts out of range or at odds with the number of source files.
+func checkCounts(c counts, files int) error {
+	names := [...]string{"-max-cycles", "-quantum", "-switch-beats", "-snapshot-at", "-beats"}
+	for i, v := range [...]int64{c.maxCycles, c.quantum, c.switchBeats, c.snapshotAt, int64(c.beats)} {
+		if v < 0 {
+			return fmt.Errorf("%s must not be negative (got %d)", names[i], v)
+		}
+	}
+	if c.contexts < 0 || c.contexts > 255 {
+		return errors.New("-contexts out of range (0-255)")
+	}
+	if c.contexts > 0 && files > 1 && c.contexts != files {
+		return fmt.Errorf("-contexts %d does not match %d source files", c.contexts, files)
+	}
+	return nil
 }
 
 // reportProven says on stderr (stdout is the same on every tier) how many of

@@ -13,7 +13,7 @@
 //
 //	tracesrv [-addr host:port] [-port-file path] [-cache-bytes N]
 //	         [-snapshot-bytes N] [-snapshot-dir path]
-//	         [-max-inflight N] [-compile-timeout d] [-run-timeout d] [-j N]
+//	         [-max-inflight N] [-compile-timeout d] [-run-timeout d]
 //
 // The server prints "tracesrv: listening on ADDR" once the socket is bound
 // (and writes ADDR to -port-file if given), so scripts can bind port 0 and
@@ -49,7 +49,6 @@ func main() {
 	compileTimeout := flag.Duration("compile-timeout", 30*time.Second, "per-request compile deadline")
 	runTimeout := flag.Duration("run-timeout", 60*time.Second, "per-request simulation deadline")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown deadline")
-	jobs := flag.Int("j", 0, "backend worker pool per compilation (0 = one per CPU)")
 	profiles := prof.Register()
 	flag.Parse()
 
@@ -58,7 +57,6 @@ func main() {
 		MaxInflight:    *maxInflight,
 		CompileTimeout: *compileTimeout,
 		RunTimeout:     *runTimeout,
-		Parallelism:    *jobs,
 		SnapshotBytes:  *snapshotBytes,
 		SnapshotDir:    *snapshotDir,
 	})

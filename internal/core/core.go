@@ -8,8 +8,8 @@
 // the classical optimizations and profile estimation run as registered
 // passes with per-pass timing, IR-size deltas, optional IR dumps, and — in
 // verify mode — an IR validation at every pass boundary. The per-function
-// backend (trace scheduling and machine lowering) fans out over a bounded
-// worker pool; linking stays sequential.
+// backend (trace scheduling and machine lowering) then compiles each
+// function in turn, and linking joins them.
 package core
 
 import (
@@ -54,10 +54,6 @@ type Options struct {
 	Lint bool
 	// DumpIR, when non-nil, receives a printout of the IR after every pass.
 	DumpIR io.Writer
-	// Parallelism bounds the worker pool the per-function backend fans out
-	// over: 0 = one worker per CPU, 1 = sequential, N = at most N workers.
-	// Output is identical at every setting.
-	Parallelism int
 }
 
 // DefaultOptions compiles for the 4-pair TRACE 28/200 at full optimization
@@ -177,14 +173,12 @@ func CompileIR(ctx context.Context, prog *ir.Program, opts Options) (*Result, er
 		res.Opt = opt.StatsFrom(pctx, opsBefore, pipeline.CountOps(work))
 		res.Profile = pctx.Profile
 
-		// Back half: per-function trace scheduling fans out over the worker
-		// pool; linking is sequential.
+		// Back half: per-function trace scheduling, then linking.
 		var codes []*tsched.FuncCode
 		err := pctx.Stage(ctx, "tsched", work, func() error {
 			var err error
 			codes, err = tsched.CompileParallel(ctx, work, opts.Config, res.Profile, tsched.CompileOptions{
 				MaxTraceBlocks: opts.MaxTraceBlocks,
-				Parallelism:    opts.Parallelism,
 			})
 			return err
 		})

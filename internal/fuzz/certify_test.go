@@ -22,7 +22,7 @@ func TestUncertifiableImageIsAFinding(t *testing.T) {
 	ctx := context.Background()
 	const src = `func main() int { print_i(6) return 7 }`
 	stub := func() *core.Artifact {
-		art, err := core.Build(ctx, src, core.Options{Config: mach.Trace28(), Opt: opt.Default(), Parallelism: 1})
+		art, err := core.Build(ctx, src, core.Options{Config: mach.Trace28(), Opt: opt.Default()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,8 @@
 // Package fuzz is the differential robustness harness for the no-interlock
 // stack. It generates random, always-terminating MF programs and checks that
 // the trace-scheduled VLIW executes each one exactly like the scalar
-// reference — at every optimization level and backend parallelism setting —
-// and that compilation itself is byte-deterministic. On a machine with no
+// reference — at every optimization level and machine width — and that
+// compilation itself is byte-deterministic. On a machine with no
 // hardware interlocks a scheduling bug does not fault, it silently corrupts
 // results (PAPER.md §"Simplify the hardware"); an independent oracle is the
 // only way to observe that class of bug.

@@ -47,7 +47,7 @@ func flip(dst mach.PReg, val uint64) uint64 {
 // has a blind spot.
 func TestEverySingleWriteFaultDetected(t *testing.T) {
 	res, err := core.Compile(context.Background(), injectSrc, core.Options{
-		Config: mach.Trace7(), Opt: opt.None(), Parallelism: 1,
+		Config: mach.Trace7(), Opt: opt.None(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/multiflow-repro/trace/internal/baseline"
@@ -26,7 +27,7 @@ var ErrSkip = errors.New("fuzz: input establishes no reference result")
 // simulator bug.
 type Divergence struct {
 	Stage  string // "compile", "ir-validate", "lint", "trap", "exit", "output", "image"
-	Config string // machine/opt/parallelism setting that diverged
+	Config string // machine/opt setting that diverged
 	Detail string
 	Src    string // the offending program
 }
@@ -127,18 +128,17 @@ func runTiers(ctx context.Context, art *core.Artifact, tiers []vliw.Tier, maxCyc
 // matrix is the compile-and-run settings every input is checked across:
 // every optimization level, multiple machine widths, and the basic-block-only
 // ablation. Last comes full optimization on the widest machine, whose image
-// the 4-worker backend must then reproduce byte for byte.
+// a second build must then reproduce byte for byte.
 var matrix = []struct {
 	name     string
 	cfg      func() mach.Config
 	level    int // opt.Level
 	maxTrace int
-	jobs     int
 }{
-	{"trace7/O0/j1", mach.Trace7, 0, 0, 1},
-	{"trace14/O1/j1", mach.Trace14, 1, 0, 1},
-	{"trace28/O2/bb-only/j1", mach.Trace28, 2, 1, 1},
-	{"trace28/O2/j1", mach.Trace28, 2, 0, 1},
+	{"trace7/O0", mach.Trace7, 0, 0},
+	{"trace14/O1", mach.Trace14, 1, 0},
+	{"trace28/O2/bb-only", mach.Trace28, 2, 1},
+	{"trace28/O2", mach.Trace28, 2, 0},
 }
 
 // Check runs the full differential oracle on one MF source text. It returns
@@ -173,7 +173,7 @@ func Check(ctx context.Context, src string, o Options) error {
 		lvl, _ := opt.Level(m.level)
 		copts = core.Options{
 			Config: m.cfg(), Opt: lvl,
-			MaxTraceBlocks: m.maxTrace, Parallelism: m.jobs,
+			MaxTraceBlocks: m.maxTrace,
 		}
 		last = nil
 		art, err := core.Build(ctx, src, copts)
@@ -213,26 +213,24 @@ func Check(ctx context.Context, src string, o Options) error {
 		return nil
 	}
 
-	// The sequential build of the last setting ran against the reference;
-	// the 4-worker build must be byte-identical to it.
-	seq := last.Image()
-	copts.Parallelism = 4
+	// The build of the last setting ran against the reference; a second
+	// build of the same source and options must be byte-identical to it.
+	const rebuild = "trace28/O2/rebuild"
+	first := last.Image()
 	res, err := core.Compile(ctx, src, copts)
 	if err != nil {
-		return &Divergence{Stage: "image", Config: "trace28/O2/j4",
-			Detail: fmt.Sprintf("sequential build succeeded but parallel build failed: %v", err), Src: src}
+		return &Divergence{Stage: "image", Config: rebuild,
+			Detail: fmt.Sprintf("first build succeeded but the second failed: %v", err), Src: src}
 	}
-	par := res.Image
-	if len(par.Instrs) != len(seq.Instrs) {
-		return &Divergence{Stage: "image", Config: "trace28/O2/j4",
-			Detail: fmt.Sprintf("instruction count %d vs %d", len(par.Instrs), len(seq.Instrs)), Src: src}
+	second := res.Image
+	if len(second.Instrs) != len(first.Instrs) {
+		return &Divergence{Stage: "image", Config: rebuild,
+			Detail: fmt.Sprintf("instruction count %d vs %d", len(second.Instrs), len(first.Instrs)), Src: src}
 	}
-	for i := range seq.Words {
-		for w := range seq.Words[i] {
-			if seq.Words[i][w] != par.Words[i][w] {
-				return &Divergence{Stage: "image", Config: "trace28/O2/j4",
-					Detail: fmt.Sprintf("instr %d word %d differs between j1 and j4 builds", i, w), Src: src}
-			}
+	for i := range first.Words {
+		if !slices.Equal(first.Words[i], second.Words[i]) {
+			return &Divergence{Stage: "image", Config: rebuild,
+				Detail: fmt.Sprintf("instr %d differs between two builds", i), Src: src}
 		}
 	}
 	return nil

@@ -28,7 +28,7 @@ const snapshotSplits = 3
 // every performance counter. A corrupted snapshot must be refused by
 // Restore, never half-applied.
 func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error {
-	copts := core.Options{Config: mach.Trace28(), Opt: opt.Default(), Parallelism: 1}
+	copts := core.Options{Config: mach.Trace28(), Opt: opt.Default()}
 	art, err := core.Build(ctx, src, copts)
 	if err != nil {
 		if ctx.Err() != nil {

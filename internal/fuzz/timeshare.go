@@ -38,7 +38,7 @@ type tenant struct {
 // the other stages' business); ErrSkip reports that no input survived to
 // compare.
 func CheckTimeshare(ctx context.Context, srcs []string, o Options) error {
-	copts := core.Options{Config: mach.Trace28(), Opt: opt.Default(), Parallelism: 1}
+	copts := core.Options{Config: mach.Trace28(), Opt: opt.Default()}
 	var ts []tenant
 	for _, src := range srcs {
 		if art, err := core.Build(ctx, src, copts); err == nil && art.Lint().Err() == nil {

@@ -30,7 +30,7 @@ type Pass interface {
 
 // Context threads instrumentation and inter-pass artifacts through one
 // pipeline execution. A Context is not safe for concurrent use; the driver
-// runs passes sequentially (parallelism lives inside backend stages).
+// runs passes sequentially.
 type Context struct {
 	// Verify runs ir.Validate after every pass and fails the pipeline at
 	// the first pass whose output is malformed.

@@ -24,7 +24,7 @@ func BenchmarkServeCachedRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := New(Config{Parallelism: 8})
+	s := New(Config{})
 	hs := httptest.NewServer(s)
 	defer hs.Close()
 
@@ -78,7 +78,7 @@ func main() int {
 	return s & 255
 }`, i, i)
 	}
-	s := New(Config{Parallelism: 8})
+	s := New(Config{})
 	hs := httptest.NewServer(s)
 	defer hs.Close()
 
@@ -122,7 +122,7 @@ func main() int {
 // BenchmarkServeColdCompile measures the other end: every request a
 // distinct program, every compile a full pipeline execution.
 func BenchmarkServeColdCompile(b *testing.B) {
-	s := New(Config{Parallelism: 1})
+	s := New(Config{})
 	hs := httptest.NewServer(s)
 	defer hs.Close()
 	b.ResetTimer()

@@ -13,10 +13,9 @@ import (
 
 // Key addresses a compilation by content: SHA-256 over the canonicalized
 // semantic options and the source text. Two requests with the same key are
-// the same compilation by construction — the compiler is deterministic at
-// every Parallelism setting (cross-checked continuously by the fuzz
-// oracle), so the key never needs to mention who asked or how many backend
-// workers built it.
+// the same compilation by construction — the compiler is deterministic
+// (cross-checked continuously by the fuzz oracle), so the key never needs
+// to mention who asked.
 func Key(src string, o Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%s", o.canonical(), src)

@@ -22,7 +22,7 @@ func runNoCache(t *testing.T, url, src string, tier vliw.Tier) {
 // machine kept the one plan of its last image, every switch decoded the image,
 // derived its certified copy and grew every region again.)
 func TestWarmArtifactsBuildNothing(t *testing.T) {
-	s, hs := newTestServer(t, Config{Parallelism: 1})
+	s, hs := newTestServer(t, Config{})
 	srcs := []string{demoSrc, guardedSrc}
 	pass := func() {
 		for _, tier := range []vliw.Tier{vliw.TierChecked, vliw.TierNative} {
@@ -66,7 +66,7 @@ func TestWarmArtifactsBuildNothing(t *testing.T) {
 // words, their certified copy, the regions built so far — so the cache charges
 // it again after a run that built something, and still evicts to its budget.
 func TestArtifactCostFollowsItsPlan(t *testing.T) {
-	s, hs := newTestServer(t, Config{Parallelism: 1})
+	s, hs := newTestServer(t, Config{})
 	mustPostOK(t, hs.URL+"/compile", CompileRequest{Source: demoSrc})
 	unrun := s.Metrics().ArtifactBytes.Value()
 	runNoCache(t, hs.URL, demoSrc, vliw.TierNative)
@@ -78,7 +78,7 @@ func TestArtifactCostFollowsItsPlan(t *testing.T) {
 	// A budget that holds two artifacts nobody has run, and not one that has
 	// run beside another.
 	budget := unrun + ran - 1
-	s, hs = newTestServer(t, Config{Parallelism: 1, CacheBytes: budget})
+	s, hs = newTestServer(t, Config{CacheBytes: budget})
 	var srcs [2]string
 	for i := range srcs {
 		srcs[i] = fmt.Sprintf("%s// v%d\n", demoSrc, i)

@@ -25,7 +25,6 @@ func FuzzServeRequest(f *testing.F) {
 		RunCacheEntries: 64,
 		CompileTimeout:  200 * time.Millisecond,
 		RunTimeout:      20 * time.Millisecond,
-		Parallelism:     1,
 		MaxSourceBytes:  2048,
 		SnapshotBytes:   4 << 20,
 	})

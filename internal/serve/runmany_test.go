@@ -56,7 +56,7 @@ func TestRunManyTenantsEqualSoloRuns(t *testing.T) {
 }
 
 func tenantsEqualSoloRuns(t *testing.T, tier vliw.Tier) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 
 	solo := make([]RunResponse, len(tenantSrcs))
 	for i, src := range tenantSrcs {
@@ -100,7 +100,7 @@ func tenantsEqualSoloRuns(t *testing.T, tier vliw.Tier) {
 // TestRunManyPerTenantError: a trapping tenant reports in its own slot; the
 // batch stays 200 and the other tenants complete.
 func TestRunManyPerTenantError(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 	req := RunManyRequest{Programs: []RunManyProgram{
 		{Source: tenantSrcs[0]},
 		{Source: `func main() int {
@@ -124,7 +124,7 @@ func TestRunManyPerTenantError(t *testing.T) {
 
 // TestRunManyBadRequests: shape validation for the batch endpoint.
 func TestRunManyBadRequests(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 	cases := []struct {
 		name string
 		body any
@@ -158,7 +158,7 @@ func TestRunManyBadRequests(t *testing.T) {
 // TestMetricsIncludeRunMany: the /metrics tree carries the new endpoint and
 // its rejected counter.
 func TestMetricsIncludeRunMany(t *testing.T) {
-	s, hs := newTestServer(t, Config{Parallelism: 1})
+	s, hs := newTestServer(t, Config{})
 	post(t, hs.URL+"/runmany", RunManyRequest{Programs: []RunManyProgram{{Source: tenantSrcs[0]}}})
 	resp, raw := post(t, hs.URL+"/runmany", RunManyRequest{})
 	if resp.StatusCode != http.StatusBadRequest {

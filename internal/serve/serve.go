@@ -46,8 +46,8 @@ import (
 )
 
 // Options is the wire form of a compilation request's semantic options.
-// Fields the compiler proves non-semantic — backend parallelism, verify
-// mode — are deliberately absent: they belong to the server, not the key.
+// Fields the compiler proves non-semantic, such as verify mode, are
+// deliberately absent: they belong to the server, not the key.
 type Options struct {
 	// Pairs selects the machine width: 1, 2, or 4 I-F pairs (default 4).
 	Pairs int `json:"pairs,omitempty"`
@@ -105,15 +105,14 @@ func (o Options) validate() error {
 	return nil
 }
 
-// toCore maps wire options to compiler options; parallelism comes from the
-// server configuration because it is provably non-semantic.
-func (o Options) toCore(parallelism int) core.Options {
+// toCore maps wire options to compiler options.
+func (o Options) toCore() core.Options {
 	cfg := mach.NewConfig(o.pairs())
 	if o.Ideal {
 		cfg = mach.IdealConfig(o.pairs())
 	}
 	lvl, _ := opt.Level(o.level()) // validate vouches for the level
-	co := core.Options{Config: cfg, Opt: lvl, ProfileRun: o.Profile, Parallelism: parallelism}
+	co := core.Options{Config: cfg, Opt: lvl, ProfileRun: o.Profile}
 	co.Ablate(o.DisableSpeculation, o.DisableMultiway, o.Conservative, o.BasicBlockOnly)
 	return co
 }
@@ -298,9 +297,6 @@ type Config struct {
 	// and 60s). The client can only shorten them, via request context.
 	CompileTimeout time.Duration
 	RunTimeout     time.Duration
-	// Parallelism is the backend worker pool per compilation (0 = one
-	// worker per CPU).
-	Parallelism int
 	// MaxSourceBytes rejects oversized programs with 413 (default 1 MiB).
 	MaxSourceBytes int64
 	// SnapshotBytes budgets the in-RAM resume-snapshot store (default
@@ -439,7 +435,7 @@ func (s *Server) artifact(ctx context.Context, key, src string, o Options) (art 
 	// healthy; retry — the next attempt starts a fresh compile.
 	for {
 		art, joined, err = s.flight.do(ctx, key, func(cctx context.Context) (*core.Artifact, error) {
-			a, err := core.Build(cctx, src, o.toCore(s.cfg.Parallelism))
+			a, err := core.Build(cctx, src, o.toCore())
 			if err != nil {
 				return nil, err
 			}

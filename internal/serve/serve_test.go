@@ -74,7 +74,7 @@ func decode[T any](t *testing.T, raw []byte) T {
 }
 
 func TestCompileCacheMissThenHit(t *testing.T) {
-	s, hs := newTestServer(t, Config{Parallelism: 1})
+	s, hs := newTestServer(t, Config{})
 	before := core.PipelineRuns()
 
 	resp, raw := post(t, hs.URL+"/compile", CompileRequest{Source: demoSrc})
@@ -129,7 +129,7 @@ func TestKeySeparatesOptions(t *testing.T) {
 }
 
 func TestConcurrentIdenticalCompilesCollapse(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 	src := demoSrc + "// collapse\n"
 	before := core.PipelineRuns()
 
@@ -170,7 +170,7 @@ func TestConcurrentIdenticalCompilesCollapse(t *testing.T) {
 }
 
 func TestRunResultMemoized(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 	src := demoSrc + "// memo\n"
 	req := RunRequest{Source: src, Run: RunRequestOptions{Tier: vliw.TierFast}}
 	before := core.PipelineRuns()
@@ -235,7 +235,7 @@ func main() int {
 // response reports it, the memo keeps safe and fast results apart, and the
 // /metrics cert_level tree counts each run at the grade it executed under.
 func TestRunSafeTier(t *testing.T) {
-	s, hs := newTestServer(t, Config{Parallelism: 1})
+	s, hs := newTestServer(t, Config{})
 
 	safeReq := RunRequest{Source: guardedSrc, Run: RunRequestOptions{Tier: vliw.TierSafe}}
 	resp, raw := post(t, hs.URL+"/run", safeReq)
@@ -287,7 +287,7 @@ func TestRunSafeTier(t *testing.T) {
 // safe, an unknown tier name is a structured bad_request, and /metrics
 // counts the run under cert_level.native.
 func TestRunNativeTier(t *testing.T) {
-	s, hs := newTestServer(t, Config{Parallelism: 1})
+	s, hs := newTestServer(t, Config{})
 
 	natReq := RunRequest{Source: guardedSrc, Run: RunRequestOptions{Tier: vliw.TierNative}}
 	resp, raw := post(t, hs.URL+"/run", natReq)
@@ -341,7 +341,7 @@ func TestRunNativeTier(t *testing.T) {
 // TestRunManySafeTier: the batch endpoint puts every tenant on the safe
 // tier and the results stay identical to checked ones.
 func TestRunManySafeTier(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 
 	for _, tier := range []vliw.Tier{vliw.TierSafe, vliw.TierNative} {
 		resp, raw := post(t, hs.URL+"/runmany", runManyReq(tier))
@@ -388,7 +388,7 @@ func TestWireSpellsTheTierOneWay(t *testing.T) {
 		t.Errorf("RunManyRunOptions wire fields = %v, want %v", got, want)
 	}
 
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 	check := func(what string, body map[string]json.RawMessage, tier string) {
 		t.Helper()
 		if got := string(body["tier"]); got != `"`+tier+`"` {
@@ -432,7 +432,7 @@ func TestRunDeadlineReturns504AndMachineToPool(t *testing.T) {
 	// SnapshotBytes < 0 disables checkpointing: the deadline maps straight
 	// to 504 (the default configuration instead answers 202 + resume token;
 	// snapshot_test.go covers that path).
-	s, hs := newTestServer(t, Config{Parallelism: 1, RunTimeout: 30 * time.Millisecond, SnapshotBytes: -1})
+	s, hs := newTestServer(t, Config{RunTimeout: 30 * time.Millisecond, SnapshotBytes: -1})
 
 	resp, raw := post(t, hs.URL+"/run", RunRequest{
 		Source: slowSrc,
@@ -454,7 +454,7 @@ func TestRunDeadlineReturns504AndMachineToPool(t *testing.T) {
 }
 
 func TestCompileErrorIsStructured(t *testing.T) {
-	s, hs := newTestServer(t, Config{Parallelism: 1})
+	s, hs := newTestServer(t, Config{})
 	resp, raw := post(t, hs.URL+"/compile", CompileRequest{
 		Source: "func main() int {\n\treturn undefined_variable\n}",
 	})
@@ -481,7 +481,7 @@ func TestCompileErrorIsStructured(t *testing.T) {
 }
 
 func TestSaturationReturns429(t *testing.T) {
-	s, hs := newTestServer(t, Config{Parallelism: 1, MaxInflight: 1, RunTimeout: 5 * time.Second})
+	s, hs := newTestServer(t, Config{MaxInflight: 1, RunTimeout: 5 * time.Second})
 
 	// Occupy the single admission slot with a genuinely slow run.
 	started := make(chan struct{})
@@ -543,7 +543,7 @@ func TestSaturationReturns429(t *testing.T) {
 }
 
 func TestLintEndpoint(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 	resp, raw := post(t, hs.URL+"/lint", CompileRequest{Source: demoSrc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
@@ -558,7 +558,7 @@ func TestLintEndpoint(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1, MaxSourceBytes: 128})
+	_, hs := newTestServer(t, Config{MaxSourceBytes: 128})
 
 	resp, _ := post(t, hs.URL+"/compile", CompileRequest{Source: ""})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -599,7 +599,7 @@ func TestBadRequests(t *testing.T) {
 func TestArtifactCacheEviction(t *testing.T) {
 	// A budget big enough for roughly one artifact forces eviction on the
 	// second distinct compile.
-	s, hs := newTestServer(t, Config{Parallelism: 1, CacheBytes: 8 << 10})
+	s, hs := newTestServer(t, Config{CacheBytes: 8 << 10})
 	for i := 0; i < 3; i++ {
 		src := fmt.Sprintf("%s// v%d\n", demoSrc, i)
 		resp, raw := post(t, hs.URL+"/compile", CompileRequest{Source: src})
@@ -616,7 +616,7 @@ func TestArtifactCacheEviction(t *testing.T) {
 }
 
 func TestMetricsEndpointShape(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 	post(t, hs.URL+"/compile", CompileRequest{Source: demoSrc})
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
@@ -639,7 +639,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 // before this, {"run":{"fast":true}} (the spelling from before Tier) was
 // dropped by the decoder and the run answered 200 on the checked tier.
 func TestUnknownRequestFieldsAreRefused(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 	for _, tc := range []struct {
 		path, body, field string
 	}{

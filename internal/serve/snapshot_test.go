@@ -24,7 +24,7 @@ import (
 // pause tests can pick a deadline relative to the machine they run on.
 func referenceRun(t *testing.T, src string) (core.ExitResult, time.Duration) {
 	t.Helper()
-	art, err := core.Build(context.Background(), src, Options{}.toCore(1))
+	art, err := core.Build(context.Background(), src, Options{}.toCore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func resumeToCompletion(t *testing.T, url, token string, beats int64) (RunRespon
 
 func TestRunPausesAndResumesToCompletion(t *testing.T) {
 	want, refDur := referenceRun(t, slowSrc)
-	s, hs := newTestServer(t, Config{Parallelism: 1, RunTimeout: pauseTimeout(refDur)})
+	s, hs := newTestServer(t, Config{RunTimeout: pauseTimeout(refDur)})
 
 	resp, raw := post(t, hs.URL+"/run", RunRequest{
 		Source: slowSrc,
@@ -122,7 +122,7 @@ func TestRunPausesAndResumesToCompletion(t *testing.T) {
 }
 
 func TestResumeUnknownToken(t *testing.T) {
-	_, hs := newTestServer(t, Config{Parallelism: 1})
+	_, hs := newTestServer(t, Config{})
 	resp, raw := post(t, hs.URL+"/resume", ResumeRequest{Token: strings.Repeat("ab", 32)})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404; body %s", resp.StatusCode, raw)
@@ -148,7 +148,7 @@ func TestSnapshotDiskRecovery(t *testing.T) {
 	dir := t.TempDir()
 
 	_, hsA := newTestServer(t, Config{
-		Parallelism: 1, RunTimeout: pauseTimeout(refDur), SnapshotDir: dir,
+		RunTimeout: pauseTimeout(refDur), SnapshotDir: dir,
 	})
 	resp, raw := post(t, hsA.URL+"/run", RunRequest{
 		Source: slowSrc,
@@ -176,7 +176,7 @@ func TestSnapshotDiskRecovery(t *testing.T) {
 
 	// Server A vanishes here as far as B is concerned; B boots cold onto
 	// the shared directory.
-	sB, hsB := newTestServer(t, Config{Parallelism: 1, SnapshotDir: dir})
+	sB, hsB := newTestServer(t, Config{SnapshotDir: dir})
 	if got := sB.Metrics().SnapshotsRecovered.Value(); got != 1 {
 		t.Errorf("SnapshotsRecovered = %d, want 1 (corrupt file must not count)", got)
 	}
@@ -192,7 +192,7 @@ func TestSnapshotDiskRecovery(t *testing.T) {
 }
 
 func TestHealthzReadyzDrain(t *testing.T) {
-	s, hs := newTestServer(t, Config{Parallelism: 1, MaxInflight: 1})
+	s, hs := newTestServer(t, Config{MaxInflight: 1})
 
 	// The probes bypass admission control: hold the only admission slot and
 	// they must still answer.
@@ -245,7 +245,7 @@ func TestHealthzReadyzDrain(t *testing.T) {
 // came back exactly once and the pool still serves.
 func TestRunManyPoolExactlyOnce(t *testing.T) {
 	s, hs := newTestServer(t, Config{
-		Parallelism: 1, RunTimeout: 50 * time.Millisecond, SnapshotBytes: -1,
+		RunTimeout: 50 * time.Millisecond, SnapshotBytes: -1,
 	})
 	trapSrc := "func main() int {\n\tvar z int = 0\n\treturn 7 / z\n}\n"
 
@@ -339,7 +339,7 @@ func FuzzSpillFile(f *testing.F) {
 
 // pausedSpill is the spill file of a run of demoSrc paused at beat 100.
 func pausedSpill(f *testing.F) []byte {
-	art, err := core.Build(context.Background(), demoSrc, Options{}.toCore(1))
+	art, err := core.Build(context.Background(), demoSrc, Options{}.toCore())
 	if err != nil {
 		f.Fatal(err)
 	}

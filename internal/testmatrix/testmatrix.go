@@ -184,9 +184,8 @@ type compiled struct {
 
 var cache sync.Map // compileKey -> *compiled
 
-// Compile is core.Compile of src for cfg at o (heuristic profile, default
-// parallelism), done once per test process and shared by every caller. The
-// result is read-only.
+// Compile is core.Compile of src for cfg at o (heuristic profile), done once
+// per test process and shared by every caller. The result is read-only.
 func Compile(src string, cfg mach.Config, o opt.Options) (*core.Result, error) {
 	e, _ := cache.LoadOrStore(compileKey{src, cfg, o}, new(compiled))
 	c := e.(*compiled)

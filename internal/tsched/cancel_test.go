@@ -20,25 +20,23 @@ func main() int { return f3(5) }
 `
 
 // TestCompileParallelCanceled: a canceled context stops the backend before
-// it schedules any (more) functions, at every parallelism setting, and the
-// error satisfies errors.Is. Function compilations are atomic — a function
-// either compiles completely or is never started.
+// it schedules any (more) functions, and the error satisfies errors.Is.
+// Function compilations are atomic — a function either compiles completely
+// or is never started.
 func TestCompileParallelCanceled(t *testing.T) {
 	prog, err := lang.Compile(manyFuncsSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prof := profile.Static(prog)
-	for _, jobs := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := CompileParallel(ctx, prog, mach.Trace28(), prof, CompileOptions{Parallelism: jobs})
-		if err == nil {
-			t.Fatalf("j=%d: pre-canceled backend returned nil error", jobs)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("j=%d: errors.Is(err, Canceled) = false: %v", jobs, err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = CompileParallel(ctx, prog, mach.Trace28(), prof, CompileOptions{})
+	if err == nil {
+		t.Fatal("pre-canceled backend returned nil error")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("errors.Is(err, Canceled) = false: %v", err)
 	}
 }
 
@@ -51,7 +49,7 @@ func TestCompileParallelRealErrorWinsOverCancel(t *testing.T) {
 	}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := CompileParallel(ctx, prog, mach.Trace7(), ir.Profile{}, CompileOptions{Parallelism: 1})
+	_, err := CompileParallel(ctx, prog, mach.Trace7(), ir.Profile{}, CompileOptions{})
 	if err == nil {
 		t.Fatal("poisoned function compiled without error")
 	}

@@ -6,7 +6,7 @@ import (
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
-// RetryLadder is the trace-length ladder compileOneInner descends on register
+// RetryLadder is the trace-length ladder compileOne descends on register
 // pressure, for the external allocator tests that walk it themselves.
 var RetryLadder = retryLadder
 

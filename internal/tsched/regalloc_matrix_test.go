@@ -20,14 +20,40 @@ import (
 
 // eachScheduledFunc hands visit every scheduled function a compile of src
 // allocates registers for — every rung of the trace-length ladder inside
-// tsched.CompileParallel and every §8.4 retry of core.CompileIR included —
-// over a pool of workers. visit returns the allocator's own verdict, which
-// steers the two ladders exactly as in the real drivers, and a test failure.
-func eachScheduledFunc(src string, cfg mach.Config, o opt.Options, workers int,
+// tsched.CompileParallel and every §8.4 retry of core.CompileIR included.
+// visit returns the allocator's own verdict, which steers the two ladders
+// exactly as in the real drivers, and a test failure.
+func eachScheduledFunc(src string, cfg mach.Config, o opt.Options,
 	visit func(*tsched.SFunc) (allocErr, failure error)) error {
 	prog, err := lang.Compile(src)
 	if err != nil {
 		return err
+	}
+	// full reports whether a bank overflowed on every rung of f's ladder.
+	full := func(work *ir.Program, f *ir.Func, prof ir.EdgeWeights, layout map[string]int64) (bool, error) {
+		vf, err := tsched.LowerFunc(work, f, f.Name == "main")
+		if err != nil {
+			return false, err
+		}
+		for _, maxBlocks := range tsched.RetryLadder(0) {
+			sf, err := tsched.Assemble(cfg, vf, prof, layout, maxBlocks)
+			var size *tsched.ErrScheduleSize
+			if errors.As(err, &size) {
+				continue
+			}
+			if err != nil {
+				return false, err
+			}
+			allocErr, failure := visit(sf)
+			if failure != nil || allocErr == nil {
+				return false, failure
+			}
+			var pressure *tsched.ErrPressure
+			if !errors.As(allocErr, &pressure) {
+				return false, allocErr
+			}
+		}
+		return true, nil
 	}
 	for {
 		work := prog.Clone()
@@ -37,62 +63,13 @@ func eachScheduledFunc(src string, cfg mach.Config, o opt.Options, workers int,
 			return err
 		}
 		layout, _ := ir.LayoutGlobals(work)
-
-		full := make([]bool, len(work.Funcs)) // a bank overflowed on every rung
-		fails := make([]error, len(work.Funcs))
-		one := func(i int) {
-			f := work.Funcs[i]
-			vf, err := tsched.LowerFunc(work, f, f.Name == "main")
-			if err != nil {
-				fails[i] = err
-				return
-			}
-			for _, maxBlocks := range tsched.RetryLadder(0) {
-				sf, err := tsched.Assemble(cfg, vf, pctx.Profile[f.Name], layout, maxBlocks)
-				var size *tsched.ErrScheduleSize
-				if errors.As(err, &size) {
-					continue
-				}
-				if err != nil {
-					fails[i] = err
-					return
-				}
-				allocErr, failure := visit(sf)
-				if failure != nil || allocErr == nil {
-					fails[i] = failure
-					return
-				}
-				var pressure *tsched.ErrPressure
-				if !errors.As(allocErr, &pressure) {
-					fails[i] = allocErr
-					return
-				}
-			}
-			full[i] = true
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					one(i)
-				}
-			}()
-		}
-		for i := range work.Funcs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-
 		retry := false
-		for i := range work.Funcs {
-			if fails[i] != nil {
-				return fails[i]
+		for _, f := range work.Funcs {
+			overflow, err := full(work, f, pctx.Profile[f.Name], layout)
+			if err != nil {
+				return err
 			}
-			retry = retry || full[i]
+			retry = retry || overflow
 		}
 		switch {
 		case !retry:
@@ -126,7 +103,7 @@ func judgeProgram(p testmatrix.Program) *matrixVerdict {
 		for _, c := range testmatrix.Machines {
 			for _, lv := range testmatrix.MatrixLevels {
 				at := c.Name + "/" + lv.Name + ": "
-				err := eachScheduledFunc(p.Src, c.Cfg, lv.Opt, 1, func(sf *tsched.SFunc) (error, error) {
+				err := eachScheduledFunc(p.Src, c.Cfg, lv.Opt, func(sf *tsched.SFunc) (error, error) {
 					allocErr, mismatch, unsound := tsched.CheckAllocate(sf, c.Cfg)
 					for _, d := range tsched.DeadCompOps(sf, c.Cfg) {
 						v.deadComp = append(v.deadComp, at+d)
@@ -229,7 +206,7 @@ func TestAllocatePressureParity(t *testing.T) {
 			cfg := base.Cfg
 			s.shrink(&cfg)
 			overflows := 0
-			err := eachScheduledFunc(src, cfg, opt.Default(), 1, func(sf *tsched.SFunc) (error, error) {
+			err := eachScheduledFunc(src, cfg, opt.Default(), func(sf *tsched.SFunc) (error, error) {
 				allocErr, mismatch, _ := tsched.CheckAllocate(sf, cfg)
 				var ep *tsched.ErrPressure
 				if errors.As(allocErr, &ep) {
@@ -249,9 +226,9 @@ func TestAllocatePressureParity(t *testing.T) {
 
 // TestAllocationSound checks the allocator's contract directly, with no
 // oracle: on the golden matrix, and on TestParallelCompileDeterminism's
-// programs with the functions of a program allocated one at a time and four
-// at a time, no definition shares a physical register with anything live, or
-// reachable while its write is in flight, in the same bank.
+// programs at full optimization, no definition shares a physical register
+// with anything live, or reachable while its write is in flight, in the same
+// bank.
 func TestAllocationSound(t *testing.T) {
 	for _, p := range testmatrix.Programs(t, testmatrix.Matrix...) {
 		t.Run(p.Key(), func(t *testing.T) {
@@ -261,17 +238,16 @@ func TestAllocationSound(t *testing.T) {
 			}
 		})
 	}
+	// "j/" sets the kernels' leg apart from the matrix's.
 	for _, w := range testmatrix.Programs(t, testmatrix.Kernels, testmatrix.MixedApp) {
 		t.Run("j/"+w.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, workers := range []int{1, 4} {
-				cfg := mach.Trace28()
-				err := eachScheduledFunc(w.Src, cfg, opt.Default(), workers, func(sf *tsched.SFunc) (error, error) {
-					return tsched.CheckAllocationSound(sf, cfg)
-				})
-				if err != nil {
-					t.Errorf("-j%d: %v", workers, err)
-				}
+			cfg := mach.Trace28()
+			err := eachScheduledFunc(w.Src, cfg, opt.Default(), func(sf *tsched.SFunc) (error, error) {
+				return tsched.CheckAllocationSound(sf, cfg)
+			})
+			if err != nil {
+				t.Error(err)
 			}
 		})
 	}

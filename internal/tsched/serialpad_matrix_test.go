@@ -30,7 +30,7 @@ func judgeSerial(p testmatrix.Program) *serialVerdict {
 		for _, c := range testmatrix.Machines {
 			for _, lv := range testmatrix.MatrixLevels {
 				at := c.Name + "/" + lv.Name + ": "
-				err := eachScheduledFunc(p.Src, c.Cfg, lv.Opt, 1, func(sf *tsched.SFunc) (error, error) {
+				err := eachScheduledFunc(p.Src, c.Cfg, lv.Opt, func(sf *tsched.SFunc) (error, error) {
 					if err := padsAreExact(sf, c.Cfg); err != nil {
 						v.pads = append(v.pads, at+sf.Name+": "+err.Error())
 					}

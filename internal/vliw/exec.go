@@ -156,18 +156,13 @@ func (c *Context) load(ea, size int64) uint64 {
 	return binary.LittleEndian.Uint64(c.mem[ea:])
 }
 
-// store writes the low size bytes of v at ea, marks the bank busy and shows
-// WatchStore what was written.
+// store writes the low size bytes of v at ea and marks the bank busy.
 func (m *Machine) store(c *Context, ea, size int64, v uint64) {
 	c.touchBank(ea)
 	if size == 4 {
-		v = uint64(uint32(v))
 		binary.LittleEndian.PutUint32(c.mem[ea:], uint32(v))
 	} else {
 		binary.LittleEndian.PutUint64(c.mem[ea:], v)
-	}
-	if m.WatchStore != nil {
-		m.WatchStore(ea, v)
 	}
 }
 

@@ -210,8 +210,6 @@ const (
 // of them at beat granularity.
 type Machine struct {
 	Cfg mach.Config
-	Img *isa.Image // context 0's image (the only one after Reset)
-	Mem []byte     // context 0's memory (aliases ctxs[0]; kept for callers)
 
 	// Resident hardware contexts. cur points at the executing one; every
 	// hot-loop state access indexes through it.
@@ -270,8 +268,7 @@ type Machine struct {
 	// a run it is the batch's totals with Beats = the machine's wall clock:
 	// after Run the run's own stats, after RunMany the aggregate across
 	// contexts.
-	Stats    Stats
-	CheckRes bool // verify port/bus limits (off for Ideal)
+	Stats Stats
 
 	// Quantum is the round-robin timeslice in beats for RunMany
 	// (initialized from Cfg.CtxQuantum, default DefaultCtxQuantum).
@@ -301,8 +298,6 @@ type Machine struct {
 	// TraceFn, when set, is called before each instruction with the PC and
 	// current beat (debugging aid; also used by cmd/tracesim -trace).
 	TraceFn func(pc int, beat int64)
-	// WatchStore, when set, observes every store (address, raw value).
-	WatchStore func(ea int64, val uint64)
 
 	// InterruptEvery, when > 0, delivers a timer interrupt every that many
 	// beats (§8.2: "when an enabled interrupt request arrives, execution
@@ -357,7 +352,7 @@ func (m *Machine) context(i int) *Context {
 // when a context of the machine last ran this very image — its pre-decoded
 // plan, regions and all. It restores the machine to the state New would
 // produce: architectural state zeroed, stats cleared, instrumentation hooks
-// (InjectWrite, TraceFn, WatchStore, OnInterrupt) removed, DMA stopped, and
+// (InjectWrite, TraceFn, OnInterrupt) removed, DMA stopped, and
 // the certified fast path disabled (re-apply a certificate after Reset to
 // re-enable it). Callers that run many programs — the fuzz oracle, the
 // experiment harness, benchmarks — pool machines through Reset instead of
@@ -425,9 +420,7 @@ func (m *Machine) ResetPlans(plans []*Plan) error {
 	m.ctxs = m.ctxs[:len(plans)]
 	m.cur = m.ctxs[0]
 	m.curIdx = 0
-	m.Img = m.cur.img
-	m.Mem = m.cur.mem
-	m.resetMachine(m.Img.Cfg)
+	m.resetMachine(m.cur.img.Cfg)
 	return nil
 }
 
@@ -458,7 +451,6 @@ func (m *Machine) resetMachine(cfg mach.Config) {
 	m.FlushOnSwitch = false
 	m.InjectWrite = nil
 	m.TraceFn = nil
-	m.WatchStore = nil
 	m.InterruptEvery = 0
 	m.OnInterrupt = nil
 	m.InterruptBeats = 0
@@ -467,7 +459,6 @@ func (m *Machine) resetMachine(cfg mach.Config) {
 	m.CycleLimit = 2_000_000_000
 	m.StopBeat = 0
 	m.CtxCheckEvery = DefaultCtxCheckBeats
-	m.CheckRes = !cfg.Ideal
 	m.Stats = Stats{}
 	m.regions = regionStats{}
 
@@ -677,11 +668,6 @@ func (m *Machine) ContextSwitch(asid uint8) {
 			c.itlb[i] = -1
 		}
 	}
-}
-
-// PeekI reads an integer register of the current context (debugging/tests).
-func (m *Machine) PeekI(board, idx int) int32 {
-	return int32(m.cur.readReg(mach.PReg{Bank: mach.BankI, Board: uint8(board), Idx: uint8(idx)}))
 }
 
 // Run boots the machine and executes context 0 until HALT. It returns main's
@@ -1091,7 +1077,7 @@ func (m *Machine) step(c *Context, issue bool) error {
 // write pipeline, lat beats on. The beat counts what its slots count (opBulk):
 // all of them when it ends, those through the faulting slot when it does not.
 func (m *Machine) interpret(c *Context, ws *wordSlots, beat int) error {
-	if m.CheckRes && c.tier == TierChecked {
+	if !m.Cfg.Ideal && c.tier == TierChecked {
 		if v := ws.viol[beat]; v != nil {
 			return m.fault(c, "", v.code, "%s", v.msg)
 		}

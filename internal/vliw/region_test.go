@@ -108,7 +108,7 @@ func TestHooksKeepNativePerWord(t *testing.T) {
 	})
 	t.Run("InterruptEvery", func(t *testing.T) {
 		m, _ := warmNative(t)
-		c := New(m.Img)
+		c := New(m.ctxs[0].img)
 		var fired [2]int
 		for i, x := range []*Machine{c, m} {
 			x.InterruptEvery = 500
@@ -123,7 +123,7 @@ func TestHooksKeepNativePerWord(t *testing.T) {
 	})
 	t.Run("DMA", func(t *testing.T) {
 		m, _ := warmNative(t)
-		c := New(m.Img)
+		c := New(m.ctxs[0].img)
 		for _, x := range []*Machine{c, m} {
 			x.StartDMA(ir.GlobalBase, 4096, 1e8)
 			if _, _, err := x.Run(); err != nil {
@@ -134,28 +134,6 @@ func TestHooksKeepNativePerWord(t *testing.T) {
 			t.Fatalf("DMA stream: checked %+v vs native %+v", c.Stats, m.Stats)
 		}
 	})
-}
-
-// TestWatchStoreInsideRegions: WatchStore does not need the per-word path;
-// the store micro-ops of a region honour it.
-func TestWatchStoreInsideRegions(t *testing.T) {
-	m, ref := warmNative(t)
-	var stores int64
-	m.WatchStore = func(ea int64, _ uint64) {
-		if ea < ir.GlobalBase {
-			t.Fatalf("store to %#x", ea)
-		}
-		stores++
-	}
-	if _, _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if stores != ref.Stores || m.Stats != *ref {
-		t.Fatalf("WatchStore saw %d of %d stores", stores, ref.Stores)
-	}
-	if m.regions.words < ref.Instrs/2 {
-		t.Fatalf("WatchStore pushed the run off its regions: %d of %d words ran in them", m.regions.words, ref.Instrs)
-	}
 }
 
 // TestSafePlanBuildsItsOwnRegions: a certificate armed on a machine whose
@@ -239,7 +217,7 @@ func TestRegionSummary(t *testing.T) {
 	solo := m.regions
 
 	cert := m.ctxs[0].plan.cert
-	if err := m.ResetMany([]*isa.Image{m.Img, m.Img}); err != nil {
+	if err := m.ResetMany([]*isa.Image{m.ctxs[0].img, m.ctxs[0].img}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.UseNativeCertificate(cert); err != nil {

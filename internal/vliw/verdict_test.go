@@ -151,7 +151,7 @@ func verdictMachine(t *testing.T, img *isa.Image) *Machine {
 
 func verdictPrepare(t *testing.T, m *Machine, tier Tier, perWord bool) {
 	t.Helper()
-	img := m.Img
+	img := m.ctxs[0].img
 	m.Reset(img)
 	if tier == TierFast {
 		if err := m.UseCertificate(noProof{img}); err != nil {
@@ -191,11 +191,11 @@ func verdictAgree(t *testing.T, what string, ref, m *Machine, errs [2]error, out
 
 func TestVerdictsInsideWarmRegions(t *testing.T) {
 	for _, tc := range verdictCases() {
-		for _, checkRes := range []bool{true, false} {
-			if !checkRes && tc.code != TrapResource {
+		for _, ideal := range []bool{false, true} {
+			if ideal && tc.code != TrapResource {
 				continue
 			}
-			t.Run(fmt.Sprintf("%s/CheckRes=%v", tc.name, checkRes), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/Ideal=%v", tc.name, ideal), func(t *testing.T) {
 				img := verdictLoop(t, 6, tc.body, tc.last...)
 				ref, m := New(img), verdictMachine(t, img)
 				if r := m.ctxs[0].plan.head(0); r == nil || len(r.words) != tc.headWords {
@@ -209,7 +209,7 @@ func TestVerdictsInsideWarmRegions(t *testing.T) {
 					var outcome [2]string
 					for i, x := range []*Machine{ref, m} {
 						verdictPrepare(t, x, tier, x == ref)
-						x.CheckRes = checkRes
+						x.Cfg.Ideal = ideal // no port or bus limits to check
 						if tc.setup != nil {
 							tc.setup(x)
 						}
@@ -221,10 +221,10 @@ func TestVerdictsInsideWarmRegions(t *testing.T) {
 					if m.regions.words == 0 {
 						t.Fatalf("%s: no word ran in a region: %s", what, m.RegionSummary())
 					}
-					// The verdict is the checked tier's alone, and only a resource
-					// verdict asks CheckRes.
+					// The verdict is the checked tier's alone, and an Ideal
+					// machine gives no resource verdict.
 					want := tc.code
-					if tier != TierChecked || want == TrapResource && !checkRes {
+					if tier != TierChecked || want == TrapResource && ideal {
 						want = TrapUnknown
 					}
 					switch {

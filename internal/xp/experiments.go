@@ -109,7 +109,7 @@ func ExpE3(ctx context.Context) ([]*Table, error) {
 			return nil, err
 		}
 		vax := baseline.VAXSize(prog)
-		res, err := core.Compile(ctx, w.Src, core.Options{Config: cfg, Opt: opt.Default(), Parallelism: Parallelism})
+		res, err := core.Compile(ctx, w.Src, core.Options{Config: cfg, Opt: opt.Default()})
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +248,7 @@ func main() int {
 	// on the hardware bank-stall. This separates the compiler's contribution
 	// from the hardware's.
 	{
-		res, err := core.Compile(ctx, unit.Src, core.Options{Config: cfg, Opt: opt.Default(), Parallelism: Parallelism})
+		res, err := core.Compile(ctx, unit.Src, core.Options{Config: cfg, Opt: opt.Default()})
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +396,7 @@ func ExpE7(ctx context.Context) ([]*Table, error) {
 	}
 	{
 		cfg := mach.Trace28()
-		res, err := core.Compile(ctx, daxpy.Src, core.Options{Config: cfg, Opt: opt.Default(), Parallelism: Parallelism})
+		res, err := core.Compile(ctx, daxpy.Src, core.Options{Config: cfg, Opt: opt.Default()})
 		if err != nil {
 			return nil, err
 		}
@@ -440,7 +440,7 @@ func ExpE7(ctx context.Context) ([]*Table, error) {
 	}
 	cfg := mach.Trace28()
 	for _, w := range []Workload{fir, scanner} {
-		res, err := core.Compile(ctx, w.Src, core.Options{Config: cfg, Opt: opt.Default(), Parallelism: Parallelism})
+		res, err := core.Compile(ctx, w.Src, core.Options{Config: cfg, Opt: opt.Default()})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -586,7 +586,7 @@ func ExpE10(ctx context.Context) ([]*Table, error) {
 	for _, w := range []Workload{daxpy, sortW} {
 		for _, u := range []int{1, 2, 4, 8, 16} {
 			lvl := opt.Options{Inline: true, UnrollFactor: u}
-			res, err := core.Compile(ctx, w.Src, core.Options{Config: mach.Trace28(), Opt: lvl, ProfileRun: true, Parallelism: Parallelism})
+			res, err := core.Compile(ctx, w.Src, core.Options{Config: mach.Trace28(), Opt: lvl, ProfileRun: true})
 			if err != nil {
 				return nil, err
 			}
@@ -722,7 +722,7 @@ func ExpE13(ctx context.Context) ([]*Table, error) {
 			return nil, err
 		}
 		blocksArt, err := core.Build(ctx, w.Src, core.Options{
-			Config: cfg, Opt: opt.Default(), ProfileRun: true, MaxTraceBlocks: 1, Parallelism: Parallelism})
+			Config: cfg, Opt: opt.Default(), ProfileRun: true, MaxTraceBlocks: 1})
 		if err != nil {
 			return nil, err
 		}

@@ -14,11 +14,6 @@ import (
 	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
-// Parallelism bounds the compiler's backend worker pool for every
-// compilation the harness runs (0 = one worker per CPU, 1 = sequential).
-// cmd/tracebench sets it from -j; output is identical at every setting.
-var Parallelism int
-
 // Tier selects the execution tier every workload simulation runs on
 // (checked, fast, safe, or native). cmd/tracebench sets it from -tier;
 // every table is identical at every setting (no tier changes timing).
@@ -142,7 +137,7 @@ func RunByID(ctx context.Context, id string) ([]*Table, error) {
 
 // runOn compiles and simulates a workload, returning the run statistics.
 func runOn(ctx context.Context, w Workload, cfg mach.Config, lvl opt.Options, profRun bool) (*vliw.Stats, *core.Result, error) {
-	art, err := core.Build(ctx, w.Src, core.Options{Config: cfg, Opt: lvl, ProfileRun: profRun, Parallelism: Parallelism})
+	art, err := core.Build(ctx, w.Src, core.Options{Config: cfg, Opt: lvl, ProfileRun: profRun})
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}

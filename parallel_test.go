@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"sync"
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/isa"
@@ -31,28 +32,50 @@ func imageBytes(t *testing.T, img *isa.Image) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelCompileDeterminism compiles every workload with a sequential
-// backend and with an 8-worker pool and requires byte-identical images: the
-// per-function fan-out must not leak scheduling order into the output.
+// TestParallelCompileDeterminism builds every workload twice at the same
+// time, the second build in verify mode, and requires byte-identical images:
+// neither a concurrent build (the service compiles many programs at once) nor
+// IR validation at the pass boundaries may leak into the output. The image
+// must also run like the reference interpreter.
 func TestParallelCompileDeterminism(t *testing.T) {
 	for _, w := range testmatrix.Programs(t, testmatrix.Kernels, testmatrix.MixedApp) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			seq, err := Build(context.Background(), w.Src, Options{Parallelism: 1})
-			if err != nil {
-				t.Fatalf("sequential compile: %v", err)
+			var arts [2]*Artifact
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i, o := range []Options{{}, {Verify: true}} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					arts[i], errs[i] = Build(context.Background(), w.Src, o)
+				}()
 			}
-			par, err := Build(context.Background(), w.Src, Options{Parallelism: 8})
-			if err != nil {
-				t.Fatalf("parallel compile: %v", err)
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("build %d: %v", i, err)
+				}
 			}
-			sb, pb := imageBytes(t, seq.Image()), imageBytes(t, par.Image())
-			if !bytes.Equal(sb, pb) {
-				t.Fatalf("images differ between Parallelism=1 (%d bytes) and Parallelism=8 (%d bytes)", len(sb), len(pb))
+			a, b := arts[0].Image(), arts[1].Image()
+			ab, bb := imageBytes(t, a), imageBytes(t, b)
+			if !bytes.Equal(ab, bb) {
+				t.Fatalf("images differ between two builds (%d and %d bytes)", len(ab), len(bb))
 			}
-			if seq.Image().Entry != par.Image().Entry || len(seq.Image().Instrs) != len(par.Image().Instrs) {
+			if a.Entry != b.Entry || len(a.Instrs) != len(b.Instrs) {
 				t.Fatalf("image layout differs: entry %d vs %d, %d vs %d instrs",
-					seq.Image().Entry, par.Image().Entry, len(seq.Image().Instrs), len(par.Image().Instrs))
+					a.Entry, b.Entry, len(a.Instrs), len(b.Instrs))
+			}
+			wantV, wantOut, err := Interpret(arts[0].Result())
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotV, gotOut, _, err := runChecked(arts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotV != wantV || gotOut != wantOut {
+				t.Fatalf("image diverges from the interpreter: exit %d vs %d, out %q vs %q", gotV, wantV, gotOut, wantOut)
 			}
 		})
 	}
@@ -60,9 +83,9 @@ func TestParallelCompileDeterminism(t *testing.T) {
 
 // TestStaticWeightsCompileDeterministically builds programs whose static
 // weights are not binary fractions (a header's latches share its frequency)
-// several times, sequentially and on four workers, and requires one image
-// fingerprint: trace selection sums the weights in a fixed order, so float
-// rounding cannot reorder the seeds between two compiles.
+// six times and requires one image fingerprint: trace selection sums the
+// weights in a fixed order, so float rounding cannot reorder the seeds
+// between two compiles.
 func TestStaticWeightsCompileDeterministically(t *testing.T) {
 	progs := []testmatrix.Program{
 		testmatrix.Gen.Get(t, "02"),
@@ -74,7 +97,7 @@ func TestStaticWeightsCompileDeterministically(t *testing.T) {
 			t.Parallel()
 			var want [32]byte
 			for i := 0; i < 6; i++ {
-				art, err := Build(context.Background(), p.Src, Options{Parallelism: 1 + 3*(i%2)})
+				art, err := Build(context.Background(), p.Src, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,31 +105,9 @@ func TestStaticWeightsCompileDeterministically(t *testing.T) {
 				if i == 0 {
 					want = fp
 				} else if fp != want {
-					t.Fatalf("build %d (Parallelism %d) has fingerprint %x, build 0 %x", i, 1+3*(i%2), fp[:8], want[:8])
+					t.Fatalf("build %d has fingerprint %x, build 0 %x", i, fp[:8], want[:8])
 				}
 			}
 		})
-	}
-}
-
-// TestParallelCompileRuns sanity-checks that a parallel-compiled image
-// actually executes: compile the multi-function app with the worker pool
-// and diff simulator output against the reference interpreter.
-func TestParallelCompileRuns(t *testing.T) {
-	w := testmatrix.MixedApp(t)[0]
-	res, err := Build(context.Background(), w.Src, Options{Parallelism: 8, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV, wantOut, err := Interpret(res.Result())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotV, gotOut, _, err := runChecked(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotV != wantV || gotOut != wantOut {
-		t.Fatalf("parallel-compiled image diverges: exit %d vs %d, out %q vs %q", gotV, wantV, gotOut, wantOut)
 	}
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate: formatting, vet, and the full test suite under the race detector
-# (the compiler's parallel per-function backend must stay race-clean).
+# (plans shared by machines and the service's concurrent requests must stay
+# race-clean).
 # Equivalent to `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
@@ -13,7 +14,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch, one F-unit table, no unset compile knob, one way to arm and to run a batch, one executor for every tier)"
+echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch, one F-unit table, no unset compile knob, no backend worker pool, one way to arm and to run a batch, one executor for every tier)"
 # Tier is the only spelling of how a run executes, and mach.Config.Latency the
 # only timing model outside the verifier's own copy (internal/schedcheck).
 # bench/ is the frozen harness and is not ours to gate.
@@ -38,6 +39,17 @@ if gosrc -n --exclude='*_test.go' '\b(ProfileMode|ProfileHeuristic|TimePasses|is
 fi
 if gosrc -n --exclude='*_test.go' 'ir\.FAdd, ir\.FSub, ir\.FNeg' | grep -v -e '^\./internal/mach/' -e '^\./internal/schedcheck/'; then
 	echo "check: a second list of the F adder's opcodes (use mach.FUnit)"
+	exit 1
+fi
+
+# A compile runs a program's functions in turn (after inlining there are one or
+# two): no worker pool in internal/tsched and no knob sizing one anywhere. The
+# simulator keeps no store hook, register accessor, resource switch beside
+# Config.Ideal or context-0 alias that only its own tests read.
+if gosrc -n --exclude='*_test.go' '\bParallelism\b' ||
+	grep -rnE --include='*.go' --exclude='*_test.go' 'sync\.WaitGroup|go func' internal/tsched ||
+	grep -rnE --include='*.go' --exclude='*_test.go' '\b(WatchStore|PeekI|CheckRes)\b|\bm\.(Img|Mem)\b' internal/vliw; then
+	echo "check: a backend worker pool or its Parallelism knob, or a deleted vliw.Machine member (WatchStore, PeekI, CheckRes, Img, Mem), is back"
 	exit 1
 fi
 

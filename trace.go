@@ -118,10 +118,6 @@ type Options struct {
 	// DumpIR, when non-nil, receives a printout of the IR after every
 	// compiler pass.
 	DumpIR io.Writer
-	// Parallelism bounds the worker pool that compiles functions
-	// concurrently in the backend: 0 = one worker per CPU, 1 = sequential,
-	// N = at most N workers. Output is identical at every setting.
-	Parallelism int
 }
 
 // OptLevel selects how aggressively the classical optimizer runs.
@@ -245,7 +241,7 @@ func (o Options) toCore() (core.Options, error) {
 	}
 	co := core.Options{
 		Config: cfg, Opt: lvl, ProfileRun: o.ProfileRun,
-		Verify: o.Verify, Lint: o.Lint, DumpIR: o.DumpIR, Parallelism: o.Parallelism,
+		Verify: o.Verify, Lint: o.Lint, DumpIR: o.DumpIR,
 	}
 	co.Ablate(o.DisableSpeculation, o.DisableMultiway, o.Conservative, o.BasicBlockOnly)
 	return co, nil
