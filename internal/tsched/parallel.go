@@ -98,15 +98,15 @@ func isCapacityErr(err error) bool {
 }
 
 // retryLadder returns the descending trace-length caps tried on register
-// pressure: unlimited, then 6, 2, 1 blocks; with an explicit cap, the caps
-// at or below it.
+// pressure: unlimited, then 6, 2, 1 blocks; with an explicit cap, that cap
+// and then each of 2 and 1 below it, so no cap is tried twice.
 func retryLadder(maxTraceBlocks int) []int {
 	if maxTraceBlocks <= 0 {
 		return []int{0, 6, 2, 1}
 	}
-	ladder := []int{}
-	for _, m := range []int{maxTraceBlocks, 2, 1} {
-		if m <= maxTraceBlocks {
+	ladder := []int{maxTraceBlocks}
+	for _, m := range []int{2, 1} {
+		if m < maxTraceBlocks {
 			ladder = append(ladder, m)
 		}
 	}

@@ -2,6 +2,7 @@ package tsched
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -443,5 +444,26 @@ func TestFailedCopySearchLeaksNoRegister(t *testing.T) {
 	}
 	if h, _ := home.get(cp); h != 1 || s.reg(r).copies[1] != cp || len(s.placed) != 1 {
 		t.Errorf("copy t%d: home %d, cached %d, %d ops placed", cp, h, s.reg(r).copies[1], len(s.placed))
+	}
+}
+
+// TestRetryLadderTriesEachCapOnce pins the trace-length ladder: descending,
+// and no cap twice (a repeated rung schedules and allocates a function again
+// at a cap that has already failed).
+func TestRetryLadderTriesEachCapOnce(t *testing.T) {
+	for _, tc := range []struct {
+		cap  int
+		want []int
+	}{
+		{0, []int{0, 6, 2, 1}},
+		{1, []int{1}},
+		{2, []int{2, 1}},
+		{3, []int{3, 2, 1}},
+		{6, []int{6, 2, 1}},
+		{7, []int{7, 2, 1}},
+	} {
+		if got := retryLadder(tc.cap); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("retryLadder(%d) = %v, want %v", tc.cap, got, tc.want)
+		}
 	}
 }
