@@ -106,6 +106,8 @@ func main() {
 		fmt.Printf("VAX-model size:    %d bytes (packed/VAX = %.2fx)\n", vax, float64(packed)/float64(vax))
 		fmt.Printf("opt pipeline:      %d inlined, %d loops unrolled, %d hoisted\n",
 			res.Opt.Inlined, res.Opt.Unrolled, res.Opt.Hoisted)
+		fmt.Printf("constant divides:  %d rewritten, %d kept (%d dividend unbounded, %d bound too wide)\n",
+			res.Opt.DivRewritten, res.Opt.DivNoBound+res.Opt.DivTooWide, res.Opt.DivNoBound, res.Opt.DivTooWide)
 		var comp, spec, copies, pads, serial int
 		for _, fc := range res.Funcs {
 			comp += fc.CompOps

@@ -63,8 +63,14 @@ type Stats struct {
 	TailDups   int
 	Simplified int
 	Removed    int
-	OpsBefore  int
-	OpsAfter   int
+	// Divides by a non-zero constant: rewritten into shifts, masks and
+	// multiplies, or kept on the divider because the dividend has no bound
+	// (DivNoBound) or its bound lets the product leave 32 bits (DivTooWide).
+	DivRewritten int
+	DivNoBound   int
+	DivTooWide   int
+	OpsBefore    int
+	OpsAfter     int
 }
 
 // Run applies the full classical pipeline to the program and returns stats.
