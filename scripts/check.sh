@@ -186,7 +186,7 @@ if gosrc -n '\b(narrowRounds|NarrowRounds|s0Copy)\b'; then
 	exit 1
 fi
 
-echo "== the verify notes name tests that exist"
+echo "== the verify notes name tests that exist, and the experiment tables reproduce"
 # Every test, fuzz target or benchmark .claude/skills/verify/SKILL.md names
 # must be a function of some _test.go, or the prefix of some (TestRegion
 # stands for the TestRegion* cases), and every -run pattern it gives must
@@ -205,6 +205,13 @@ for pat in $(grep -oE -- "-run[ =]+('[^']*'|[^ '\`]+)" "$skill" | sed -E "s/^-ru
 		exit 1
 	fi
 done
+
+# The experiment tables are deterministic, so the recorded ones must be what
+# the harness prints today (~6 s).
+if ! go run ./cmd/tracebench | cmp -s - experiments_output.txt; then
+	echo "check: go run ./cmd/tracebench no longer reproduces experiments_output.txt (regenerate it: go run ./cmd/tracebench > experiments_output.txt)"
+	exit 1
+fi
 
 echo "== one home for the optimisation level (opt.Level)"
 if gosrc -n --exclude='*_test.go' 'UnrollFactor: 4' | grep -v -e '^\./internal/opt/' -e '^\./internal/xp/'; then
