@@ -11,7 +11,7 @@ import (
 // 30 beats (mach.Config.LatIDiv). DivConst replaces a divide by a constant
 // with one-beat ALU ops and at most two 32-bit multiplies (Warren, Hacker's
 // Delight ch. 10; Granlund and Montgomery, PLDI 1994), using the intervals
-// of this file to know the dividend's range. The ISA has no high-half
+// of interval.go to know the dividend's range. The ISA has no high-half
 // multiply, so the multiply form applies only where that range keeps the
 // product inside 32 bits.
 
@@ -126,16 +126,12 @@ func (s *divSite) decide() {
 		}
 		return
 	}
-	b := s.x.hi
-	if s.x.lo < 0 {
-		b = max(-s.x.lo, s.x.hi)
-	}
 	if s.x.lo == math.MinInt32 || s.x.hi == math.MaxInt32 {
 		s.form = divNoBound
 		return
 	}
 	var ok bool
-	if s.m, s.s, ok = magic(d, b); ok {
+	if s.m, s.s, ok = magic(d, max(-s.x.lo, s.x.hi)); ok {
 		s.form = divMagic
 	} else {
 		s.form = divTooWide
