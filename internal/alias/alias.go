@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"github.com/multiflow-repro/trace/internal/absval"
 )
 
 // Answer is the disambiguator's verdict.
@@ -139,28 +141,14 @@ func (f Form) String() string {
 // without building the difference.
 func diff(a, b Form) (c, g int64) {
 	for v, x := range a.Terms {
-		g = gcd(g, abs64(x-b.Terms[v]))
+		g = absval.GCD(g, x-b.Terms[v])
 	}
 	for v, y := range b.Terms {
 		if _, ok := a.Terms[v]; !ok {
-			g = gcd(g, abs64(y))
+			g = absval.GCD(g, y)
 		}
 	}
 	return a.Const - b.Const, g
-}
-
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Ref is one memory reference for disambiguation: its address form and
@@ -228,7 +216,7 @@ func SameBank(a, b Ref, modulus int64) Answer {
 		}
 		return No
 	}
-	g := gcd(dg, modulus)
+	g := absval.GCD(dg, modulus)
 	// d mod modulus ranges over {d + g·k mod modulus}; a same-bank hit
 	// needs d ≡ t (mod modulus) for some t with t mod modulus within (-8, 8)
 	// of 0.

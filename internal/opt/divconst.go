@@ -4,14 +4,15 @@ import (
 	"math"
 	"math/bits"
 
+	"github.com/multiflow-repro/trace/internal/absval"
 	"github.com/multiflow-repro/trace/internal/ir"
 )
 
 // The TRACE has no divide hardware: an integer Div or Rem holds its ALU for
 // 30 beats (mach.Config.LatIDiv). DivConst replaces a divide by a constant
 // with one-beat ALU ops and at most two 32-bit multiplies (Warren, Hacker's
-// Delight ch. 10; Granlund and Montgomery, PLDI 1994), using the intervals
-// of interval.go to know the dividend's range. The ISA has no high-half
+// Delight ch. 10; Granlund and Montgomery, PLDI 1994), using the value
+// ranges of ranges.go to know the dividend's range. The ISA has no high-half
 // multiply, so the multiply form applies only where that range keeps the
 // product inside 32 bits.
 
@@ -29,9 +30,9 @@ const (
 // A divSite is one Div or Rem of a function by a non-zero constant, with the
 // dividend's interval at that point and the form it compiles to.
 type divSite struct {
-	blk, idx int      // the op is f.Blocks[blk].Ops[idx]
-	c        int32    // the divisor
-	x        interval // the dividend's range there
+	blk, idx int        // the op is f.Blocks[blk].Ops[idx]
+	c        int32      // the divisor
+	x        absval.Val // the dividend's range there
 	form     divForm
 	m, s     int64 // divMagic: q = (x·m) >> s
 }
@@ -118,20 +119,20 @@ func blockConst(b *ir.Block, i int, r ir.Reg) (int32, bool) {
 
 // decide picks the site's form from its divisor and dividend interval.
 func (s *divSite) decide() {
-	d := abs64(int64(s.c))
+	d := absval.Abs64(int64(s.c))
 	if d&(d-1) == 0 {
 		s.form = divPow2
-		if s.x.lo >= 0 {
+		if s.x.Lo >= 0 {
 			s.form = divPow2Pos
 		}
 		return
 	}
-	if s.x.lo == math.MinInt32 || s.x.hi == math.MaxInt32 {
+	if s.x.Lo == math.MinInt32 || s.x.Hi == math.MaxInt32 {
 		s.form = divNoBound
 		return
 	}
 	var ok bool
-	if s.m, s.s, ok = magic(d, max(-s.x.lo, s.x.hi)); ok {
+	if s.m, s.s, ok = magic(d, max(-s.x.Lo, s.x.Hi)); ok {
 		s.form = divMagic
 	} else {
 		s.form = divTooWide
@@ -209,7 +210,7 @@ func (e *divEmitter) bin(k ir.OpKind, dst, a ir.Reg, v int64) ir.Reg {
 func (e *divEmitter) lower(s divSite) {
 	x, dst := e.op.Args[0], e.op.Dst
 	rem := e.op.Kind == ir.Rem
-	d := abs64(int64(s.c))
+	d := absval.Abs64(int64(s.c))
 	k := int64(bits.TrailingZeros64(uint64(d)))
 	// q is the quotient by |c|. It goes straight to dst unless it is still
 	// to be negated or multiplied back into a remainder.
@@ -242,7 +243,7 @@ func (e *divEmitter) lower(s divSite) {
 			return
 		}
 		q = e.bin(ir.Sra, qDst, t, k)
-	case s.x.lo >= 0: // divMagic
+	case s.x.Lo >= 0: // divMagic
 		q = e.bin(ir.Shr, qDst, e.bin(ir.Mul, ir.None, x, s.m), s.s)
 	default: // divMagic, signed: a negative product rounds down, so add 1
 		t := e.bin(ir.Sra, ir.None, e.bin(ir.Mul, ir.None, x, s.m), s.s)
@@ -254,11 +255,4 @@ func (e *divEmitter) lower(s divSite) {
 	case s.c < 0:
 		e.emit(ir.Neg, dst, q)
 	}
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -19,7 +19,7 @@ func DivClaims(f *ir.Func) []DivClaim {
 	for _, s := range divSites(f) {
 		if s.form == divPow2Pos || s.form == divMagic {
 			o := &f.Blocks[s.blk].Ops[s.idx]
-			cs = append(cs, DivClaim{s.blk, s.idx, o.Line, o.Args[0], s.x.lo, s.x.hi})
+			cs = append(cs, DivClaim{s.blk, s.idx, o.Line, o.Args[0], s.x.Lo, s.x.Hi})
 		}
 	}
 	return cs

@@ -29,132 +29,177 @@ type lvnKey struct {
 // expressions with moves (which DCE and copy propagation then clean up).
 // It returns the number of ops simplified.
 func LVN(f *ir.Func) int {
+	n := f.NumRegs()
+	l := &lvn{
+		f:        f,
+		avail:    map[lvnKey]ir.Reg{},
+		copyOf:   make([]ir.Reg, n),
+		isConstI: make([]bool, n),
+		constI:   make([]int64, n),
+		isConstF: make([]bool, n),
+		constF:   make([]float64, n),
+		holders:  make([][]lvnKey, n),
+		users:    make([][]lvnKey, n),
+		copies:   make([][]ir.Reg, n),
+	}
 	changed := 0
 	for _, b := range f.Blocks {
-		changed += lvnBlock(f, b)
+		changed += l.block(b)
+		l.reset()
 	}
 	return changed
 }
 
-func lvnBlock(f *ir.Func, b *ir.Block) int {
-	avail := map[lvnKey]ir.Reg{}  // expression -> register holding it
-	copyOf := map[ir.Reg]ir.Reg{} // register -> original it copies
-	constI := map[ir.Reg]int64{}
-	constF := map[ir.Reg]float64{}
-	isConstI := map[ir.Reg]bool{}
-	isConstF := map[ir.Reg]bool{}
-	// holders[r] = expressions whose value lives in r (for invalidation)
-	holders := map[ir.Reg][]lvnKey{}
+// lvn is what value numbering knows inside one block. The tables indexed by
+// register are sized once per function and, after each block, reset at the
+// registers the block touched, so a definition costs what it invalidates,
+// not the size of the tables.
+type lvn struct {
+	f        *ir.Func
+	avail    map[lvnKey]ir.Reg // expression → register holding it
+	copyOf   []ir.Reg          // register → original it copies; None if none
+	isConstI []bool
+	constI   []int64
+	isConstF []bool
+	constF   []float64
+	// What a definition of r invalidates: holders[r] are the expressions
+	// whose value lives in r, users[r] those that read r, and copies[r] the
+	// registers recorded as copies of r. An entry may be stale (its
+	// expression or copy already gone); invalidate checks before it deletes.
+	holders, users [][]lvnKey
+	copies         [][]ir.Reg
+	loads          []lvnKey // the load expressions a store or call kills
+	touched        []ir.Reg
+}
+
+func (l *lvn) resolve(r ir.Reg) ir.Reg {
+	for l.copyOf[r] != ir.None {
+		r = l.copyOf[r]
+	}
+	return r
+}
+
+func (l *lvn) setCopy(d, s ir.Reg) {
+	l.copyOf[d] = s
+	l.copies[s] = append(l.copies[s], d)
+	l.touched = append(l.touched, s)
+}
+
+func (l *lvn) record(k lvnKey, dst ir.Reg) {
+	l.avail[k] = dst
+	l.holders[dst] = append(l.holders[dst], k)
+	for _, a := range [...]ir.Reg{k.a0, k.a1, k.a2} {
+		if a != ir.None {
+			l.users[a] = append(l.users[a], k)
+			l.touched = append(l.touched, a)
+		}
+	}
+	if k.kind == ir.Load || k.kind == ir.LoadSpec {
+		l.loads = append(l.loads, k)
+	}
+}
+
+// invalidate forgets what r held: the expressions it holds or reads, the
+// copies of it, and its own copy and constant facts.
+func (l *lvn) invalidate(r ir.Reg) {
+	for _, k := range l.holders[r] {
+		if l.avail[k] == r {
+			delete(l.avail, k)
+		}
+	}
+	for _, k := range l.users[r] {
+		delete(l.avail, k)
+	}
+	for _, d := range l.copies[r] {
+		if l.copyOf[d] == r {
+			l.copyOf[d] = ir.None
+		}
+	}
+	l.holders[r], l.users[r], l.copies[r] = l.holders[r][:0], l.users[r][:0], l.copies[r][:0]
+	l.copyOf[r], l.isConstI[r], l.isConstF[r] = ir.None, false, false
+}
+
+func (l *lvn) killLoads() {
+	for _, k := range l.loads {
+		delete(l.avail, k)
+	}
+	l.loads = l.loads[:0]
+}
+
+// reset empties the tables for the next block.
+func (l *lvn) reset() {
+	for _, r := range l.touched {
+		l.invalidate(r)
+	}
+	l.touched = l.touched[:0]
+	l.loads = l.loads[:0]
+}
+
+func (l *lvn) block(b *ir.Block) int {
 	changed := 0
-
-	resolve := func(r ir.Reg) ir.Reg {
-		for {
-			c, ok := copyOf[r]
-			if !ok {
-				return r
-			}
-			r = c
-		}
-	}
-	invalidate := func(r ir.Reg) {
-		for _, k := range holders[r] {
-			if avail[k] == r {
-				delete(avail, k)
-			}
-		}
-		delete(holders, r)
-		delete(copyOf, r)
-		delete(isConstI, r)
-		delete(isConstF, r)
-		// any copy chains through r break
-		for d, s := range copyOf {
-			if s == r {
-				delete(copyOf, d)
-			}
-		}
-		// expressions using r as operand die
-		for k, holder := range avail {
-			if k.a0 == r || k.a1 == r || k.a2 == r {
-				delete(avail, k)
-				_ = holder
-			}
-		}
-	}
-	killLoads := func() {
-		for k := range avail {
-			if k.kind == ir.Load || k.kind == ir.LoadSpec {
-				delete(avail, k)
-			}
-		}
-	}
-
 	for i := range b.Ops {
 		o := &b.Ops[i]
 		// canonicalize operands through copies
 		for j, a := range o.Args {
-			na := resolve(a)
+			na := l.resolve(a)
 			if na != a {
 				o.Args[j] = na
 				changed++
 			}
 		}
 		// constant folding
-		if folded := foldOp(f, o, isConstI, constI, isConstF, constF); folded {
+		if folded := foldOp(l.f, o, l.isConstI, l.constI, l.isConstF, l.constF); folded {
 			changed++
 		}
 		// branch folding handled by FoldBranches (needs CFG edits)
 
-		if o.Kind == ir.Call {
-			// calls clobber memory and may do anything to globals
-			killLoads()
-		}
-		if o.Kind == ir.Store {
-			// conservative: a store kills all available loads
-			killLoads()
+		if o.Kind == ir.Call || o.Kind == ir.Store {
+			// a call may do anything to memory, and a store may alias
+			// any load: conservatively, both kill every available load
+			l.killLoads()
 		}
 
 		if o.Dst == ir.None {
 			continue
 		}
 		dst := o.Dst
-		invalidate(dst)
+		l.invalidate(dst)
+		l.touched = append(l.touched, dst)
 		switch o.Kind {
 		case ir.ConstI:
-			isConstI[dst] = true
-			constI[dst] = o.ImmI
+			l.isConstI[dst] = true
+			l.constI[dst] = o.ImmI
 			k := lvnKey{kind: ir.ConstI, imm: o.ImmI}
-			if r, ok := avail[k]; ok && r != dst {
+			if r, ok := l.avail[k]; ok && r != dst {
 				*o = ir.Op{Kind: ir.Mov, Type: ir.I32, Dst: dst, Args: []ir.Reg{r}, Line: o.Line}
-				copyOf[dst] = resolve(r)
+				l.setCopy(dst, l.resolve(r))
 				changed++
 			} else {
-				avail[k] = dst
-				holders[dst] = append(holders[dst], k)
+				l.record(k, dst)
 			}
 		case ir.ConstF:
-			isConstF[dst] = true
-			constF[dst] = o.ImmF
+			l.isConstF[dst] = true
+			l.constF[dst] = o.ImmF
 			k := lvnKey{kind: ir.ConstF, fimm: o.ImmF}
-			if r, ok := avail[k]; ok && r != dst {
+			if r, ok := l.avail[k]; ok && r != dst {
 				*o = ir.Op{Kind: ir.Mov, Type: ir.F64, Dst: dst, Args: []ir.Reg{r}, Line: o.Line}
-				copyOf[dst] = resolve(r)
+				l.setCopy(dst, l.resolve(r))
 				changed++
 			} else {
-				avail[k] = dst
-				holders[dst] = append(holders[dst], k)
+				l.record(k, dst)
 			}
 		case ir.Mov:
 			src := o.Args[0]
 			if src != dst { // a self-copy (d = d >> 0 folds to one) would make resolve cycle
-				copyOf[dst] = resolve(src)
+				l.setCopy(dst, l.resolve(src))
 			}
-			if isConstI[src] {
-				isConstI[dst] = true
-				constI[dst] = constI[src]
+			if l.isConstI[src] {
+				l.isConstI[dst] = true
+				l.constI[dst] = l.constI[src]
 			}
-			if isConstF[src] {
-				isConstF[dst] = true
-				constF[dst] = constF[src]
+			if l.isConstF[src] {
+				l.isConstF[dst] = true
+				l.constF[dst] = l.constF[src]
 			}
 		case ir.Load, ir.LoadSpec, ir.GAddr, ir.FrAddr,
 			ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Rem, ir.And, ir.Or, ir.Xor,
@@ -173,21 +218,20 @@ func lvnBlock(f *ir.Func, b *ir.Block) int {
 			if len(o.Args) > 2 {
 				k.a2 = o.Args[2]
 			}
-			if r, ok := avail[k]; ok && r != dst {
+			if r, ok := l.avail[k]; ok && r != dst {
 				t := o.Type
 				if t == ir.Void {
-					t = f.RegType(dst)
+					t = l.f.RegType(dst)
 				}
 				*o = ir.Op{Kind: ir.Mov, Type: t, Dst: dst, Args: []ir.Reg{r}, Line: o.Line}
-				copyOf[dst] = resolve(r)
+				l.setCopy(dst, l.resolve(r))
 				changed++
 			} else if k.a0 != dst && k.a1 != dst && k.a2 != dst {
 				// Record availability only if the op does not redefine one of
 				// its own operands (e.g. i = i + 1): after such an op the
 				// operand register holds a new value, so the recorded key
 				// would be stale.
-				avail[k] = dst
-				holders[dst] = append(holders[dst], k)
+				l.record(k, dst)
 			}
 		}
 	}
@@ -199,7 +243,7 @@ func lvnBlock(f *ir.Func, b *ir.Block) int {
 // the simulator executes (mach.ValueOf), so a folded op and an executed one
 // cannot disagree. Division by a constant zero is left alone so the runtime
 // fault is preserved. FDiv, the float compares and FtoI are not folded.
-func foldOp(f *ir.Func, o *ir.Op, isCI map[ir.Reg]bool, ci map[ir.Reg]int64, isCF map[ir.Reg]bool, cf map[ir.Reg]float64) bool {
+func foldOp(f *ir.Func, o *ir.Op, isCI []bool, ci []int64, isCF []bool, cf []float64) bool {
 	switch o.Kind {
 	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Rem, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr, ir.Sra,
 		ir.Neg, ir.Not,
@@ -242,7 +286,7 @@ func foldOp(f *ir.Func, o *ir.Op, isCI map[ir.Reg]bool, ci map[ir.Reg]int64, isC
 
 // foldAlgebraic applies identities with one constant operand: x+0, x-0, x*1,
 // x*0, x<<0, x&0, x|0.
-func foldAlgebraic(f *ir.Func, o *ir.Op, isCI map[ir.Reg]bool, ci map[ir.Reg]int64) bool {
+func foldAlgebraic(f *ir.Func, o *ir.Op, isCI []bool, ci []int64) bool {
 	if len(o.Args) != 2 {
 		return false
 	}

@@ -59,27 +59,56 @@ func main() int {
 	return int(s)
 }`
 
+// TestConstFoldAndCSE: LVN folds constants and reuses an available
+// expression, and a definition of a register kills what held its old value:
+// the expressions that read it and the copies made of it.
 func TestConstFoldAndCSE(t *testing.T) {
-	p := compile(t, `
+	for _, tc := range []struct {
+		name, src string
+		want      int32
+		shrinks   bool
+	}{
+		{"fold and reuse", `
 func main() int {
 	var x int = 3 * 4 + 2
 	var y int = 3 * 4 + 2
 	return x + y
-}`)
-	f := p.Func("main")
-	before := countOps(f)
-	n := LVN(f)
-	if n == 0 {
-		t.Error("LVN found nothing to do")
-	}
-	DCE(f)
-	after := countOps(f)
-	if after >= before {
-		t.Errorf("ops %d -> %d, want shrink", before, after)
-	}
-	v, _ := runProg(t, p)
-	if v != 28 {
-		t.Errorf("got %d, want 28", v)
+}`, 28, true},
+		// a's new value is a copy of c until c changes, so y reads a itself
+		{"operand redefined", `
+func f(a int, b int, c int) int {
+	var x int = a * b
+	a = c
+	c = c + 1
+	var y int = a * b
+	return x * 100 + y
+}
+func main() int { return f(3, 4, 5) }`, 1220, false},
+		{"copy source redefined", `
+func f(a int) int {
+	var c int = a
+	a = a + 1
+	return c * 100 + a
+}
+func main() int { return f(3) }`, 304, false},
+	} {
+		p := compile(t, tc.src)
+		f := p.Func("main")
+		before := countOps(f)
+		n := 0
+		for _, g := range p.Funcs {
+			n += LVN(g)
+			DCE(g)
+		}
+		if tc.shrinks && n == 0 {
+			t.Errorf("%s: LVN found nothing to do", tc.name)
+		}
+		if after := countOps(f); tc.shrinks && after >= before {
+			t.Errorf("%s: ops %d -> %d, want shrink", tc.name, before, after)
+		}
+		if v, _ := runProg(t, p); v != tc.want {
+			t.Errorf("%s: got %d, want %d", tc.name, v, tc.want)
+		}
 	}
 }
 

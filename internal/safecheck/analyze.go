@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"github.com/multiflow-repro/trace/internal/absval"
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
@@ -62,12 +63,12 @@ type analyzer struct {
 	queue  []clampItem
 }
 
-func (a *analyzer) argVal(s *state, arg mach.Arg) Val {
+func (a *analyzer) argVal(s *state, arg mach.Arg) absval.Val {
 	if arg.IsImm {
-		return Exact(int64(arg.Imm))
+		return absval.Exact(int64(arg.Imm))
 	}
 	if !arg.Reg.Valid() {
-		return Exact(0) // readArg returns 0 for an unwired operand
+		return absval.Exact(0) // readArg returns 0 for an unwired operand
 	}
 	switch arg.Reg.Bank {
 	case mach.BankI:
@@ -75,9 +76,9 @@ func (a *analyzer) argVal(s *state, arg mach.Arg) Val {
 			return s.regs[ri]
 		}
 	case mach.BankB:
-		return val01
+		return absval.Bool
 	}
-	return Top // F/SF bits reinterpreted as i32: anything
+	return absval.Top // F/SF bits reinterpreted as i32: anything
 }
 
 func (a *analyzer) trackOperand(arg mach.Arg) (operand, bool) {
@@ -92,12 +93,12 @@ func (a *analyzer) trackOperand(arg mach.Arg) (operand, bool) {
 	return operand{}, false
 }
 
-func (s *state) operandVal(o operand) Val {
+func (s *state) operandVal(o operand) absval.Val {
 	if o.imm {
 		// No int32 wrap: predicate shifting can push an immediate past the
 		// int32 range ("i < 256" hoisted over i += 1 becomes "i < 257"
 		// repeatedly), and the comparison math here is pure int64.
-		return Val{o.val, o.val, 0, o.val}
+		return absval.Val{Lo: o.val, Hi: o.val, R: o.val}
 	}
 	return s.regs[o.reg]
 }
@@ -127,7 +128,7 @@ func (o *wordOut) stillborn(p pred, beat uint8) bool {
 
 type write struct {
 	dst mach.PReg
-	v   Val
+	v   absval.Val
 	op  *mach.Op
 }
 
@@ -155,7 +156,7 @@ func (a *analyzer) xfer(w int, s0 *state, rep *Report) {
 				switch o.Kind {
 				case mach.OpCall:
 					// link register receives the return address
-					writes = append(writes, write{mach.RegLR, Exact(int64(w + 1)), o})
+					writes = append(writes, write{mach.RegLR, absval.Exact(int64(w + 1)), o})
 				case mach.OpJmpR:
 					if rep != nil {
 						a.addJmpRSite(rep, w, s, st)
@@ -169,7 +170,7 @@ func (a *analyzer) xfer(w int, s0 *state, rep *Report) {
 				if rep != nil {
 					a.addMemSite(rep, w, s, st)
 				}
-				writes = append(writes, write{o.Dst, Top, o})
+				writes = append(writes, write{o.Dst, absval.Top, o})
 			case ir.Store:
 				if rep != nil {
 					a.addMemSite(rep, w, s, st)
@@ -269,7 +270,7 @@ func (a *analyzer) applyWrite(out *wordOut, x *write, beat uint8) {
 			if ip := st.ipred[p.a.reg]; ip.ok && !out.stillborn(ip, beat) {
 				if w, known := boolTest(p.kind, p.b.val); known {
 					if !w {
-						ip.kind = negateCmp(ip.kind)
+						ip.kind = absval.Negate(ip.kind)
 					}
 					p = ip
 				}
@@ -548,52 +549,17 @@ func (a *analyzer) predFor(o *mach.Op) pred {
 	return pred{}
 }
 
-// evalOp abstracts one non-memory ALU op, mirroring exec.go's wrapping i32
-// semantics. Results destined for non-integer banks are discarded by
-// applyWrite, so float ops may safely report Top.
-func (a *analyzer) evalOp(st *state, o *mach.Op) Val {
-	va, vb := a.argVal(st, o.A), a.argVal(st, o.B)
-	switch o.Kind {
-	case ir.ConstI:
-		return va
-	case ir.Mov, mach.OpMovSF:
-		if o.Type == ir.F64 {
-			return Top
-		}
-		return va
-	case ir.Add:
-		return va.Add(vb)
-	case ir.Sub:
-		return va.Sub(vb)
-	case ir.Mul:
-		return va.Mul(vb)
-	case ir.Div:
-		return va.Div(vb)
-	case ir.Rem:
-		return va.Rem(vb)
-	case ir.And:
-		return va.And(vb)
-	case ir.Or:
-		return va.Or(vb)
-	case ir.Xor:
-		return va.Xor(vb)
-	case ir.Shl:
-		return va.Shl(vb)
-	case ir.Shr:
-		return va.Shr(vb)
-	case ir.Sra:
-		return va.Sra(vb)
-	case ir.Neg:
-		return va.Neg()
-	case ir.Not:
-		return va.Not()
-	case ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE,
-		ir.FCmpEQ, ir.FCmpNE, ir.FCmpLT, ir.FCmpLE, ir.FCmpGT, ir.FCmpGE:
-		return val01
-	case ir.Select:
-		return vb.Join(a.argVal(st, o.C))
+// evalOp abstracts one non-memory ALU op. Results destined for non-integer
+// banks are discarded by applyWrite, so a float op may report Top.
+func (a *analyzer) evalOp(st *state, o *mach.Op) absval.Val {
+	k := o.Kind
+	if k == mach.OpMovSF {
+		k = ir.Mov
 	}
-	return Top
+	if k == ir.Mov && o.Type == ir.F64 {
+		return absval.Top
+	}
+	return absval.Eval(k, a.argVal(st, o.A), a.argVal(st, o.B), a.argVal(st, o.C))
 }
 
 // wordPlan is the static branch structure of one word, derived once per
@@ -715,7 +681,7 @@ type refiner struct {
 	st *state   // the edge state
 }
 
-func (r *refiner) setReg(ri int, v Val) {
+func (r *refiner) setReg(ri int, v absval.Val) {
 	if r.st.regs[ri] == v {
 		return
 	}
@@ -777,7 +743,7 @@ func (r *refiner) cond(arg mach.Arg, want bool) bool {
 		}
 		if !r.o.dirty(int16(ri)) {
 			if want {
-				v, live := r.st.regs[ri].trimNE(0)
+				v, live := r.st.regs[ri].TrimNE(0)
 				if !live {
 					return false
 				}
@@ -805,27 +771,9 @@ func (r *refiner) cond(arg mach.Arg, want bool) bool {
 func (r *refiner) pred(cleanOnly bool, p pred, want bool, depth int) bool {
 	k := p.kind
 	if !want {
-		k = negateCmp(k)
+		k = absval.Negate(k)
 	}
 	return r.cmp(cleanOnly, k, p.a, p.b, depth)
-}
-
-func negateCmp(k ir.OpKind) ir.OpKind {
-	switch k {
-	case ir.CmpEQ:
-		return ir.CmpNE
-	case ir.CmpNE:
-		return ir.CmpEQ
-	case ir.CmpLT:
-		return ir.CmpGE
-	case ir.CmpGE:
-		return ir.CmpLT
-	case ir.CmpLE:
-		return ir.CmpGT
-	case ir.CmpGT:
-		return ir.CmpLE
-	}
-	return k
 }
 
 type clampItem struct {
@@ -867,34 +815,21 @@ func (r *refiner) clampReg(ri int16, lo, hi int64) bool {
 	return true
 }
 
-// clampOperand applies "op lies in [lo, hi]", given the value v the compare
-// read: infeasible at read time proves the edge dead even when the clamp
-// itself is skipped for dirtiness.
-func (r *refiner) clampOperand(cleanOnly bool, op operand, v Val, lo, hi int64) bool {
-	if _, ok := v.Clamp(lo, hi); !ok {
-		return false
+// narrowOperand narrows op's register to n, the value absval.Narrow found
+// for it, unless clean-only mode leaves a register the word wrote alone. A
+// clamp propagates through the affine equalities; an NE trim does not.
+func (r *refiner) narrowOperand(cleanOnly bool, op operand, n absval.Val, trim bool) bool {
+	if op.reg < 0 || cleanOnly && r.o.dirty(op.reg) {
+		return true
 	}
-	if op.reg >= 0 && (!cleanOnly || !r.o.dirty(op.reg)) {
-		return r.clampReg(op.reg, lo, hi)
+	if !trim {
+		return r.clampReg(op.reg, n.Lo, n.Hi)
 	}
-	return true
-}
-
-// trimOperand applies "op != c": an endpoint trim, not a clamp, so it skips
-// equality propagation.
-func (r *refiner) trimOperand(cleanOnly bool, op operand, v Val, c int64) bool {
-	nv, ok := v.trimNE(c)
-	if !ok {
-		return false
+	v, ok := r.st.regs[op.reg].Clamp(n.Lo, n.Hi)
+	if ok {
+		r.setReg(int(op.reg), v)
 	}
-	if op.reg >= 0 && (!cleanOnly || !r.o.dirty(op.reg)) {
-		tv, tok := r.st.regs[op.reg].Clamp(nv.Lo, nv.Hi)
-		if !tok {
-			return false
-		}
-		r.setReg(int(op.reg), tv)
-	}
-	return true
+	return ok
 }
 
 // cmp narrows the operand registers under "kind(a, b) is true". Operand
@@ -903,35 +838,9 @@ func (r *refiner) trimOperand(cleanOnly bool, op operand, v Val, c int64) bool {
 // false when the comparison is infeasible for the view ranges.
 func (r *refiner) cmp(cleanOnly bool, k ir.OpKind, a, b operand, depth int) bool {
 	view := r.view(cleanOnly)
-	va, vb := view.operandVal(a), view.operandVal(b)
-	const lo, hi = math.MinInt32, math.MaxInt32
-	// Clamp targets, computed against the original operand values.
-	var loA, hiA, loB, hiB int64
-	switch k {
-	case ir.CmpEQ:
-		loA, hiA, loB, hiB = vb.Lo, vb.Hi, va.Lo, va.Hi
-	case ir.CmpNE:
-		if vb.IsExact() && !r.trimOperand(cleanOnly, a, va, vb.R) {
-			return false
-		}
-		if va.IsExact() && !r.trimOperand(cleanOnly, b, vb, va.R) {
-			return false
-		}
-	case ir.CmpLT:
-		loA, hiA, loB, hiB = lo, vb.Hi-1, va.Lo+1, hi
-	case ir.CmpLE:
-		loA, hiA, loB, hiB = lo, vb.Hi, va.Lo, hi
-	case ir.CmpGT:
-		loA, hiA, loB, hiB = vb.Lo+1, hi, lo, va.Hi-1
-	case ir.CmpGE:
-		loA, hiA, loB, hiB = vb.Lo, hi, lo, va.Hi
-	default:
-		return true
-	}
-	if k != ir.CmpNE {
-		if !r.clampOperand(cleanOnly, a, va, loA, hiA) || !r.clampOperand(cleanOnly, b, vb, loB, hiB) {
-			return false
-		}
+	na, nb, ok := absval.Narrow(k, view.operandVal(a), view.operandVal(b), true)
+	if !ok || !r.narrowOperand(cleanOnly, a, na, k == ir.CmpNE) || !r.narrowOperand(cleanOnly, b, nb, k == ir.CmpNE) {
+		return false
 	}
 	// A compare result tested against a constant refines the compare's own
 	// relation: "i = cmplt x, y; brT i == 0" means x >= y. The ipred being
@@ -1010,10 +919,10 @@ func flipCmp(k ir.OpKind) ir.OpKind {
 // points at the 8-aligned top of the program's RAM.
 func (a *analyzer) setBoot(s *state) {
 	for i := range s.regs {
-		s.regs[i] = Exact(0)
+		s.regs[i] = absval.Exact(0)
 	}
 	if ri, ok := a.names.ireg(mach.RegSP); ok {
-		s.regs[ri] = Exact(a.memLen &^ 7)
+		s.regs[ri] = absval.Exact(a.memLen &^ 7)
 	}
 	clear(s.eq)
 	clear(s.ipred)

@@ -19,23 +19,12 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/multiflow-repro/trace/internal/absval"
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/schedcheck"
 )
-
-// String renders the value in report syntax: "=7", "[0,252]≡0(mod 4)".
-func (a Val) String() string {
-	if a.M == 0 {
-		return fmt.Sprintf("=%d", a.R)
-	}
-	s := fmt.Sprintf("[%d,%d]", a.Lo, a.Hi)
-	if a.M > 1 {
-		s += fmt.Sprintf("≡%d(mod %d)", a.R, a.M)
-	}
-	return s
-}
 
 // A Site is one guarded operation — a load/store (bounds + alignment), a
 // divide/remainder (zero divisor), or an indirect jump (PC range) — with
@@ -198,11 +187,11 @@ func (a *analyzer) addMemSite(rep *Report, w int, s *mach.SlotOp, st *state) {
 	}
 	va, vb := a.argVal(st, o.A), a.argVal(st, o.B)
 	eaLo, eaHi := va.Lo+vb.Lo, va.Hi+vb.Hi
-	m := gcd(va.M, vb.M)
+	m := absval.GCD(va.M, vb.M)
 	r := va.R + vb.R
 	ea := fmt.Sprintf("ea %s+%s", va, vb)
 	inRAM := eaLo >= ir.GlobalBase && eaHi <= a.memLen-size
-	aligned := mod(r, size) == 0 && (m == 0 || m%size == 0)
+	aligned := r%size == 0 && (m == 0 || m%size == 0)
 	if inRAM && aligned {
 		rep.add(a.site(w, s, true,
 			fmt.Sprintf("%s in ram [%d,%d), %d-aligned", ea, int64(ir.GlobalBase), a.memLen, size)))

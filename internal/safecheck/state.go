@@ -3,6 +3,7 @@ package safecheck
 import (
 	"slices"
 
+	"github.com/multiflow-repro/trace/internal/absval"
 	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/mach"
 )
@@ -113,7 +114,7 @@ func bbIndex(r mach.PReg) (int, bool) {
 // A predicate or equality that is not ok is always the zero value, so
 // "same fact on both sides" is plain ==.
 type state struct {
-	regs  []Val
+	regs  []absval.Val
 	eq    []rel
 	ipred []pred
 	preds [nBB]pred
@@ -188,7 +189,7 @@ const poolChunk = 32
 
 func (p *statePool) get() *state {
 	if len(p.free) == 0 {
-		regs := make([]Val, poolChunk*p.nr)
+		regs := make([]absval.Val, poolChunk*p.nr)
 		eq := make([]rel, poolChunk*p.nr)
 		ipred := make([]pred, poolChunk*p.nr)
 		sts := make([]state, poolChunk)

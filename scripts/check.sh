@@ -14,7 +14,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch, one F-unit table, no unset compile knob, no backend worker pool, one way to arm and to run a batch, one executor for every tier)"
+echo "== one home per decision (no deprecated shim, no tier arbiter, one latency switch, one F-unit table, no unset compile knob, no backend worker pool, one way to arm and to run a batch, one executor for every tier, one abstract value domain)"
 # Tier is the only spelling of how a run executes, and mach.Config.Latency the
 # only timing model outside the verifier's own copy (internal/schedcheck).
 # bench/ is the frozen harness and is not ours to gate.
@@ -70,6 +70,14 @@ fi
 # thing that keeps one on the per-word path.
 if grep -rnE --include='*.go' --exclude='*_test.go' 'tier == TierNative' internal/vliw; then
 	echo "check: internal/vliw chooses an executor by tier again (slice calls advance for every tier; c.tier only says which verdicts remain)"
+	exit 1
+fi
+
+# internal/absval is the one abstract value domain: opt's ranges and
+# safecheck's analysis both run in it, and alias takes its gcd. No second
+# interval type, gcd, absolute value or compare negation beside it.
+if gosrc -n --exclude='*_test.go' 'func (gcd|abs64)\(|\b(negateCmp|notCmp)\b|type interval struct' | grep -v '^\./internal/absval/'; then
+	echo "check: a second abstract domain, gcd, abs64 or compare negation outside internal/absval (use absval.Val, GCD, Abs64, Negate)"
 	exit 1
 fi
 
