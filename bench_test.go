@@ -386,7 +386,7 @@ func coldPrograms() []xp.Workload {
 
 // BenchmarkSafecheckAnalyze measures the safety analysis on a linked image.
 // B/op is the tracked number (scripts/bench.sh holds a ceiling on it): the
-// analyzer owns its states, so an analysis allocates O(CFG edges × named
+// analyzer owns its states, so an analysis allocates O(block exits × named
 // registers) however many visits the fixpoint makes.
 func BenchmarkSafecheckAnalyze(b *testing.B) {
 	for _, w := range coldPrograms() {

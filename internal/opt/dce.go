@@ -19,15 +19,18 @@ func DCE(f *ir.Func) int {
 func dceOnce(f *ir.Func) int {
 	lv := f.ComputeLiveness()
 	removed := 0
+	var live ir.RegSet
+	var dead []bool
 	for _, b := range f.Blocks {
-		live := lv.Out[b.ID].Clone()
-		// walk backward, deleting dead pure ops
-		var kept []ir.Op
+		live = append(live[:0], lv.Out[b.ID]...)
+		dead = append(dead[:0], make([]bool, len(b.Ops))...)
+		// walk backward, marking dead pure ops
+		n := 0
 		for i := len(b.Ops) - 1; i >= 0; i-- {
-			o := b.Ops[i]
-			dead := o.Dst != ir.None && !live.Has(o.Dst) && !o.Kind.HasSideEffect()
-			if dead {
-				removed++
+			o := &b.Ops[i]
+			if o.Dst != ir.None && !live.Has(o.Dst) && !o.Kind.HasSideEffect() {
+				dead[i] = true
+				n++
 				continue
 			}
 			if o.Dst != ir.None {
@@ -36,13 +39,18 @@ func dceOnce(f *ir.Func) int {
 			for _, a := range o.Args {
 				live.Add(a)
 			}
-			kept = append(kept, o)
 		}
-		// reverse kept
-		for i, j := 0, len(kept)-1; i < j; i, j = i+1, j-1 {
-			kept[i], kept[j] = kept[j], kept[i]
+		if n == 0 {
+			continue
+		}
+		kept := make([]ir.Op, 0, len(b.Ops)-n)
+		for i := range b.Ops {
+			if !dead[i] {
+				kept = append(kept, b.Ops[i])
+			}
 		}
 		b.Ops = kept
+		removed += n
 	}
 	return removed
 }

@@ -12,8 +12,10 @@ import (
 )
 
 // The analyzer: a forward abstract interpretation over the same machine-level
-// CFG schedcheck certifies (schedcheck.CFG), one abstract state per
-// instruction word. The word transfer function is deliberately latency-free:
+// CFG schedcheck certifies (schedcheck.CFG), one abstract state per block —
+// a run of words each entered only by the plain fallthrough from the one
+// before — and per edge that leaves one. The word transfer function is
+// deliberately latency-free:
 // on a schedcheck-clean image every read that could observe an in-flight
 // write is an error-severity finding (stale read, retire race, inverted
 // WAW), so for the images safecheck certifies — which must also hold a
@@ -41,10 +43,12 @@ type analyzer struct {
 	pool      statePool
 	plans     []wordPlan
 
-	// The iteration (see fixpoint): the weak topological order, each word's
-	// in-edges, and what the ascending phase accumulates at component heads.
+	// The iteration (see fixpoint): the weak topological order, the blocks,
+	// each word's in-edges, and what the ascending phase accumulates at
+	// component heads.
 	order  []int
 	end    []int // end[i] > i: order[i] heads the component order[i:end[i]]; else i
+	last   []int // the last word of the block w starts; -1: w is inside a block
 	ins    [][]*edgePlan
 	in     []*state
 	visits []int
@@ -54,10 +58,12 @@ type analyzer struct {
 
 	// Scratch reused by every transfer: the one wordOut the transfer function
 	// runs in, the edge state a refining branch copies the out-state into,
-	// the join of a word's in-edges, and small buffers.
+	// the join of a word's in-edges, the entry state of a block's last word,
+	// and small buffers.
 	out    wordOut
 	edgeSt *state
 	joined *state
+	lastIn *state
 	writes []write
 	seen   []bool
 	queue  []clampItem
@@ -132,14 +138,17 @@ type write struct {
 	op  *mach.Op
 }
 
-// xfer runs one word's transfer function from the entry state s0 (left
-// untouched) into the analyzer's wordOut. When rep is non-nil it also emits
-// the per-site safety verdicts (the final reporting sweep).
+// xfer runs one word's transfer function from the entry state s0 into the
+// analyzer's wordOut; s0 is left untouched unless it is the out-state itself,
+// which a word inside a block runs from in place. When rep is non-nil it also
+// emits the per-site safety verdicts (the final reporting sweep).
 func (a *analyzer) xfer(w int, s0 *state, rep *Report) {
 	a.transfers++
 	out := &a.out
 	st := out.st
-	st.copyFrom(s0)
+	if s0 != st {
+		st.copyFrom(s0)
+	}
 	clear(out.wrote)
 	out.predBorn = [nBB]uint8{}
 	writes := a.writes[:0]
@@ -947,23 +956,29 @@ func (a *analyzer) run(rep *Report) {
 		}
 		return
 	}
+	var s0 *state
 	for w := range a.img.Instrs {
-		if s0 := a.entry(w); s0 != nil {
-			a.xfer(w, s0, rep)
-		} else {
-			a.sweep(rep, w, true, "unreachable: no path executes this site")
+		if a.last[w] >= 0 {
+			s0 = a.entry(w)
 		}
+		if s0 == nil {
+			a.sweep(rep, w, true, "unreachable: no path executes this site")
+			continue
+		}
+		a.xfer(w, s0, rep)
+		s0 = a.out.st // the next word's entry, if it is inside this block
 	}
 }
 
 // fixpoint runs one strategy for both phases (Bourdoncle, "Efficient chaotic
 // iteration strategies with widenings", FMPA 1993): walk the weak topological
 // order of the reachable words, stabilising each component until its head's
-// entry state stops changing. A word is visited only when something one of
-// its in-edges carries has changed; it joins them, transfers once and pushes
-// its refined out-edges. The ascending phase accumulates each head's entry
-// state, widening after widenAt transfers; the descending phase walks the
-// same order, every head marked, until no state changes. Each descending
+// entry state stops changing. A block is visited only when something one of
+// its first word's in-edges carries has changed; it joins them, transfers
+// each of its words once and pushes its last word's refined out-edges. The
+// ascending phase accumulates each head's entry state, widening after
+// widenAt transfers; the descending phase walks the same order, every head
+// marked, until no state changes. Each descending
 // step applies the transfer system to states that already cover every
 // execution, so it is sound wherever the budget stops it; an ascending phase
 // cut short is not, and gives up.
@@ -973,23 +988,7 @@ func (a *analyzer) fixpoint(rep *Report) (giveUp string) {
 	if n == 0 || entry < 0 || entry >= n {
 		return "no entry point: analysis not run"
 	}
-	a.names = nameRegs(a.img.Instrs)
-	a.pool.nr = a.names.n
-	a.out.st, a.edgeSt, a.joined, a.boot = a.pool.get(), a.pool.get(), a.pool.get(), a.pool.get()
-	a.out.wrote, a.seen = make([]uint8, a.names.n), make([]bool, a.names.n)
-	a.setBoot(a.boot)
-	succ, _ := schedcheck.CFG(a.img)
-	a.plans, a.ins = make([]wordPlan, n), make([][]*edgePlan, n)
-	for w := range a.plans {
-		a.plans[w] = a.planWord(w, succ[w])
-		for i := range a.plans[w].edges {
-			e := &a.plans[w].edges[i]
-			a.ins[e.to] = append(a.ins[e.to], e)
-		}
-	}
-	a.wto(entry)
-	a.in, a.visits, a.dirty = make([]*state, n), make([]int, n), make([]bool, n)
-
+	a.prepare()
 	a.widen, a.dirty[entry] = true, true
 	if a.stabilize(0, len(a.order)); a.starved {
 		rep.Exhausted = true
@@ -1001,6 +1000,30 @@ func (a *analyzer) fixpoint(rep *Report) (giveUp string) {
 	}
 	a.stabilize(0, len(a.order))
 	return ""
+}
+
+// prepare builds what the iteration runs on, for an image with an entry
+// point: the register names, the scratch states, the word plans and their
+// in-edges, the weak topological order and the blocks.
+func (a *analyzer) prepare() {
+	n := len(a.img.Instrs)
+	a.names = nameRegs(a.img.Instrs)
+	a.pool.nr = a.names.n
+	a.out.st, a.edgeSt, a.joined, a.lastIn, a.boot = a.pool.get(), a.pool.get(), a.pool.get(), a.pool.get(), a.pool.get()
+	a.out.wrote, a.seen = make([]uint8, a.names.n), make([]bool, a.names.n)
+	a.setBoot(a.boot)
+	succ, _ := schedcheck.CFG(a.img)
+	a.plans, a.ins = make([]wordPlan, n), make([][]*edgePlan, n)
+	for w := range a.plans {
+		a.plans[w] = a.planWord(w, succ[w])
+		for i := range a.plans[w].edges {
+			e := &a.plans[w].edges[i]
+			a.ins[e.to] = append(a.ins[e.to], e)
+		}
+	}
+	a.wto(a.img.Entry)
+	a.blocks()
+	a.in, a.visits, a.dirty = make([]*state, n), make([]int, n), make([]bool, n)
 }
 
 // wto computes the weak topological order of the words reachable from entry
@@ -1056,8 +1079,33 @@ func (a *analyzer) wto(entry int) {
 	a.order, a.end = rev, begin
 }
 
+// blocks sets a.last. A word is inside a block when its one in-edge is the
+// plain edge that is the word before's one out-edge (a fallthrough, or a jump
+// to the next word), and it is neither the image entry nor a component head:
+// its entry state is then its predecessor's out-state. A block transfers word
+// by word in place, so the fixpoint keeps states only on the edges leaving
+// its last word.
+func (a *analyzer) blocks() {
+	head := make([]bool, len(a.plans))
+	for i, end := range a.end {
+		head[a.order[i]] = end > i
+	}
+	a.last = make([]int, len(a.plans))
+	first := 0
+	for w := range a.last {
+		if w > 0 && w != a.img.Entry && !head[w] && len(a.ins[w]) == 1 {
+			if p := a.plans[w-1].edges; len(p) == 1 && p[0].to == w && p[0].mode == edgePlain {
+				a.last[w], a.last[first] = -1, w
+				continue
+			}
+		}
+		a.last[w], first = w, w
+	}
+}
+
 // stabilize iterates the elements of order[lo:hi]: a plain word once, a
-// component until its head's entry state stops changing.
+// component until its head's entry state stops changing. A word inside a
+// block is never dirty: its block's first word transfers it.
 func (a *analyzer) stabilize(lo, hi int) {
 	for i := lo; i < hi && !a.starved; i++ {
 		w, end := a.order[i], a.end[i]
@@ -1073,8 +1121,9 @@ func (a *analyzer) stabilize(lo, hi int) {
 	}
 }
 
-// visit recomputes word w's entry state if one of its in-edges changed,
-// transfers the word and records what each out-edge carries now.
+// visit recomputes the entry state of the block word w starts if one of its
+// in-edges changed, transfers the block's words and records what each edge
+// leaving the block carries now.
 func (a *analyzer) visit(w int, head bool) {
 	if !a.dirty[w] {
 		return
@@ -1097,15 +1146,30 @@ func (a *analyzer) visit(w int, head bool) {
 		a.visits[w]++
 		s0 = a.in[w]
 	}
+	l := a.last[w]
 	if s0 == nil {
-		for i := range a.plans[w].edges {
-			a.carry(&a.plans[w].edges[i], nil)
+		for i := range a.plans[l].edges {
+			a.carry(&a.plans[l].edges[i], nil)
 		}
 		return
 	}
+	for ; w < l; w++ {
+		a.budget--
+		a.xfer(w, s0, nil)
+		s0 = a.out.st
+		if a.budget <= 0 {
+			a.starved = true
+			return
+		}
+	}
 	a.budget--
-	a.xfer(w, s0, nil)
-	a.edges(w, s0, a.carry)
+	in := s0
+	if s0 == a.out.st { // the edge refinements read the entry state
+		in = a.lastIn
+		in.copyFrom(s0)
+	}
+	a.xfer(l, s0, nil)
+	a.edges(l, in, a.carry)
 }
 
 // carry records what edge e carries now (nil: nothing) and marks its target

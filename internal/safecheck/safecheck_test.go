@@ -1,6 +1,7 @@
 package safecheck_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/multiflow-repro/trace/internal/core"
@@ -187,6 +188,73 @@ func TestFixpointConverges(t *testing.T) {
 			t.Errorf("%s: one more step changes the entry state of %d words, first word %d", p.Key(), len(words), words[0])
 		}
 	}
+}
+
+// TestBlocksPartitionReachableWords holds the blocks the fixpoint keeps
+// states between to their definition, read off the CFG schedcheck builds, on
+// every ledger program and experiment kernel (Trace 28/200, O2): they are runs
+// of consecutive words that partition the reachable words, and a word inside
+// one is neither the image entry nor a component head, and is entered by one
+// edge, the plain fallthrough from the word before: that word's only
+// successor, with no branch, call, return or halt, and no jump but to it.
+func TestBlocksPartitionReachableWords(t *testing.T) {
+	inner, words := 0, 0
+	for _, p := range testmatrix.Programs(t, testmatrix.Ledger, testmatrix.Kernels) {
+		img := testmatrix.MustCompile(t, p.Src, mach.Trace28(), testmatrix.O2.Opt).Image
+		succ, reachable := schedcheck.CFG(img)
+		preds := make([][]int, len(succ))
+		for w, ss := range succ {
+			for i, s := range ss {
+				if s >= 0 && s < len(succ) && !slices.Contains(ss[:i], s) {
+					preds[s] = append(preds[s], w)
+				}
+			}
+		}
+		falls := func(w int) bool {
+			for _, s := range img.Instrs[w].Slots {
+				jumpsOn := s.Op.Kind == mach.OpJmp && s.Op.Target == w+1
+				if s.Unit.Kind == mach.UBR && s.Op.Kind != mach.OpSyscall && !jumpsOn {
+					return false
+				}
+			}
+			return slices.Equal(succ[w], []int{w + 1})
+		}
+		blocks, heads := safecheck.Blocks(img)
+		covered := make([]bool, len(img.Instrs))
+		next := 0
+		for _, b := range blocks {
+			if b[0] < next || b[1] < b[0] {
+				t.Fatalf("%s: block %v overlaps or precedes the one before", p.Key(), b)
+			}
+			for w := b[0]; w <= b[1]; w++ {
+				covered[w] = true
+				if w == b[0] {
+					continue
+				}
+				inner++
+				switch {
+				case w == img.Entry:
+					t.Errorf("%s: block %v: the image entry %d is inside it", p.Key(), b, w)
+				case slices.Contains(heads, w):
+					t.Errorf("%s: block %v: component head %d is inside it", p.Key(), b, w)
+				case !slices.Equal(preds[w], []int{w - 1}):
+					t.Errorf("%s: block %v: word %d has predecessors %v", p.Key(), b, w, preds[w])
+				case !falls(w - 1):
+					t.Errorf("%s: block %v: word %d is not a plain fallthrough to %d", p.Key(), b, w-1, w)
+				}
+			}
+			next = b[1] + 1
+		}
+		for w := range covered {
+			if reachable[w] {
+				words++
+			}
+			if covered[w] != reachable[w] {
+				t.Errorf("%s: word %d reachable %t, in a block %t", p.Key(), w, reachable[w], covered[w])
+			}
+		}
+	}
+	t.Logf("%d of %d reachable words are inside a block", inner, words)
 }
 
 // TestTransferCeilings pins the analysis work, in word transfers executed, on

@@ -177,9 +177,11 @@ func (s *state) join(src *state, widen bool) bool {
 	return changed
 }
 
-// statePool hands out states of one analysis. Storage is carved from slabs
-// of poolChunk states, and released states are reused, so an analysis
-// allocates O(CFG edges × named registers) however many visits it makes.
+// statePool hands out states of one analysis: one per live edge that leaves
+// a block, one per component head and a few scratch states. Storage is
+// carved from slabs of poolChunk states, and released states are reused, so
+// an analysis allocates O(block exits × named registers) however many
+// visits it makes.
 type statePool struct {
 	nr   int
 	free []*state

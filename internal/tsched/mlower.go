@@ -499,8 +499,9 @@ func insertCallSpills(f *ir.Func) {
 // or divide goes with its fault (DESIGN.md, "Faults of dead operations").
 // Ops writing a precolored register, a call's link write among them, stay.
 func sweepDeadVOps(vf *VFunc) {
+	uses := make([]int, vf.NumRegs())
 	for {
-		uses := make([]int, vf.NumRegs())
+		clear(uses)
 		for _, b := range vf.Blocks {
 			for i := range b.Ops {
 				for _, u := range b.Ops[i].Uses() {
@@ -510,7 +511,7 @@ func sweepDeadVOps(vf *VFunc) {
 		}
 		removed := 0
 		for _, b := range vf.Blocks {
-			var kept []VOp
+			kept := b.Ops[:0]
 			for _, o := range b.Ops {
 				dead := o.Dst != VNone && uses[o.Dst] == 0 && !o.Kind.HasSideEffect()
 				if _, pre := vf.precolor[o.Dst]; pre {

@@ -117,9 +117,10 @@ func (s *scheduler) scheduleTrace(g *traceGraph) (*schedResult, error) {
 	s.trace++
 	s.res.reset()
 	s.pendingSF = [maxBoards]int{}
-	s.placed, s.maxInstr = nil, 0
-
 	n := len(g.ops)
+	// Room for the cross-bank copies too: they add 5–10 % to fft's and
+	// matmul's traces, and a few traces half as many again.
+	s.placed, s.maxInstr = make([]placedOp, 0, n+n/4), 0
 	earliestBeat := make([]int, n)
 	earliestInstr := make([]int, n)
 	remaining := n
