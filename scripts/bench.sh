@@ -67,22 +67,24 @@ go test -run '^$' -bench 'Reference' -benchtime=20x -count=1 . | tee -a "$raw"
 # against that baseline and not gated: 1.1–1.5x on this host, inside its noise.
 #
 # The B/op ceilings hold safecheck to states it owns: an analysis allocates
-# one pooled state per live CFG edge and per loop head, each sized by the
-# registers the image names — 1.7 MB for matmul, 26.9 MB for fft, 5.1 MB for
-# scanner, 7.3 MB for gen07 as measured. The ceilings date from one state per
-# word plus the ones a descending round rebuilt (9.3, 51.8, 15.8 and 14.2 MB)
-# and now sit 2.9–7.7x above. States passed by value, or fresh state arrays
-# per iteration, cost words × 28 KB × rounds — gigabytes on the same kernels
-# — and trip this at once. The trace scheduler is held the same
-# way: its register allocator keeps liveness and the interference graph in
-# flat slabs over the registers a function names, its list scheduler keeps
-# per-register state in one table per function, and the disambiguator
-# compares two addresses without building their difference: 3.38 MB a
-# compile for matmul, 10.38 MB for fft, 3.87 MB for scanner, 4.95 MB for
-# gen07 as measured (to within 100 bytes run to run), so the ceilings sit
-# 12 %, 18 %, 32 % and 68 % above; a register set cloned per instruction put
-# fft at 310 MB. No ns/op threshold: bytes repeat, nanoseconds on a shared
-# host do not.
+# one pooled state per live edge that leaves a block (a run of words each
+# entered only by the fallthrough from the one before) and per loop head,
+# each sized by the registers the image names — 0.68 MB for matmul, 1.80 MB
+# for fft, 1.79 MB for scanner, 1.47 MB for gen07 as measured. The ceilings
+# sit about 1.4x above. One state per CFG edge read 1.27, 18.4, 4.24 and
+# 7.20 MB and trips them; states passed by value, or fresh state arrays per
+# iteration, cost words × 28 KB × rounds — gigabytes on the same kernels. The
+# trace scheduler is held the same way: its register allocator keeps
+# liveness and the interference graph in flat slabs over the registers a
+# function names, its list scheduler keeps per-register state in one table
+# per function and presizes each trace's placements, the dead-op sweep
+# filters in place, and the disambiguator compares two addresses without
+# building their difference: 2.03 MB a compile for matmul, 7.77 MB for fft,
+# 2.92 MB for scanner, 3.90 MB for gen07 as measured (to within 100 bytes
+# run to run), so the ceilings sit about 1.4x above; growing the placements
+# from nil and a fresh slice per block per sweep read 2.60, 9.18, 3.54 and
+# 4.82 MB, and a register set cloned per instruction put fft at 310 MB. No
+# ns/op threshold: bytes repeat, nanoseconds on a shared host do not.
 #
 # The reference machines keep every call's registers and ready times in one
 # slab per run and resolve callees through one index: 464–478 allocs a pass
@@ -98,6 +100,6 @@ go test -run '^$' -bench 'Reference' -benchtime=20x -count=1 . | tee -a "$raw"
 go run ./cmd/benchjson -baseline scripts/bench_baseline.txt \
 	-require 'BenchmarkSimulatorFast=0.90,BenchmarkSimulatorNative=0.90,BenchmarkSimulator=2.26' \
 	-require-ratio 'BenchmarkReference/interp/BenchmarkReference/scalar=0.50' \
-	-require-max 'BenchmarkSimulator:allocs/op=0,BenchmarkSimulatorNative:allocs/op=0,BenchmarkSimulatorKernels/tridiag/checked:allocs/op=0,BenchmarkSimulatorKernels/fir/checked:allocs/op=0,BenchmarkSimulatorKernels/tridiag/native:allocs/op=0,BenchmarkSimulatorKernels/fir/native:allocs/op=0,BenchmarkImageSwitch/checked:allocs/op=1,BenchmarkImageSwitch/native:allocs/op=1,BenchmarkSafecheckAnalyze/matmul:B/op=13000000,BenchmarkSafecheckAnalyze/fft:B/op=78000000,BenchmarkSafecheckAnalyze/scanner:B/op=24000000,BenchmarkSafecheckAnalyze/gen07:B/op=25000000,BenchmarkTschedCompile/matmul:B/op=3800000,BenchmarkTschedCompile/fft:B/op=12300000,BenchmarkTschedCompile/scanner:B/op=5100000,BenchmarkTschedCompile/gen07:B/op=8300000,BenchmarkReference/interp:allocs/op=600,BenchmarkReference/scalar:allocs/op=900,BenchmarkReference/scoreboard:allocs/op=1200' \
+	-require-max 'BenchmarkSimulator:allocs/op=0,BenchmarkSimulatorNative:allocs/op=0,BenchmarkSimulatorKernels/tridiag/checked:allocs/op=0,BenchmarkSimulatorKernels/fir/checked:allocs/op=0,BenchmarkSimulatorKernels/tridiag/native:allocs/op=0,BenchmarkSimulatorKernels/fir/native:allocs/op=0,BenchmarkImageSwitch/checked:allocs/op=1,BenchmarkImageSwitch/native:allocs/op=1,BenchmarkSafecheckAnalyze/matmul:B/op=960000,BenchmarkSafecheckAnalyze/fft:B/op=2500000,BenchmarkSafecheckAnalyze/scanner:B/op=2500000,BenchmarkSafecheckAnalyze/gen07:B/op=2060000,BenchmarkTschedCompile/matmul:B/op=2850000,BenchmarkTschedCompile/fft:B/op=10900000,BenchmarkTschedCompile/scanner:B/op=4100000,BenchmarkTschedCompile/gen07:B/op=5460000,BenchmarkReference/interp:allocs/op=600,BenchmarkReference/scalar:allocs/op=900,BenchmarkReference/scoreboard:allocs/op=1200' \
 	-o "$out" "$raw"
 echo "wrote $out"
